@@ -19,6 +19,10 @@ gains of one vertex are evaluated as two small matrix products over the
 ``(incident nets × parts)`` pin-count slab, replacing the seed code's
 nested Python loops; a move can therefore never increase the
 connectivity-1 cost (only strictly positive gains are applied).
+
+The passes run in C (``kernels.c:repro_kway_passes``) when
+:func:`repro.native.resolve_backend` picks the native backend, else in
+:func:`_kway_passes_numpy`; both give the same partition.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.refine import _context
+from repro.hypergraph.refine import _context, _RefineContext
+from repro.native import get_kernels, resolve_backend
+from repro.native import ops as native_ops
 
 __all__ = ["kway_greedy_refine"]
 
@@ -51,11 +57,35 @@ def kway_greedy_refine(
     pw = np.zeros((nparts, hg.nconstraints), dtype=np.float64)
     np.add.at(pw, part, hg.vweights.astype(np.float64))
     limit = hg.total_weight().astype(np.float64) / nparts * (1.0 + epsilon)
+    wfloat = hg.vweights.astype(np.float64)
 
+    if resolve_backend() == "native":
+        native_ops.kway_passes(
+            get_kernels(),
+            xnets=hg.xnets, nets=hg.nets, vipt=ctx.vnets_indptr,
+            vnets=ctx.vnets, ncosts=hg.ncosts, wfloat=wfloat, limit=limit,
+            part=part, pc=pc, pw=pw, max_passes=max_passes,
+        )
+    else:
+        _kway_passes_numpy(hg, ctx, part, pc, pw, wfloat, limit, max_passes)
+    return part
+
+
+def _kway_passes_numpy(
+    hg: Hypergraph,
+    ctx: _RefineContext,
+    part: np.ndarray,
+    pc: np.ndarray,
+    pw: np.ndarray,
+    wfloat: np.ndarray,
+    limit: np.ndarray,
+    max_passes: int,
+) -> None:
+    """The reference greedy passes (and the fallback without a
+    compiler): update ``part``, ``pc`` and ``pw`` in place."""
     xnets, nets = hg.xnets, hg.nets
     vipt, vnets = ctx.vnets_indptr, ctx.vnets
     ncosts = hg.ncosts
-    wfloat = hg.vweights.astype(np.float64)
 
     for _ in range(max_passes):
         # Boundary vertices: touch a net spanning >= 2 parts.
@@ -88,4 +118,3 @@ def kway_greedy_refine(
             moved += 1
         if moved == 0:
             break
-    return part

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ModelError
 from repro.hypergraph import profiling
 from repro.hypergraph.bisect import multilevel_bisect
 from repro.hypergraph.hypergraph import Hypergraph
@@ -73,9 +73,13 @@ def partition_kway(
     connectivity-1 cost before and after the K-way polish is recorded
     too — the polish only accepts positive-gain moves, so the cost can
     never increase.
+
+    Raises :class:`~repro.errors.ModelError` when a net lists a vertex
+    twice (see :func:`_check_distinct_pins`).
     """
     if nparts < 1:
         raise ConfigError("nparts must be at least 1")
+    _check_distinct_pins(hg)
     config = config or PartitionConfig()
     prof = profile if profile is not None else profiling.active_profile()
     t_start = obs.now()
@@ -108,6 +112,28 @@ def partition_kway(
     if prof is not None:
         prof.total_s += obs.now() - t_start
     return part
+
+
+def _check_distinct_pins(hg: Hypergraph) -> None:
+    """Reject a net that lists one vertex twice.
+
+    Such a net double-counts the vertex in every pin count, and the
+    refinement loops update pin counts per (net, vertex) pair, so the
+    NumPy and native backends would diverge on it.  Checked once per
+    :func:`partition_kway` call: coarsening de-duplicates the pins of
+    the nets it contracts, and :func:`_split_side` keeps each pin once.
+    """
+    # A stable sort of the net-major pin list gives every vertex its
+    # nets in ascending order, so a repeated pin is a net that follows
+    # itself within one vertex's range.
+    nets, owner = hg.nets, hg.vert_of_pin
+    repeated = np.flatnonzero((nets[1:] == nets[:-1]) & (owner[1:] == owner[:-1]))
+    if repeated.size:
+        i = int(repeated[0])
+        raise ModelError(
+            f"net {int(nets[i])} lists vertex {int(owner[i])} more than once; "
+            "each net must list its vertices once"
+        )
 
 
 def _recurse(

@@ -28,6 +28,13 @@ Implementation notes (the vectorized core):
   the same hypergraph (and by the K-way polish).
 - A pass whose best prefix shows no positive gain ends the refinement
   early (``max_passes`` is an upper bound, not a fixed trip count).
+- The pass loop itself — select, apply, re-insert, best prefix,
+  rollback — runs one move at a time.  :func:`fm_refine` sets up the
+  state arrays with NumPy and hands them to the C kernel
+  ``repro_fm_passes`` when :func:`repro.native.resolve_backend` picks
+  the native backend, else to :func:`_fm_passes_numpy`, the reference
+  loop it reproduces bit for bit (integer gains, the same float64
+  balance arithmetic, the same tie-breaks).
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import concat_spans as _ranges
+from repro.native import get_kernels, resolve_backend
+from repro.native import ops as native_ops
 
 __all__ = ["fm_refine", "bisection_cut", "part_weights"]
 
@@ -130,7 +139,9 @@ def fm_refine(
 ) -> tuple[np.ndarray, int]:
     """Refine a bisection in place-semantics (a refined copy is returned).
 
-    Returns ``(part, cut)`` with the final cut-net cost.
+    Returns ``(part, cut)`` with the final cut-net cost.  The pass loop
+    runs in C when :func:`repro.native.resolve_backend` resolves to
+    ``"native"``; the result is the same on either backend.
     """
     part = np.asarray(part, dtype=np.int8).copy()
     n = hg.nvertices
@@ -138,10 +149,7 @@ def fm_refine(
         return part, 0
 
     ctx = _context(hg)
-    xpins, pins, ncosts = hg.xpins, hg.pins, hg.ncosts
-    valid = ctx.valid
-    vipt, vnets = ctx.vnets_indptr, ctx.vnets
-    net_of_pin = hg.net_of_pin
+    ncosts = hg.ncosts
     vert_of_pin = hg.vert_of_pin
 
     limits = np.stack(
@@ -155,6 +163,64 @@ def fm_refine(
     limit_pos = limits > 0
     inv_limits = np.zeros_like(limits)
     np.divide(1.0, limits, out=inv_limits, where=limit_pos)
+
+    # Pin counts per net per side, cut, part weights.
+    pc = np.zeros((hg.nnets, 2), dtype=np.int64)
+    np.add.at(pc, (hg.net_of_pin, part[hg.pins].astype(np.int64)), 1)
+    cut = int(ncosts[(pc[:, 0] > 0) & (pc[:, 1] > 0)].sum())
+    pw = part_weights(hg, part).astype(np.float64)
+    wfloat = hg.vweights.astype(np.float64)
+
+    # Exact gains for every vertex, computed once and maintained
+    # incrementally by the pass loop (forward moves and rollbacks alike).
+    gain = np.zeros(n, dtype=np.int64)
+    pv = part[vert_of_pin].astype(np.int64)
+    ee = hg.nets
+    vm = ctx.valid[ee]
+    ub = vm & (pc[ee, pv] == 1)
+    cp = vm & (pc[ee, 1 - pv] == 0)
+    np.add.at(gain, vert_of_pin[ub], ncosts[ee[ub]])
+    np.subtract.at(gain, vert_of_pin[cp], ncosts[ee[cp]])
+
+    if resolve_backend() == "native":
+        cut = native_ops.fm_passes(
+            get_kernels(),
+            xpins=hg.xpins, pins=hg.pins, ncosts=ncosts,
+            vipt=ctx.vnets_indptr, vnets=ctx.vnets, wfloat=wfloat,
+            inv_limits=inv_limits, zero_limit=(~limit_pos).astype(np.int8),
+            part=part, pc=pc, gain=gain, pw=pw, gmax=ctx.gain_bound,
+            max_passes=max_passes, stall_fraction=_STALL_FRACTION, cut=cut,
+        )
+    else:
+        cut = _fm_passes_numpy(
+            hg, ctx, part, pc, gain, pw, wfloat, inv_limits, limit_pos,
+            max_passes, cut,
+        )
+    return part, cut
+
+
+def _fm_passes_numpy(
+    hg: Hypergraph,
+    ctx: _RefineContext,
+    part: np.ndarray,
+    pc: np.ndarray,
+    gain: np.ndarray,
+    pw: np.ndarray,
+    wfloat: np.ndarray,
+    inv_limits: np.ndarray,
+    limit_pos: np.ndarray,
+    max_passes: int,
+    cut: int,
+) -> int:
+    """The reference FM pass loop (and the fallback without a compiler).
+
+    Updates ``part``, ``pc`` and ``gain`` in place and returns the final
+    cut; ``kernels.c:repro_fm_passes`` reproduces it bit for bit.
+    """
+    n = hg.nvertices
+    xpins, pins, ncosts = hg.xpins, hg.pins, hg.ncosts
+    vipt, vnets = ctx.vnets_indptr, ctx.vnets
+    vert_of_pin = hg.vert_of_pin
     has_zero_limit = bool(np.any(~limit_pos))
 
     def _viol(pw: np.ndarray) -> float:
@@ -164,24 +230,6 @@ def fm_refine(
                 return float("inf")
             rel = max(rel, 1.0)
         return rel
-
-    # Pin counts per net per side, cut, part weights.
-    pc = np.zeros((hg.nnets, 2), dtype=np.int64)
-    np.add.at(pc, (net_of_pin, part[pins].astype(np.int64)), 1)
-    cut = int(ncosts[(pc[:, 0] > 0) & (pc[:, 1] > 0)].sum())
-    pw = part_weights(hg, part).astype(np.float64)
-    wfloat = hg.vweights.astype(np.float64)
-
-    # Exact gains for every vertex, computed once and maintained
-    # incrementally by _apply (forward moves and rollbacks alike).
-    gain = np.zeros(n, dtype=np.int64)
-    pv = part[vert_of_pin].astype(np.int64)
-    ee = hg.nets
-    vm = valid[ee]
-    ub = vm & (pc[ee, pv] == 1)
-    cp = vm & (pc[ee, 1 - pv] == 0)
-    np.add.at(gain, vert_of_pin[ub], ncosts[ee[ub]])
-    np.subtract.at(gain, vert_of_pin[cp], ncosts[ee[cp]])
 
     gmax = ctx.gain_bound
     nbuckets = 2 * gmax + 1
@@ -392,4 +440,4 @@ def fm_refine(
         if best_gain <= 0 and best_so_far[0] <= 1.0:
             break  # feasible and no volume improvement: converged
 
-    return part, cut
+    return cut

@@ -1,19 +1,26 @@
-"""Native C kernel backend for the compiled SpMV runtime.
+"""Native C kernel backend.
 
-The compiled :class:`~repro.runtime.CommPlan` reduced every multiply
-to a handful of NumPy gathers and scatter-sums, but each of those is
-still a multi-pass, temporary-allocating operation; on the bench
-matrices ``plan.apply`` sat ~5–6× above the raw single-core scipy CSR
-floor.  This package closes most of that gap with four tiny C loops
-(``kernels.c``) that fuse gather → multiply → group-sum scatter into
-single passes, compiled on demand with the host ``cc`` into a
+The kernels (``kernels.c``) serve two layers:
+
+- the compiled :class:`~repro.runtime.CommPlan`, whose NumPy gathers
+  and scatter-sums are multi-pass, temporary-allocating operations
+  (``plan.apply`` sat ~5–6× above the raw single-core scipy CSR floor):
+  four tiny loops fuse gather → multiply → group-sum scatter into
+  single passes;
+- the hypergraph partitioner, whose FM pass loop and K-way polish make
+  one move at a time and paid a dozen NumPy calls per move:
+  ``repro_fm_passes`` and ``repro_kway_passes`` run those loops whole
+  (:func:`repro.native.ops.fm_passes`, :func:`~repro.native.ops.kway_passes`).
+
+The library is compiled on demand with the host ``cc`` into a
 content-hash-named ``.so`` under a build cache (``build.py``), loaded
 via :mod:`ctypes`, and dispatched behind a feature flag:
 
 - ``backend="numpy" | "native" | "auto"`` kwargs on
   :meth:`~repro.runtime.CommPlan.apply` /
   :meth:`~repro.runtime.CommPlan.apply_many`, the solvers, the
-  :class:`~repro.engine.PartitionEngine` and the parallel executor;
+  :class:`~repro.engine.PartitionEngine` and the parallel executor
+  (the partitioner takes no kwarg and follows the process default);
 - the ``REPRO_NATIVE`` environment flag (``0`` forces NumPy, ``1`` or
   unset prefers native where a compiler exists);
 - when no compiler is available, ``auto`` silently falls back to the
@@ -22,7 +29,10 @@ via :mod:`ctypes`, and dispatched behind a feature flag:
 
 The C accumulations iterate in index order, so every sum reproduces
 ``np.bincount``/``np.add.at`` element order bit for bit — the golden
-y/ledger/flops pins hold unchanged under the native backend.
+y/ledger/flops pins hold unchanged under the native backend.  The
+partitioner kernels work on integer gains with the same float64
+balance arithmetic and tie-breaks as the NumPy loops, so partitions
+are identical on both backends.
 """
 
 from repro.native import ops

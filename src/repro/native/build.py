@@ -96,7 +96,7 @@ SANITIZE_ENV = "REPRO_NATIVE_SANITIZE"
 DEBUG_ENV = "REPRO_NATIVE_DEBUG"
 BACKENDS = ("auto", "numpy", "native")
 
-ABI_VERSION = 1
+ABI_VERSION = 2
 CFLAGS = ("-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off")
 # The sanitizer variant keeps -ffp-contract=off and the same loop code,
 # so its outputs stay bit-identical; -O1 keeps ASan shadow checks fast
@@ -112,13 +112,22 @@ _SOURCE = Path(__file__).with_name("kernels.c")
 
 _F64 = ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _I64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+_I8 = ndpointer(dtype=np.int8, flags="C_CONTIGUOUS")
+_INT = ctypes.c_int64
+# name -> (argtypes, restype)
 _SIGNATURES = {
-    "repro_gather_mul_scatter": [ctypes.c_int64, _F64, _I64, _F64, _I64, _F64],
-    "repro_scatter_add": [ctypes.c_int64, _I64, _F64, _F64],
-    "repro_gather_mul_scatter_many": [
-        ctypes.c_int64, ctypes.c_int64, _F64, _I64, _F64, _I64, _F64,
-    ],
-    "repro_scatter_add_many": [ctypes.c_int64, ctypes.c_int64, _I64, _F64, _F64],
+    "repro_gather_mul_scatter": ([_INT, _F64, _I64, _F64, _I64, _F64], None),
+    "repro_scatter_add": ([_INT, _I64, _F64, _F64], None),
+    "repro_gather_mul_scatter_many": ([_INT, _INT, _F64, _I64, _F64, _I64, _F64], None),
+    "repro_scatter_add_many": ([_INT, _INT, _I64, _F64, _F64], None),
+    "repro_fm_passes": (
+        [_INT] * 6 + [_I64] * 5 + [_F64, _F64, _I8, _I8, _I64, _I64, _F64, _I64, _I8],
+        _INT,
+    ),
+    "repro_kway_passes": (
+        [_INT] * 5 + [_I64] * 5 + [_F64, _F64, _I64, _I64, _F64, _I64, _I8],
+        None,
+    ),
 }
 
 
@@ -143,10 +152,10 @@ class KernelLib:
             raise NativeBuildError(
                 f"cached kernel library {path} has ABI {got}, expected {ABI_VERSION}"
             )
-        for name, argtypes in _SIGNATURES.items():
+        for name, (argtypes, restype) in _SIGNATURES.items():
             fn = getattr(dll, name)
             fn.argtypes = argtypes
-            fn.restype = None
+            fn.restype = restype
             setattr(self, name.removeprefix("repro_"), fn)
         self._dll = dll
 

@@ -1,7 +1,15 @@
-/* Fused gather / multiply / group-sum scatter kernels for the compiled
- * SpMV runtime (repro.runtime.plan, repro.runtime.parallel).
+/* Native kernels of two layers:
  *
- * Bit-identity contract with the NumPy kernels they replace:
+ * - fused gather / multiply / group-sum scatter loops for the compiled
+ *   SpMV runtime (repro.runtime.plan, repro.runtime.parallel);
+ * - the per-move loops of the hypergraph partitioner: the FM pass loop
+ *   of repro.hypergraph.refine and the K-way greedy polish of
+ *   repro.hypergraph.kway (bottom of this file).
+ *
+ * No kernel allocates: callers pass every output and workspace array.
+ *
+ * Bit-identity contract of the SpMV kernels with the NumPy kernels they
+ * replace:
  *
  * - every accumulation iterates items in index order, so the additions
  *   into each output slot happen in exactly the element order of
@@ -20,13 +28,15 @@
  * equal sequential single applies bitwise.
  */
 
+#include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 #define EXPORT __attribute__((visibility("default")))
 
 /* Bumped whenever an exported signature changes; the loader refuses a
  * cached .so whose ABI does not match (stale-cache guard). */
-EXPORT int64_t repro_native_abi(void) { return 1; }
+EXPORT int64_t repro_native_abi(void) { return 2; }
 
 /* acc[idx[i]] += vals[i] * x[cols[i]]  — the fused expand/compute
  * inner loop: gather x, multiply by the nonzero value, scatter-add
@@ -89,5 +99,427 @@ EXPORT void repro_scatter_add_many(
         double *restrict arow = acc + idx[i] * r;
         for (int64_t j = 0; j < r; j++)
             arow[j] += vrow[j];
+    }
+}
+
+/* ------------------------------------------------------------------
+ * Hypergraph partitioner: the FM pass loop and the K-way greedy polish.
+ *
+ * Bit-identity contract with the NumPy loops they replace
+ * (repro.hypergraph.refine._fm_passes_numpy and
+ * repro.hypergraph.kway._kway_passes_numpy, which stay as the reference
+ * and as the fallback without a compiler):
+ *
+ * - every gain is an int64 sum of net costs, so the order in which the
+ *   per-net deltas land cannot change a gain;
+ * - the balance arithmetic is the same float64 subtractions, additions,
+ *   products and comparisons as the NumPy expressions, one rounding
+ *   each (-ffp-contract=off again rules out fused multiply-adds);
+ * - every tie breaks as the reference breaks it: LIFO gain buckets,
+ *   seeds, re-inserted vertices and boundary vertices in ascending id
+ *   order, the first part of maximal K-way gain.
+ *
+ * Hypergraph arrays are CSR: net e's pins are pins[xpins[e]:xpins[e+1]],
+ * vertex v's nets are nets[xnets[v]:xnets[v+1]], and its nets of at
+ * least two pins are vnets[vipt[v]:vipt[v+1]].  Precondition: no net
+ * lists a vertex twice (partition_kway rejects such input).
+ */
+
+typedef struct {
+    const int64_t *xpins, *pins, *ncosts, *vipt, *vnets;
+} fm_graph;
+
+/* Gain buckets: doubly linked lists indexed by gain + gmax. */
+typedef struct {
+    int64_t gmax;
+    int64_t *head;  /* 2*gmax + 1 bucket heads, -1 when empty */
+    int64_t *next, *prev, *slot;
+    int8_t *linked;
+} fm_buckets;
+
+static int64_t fm_insert(fm_buckets *q, int64_t v, int64_t gain)
+{
+    const int64_t b = gain + q->gmax;
+    const int64_t h = q->head[b];
+    q->next[v] = h;
+    q->prev[v] = -1;
+    if (h >= 0)
+        q->prev[h] = v;
+    q->head[b] = v;
+    q->linked[v] = 1;
+    q->slot[v] = b;
+    return b;
+}
+
+static void fm_unlink(fm_buckets *q, int64_t v)
+{
+    const int64_t p = q->prev[v], x = q->next[v];
+    if (p >= 0)
+        q->next[p] = x;
+    else
+        q->head[q->slot[v]] = x;
+    if (x >= 0)
+        q->prev[x] = p;
+    q->linked[v] = 0;
+}
+
+static void sift_down(int64_t *a, int64_t root, int64_t n)
+{
+    const int64_t v = a[root];
+    for (;;) {
+        int64_t child = 2 * root + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && a[child + 1] > a[child])
+            child++;
+        if (a[child] <= v)
+            break;
+        a[root] = a[child];
+        root = child;
+    }
+    a[root] = v;
+}
+
+/* In-place ascending heapsort. */
+static void sort_ids(int64_t *a, int64_t n)
+{
+    for (int64_t i = n / 2 - 1; i >= 0; i--)
+        sift_down(a, i, n);
+    for (int64_t end = n - 1; end > 0; end--) {
+        const int64_t t = a[0];
+        a[0] = a[end];
+        a[end] = t;
+        sift_down(a, 0, end);
+    }
+}
+
+static double at_least_one(double x) { return x < 1.0 ? 1.0 : x; }
+
+/* refine.py's _viol on the side weights pw (2 x ncon) after moving
+ * weight w from side a to the other side (w == NULL: no move): the
+ * largest pw * inv_limits, then +inf when a zero-limit entry carries
+ * weight, else at least 1.0 when any limit is zero. */
+static double fm_violation(const double *pw, const double *w, int a, int64_t ncon,
+                           const double *inv_limits, const int8_t *zero_limit,
+                           int has_zero)
+{
+    double rel = -INFINITY;
+    int overrun = 0;
+    for (int s = 0; s < 2; s++)
+        for (int64_t j = 0; j < ncon; j++) {
+            const int64_t i = s * ncon + j;
+            double x = pw[i];
+            if (w != NULL)
+                x = s == a ? x - w[j] : x + w[j];
+            const double r = x * inv_limits[i];
+            if (r > rel)
+                rel = r;
+            if (zero_limit[i] && x > 0)
+                overrun = 1;
+        }
+    if (!has_zero)
+        return rel;
+    return overrun ? INFINITY : at_least_one(rel);
+}
+
+/* Move v from side a to 1 - a: update the pin counts pc (nnets x 2),
+ * the side array and every gain the move changes.  With touched != NULL
+ * the other vertices whose gain was touched are appended to it once
+ * each (mark[] flags them; the caller clears it).  Returns how many.
+ *
+ * Per incident net of cost c, with pa/pb its pins on a/b before:
+ * A pb == 0: the net becomes cut, every pin +c;
+ * D pa == 1: the net becomes internal to b, every pin -c;
+ * B pb == 1: the lone b pin loses its bonus, -c;
+ * C pa == 2: the remaining a pin gains it, +c.
+ * v's own gain simply flips sign. */
+static int64_t fm_apply(const fm_graph *g, int8_t *part, int64_t *pc, int64_t *gain,
+                        int64_t v, int a, int64_t *touched, int8_t *mark)
+{
+    const int b = 1 - a;
+    const int64_t g_old = gain[v];
+    int64_t nt = 0;
+#define NOTE(u)                                                   \
+    do {                                                          \
+        if (touched != NULL && (u) != v && !mark[u]) {            \
+            mark[u] = 1;                                          \
+            touched[nt++] = (u);                                  \
+        }                                                         \
+    } while (0)
+    for (int64_t k = g->vipt[v]; k < g->vipt[v + 1]; k++) {
+        const int64_t e = g->vnets[k], c = g->ncosts[e];
+        const int64_t pa = pc[2 * e + a], pb = pc[2 * e + b];
+        const int64_t lo = g->xpins[e], hi = g->xpins[e + 1];
+        if (pb == 0 || pa == 1) {
+            const int64_t d = pb == 0 ? c : -c;
+            for (int64_t p = lo; p < hi; p++) {
+                const int64_t u = g->pins[p];
+                gain[u] += d;
+                NOTE(u);
+            }
+        }
+        if (pb == 1 || pa == 2) {
+            for (int64_t p = lo; p < hi; p++) {
+                const int64_t u = g->pins[p];
+                if (u == v)
+                    continue;
+                if (pb == 1 && part[u] == b) {
+                    gain[u] -= c;
+                    NOTE(u);
+                } else if (pa == 2 && part[u] == a) {
+                    gain[u] += c;
+                    NOTE(u);
+                }
+            }
+        }
+        pc[2 * e + a] = pa - 1;
+        pc[2 * e + b] = pb + 1;
+    }
+#undef NOTE
+    part[v] = (int8_t)b;
+    gain[v] = -g_old;
+    return nt;
+}
+
+/* Up to max_passes FM passes over a bisection; returns the final cut
+ * (the input cut minus every kept pass's gain).
+ *
+ * part (n, 0/1), pc (nnets x 2 pin counts), gain (n exact move gains)
+ * and pw (2 x ncon side weights) are the state refine.py sets up and
+ * are updated in place.  wfloat is n x ncon; inv_limits and zero_limit
+ * are 2 x ncon.  Workspace: iwork holds 2*gmax + 1 + 7n int64, bwork 3n
+ * int8.  A pass stops after max(64, seeds / stall_fraction) moves
+ * without a better prefix, rolls back to its best prefix, and the
+ * refinement ends when a pass keeps nothing or converges. */
+EXPORT int64_t repro_fm_passes(
+    int64_t n,
+    int64_t ncon,
+    int64_t gmax,
+    int64_t max_passes,
+    int64_t stall_fraction,
+    int64_t cut,
+    const int64_t *restrict xpins,
+    const int64_t *restrict pins,
+    const int64_t *restrict ncosts,
+    const int64_t *restrict vipt,
+    const int64_t *restrict vnets,
+    const double *restrict wfloat,
+    const double *restrict inv_limits,
+    const int8_t *restrict zero_limit,
+    int8_t *restrict part,
+    int64_t *restrict pc,
+    int64_t *restrict gain,
+    double *restrict pw,
+    int64_t *restrict iwork,
+    int8_t *restrict bwork)
+{
+    const fm_graph g = {xpins, pins, ncosts, vipt, vnets};
+    const int64_t nbuckets = 2 * gmax + 1;
+    fm_buckets q = {gmax, iwork, iwork + nbuckets, iwork + nbuckets + n,
+                    iwork + nbuckets + 2 * n, bwork};
+    int64_t *seeds = iwork + nbuckets + 3 * n;
+    int64_t *moves = seeds + n, *gsum = moves + n, *touched = gsum + n;
+    int8_t *locked = bwork + n, *mark = bwork + 2 * n;
+    int has_zero = 0;
+    for (int64_t i = 0; i < 2 * ncon; i++)
+        has_zero |= zero_limit[i] != 0;
+    for (int64_t v = 0; v < n; v++)
+        mark[v] = 0;
+
+    for (int64_t pass = 0; pass < max_passes; pass++) {
+        /* Seeds: vertices on a cut net, else every vertex. */
+        int64_t nseeds = 0;
+        for (int64_t v = 0; v < n; v++)
+            for (int64_t k = vipt[v]; k < vipt[v + 1]; k++) {
+                const int64_t e = vnets[k];
+                if (pc[2 * e] > 0 && pc[2 * e + 1] > 0) {
+                    seeds[nseeds++] = v;
+                    break;
+                }
+            }
+        if (nseeds == 0) {
+            for (int64_t v = 0; v < n; v++)
+                seeds[v] = v;
+            nseeds = n;
+        }
+        if (nseeds == 0)
+            break;
+
+        for (int64_t b = 0; b < nbuckets; b++)
+            q.head[b] = -1;
+        for (int64_t v = 0; v < n; v++) {
+            q.linked[v] = 0;
+            locked[v] = 0;
+        }
+        int64_t cur = 0;
+        for (int64_t i = 0; i < nseeds; i++) {
+            const int64_t b = fm_insert(&q, seeds[i], gain[seeds[i]]);
+            if (b > cur)
+                cur = b;
+        }
+
+        /* Prefix score (violation, -gain), compared lexicographically:
+         * feasibility dominates, so repair moves that cut nets are kept. */
+        double cur_viol = fm_violation(pw, NULL, 0, ncon, inv_limits, zero_limit, has_zero);
+        double best_viol = at_least_one(cur_viol);
+        int64_t best_neg = 0, best_pos = -1, nmoves = 0, running = 0;
+        const int64_t stall = nseeds / stall_fraction > 64 ? nseeds / stall_fraction : 64;
+
+        while (cur >= 0) {
+            const int64_t v = q.head[cur];
+            if (v < 0) {
+                cur--;
+                continue;
+            }
+            fm_unlink(&q, v);
+            const int a = part[v], b = 1 - a;
+            const double *w = wfloat + v * ncon;
+            const double new_viol =
+                fm_violation(pw, w, a, ncon, inv_limits, zero_limit, has_zero);
+            if (new_viol > 1.0 && new_viol >= cur_viol)
+                continue; /* inadmissible: would (keep) violating balance */
+            locked[v] = 1;
+            const int64_t move_gain = gain[v];
+            const int64_t nt = fm_apply(&g, part, pc, gain, v, a, touched, mark);
+            sort_ids(touched, nt);
+            for (int64_t i = 0; i < nt; i++) {
+                const int64_t u = touched[i];
+                mark[u] = 0;
+                if (locked[u])
+                    continue;
+                if (q.linked[u])
+                    fm_unlink(&q, u);
+                const int64_t bu = fm_insert(&q, u, gain[u]);
+                if (bu > cur)
+                    cur = bu;
+            }
+            running += move_gain;
+            for (int64_t j = 0; j < ncon; j++) {
+                pw[a * ncon + j] -= w[j];
+                pw[b * ncon + j] += w[j];
+            }
+            cur_viol = new_viol;
+            moves[nmoves] = v;
+            gsum[nmoves] = running;
+            nmoves++;
+            const double viol = at_least_one(cur_viol);
+            if (viol < best_viol || (viol == best_viol && -running < best_neg)) {
+                best_viol = viol;
+                best_neg = -running;
+                best_pos = nmoves - 1;
+            } else if (nmoves - 1 - best_pos >= stall) {
+                break; /* the tail is heading for rollback anyway */
+            }
+        }
+        if (nmoves == 0)
+            break;
+
+        /* Roll back the moves after the best prefix. */
+        const int64_t best_gain = best_pos >= 0 ? gsum[best_pos] : 0;
+        for (int64_t i = nmoves - 1; i > best_pos; i--) {
+            const int64_t v = moves[i];
+            const int b = part[v], a = 1 - b;
+            const double *w = wfloat + v * ncon;
+            fm_apply(&g, part, pc, gain, v, b, NULL, NULL);
+            for (int64_t j = 0; j < ncon; j++) {
+                pw[b * ncon + j] -= w[j];
+                pw[a * ncon + j] += w[j];
+            }
+        }
+        if (best_pos == -1)
+            break;
+        cut -= best_gain;
+        if (best_gain <= 0 && best_viol <= 1.0)
+            break; /* feasible and no volume improvement: converged */
+    }
+    return cut;
+}
+
+/* Up to max_passes greedy K-way passes under the connectivity-1 metric.
+ *
+ * A pass visits the vertices on a net spanning >= 2 parts at the pass
+ * start, in ascending order.  Each moves to the first part of maximal
+ * positive gain whose weights stay within limit, if any.  part (n),
+ * pc (nnets x nparts pin counts) and pw (nparts x ncon part weights)
+ * are updated in place; wfloat is n x ncon, limit ncon.  Workspace:
+ * gains holds nparts int64, cut nnets int8. */
+EXPORT void repro_kway_passes(
+    int64_t n,
+    int64_t nnets,
+    int64_t nparts,
+    int64_t ncon,
+    int64_t max_passes,
+    const int64_t *restrict xnets,
+    const int64_t *restrict nets,
+    const int64_t *restrict vipt,
+    const int64_t *restrict vnets,
+    const int64_t *restrict ncosts,
+    const double *restrict wfloat,
+    const double *restrict limit,
+    int64_t *restrict part,
+    int64_t *restrict pc,
+    double *restrict pw,
+    int64_t *restrict gains,
+    int8_t *restrict cut)
+{
+    for (int64_t pass = 0; pass < max_passes; pass++) {
+        for (int64_t e = 0; e < nnets; e++) {
+            const int64_t *row = pc + e * nparts;
+            int64_t lam = 0;
+            for (int64_t k = 0; k < nparts && lam < 2; k++)
+                lam += row[k] > 0;
+            cut[e] = lam >= 2;
+        }
+        int moved = 0;
+        for (int64_t v = 0; v < n; v++) {
+            int boundary = 0;
+            for (int64_t k = xnets[v]; k < xnets[v + 1] && !boundary; k++)
+                boundary = cut[nets[k]];
+            if (!boundary || vipt[v] == vipt[v + 1])
+                continue;
+            const int64_t a = part[v];
+            for (int64_t k = 0; k < nparts; k++)
+                gains[k] = 0;
+            for (int64_t i = vipt[v]; i < vipt[v + 1]; i++) {
+                const int64_t e = vnets[i], c = ncosts[e];
+                const int64_t *row = pc + e * nparts;
+                if (row[a] == 1) { /* lambda drops where the net already is */
+                    for (int64_t k = 0; k < nparts; k++)
+                        if (row[k] > 0)
+                            gains[k] += c;
+                } else if (row[a] >= 2) { /* lambda grows where it is not */
+                    for (int64_t k = 0; k < nparts; k++)
+                        if (row[k] == 0)
+                            gains[k] -= c;
+                }
+            }
+            const double *w = wfloat + v * ncon;
+            int64_t best = -1, best_gain = 0;
+            for (int64_t k = 0; k < nparts; k++) {
+                if (k == a || gains[k] <= best_gain)
+                    continue;
+                int fits = 1;
+                for (int64_t j = 0; j < ncon && fits; j++)
+                    fits = pw[k * ncon + j] + w[j] <= limit[j];
+                if (fits) {
+                    best = k;
+                    best_gain = gains[k];
+                }
+            }
+            if (best < 0)
+                continue;
+            for (int64_t i = xnets[v]; i < xnets[v + 1]; i++) {
+                pc[nets[i] * nparts + a] -= 1;
+                pc[nets[i] * nparts + best] += 1;
+            }
+            for (int64_t j = 0; j < ncon; j++) {
+                pw[a * ncon + j] -= w[j];
+                pw[best * ncon + j] += w[j];
+            }
+            part[v] = best;
+            moved = 1;
+        }
+        if (!moved)
+            break;
     }
 }

@@ -1,6 +1,6 @@
 """Array-level wrappers over the native kernel library.
 
-Each function mirrors one NumPy formulation used by the compiled
+Each SpMV function mirrors one NumPy formulation used by the compiled
 runtime and produces bit-identical float64 results (same element
 order, same rounding — see ``kernels.c``).  All take the loaded
 :class:`~repro.native.build.KernelLib` first; callers resolve the
@@ -13,6 +13,12 @@ backend and fetch the library once (per plan / per worker), so the per
 ``length``, ``take``); this module deliberately does not import the
 runtime, so the dependency points one way (runtime → native; lint rule
 ``REP007``).
+
+:func:`fm_passes` and :func:`kway_passes` run the partitioner's
+per-move loops.  They take plain CSR arrays rather than a
+``Hypergraph`` for the same reason (hypergraph → native), update the
+caller's state arrays in place and leave the same state as the NumPy
+loops in :mod:`repro.hypergraph.refine` and :mod:`repro.hypergraph.kway`.
 
 With ``REPRO_NATIVE_DEBUG=1`` (resolved by
 :func:`repro.native.build.debug_bounds_enabled` — the flag is never
@@ -34,10 +40,12 @@ from repro.native import build as _build
 
 __all__ = [
     "compact_group",
+    "fm_passes",
     "fused_group_gather",
     "fused_group_gather_many",
     "group_apply",
     "group_apply_many",
+    "kway_passes",
     "scatter_products",
     "scatter_products_many",
     "scatter_sum",
@@ -47,7 +55,8 @@ __all__ = [
 
 def _validate(kernel: str, n: int, *index_specs) -> None:
     """Debug-mode pre-call validator: each ``(name, idx, bound, size)``
-    spec asserts ``idx`` is a size-``size`` int array into ``[0, bound)``.
+    spec asserts ``idx`` is a size-``size`` int array into ``[0, bound)``
+    (``bound=None`` checks the size only).
 
     Runs only under ``REPRO_NATIVE_DEBUG=1``; the kernels themselves
     perform no checks (that is what makes them fast), so this is the
@@ -60,6 +69,8 @@ def _validate(kernel: str, n: int, *index_specs) -> None:
                 f"native {kernel}: {name} has {idx.size} entries, "
                 f"expected {size}"
             )
+        if bound is None:
+            continue
         if idx.size and not (int(idx.min()) >= 0 and int(idx.max()) < bound):
             raise VerificationError(
                 f"native {kernel}: {name} indexes outside [0, {bound}) "
@@ -206,3 +217,78 @@ def scatter_sum_many(lib, rows, values, nrows: int) -> np.ndarray:
     out = np.zeros((nrows, values.shape[1]))
     lib.scatter_add_many(values.shape[0], values.shape[1], _i64(rows), _f64(values), out)
     return out
+
+
+# ------------------------------------------------------------ partitioner
+
+
+def fm_passes(
+    lib, *, xpins, pins, ncosts, vipt, vnets, wfloat, inv_limits, zero_limit,
+    part, pc, gain, pw, gmax: int, max_passes: int, stall_fraction: int, cut: int,
+) -> int:
+    """The FM pass loop of :func:`repro.hypergraph.refine.fm_refine`.
+
+    ``part`` (int8, 0/1), ``pc`` (int64 ``(nnets, 2)`` pin counts),
+    ``gain`` (int64 move gains, all within ``±gmax``) and ``pw``
+    (float64 ``(2, ncon)`` side weights) are updated in place.
+    ``vipt``/``vnets`` is the CSR vertex → nets-of-two-or-more-pins
+    adjacency.  Returns the final cut.
+    """
+    n, nnets, ncon = part.size, ncosts.size, pw.shape[1]
+    if _build.debug_bounds_enabled():
+        _validate(
+            "fm_passes", n,
+            ("xpins", xpins, pins.size + 1, nnets + 1),
+            ("pins", pins, n, pins.size),
+            ("vipt", vipt, vnets.size + 1, n + 1),
+            ("vnets", vnets, nnets, vnets.size),
+            ("part", part, 2, n),
+            ("gain + gmax", gain + gmax, 2 * gmax + 1, n),
+            ("pc", pc, None, 2 * nnets),
+            ("pw", pw, None, 2 * ncon),
+            ("wfloat", wfloat, None, n * ncon),
+            ("inv_limits", inv_limits, None, 2 * ncon),
+            ("zero_limit", zero_limit, None, 2 * ncon),
+        )
+    iwork = np.empty(2 * gmax + 1 + 7 * n, dtype=np.int64)
+    bwork = np.empty(3 * n, dtype=np.int8)
+    return int(lib.fm_passes(
+        n, ncon, gmax, max_passes, stall_fraction, cut,
+        _i64(xpins), _i64(pins), _i64(ncosts), _i64(vipt), _i64(vnets),
+        _f64(wfloat), _f64(inv_limits), zero_limit,
+        part, pc, gain, pw, iwork, bwork,
+    ))
+
+
+def kway_passes(
+    lib, *, xnets, nets, vipt, vnets, ncosts, wfloat, limit, part, pc, pw,
+    max_passes: int,
+) -> None:
+    """The greedy passes of :func:`repro.hypergraph.kway.kway_greedy_refine`.
+
+    ``part`` (int64), ``pc`` (int64 ``(nnets, nparts)`` pin counts) and
+    ``pw`` (float64 ``(nparts, ncon)`` part weights) are updated in
+    place; ``xnets``/``nets`` is the CSR vertex → net incidence and
+    ``vipt``/``vnets`` its nets of two or more pins.
+    """
+    n, (nnets, nparts), ncon = part.size, pc.shape, pw.shape[1]
+    if _build.debug_bounds_enabled():
+        _validate(
+            "kway_passes", n,
+            ("xnets", xnets, nets.size + 1, n + 1),
+            ("nets", nets, nnets, nets.size),
+            ("vipt", vipt, vnets.size + 1, n + 1),
+            ("vnets", vnets, nnets, vnets.size),
+            ("part", part, nparts, n),
+            ("ncosts", ncosts, None, nnets),
+            ("pw", pw, None, nparts * ncon),
+            ("wfloat", wfloat, None, n * ncon),
+            ("limit", limit, None, ncon),
+        )
+    gains = np.empty(nparts, dtype=np.int64)
+    cut = np.empty(nnets, dtype=np.int8)
+    lib.kway_passes(
+        n, nnets, nparts, ncon, max_passes,
+        _i64(xnets), _i64(nets), _i64(vipt), _i64(vnets), _i64(ncosts),
+        _f64(wfloat), _f64(limit), part, pc, pw, gains, cut,
+    )

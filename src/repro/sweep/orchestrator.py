@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import traceback
 from dataclasses import dataclass, field
 
@@ -35,9 +36,10 @@ import numpy as np
 
 from repro import obs
 from repro.engine import PartitionEngine
-from repro.errors import CellExecutionError
+from repro.errors import CellExecutionError, UsageError
 from repro.hypergraph import PartitionConfig
 from repro.jobs import resolve_jobs
+from repro.native import resolve_backend
 from repro.simulate.machine import MachineModel
 from repro.simulate.report import PartitionQuality
 from repro.sweep.cache import ArtifactCache
@@ -275,15 +277,32 @@ def _pool_map(indexed_call, jobs: int, items: list):
     return [results[i] for i in sorted(results)]
 
 
+def _require_picklable(obj, what: str) -> None:
+    """Raise :class:`~repro.errors.UsageError` naming ``what`` when
+    ``obj`` cannot travel to a pool worker (a lambda, a closure, a
+    local class), instead of a pickle traceback from inside the pool."""
+    try:
+        pickle.dumps(obj)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise UsageError(
+            f"{what} cannot be sent to the worker pool (jobs > 1): "
+            f"{type(exc).__name__}: {exc}; use a module-level function "
+            "or jobs=1"
+        ) from exc
+
+
 def map_tasks(fn, items, *, jobs: int = 1) -> list:
     """Generic orchestrator entry point: apply a picklable ``fn`` to
     every item on the sweep pool, preserving input order.  The property
     tables and the Figure 1 harness route through this, so every
     experiment artifact shares one execution layer.
 
-    ``jobs=0`` means one worker per core; negative values raise
+    ``jobs=0`` means one worker per core; negative values, and an
+    unpicklable ``fn`` when more than one worker runs, raise
     :class:`~repro.errors.UsageError`."""
     jobs = resolve_jobs(jobs, what="jobs")
+    if jobs > 1:
+        _require_picklable(fn, f"map_tasks fn {getattr(fn, '__qualname__', fn)!r}")
     indexed = [(i, fn, item) for i, item in enumerate(items)]
     return _pool_map(_call_indexed, jobs, indexed)
 
@@ -298,10 +317,20 @@ def run_sweep(
     ``cache_dir`` enables the persistent artifact cache — cold runs
     write partitions, compiled plans and cell records through it, warm
     reruns are pure cache reads.
+
+    With ``jobs > 1`` the matrix refs must pickle (a
+    :class:`~repro.errors.UsageError` names the one that does not), and
+    the kernel backend is resolved before the pool forks, so workers
+    inherit the loaded native library instead of each loading or
+    building it.
     """
     jobs = resolve_jobs(jobs, what="jobs")
     if cache_dir is not None:
         ArtifactCache(cache_dir)  # create the root eagerly (fail fast)
+    if jobs > 1:
+        for ref in grid.matrices:
+            _require_picklable(ref, f"matrix ref {ref.name!r}")
+        resolve_backend()
     tasks = grid.tasks()
     # Largest-first dispatch: suites are ordered by ascending nnz.
     indexed = [(t.task_index, t, cache_dir) for t in reversed(tasks)]

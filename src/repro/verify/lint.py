@@ -41,9 +41,10 @@ Rules
     bugs.  (``except BaseException`` is allowed where intentional —
     the worker main loop reraises-or-posts explicitly.)
 ``REP007`` **native-layering** — :mod:`repro.native` must not import
-    ``repro.runtime`` / ``repro.engine`` / ``repro.sweep``: the kernel
-    backend is a leaf the runtime depends on, never the reverse
-    (cycles there would break the pre-fork library-load contract).
+    ``repro.runtime`` / ``repro.engine`` / ``repro.sweep`` /
+    ``repro.hypergraph``: the kernel backend is a leaf the runtime and
+    the partitioner depend on, never the reverse (cycles there would
+    break the pre-fork library-load contract).
 ``REP008`` **one-clock** — direct ``time.perf_counter`` reads are
     confined to :mod:`repro.obs`; everything else times through
     ``repro.obs.now()`` (or a ``span``), so every duration in ``src/``
@@ -96,7 +97,7 @@ RULES: dict[str, tuple[str, str]] = {
         "swallows KeyboardInterrupt/SystemExit and hides teardown bugs",
     ),
     "REP007": (
-        "repro.native must not import runtime/engine/sweep",
+        "repro.native must not import runtime/engine/sweep/hypergraph",
         "the kernel backend is a leaf; cycles break the pre-fork load contract",
     ),
     "REP008": (
@@ -121,7 +122,7 @@ _ENV_MODULES = frozenset({"native/build.py", "experiments/config.py"})
 _CLOCK_LAYER = "obs"
 _BANNED_SYNC = frozenset({"Barrier", "Condition"})
 _SYNC_MODULES = ("multiprocessing", "threading")
-_NATIVE_FORBIDDEN = ("repro.runtime", "repro.engine", "repro.sweep")
+_NATIVE_FORBIDDEN = ("repro.runtime", "repro.engine", "repro.sweep", "repro.hypergraph")
 _SIGKILL_MODULE = "sweep/faults.py"
 _MUTABLE_CTORS = frozenset({"list", "dict", "set", "defaultdict", "OrderedDict"})
 

@@ -111,6 +111,20 @@ for method in ("1d-rowwise", "s2d-heuristic"):
         plan.apply_many(xs, backend="numpy"), plan.apply_many(xs, backend="native")
     ), method
 eng.shutdown()
+
+# The partitioner kernels: one two-constraint partition_kway per backend.
+from repro.generators.circuit import circuit_like
+from repro.hypergraph import Hypergraph, PartitionConfig, column_net_model, partition_kway
+from repro.native import set_default_backend
+
+hg = column_net_model(circuit_like(200, seed=5))
+extra = np.random.default_rng(1).integers(0, 3, hg.nvertices)
+hg = Hypergraph(hg.xpins, hg.pins, np.column_stack([hg.vweights[:, 0], extra]), hg.ncosts)
+parts = {}
+for backend in ("numpy", "native"):
+    set_default_backend(backend)
+    parts[backend] = partition_kway(hg, 8, PartitionConfig(seed=2))
+assert np.array_equal(parts["numpy"], parts["native"])
 print("OK-SANITIZED-GOLDEN")
 """
 
@@ -136,7 +150,8 @@ print("UNREACHABLE")  # the sanitizer must abort before this line
 def test_sanitized_kernels_pass_golden_applies():
     """The ASan/UBSan build variant is bit-identical to NumPy on full
     plan applies (single and s2D models, one and many right-hand
-    sides), run in a child with the sanitizer runtime active."""
+    sides) and on a two-constraint ``partition_kway`` (the FM and K-way
+    kernels), run in a child with the sanitizer runtime active."""
     proc = _run_child(_GOLDEN_CHILD)
     _skip_if_unloadable(proc)
     assert proc.returncode == 0, proc.stderr[-2000:]

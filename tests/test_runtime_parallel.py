@@ -288,12 +288,27 @@ def test_run_sweep_rejects_negative_jobs():
         run_sweep(None, jobs=-2)
 
 
+def _square(v):
+    return v * v
+
+
 def test_map_tasks_jobs_auto():
     from repro.sweep import map_tasks
 
-    assert map_tasks(lambda v: v * v, [1, 2, 3], jobs=0) == [1, 4, 9]
+    assert map_tasks(_square, [1, 2, 3], jobs=0) == [1, 4, 9]
     with pytest.raises(UsageError):
-        map_tasks(lambda v: v, [1], jobs=-1)
+        map_tasks(_square, [1], jobs=-1)
+
+
+def test_map_tasks_rejects_unpicklable_fn_up_front():
+    """A lambda cannot reach a pool worker: the error names it before
+    any worker starts, instead of a pickle traceback from the pool."""
+    from repro.sweep import map_tasks
+
+    with pytest.raises(UsageError, match="<lambda>.*module-level function"):
+        map_tasks(lambda v: v, [1, 2], jobs=2)
+    # In-process execution never pickles, so a lambda is fine there.
+    assert map_tasks(lambda v: v + 1, [1, 2], jobs=1) == [2, 3]
 
 
 def test_cli_solve_jobs(capsys):

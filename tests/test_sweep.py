@@ -9,11 +9,12 @@ relies on.
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, UsageError
 from repro.experiments import ExperimentConfig
 from repro.experiments.tables import run_table2
 from repro.simulate.machine import MachineModel
 from repro.sweep import (
+    MatrixRef,
     SchemeSpec,
     SweepGrid,
     derive_seed,
@@ -163,6 +164,30 @@ def test_machine_axis_reprices_not_repartitions():
 
 def test_map_tasks_preserves_order():
     assert map_tasks(len, ["a", "bb", "ccc"]) == [1, 2, 3]
+
+
+def test_pool_path_resolves_backend_before_forking(monkeypatch):
+    """run_sweep resolves the kernel backend in the parent, so forked
+    workers inherit the loaded library instead of each loading it."""
+    import repro.sweep.orchestrator as orch
+
+    calls = []
+    monkeypatch.setattr(orch, "resolve_backend", lambda: calls.append("resolve"))
+    monkeypatch.setattr(
+        orch, "_pool_map", lambda fn, jobs, items: calls.append(("pool", jobs)) or []
+    )
+    run_sweep(_tiny_grid(), jobs=2)
+    assert calls == ["resolve", ("pool", 2)]
+    calls.clear()
+    run_sweep(_tiny_grid(), jobs=1)
+    assert calls == [("pool", 1)]  # nothing forks, nothing to pre-load
+
+
+def test_run_sweep_rejects_unpicklable_matrix_ref_up_front():
+    bad = MatrixRef(name="bad", source=("coo", lambda: None))
+    grid = SweepGrid(matrices=(bad,), schemes=(SchemeSpec("1d-rowwise"),), ks=(2,))
+    with pytest.raises(UsageError, match="matrix ref 'bad'"):
+        run_sweep(grid, jobs=2)
 
 
 # ----------------------------------------------------------------------

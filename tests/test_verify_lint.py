@@ -174,6 +174,9 @@ def test_rep007_flags_native_importing_runtime():
     assert "REP007" in _rules(
         "from repro.engine import PartitionEngine\n", "native/build.py"
     )
+    assert "REP007" in _rules(
+        "from repro.hypergraph.refine import _context\n", "native/ops.py"
+    )
 
 
 def test_rep007_allows_runtime_importing_native():
