@@ -2,7 +2,7 @@
 
 Drives the JSON-emitting benchmark modules (currently
 ``bench_engine``, ``bench_partitioner``, ``bench_simulate``,
-``bench_runtime``, ``bench_parallel`` and ``bench_sweep``) and prints
+``bench_runtime`` and ``bench_sweep``) and prints
 a one-line summary per artifact.  ``--quick`` runs every benchmark at tiny scale
 (seconds, not minutes) — the same entry point the slow-marked pytest
 smoke test uses, so the bench scripts cannot rot unnoticed; the quick
@@ -28,7 +28,6 @@ REPO_ROOT = BENCH_DIR.parent
 sys.path.insert(0, str(BENCH_DIR))
 
 import bench_engine  # noqa: E402
-import bench_parallel  # noqa: E402
 import bench_partitioner  # noqa: E402
 import bench_runtime  # noqa: E402
 import bench_simulate  # noqa: E402
@@ -64,16 +63,6 @@ BENCHMARKS = [
             f"compiled apply speedup {r['acceptance']['speedup']:.1f}x, "
             f"amortized in {r['acceptance']['amortize_iters']:.1f} iters "
             f"(identical: {r['acceptance']['identical']})"
-        ),
-    ),
-    (
-        bench_parallel,
-        "BENCH_parallel.json",
-        lambda r: (
-            f"parallel apply speedup {r['acceptance']['speedup']:.1f}x "
-            f"({r['acceptance']['basis']}, host cpus "
-            f"{r['acceptance']['host_cpus']}; identical: "
-            f"{r['acceptance']['identical']})"
         ),
     ),
     (

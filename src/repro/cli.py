@@ -12,14 +12,12 @@
     python -m repro.cli simulate --matrix c-big --scheme s2d --k 16 --profile
     python -m repro.cli simulate --matrix trdheim --k 8 --all
     python -m repro.cli solve --matrix trdheim --scheme s2d --k 8 --solver power
-    python -m repro.cli solve --matrix trdheim --scheme s2d --k 8 --jobs 0
     python -m repro.cli solve --matrix trdheim --scheme s2d --k 8 --backend native
     python -m repro.cli native-info
     python -m repro.cli campaign run --table 2 --dir runs/t2 --jobs 4
     python -m repro.cli campaign resume --table 2 --dir runs/t2 --jobs 4
     python -m repro.cli campaign status --dir runs/t2
     python -m repro.cli check lint
-    python -m repro.cli check protocol --workers 2 3 4 --max-faults 1
     python -m repro.cli check plan --matrix trdheim --scheme s2d --k 8 --scale tiny
     python -m repro.cli check plan --plan-file saved-plan.npz
 
@@ -35,13 +33,10 @@ shared intermediates, ``--profile`` adds per-phase wall-clock timings
 and the machine-model cost breakdown); ``solve`` runs an iterative
 solver (power iteration, Jacobi, CG) on the compiled SpMV runtime —
 the partition is compiled once into a reusable communication plan and
-every iteration is a pure array apply.  ``solve --jobs N`` multiplies
-on the shared-memory parallel executor instead (``0`` = one worker per
-core); the answer is bit-identical and the bytes actually moved
-through the shared buffers are reconciled against the machine-model
-ledger.  ``--backend {auto,numpy,native}`` (on ``solve`` and ``table``)
-selects the numeric kernels; ``native-info`` reports whether the
-native C kernel backend is available and where its build cache lives.
+every iteration is a pure array apply.  ``--backend
+{auto,numpy,native}`` (on ``solve`` and ``table``) selects the numeric
+kernels; ``native-info`` reports whether the native C kernel backend
+is available and where its build cache lives.
 
 ``campaign`` is the crash-safe way to run a table-scale grid: every
 cell lifecycle event lands in an append-only checksummed journal under
@@ -56,10 +51,8 @@ reported without aborting the rest of the grid.
 ``check`` runs the static verification layer and exits 1 on any
 violation: ``check plan`` proves a compiled plan's index-array IR
 well-formed (from a partitioned suite matrix, or a saved ``.npz`` via
-``--plan-file``), ``check lint`` runs the project AST lint over the
-``repro`` package, ``check protocol`` exhaustively model-checks the
-parallel executor's semaphore superstep protocol including crash
-faults.
+``--plan-file``) and, for a suite matrix, replays its per-part shards;
+``check lint`` runs the project AST lint over the ``repro`` package.
 """
 
 from __future__ import annotations
@@ -69,6 +62,7 @@ import sys
 
 from repro.engine import ALIASES, PartitionEngine, available_methods
 from repro.errors import ConfigError, UsageError
+from repro.jobs import resolve_jobs
 from repro.native import BACKENDS
 from repro.experiments import (
     ExperimentConfig,
@@ -241,12 +235,6 @@ def main(argv: list[str] | None = None) -> int:
     p_solve.add_argument("--iters", type=int, default=50)
     p_solve.add_argument("--tol", type=float, default=1e-8)
     p_solve.add_argument(
-        "--jobs", type=int, default=1,
-        help="shared-memory SpMV workers (1 = single-core compiled "
-        "apply, 0 = one per core, N = N workers; the parallel "
-        "executor's y is bit-identical to the compiled path)",
-    )
-    p_solve.add_argument(
         "--backend", choices=BACKENDS, default="auto",
         help="numeric kernel backend: numpy, native (fused C loops; "
         "errors if no C compiler), or auto (native where available, "
@@ -317,10 +305,10 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     p_check = sub.add_parser(
-        "check", help="static verification: plan IR, project lint, protocol model"
+        "check", help="static verification: plan IR and project lint"
     )
     p_check.add_argument(
-        "what", choices=("plan", "lint", "protocol"),
+        "what", choices=("plan", "lint"),
         help="which static layer to run (each exits 1 on violations)",
     )
     p_check.add_argument(
@@ -335,14 +323,6 @@ def main(argv: list[str] | None = None) -> int:
     p_check.add_argument(
         "--path", default=None,
         help="package directory to lint (default: the installed repro package)",
-    )
-    p_check.add_argument(
-        "--workers", type=int, nargs="+", default=[2, 3, 4],
-        help="pool sizes to model-check (check protocol)",
-    )
-    p_check.add_argument(
-        "--max-faults", type=int, default=1,
-        help="crash/raise fault budget per modelled run (check protocol)",
     )
 
     args = ap.parse_args(argv)
@@ -388,11 +368,8 @@ def _dispatch(args) -> int:
         set_default_backend(args.backend)
         _resolve_backend_or_exit(args.backend)
         cfg = ExperimentConfig(scale=args.scale) if args.scale else ExperimentConfig()
-        print(
-            _TABLES[args.id](
-                cfg, jobs=args.jobs, cache_dir=args.cache_dir
-            ).text
-        )
+        jobs = resolve_jobs(args.jobs, what="--jobs")
+        print(_TABLES[args.id](cfg, jobs=jobs, cache_dir=args.cache_dir).text)
         return 0
 
     if args.cmd == "figure1":
@@ -492,38 +469,24 @@ def _dispatch(args) -> int:
         a = read_matrix_market(args.mtx) if args.mtx else _find_matrix(args.matrix, args.scale)
         if a.shape[0] != a.shape[1]:
             raise SystemExit(f"solve needs a square matrix, got {a.shape}")
-        from repro.jobs import resolve_jobs
-
-        jobs = resolve_jobs(args.jobs, what="--jobs")
         backend = _resolve_backend_or_exit(args.backend)
         eng = _engine(a, cfg)
         plan = eng.plan(args.scheme, args.k, config=cfg.partitioner())
         cplan = eng.compiled_plan(plan)
-        pool = (
-            eng.parallel_executor(plan, jobs=jobs, backend=backend)
-            if jobs != 1
-            else None
-        )
         common = dict(
             iters=args.iters, tol=args.tol, machine=cfg.machine,
-            plan=cplan, parallel=pool, backend=backend,
+            plan=cplan, backend=backend,
         )
-        try:
-            if args.solver == "power":
-                res = power_iteration(plan.partition, **common)
-            else:
-                b = np.ones(a.shape[0])
-                fn = jacobi if args.solver == "jacobi" else conjugate_gradient
-                res = fn(plan.partition, b, **common)
-            if pool is not None:
-                recon = pool.reconcile()
-        finally:
-            eng.shutdown()
+        if args.solver == "power":
+            res = power_iteration(plan.partition, **common)
+        else:
+            b = np.ones(a.shape[0])
+            fn = jacobi if args.solver == "jacobi" else conjugate_gradient
+            res = fn(plan.partition, b, **common)
         print(
             f"scheme={plan.kind} K={plan.partition.nparts} "
             f"solver={args.solver} executor={cplan.executor} "
             f"backend={backend}"
-            + (f" jobs={pool.jobs}" if pool is not None else "")
         )
         print(
             f"iterations={res.iterations} converged={res.converged} "
@@ -534,15 +497,6 @@ def _dispatch(args) -> int:
             f"sim_time={res.sim_time:.0f}"
         )
         print(f"per-iteration plan: words={cplan.words} msgs={cplan.msgs}")
-        if pool is not None:
-            skew = recon["worker_skew"]
-            print(
-                f"parallel: iters={recon['iters']} "
-                f"measured words/iter={recon['total_words_per_iter']} "
-                f"worker max/min={skew['max_s']:.4f}s/{skew['min_s']:.4f}s "
-                f"skew={skew['ratio']:.2f}x "
-                "(reconciled against the ledger)"
-            )
         return 0
 
     return 1  # pragma: no cover
@@ -569,7 +523,7 @@ def _campaign_cmd(args) -> int:
     campaign = Campaign(
         grid,
         args.campaign_dir,
-        jobs=args.jobs,
+        jobs=resolve_jobs(args.jobs, what="--jobs"),
         retry=RetryPolicy(max_attempts=args.max_attempts),
         watchdog_s=args.watchdog,
         progress=progress,
@@ -627,18 +581,6 @@ def _check_cmd(args) -> int:
             print(v)
         print(f"lint: {len(violations)} violation(s)")
         return 1 if violations else 0
-
-    if args.what == "protocol":
-        from repro.verify import check_protocol
-
-        reports = check_protocol(
-            workers=tuple(args.workers),
-            max_faults=args.max_faults,
-            raise_on_error=False,
-        )
-        for r in reports:
-            print(r.summary())
-        return 0 if all(r.ok for r in reports) else 1
 
     # check plan
     from repro.errors import SerializationError

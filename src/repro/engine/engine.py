@@ -33,7 +33,7 @@ from repro.engine.registry import METHODS, available_methods, resolve_method
 from repro.hypergraph import PartitionConfig, PartitionProfile
 from repro.hypergraph import profiling as hg_profiling
 from repro.partition.types import SpMVPartition, VectorPartition
-from repro.runtime import CommPlan, ParallelExecutor, compile_plan, shard_plan
+from repro.runtime import CommPlan, compile_plan
 from repro.simulate.machine import MachineModel, SpMVRun
 from repro.simulate.report import PartitionQuality, run_partition, summarize
 from repro.sparse.blocks import BlockStructure
@@ -127,10 +127,6 @@ class PartitionEngine:
         :meth:`plan` / :meth:`compiled_plan` consult the store before
         building — a warm process reconstructs a table's plans from
         pure cache reads.
-    backend:
-        Default kernel backend (``"auto"``/``"numpy"``/``"native"``)
-        for executors built through this engine; ``None`` defers to the
-        process-wide policy (see :func:`repro.native.resolve_backend`).
     """
 
     def __init__(
@@ -142,7 +138,6 @@ class PartitionEngine:
         machine: MachineModel | None = None,
         cache: bool = True,
         artifacts=None,
-        backend: str | None = None,
     ) -> None:
         self._matrix = canonical_coo(a)
         self.seed = seed
@@ -150,11 +145,9 @@ class PartitionEngine:
         self.machine = machine or MachineModel()
         self.cache_enabled = bool(cache)
         self.artifacts = artifacts
-        self.backend = backend
         self._store: dict = {}
         self._matrix_digest: str | None = None
         self.cache_stats = {"hits": 0, "misses": 0}
-        self._executors: list[ParallelExecutor] = []
         obs.register_engine(self)
 
     # ------------------------------------------------------------------
@@ -193,25 +186,9 @@ class PartitionEngine:
         return value
 
     def clear_cache(self) -> None:
-        """Drop every memoized intermediate (the matrix stays).
-
-        Memoized parallel executors are process-backed, so they are
-        shut down — not just dropped — before the store is cleared.
-        """
-        self.shutdown()
+        """Drop every memoized intermediate (the matrix stays)."""
         self._store.clear()
         self.cache_stats = {"hits": 0, "misses": 0}
-
-    def shutdown(self) -> None:
-        """Close every parallel executor this engine built (idempotent).
-
-        The executors stay memoized until :meth:`clear_cache`; a closed
-        executor fetched again through :meth:`parallel_executor` is
-        replaced by a fresh pool.
-        """
-        for ex in self._executors:
-            ex.close()
-        self._executors.clear()
 
     def cache_info(self) -> dict:
         """Hit/miss counters, stored-entry count, and ``cached_bytes``
@@ -417,63 +394,6 @@ class PartitionEngine:
 
             verify_plan(cplan)
         return cplan
-
-    def plan_shards(self, plan: Plan) -> list:
-        """Memoized per-part shards of ``plan``'s compiled CommPlan.
-
-        Sharding re-derives the superstep traffic per part and runs the
-        serial-replay audit, so it is worth caching alongside the
-        compiled plan it decomposes.
-        """
-        cplan = self.compiled_plan(plan)
-        key = ("plan-shards", plan.key)
-        with obs.span("engine.shard", method=plan.method, k=plan.nparts):
-            return self._memo(key, lambda: shard_plan(plan.partition, cplan))
-
-    def parallel_executor(
-        self,
-        plan: Plan,
-        *,
-        jobs: int | None = None,
-        timeout: float = 60.0,
-        backend: str | None = None,
-    ) -> ParallelExecutor:
-        """Memoized shared-memory worker pool for ``plan``'s SpMV.
-
-        One persistent :class:`~repro.runtime.ParallelExecutor` per
-        (plan, jobs, resolved backend): repeated solves against the same
-        plan reuse the live pool and its shared segments.  ``backend``
-        defaults to the engine-level setting; it is resolved to a
-        concrete ``"numpy"``/``"native"`` *before* keying, so an
-        ``"auto"`` request and the explicit backend it resolves to share
-        one pool.  A pool that has been closed (or broke) is evicted and
-        rebuilt transparently.  Pools are process-backed, so call
-        :meth:`shutdown` (or :meth:`clear_cache`) when done; executors
-        also self-reap at garbage collection.
-        """
-        from repro.native import resolve_backend
-
-        resolved = resolve_backend(self.backend if backend is None else backend)
-        key = (
-            "parallel-exec",
-            plan.key,
-            None if jobs is None else int(jobs),
-            resolved,
-        )
-        cached = self._store.get(key)
-        if cached is not None and cached.closed:
-            del self._store[key]
-
-        def build() -> ParallelExecutor:
-            cplan = self.compiled_plan(plan)
-            shards = self.plan_shards(plan)
-            ex = ParallelExecutor(
-                cplan, shards, jobs=jobs, timeout=timeout, backend=resolved
-            )
-            self._executors.append(ex)
-            return ex
-
-        return self._memo(key, build)
 
     def simulate_all(
         self,

@@ -1,7 +1,7 @@
 """Worker-count resolution shared by every parallel entry point.
 
-The sweep orchestrator, the parallel SpMV executor and the CLI all
-take a ``jobs`` knob.  The convention is uniform:
+The sweep orchestrator, the campaign runner and the CLI all take a
+``jobs`` knob.  The convention is uniform:
 
 - ``None``  → the caller's default (serial unless stated otherwise);
 - ``0``     → auto: one job per usable core;

@@ -18,9 +18,9 @@ via :mod:`ctypes`, and dispatched behind a feature flag:
 
 - ``backend="numpy" | "native" | "auto"`` kwargs on
   :meth:`~repro.runtime.CommPlan.apply` /
-  :meth:`~repro.runtime.CommPlan.apply_many`, the solvers, the
-  :class:`~repro.engine.PartitionEngine` and the parallel executor
-  (the partitioner takes no kwarg and follows the process default);
+  :meth:`~repro.runtime.CommPlan.apply_many`, the serial shard replay
+  and the solvers (the partitioner takes no kwarg and follows the
+  process default);
 - the ``REPRO_NATIVE`` environment flag (``0`` forces NumPy, ``1`` or
   unset prefers native where a compiler exists);
 - when no compiler is available, ``auto`` silently falls back to the

@@ -1,7 +1,7 @@
 /* Native kernels of two layers:
  *
  * - fused gather / multiply / group-sum scatter loops for the compiled
- *   SpMV runtime (repro.runtime.plan, repro.runtime.parallel);
+ *   SpMV runtime (repro.runtime.plan, repro.runtime.shards);
  * - the per-move loops of the hypergraph partitioner: the FM pass loop
  *   of repro.hypergraph.refine and the K-way greedy polish of
  *   repro.hypergraph.kway (bottom of this file).

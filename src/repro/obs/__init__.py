@@ -27,6 +27,7 @@ from repro.obs.trace import (
     add,
     current_span,
     event,
+    graft,
     now,
     record,
     span,
@@ -47,6 +48,7 @@ __all__ = [
     "event",
     "from_json",
     "gather_stats",
+    "graft",
     "load_bench",
     "now",
     "record",

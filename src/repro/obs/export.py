@@ -9,10 +9,10 @@ Three views of one :class:`~repro.obs.trace.Trace`:
   record bench/regression tooling consumes;
 - :func:`to_chrome` — Chrome trace-event format (the ``traceEvents``
   array), loadable in Perfetto / ``chrome://tracing``.  Span ``attrs``
-  become ``args``; a ``worker`` attribute maps to the event's ``tid``
-  so a parallel solve's per-worker superstep slices render as separate
-  timeline rows, and ``pid`` (when present, e.g. sweep pool workers)
-  maps through as the process row.
+  become ``args``; a ``worker`` (or ``tid``) attribute maps to the
+  event's ``tid`` row, and a ``pid`` attribute (the ``sweep.task`` span
+  of each sweep worker) puts that span and its whole subtree on the
+  worker's process row.
 
 All timestamps are measured from the trace's ``t0``, so timelines
 start at zero regardless of process uptime.
@@ -137,13 +137,14 @@ def to_chrome(trace: Trace) -> dict:
     """
     events: list[dict] = []
 
-    def walk(sp: Span) -> None:
+    def walk(sp: Span, pid: int) -> None:
+        pid = int(sp.attrs.get("pid", pid))
         args = {k: sp.attrs[k] for k in sorted(sp.attrs)}
         args.update((k, sp.counters[k]) for k in sorted(sp.counters))
         ev = {
             "name": sp.name,
             "ts": (sp.t0 - trace.t0) * 1e6,
-            "pid": int(sp.attrs.get("pid", 0)),
+            "pid": pid,
             "tid": int(sp.attrs.get("worker", sp.attrs.get("tid", 0))),
             "args": args,
         }
@@ -155,10 +156,10 @@ def to_chrome(trace: Trace) -> dict:
             ev["s"] = "t"
         events.append(ev)
         for child in sp.children:
-            walk(child)
+            walk(child, pid)
 
     for sp in trace.spans:
-        walk(sp)
+        walk(sp, 0)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

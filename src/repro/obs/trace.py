@@ -6,16 +6,18 @@ One mechanism replaces the repo's scattered self-observation plumbing
 - :func:`tracing` opens an ambient :class:`Trace` collector;
 - :func:`span` times a named block into the current trace as a node of
   a hierarchical span tree (engine plan/compile, partitioner stages,
-  simulator phases, solver iterations, parallel supersteps, sweep
-  cells — see the taxonomy in DESIGN.md "Observability layer");
+  simulator phases, solver iterations, sweep cells — see the taxonomy
+  in DESIGN.md "Observability layer");
 - :func:`add` bumps a counter (cache hits, words sent, flops) on the
   innermost open span;
 - :func:`event` records an instantaneous marker (a native kernel
   build, an artifact-cache store);
 - :func:`record` appends an *already measured* span — the hook the
-  parallel executor's coordinator uses to merge per-worker superstep
-  timings read from the shared-memory stats block into the trace with
-  ``worker=``/``step=`` labels.
+  campaign coordinator uses to merge worker-measured ``campaign.cell``
+  windows into the trace;
+- :func:`graft` attaches whole span trees and counters collected by
+  another :func:`tracing` block — how a traced sweep merges the trees
+  its worker processes return.
 
 Every helper is a cheap no-op when no trace is open (one thread-local
 read), so call sites instrument unconditionally; traced runs stay
@@ -23,8 +25,9 @@ bit-identical to untraced runs because nothing here touches numeric
 state.  Collection is **thread-confined**: the trace binds to the
 opening thread, spans recorded by other threads fall into that
 thread's own ambient slot (or nowhere).  Worker *processes* never
-share a trace object — they report through shared-memory blocks and
-the coordinator merges (see :mod:`repro.runtime.parallel`).
+share a trace object — they collect their own and send it back with
+their results, and the coordinator grafts it in (see
+:func:`repro.sweep.orchestrator.run_sweep`).
 
 :func:`now` is the repository's one sanctioned wall-clock read; lint
 rule ``REP008`` confines direct ``time.perf_counter`` calls to this
@@ -51,6 +54,7 @@ __all__ = [
     "add",
     "current_span",
     "event",
+    "graft",
     "now",
     "record",
     "span",
@@ -66,8 +70,8 @@ def now() -> float:
 
     The single sanctioned timing primitive: system-wide, so timestamps
     taken in forked worker processes are directly comparable with the
-    coordinator's (the property the per-worker superstep slices in the
-    Chrome trace ride on).
+    coordinator's (the property merged worker spans in the Chrome
+    trace ride on).
     """
     return time.perf_counter()
 
@@ -252,10 +256,26 @@ def record(name: str, t0: float, dur: float, **attrs) -> None:
     """Append an externally measured span under the current position.
 
     ``t0``/``dur`` are :func:`now` seconds measured elsewhere — e.g. a
-    pool worker's superstep window read back from shared memory; the
-    coordinator calls this to merge them into its trace.
+    campaign worker's cell window; the coordinator calls this to merge
+    them into its trace.
     """
     trace = _TRACE.active()
     if trace is None:
         return
     _attach(trace, Span(name=name, t0=float(t0), dur=float(dur), attrs=attrs))
+
+
+def graft(spans: list[Span], counters: dict) -> None:
+    """Attach another trace's root ``spans`` and trace-level
+    ``counters`` at the current position, as if recorded here.
+
+    The spans hang under the innermost open span (or become roots);
+    each counter is charged like :func:`add`.  No trace open → no-op.
+    """
+    trace = _TRACE.active()
+    if trace is None:
+        return
+    for sp in spans:
+        _attach(trace, sp)
+    for counter, value in counters.items():
+        add(counter, value)

@@ -25,25 +25,20 @@ The iterative solvers (:mod:`repro.solvers`), the engine's memoized
 run on this layer; compiled plans can be persisted with
 :func:`repro.partition.serialize.save_plan`.
 
-For shared-memory execution, :func:`shard_plan` splits a compiled plan
-into per-part :class:`PartPlan`s and :class:`ParallelExecutor` runs
-them on a persistent process pool (:mod:`repro.runtime.parallel`).
+To verify that a plan is a real per-part message-passing program,
+:func:`shard_plan` splits it into per-part :class:`PartPlan`s and
+:func:`apply_shards_serial` replays them superstep by superstep on one
+core (:mod:`repro.runtime.shards`).
 """
 
 from repro.runtime.compile import compile_plan, shard_plan
-from repro.runtime.parallel import (
-    ParallelExecutor,
-    apply_shards_serial,
-    build_parallel_executor,
-)
 from repro.runtime.plan import CommPlan, PartPlan
+from repro.runtime.shards import apply_shards_serial
 
 __all__ = [
     "CommPlan",
-    "ParallelExecutor",
     "PartPlan",
     "apply_shards_serial",
-    "build_parallel_executor",
     "compile_plan",
     "shard_plan",
 ]

@@ -19,6 +19,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.kernels import pair_counts, unique_ints
 from repro.partition.types import SpMVPartition
 from repro.runtime.plan import CommPlan, PartPlan, _Gather, _GroupPlan, _RecvX, _SendSpec
+from repro.runtime.shards import PHASES, apply_shards_serial
 from repro.simulate.bounded import run_s2d_bounded
 from repro.simulate.common import classify_nonzeros, delivery_keys, mesh_intermediate
 from repro.simulate.machine import SpMVRun
@@ -487,8 +488,6 @@ def _check_shards(
     """Shard-time self-check: a serial replay of the shards must equal
     the single-core apply bit for bit, and the words each part writes
     must match the ledger's per-part sent volumes per phase."""
-    from repro.runtime.parallel import PHASES, apply_shards_serial
-
     stats = np.zeros((plan.nparts, len(PHASES[plan.executor])), dtype=np.int64)
     y = apply_shards_serial(plan, shards, stats=stats)
     if not np.array_equal(y, plan.apply_y()):

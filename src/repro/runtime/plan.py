@@ -174,13 +174,13 @@ class _NativeApply:
 
 
 # ----------------------------------------------------------------------
-# Plan shards: the per-part slices a parallel executor runs
+# Plan shards: the per-part slices of the distributed program
 # ----------------------------------------------------------------------
 
 
 @dataclass
 class _SendSpec:
-    """One part's writes into one communication phase's shared buffer.
+    """One part's writes into one communication phase's message buffer.
 
     ``buffer[x_slots] = x_local[x_cols]`` publishes the x words this
     part owns and must expand; ``buffer[p_slots] = partials[p_idx]``
@@ -241,14 +241,14 @@ class _Gather:
 
 @dataclass
 class PartPlan:
-    """Everything one worker needs to run its share of a
+    """Everything one processor needs to run its share of a
     :class:`CommPlan`, frozen at shard time.
 
     Built by :func:`repro.runtime.compile.shard_plan`; a list of K of
-    these plus the plan itself fully describes the parallel execution
-    (see :mod:`repro.runtime.parallel` for the superstep schedule).
-    Row indices into the output are *compact* (positions within
-    ``own_rows``) so a worker's fold touches only its owned rows.
+    these plus the plan itself fully describes the distributed
+    execution (see :mod:`repro.runtime.shards` for the superstep
+    schedule).  Row indices into the output are *compact* (positions
+    within ``own_rows``) so a part's fold touches only its owned rows.
     """
 
     part: int

@@ -51,15 +51,7 @@ class _SpMVEngine:
 
     The communication profile of a plan is static, so the per-iteration
     words/messages/time are computed once at set-up and each multiply
-    is a pure compiled apply.
-
-    ``executor`` selects the multiply backend: ``"compiled"`` is the
-    single-core :meth:`~repro.runtime.CommPlan.apply_y`; ``"parallel"``
-    runs the sharded plan on a shared-memory worker pool
-    (:class:`~repro.runtime.ParallelExecutor`, bit-identical output).
-    A caller-owned pool can be passed via ``parallel`` (the engine's
-    memoized path); otherwise a pool is built here and :meth:`close`
-    shuts it down.  ``backend`` picks the numeric kernels
+    is a pure compiled apply.  ``backend`` picks the numeric kernels
     (``"auto"``/``"numpy"``/``"native"``; see :mod:`repro.native`),
     resolved once at set-up so the per-iteration apply carries no
     dispatch cost.
@@ -71,9 +63,6 @@ class _SpMVEngine:
         machine: MachineModel,
         plan: CommPlan | None = None,
         *,
-        executor: str = "compiled",
-        jobs: int | None = None,
-        parallel=None,
         backend: str | None = None,
     ):
         m, n = p.matrix.shape
@@ -95,38 +84,10 @@ class _SpMVEngine:
                 f"nnz {self.plan.nnz}, K={self.plan.nparts} does not match the "
                 f"partition's ({m}, {n}), nnz {p.matrix.nnz}, K={p.nparts}"
             )
-        if executor not in ("compiled", "parallel"):
-            raise ConfigError(
-                f"unknown solver executor {executor!r}; "
-                "expected 'compiled' or 'parallel'"
-            )
         from repro.native import resolve_backend
 
-        resolved = resolve_backend(backend)
-        self._pool = None
-        self._owns_pool = False
-        if parallel is not None:
-            if parallel.plan is not self.plan and (
-                parallel.plan.nrows,
-                parallel.plan.ncols,
-                parallel.plan.nnz,
-                parallel.plan.nparts,
-            ) != (self.plan.nrows, self.plan.ncols, self.plan.nnz, self.plan.nparts):
-                raise SimulationError(
-                    "the supplied parallel executor was built for a different plan"
-                )
-            self._pool = parallel
-        elif executor == "parallel":
-            from repro.runtime import build_parallel_executor
-
-            self._pool = build_parallel_executor(p, self.plan, jobs=jobs, backend=resolved)
-            self._owns_pool = True
-        if self._pool is None:
-            plan_, backend_ = self.plan, resolved
-            self._apply = lambda x: plan_.apply_y(x, backend=backend_)
-        else:
-            self._apply = self._pool.apply_y
-        self.backend = resolved if self._pool is None else self._pool.backend
+        plan_, backend_ = self.plan, resolve_backend(backend)
+        self._apply = lambda x: plan_.apply_y(x, backend=backend_)
         self.words = 0
         self.msgs = 0
         self.time = 0.0
@@ -145,11 +106,6 @@ class _SpMVEngine:
         obs.add("solver.comm_msgs", self._iter_msgs)
         return y
 
-    def close(self) -> None:
-        """Release a pool this engine built (caller-owned pools stay up)."""
-        if self._owns_pool and self._pool is not None:
-            self._pool.close()
-
     def reduction_cost(self) -> None:
         """One global dot/norm: local work + an allreduce."""
         k = self.p.nparts
@@ -164,9 +120,6 @@ def power_iteration(
     machine: MachineModel | None = None,
     x0: np.ndarray | None = None,
     plan: CommPlan | None = None,
-    executor: str = "compiled",
-    jobs: int | None = None,
-    parallel=None,
     backend: str | None = None,
 ) -> SolveResult:
     """Dominant eigenvalue estimate by repeated distributed SpMV.
@@ -175,18 +128,12 @@ def power_iteration(
     the last absolute eigenvalue change (after a single iteration, the
     distance from the zero initial estimate — always finite).  Pass a
     precompiled ``plan`` to skip compilation (e.g. the engine's
-    memoized ``compiled_plan``).  ``executor="parallel"`` multiplies on
-    a shared-memory worker pool (``jobs`` workers, bit-identical to the
-    compiled path); pass ``parallel`` to reuse a persistent
-    :class:`~repro.runtime.ParallelExecutor` across solves.
-    ``backend`` selects the numeric kernels (see :mod:`repro.native`).
+    memoized ``compiled_plan``).  ``backend`` selects the numeric
+    kernels (see :mod:`repro.native`).
     """
     if iters < 1:
         raise ConfigError(f"power_iteration needs iters >= 1, got {iters}")
-    eng = _SpMVEngine(
-        p, machine or MachineModel(), plan,
-        executor=executor, jobs=jobs, parallel=parallel, backend=backend,
-    )
+    eng = _SpMVEngine(p, machine or MachineModel(), plan, backend=backend)
     n = eng.n
     x = (np.ones(n) if x0 is None else np.asarray(x0, dtype=np.float64)).copy()
     x /= np.linalg.norm(x)
@@ -194,28 +141,23 @@ def power_iteration(
     history: list[float] = []
     converged = False
     it = 0
-    try:
-        with obs.span(
-            "solver.power_iteration", k=p.nparts, executor=executor
-        ) as sp:
-            for it in range(1, iters + 1):
-                y = eng.matvec(x)
-                lam = float(x @ y)
-                eng.reduction_cost()
-                nrm = np.linalg.norm(y)
-                eng.reduction_cost()
-                if nrm == 0:
-                    raise SimulationError("power iteration hit the zero vector")
-                x = y / nrm
-                history.append(lam)
-                if it > 1 and abs(lam - lam_old) <= tol * max(abs(lam), 1.0):
-                    converged = True
-                    break
-                lam_old = lam
-            if sp is not None:
-                sp.attrs["iterations"] = it
-    finally:
-        eng.close()
+    with obs.span("solver.power_iteration", k=p.nparts) as sp:
+        for it in range(1, iters + 1):
+            y = eng.matvec(x)
+            lam = float(x @ y)
+            eng.reduction_cost()
+            nrm = np.linalg.norm(y)
+            eng.reduction_cost()
+            if nrm == 0:
+                raise SimulationError("power iteration hit the zero vector")
+            x = y / nrm
+            history.append(lam)
+            if it > 1 and abs(lam - lam_old) <= tol * max(abs(lam), 1.0):
+                converged = True
+                break
+            lam_old = lam
+        if sp is not None:
+            sp.attrs["iterations"] = it
     return SolveResult(
         x=x,
         iterations=it,
@@ -237,18 +179,12 @@ def jacobi(
     tol: float = 1e-10,
     machine: MachineModel | None = None,
     plan: CommPlan | None = None,
-    executor: str = "compiled",
-    jobs: int | None = None,
-    parallel=None,
     backend: str | None = None,
 ) -> SolveResult:
     """Jacobi iteration ``z ← D⁻¹(b − (A−D) z)`` for diagonally dominant A."""
     if iters < 1:
         raise ConfigError(f"jacobi needs iters >= 1, got {iters}")
-    eng = _SpMVEngine(
-        p, machine or MachineModel(), plan,
-        executor=executor, jobs=jobs, parallel=parallel, backend=backend,
-    )
+    eng = _SpMVEngine(p, machine or MachineModel(), plan, backend=backend)
     a = p.matrix
     d = np.asarray(a.diagonal(), dtype=np.float64)
     if np.any(d == 0):
@@ -259,22 +195,19 @@ def jacobi(
     history: list[float] = []
     converged = False
     it = 0
-    try:
-        with obs.span("solver.jacobi", k=p.nparts, executor=executor) as sp:
-            for it in range(1, iters + 1):
-                az = eng.matvec(z)
-                r = b - az
-                res = float(np.linalg.norm(r)) / bnorm
-                eng.reduction_cost()
-                history.append(res)
-                if res <= tol:
-                    converged = True
-                    break
-                z = z + r / d
-            if sp is not None:
-                sp.attrs["iterations"] = it
-    finally:
-        eng.close()
+    with obs.span("solver.jacobi", k=p.nparts) as sp:
+        for it in range(1, iters + 1):
+            az = eng.matvec(z)
+            r = b - az
+            res = float(np.linalg.norm(r)) / bnorm
+            eng.reduction_cost()
+            history.append(res)
+            if res <= tol:
+                converged = True
+                break
+            z = z + r / d
+        if sp is not None:
+            sp.attrs["iterations"] = it
     return SolveResult(
         x=z,
         iterations=it,
@@ -294,18 +227,12 @@ def conjugate_gradient(
     tol: float = 1e-10,
     machine: MachineModel | None = None,
     plan: CommPlan | None = None,
-    executor: str = "compiled",
-    jobs: int | None = None,
-    parallel=None,
     backend: str | None = None,
 ) -> SolveResult:
     """CG for symmetric positive definite ``A`` (values must be SPD)."""
     if iters < 1:
         raise ConfigError(f"conjugate_gradient needs iters >= 1, got {iters}")
-    eng = _SpMVEngine(
-        p, machine or MachineModel(), plan,
-        executor=executor, jobs=jobs, parallel=parallel, backend=backend,
-    )
+    eng = _SpMVEngine(p, machine or MachineModel(), plan, backend=backend)
     b = np.asarray(b, dtype=np.float64)
     z = np.zeros_like(b)
     r = b.copy()
@@ -316,34 +243,27 @@ def conjugate_gradient(
     history: list[float] = []
     converged = False
     it = 0
-    try:
-        with obs.span(
-            "solver.conjugate_gradient", k=p.nparts, executor=executor
-        ) as sp:
-            for it in range(1, iters + 1):
-                ad = eng.matvec(d)
-                dad = float(d @ ad)
-                eng.reduction_cost()
-                if dad <= 0:
-                    raise SimulationError(
-                        "matrix is not positive definite along d"
-                    )
-                alpha = rs / dad
-                z = z + alpha * d
-                r = r - alpha * ad
-                rs_new = float(r @ r)
-                eng.reduction_cost()
-                res = float(np.sqrt(rs_new)) / bnorm
-                history.append(res)
-                if res <= tol:
-                    converged = True
-                    break
-                d = r + (rs_new / rs) * d
-                rs = rs_new
-            if sp is not None:
-                sp.attrs["iterations"] = it
-    finally:
-        eng.close()
+    with obs.span("solver.conjugate_gradient", k=p.nparts) as sp:
+        for it in range(1, iters + 1):
+            ad = eng.matvec(d)
+            dad = float(d @ ad)
+            eng.reduction_cost()
+            if dad <= 0:
+                raise SimulationError("matrix is not positive definite along d")
+            alpha = rs / dad
+            z = z + alpha * d
+            r = r - alpha * ad
+            rs_new = float(r @ r)
+            eng.reduction_cost()
+            res = float(np.sqrt(rs_new)) / bnorm
+            history.append(res)
+            if res <= tol:
+                converged = True
+                break
+            d = r + (rs_new / rs) * d
+            rs = rs_new
+        if sp is not None:
+            sp.attrs["iterations"] = it
     return SolveResult(
         x=z,
         iterations=it,

@@ -22,8 +22,7 @@ that survives all of those:
 - **supervision** — cells run in forked worker processes (one process
   per task batch, streaming per-cell results over a pipe).  A per-task
   watchdog reaps stuck children (``Process.kill`` from the
-  coordinator — the same reaper discipline as
-  :mod:`repro.runtime.parallel`), marks the in-flight cell
+  coordinator, never a raw signal), marks the in-flight cell
   ``timed_out`` and respawns the worker.
 - **retry policy** — transient faults (worker SIGKILL, watchdog
   timeout, interrupted-by-crash) are retried with exponential backoff
@@ -39,8 +38,8 @@ workers so a faulted campaign replays exactly.
 
 Observability: the coordinator merges worker-measured cell windows into
 the ambient trace as ``campaign.cell`` spans (monotonic clocks are
-system-wide, the same trick the parallel executor uses), and bumps
-``campaign.retries`` / ``campaign.resumed_cells`` /
+system-wide, so worker timestamps line up with the coordinator's), and
+bumps ``campaign.retries`` / ``campaign.resumed_cells`` /
 ``campaign.timeouts`` / ``campaign.quarantined`` counters; journal
 replay and recovery emit ``journal.*`` events.
 """

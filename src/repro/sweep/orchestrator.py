@@ -22,6 +22,13 @@ Determinism guarantees (pinned by the parity tests):
 
 Tasks are dispatched largest-first (suite order is ascending nnz, so
 dispatch order is reversed) to keep the pool's makespan short.
+
+Tracing: when the caller has a trace open, every task runs under its
+own :func:`repro.obs.tracing` block and hands the collected spans and
+counters back with its records; the coordinator grafts them under its
+current span.  A traced run therefore holds the same span tree at any
+``jobs`` — forked workers included — and an untraced run pays one
+boolean per task.
 """
 
 from __future__ import annotations
@@ -139,7 +146,17 @@ def _machine_key(machine: MachineModel) -> tuple:
     return ("machine", machine.alpha, machine.beta, machine.gamma)
 
 
-def _execute_task(task: MatrixTask, cache_dir) -> tuple[list[CellRecord], dict]:
+def _execute_task(task: MatrixTask, cache_dir, traced: bool):
+    """Run one task, under its own trace when ``traced``: returns
+    ``(records, info, (root spans, counters) or None)``."""
+    if not traced:
+        return (*_run_task(task, cache_dir), None)
+    with obs.tracing() as tr:
+        records, info = _run_task(task, cache_dir)
+    return records, info, (tr.spans, tr.counters)
+
+
+def _run_task(task: MatrixTask, cache_dir) -> tuple[list[CellRecord], dict]:
     """Run every cell of one task through one engine (worker body)."""
     t_start = obs.now()
     cache = ArtifactCache(cache_dir) if cache_dir is not None else None
@@ -239,8 +256,8 @@ def _execute_cell(task, engine, cache, digest, cell) -> CellRecord:
 
 
 def _execute_indexed(args):
-    index, task, cache_dir = args
-    return index, _execute_task(task, cache_dir)
+    index, task, cache_dir, traced = args
+    return index, _execute_task(task, cache_dir, traced)
 
 
 def _call_indexed(args):
@@ -332,12 +349,15 @@ def run_sweep(
             _require_picklable(ref, f"matrix ref {ref.name!r}")
         resolve_backend()
     tasks = grid.tasks()
+    traced = obs.active_trace() is not None
     # Largest-first dispatch: suites are ordered by ascending nnz.
-    indexed = [(t.task_index, t, cache_dir) for t in reversed(tasks)]
+    indexed = [(t.task_index, t, cache_dir, traced) for t in reversed(tasks)]
     outcomes = _pool_map(_execute_indexed, jobs, indexed)
     records: list[CellRecord] = []
     engines: list[dict] = []
-    for task_records, info in outcomes:
+    for task_records, info, trace in outcomes:
         records.extend(task_records)
         engines.append(info)
+        if trace is not None:
+            obs.graft(*trace)
     return SweepResult(records=records, engines=engines)

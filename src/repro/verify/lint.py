@@ -2,8 +2,8 @@
 
 Several of the repo's correctness arguments are *policy* rather than
 code — "accumulation primitives live only in kernel-bearing layers",
-"never synchronize the pool with a barrier", "every shared segment has
-a registered finalizer".  Those hold today because the relevant PRs
+"every duration comes from one clock", "only the fault harness sends
+signals".  Those hold today because the relevant PRs
 were careful, but nothing stops a future change from violating them
 silently.  This module encodes each policy as a rule over the stdlib
 :mod:`ast` (no third-party lint framework) and runs the set over
@@ -19,16 +19,9 @@ Rules
     the top-level modules) must route numeric accumulation through
     those layers, so every accumulate that can affect bit-identity is
     auditable in one place.
-``REP002`` **no-barrier-sync** — no use or import of
-    ``multiprocessing``/``threading`` ``Barrier`` or ``Condition``
-    anywhere.  Both block *inside* their protocol waiting for dead
-    peers (see :mod:`repro.runtime.parallel`), so one SIGKILLed worker
-    deadlocks the pool; the semaphore protocol is the only sanctioned
-    synchronization, and :mod:`repro.verify.protocol` proves why.
-``REP003`` **finalized-shm** — a module calling
-    ``SharedMemory(create=True)`` must also register a
-    ``weakref.finalize`` teardown, so segment unlinking survives any
-    exit path (the ``/dev/shm`` leak guard's static half).
+``REP002``, ``REP003`` — retired with the shared-memory SpMV worker
+    pool they guarded (no barrier sync; finalized shared segments).
+    The IDs stay reserved so the later rules keep theirs.
 ``REP004`` **env-via-resolvers** — ``os.environ`` / ``os.getenv``
     access is confined to the resolver modules (``native/build.py``,
     ``experiments/config.py``).  Scattered env reads make runs
@@ -39,7 +32,7 @@ Rules
 ``REP006`` **no-bare-except** — no bare ``except:``; it swallows
     ``KeyboardInterrupt``/``SystemExit`` and hides worker teardown
     bugs.  (``except BaseException`` is allowed where intentional —
-    the worker main loop reraises-or-posts explicitly.)
+    a campaign worker reports every failure to its coordinator.)
 ``REP007`` **native-layering** — :mod:`repro.native` must not import
     ``repro.runtime`` / ``repro.engine`` / ``repro.sweep`` /
     ``repro.hypergraph``: the kernel backend is a leaf the runtime and
@@ -69,20 +62,12 @@ from pathlib import Path
 __all__ = ["LintViolation", "RULES", "lint_paths", "lint_source", "run_lint"]
 
 #: rule id → (summary, rationale) — the catalog DESIGN.md renders.
+#: REP002/REP003 are retired; their IDs are not reused.
 RULES: dict[str, tuple[str, str]] = {
     "REP001": (
         "accumulation primitives confined to kernel-bearing layers",
         "every np.add.at/np.bincount that can affect bit-identity must be "
         "auditable in the numeric layers, not scattered in orchestration",
-    ),
-    "REP002": (
-        "no multiprocessing/threading Barrier or Condition",
-        "both block waiting for dead peers; one SIGKILL deadlocks the pool "
-        "(model-checked in repro.verify.protocol)",
-    ),
-    "REP003": (
-        "SharedMemory(create=True) requires a weakref.finalize in the module",
-        "segment unlinking must survive every exit path, not just the happy one",
     ),
     "REP004": (
         "os.environ/os.getenv only in resolver modules",
@@ -120,8 +105,6 @@ _ACCUM_LAYERS = frozenset(
 )
 _ENV_MODULES = frozenset({"native/build.py", "experiments/config.py"})
 _CLOCK_LAYER = "obs"
-_BANNED_SYNC = frozenset({"Barrier", "Condition"})
-_SYNC_MODULES = ("multiprocessing", "threading")
 _NATIVE_FORBIDDEN = ("repro.runtime", "repro.engine", "repro.sweep", "repro.hypergraph")
 _SIGKILL_MODULE = "sweep/faults.py"
 _MUTABLE_CTORS = frozenset({"list", "dict", "set", "defaultdict", "OrderedDict"})
@@ -158,10 +141,7 @@ class _Visitor(ast.NodeVisitor):
         self.layer = rel.split("/", 1)[0] if "/" in rel else ""
         self.out: list[LintViolation] = []
         self.env_names: set[str] = set()  # names bound to os.environ/getenv
-        self.sync_names: set[str] = set()  # Barrier/Condition imported directly
         self.sigkill_names: set[str] = set()  # SIGKILL imported directly
-        self.has_finalize = False
-        self.shm_creates: list[int] = []
 
     def flag(self, rule: str, node: ast.AST, message: str) -> None:
         self.out.append(
@@ -179,11 +159,6 @@ class _Visitor(ast.NodeVisitor):
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         mod = node.module or ""
-        if mod.startswith(_SYNC_MODULES):
-            for a in node.names:
-                if a.name in _BANNED_SYNC:
-                    self.flag("REP002", node, f"imports {mod}.{a.name}")
-                    self.sync_names.add(a.asname or a.name)
         if mod == "os":
             for a in node.names:
                 if a.name in ("environ", "getenv") and not self._env_allowed():
@@ -195,9 +170,6 @@ class _Visitor(ast.NodeVisitor):
                 if a.name == "SIGKILL":
                     self.flag("REP009", node, "imports signal.SIGKILL")
                     self.sigkill_names.add(a.asname or a.name)
-        if mod == "weakref":
-            if any(a.name == "finalize" for a in node.names):
-                self.has_finalize = True
         if mod == "time" and self.layer != _CLOCK_LAYER:
             for a in node.names:
                 if a.name == "perf_counter":
@@ -212,9 +184,6 @@ class _Visitor(ast.NodeVisitor):
         name = _dotted(node.func)
         if name:
             self._check_accumulation(node, name)
-            base = name.split(".", 1)[0]
-            if name.endswith(".finalize") and base == "weakref":
-                self.has_finalize = True
             if name == "os.getenv" and not self._env_allowed():
                 self.flag("REP004", node, f"environment read via {name}")
             if name == "os.kill" and not self._sigkill_allowed():
@@ -224,14 +193,6 @@ class _Visitor(ast.NodeVisitor):
                     "os.kill outside sweep/faults.py "
                     "(reap children via Process.kill())",
                 )
-            if name == "SharedMemory" or name.endswith(".SharedMemory"):
-                for kw in node.keywords:
-                    if (
-                        kw.arg == "create"
-                        and isinstance(kw.value, ast.Constant)
-                        and kw.value.value is True
-                    ):
-                        self.shm_creates.append(node.lineno)
         self.generic_visit(node)
 
     def _check_accumulation(self, node: ast.Call, name: str) -> None:
@@ -250,9 +211,6 @@ class _Visitor(ast.NodeVisitor):
     # ---------------------------------------------------------- attributes
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr in _BANNED_SYNC:
-            # Any ctx-like object: mp.Barrier, ctx.Condition, threading.…
-            self.flag("REP002", node, f"use of {_dotted(node) or node.attr}")
         if node.attr == "environ":
             name = _dotted(node)
             if name == "os.environ" and not self._env_allowed():
@@ -274,8 +232,6 @@ class _Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
-        if node.id in self.sync_names and isinstance(node.ctx, ast.Load):
-            self.flag("REP002", node, f"use of imported {node.id}")
         if node.id in self.sigkill_names and isinstance(node.ctx, ast.Load):
             self.flag("REP009", node, f"use of imported {node.id}")
         self.generic_visit(node)
@@ -340,17 +296,6 @@ def lint_source(source: str, rel: str) -> list[LintViolation]:
         ]
     v = _Visitor(rel)
     v.visit(tree)
-    if v.shm_creates and not v.has_finalize:
-        for line in v.shm_creates:
-            v.out.append(
-                LintViolation(
-                    "REP003",
-                    rel,
-                    line,
-                    "SharedMemory(create=True) without a weakref.finalize "
-                    "registered in this module",
-                )
-            )
     return sorted(v.out, key=lambda x: (x.path, x.line, x.rule))
 
 

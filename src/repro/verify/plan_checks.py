@@ -25,7 +25,7 @@ memory.  This module proves, by pure array inspection:
   stage's output, and ``nnz`` reconciles against the pre/main split;
 - the executor mode, group/main field shape, ledger phase names and
   superstep cost schedule all agree with the canonical schedule of
-  :data:`repro.runtime.parallel.PHASES`.
+  :data:`repro.runtime.shards.PHASES`.
 
 **Shard level** (:func:`check_shards`)
 
@@ -71,7 +71,7 @@ __all__ = [
 
 # The canonical superstep schedule per execution model: phase name →
 # (send step, receive step).  Mirrors the step programs of
-# repro.runtime.parallel._PartRunner; a plan whose ledger phases or
+# repro.runtime.shards._PartRunner; a plan whose ledger phases or
 # slot traffic cannot be laid onto this schedule is rejected.
 SCHEDULE: dict[str, dict[str, tuple[int, int]]] = {
     "single": {"expand-and-fold": (0, 1)},

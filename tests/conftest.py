@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import glob
 import os
 import pathlib
-import signal
 
 import numpy as np
 import pytest
@@ -13,49 +11,6 @@ import scipy.sparse as sp
 
 from repro.native import find_compiler
 from repro.sparse.coo import canonical_coo
-
-#: Hard wall-clock cap for pool-spawning tests: a superstep-protocol
-#: bug shows up as a hang, and without pytest-timeout in the image a
-#: hung barrier would stall the whole suite.
-PARALLEL_TEST_TIMEOUT_S = 120
-
-
-def _parallel_segments() -> list[str]:
-    """Names of this package's shared-memory segments currently live."""
-    return sorted(glob.glob("/dev/shm/s2d-par-*"))
-
-
-@pytest.fixture(autouse=True)
-def _parallel_timeout(request):
-    """SIGALRM watchdog for ``parallel``-marked tests (POSIX only)."""
-    if request.node.get_closest_marker("parallel") is None or not hasattr(
-        signal, "SIGALRM"
-    ):
-        yield
-        return
-
-    def _timed_out(signum, frame):
-        raise TimeoutError(
-            f"parallel test exceeded {PARALLEL_TEST_TIMEOUT_S}s — "
-            "likely a stuck superstep"
-        )
-
-    old = signal.signal(signal.SIGALRM, _timed_out)
-    signal.alarm(PARALLEL_TEST_TIMEOUT_S)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _no_leaked_shared_memory():
-    """The whole session must not leak worker-pool shared segments."""
-    before = _parallel_segments()
-    yield
-    leaked = [s for s in _parallel_segments() if s not in before]
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
 
 
 def pytest_collection_modifyitems(config, items):

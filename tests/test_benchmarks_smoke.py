@@ -97,28 +97,6 @@ def test_bench_runtime_quick(tmp_path):
     assert result["config"]["quick"] is True
 
 
-def test_bench_parallel_quick(tmp_path):
-    import bench_parallel
-
-    out = tmp_path / "BENCH_parallel.json"
-    result = bench_parallel.run(out, quick=True)
-    assert out.exists()
-    data = json.loads(out.read_text())
-    assert {"config", "entries", "acceptance"} <= set(data)
-    assert len(data["entries"]) == 4  # 2 models x 2 K values
-    for entry in data["entries"]:
-        assert entry["identical"] is True
-        assert entry["reconciled"] is True
-        assert entry["basis"] in ("measured", "projected-lpt")
-        assert entry["host_cpus"] >= 1
-        assert entry["parallel_measured_s"] > 0
-        assert entry["scipy_csr_s"] > 0
-    # Quick matrices are too small for real speedups; the contract
-    # here is identity + reconciliation + an honest basis record.
-    assert data["acceptance"]["identical"] is True
-    assert result["config"]["quick"] is True
-
-
 def test_bench_sweep_quick(tmp_path):
     import bench_sweep
 
@@ -149,7 +127,6 @@ def test_run_all_driver_quick(tmp_path):
         "BENCH_partitioner.json",
         "BENCH_simulate.json",
         "BENCH_runtime.json",
-        "BENCH_parallel.json",
         "BENCH_sweep.json",
     }
     for artifact in results:

@@ -76,3 +76,22 @@ def test_cli_all_schemes(scheme, capsys):
          "--scale", "tiny"]
     ) == 0
     assert "speedup=" in capsys.readouterr().out
+
+
+def test_cli_table_negative_jobs_clean_error(capsys):
+    rc = main(["table", "--id", "2", "--scale", "tiny", "--jobs", "-4"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "--jobs" in err and "Traceback" not in err
+
+
+def test_cli_campaign_negative_jobs_clean_error(tmp_path, capsys):
+    rc = main(
+        ["campaign", "run", "--table", "2", "--scale", "tiny",
+         "--dir", str(tmp_path / "camp"), "--jobs", "-1"]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "--jobs" in err and "Traceback" not in err

@@ -4,11 +4,11 @@ The native backend's whole contract is "same bits, less time": every C
 accumulation iterates in the exact element order of the NumPy
 ``bincount``/``add.at`` formulation it replaces, so ``y``, ledgers and
 flops must be *bit-identical* across backends on all golden instances
-and all three execution models — through ``apply``/``apply_many``, the
-serial shard replay and the shared-memory worker pool.  The dispatch
-layer is pinned separately: explicit/env/auto resolution, the silent
-no-compiler fallback with its recorded reason, build-cache reuse, the
-solver/engine threading and the CLI surface.
+and all three execution models — through ``apply``/``apply_many`` and
+the serial shard replay.  The dispatch layer is pinned separately:
+explicit/env/auto resolution, the silent no-compiler fallback with its
+recorded reason, build-cache reuse, the solver threading and the CLI
+surface.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ import pytest
 
 import repro.native.build as native_build
 from repro.cli import main
-from repro.engine import PartitionEngine
 from repro.errors import ConfigError
 from repro.native import (
     find_compiler,
@@ -31,7 +30,7 @@ from repro.runtime import apply_shards_serial, compile_plan, shard_plan
 from repro.simulate.report import run_partition
 from repro.solvers import power_iteration
 
-from tests.test_runtime import CFG, partitioned_instances  # noqa: F401
+from tests.test_runtime import partitioned_instances  # noqa: F401
 
 HAVE_CC = find_compiler() is not None
 
@@ -93,24 +92,6 @@ def test_shard_replay_bit_identical_across_backends(partitioned_instances):  # n
         y_nat = apply_shards_serial(plan, shards, x, backend="native")
         assert np.array_equal(y_np, y_nat)
         assert np.array_equal(y_nat, plan.apply_y(x, backend="numpy"))
-
-
-@pytest.mark.native
-@pytest.mark.parallel
-def test_pool_bit_identical_across_backends(partitioned_instances):  # noqa: F811
-    from repro.runtime import ParallelExecutor
-
-    rng = np.random.default_rng(505)
-    for p, _mode in partitioned_instances:
-        plan = compile_plan(p)
-        shards = shard_plan(p, plan)
-        x = rng.standard_normal(plan.ncols)
-        want = plan.apply_y(x, backend="numpy")
-        with ParallelExecutor(plan, shards, jobs=2, backend="native") as ex:
-            assert ex.backend == "native"
-            got = ex.apply_y(x)
-            ex.reconcile()
-        assert np.array_equal(got, want)
 
 
 @pytest.mark.native
@@ -252,7 +233,7 @@ def test_corrupt_cache_entry_evicted_and_rebuilt(
 
 
 # ----------------------------------------------------------------------
-# Solver / engine threading
+# Solver threading
 # ----------------------------------------------------------------------
 
 
@@ -264,35 +245,6 @@ def test_solver_backend_bit_identical(partitioned_instances):  # noqa: F811
     assert np.array_equal(res_np.x, res_nat.x)
     assert res_np.history == res_nat.history
     assert res_np.comm_words == res_nat.comm_words
-
-
-@pytest.mark.native
-@pytest.mark.parallel
-def test_engine_pools_keyed_by_backend(medium_square):
-    eng = PartitionEngine(medium_square, seed=23)
-    plan = eng.plan("s2d", 3, config=CFG)
-    try:
-        ex_np = eng.parallel_executor(plan, jobs=2, backend="numpy")
-        ex_nat = eng.parallel_executor(plan, jobs=2, backend="native")
-        assert ex_np is not ex_nat
-        assert ex_np.backend == "numpy" and ex_nat.backend == "native"
-        # auto resolves before keying, so it shares the native pool.
-        assert eng.parallel_executor(plan, jobs=2, backend="auto") is ex_nat
-        x = np.random.default_rng(3).standard_normal(ex_np.plan.ncols)
-        assert np.array_equal(ex_np.apply_y(x), ex_nat.apply_y(x))
-    finally:
-        eng.shutdown()
-
-
-@pytest.mark.native
-@pytest.mark.parallel
-def test_engine_default_backend_threads_through(medium_square):
-    eng = PartitionEngine(medium_square, seed=23, backend="numpy")
-    plan = eng.plan("s2d", 3, config=CFG)
-    try:
-        assert eng.parallel_executor(plan, jobs=2).backend == "numpy"
-    finally:
-        eng.shutdown()
 
 
 # ----------------------------------------------------------------------

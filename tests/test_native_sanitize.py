@@ -110,7 +110,6 @@ for method in ("1d-rowwise", "s2d-heuristic"):
     assert np.array_equal(
         plan.apply_many(xs, backend="numpy"), plan.apply_many(xs, backend="native")
     ), method
-eng.shutdown()
 
 # The partitioner kernels: one two-constraint partition_kway per backend.
 from repro.generators.circuit import circuit_like

@@ -7,20 +7,19 @@ Contract under test:
   ``error=<type>``), and is a pure no-op when no ``tracing`` block is
   open — so instrumented code never branches on whether it is traced;
 - the JSON export round-trips exactly and refuses unknown schema
-  versions; the Chrome export maps ``worker`` attrs to ``tid`` rows so
-  Perfetto renders per-worker superstep slices;
+  versions; the Chrome export maps ``worker`` attrs to ``tid`` rows and
+  puts a ``pid``-labelled span's subtree on that process row;
 - the profiling adapters (``repro.hypergraph.profiling``,
   ``repro.simulate.profiling``) keep their byte-compatible public APIs
   while feeding the same tracer core;
-- the parallel executor's coordinator merges per-worker superstep
-  windows from shared memory into the trace deterministically, and a
-  traced ``apply_y`` stays bit-identical to an untraced one;
+- ``graft`` attaches span trees and counters collected elsewhere (a
+  sweep worker's trace) exactly where ``span``/``add`` would have put
+  them;
 - ``gather_stats`` aggregates engine memo and artifact-cache counters.
 """
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -117,6 +116,23 @@ def test_record_appends_measured_span():
     assert sp.attrs == {"worker": 1, "step": 0}
 
 
+def test_graft_attaches_foreign_spans_and_counters():
+    with obs.tracing() as inner:
+        with obs.span("sweep.task"):
+            obs.add("hits", 2)
+        obs.add("loose", 1)
+    with obs.tracing() as tr:
+        with obs.span("table") as table:
+            obs.graft(inner.spans, inner.counters)
+        obs.graft(inner.spans, inner.counters)  # between spans: roots
+    assert [c.name for c in table.children] == ["sweep.task"]
+    assert table.counters == {"loose": 1}
+    assert [sp.name for sp in tr.spans] == ["table", "sweep.task"]
+    assert tr.counters == {"loose": 1}
+    assert tr.total_counters() == {"hits": 4, "loose": 2}
+    obs.graft(inner.spans, inner.counters)  # no trace open: no-op
+
+
 def test_ambient_collector_save_restore():
     slot = AmbientCollector(list)
     assert slot.active() is None
@@ -175,6 +191,14 @@ def test_chrome_export_shape():
     marker = by_name["native.cache_hit"]
     assert marker["ph"] == "i"  # zero-duration span → instant event
     assert marker["tid"] == 2  # worker attr → timeline row
+
+
+def test_chrome_pid_labels_whole_subtree():
+    task = Span("sweep.task", t0=1.0, dur=1.0, attrs={"pid": 77})
+    task.children.append(Span("sweep.cell", t0=1.1, dur=0.5))
+    tr = Trace(t0=0.0, spans=[Span("table", t0=0.5, dur=2.0, children=[task])])
+    pids = {ev["name"]: ev["pid"] for ev in to_chrome(tr)["traceEvents"]}
+    assert pids == {"table": 0, "sweep.task": 77, "sweep.cell": 77}
 
 
 def test_write_trace_formats(tmp_path):
@@ -237,7 +261,7 @@ def test_simulate_stage_noop_without_collectors():
 
 
 # ----------------------------------------------------------------------
-# Parallel-executor trace merge (satellite 2)
+# Stats aggregation
 # ----------------------------------------------------------------------
 
 
@@ -250,74 +274,6 @@ def small_partition():
     mesh = knn_mesh(200, 6, dim=2, seed=3)
     return partition_1d_rowwise(mesh, 4, PartitionConfig(seed=5, ninitial=2))
 
-
-@pytest.mark.parallel
-def test_traced_apply_bit_identical_and_merge_deterministic(small_partition):
-    from repro.runtime import build_parallel_executor
-
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal(small_partition.matrix.shape[1])
-    with build_parallel_executor(small_partition, jobs=2) as ex:
-        y_plain = ex.apply_y(x)
-        with obs.tracing() as tr1:
-            y_traced = ex.apply_y(x)
-        with obs.tracing() as tr2:
-            ex.apply_y(x)
-        skew = ex.worker_skew()
-        timings = ex.step_timings()
-        nsteps = ex._nsteps
-    # Tracing must not perturb the numerics.
-    assert np.array_equal(y_plain, y_traced)
-
-    def slices(tr):
-        return [
-            (sp.attrs["worker"], sp.attrs["part"], sp.attrs["step"])
-            for sp in tr.walk()
-            if sp.name == "parallel.superstep"
-        ]
-
-    got = slices(tr1)
-    # Deterministic merge: same labelled slice set every traced run,
-    # one slice per (part, superstep), workers covering the whole pool.
-    assert got == slices(tr2)
-    assert len(got) == small_partition.nparts * nsteps
-    assert len(set(got)) == len(got)
-    assert {w for w, _, _ in got} == {0, 1}
-    (apply_span,) = [sp for sp in tr1.spans if sp.name == "parallel.apply"]
-    assert apply_span.attrs["jobs"] == 2
-    # The shared-memory timing block backs both the merge and the skew
-    # report; every recorded window is positive once applies have run.
-    assert timings.shape == (small_partition.nparts, nsteps)
-    assert (timings > 0).all()
-    assert set(skew) == {"per_worker_s", "min_s", "max_s", "ratio"}
-    assert len(skew["per_worker_s"]) == 2
-    assert skew["max_s"] >= skew["min_s"] > 0.0
-    assert skew["ratio"] >= 1.0
-
-
-@pytest.mark.parallel
-def test_traced_reconcile_matches_untraced(small_partition):
-    from repro.runtime import build_parallel_executor
-
-    x = np.linspace(-1.0, 1.0, small_partition.matrix.shape[1])
-
-    def ledger(traced: bool):
-        with build_parallel_executor(small_partition, jobs=2) as ex:
-            if traced:
-                with obs.tracing():
-                    ex.apply_y(x)
-            else:
-                ex.apply_y(x)
-            recon = ex.reconcile()
-        recon.pop("worker_skew")  # wall-clock, legitimately run-varying
-        return recon
-
-    assert ledger(True) == ledger(False)
-
-
-# ----------------------------------------------------------------------
-# Stats aggregation (satellite 3)
-# ----------------------------------------------------------------------
 
 
 def test_gather_stats_aggregates_engines(small_partition):

@@ -4,14 +4,19 @@ Fast tests cover grid compilation (axes, DAG ordering, deterministic
 seed derivation) and serial execution semantics; the slow-marked smoke
 test runs a tiny grid on a two-worker fork pool and asserts parity
 with the serial records — the bit-identity guarantee the table harness
-relies on.
+relies on — and checks that a traced pool run merges every worker's
+spans back into the caller's trace.
 """
+
+from collections import Counter
 
 import pytest
 
+from repro import obs
 from repro.errors import ConfigError, UsageError
 from repro.experiments import ExperimentConfig
 from repro.experiments.tables import run_table2
+from repro.jobs import host_cpus, resolve_jobs
 from repro.simulate.machine import MachineModel
 from repro.sweep import (
     MatrixRef,
@@ -166,6 +171,45 @@ def test_map_tasks_preserves_order():
     assert map_tasks(len, ["a", "bb", "ccc"]) == [1, 2, 3]
 
 
+# ----------------------------------------------------------------------
+# Jobs resolution
+# ----------------------------------------------------------------------
+
+
+def test_resolve_jobs():
+    assert resolve_jobs(None, default=7) == 7
+    assert resolve_jobs(3) == 3
+    assert resolve_jobs(0) == host_cpus()
+    with pytest.raises(UsageError, match="--jobs"):
+        resolve_jobs(-1, what="--jobs")
+
+
+def test_run_sweep_rejects_negative_jobs():
+    # Jobs are validated before the grid is touched, so a malformed
+    # request fails fast without building any task.
+    with pytest.raises(UsageError):
+        run_sweep(None, jobs=-2)
+
+
+def _square(v):
+    return v * v
+
+
+def test_map_tasks_jobs_auto():
+    assert map_tasks(_square, [1, 2, 3], jobs=0) == [1, 4, 9]
+    with pytest.raises(UsageError):
+        map_tasks(_square, [1], jobs=-1)
+
+
+def test_map_tasks_rejects_unpicklable_fn_up_front():
+    """A lambda cannot reach a pool worker: the error names it before
+    any worker starts, instead of a pickle traceback from the pool."""
+    with pytest.raises(UsageError, match="<lambda>.*module-level function"):
+        map_tasks(lambda v: v, [1, 2], jobs=2)
+    # In-process execution never pickles, so a lambda is fine there.
+    assert map_tasks(lambda v: v + 1, [1, 2], jobs=1) == [2, 3]
+
+
 def test_pool_path_resolves_backend_before_forking(monkeypatch):
     """run_sweep resolves the kernel backend in the parent, so forked
     workers inherit the loaded library instead of each loading it."""
@@ -229,3 +273,26 @@ def test_parallel_multi_seed_axis(tmp_path):
     q42 = serial.get("crystk02", "1d-rowwise", 2, seed=42).quality
     q07 = serial.get("crystk02", "1d-rowwise", 2, seed=7).quality
     assert not quality_identical(q42, q07)
+
+
+@pytest.mark.slow
+def test_traced_table2_merges_worker_spans():
+    """A traced tiny Table II on a two-worker pool holds the same span
+    names, as often, as the serial traced run — the workers' trees are
+    grafted back — and its records stay bit-identical."""
+    cfg = ExperimentConfig(scale="tiny")
+
+    def traced(jobs):
+        with obs.tracing() as tr:
+            res = run_table2(cfg, jobs=jobs)
+        return res, Counter(sp.name for sp in tr.walk()), tr.total_counters()
+
+    serial, names1, counters1 = traced(1)
+    pooled, names2, counters2 = traced(2)
+    assert names2 == names1
+    assert names1["sweep.cell"] == len(serial.records) * 3
+    assert counters2.keys() == counters1.keys()
+    assert serial.text == pooled.text
+    for rs, rp in zip(serial.records, pooled.records):
+        for scheme in ("1D", "2D", "s2D"):
+            assert quality_identical(rs[scheme], rp[scheme])

@@ -45,72 +45,6 @@ def test_rep001_allows_accumulation_in_kernel_layers():
     assert "REP001" not in _rules(src, "runtime/apply.py")
 
 
-# ---------------------------------------------------------------- REP002
-
-
-def test_rep002_flags_barrier_and_condition():
-    assert "REP002" in _rules("from multiprocessing import Barrier\n")
-    assert "REP002" in _rules(
-        """
-        import multiprocessing as mp
-
-        def pool(n):
-            return mp.Barrier(n + 1)
-        """
-    )
-    assert "REP002" in _rules(
-        """
-        from threading import Condition as Cv
-
-        def gate():
-            return Cv()
-        """
-    )
-
-
-def test_rep002_allows_semaphores():
-    src = """
-    import multiprocessing as mp
-
-    def gate(ctx):
-        return ctx.Semaphore(0), mp.Semaphore(0)
-    """
-    assert "REP002" not in _rules(src)
-
-
-# ---------------------------------------------------------------- REP003
-
-
-def test_rep003_flags_unfinalized_shared_memory():
-    src = """
-    from multiprocessing.shared_memory import SharedMemory
-
-    def alloc(n):
-        return SharedMemory(create=True, size=n)
-    """
-    assert "REP003" in _rules(src, "runtime/segments.py")
-
-
-def test_rep003_allows_shared_memory_with_finalizer():
-    src = """
-    import weakref
-    from multiprocessing.shared_memory import SharedMemory
-
-    def alloc(n):
-        seg = SharedMemory(create=True, size=n)
-        weakref.finalize(seg, seg.unlink)
-        return seg
-    """
-    assert "REP003" not in _rules(src, "runtime/segments.py")
-    # Attaching (create absent/False) needs no finalizer.
-    assert "REP003" not in _rules(
-        "from multiprocessing.shared_memory import SharedMemory\n"
-        "def attach(name):\n"
-        "    return SharedMemory(name=name)\n",
-        "runtime/segments.py",
-    )
-
-
 # ---------------------------------------------------------------- REP004
 
 
@@ -194,7 +128,7 @@ def test_rep008_flags_perf_counter_outside_obs():
         "import time\nt0 = time.perf_counter()\n", "engine/engine.py"
     )
     assert "REP008" in _rules(
-        "from time import perf_counter\n", "runtime/parallel.py"
+        "from time import perf_counter\n", "runtime/shards.py"
     )
 
 
@@ -206,7 +140,7 @@ def test_rep008_allows_obs_and_other_time_calls():
     # *clock*, not the module.
     assert "REP008" not in _rules(
         "import time\ntime.sleep(0.1)\nfrom time import sleep\n",
-        "runtime/parallel.py",
+        "runtime/shards.py",
     )
 
 
@@ -215,7 +149,7 @@ def test_rep008_allows_obs_and_other_time_calls():
 
 def test_rep009_flags_os_kill_and_sigkill_outside_faults():
     assert "REP009" in _rules(
-        "import os\nos.kill(pid, 9)\n", "runtime/parallel.py"
+        "import os\nos.kill(pid, 9)\n", "runtime/shards.py"
     )
     assert "REP009" in _rules(
         "import signal\nSIG = signal.SIGKILL\n", "sweep/campaign.py"
@@ -252,7 +186,8 @@ def test_syntax_error_is_a_violation_not_a_crash():
 
 
 def test_every_rule_has_catalog_entry_and_both_polarities_covered():
-    assert set(RULES) == {f"REP00{i}" for i in range(1, 10)}
+    # REP002/REP003 are retired; their IDs stay reserved, not reused.
+    assert set(RULES) == {f"REP00{i}" for i in (1, 4, 5, 6, 7, 8, 9)}
     for rule_id, (summary, rationale) in RULES.items():
         assert summary and rationale, rule_id
 

@@ -293,7 +293,6 @@ def test_engine_compiled_plan_verify_hook(verified_artifacts):
     assert eng.compiled_plan(plan) is cplan
     with pytest.raises(VerificationError):
         eng.compiled_plan(plan, verify=True)
-    eng.shutdown()
 
 
 def test_check_shards_rejects_wrong_shard_count(verified_artifacts):

@@ -4,17 +4,15 @@
 Runs, in order, and prints one PASS/FAIL line per step:
 
 1. project lint over ``src/repro`` (``repro check lint``);
-2. the protocol model checker for 2-4 workers with crash faults;
-3. the plan-IR checker on freshly compiled golden instances across all
+2. the plan-IR checker on freshly compiled golden instances across all
    three execution models (plan- and shard-level);
-4. the fast pytest tier (``-m "not slow"``) in a subprocess — skipped
+3. the fast pytest tier (``-m "not slow"``) in a subprocess — skipped
    with ``--no-pytest`` when only the static layer is wanted;
-5. with ``--bench``, the bench-trend gate (``tools/bench_trend.py``)
+4. with ``--bench``, the bench-trend gate (``tools/bench_trend.py``)
    over the committed ``BENCH_*.json`` acceptance metrics;
-6. with ``--campaign``, a crash-safety smoke: a small faulted grid run
+5. with ``--campaign``, a crash-safety smoke: a small faulted grid run
    under a seeded ``FaultPlan`` (worker kill + transient raise) must
-   complete with records bit-identical to an unfaulted serial sweep,
-   and must leave ``/dev/shm`` clean.
+   complete with records bit-identical to an unfaulted serial sweep.
 
 Exit status is 0 iff every step passed.  This is the pre-merge gate in
 script form: a checkout where ``tools/check_all.py`` exits 0 has the
@@ -41,17 +39,6 @@ def step_lint() -> tuple[bool, str]:
     if violations:
         return False, "\n".join(str(v) for v in violations)
     return True, "0 violations over src/repro"
-
-
-def step_protocol() -> tuple[bool, str]:
-    from repro.verify import check_protocol
-
-    reports = check_protocol(
-        workers=(2, 3, 4), nsteps=(2, 3), max_faults=1, raise_on_error=False
-    )
-    bad = [r for r in reports if not r.ok]
-    detail = "\n".join(r.summary() for r in (bad or reports[-3:]))
-    return not bad, detail
 
 
 def step_plans() -> tuple[bool, str]:
@@ -97,8 +84,7 @@ def step_bench_trend() -> tuple[bool, str]:
 
 def step_campaign() -> tuple[bool, str]:
     """Faulted campaign smoke: complete under injected faults, records
-    bit-identical to serial, no stray /dev/shm segments left behind."""
-    import glob
+    bit-identical to serial."""
     import tempfile
 
     from repro.experiments.config import ExperimentConfig
@@ -115,9 +101,6 @@ def step_campaign() -> tuple[bool, str]:
         suite_refs,
     )
 
-    def shm_entries():
-        return set(glob.glob("/dev/shm/*")) if os.path.isdir("/dev/shm") else set()
-
     cfg = ExperimentConfig(scale="tiny")
     grid = SweepGrid(
         matrices=suite_refs("table1", scale="tiny")[:3],
@@ -133,13 +116,11 @@ def step_campaign() -> tuple[bool, str]:
         FaultSpec(kind="kill", cell=uids[12]),
     ))
     serial = run_sweep(grid, jobs=1)
-    before = shm_entries()
     with tempfile.TemporaryDirectory(prefix="campaign-smoke-") as root:
         result = Campaign(
             grid, root, jobs=2, faults=faults,
             retry=RetryPolicy(base=0.05, cap=0.2), watchdog_s=120.0,
         ).run()
-    leaked = shm_entries() - before
     lines = [
         f"cells={len(result.records)}/{len(uids)} complete={result.complete} "
         f"killed={int(result.counters['killed'])} "
@@ -155,11 +136,6 @@ def step_campaign() -> tuple[bool, str]:
     )
     lines.append(f"bit-identical-to-serial={ident}")
     ok &= ident
-    if leaked:
-        ok = False
-        lines.append(f"/dev/shm leaked: {sorted(leaked)}")
-    else:
-        lines.append("/dev/shm clean")
     return ok, "\n".join(lines)
 
 
@@ -181,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--no-pytest",
         action="store_true",
-        help="run only the static checks (lint, protocol, plan-IR)",
+        help="run only the static checks (lint, plan-IR)",
     )
     ap.add_argument(
         "--bench",
@@ -192,13 +168,12 @@ def main(argv: list[str] | None = None) -> int:
         "--campaign",
         action="store_true",
         help="also run the faulted campaign smoke (kill/raise faults on a "
-        "small grid; asserts completion, serial bit-identity, clean /dev/shm)",
+        "small grid; asserts completion and serial bit-identity)",
     )
     args = ap.parse_args(argv)
 
     steps = [
         ("lint", step_lint),
-        ("protocol", step_protocol),
         ("plan-ir", step_plans),
     ]
     if args.bench:
