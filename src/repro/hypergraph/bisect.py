@@ -60,16 +60,14 @@ def multilevel_bisect(
 
     best_part: np.ndarray | None = None
     best_cut = np.iinfo(np.int64).max
-    for trial, trial_rng in enumerate(spawn(rng, max(1, ninitial))):
+    for trial, trial_rng in enumerate(spawn(rng, ninitial)):
         with prof.stage("initial"):
             if trial % 2 == 0:
                 part0 = greedy_growing(cur, targets, trial_rng)
             else:
                 part0 = random_bisection(cur, targets, trial_rng)
         with prof.stage("refine"):
-            part0, cut0 = fm_refine(
-                cur, part0, targets, epsilon, max_passes=fm_passes, rng=trial_rng
-            )
+            part0, cut0 = fm_refine(cur, part0, targets, epsilon, max_passes=fm_passes)
         if cut0 < best_cut:
             best_cut = cut0
             best_part = part0
@@ -80,6 +78,6 @@ def multilevel_bisect(
         for level_hg, cmap in zip(reversed(levels), reversed(maps)):
             part = part[cmap]
             part, best_cut = fm_refine(
-                level_hg, part, targets, epsilon, max_passes=fm_passes, rng=rng
+                level_hg, part, targets, epsilon, max_passes=fm_passes
             )
     return part, best_cut

@@ -4,13 +4,16 @@ Pairs of vertices sharing many (and small) nets are merged, shrinking
 the hypergraph while approximately preserving its cut structure — the
 same scheme PaToH uses by default (HCM).
 
-The connectivity scores ``S[v, u] = Σ cost(e) / (|e| − 1)`` over shared
-scoring nets are computed for *all* vertex pairs at once as the sparse
-product ``Bᵀ·(W·B)`` of the net–vertex incidence (one batched pass,
-replacing the seed code's per-vertex pin scan); the greedy matching
-itself then walks the random visitation order selecting each vertex's
-best unmatched neighbour from the precomputed CSR row — a handful of
-vectorized operations per vertex instead of nested pin loops.
+The greedy matching walks a random visitation order; each unmatched
+vertex ``v`` takes the unmatched neighbour ``u`` of largest
+connectivity score ``S[v, u] = Σ cost(e) / (|e| − 1)`` over the scoring
+nets they share, the smaller ``u`` on ties.  When
+:func:`repro.native.resolve_backend` picks the native backend the C
+kernel ``repro_hcm_match`` computes each visited vertex's score row on
+the fly from its nets.  Otherwise :func:`_hcm_match_numpy`, the
+reference, reads the rows from the sparse product ``Bᵀ·(W·B)`` of the
+net–vertex incidence.  Both sum every score over the shared nets in
+ascending net id, so the matchings are identical.
 Contraction is fully vectorized: one composite-key sort deduplicates
 pins within nets, and identical coarse nets are merged through a
 hash-bucket pass with exact pin-array verification.
@@ -21,8 +24,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro import obs
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import concat_ranges
+from repro.native import get_kernels, resolve_backend
+from repro.native import ops as native_ops
 
 __all__ = ["coarsen_once"]
 
@@ -61,33 +67,69 @@ def coarsen_once(
     are skipped during scoring.
     """
     n = hg.nvertices
-    mate = np.full(n, -1, dtype=np.int64)
-    scores = _pair_scores(hg, max_net_size)
-    if scores is not None:
-        indptr, indices, data = scores.indptr, scores.indices, scores.data
-        for v in rng.permutation(n):
-            if mate[v] != -1:
-                continue
-            lo, hi = indptr[v], indptr[v + 1]
-            if hi == lo:
-                continue
-            cand = indices[lo:hi]
-            sc = np.where((mate[cand] == -1) & (cand != v), data[lo:hi], 0.0)
-            j = int(np.argmax(sc))
-            if sc[j] > 0.0:
-                u = int(cand[j])
-                mate[v] = u
-                mate[u] = v
+    with obs.span("partition.coarsen.match"):
+        mate = _hcm_match(hg, rng, max_net_size)
 
-    # Cluster ids: the smaller endpoint of each pair names the cluster;
-    # ids are dealt in ascending root order (= first-encounter order of
-    # a 0..n−1 scan, as the seed implementation assigned them).
-    ids = np.arange(n, dtype=np.int64)
-    root = np.where(mate >= 0, np.minimum(ids, mate), ids)
-    uniq, cmap = np.unique(root, return_inverse=True)
-    cmap = cmap.astype(np.int64)
-    coarse = _contract(hg, cmap, int(uniq.size))
+    with obs.span("partition.coarsen.contract"):
+        # Cluster ids: the smaller endpoint of each pair names the
+        # cluster; ids are dealt in ascending root order (= first-
+        # encounter order of a 0..n−1 scan, as the seed implementation
+        # assigned them).
+        ids = np.arange(n, dtype=np.int64)
+        root = np.where(mate >= 0, np.minimum(ids, mate), ids)
+        uniq, cmap = np.unique(root, return_inverse=True)
+        cmap = cmap.astype(np.int64)
+        coarse = _contract(hg, cmap, int(uniq.size))
     return cmap, coarse
+
+
+def _hcm_match(hg: Hypergraph, rng: np.random.Generator, max_net_size: int) -> np.ndarray:
+    """``mate`` array of the greedy HCM matching (``-1``: unmatched).
+
+    The visitation order is drawn only when some net can score, on
+    both backends, so the random stream does not depend on the backend.
+    """
+    n = hg.nvertices
+    sizes = hg.net_sizes()
+    valid = (sizes >= 2) & (sizes <= max_net_size)
+    if not np.any(valid):
+        return np.full(n, -1, dtype=np.int64)
+    order = rng.permutation(n)
+    if resolve_backend() == "native":
+        contrib = np.zeros(hg.nnets)
+        np.divide(hg.ncosts, sizes - 1, out=contrib, where=valid)
+        return native_ops.hcm_match(
+            get_kernels(), xpins=hg.xpins, pins=hg.pins, xnets=hg.xnets,
+            nets=hg.nets, valid=valid, contrib=contrib, order=order,
+        )
+    return _hcm_match_numpy(hg, order, max_net_size)
+
+
+def _hcm_match_numpy(hg: Hypergraph, order: np.ndarray, max_net_size: int) -> np.ndarray:
+    """The reference matching loop (and the fallback without a compiler).
+
+    Picks each visited vertex's partner from its row of the score
+    matrix.  The rows' column indices are sorted, so ``np.argmax`` over
+    the masked scores is "largest score, smallest id on ties";
+    ``kernels.c:repro_hcm_match`` reproduces it bit for bit.
+    """
+    mate = np.full(hg.nvertices, -1, dtype=np.int64)
+    scores = _pair_scores(hg, max_net_size)
+    indptr, indices, data = scores.indptr, scores.indices, scores.data
+    for v in order:
+        if mate[v] != -1:
+            continue
+        lo, hi = indptr[v], indptr[v + 1]
+        if hi == lo:
+            continue
+        cand = indices[lo:hi]
+        sc = np.where((mate[cand] == -1) & (cand != v), data[lo:hi], 0.0)
+        j = int(np.argmax(sc))
+        if sc[j] > 0.0:
+            u = int(cand[j])
+            mate[v] = u
+            mate[u] = v
+    return mate
 
 
 def _contract(hg: Hypergraph, cmap: np.ndarray, ncoarse: int) -> Hypergraph:

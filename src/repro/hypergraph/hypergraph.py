@@ -118,12 +118,14 @@ class Hypergraph:
 
     @property
     def net_of_pin(self) -> np.ndarray:
-        """Net id of every entry of ``pins`` (lazily cached).
+        """Net id of every entry of ``pins`` (cached; construction seeds
+        it while building the vertex → net direction).
 
         The pin-major companion of ``xpins``; every vectorized pass over
-        the net→vertex incidence (coarsening scores, pin counting, cut
-        evaluation) indexes through this one buffer, so the partitioner
-        stages and the repeated coarsest-level trials share it.
+        the net→vertex incidence (contraction, pin counting, cut
+        evaluation, side splitting) indexes through this one buffer, so
+        the partitioner stages and the repeated coarsest-level trials
+        share it.
         """
         cached = self.__dict__.get("_net_of_pin")
         if cached is None:
@@ -166,6 +168,7 @@ class Hypergraph:
         n = self.nvertices
         sizes = np.diff(self.xpins)
         net_of_pin = np.repeat(np.arange(self.nnets, dtype=np.int64), sizes)
+        self.__dict__["_net_of_pin"] = net_of_pin  # seeds the net_of_pin cache
         order = np.argsort(self.pins, kind="stable")
         self.nets = net_of_pin[order]
         counts = np.bincount(self.pins, minlength=n)

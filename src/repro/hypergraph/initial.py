@@ -9,14 +9,17 @@ Two constructors, used as alternating trials by the multilevel driver:
 
 Both return a 0/1 part array; quality is left to FM refinement.
 
-Greedy growing keeps one float gain array; the connectivity bumps after
-an absorption are applied to all pins of the absorbed vertex's scoring
-nets in one scatter-add (the seed implementation walked every pin in
-Python), and only the touched vertices re-enter the selection heap —
-selection stays O(log n) per step even when coarsening stalls and the
-coarsest hypergraph is large.  Vertices that once failed the balance
-check are retired permanently — part-0 weight only grows, so they can
-never fit again.
+Greedy growing keeps one float gain array.  An absorption adds each of
+its scoring nets' per-pin share ``cost / (|e| − 1)`` to every pin, and
+the free pins become candidates, selected by (gain descending, id
+ascending).  Vertices that once failed the balance check are retired
+permanently — part-0 weight only grows, so they can never fit again.
+
+Both loops run in C (``kernels.c:repro_greedy_grow`` and
+``repro_random_fill``) when :func:`repro.native.resolve_backend` picks
+the native backend, else in :func:`_greedy_grow_numpy` and
+:func:`_random_fill_numpy`, the references they reproduce bit for bit.
+The random permutations are drawn here, the same on both backends.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import concat_ranges
+from repro.native import get_kernels, resolve_backend
+from repro.native import ops as native_ops
 
 __all__ = ["random_bisection", "greedy_growing"]
 
@@ -41,9 +46,20 @@ def random_bisection(
 ) -> np.ndarray:
     """Fill part 0 with randomly ordered vertices up to its target weight."""
     t0 = np.asarray(targets[0], dtype=np.float64)
+    order = rng.permutation(hg.nvertices)
+    if resolve_backend() == "native":
+        return native_ops.random_fill(
+            get_kernels(), vweights=hg.vweights, t0=t0, order=order
+        )
+    return _random_fill_numpy(hg, t0, order)
+
+
+def _random_fill_numpy(hg: Hypergraph, t0: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The reference fill loop (and the fallback without a compiler):
+    the part weight stays int64 and converts for the comparison."""
     part = np.ones(hg.nvertices, dtype=np.int8)
     pw0 = np.zeros(hg.nconstraints, dtype=np.int64)
-    for v in rng.permutation(hg.nvertices):
+    for v in order:
         w = hg.vweights[v]
         if _fits(pw0, w, t0):
             part[v] = 0
@@ -59,18 +75,40 @@ def greedy_growing(
     if n == 0:
         return np.ones(0, dtype=np.int8)
     t0 = np.asarray(targets[0], dtype=np.float64)
-    part = np.ones(n, dtype=np.int8)
-    pw0 = np.zeros(hg.nconstraints, dtype=np.float64)
-    vw = hg.vweights
-
-    xpins, pins = hg.xpins, hg.pins
-    xnets, nets = hg.xnets, hg.nets
     sizes = hg.net_sizes()
     valid = sizes >= 2
     contrib = np.zeros(hg.nnets, dtype=np.float64)
-    np.divide(
-        hg.ncosts, sizes - 1, out=contrib, where=valid
-    )
+    np.divide(hg.ncosts, sizes - 1, out=contrib, where=valid)
+    seed_order = rng.permutation(n)
+    if resolve_backend() == "native":
+        return native_ops.greedy_grow(
+            get_kernels(), xpins=hg.xpins, pins=hg.pins, xnets=hg.xnets,
+            nets=hg.nets, valid=valid, contrib=contrib, vweights=hg.vweights,
+            t0=t0, seed_order=seed_order,
+        )
+    return _greedy_grow_numpy(hg, t0, valid, contrib, seed_order)
+
+
+def _greedy_grow_numpy(
+    hg: Hypergraph,
+    t0: np.ndarray,
+    valid: np.ndarray,
+    contrib: np.ndarray,
+    seed_order: np.ndarray,
+) -> np.ndarray:
+    """The reference growing loop (and the fallback without a compiler).
+
+    The connectivity bumps of one absorption land in one ``np.add.at``
+    over the pins of its valid nets, in net order; the touched free
+    vertices re-enter a lazy-deletion heap.
+    """
+    n = hg.nvertices
+    part = np.ones(n, dtype=np.int8)
+    pw0 = np.zeros(hg.nconstraints, dtype=np.float64)
+    vw = hg.vweights
+    xpins, pins = hg.xpins, hg.pins
+    xnets, nets = hg.xnets, hg.nets
+    sizes = hg.net_sizes()
 
     gain = np.zeros(n, dtype=np.float64)
     absorbed = np.zeros(n, dtype=bool)
@@ -81,7 +119,6 @@ def greedy_growing(
     # break on the lower vertex id, which keeps the grown region
     # compact on regular instances.
     heap: list[tuple[float, int]] = []
-    seed_order = rng.permutation(n)
     seed_ptr = 0
 
     while True:

@@ -56,6 +56,17 @@ class PartitionConfig:
             raise ConfigError("epsilon must be nonnegative")
         if self.coarsen_to < 2:
             raise ConfigError("coarsen_to must be at least 2")
+        if self.ninitial < 1:
+            raise ConfigError("ninitial must be at least 1")
+        if self.fm_passes < 0:
+            raise ConfigError("fm_passes must be nonnegative")
+        if self.kway_passes < 0:
+            raise ConfigError("kway_passes must be nonnegative")
+        if self.max_net_size < 2:
+            raise ConfigError(
+                "max_net_size must be at least 2 (smaller values leave no "
+                "net to coarsen on)"
+            )
 
 
 def partition_kway(
@@ -185,11 +196,9 @@ def _split_side(hg: Hypergraph, part: np.ndarray, side: int) -> Hypergraph:
     keep = np.flatnonzero(part == side)
     vmap = np.full(hg.nvertices, -1, dtype=np.int64)
     vmap[keep] = np.arange(keep.size)
-    sizes = np.diff(hg.xpins)
-    net_of_pin = np.repeat(np.arange(hg.nnets), sizes)
     pin_mask = part[hg.pins] == side
     kept_pins = vmap[hg.pins[pin_mask]]
-    kept_nets = net_of_pin[pin_mask]
+    kept_nets = hg.net_of_pin[pin_mask]
     per_net = np.bincount(kept_nets, minlength=hg.nnets)
     live = per_net >= 2
     net_map = np.cumsum(live) - 1

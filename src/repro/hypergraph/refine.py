@@ -135,7 +135,6 @@ def fm_refine(
     targets: tuple[np.ndarray, np.ndarray],
     epsilon: float,
     max_passes: int = 4,
-    rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, int]:
     """Refine a bisection in place-semantics (a refined copy is returned).
 

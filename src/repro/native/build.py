@@ -96,7 +96,7 @@ SANITIZE_ENV = "REPRO_NATIVE_SANITIZE"
 DEBUG_ENV = "REPRO_NATIVE_DEBUG"
 BACKENDS = ("auto", "numpy", "native")
 
-ABI_VERSION = 2
+ABI_VERSION = 3
 CFLAGS = ("-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off")
 # The sanitizer variant keeps -ffp-contract=off and the same loop code,
 # so its outputs stay bit-identical; -O1 keeps ASan shadow checks fast
@@ -128,6 +128,16 @@ _SIGNATURES = {
         [_INT] * 5 + [_I64] * 5 + [_F64, _F64, _I64, _I64, _F64, _I64, _I8],
         None,
     ),
+    "repro_hcm_match": (
+        [_INT] + [_I64] * 4 + [_I8, _F64, _I64, _I64, _F64, _I64, _I8],
+        None,
+    ),
+    "repro_greedy_grow": (
+        [_INT] * 2 + [_I64] * 4
+        + [_I8, _F64, _I64, _F64, _I64, _I8, _F64, _I64, _I64, _I8, _F64],
+        None,
+    ),
+    "repro_random_fill": ([_INT] * 2 + [_I64, _F64, _I64, _I8, _I64], None),
 }
 
 

@@ -2,9 +2,11 @@
  *
  * - fused gather / multiply / group-sum scatter loops for the compiled
  *   SpMV runtime (repro.runtime.plan, repro.runtime.shards);
- * - the per-move loops of the hypergraph partitioner: the FM pass loop
- *   of repro.hypergraph.refine and the K-way greedy polish of
- *   repro.hypergraph.kway (bottom of this file).
+ * - the per-vertex and per-move loops of the hypergraph partitioner:
+ *   the FM pass loop of repro.hypergraph.refine, the K-way greedy
+ *   polish of repro.hypergraph.kway, the heavy-connectivity matching of
+ *   repro.hypergraph.coarsen and the two initial bisections of
+ *   repro.hypergraph.initial (bottom of this file).
  *
  * No kernel allocates: callers pass every output and workspace array.
  *
@@ -36,7 +38,7 @@
 
 /* Bumped whenever an exported signature changes; the loader refuses a
  * cached .so whose ABI does not match (stale-cache guard). */
-EXPORT int64_t repro_native_abi(void) { return 2; }
+EXPORT int64_t repro_native_abi(void) { return 3; }
 
 /* acc[idx[i]] += vals[i] * x[cols[i]]  — the fused expand/compute
  * inner loop: gather x, multiply by the nonzero value, scatter-add
@@ -521,5 +523,254 @@ EXPORT void repro_kway_passes(
         }
         if (!moved)
             break;
+    }
+}
+
+/* ------------------------------------------------------------------
+ * The front half of the V-cycle: heavy-connectivity matching and the
+ * two initial bisections.
+ *
+ * Bit-identity contract with repro.hypergraph.coarsen._hcm_match_numpy
+ * and repro.hypergraph.initial._greedy_grow_numpy / _random_fill_numpy:
+ *
+ * - float scores and gains are summed in the reference's order: the
+ *   visited vertex's valid nets in ascending net id (the order of
+ *   nets[xnets[v]:xnets[v+1]]), then each net's pins in stored order;
+ * - ties break toward the smaller vertex id, as the reference's
+ *   argmax over a column-sorted CSR row and its (-gain, id) heap do;
+ * - weight sums and balance comparisons use the reference's types:
+ *   float64 part weight in greedy growing, int64 part weight converted
+ *   to float64 for the comparison in the random fill.
+ *
+ * valid[e] (0/1) marks the nets the kernel reads; contrib[e] is the
+ * per-pin share cost(e) / (|e| - 1) of a valid net.
+ */
+
+/* Greedy heavy-connectivity matching over the visitation order.
+ *
+ * An unmatched vertex v sums, for every pin u of its valid nets, the
+ * shares of the nets it shares with u into acc[u], then matches the
+ * unmatched u != v of largest positive score (smallest id on ties).
+ * These sums equal the entries of the reference's Bᵀ·(W·B) score
+ * matrix bit for bit: scipy accumulates S[v, u] over the shared nets in
+ * ascending net id too.  mate (n) must be -1 on entry and mark (n) 0;
+ * acc (n) and touched (n) are workspace.  mark is 0 again on return. */
+EXPORT void repro_hcm_match(
+    int64_t n,
+    const int64_t *restrict xpins,
+    const int64_t *restrict pins,
+    const int64_t *restrict xnets,
+    const int64_t *restrict nets,
+    const int8_t *restrict valid,
+    const double *restrict contrib,
+    const int64_t *restrict order,
+    int64_t *restrict mate,
+    double *restrict acc,
+    int64_t *restrict touched,
+    int8_t *restrict mark)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t v = order[i];
+        if (mate[v] != -1)
+            continue;
+        int64_t nt = 0;
+        for (int64_t k = xnets[v]; k < xnets[v + 1]; k++) {
+            const int64_t e = nets[k];
+            if (!valid[e])
+                continue;
+            const double c = contrib[e];
+            for (int64_t p = xpins[e]; p < xpins[e + 1]; p++) {
+                const int64_t u = pins[p];
+                if (!mark[u]) {
+                    mark[u] = 1;
+                    acc[u] = 0.0;
+                    touched[nt++] = u;
+                }
+                acc[u] += c;
+            }
+        }
+        int64_t best = -1;
+        double best_score = 0.0;
+        for (int64_t t = 0; t < nt; t++) {
+            const int64_t u = touched[t];
+            mark[u] = 0;
+            if (u == v || mate[u] != -1)
+                continue;
+            const double s = acc[u];
+            if (s > best_score || (s == best_score && best >= 0 && u < best)) {
+                best = u;
+                best_score = s;
+            }
+        }
+        if (best >= 0) {
+            mate[v] = best;
+            mate[best] = v;
+        }
+    }
+}
+
+/* Indexed binary max-heap of candidate vertices keyed by (gain
+ * descending, id ascending); pos[u] is u's slot, -1 when absent. */
+typedef struct {
+    const double *gain;
+    int64_t *heap, *pos;
+    int64_t size;
+} grow_heap;
+
+static int grow_before(const grow_heap *h, int64_t a, int64_t b)
+{
+    return h->gain[a] > h->gain[b] || (h->gain[a] == h->gain[b] && a < b);
+}
+
+static void grow_place(grow_heap *h, int64_t i, int64_t u)
+{
+    h->heap[i] = u;
+    h->pos[u] = i;
+}
+
+static void grow_sift_up(grow_heap *h, int64_t i)
+{
+    const int64_t u = h->heap[i];
+    while (i > 0) {
+        const int64_t parent = (i - 1) / 2;
+        if (!grow_before(h, u, h->heap[parent]))
+            break;
+        grow_place(h, i, h->heap[parent]);
+        i = parent;
+    }
+    grow_place(h, i, u);
+}
+
+static int64_t grow_pop(grow_heap *h)
+{
+    const int64_t top = h->heap[0];
+    h->pos[top] = -1;
+    const int64_t last = h->heap[--h->size];
+    if (h->size > 0) {
+        int64_t i = 0;
+        for (;;) {
+            int64_t child = 2 * i + 1;
+            if (child >= h->size)
+                break;
+            if (child + 1 < h->size && grow_before(h, h->heap[child + 1], h->heap[child]))
+                child++;
+            if (!grow_before(h, h->heap[child], last))
+                break;
+            grow_place(h, i, h->heap[child]);
+            i = child;
+        }
+        grow_place(h, i, last);
+    }
+    return top;
+}
+
+enum { GROW_FREE = 0, GROW_ABSORBED = 1, GROW_RETIRED = 2 };
+
+/* Greedy hypergraph growing of part 0 (part[] must be all 1 on entry).
+ *
+ * Absorb the candidate of largest gain, or the next free vertex of
+ * seed_order when there is none; a vertex whose weight would overrun
+ * t0 is retired for good.  Stop once every constraint of part 0
+ * reaches t0.  An absorption adds contrib[e] to every pin of the
+ * absorbed vertex's valid nets and makes each free pin a candidate.
+ * The heap is re-sifted after every single bump: a bump only raises a
+ * gain, so sifting that one entry up keeps the heap ordered.
+ * Workspace: gain (n float64, zero), heap (n), pos (n, -1), state (n
+ * int8, zero), pw0 (ncon float64, zero). */
+EXPORT void repro_greedy_grow(
+    int64_t n,
+    int64_t ncon,
+    const int64_t *restrict xpins,
+    const int64_t *restrict pins,
+    const int64_t *restrict xnets,
+    const int64_t *restrict nets,
+    const int8_t *restrict valid,
+    const double *restrict contrib,
+    const int64_t *restrict vweights,
+    const double *restrict t0,
+    const int64_t *restrict seed_order,
+    int8_t *restrict part,
+    double *restrict gain,
+    int64_t *restrict heap,
+    int64_t *restrict pos,
+    int8_t *restrict state,
+    double *restrict pw0)
+{
+    grow_heap h = {gain, heap, pos, 0};
+    int64_t seed_ptr = 0;
+    for (;;) {
+        int64_t v;
+        if (h.size > 0) {
+            v = grow_pop(&h);
+        } else {
+            /* (Re)seed: the next untaken vertex in random order. */
+            while (seed_ptr < n && state[seed_order[seed_ptr]] != GROW_FREE)
+                seed_ptr++;
+            if (seed_ptr >= n)
+                break;
+            v = seed_order[seed_ptr];
+            gain[v] = 0.0;
+        }
+        const int64_t *w = vweights + v * ncon;
+        int fits = 1;
+        for (int64_t j = 0; j < ncon && fits; j++)
+            fits = pw0[j] + (double)w[j] <= t0[j];
+        if (!fits) {
+            state[v] = GROW_RETIRED;
+            continue;
+        }
+        state[v] = GROW_ABSORBED;
+        part[v] = 0;
+        int full = 1;
+        for (int64_t j = 0; j < ncon; j++) {
+            pw0[j] += (double)w[j];
+            full &= pw0[j] >= t0[j];
+        }
+        if (full)
+            break;
+        for (int64_t k = xnets[v]; k < xnets[v + 1]; k++) {
+            const int64_t e = nets[k];
+            if (!valid[e])
+                continue;
+            const double c = contrib[e];
+            for (int64_t p = xpins[e]; p < xpins[e + 1]; p++) {
+                const int64_t u = pins[p];
+                gain[u] += c;
+                if (state[u] != GROW_FREE)
+                    continue;
+                if (pos[u] < 0) {
+                    pos[u] = h.size;
+                    heap[h.size++] = u;
+                }
+                grow_sift_up(&h, pos[u]);
+            }
+        }
+    }
+}
+
+/* Random bisection: visit order[] and move each vertex to part 0
+ * (part[] all 1 on entry) while its int64 weight keeps every
+ * constraint of part 0 at or below t0.  Workspace: pw0 (ncon int64,
+ * zero). */
+EXPORT void repro_random_fill(
+    int64_t n,
+    int64_t ncon,
+    const int64_t *restrict vweights,
+    const double *restrict t0,
+    const int64_t *restrict order,
+    int8_t *restrict part,
+    int64_t *restrict pw0)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t v = order[i];
+        const int64_t *w = vweights + v * ncon;
+        int fits = 1;
+        for (int64_t j = 0; j < ncon && fits; j++)
+            fits = (double)(pw0[j] + w[j]) <= t0[j];
+        if (!fits)
+            continue;
+        part[v] = 0;
+        for (int64_t j = 0; j < ncon; j++)
+            pw0[j] += w[j];
     }
 }

@@ -15,10 +15,13 @@ runtime, so the dependency points one way (runtime → native; lint rule
 ``REP007``).
 
 :func:`fm_passes` and :func:`kway_passes` run the partitioner's
-per-move loops.  They take plain CSR arrays rather than a
-``Hypergraph`` for the same reason (hypergraph → native), update the
-caller's state arrays in place and leave the same state as the NumPy
-loops in :mod:`repro.hypergraph.refine` and :mod:`repro.hypergraph.kway`.
+per-move loops, :func:`hcm_match`, :func:`greedy_grow` and
+:func:`random_fill` its per-vertex loops at the front of the V-cycle.
+They take plain CSR arrays rather than a ``Hypergraph`` for the same
+reason (hypergraph → native) and leave the same state as the NumPy
+loops in :mod:`repro.hypergraph.refine`, :mod:`repro.hypergraph.kway`,
+:mod:`repro.hypergraph.coarsen` and :mod:`repro.hypergraph.initial`.
+Each wrapper allocates the kernel's workspace.
 
 With ``REPRO_NATIVE_DEBUG=1`` (resolved by
 :func:`repro.native.build.debug_bounds_enabled` — the flag is never
@@ -43,9 +46,12 @@ __all__ = [
     "fm_passes",
     "fused_group_gather",
     "fused_group_gather_many",
+    "greedy_grow",
     "group_apply",
     "group_apply_many",
+    "hcm_match",
     "kway_passes",
+    "random_fill",
     "scatter_products",
     "scatter_products_many",
     "scatter_sum",
@@ -79,12 +85,25 @@ def _validate(kernel: str, n: int, *index_specs) -> None:
             )
 
 
+def _validate_permutation(kernel: str, name: str, order: np.ndarray, n: int) -> None:
+    """Debug-mode check that ``order`` (already bounds- and
+    size-checked by :func:`_validate`) lists every id in ``[0, n)``."""
+    if n and int(np.bincount(order, minlength=n).min()) != 1:
+        raise VerificationError(
+            f"native {kernel}: {name} is not a permutation of 0..{n - 1}"
+        )
+
+
 def _f64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
 def _i64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def _i8(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.int8)
 
 
 def compact_group(gp) -> tuple[np.ndarray, int]:
@@ -292,3 +311,95 @@ def kway_passes(
         _i64(xnets), _i64(nets), _i64(vipt), _i64(vnets), _i64(ncosts),
         _f64(wfloat), _f64(limit), part, pc, pw, gains, cut,
     )
+
+
+def _incidence_specs(n, xpins, pins, xnets, nets, valid, contrib) -> tuple:
+    """:func:`_validate` specs of the two-way CSR incidence plus the
+    per-net ``valid`` (0/1) and ``contrib`` arrays."""
+    nnets = xpins.size - 1
+    return (
+        ("xpins", xpins, pins.size + 1, nnets + 1),
+        ("pins", pins, n, pins.size),
+        ("xnets", xnets, nets.size + 1, n + 1),
+        ("nets", nets, nnets, nets.size),
+        ("valid", valid, 2, nnets),
+        ("contrib", contrib, None, nnets),
+    )
+
+
+def hcm_match(lib, *, xpins, pins, xnets, nets, valid, contrib, order) -> np.ndarray:
+    """The matching loop of :func:`repro.hypergraph.coarsen.coarsen_once`.
+
+    ``xpins``/``pins`` and ``xnets``/``nets`` are the two CSR directions
+    of the incidence; ``valid`` (0/1) marks the scoring nets and
+    ``contrib`` holds each one's per-pin share ``cost / (|e| − 1)``;
+    ``order`` is the visitation permutation.  Returns ``mate`` (int64,
+    ``-1`` for an unmatched vertex).
+    """
+    n = xnets.size - 1
+    valid = _i8(valid)
+    if _build.debug_bounds_enabled():
+        _validate(
+            "hcm_match", n,
+            *_incidence_specs(n, xpins, pins, xnets, nets, valid, contrib),
+            ("order", order, n, n),
+        )
+        _validate_permutation("hcm_match", "order", order, n)
+    mate = np.full(n, -1, dtype=np.int64)
+    lib.hcm_match(
+        n, _i64(xpins), _i64(pins), _i64(xnets), _i64(nets), valid, _f64(contrib),
+        _i64(order), mate, np.empty(n), np.empty(n, dtype=np.int64),
+        np.zeros(n, dtype=np.int8),
+    )
+    return mate
+
+
+def greedy_grow(
+    lib, *, xpins, pins, xnets, nets, valid, contrib, vweights, t0, seed_order,
+) -> np.ndarray:
+    """:func:`repro.hypergraph.initial.greedy_growing` after its set-up.
+
+    Incidence arguments as in :func:`hcm_match`; ``vweights`` is the
+    int64 ``(n, ncon)`` weight matrix, ``t0`` part 0's float64 target
+    and ``seed_order`` the reseeding permutation.  Returns the 0/1
+    part array (int8).
+    """
+    n, ncon = vweights.shape
+    valid = _i8(valid)
+    if _build.debug_bounds_enabled():
+        _validate(
+            "greedy_grow", n,
+            *_incidence_specs(n, xpins, pins, xnets, nets, valid, contrib),
+            ("t0", t0, None, ncon),
+            ("seed_order", seed_order, n, n),
+        )
+        _validate_permutation("greedy_grow", "seed_order", seed_order, n)
+    part = np.ones(n, dtype=np.int8)
+    lib.greedy_grow(
+        n, ncon, _i64(xpins), _i64(pins), _i64(xnets), _i64(nets), valid,
+        _f64(contrib), _i64(vweights), _f64(t0), _i64(seed_order), part,
+        np.zeros(n), np.empty(n, dtype=np.int64), np.full(n, -1, dtype=np.int64),
+        np.zeros(n, dtype=np.int8), np.zeros(ncon),
+    )
+    return part
+
+
+def random_fill(lib, *, vweights, t0, order) -> np.ndarray:
+    """:func:`repro.hypergraph.initial.random_bisection`'s fill loop:
+    returns the 0/1 part array (int8) for visitation permutation
+    ``order``, int64 ``(n, ncon)`` ``vweights`` and float64 target
+    ``t0``."""
+    n, ncon = vweights.shape
+    if _build.debug_bounds_enabled():
+        _validate(
+            "random_fill", n,
+            ("t0", t0, None, ncon),
+            ("order", order, n, n),
+        )
+        _validate_permutation("random_fill", "order", order, n)
+    part = np.ones(n, dtype=np.int8)
+    lib.random_fill(
+        n, ncon, _i64(vweights), _f64(t0), _i64(order), part,
+        np.zeros(ncon, dtype=np.int64),
+    )
+    return part

@@ -94,6 +94,27 @@ def test_partition_kway_rejects_bad_k(small_square):
         partition_kway(column_net_model(small_square), 0)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("ninitial", 0, "ninitial must be at least 1"),
+        ("fm_passes", -1, "fm_passes must be nonnegative"),
+        ("kway_passes", -1, "kway_passes must be nonnegative"),
+        ("max_net_size", 1, "max_net_size must be at least 2"),
+    ],
+)
+def test_partition_config_rejects_misuse(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        PartitionConfig(**{field: value})
+
+
+def test_partition_config_zero_passes_stay_valid():
+    cfg = PartitionConfig(fm_passes=0, kway_passes=0, ninitial=1, max_net_size=2)
+    hg = _chain_hg(32)
+    part = partition_kway(hg, 2, cfg)
+    assert set(np.unique(part).tolist()) <= {0, 1}
+
+
 def test_partition_chain_optimal_cut():
     hg = _chain_hg(64)
     part = partition_kway(hg, 2, PartitionConfig(seed=7))

@@ -124,6 +124,27 @@ for backend in ("numpy", "native"):
     set_default_backend(backend)
     parts[backend] = partition_kway(hg, 8, PartitionConfig(seed=2))
 assert np.array_equal(parts["numpy"], parts["native"])
+
+# The V-cycle's front half directly: HCM matching, greedy growing and
+# the random fill on a tie-heavy fine-grain model.
+from repro.hypergraph import fine_grain_model
+from repro.hypergraph.coarsen import coarsen_once
+from repro.hypergraph.initial import greedy_growing, random_bisection
+from repro.rng import as_generator
+
+fg = fine_grain_model(circuit_like(120, seed=6)).hypergraph
+t = fg.total_weight().astype(float)
+fronts = {}
+for backend in ("numpy", "native"):
+    set_default_backend(backend)
+    cmap, coarse = coarsen_once(fg, as_generator(3))
+    fronts[backend] = [
+        cmap, coarse.pins, coarse.ncosts,
+        greedy_growing(fg, (t * 0.4, t * 0.6), as_generator(4)),
+        random_bisection(fg, (t * 0.4, t * 0.6), as_generator(5)),
+    ]
+for want, got in zip(fronts["numpy"], fronts["native"]):
+    assert np.array_equal(want, got)
 print("OK-SANITIZED-GOLDEN")
 """
 
@@ -149,8 +170,10 @@ print("UNREACHABLE")  # the sanitizer must abort before this line
 def test_sanitized_kernels_pass_golden_applies():
     """The ASan/UBSan build variant is bit-identical to NumPy on full
     plan applies (single and s2D models, one and many right-hand
-    sides) and on a two-constraint ``partition_kway`` (the FM and K-way
-    kernels), run in a child with the sanitizer runtime active."""
+    sides), on a two-constraint ``partition_kway`` (every partitioner
+    kernel) and on direct calls of the HCM matching, greedy-growing and
+    random-fill kernels, run in a child with the sanitizer runtime
+    active."""
     proc = _run_child(_GOLDEN_CHILD)
     _skip_if_unloadable(proc)
     assert proc.returncode == 0, proc.stderr[-2000:]

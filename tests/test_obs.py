@@ -254,6 +254,23 @@ def test_profiling_adapters_emit_spans():
     assert tr.total_counters().get("simulate.runs") == 1
 
 
+def test_coarsening_emits_match_and_contract_spans():
+    """Every coarsening level opens one ``partition.coarsen.match`` and
+    one ``partition.coarsen.contract`` span inside ``partition.coarsen``."""
+    from repro.generators.mesh import poisson2d
+    from repro.hypergraph import PartitionConfig, column_net_model, partition_kway
+
+    hg = column_net_model(poisson2d(20))
+    with obs.tracing() as tr:
+        partition_kway(hg, 4, PartitionConfig(seed=1, coarsen_to=40))
+    pair = ["partition.coarsen.match", "partition.coarsen.contract"]
+    stages = [
+        [c.name for c in sp.children] for sp in tr.walk() if sp.name == "partition.coarsen"
+    ]
+    assert any(stages)
+    assert all(names == pair * (len(names) // 2) for names in stages)
+
+
 def test_simulate_stage_noop_without_collectors():
     # Neither a profile nor a trace open: stage() must not blow up.
     with sprof.stage("expand"):

@@ -1,15 +1,22 @@
-"""The partitioner's per-move loops on both kernel backends.
+"""The partitioner's per-vertex and per-move loops on both backends.
 
-``fm_refine`` and ``kway_greedy_refine`` run their pass loops in C
-(``kernels.c``) when the native backend resolves, else in NumPy.  The
-contract is the native package's: same partitions, less time.  Pinned
-here:
+``coarsen_once`` (the HCM matching), ``greedy_growing``,
+``random_bisection``, ``fm_refine`` and ``kway_greedy_refine`` run
+their loops in C (``kernels.c``) when the native backend resolves, else
+in NumPy.  The contract is the native package's: same partitions, less
+time.  Pinned here:
 
 - every partitioner pin of ``test_partitioner_vectorized`` holds with
   the backend forced either way;
 - an identity sweep: equal ``(part, cut)`` from ``fm_refine`` and equal
   ``kway_greedy_refine`` output over five matrix families, one and two
   balance constraints, and K in {2, 8, 64};
+- an identity sweep of the V-cycle's front half: equal ``cmap`` and
+  coarse hypergraphs level by level, equal initial bisections and the
+  same random stream consumed, over the five families under the
+  column-net and fine-grain models with one and two constraints, plus
+  a tie-heavy unit-cost mesh, zero-cost nets and unscorable nets;
+- whole-``partition_kway`` identity, including fine-grain at K=64;
 - without a compiler, ``auto`` falls back to NumPy with the same
   partition;
 - the duplicate-pin precondition and the debug-mode bounds guard.
@@ -29,12 +36,16 @@ from repro.hypergraph import (
     Hypergraph,
     PartitionConfig,
     column_net_model,
+    fine_grain_model,
     partition_kway,
 )
+from repro.hypergraph.coarsen import _pair_scores, coarsen_once
+from repro.hypergraph.initial import greedy_growing, random_bisection
 from repro.hypergraph.kway import kway_greedy_refine
 from repro.hypergraph.refine import bisection_cut, fm_refine
 from repro.native import DEBUG_ENV, get_kernels, ops, set_default_backend
 from repro.native.build import _reset_native_state
+from repro.rng import as_generator
 
 from tests import test_partitioner_vectorized as pins
 
@@ -101,8 +112,9 @@ FAMILIES = {
 }
 
 
-def _model(family: str, ncon: int) -> Hypergraph:
-    hg = column_net_model(FAMILIES[family]())
+def _model(family: str, ncon: int, model: str = "column-net") -> Hypergraph:
+    a = FAMILIES[family]()
+    hg = column_net_model(a) if model == "column-net" else fine_grain_model(a).hypergraph
     if ncon == 2:
         extra = np.random.default_rng(5).integers(0, 4, hg.nvertices)
         hg = Hypergraph(
@@ -172,6 +184,141 @@ def test_fm_zero_limit_identical_across_backends():
     )
     assert np.array_equal(p_np, p_nat)
     assert cut_np == cut_nat
+
+
+@pytest.mark.native
+def test_fine_grain_partition_kway_k64_identical_across_backends():
+    hg = _model("rmat", 1, "fine-grain")
+    cfg = PartitionConfig(seed=6)
+    want, got = _on_both_backends(lambda: partition_kway(hg, 64, cfg))
+    assert np.array_equal(want, got)
+
+
+# ----------------------------------------------------------------------
+# Identity sweep of the V-cycle's front half: matching, initial bisections
+# ----------------------------------------------------------------------
+
+_COARSE_ARRAYS = ("xpins", "pins", "vweights", "ncosts", "xnets", "nets")
+
+
+def _front_half(hg: Hypergraph, seed: int, max_net_size: int = 200) -> list:
+    """Every coarsening level's ``cmap`` and coarse arrays down to 40
+    vertices, greedy-growing and random bisections of the finest and
+    the coarsest level at two targets, then one more draw from each
+    random stream (both backends must consume the same numbers)."""
+    rng = as_generator(seed)
+    out = []
+    levels = [hg]
+    while levels[-1].nvertices > 40 and len(levels) < 40:
+        cmap, coarse = coarsen_once(levels[-1], rng, max_net_size=max_net_size)
+        out.append(cmap)
+        out.extend(getattr(coarse, name) for name in _COARSE_ARRAYS)
+        if coarse.nvertices == levels[-1].nvertices:
+            break
+        levels.append(coarse)
+    out.append(rng.integers(1 << 62))
+    trial_rng = as_generator(seed + 1)
+    for level in (levels[0], levels[-1]):
+        t = level.total_weight().astype(np.float64)
+        for frac in (0.5, 0.3):
+            targets = (t * frac, t * (1 - frac))
+            out.append(greedy_growing(level, targets, trial_rng))
+            out.append(random_bisection(level, targets, trial_rng))
+    out.append(trial_rng.integers(1 << 62))
+    return out
+
+
+def _assert_same(want: list, got: list, label) -> None:
+    assert len(want) == len(got), label
+    for i, (a, b) in enumerate(zip(want, got)):
+        assert np.asarray(a).dtype == np.asarray(b).dtype, (label, i)
+        assert np.array_equal(a, b), (label, i)
+
+
+@pytest.mark.native
+@pytest.mark.parametrize("ncon", [1, 2])
+@pytest.mark.parametrize("model", ["column-net", "fine-grain"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_front_half_identical_across_backends(family, model, ncon):
+    hg = _model(family, ncon, model)
+    want, got = _on_both_backends(lambda: _front_half(hg, seed=7))
+    _assert_same(want, got, (family, model, ncon))
+
+
+@pytest.mark.native
+def test_front_half_identical_on_tie_heavy_mesh():
+    """A unit-cost 2-D mesh: most vertices have several neighbours of
+    equal best score, so every tie must break toward the smaller id."""
+    hg = column_net_model(poisson2d(24))
+    scores = _pair_scores(hg, 200)
+    assert scores.has_sorted_indices  # what makes argmax pick the smaller id
+    tied = 0
+    for v in range(hg.nvertices):
+        lo, hi = scores.indptr[v], scores.indptr[v + 1]
+        row = scores.data[lo:hi][scores.indices[lo:hi] != v]
+        tied += row.size > 0 and np.count_nonzero(row == row.max()) > 1
+    assert tied > hg.nvertices // 2
+    for seed in range(4):
+        want, got = _on_both_backends(lambda: _front_half(hg, seed))
+        _assert_same(want, got, seed)
+
+
+@pytest.mark.native
+def test_front_half_identical_with_zero_cost_nets():
+    base = _model("circuit", 2)
+    costs = np.random.default_rng(2).integers(0, 3, base.nnets)  # a third cost 0
+    some_free = Hypergraph(base.xpins, base.pins, base.vweights, costs)
+    want, got = _on_both_backends(lambda: _front_half(some_free, seed=5))
+    _assert_same(want, got, "some zero-cost nets")
+    free = Hypergraph(
+        base.xpins, base.pins, base.vweights, np.zeros(base.nnets, dtype=np.int64)
+    )
+    want, got = _on_both_backends(lambda: _front_half(free, seed=5))
+    _assert_same(want, got, "all nets cost 0")
+    assert np.array_equal(want[0], np.arange(free.nvertices))  # no positive score
+
+
+@pytest.mark.native
+def test_greedy_growing_sums_gains_in_net_order():
+    """Vertex 0 shares nets of 3, 4 and 7 pins with vertex 1 and nets of
+    7, 4 and 3 pins with vertex 2, in ascending net id.  Summed in net
+    order their gains are (1/2 + 1/3) + 1/6 < (1/6 + 1/3) + 1/2, so once
+    0 seeds, vertex 2 must be absorbed next; any other summation order
+    picks vertex 1.  Padding vertices are too heavy to absorb."""
+    nets, pad = [], 3
+    for u, sizes in ((1, (3, 4, 7)), (2, (7, 4, 3))):
+        for size in sizes:
+            nets.append([0, u, *range(pad, pad + size - 2)])
+            pad += size - 2
+    w = np.full(pad, 3, dtype=np.int64)
+    w[:3] = 1
+    hg = Hypergraph.from_net_lists(nets, pad, vweights=w)
+    t = hg.total_weight().astype(np.float64)
+    targets = (np.array([2.0]), t - 2.0)
+    firsts = set()
+    for seed in range(12):
+        want, got = _on_both_backends(
+            lambda: greedy_growing(hg, targets, as_generator(seed))
+        )
+        assert np.array_equal(want, got), seed
+        # The seed is the first light vertex of the random order.
+        first = next(int(v) for v in as_generator(seed).permutation(pad) if v < 3)
+        firsts.add(first)
+        assert np.flatnonzero(want == 0).tolist() == ([0, 1] if first == 1 else [0, 2])
+    assert 0 in firsts
+
+
+@pytest.mark.native
+def test_front_half_identical_when_no_net_scores():
+    """Every net above ``max_net_size``: nothing matches and neither
+    backend draws a visitation order."""
+    hg = Hypergraph.from_net_lists(
+        [list(range(i, i + 12)) for i in range(0, 60, 4)], nvertices=72
+    )
+    want, got = _on_both_backends(lambda: _front_half(hg, seed=3, max_net_size=5))
+    _assert_same(want, got, "unscorable")
+    assert np.array_equal(want[0], np.arange(72))
+    assert want[len(_COARSE_ARRAYS) + 1] == as_generator(3).integers(1 << 62)
 
 
 @pytest.mark.native
@@ -249,3 +396,41 @@ def test_debug_guard_blocks_bad_partitioner_indices(monkeypatch):
     with forced_backend("native"):
         plain = fm_refine(hg, start, (t / 2, t / 2), 0.1)
     assert np.array_equal(guarded[0], plain[0]) and guarded[1] == plain[1]
+
+
+@pytest.mark.native
+def test_debug_guard_blocks_bad_front_half_inputs(monkeypatch):
+    lib = get_kernels()
+    monkeypatch.setenv(DEBUG_ENV, "1")
+    hg = Hypergraph.from_net_lists([[0, 1], [1, 2, 3]], 4)
+    inc = dict(
+        xpins=hg.xpins, pins=hg.pins, xnets=hg.xnets, nets=hg.nets,
+        valid=np.ones(2, dtype=np.int8), contrib=np.array([1.0, 0.5]),
+    )
+    grow = dict(vweights=hg.vweights, t0=np.array([2.0]))
+    with pytest.raises(VerificationError, match="hcm_match: order is not a permutation"):
+        ops.hcm_match(lib, **inc, order=np.array([0, 1, 1, 3]))
+    with pytest.raises(VerificationError, match="hcm_match: valid indexes outside"):
+        ops.hcm_match(lib, **{**inc, "valid": np.array([1, 2])}, order=np.arange(4))
+    with pytest.raises(VerificationError, match="greedy_grow: nets indexes outside"):
+        ops.greedy_grow(lib, **{**inc, "nets": hg.nets + 5}, **grow, seed_order=np.arange(4))
+    with pytest.raises(VerificationError, match="greedy_grow: seed_order is not a perm"):
+        ops.greedy_grow(lib, **inc, **grow, seed_order=np.array([3, 2, 1, 1]))
+    with pytest.raises(VerificationError, match="random_fill: order indexes outside"):
+        ops.random_fill(lib, **grow, order=np.array([0, 1, 2, 4]))
+    # Valid input passes the guard and gives the unguarded result.
+    t = hg.total_weight().astype(np.float64)
+
+    def front():
+        return [
+            coarsen_once(hg, as_generator(1))[0],
+            greedy_growing(hg, (t / 2, t / 2), as_generator(2)),
+            random_bisection(hg, (t / 2, t / 2), as_generator(3)),
+        ]
+
+    with forced_backend("native"):
+        guarded = front()
+    monkeypatch.delenv(DEBUG_ENV)
+    with forced_backend("native"):
+        plain = front()
+    _assert_same(guarded, plain, "guarded")
