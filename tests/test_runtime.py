@@ -15,17 +15,16 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import make_s2d_bounded, s2d_heuristic
 from repro.engine import PartitionEngine
 from repro.errors import ConfigError, PartitionError, ReproError, SimulationError
 from repro.hypergraph import PartitionConfig
-from repro.partition import partition_1d_rowwise, partition_2d_finegrain
 from repro.partition.serialize import load_partition, load_plan, save_partition, save_plan
 from repro.runtime import CommPlan, compile_plan
 from repro.simulate import MachineModel
 from repro.simulate.report import run_partition
 
 from tests.conftest import random_s2d_partition
+from tests.golden_runtime import LABELS, check, golden_instances
 
 CFG = PartitionConfig(seed=23, ninitial=2, fm_passes=2)
 
@@ -50,28 +49,17 @@ def _assert_matches_executor(p, plan, x):
 
 @pytest.fixture(scope="module")
 def partitioned_instances():
-    """(partition, expected executor) across all three execution models."""
-    import scipy.sparse as sp
+    """(partition, expected executor) across all three execution models,
+    in :data:`tests.golden_runtime.LABELS` order."""
+    return [(p, mode) for _, p, mode in golden_instances()]
 
-    from repro.generators.mesh import knn_mesh
-    from repro.generators.suite import table1_suite
-    from repro.sparse.coo import canonical_coo
 
-    rng = np.random.default_rng(77)
-    mesh = knn_mesh(300, 6, dim=2, seed=7)
-    oned = partition_1d_rowwise(mesh, 4, CFG)
-    s2d = s2d_heuristic(mesh, x_part=oned.vectors, nparts=4)
-    suite = table1_suite("tiny")[2].matrix()  # trdheim
-    rect = canonical_coo(sp.random(40, 55, density=0.12, random_state=5, format="coo"))
-    return [
-        (oned, "single"),
-        (s2d, "single"),
-        (make_s2d_bounded(s2d), "routed"),
-        (partition_2d_finegrain(mesh, 4, CFG), "two"),
-        (partition_1d_rowwise(suite, 3, CFG), "single"),
-        (random_s2d_partition(rng, mesh, 5), "single"),
-        (partition_2d_finegrain(rect, 4, CFG), "two"),
-    ]
+def test_golden_fixture_pins_plan_and_simulator(partitioned_instances):
+    """Both ``compile_plan(p).apply(x)`` and ``run_partition(p, x)``
+    reproduce the committed digests: ``y`` bytes, ledger, phase flops
+    and every plan array."""
+    labelled = [(label, p, mode) for label, (p, mode) in zip(LABELS, partitioned_instances)]
+    assert check(labelled) == []
 
 
 def test_apply_bit_identical_to_executors(partitioned_instances):
