@@ -9,9 +9,12 @@ plain NumPy arrays and is deterministic.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 __all__ = [
+    "GroupPlan",
     "concat_ranges",
     "concat_spans",
     "group_sum",
@@ -63,31 +66,57 @@ def _use_histogram(span: int, nitems: int) -> bool:
     return span <= max(64 * nitems, 1 << 20)
 
 
-def group_sum(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``values`` by integer ``keys``; returns ``(unique_keys, sums)``.
+@dataclass
+class GroupPlan:
+    """Sum by a fixed key array: ``build`` picks the branch once from
+    the keys, ``apply`` sums each group's values in input order.
 
-    Dense key ranges take an ``np.bincount`` fastpath (one histogram
-    pass, no sort); sparse ranges fall back to the ``np.unique`` +
-    ``np.add.at`` formulation.  Both paths return identical results with
-    ``unique_keys`` sorted ascending.
+    - ``hist`` (dense key ranges): ``index`` holds the min-shifted keys,
+      ``length`` the key span, ``take`` the surviving bins — one
+      ``np.bincount`` pass, no sort;
+    - ``scatter``: ``index`` holds the unique-inverse positions,
+      ``length`` the group count — one ``np.add.at`` pass;
+    - ``empty``: no keys; values pass through (they are empty too).
     """
-    keys = np.asarray(keys, dtype=np.int64)
-    values = np.asarray(values)
-    if keys.size == 0:
-        return keys.copy(), values.copy()
-    kmin = int(keys.min())
-    span = int(keys.max()) - kmin + 1
-    if _use_histogram(span, keys.size):
-        shifted = keys - kmin
-        counts = np.bincount(shifted, minlength=span)
-        sums = np.bincount(shifted, weights=values, minlength=span)
-        present = counts > 0
-        uniq = np.flatnonzero(present) + kmin
-        return uniq, sums[present].astype(values.dtype, copy=False)
-    uniq, inv = np.unique(keys, return_inverse=True)
-    sums = np.zeros(uniq.size, dtype=values.dtype)
-    np.add.at(sums, inv, values)
-    return uniq, sums
+
+    mode: str
+    index: np.ndarray
+    length: int
+    take: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, keys: np.ndarray) -> tuple["GroupPlan", np.ndarray]:
+        """``(plan, unique_keys)`` for ``keys``, keys sorted ascending."""
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.size == 0:
+            return cls("empty", keys.copy(), 0), keys.copy()
+        kmin = int(keys.min())
+        span = int(keys.max()) - kmin + 1
+        if _use_histogram(span, keys.size):
+            shifted = keys - kmin
+            counts = np.bincount(shifted, minlength=span)
+            take = np.flatnonzero(counts > 0)
+            return cls("hist", shifted, span, take), take + kmin
+        uniq, inv = np.unique(keys, return_inverse=True)
+        return cls("scatter", inv, int(uniq.size)), uniq
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Per-group sums of ``values``, in ascending key order."""
+        if self.mode == "empty":
+            return values.copy()
+        if self.mode == "hist":
+            sums = np.bincount(self.index, weights=values, minlength=self.length)
+            return sums[self.take]
+        sums = np.zeros(self.length, dtype=values.dtype)
+        np.add.at(sums, self.index, values)
+        return sums
+
+
+def group_sum(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``values`` by integer ``keys``; returns ``(unique_keys, sums)``
+    — a one-shot :class:`GroupPlan`."""
+    plan, uniq = GroupPlan.build(keys)
+    return uniq, plan.apply(np.asarray(values))
 
 
 def in_sorted(haystack: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -116,7 +145,7 @@ def pair_counts(
     kernel of the SpMV executors: every item stream contributes one word
     to its (sender, receiver) packet.  The ``n²`` key domain is usually
     tiny next to the item count, so a histogram replaces the sort
-    whenever it fits (same condition as :func:`group_sum`).
+    whenever it fits (same condition as :class:`GroupPlan`).
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)

@@ -9,7 +9,7 @@ backend and fetch the library once (per plan / per worker), so the per
 
 ``group`` arguments are ``(index, length)`` pairs produced by
 :func:`compact_group` from a duck-typed group plan with the
-:class:`repro.runtime.plan._GroupPlan` fields (``mode``, ``index``,
+:class:`repro.kernels.GroupPlan` fields (``mode``, ``index``,
 ``length``, ``take``); this module deliberately does not import the
 runtime, so the dependency points one way (runtime → native; lint rule
 ``REP007``).

@@ -1,21 +1,21 @@
 """Compiled SpMV runtime: reusable communication plans.
 
 The paper's whole point is iterative methods — the same partitioned
-SpMV runs hundreds of times — yet the per-call executors in
-:mod:`repro.simulate` re-derive the full message structure (masks,
+SpMV runs hundreds of times — yet a per-call simulation in
+:mod:`repro.simulate` derives the full message structure (masks,
 searchsorted joins, dedup, packet layouts, audits, the serial
-verification) on every multiply.  This package compiles that structure
-once:
+verification) on every multiply.  This package keeps that structure:
 
-- :func:`compile_plan` walks a partition through the matching per-call
-  executor a single time and freezes everything iteration-invariant
+- :func:`compile_plan` runs the execution model's single derivation
+  (:func:`repro.simulate.report.derive`) once and keeps what it froze
   into a :class:`CommPlan` — gather/scatter index arrays for the
   numeric kernel, the per-iteration message :class:`~repro.simulate.messages.Ledger`,
   and the superstep schedule with its static per-processor flops;
 - :meth:`CommPlan.apply` then performs each subsequent multiply as
   pure array gathers/scatters with zero per-call set-up, returning an
   :class:`~repro.simulate.machine.SpMVRun` whose ``y`` and ledger are
-  bit-identical to the per-call executor's;
+  bit-identical to the per-call simulator's (which computes its ``y``
+  with this same apply);
 - :meth:`CommPlan.apply_many` batches several right-hand sides through
   the one compiled schedule (column-stacked, same bit-identical
   numerics per column).

@@ -18,18 +18,19 @@ execution models reduce to one apply shape::
 - mesh-routed s2D-b: like single-phase plus ``group2``, the combine of
   partials at mesh intermediates.
 
-Bit-identity with the per-call executors holds because every float
-operation is reproduced with the same kernel and the same element
-order: :class:`_GroupPlan` freezes :func:`repro.kernels.group_sum`'s
-histogram-vs-scatter branch choice at compile time, and the scatters
-are the executors' own ``np.bincount`` accumulations over the same
-index arrays.  The same applies to the native C backend
-(:mod:`repro.native`, selected per call via ``backend=`` or the
-``REPRO_NATIVE`` flag): its fused gather/scatter loops accumulate in
-index order, so native sums equal ``np.bincount``/``np.add.at``
-element order bit for bit.  :meth:`CommPlan.apply_many` routes each
-column through the same single-RHS accumulation order either way, so
-batched columns match single applies bitwise too.
+Plans are built by each execution model's single derivation
+(:func:`repro.simulate.report.derive`), and the per-call simulators
+compute their ``y`` with this module's NumPy apply — so a simulator's
+``run.y`` and ``plan.apply_y`` under the NumPy backend are one
+computation, not two that must agree.  The grouping stages are frozen
+:class:`~repro.kernels.GroupPlan`s, the scatters ``np.bincount``
+accumulations.  The native C backend (:mod:`repro.native`, selected
+per call via ``backend=`` or the ``REPRO_NATIVE`` flag) runs fused
+gather/scatter loops that accumulate in index order, so native sums
+equal ``np.bincount``/``np.add.at`` element order bit for bit.
+:meth:`CommPlan.apply_many` routes each column through the same
+single-RHS accumulation order either way, so batched columns match
+single applies bitwise too.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.kernels import _use_histogram
+from repro.kernels import GroupPlan
 from repro.native import ops as native_ops
 from repro.native import resolve_backend
 from repro.native.build import get_kernels
@@ -49,52 +50,6 @@ from repro.simulate.machine import MachineModel, PhaseCost, SpMVRun
 from repro.simulate.messages import Ledger
 
 __all__ = ["CommPlan", "PartPlan"]
-
-
-@dataclass
-class _GroupPlan:
-    """Frozen :func:`repro.kernels.group_sum` over a fixed key array.
-
-    ``build`` mirrors ``group_sum``'s branch choice exactly, so
-    ``apply(values)`` returns the same float64 sums bit for bit:
-
-    - ``hist``: ``index`` holds the min-shifted keys, ``length`` the key
-      span, ``take`` the surviving bins — one ``np.bincount`` pass;
-    - ``scatter``: ``index`` holds the unique-inverse positions,
-      ``length`` the group count — one ``np.add.at`` pass;
-    - ``empty``: no keys; values pass through (they are empty too).
-    """
-
-    mode: str
-    index: np.ndarray
-    length: int
-    take: np.ndarray | None = None
-
-    @classmethod
-    def build(cls, keys: np.ndarray) -> tuple["_GroupPlan", np.ndarray]:
-        """Compile the plan for ``keys``; returns ``(plan, unique_keys)``."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return cls("empty", keys.copy(), 0), keys.copy()
-        kmin = int(keys.min())
-        span = int(keys.max()) - kmin + 1
-        if _use_histogram(span, keys.size):
-            shifted = keys - kmin
-            counts = np.bincount(shifted, minlength=span)
-            take = np.flatnonzero(counts > 0)
-            return cls("hist", shifted, span, take), take + kmin
-        uniq, inv = np.unique(keys, return_inverse=True)
-        return cls("scatter", inv, int(uniq.size)), uniq
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        if self.mode == "empty":
-            return values.copy()
-        if self.mode == "hist":
-            sums = np.bincount(self.index, weights=values, minlength=self.length)
-            return sums[self.take]
-        sums = np.zeros(self.length, dtype=values.dtype)
-        np.add.at(sums, self.index, values)
-        return sums
 
 
 class _NativeApply:
@@ -257,7 +212,7 @@ class PartPlan:
     x_own_cols: np.ndarray
     pre_cols: np.ndarray
     pre_vals: np.ndarray
-    group1: _GroupPlan
+    group1: GroupPlan
     has_fold: bool
     fold_rows_c: np.ndarray
     fold_gather: _Gather
@@ -266,7 +221,7 @@ class PartPlan:
     main_rows_c: np.ndarray | None = None
     main_cols: np.ndarray | None = None
     main_vals: np.ndarray | None = None
-    group2: _GroupPlan | None = None
+    group2: GroupPlan | None = None
     comb_gather: _Gather | None = None
 
     @property
@@ -293,19 +248,15 @@ class CommPlan:
     phases: list[PhaseCost]
     pre_cols: np.ndarray
     pre_vals: np.ndarray
-    group1: _GroupPlan
+    group1: GroupPlan
     fold_rows: np.ndarray
-    group2: _GroupPlan | None = None
+    group2: GroupPlan | None = None
     main_rows: np.ndarray | None = None
     main_cols: np.ndarray | None = None
     main_vals: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------- apply
-
-    def default_x(self) -> np.ndarray:
-        """The executors' default input vector."""
-        return resolve_x(None, self.ncols)
 
     def _native(self) -> _NativeApply:
         """The lazily-built native kernel state (resolve_backend has
@@ -317,6 +268,8 @@ class CommPlan:
         return state
 
     def _apply_y_numpy(self, x: np.ndarray) -> np.ndarray:
+        """The NumPy-backend apply, with no span or counters; both
+        :meth:`apply_y` and the per-call simulators run it."""
         psums = self.group1.apply(self.pre_vals * x[self.pre_cols])
         fsums = self.group2.apply(psums) if self.group2 is not None else psums
         if self.main_rows is None:
@@ -335,7 +288,7 @@ class CommPlan:
     ) -> np.ndarray:
         """``A @ x`` through the compiled schedule — just the vector.
 
-        Bit-identical to the matching per-call executor's ``run.y``
+        Bit-identical to the matching per-call simulator's ``run.y``
         under either kernel backend (``backend``: ``"numpy"``,
         ``"native"``, ``"auto"``, or None for the process default —
         see :func:`repro.native.resolve_backend`).
@@ -491,11 +444,11 @@ class CommPlan:
     def from_state(cls, header: dict, arrays: dict[str, np.ndarray]) -> "CommPlan":
         """Rebuild a plan saved by :meth:`to_state`."""
 
-        def group(slot: int, prefix: str) -> _GroupPlan | None:
+        def group(slot: int, prefix: str) -> GroupPlan | None:
             spec = header["groups"][slot]
             if spec is None:
                 return None
-            return _GroupPlan(
+            return GroupPlan(
                 mode=spec["mode"],
                 index=arrays[f"{prefix}_index"],
                 length=int(spec["length"]),

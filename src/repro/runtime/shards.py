@@ -41,19 +41,22 @@ from repro.native.build import get_kernels
 from repro.runtime.plan import CommPlan, PartPlan
 from repro.simulate.common import resolve_x
 
-__all__ = ["PHASES", "apply_shards_serial"]
+__all__ = ["PHASES", "SCHEDULE", "apply_shards_serial"]
 
-# Canonical communication phases per execution model, in superstep
-# order.  This — not ``ledger.phase_names`` — defines the stats layout:
-# a phase with zero traffic is absent from the ledger but still owns a
-# (all-zero) stats column.
-PHASES: dict[str, tuple[str, ...]] = {
-    "single": ("expand-and-fold",),
-    "two": ("expand", "fold"),
-    "routed": ("route-row", "route-col"),
+#: Each model's superstep schedule, communication phase → (send step,
+#: receive step) in superstep order; ``_PartRunner`` and the plan-IR
+#: checker (:mod:`repro.verify.plan_checks`) both follow it.
+SCHEDULE: dict[str, dict[str, tuple[int, int]]] = {
+    "single": {"expand-and-fold": (0, 1)},
+    "two": {"expand": (0, 1), "fold": (1, 2)},
+    "routed": {"route-row": (0, 1), "route-col": (1, 2)},
 }
 
-_N_STEPS = {"single": 2, "two": 3, "routed": 3}
+# The phases, not ``ledger.phase_names``, define the stats layout: a
+# phase with no traffic is absent from the ledger but still owns a
+# (zero) stats column.  The last phase carries the partials the fold reads.
+PHASES = {mode: tuple(phases) for mode, phases in SCHEDULE.items()}
+_N_STEPS = {mode: 1 + max(r for _, r in ph.values()) for mode, ph in SCHEDULE.items()}
 
 
 class _PartRunner:

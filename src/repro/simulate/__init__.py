@@ -8,6 +8,11 @@ BSP-style α/β/γ machine model.  The simulated ``y`` is checked against
 the serial ``A @ x``, so the executors are functional models of the
 algorithms, not formulas.
 
+Each execution model has one derivation (``derive_*``): a single pass
+from a partition to its routing keys, ledger, flops, audits and
+compiled :class:`~repro.runtime.plan.CommPlan`.  The simulators
+(``run_*``) and :func:`repro.runtime.compile_plan` both run it.
+
 - :mod:`repro.simulate.messages` — the message ledger;
 - :mod:`repro.simulate.machine` — the cost model and speedup estimate;
 - :mod:`repro.simulate.singlephase` — the paper's modified SpMV
@@ -17,12 +22,14 @@ algorithms, not formulas.
   from their vector placement);
 - :mod:`repro.simulate.bounded` — the mesh-routed fused exchange of
   s2D-b;
-- :mod:`repro.simulate.report` — one-call evaluation producing the
-  numbers the paper's tables report;
+- :mod:`repro.simulate.common` — the audits and types the three
+  derivations share;
+- :mod:`repro.simulate.report` — the mode dispatch and one-call
+  evaluation producing the numbers the paper's tables report;
 - :mod:`repro.simulate.profiling` — ambient per-phase wall-clock
-  timing of the executors (CLI ``simulate --profile``);
+  timing of the derivations (CLI ``simulate --profile``);
 - :mod:`repro.simulate.legacy` — the seed executors, frozen as the
-  golden baseline for the vectorized ones (bit-identical ledgers).
+  independent oracle for the derivations (bit-identical ledgers).
 """
 
 from repro.simulate.bounded import run_s2d_bounded

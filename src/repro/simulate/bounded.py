@@ -1,6 +1,6 @@
 """Mesh-routed execution of s2D-b (Section VI-B).
 
-Same numerics as the single-phase executor, but the fused ``[x̂, ŷ]``
+Same numerics as the single-phase model, but the fused ``[x̂, ŷ]``
 exchange travels in two hops over a ``Pr × Pc`` virtual mesh: a row
 phase to the intermediate ``(r_src, c_dst)`` and a column phase to the
 destination.  Intermediates *combine*: x entries bound for several
@@ -9,12 +9,14 @@ results for the same ``y_i`` arriving from different senders in a mesh
 row are summed before being forwarded (those adds are charged as
 flops of the in-between combine step).
 
-Hop word counts come from :func:`~repro.kernels.pair_counts`, the
-mesh-containment and locality checks are vectorized assertions, and
-the combined-partial fold verifies delivery ownership before adding —
-the seed executor (preserved in :mod:`repro.simulate.legacy`) skipped
-the ``x`` size check, the nonzero-classification check and the fold
-ownership check.
+:func:`derive_s2d_bounded` is this model's one derivation: hop word
+counts come from :func:`~repro.kernels.pair_counts`, the
+mesh-containment and locality checks are vectorized assertions, the
+combined-partial fold verifies delivery ownership, and the combine is
+the plan's second grouping stage.  :func:`repro.runtime.compile_plan`
+and :func:`run_s2d_bounded` both run it.  The seed executor (preserved
+in :mod:`repro.simulate.legacy`) skipped the ``x`` size check, the
+nonzero-classification check and the fold ownership check.
 """
 
 from __future__ import annotations
@@ -22,36 +24,38 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
-from repro.kernels import group_sum, pair_counts, unique_ints
+from repro.kernels import GroupPlan, pair_counts, unique_ints
 from repro.partition.checkerboard import mesh_shape
 from repro.partition.types import SpMVPartition
 from repro.simulate import profiling
 from repro.simulate.common import (
+    Derivation,
+    Routing,
     check_fold_ownership,
     check_locality,
     classify_nonzeros,
     delivery_keys,
+    freeze_plan,
     mesh_intermediate,
     resolve_x,
+    verify_product,
 )
 from repro.simulate.machine import PhaseCost, SpMVRun
 from repro.simulate.messages import Ledger
 
-__all__ = ["run_s2d_bounded"]
+__all__ = ["derive_s2d_bounded", "run_s2d_bounded"]
 
 
-def run_s2d_bounded(
-    p: SpMVPartition,
-    x: np.ndarray | None = None,
-    shape: tuple[int, int] | None = None,
-) -> SpMVRun:
-    """Execute the two-hop routed single-phase SpMV under ``p``."""
-    profiling.note_run()
+def derive_s2d_bounded(p: SpMVPartition, x: np.ndarray | None = None) -> Derivation:
+    """Derive the two-hop routed model of ``p`` and audit it on ``x``.
+
+    The mesh is ``p.meta["mesh"]``, or :func:`mesh_shape` of ``K``.
+    """
     p.validate_s2d()
     m = p.matrix
     nrows, ncols = m.shape
     k = p.nparts
-    pr, pc = shape if shape is not None else p.meta.get("mesh", mesh_shape(k))
+    pr, pc = p.meta.get("mesh", mesh_shape(k))
     if pr * pc != k:
         raise ConfigError(f"mesh {pr}x{pc} does not cover {k} processors")
     x = resolve_x(x, ncols)
@@ -64,10 +68,11 @@ def run_s2d_bounded(
 
     # ---------------- Precompute --------------------------------------
     with profiling.stage("precompute"):
-        flops_pre = 2 * np.bincount(owner[pre_mask], minlength=k).astype(np.int64)
-        # Partials keyed (producer, row): dense keys, bincount fastpath.
-        pk = owner[pre_mask].astype(np.int64) * nrows + rows[pre_mask]
-        pkeys, psums = group_sum(pk, vals[pre_mask] * x[cols[pre_mask]])
+        pre_owner = owner[pre_mask]
+        flops_pre = 2 * np.bincount(pre_owner, minlength=k).astype(np.int64)
+        # Partials keyed (producer, row): dense keys, histogram branch.
+        pk = pre_owner.astype(np.int64) * nrows + rows[pre_mask]
+        group1, pkeys = GroupPlan.build(pk)
         y_src = pkeys // nrows
         y_i = pkeys % nrows
         y_dst = p.vectors.y_part[y_i]
@@ -115,10 +120,10 @@ def run_s2d_bounded(
 
     # ---------------- Combine at intermediates -------------------------
     with profiling.stage("combine"):
-        # Partials for the same (t, i) merge; each merge beyond the first
-        # is one add at t.
+        # Partials for the same (t, i) merge in the plan's second
+        # grouping stage; each merge beyond the first is one add at t.
         ckey = y_t * nrows + y_i
-        ckeys, csums = group_sum(ckey, psums)
+        group2, ckeys = GroupPlan.build(ckey)
         pos = np.searchsorted(ckeys, ckey)
         dup_counts = np.bincount(pos, minlength=ckeys.size)
         c_t = ckeys // nrows
@@ -156,39 +161,47 @@ def run_s2d_bounded(
 
     # ---------------- Compute ------------------------------------------
     with profiling.stage("compute"):
-        flops_main = 2 * np.bincount(owner[main_mask], minlength=k).astype(np.int64)
-        mrows = rows[main_mask]
+        main_owner = owner[main_mask]
+        flops_main = 2 * np.bincount(main_owner, minlength=k).astype(np.int64)
         mcols = cols[main_mask]
-        mvals = vals[main_mask]
-        mown = owner[main_mask]
         # Locality audit: routed (dst, j) deliveries must cover every
         # non-local x read.
-        nonlocal_mask = cp[main_mask] != mown
-        check_locality(recv_keys, mown[nonlocal_mask], mcols[nonlocal_mask], ncols)
-        y = np.bincount(mrows, weights=mvals * x[mcols], minlength=nrows)
-        # Fold in the (combined) partials — only at rows the receiving
+        nonlocal_mask = cp[main_mask] != main_owner
+        check_locality(recv_keys, main_owner[nonlocal_mask], mcols[nonlocal_mask], ncols)
+        # The (combined) partials fold in only at rows the receiving
         # processor actually owns.
         check_fold_ownership(p.vectors.y_part, c_i, c_dst, what="combined partial")
         if c_i.size:
-            y += np.bincount(c_i, weights=csums, minlength=nrows)
             flops_main += np.bincount(c_dst, minlength=k).astype(np.int64)
+        plan = freeze_plan(
+            p, "routed", kind=p.kind or "s2D-b", ledger=ledger,
+            phases=[
+                PhaseCost("precompute", flops=flops_pre),
+                PhaseCost("route-row", comm_phase="route-row"),
+                PhaseCost("combine", flops=flops_combine),
+                PhaseCost("route-col", comm_phase="route-col"),
+                PhaseCost("compute", flops=flops_main),
+            ],
+            pre_cols=cols[pre_mask],
+            pre_vals=vals[pre_mask],
+            group1=group1,
+            fold_rows=c_i,
+            group2=group2,
+            main_rows=rows[main_mask],
+            main_cols=mcols,
+            main_vals=vals[main_mask],
+            meta={"mesh": (pr, pc)},
+        )
+        y = plan._apply_y_numpy(x)
 
-    with profiling.stage("verify"):
-        ref = m @ x
-        if not np.allclose(y, ref, rtol=1e-10, atol=1e-12):
-            raise SimulationError("s2D-b SpMV result differs from serial A @ x")
-
-    return SpMVRun(
-        y=y,
-        ledger=ledger,
-        phases=[
-            PhaseCost("precompute", flops=flops_pre),
-            PhaseCost("route-row", comm_phase="route-row"),
-            PhaseCost("combine", flops=flops_combine),
-            PhaseCost("route-col", comm_phase="route-col"),
-            PhaseCost("compute", flops=flops_main),
-        ],
-        nnz=int(m.nnz),
-        kind=p.kind or "s2D-b",
-        meta={"mesh": (pr, pc)},
+    verify_product(m, x, y, "s2D-b")
+    routing = Routing(
+        pre_owner, pk, pkeys, recv_keys, main_owner, x_t, y_t, x1, ckey, ckeys, c_dst
     )
+    return Derivation(plan, routing, y)
+
+
+def run_s2d_bounded(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
+    """Execute the two-hop routed single-phase SpMV under ``p``."""
+    profiling.note_run()
+    return derive_s2d_bounded(p, x).run()

@@ -1,38 +1,46 @@
-"""Helpers shared by the three SpMV executors.
+"""Helpers shared by the three execution-model derivations.
 
-The executors differ in *which* items travel (fused packets, expand
+The models differ in *which* items travel (fused packets, expand
 words, two-hop routed copies) but agree on the bookkeeping around
 them: the delivered ``(receiver, j)`` key table, the locality audit
-against it, and the fold-time ownership guard.  Keeping those here
+against it, the fold-time ownership guard, the final ``A @ x`` audit,
+and the :class:`Derivation` each one returns.  Keeping those here
 means a change to the audit semantics or messages lands in every
-executor at once.
+model at once.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.kernels import in_sorted, unique_ints
+from repro.simulate import profiling
+from repro.simulate.machine import SpMVRun
+
+if TYPE_CHECKING:
+    from repro.runtime.plan import CommPlan
 
 __all__ = [
-    "classify_nonzeros",
-    "mesh_intermediate",
-    "resolve_x",
-    "delivery_keys",
-    "check_locality",
-    "check_fold_ownership",
+    "Derivation", "Routing", "classify_nonzeros", "mesh_intermediate", "resolve_x",
+    "delivery_keys", "check_locality", "check_fold_ownership", "freeze_plan",
+    "verify_product",
 ]
 
 
 def resolve_x(x: np.ndarray | None, ncols: int) -> np.ndarray:
     """The executors' input vector: the default ramp when ``x`` is
-    None, otherwise ``x`` validated and as float64."""
+    None, otherwise ``x`` validated (shape ``(ncols,)``) and as float64."""
     if x is None:
         return np.arange(1, ncols + 1, dtype=np.float64) / ncols
     x = np.asarray(x, dtype=np.float64)
-    if x.size != ncols:
-        raise SimulationError(f"x has size {x.size}, expected {ncols}")
+    if x.shape != (ncols,):
+        raise SimulationError(
+            f"x has shape {x.shape} (size {x.size}), expected ({ncols},)"
+        )
     return x
 
 
@@ -43,8 +51,8 @@ def classify_nonzeros(p) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     vector owners and nonzero owners, the group-(ii) precompute mask
     (x local, y non-local) and the row-owner compute mask.  Raises
     unless the two masks partition every nonzero.  Shared by the
-    single-phase executor, the mesh-routed executor and the runtime
-    compiler so the classification cannot drift between them.
+    single-phase and mesh-routed derivations so the classification
+    cannot drift between them.
     """
     rp = p.vectors.y_part[p.matrix.row]
     cp = p.vectors.x_part[p.matrix.col]
@@ -109,3 +117,68 @@ def check_fold_ownership(
         raise SimulationError(
             f"{what} for y[{rows[t]}] delivered to non-owner P{dst[t]}"
         )
+
+
+def freeze_plan(p, executor: str, **fields) -> "CommPlan":
+    """``p``'s :class:`~repro.runtime.plan.CommPlan` under ``executor``
+    over the derived ``fields`` (which may override ``kind``)."""
+    # Imported per call: the runtime layer imports this package at load.
+    from repro.runtime.plan import CommPlan
+
+    m = p.matrix
+    nrows, ncols = m.shape
+    shape = dict(kind=p.kind, nparts=p.nparts, nrows=nrows, ncols=ncols, nnz=int(m.nnz))
+    return CommPlan(executor=executor, **{**shape, **fields})
+
+
+def verify_product(m, x: np.ndarray, y: np.ndarray, model: str) -> None:
+    """The final audit of every model: ``y`` must equal serial ``A @ x``."""
+    with profiling.stage("verify"):
+        if not np.allclose(y, m @ x, rtol=1e-10, atol=1e-12):
+            raise SimulationError(f"{model} SpMV result differs from serial A @ x")
+
+
+@dataclass
+class Routing:
+    """The routing keys of one derived execution model, along which
+    :func:`repro.runtime.shard_plan` splits its plan per part.
+
+    ``pk`` keys each precompute product ``owner·nrows + row``
+    (``pre_owner`` is that owner), ``pkeys`` are the distinct partial
+    keys and ``recv_keys`` the delivered ``receiver·ncols + j`` keys.
+    Single-phase models add ``main_owner``, the owner of each row-owner
+    nonzero; the routed model adds the mesh intermediates ``x_t``/``y_t``
+    of the x deliveries and partials, the hop-1 x copy keys
+    ``x1 = t·ncols + j``, each partial's combine key
+    ``ckey = t·nrows + i``, the distinct ``ckeys`` and each combined
+    partial's destination ``c_dst``.
+    """
+
+    pre_owner: np.ndarray
+    pk: np.ndarray
+    pkeys: np.ndarray
+    recv_keys: np.ndarray
+    main_owner: np.ndarray | None = None
+    x_t: np.ndarray | None = None
+    y_t: np.ndarray | None = None
+    x1: np.ndarray | None = None
+    ckey: np.ndarray | None = None
+    ckeys: np.ndarray | None = None
+    c_dst: np.ndarray | None = None
+
+
+@dataclass
+class Derivation:
+    """One execution model derived from a partition in a single pass:
+    the compiled ``plan``, the ``routing`` keys it was built from, and
+    the ``y`` of the derivation's ``x``, computed by the plan's NumPy
+    apply and audited against serial ``A @ x``."""
+
+    plan: "CommPlan"
+    routing: Routing
+    y: np.ndarray
+
+    def run(self) -> SpMVRun:
+        """The simulated run: ``y`` plus the plan's ledger and phases."""
+        plan = self.plan
+        return SpMVRun(self.y, plan.ledger, plan.phases, plan.nnz, plan.kind, plan.meta)

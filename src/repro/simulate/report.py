@@ -1,13 +1,15 @@
 """One-call evaluation of a partition: the numbers the paper tabulates.
 
-:func:`run_partition` picks the right executor for the partition kind
-and runs the simulated SpMV; :func:`summarize` prices a finished run
-under a machine model, producing load imbalance (LI%), total volume,
-average/maximum messages per processor, and the model speedup — the
-exact column set of Tables II through VII.  :func:`evaluate` composes
-the two; the :class:`repro.engine.PartitionEngine` calls them
-separately so one cached run can be re-priced under many machine
-models.
+:func:`resolve_mode` picks the execution model for a partition and
+:func:`derive` runs that model's single derivation;
+:func:`run_partition` is the simulated SpMV built on it, and
+:func:`repro.runtime.compile_plan` the compiled plan.
+:func:`summarize` prices a finished run under a machine model,
+producing load imbalance (LI%), total volume, average/maximum messages
+per processor, and the model speedup — the exact column set of Tables
+II through VII.  :func:`evaluate` composes the two; the
+:class:`repro.engine.PartitionEngine` calls them separately so one
+cached run can be re-priced under many machine models.
 """
 
 from __future__ import annotations
@@ -16,14 +18,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError
 from repro.partition.types import SpMVPartition
-from repro.simulate.bounded import run_s2d_bounded
+from repro.simulate import profiling
+from repro.simulate.bounded import derive_s2d_bounded
+from repro.simulate.common import Derivation
 from repro.simulate.machine import MachineModel, SpMVRun
-from repro.simulate.singlephase import run_single_phase
-from repro.simulate.twophase import run_two_phase
+from repro.simulate.singlephase import derive_single_phase
+from repro.simulate.twophase import derive_two_phase
 
-__all__ = ["PartitionQuality", "evaluate", "run_partition", "summarize", "EXECUTORS"]
+__all__ = [
+    "PartitionQuality", "derive", "evaluate", "resolve_mode", "run_partition",
+    "summarize", "EXECUTORS",
+]
+
+_DERIVATIONS = {
+    "single": derive_single_phase,
+    "two": derive_two_phase,
+    "routed": derive_s2d_bounded,
+}
 
 # Partition kind → executor choice.  The single-phase executor covers
 # everything s2D-admissible (the paper's point: 1D is a special case);
@@ -67,18 +80,34 @@ class PartitionQuality:
         return f"{self.li_percent:.1f}%"
 
 
-def run_partition(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
-    """Execute the simulated SpMV with the executor matching ``p.kind``."""
-    mode = EXECUTORS.get(p.kind)
+def resolve_mode(p: SpMVPartition, executor: str | None = None) -> str:
+    """The execution model for ``p``: ``executor`` when given, else the
+    one :data:`EXECUTORS` assigns to ``p.kind``, else single-phase when
+    ``p`` is s2D-admissible and two-phase otherwise."""
+    mode = executor
+    if mode is None:
+        mode = EXECUTORS.get(p.kind)
     if mode is None:
         mode = "single" if p.is_s2d_admissible() else "two"
-    if mode == "single":
-        return run_single_phase(p, x)
-    if mode == "routed":
-        return run_s2d_bounded(p, x)
-    if mode == "two":
-        return run_two_phase(p, x)
-    raise SimulationError(f"unknown executor mode {mode!r}")  # pragma: no cover
+    if mode not in _DERIVATIONS:
+        raise ConfigError(
+            f"unknown executor {mode!r}; expected one of {sorted(_DERIVATIONS)}"
+        )
+    return mode
+
+
+def derive(
+    p: SpMVPartition, x: np.ndarray | None = None, *, executor: str | None = None
+) -> Derivation:
+    """Run the single derivation of ``p``'s execution model (see
+    :func:`resolve_mode`), auditing the product on ``x``."""
+    return _DERIVATIONS[resolve_mode(p, executor)](p, x)
+
+
+def run_partition(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
+    """Execute the simulated SpMV with the executor matching ``p.kind``."""
+    profiling.note_run()
+    return derive(p, x).run()
 
 
 def summarize(

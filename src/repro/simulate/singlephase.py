@@ -13,15 +13,14 @@ Phases executed per processor ``P_k``:
 
 For a 1D rowwise partition the precompute phase is empty and the fused
 packet degenerates to the classic expand — the generalization property
-the paper notes.  The executor enforces data locality: a processor only
-multiplies with x values it owns or has received, and the assembled
-output is verified against the serial product.
+the paper notes.
 
-Every step is an array kernel (:mod:`repro.kernels`): packet word
-counts come from :func:`~repro.kernels.pair_counts`, the locality
-audit is a :func:`~repro.kernels.in_sorted` searchsorted join against
-the delivered ``(receiver, j)`` key set, and partial folds are
-scatter-adds.  The seed implementation is preserved in
+:func:`derive_single_phase` is this model's one derivation, run by both
+:func:`run_single_phase` and :func:`repro.runtime.compile_plan`: packet
+word counts come from :func:`~repro.kernels.pair_counts`, the locality
+audit is a searchsorted join against the delivered ``(receiver, j)``
+keys, and ``y`` is the compiled plan's NumPy apply, verified against
+the serial product.  The seed executor is preserved in
 :mod:`repro.simulate.legacy`; ledgers are bit-identical.
 """
 
@@ -30,31 +29,34 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.kernels import group_sum, pair_counts
+from repro.kernels import GroupPlan, pair_counts
 from repro.partition.types import SpMVPartition
 from repro.simulate import profiling
 from repro.simulate.common import (
+    Derivation,
+    Routing,
     check_fold_ownership,
     check_locality,
     classify_nonzeros,
     delivery_keys,
+    freeze_plan,
     resolve_x,
+    verify_product,
 )
 from repro.simulate.machine import PhaseCost, SpMVRun
 from repro.simulate.messages import Ledger
 
-__all__ = ["run_single_phase"]
+__all__ = ["derive_single_phase", "run_single_phase"]
 
 PHASE = "expand-and-fold"
 
 
-def run_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
-    """Execute the single-phase SpMV under partition ``p``.
+def derive_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> Derivation:
+    """Derive the single-phase model of ``p`` and audit it on ``x``.
 
     ``p`` must be s2D-admissible (1D rowwise/columnwise partitions are,
-    trivially).  Returns the simulated run; ``run.y`` equals ``A @ x``.
+    trivially).
     """
-    profiling.note_run()
     p.validate_s2d()
     m = p.matrix
     nrows, ncols = m.shape
@@ -71,15 +73,16 @@ def run_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
 
     # ---------------- Phase 1: Precompute -----------------------------
     with profiling.stage("precompute"):
-        flops_pre = 2 * np.bincount(owner[pre_mask], minlength=k).astype(np.int64)
+        pre_owner = owner[pre_mask]
+        flops_pre = 2 * np.bincount(pre_owner, minlength=k).astype(np.int64)
         # Locality: the x value used here must be owned by the computing proc.
-        if not np.all(cp[pre_mask] == owner[pre_mask]):
+        if not np.all(cp[pre_mask] == pre_owner):
             raise SimulationError("precompute touched a non-local x entry")
-        # Partials ȳ_i accumulated at their producer: key (producer, i).
-        # Partials are keyed (producer, row): a dense key range, so the
-        # shared kernel's bincount fastpath applies.
-        pk = owner[pre_mask].astype(np.int64) * nrows + rows[pre_mask]
-        pkeys, psums = group_sum(pk, vals[pre_mask] * x[cols[pre_mask]])
+        # Partials ȳ_i accumulate at their producer under the key
+        # (producer, row): a dense key range, so the group plan takes
+        # the histogram branch.
+        pk = pre_owner.astype(np.int64) * nrows + rows[pre_mask]
+        group1, pkeys = GroupPlan.build(pk)
         part_src = pkeys // nrows
         part_row = pkeys % nrows
         part_dst = p.vectors.y_part[part_row]
@@ -111,38 +114,44 @@ def run_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
 
     # ---------------- Phase 3: Compute --------------------------------
     with profiling.stage("compute"):
-        flops_main = 2 * np.bincount(owner[main_mask], minlength=k).astype(np.int64)
-        mrows = rows[main_mask]
+        main_owner = owner[main_mask]
+        flops_main = 2 * np.bincount(main_owner, minlength=k).astype(np.int64)
         mcols = cols[main_mask]
-        mvals = vals[main_mask]
-        mown = owner[main_mask]
         # Locality audit: every non-local x read must match a delivered
         # (receiver, j) key from the exchange.
-        nonlocal_mask = cp[main_mask] != mown
-        check_locality(recv_keys, mown[nonlocal_mask], mcols[nonlocal_mask], ncols)
-        y = np.bincount(mrows, weights=mvals * x[mcols], minlength=nrows)
-        # Fold in received partials (one add per received word), only at
+        nonlocal_mask = cp[main_mask] != main_owner
+        check_locality(recv_keys, main_owner[nonlocal_mask], mcols[nonlocal_mask], ncols)
+        # Received partials fold in (one add per received word), only at
         # the row owner each was delivered to.
         check_fold_ownership(p.vectors.y_part, part_row, part_dst)
         if part_row.size:
-            y += np.bincount(part_row, weights=psums, minlength=nrows)
             flops_main += np.bincount(part_dst, minlength=k).astype(np.int64)
+        plan = freeze_plan(
+            p, "single", ledger=ledger,
+            phases=[
+                PhaseCost("precompute", flops=flops_pre),
+                PhaseCost(PHASE, comm_phase=PHASE),
+                PhaseCost("compute", flops=flops_main),
+            ],
+            pre_cols=cols[pre_mask],
+            pre_vals=vals[pre_mask],
+            group1=group1,
+            fold_rows=part_row,
+            main_rows=rows[main_mask],
+            main_cols=mcols,
+            main_vals=vals[main_mask],
+        )
+        y = plan._apply_y_numpy(x)
 
-    with profiling.stage("verify"):
-        ref = m @ x
-        if not np.allclose(y, ref, rtol=1e-10, atol=1e-12):
-            raise SimulationError(
-                "single-phase SpMV result differs from serial A @ x"
-            )
+    verify_product(m, x, y, "single-phase")
+    return Derivation(plan, Routing(pre_owner, pk, pkeys, recv_keys, main_owner), y)
 
-    return SpMVRun(
-        y=y,
-        ledger=ledger,
-        phases=[
-            PhaseCost("precompute", flops=flops_pre),
-            PhaseCost(PHASE, comm_phase=PHASE),
-            PhaseCost("compute", flops=flops_main),
-        ],
-        nnz=int(m.nnz),
-        kind=p.kind,
-    )
+
+def run_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
+    """Execute the single-phase SpMV under partition ``p``.
+
+    ``p`` must be s2D-admissible (1D rowwise/columnwise partitions are,
+    trivially).  Returns the simulated run; ``run.y`` equals ``A @ x``.
+    """
+    profiling.note_run()
+    return derive_single_phase(p, x).run()

@@ -6,29 +6,35 @@ Cartesian schemes the bounded message pattern (expand inside mesh
 columns, fold inside mesh rows) emerges from their vector placement;
 no special-case code is involved, which is itself a useful check.
 
-Message assembly and the locality audit are array kernels (see
-:mod:`repro.simulate.singlephase`); the seed implementation is
-preserved in :mod:`repro.simulate.legacy` with bit-identical ledgers.
+:func:`derive_two_phase` is this model's one derivation (see
+:mod:`repro.simulate.singlephase`); the seed executor is preserved in
+:mod:`repro.simulate.legacy` with bit-identical ledgers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SimulationError
-from repro.kernels import group_sum, pair_counts
+from repro.kernels import GroupPlan, pair_counts
 from repro.partition.types import SpMVPartition
 from repro.simulate import profiling
-from repro.simulate.common import check_locality, delivery_keys, resolve_x
+from repro.simulate.common import (
+    Derivation,
+    Routing,
+    check_locality,
+    delivery_keys,
+    freeze_plan,
+    resolve_x,
+    verify_product,
+)
 from repro.simulate.machine import PhaseCost, SpMVRun
 from repro.simulate.messages import Ledger
 
-__all__ = ["run_two_phase"]
+__all__ = ["derive_two_phase", "run_two_phase"]
 
 
-def run_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
-    """Execute the expand/compute/fold SpMV under partition ``p``."""
-    profiling.note_run()
+def derive_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> Derivation:
+    """Derive the expand/compute/fold model of ``p`` and audit it on ``x``."""
     m = p.matrix
     nrows, ncols = m.shape
     k = p.nparts
@@ -59,9 +65,9 @@ def run_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
         # Locality audit: every expanded x read must match a delivered
         # (receiver, j) key.
         check_locality(recv_keys, owner[need], cols[need], ncols)
-        # Partial results per (holder, row) — dense keys, bincount fastpath.
+        # Partial results per (holder, row) — dense keys, histogram branch.
         pk = owner.astype(np.int64) * nrows + rows
-        pkeys, psums = group_sum(pk, vals * x[cols])
+        group1, pkeys = GroupPlan.build(pk)
         p_holder = pkeys // nrows
         p_row = pkeys % nrows
         p_dst = p.vectors.y_part[p_row]
@@ -70,24 +76,27 @@ def run_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
     with profiling.stage("fold"):
         away = p_holder != p_dst
         ledger.record_pairs("fold", *pair_counts(p_holder[away], p_dst[away], k))
-
-        y = np.bincount(p_row, weights=psums, minlength=nrows)
         flops_agg = np.bincount(p_dst[away], minlength=k).astype(np.int64)
+        plan = freeze_plan(
+            p, "two", ledger=ledger,
+            phases=[
+                PhaseCost("expand", comm_phase="expand"),
+                PhaseCost("compute", flops=flops),
+                PhaseCost("fold", comm_phase="fold"),
+                PhaseCost("aggregate", flops=flops_agg),
+            ],
+            pre_cols=cols,
+            pre_vals=vals,
+            group1=group1,
+            fold_rows=p_row,
+        )
+        y = plan._apply_y_numpy(x)
 
-    with profiling.stage("verify"):
-        ref = m @ x
-        if not np.allclose(y, ref, rtol=1e-10, atol=1e-12):
-            raise SimulationError("two-phase SpMV result differs from serial A @ x")
+    verify_product(m, x, y, "two-phase")
+    return Derivation(plan, Routing(owner, pk, pkeys, recv_keys), y)
 
-    return SpMVRun(
-        y=y,
-        ledger=ledger,
-        phases=[
-            PhaseCost("expand", comm_phase="expand"),
-            PhaseCost("compute", flops=flops),
-            PhaseCost("fold", comm_phase="fold"),
-            PhaseCost("aggregate", flops=flops_agg),
-        ],
-        nnz=int(m.nnz),
-        kind=p.kind,
-    )
+
+def run_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
+    """Execute the expand/compute/fold SpMV under partition ``p``."""
+    profiling.note_run()
+    return derive_two_phase(p, x).run()

@@ -25,7 +25,7 @@ memory.  This module proves, by pure array inspection:
   stage's output, and ``nnz`` reconciles against the pre/main split;
 - the executor mode, group/main field shape, ledger phase names and
   superstep cost schedule all agree with the canonical schedule of
-  :data:`repro.runtime.shards.PHASES`.
+  :data:`repro.runtime.shards.SCHEDULE`.
 
 **Shard level** (:func:`check_shards`)
 
@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import VerificationError
+from repro.runtime.shards import PHASES, SCHEDULE
 
 __all__ = [
     "VerifyReport",
@@ -69,20 +70,9 @@ __all__ = [
     "verify_plan",
 ]
 
-# The canonical superstep schedule per execution model: phase name →
-# (send step, receive step).  Mirrors the step programs of
-# repro.runtime.shards._PartRunner; a plan whose ledger phases or
-# slot traffic cannot be laid onto this schedule is rejected.
-SCHEDULE: dict[str, dict[str, tuple[int, int]]] = {
-    "single": {"expand-and-fold": (0, 1)},
-    "two": {"expand": (0, 1), "fold": (1, 2)},
-    "routed": {"route-row": (0, 1), "route-col": (1, 2)},
-}
-
-#: Which phase buffer the fold gather of each mode reads.
-FOLD_PHASE = {"single": "expand-and-fold", "two": "fold", "routed": "route-col"}
-#: Which phase buffer the routed combine gather reads.
-COMB_PHASE = {"routed": "route-row"}
+# A plan whose ledger phases or slot traffic cannot be laid onto the
+# runtime's superstep SCHEDULE is rejected.  The fold gather reads the
+# last phase's buffer, the routed combine gather the first (hop 1).
 
 _GROUP_MODES = ("empty", "hist", "scatter")
 
@@ -725,15 +715,13 @@ def check_shards(plan, shards) -> VerifyReport:
                 f"send step {send_step} completes",
             )
 
-        # Fold gather reads the mode's fold-carrying phase.
-        fold_ph = FOLD_PHASE[mode]
-        lsrc, ldst, lstart, lstop, _ = layouts[fold_ph]
+        # Fold gather reads the mode's last (fold-carrying) phase.
+        lsrc, ldst, lstart, lstop, _ = layouts[PHASES[mode][-1]]
         fold_local = local_psums
         if mode == "routed":
             fold_local = local_csums
             if s.comb_gather is not None:
-                comb_ph = COMB_PHASE[mode]
-                csrc, cdst, cstart, cstop, _ = layouts[comb_ph]
+                csrc, cdst, cstart, cstop, _ = layouts[PHASES[mode][0]]
                 _check_gather(
                     ck,
                     s.comb_gather,

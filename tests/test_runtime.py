@@ -1,12 +1,12 @@
-"""Compiled SpMV runtime: golden bit-identity against the per-call executors.
+"""Compiled SpMV runtime: golden bit-identity of plans and simulators.
 
-``compile_plan`` must produce plans whose ``apply`` output ``y`` and
-per-iteration ledger are *bit-identical* to ``run_single_phase`` /
-``run_two_phase`` / ``run_s2d_bounded`` — on suite matrices, real
-partitioner output, random admissible partitions and rectangular
-instances — plus the batched ``apply_many``, plan persistence, the
-engine's memoized ``compiled_plan`` intermediate and the CLI ``solve``
-subcommand.
+``compile_plan(p).apply(x)`` and the per-call ``run_single_phase`` /
+``run_two_phase`` / ``run_s2d_bounded`` must reproduce the committed
+digests of ``tests/fixtures/runtime_golden.json`` and stay
+bit-identical to each other — on suite matrices, real partitioner
+output, random admissible partitions and rectangular instances — plus
+the batched ``apply_many``, plan persistence, the engine's memoized
+``compiled_plan`` intermediate and the CLI ``solve`` subcommand.
 """
 
 import json
@@ -107,6 +107,21 @@ def test_plan_rejects_wrong_x_size(partitioned_instances):
         plan.apply_y(np.ones(plan.ncols + 1))
     with pytest.raises(SimulationError, match="shape"):
         plan.apply_many(np.ones((plan.ncols + 1, 2)))
+
+
+@pytest.mark.parametrize(
+    "backend", ["numpy", pytest.param("native", marks=pytest.mark.native)]
+)
+def test_column_vector_x_rejected(partitioned_instances, backend):
+    """An (ncols, 1) column vector is rejected, naming its shape, by
+    the plan under either backend and by the simulator."""
+    p, _ = partitioned_instances[0]
+    plan = compile_plan(p)
+    col = np.ones((plan.ncols, 1))
+    with pytest.raises(SimulationError, match=r"shape \(\d+, 1\)"):
+        plan.apply_y(col, backend=backend)
+    with pytest.raises(SimulationError, match=r"shape \(\d+, 1\)"):
+        run_partition(p, col)
 
 
 def test_compile_rejects_unknown_executor(partitioned_instances):

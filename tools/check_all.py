@@ -5,7 +5,9 @@ Runs, in order, and prints one PASS/FAIL line per step:
 
 1. project lint over ``src/repro`` (``repro check lint``);
 2. the plan-IR checker on freshly compiled golden instances across all
-   three execution models (plan- and shard-level);
+   three execution models (plan- and shard-level), and their ``y``
+   digests, ledgers, phase flops and plan arrays against the committed
+   ``tests/fixtures/runtime_golden.json``;
 3. the fast pytest tier (``-m "not slow"``) in a subprocess — skipped
    with ``--no-pytest`` when only the static layer is wanted;
 4. with ``--bench``, the bench-trend gate (``tools/bench_trend.py``)
@@ -30,6 +32,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(1, str(REPO))  # the golden instances live in tests/
 
 
 def step_lint() -> tuple[bool, str]:
@@ -42,36 +45,25 @@ def step_lint() -> tuple[bool, str]:
 
 
 def step_plans() -> tuple[bool, str]:
-    import scipy.sparse as sp
-
-    from repro.core import make_s2d_bounded, s2d_heuristic
-    from repro.generators.mesh import knn_mesh
-    from repro.hypergraph import PartitionConfig
-    from repro.partition import partition_1d_rowwise, partition_2d_finegrain
     from repro.runtime import compile_plan, shard_plan
-    from repro.sparse.coo import canonical_coo
     from repro.verify import verify_plan
 
-    cfg = PartitionConfig(seed=23, ninitial=2, fm_passes=2)
-    mesh = knn_mesh(300, 6, dim=2, seed=7)
-    rect = canonical_coo(
-        sp.random(40, 55, density=0.12, random_state=5, format="coo")
-    )
-    oned = partition_1d_rowwise(mesh, 4, cfg)
-    s2d = s2d_heuristic(mesh, x_part=oned.vectors, nparts=4)
-    instances = [
-        ("1d-rowwise/single", oned),
-        ("s2d/single", s2d),
-        ("s2d-bounded/routed", make_s2d_bounded(s2d)),
-        ("finegrain/two", partition_2d_finegrain(mesh, 4, cfg)),
-        ("finegrain-rect/two", partition_2d_finegrain(rect, 4, cfg)),
-    ]
+    from tests.golden_runtime import FIXTURE, check, golden_instances
+
+    instances = golden_instances()
     lines, ok = [], True
-    for label, p in instances:
+    for label, p, _ in instances:
         plan = compile_plan(p)
         report = verify_plan(plan, shard_plan(p, plan), raise_on_error=False)
         ok &= report.ok
         lines.append(f"{label}: {report.summary()}")
+    drift = check(instances)
+    ok &= not drift
+    lines.append(
+        f"golden digests ({FIXTURE.name}): "
+        + ("match" if not drift else f"{len(drift)} mismatch(es)")
+    )
+    lines += drift
     return ok, "\n".join(lines)
 
 
