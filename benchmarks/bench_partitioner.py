@@ -4,8 +4,12 @@ Times end-to-end ``partition_kway`` (with per-stage breakdown from the
 profiling hooks) on column-net models of an R-MAT instance and a kNN
 mesh at K ∈ {16, 64}, against the preserved legacy implementation
 (:mod:`repro.hypergraph.legacy`), and compares connectivity-1 quality
-on the Table-I generator suite.  Emits ``BENCH_partitioner.json`` at
-the repository root.
+on the Table-I generator suite.  On the acceptance instance it also
+times ``partition_kway`` with the NumPy loops forced
+(``set_default_backend("numpy")``): the native-over-NumPy speedup gates
+the C V-cycle without the seed oracle, and both backends must return
+the same partition.  Emits ``BENCH_partitioner.json`` at the repository
+root.
 
 Run directly (no pytest machinery needed)::
 
@@ -19,11 +23,15 @@ import pathlib
 import sys
 import time
 
+import numpy as np
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_partitioner.json"
 
 SEED = 5
 SPEEDUP_TARGET = 3.0
+# Native V-cycle over the NumPy reference loops, whole partition_kway.
+NATIVE_SPEEDUP_TARGET = 5.0
 QUALITY_TOLERANCE = 1.05
 ACCEPTANCE_MODEL = "mesh10k-colnet"  # the ~10k-vertex column-net model
 ACCEPTANCE_K = 64
@@ -55,11 +63,13 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
         partition_kway,
     )
     from repro.hypergraph.legacy import legacy_partition_kway
+    from repro.native import resolve_backend, set_default_backend
 
     ks = (4, 8) if quick else (16, 64)
     cfg = PartitionConfig(seed=SEED)
 
     entries = []
+    runs = {}  # (model, k) -> (hypergraph, partition)
     for name, a in _models(quick):
         hg = column_net_model(a)
         for k in ks:
@@ -67,6 +77,7 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
             t0 = time.perf_counter()
             part = partition_kway(hg, k, cfg, profile=prof)
             t_new = time.perf_counter() - t0
+            runs[name, k] = hg, part
             t0 = time.perf_counter()
             part_old = legacy_partition_kway(hg, k, cfg)
             t_old = time.perf_counter() - t0
@@ -122,6 +133,25 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
         ),
         entries[-1],
     )
+    # The same partition_kway on the NumPy reference loops.  The floor
+    # binds at full scale with the native backend available; the quick
+    # instances are too small for the kernels to show.
+    have_native = resolve_backend() == "native"
+    hg, part = runs[accept["model"], accept["k"]]
+    set_default_backend("numpy")
+    try:
+        t0 = time.perf_counter()
+        part_numpy = partition_kway(hg, accept["k"], cfg)
+        numpy_s = time.perf_counter() - t0
+    finally:
+        set_default_backend(None)
+    native_speedup = numpy_s / accept["vectorized_s"]
+    backends_identical = bool(np.array_equal(part, part_numpy))
+    native_applies = have_native and not quick
+    print(
+        f"{accept['model']:16s} K={accept['k']:<3d} numpy loops {numpy_s:7.2f}s  "
+        f"native speedup {native_speedup:5.1f}x  identical {backends_identical}"
+    )
     result = {
         "config": {"seed": SEED, "quick": quick, "kway_passes": cfg.kway_passes},
         "end_to_end": entries,
@@ -137,10 +167,17 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
             "k": accept["k"],
             "speedup": accept["speedup"],
             "speedup_target": SPEEDUP_TARGET,
+            "numpy_s": numpy_s,
+            "native_speedup": native_speedup,
+            "native_speedup_target": NATIVE_SPEEDUP_TARGET,
+            "native_speedup_target_applies": native_applies,
+            "backends_identical": backends_identical,
             "quality_tolerance": QUALITY_TOLERANCE,
             "passed": bool(
                 accept["speedup"] >= SPEEDUP_TARGET
                 and max(ratios) <= QUALITY_TOLERANCE
+                and backends_identical
+                and (native_speedup >= NATIVE_SPEEDUP_TARGET or not native_applies)
             ),
         },
     }

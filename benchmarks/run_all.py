@@ -44,7 +44,8 @@ BENCHMARKS = [
         bench_partitioner,
         "BENCH_partitioner.json",
         lambda r: (
-            f"partitioner speedup {r['acceptance']['speedup']:.1f}x "
+            f"partitioner speedup {r['acceptance']['speedup']:.1f}x, native over "
+            f"NumPy {r['acceptance']['native_speedup']:.1f}x "
             f"(quality max ratio {r['quality_suite']['max_ratio']:.3f})"
         ),
     ),

@@ -14,9 +14,17 @@ the fly from its nets.  Otherwise :func:`_hcm_match_numpy`, the
 reference, reads the rows from the sparse product ``Bᵀ·(W·B)`` of the
 net–vertex incidence.  Both sum every score over the shared nets in
 ascending net id, so the matchings are identical.
-Contraction is fully vectorized: one composite-key sort deduplicates
-pins within nets, and identical coarse nets are merged through a
-hash-bucket pass with exact pin-array verification.
+
+Contraction merges each matched pair, de-duplicates every net's pins,
+drops nets left with one pin and merges identical nets, summing their
+costs.  On the native backend ``repro_contract`` does it in one pass
+per net plus one sort of the nets, and also emits the coarse vertex →
+net direction.  Otherwise :func:`_contract`, the reference, runs it as
+array passes: one composite-key sort de-duplicates pins within nets,
+and identical coarse nets are found by hash bucketing with exact
+pin-array verification.  Both order the nets by the same key and merge
+by the same adjacent-pair rule, so the coarse hypergraphs are
+identical.
 """
 
 from __future__ import annotations
@@ -31,6 +39,12 @@ from repro.native import get_kernels, resolve_backend
 from repro.native import ops as native_ops
 
 __all__ = ["coarsen_once"]
+
+# ANDed into both content hashes of the contraction.  Tests set it to 0,
+# so that every two nets of one size share a key and the exact pin
+# comparison decides alone; with real hashes only a 128-bit collision
+# reaches that path.
+_HASH_MASK = (1 << 64) - 1
 
 
 def _pair_scores(hg: Hypergraph, max_net_size: int) -> sp.csr_matrix | None:
@@ -66,21 +80,18 @@ def coarsen_once(
     holding fine vertex ``v``.  Nets of more than ``max_net_size`` pins
     are skipped during scoring.
     """
-    n = hg.nvertices
     with obs.span("partition.coarsen.match"):
         mate = _hcm_match(hg, rng, max_net_size)
 
     with obs.span("partition.coarsen.contract"):
-        # Cluster ids: the smaller endpoint of each pair names the
-        # cluster; ids are dealt in ascending root order (= first-
-        # encounter order of a 0..n−1 scan, as the seed implementation
-        # assigned them).
-        ids = np.arange(n, dtype=np.int64)
-        root = np.where(mate >= 0, np.minimum(ids, mate), ids)
-        uniq, cmap = np.unique(root, return_inverse=True)
-        cmap = cmap.astype(np.int64)
-        coarse = _contract(hg, cmap, int(uniq.size))
-    return cmap, coarse
+        if resolve_backend() == "native":
+            cmap, arrays = native_ops.contract(
+                get_kernels(), xpins=hg.xpins, pins=hg.pins, ncosts=hg.ncosts,
+                vweights=hg.vweights, mate=mate, hash_mask=_HASH_MASK,
+            )
+            return cmap, Hypergraph.from_incidence(**arrays)
+        cmap, ncoarse = _cluster_ids(mate)
+        return cmap, _contract(hg, cmap, ncoarse)
 
 
 def _hcm_match(hg: Hypergraph, rng: np.random.Generator, max_net_size: int) -> np.ndarray:
@@ -132,17 +143,32 @@ def _hcm_match_numpy(hg: Hypergraph, order: np.ndarray, max_net_size: int) -> np
     return mate
 
 
+def _cluster_ids(mate: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(cmap, ncoarse)`` of a matching (the reference).
+
+    The smaller endpoint of each pair names the cluster; ids are dealt
+    in ascending root order (= first-encounter order of a 0..n−1 scan,
+    as the seed implementation assigned them).
+    """
+    ids = np.arange(mate.size, dtype=np.int64)
+    root = np.where(mate >= 0, np.minimum(ids, mate), ids)
+    uniq, cmap = np.unique(root, return_inverse=True)
+    return cmap.astype(np.int64), int(uniq.size)
+
+
 def _contract(hg: Hypergraph, cmap: np.ndarray, ncoarse: int) -> Hypergraph:
-    """Contract ``hg`` along ``cmap`` into ``ncoarse`` vertices.
+    """Contract ``hg`` along ``cmap`` into ``ncoarse`` vertices (the
+    reference of ``kernels.c:repro_contract``, and the fallback without
+    a compiler).
 
     Per-net pins are remapped and deduplicated; single-pin nets are
     dropped (they can never be cut); *identical* nets are merged with
-    their costs summed, which keeps coarse FM gains faithful.  All
-    steps are array passes; identical-net detection buckets nets by
-    ``(size, h1, h2)`` with two independent 64-bit content hashes, then
-    verifies candidate groups by exact pin comparison, so no two
-    distinct nets are ever merged (a hash collision can only *miss* a
-    merge, never corrupt one).
+    their costs summed in int64, which keeps coarse FM gains faithful.
+    All steps are array passes.  The live nets are ordered stably by
+    ``(size, h1, h2)`` with two independent 64-bit content hashes, and
+    each net merges into its predecessor's group when their pins are
+    equal, so no two distinct nets are ever merged (a hash collision can
+    only *miss* a merge, never corrupt one).
     """
     vweights = np.zeros((ncoarse, hg.nconstraints), dtype=np.int64)
     np.add.at(vweights, cmap, hg.vweights)
@@ -186,8 +212,9 @@ def _contract(hg: Hypergraph, cmap: np.ndarray, ncoarse: int) -> Hypergraph:
         (pin.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
         ^ (pos.astype(np.uint64) + np.uint64(1)) * np.uint64(0xBF58476D1CE4E5B9)
     )
-    h1 = np.bitwise_xor.reduceat(mixed, xp[:-1])
-    h2 = np.add.reduceat(mixed, xp[:-1])
+    mask = np.uint64(_HASH_MASK)
+    h1 = np.bitwise_xor.reduceat(mixed, xp[:-1]) & mask
+    h2 = np.add.reduceat(mixed, xp[:-1]) & mask
 
     order = np.lexsort((h2, h1, csizes))
     so = csizes[order]
@@ -205,9 +232,9 @@ def _contract(hg: Hypergraph, cmap: np.ndarray, ncoarse: int) -> Hypergraph:
         seg_starts = np.concatenate(([0], np.cumsum(length)[:-1]))
         dup[cand + 1] = np.logical_and.reduceat(eq, seg_starts)
 
-    group = np.cumsum(~dup) - 1  # group label per net, in sorted order
-    reps = order[np.flatnonzero(~dup)]  # first member of each group
-    gcosts = np.bincount(group, weights=costs[order]).astype(np.int64)
+    starts = np.flatnonzero(~dup)  # groups are runs of the sorted order
+    reps = order[starts]  # first member of each group
+    gcosts = np.add.reduceat(costs[order], starts)
     rsizes = csizes[reps]
     new_xpins = np.zeros(reps.size + 1, dtype=np.int64)
     np.cumsum(rsizes, out=new_xpins[1:])

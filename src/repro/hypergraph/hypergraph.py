@@ -45,15 +45,31 @@ class Hypergraph:
     nets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.xpins = np.asarray(self.xpins, dtype=np.int64)
-        self.pins = np.asarray(self.pins, dtype=np.int64)
-        vw = np.asarray(self.vweights, dtype=np.int64)
+        # C-contiguous int64 throughout: the native kernels take these
+        # arrays by address.
+        self.xpins = np.ascontiguousarray(self.xpins, dtype=np.int64)
+        self.pins = np.ascontiguousarray(self.pins, dtype=np.int64)
+        vw = np.ascontiguousarray(self.vweights, dtype=np.int64)
         if vw.ndim == 1:
             vw = vw.reshape(-1, 1)  # single-constraint weight vector
         self.vweights = vw
-        self.ncosts = np.asarray(self.ncosts, dtype=np.int64)
+        self.ncosts = np.ascontiguousarray(self.ncosts, dtype=np.int64)
         self._validate()
         self._build_vertex_to_net()
+
+    @classmethod
+    def from_incidence(cls, xpins, pins, vweights, ncosts, xnets, nets) -> "Hypergraph":
+        """Wrap both CSR directions as they are, without validation or
+        building the vertex → net direction.
+
+        For producers that emit a valid hypergraph in canonical form
+        (C-contiguous int64 arrays, 2-D ``vweights``, each vertex's nets
+        in ascending order), such as the native contraction.
+        """
+        hg = cls.__new__(cls)
+        hg.xpins, hg.pins, hg.vweights, hg.ncosts = xpins, pins, vweights, ncosts
+        hg.xnets, hg.nets = xnets, nets
+        return hg
 
     # ------------------------------------------------------------------
 

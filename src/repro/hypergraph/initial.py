@@ -45,7 +45,7 @@ def random_bisection(
     hg: Hypergraph, targets: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
 ) -> np.ndarray:
     """Fill part 0 with randomly ordered vertices up to its target weight."""
-    t0 = np.asarray(targets[0], dtype=np.float64)
+    t0 = np.ascontiguousarray(targets[0], dtype=np.float64)
     order = rng.permutation(hg.nvertices)
     if resolve_backend() == "native":
         return native_ops.random_fill(
@@ -74,7 +74,7 @@ def greedy_growing(
     n = hg.nvertices
     if n == 0:
         return np.ones(0, dtype=np.int8)
-    t0 = np.asarray(targets[0], dtype=np.float64)
+    t0 = np.ascontiguousarray(targets[0], dtype=np.float64)
     sizes = hg.net_sizes()
     valid = sizes >= 2
     contrib = np.zeros(hg.nnets, dtype=np.float64)

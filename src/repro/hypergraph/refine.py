@@ -29,12 +29,14 @@ Implementation notes (the vectorized core):
 - A pass whose best prefix shows no positive gain ends the refinement
   early (``max_passes`` is an upper bound, not a fixed trip count).
 - The pass loop itself — select, apply, re-insert, best prefix,
-  rollback — runs one move at a time.  :func:`fm_refine` sets up the
-  state arrays with NumPy and hands them to the C kernel
-  ``repro_fm_passes`` when :func:`repro.native.resolve_backend` picks
-  the native backend, else to :func:`_fm_passes_numpy`, the reference
-  loop it reproduces bit for bit (integer gains, the same float64
-  balance arithmetic, the same tie-breaks).
+  rollback — runs one move at a time.  When
+  :func:`repro.native.resolve_backend` picks the native backend,
+  :func:`fm_refine` hands the partition to the C kernel
+  ``repro_fm_passes``, which also sets up the state (pin counts, cut,
+  side weights, gains, limits) from it.  Otherwise :func:`_fm_setup`
+  and :func:`_fm_passes_numpy` run, the reference the kernel reproduces
+  bit for bit (integer counts and gains, the same float64 balance
+  arithmetic, the same tie-breaks).
 """
 
 from __future__ import annotations
@@ -104,18 +106,21 @@ def _context(hg: Hypergraph) -> _RefineContext:
     if ctx is None:
         sizes = np.diff(hg.xpins)
         valid = sizes >= 2
-        mask = valid[hg.nets]
-        vnets = hg.nets[mask]
-        owners = hg.vert_of_pin[mask]
-        counts = np.bincount(owners, minlength=hg.nvertices)
-        vnets_indptr = np.zeros(hg.nvertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=vnets_indptr[1:])
-        if owners.size:
-            deg_cost = np.bincount(
-                owners, weights=hg.ncosts[vnets].astype(np.float64),
-                minlength=hg.nvertices,
-            )
-            gain_bound = int(deg_cost.max())
+        if valid.all():
+            # Nothing to filter out (every contracted level and every
+            # split side): the adjacency is the incidence itself.
+            vnets, vnets_indptr = hg.nets, hg.xnets
+        else:
+            mask = valid[hg.nets]
+            vnets = hg.nets[mask]
+            counts = np.bincount(hg.vert_of_pin[mask], minlength=hg.nvertices)
+            vnets_indptr = np.zeros(hg.nvertices + 1, dtype=np.int64)
+            np.cumsum(counts, out=vnets_indptr[1:])
+        if vnets.size:
+            # Exact int64 sums per vertex: differences of a running sum.
+            csum = np.zeros(vnets.size + 1, dtype=np.int64)
+            np.cumsum(hg.ncosts[vnets], out=csum[1:])
+            gain_bound = int(np.max(csum[vnets_indptr[1:]] - csum[vnets_indptr[:-1]]))
         else:
             gain_bound = 0
         ctx = _RefineContext(
@@ -138,9 +143,9 @@ def fm_refine(
 ) -> tuple[np.ndarray, int]:
     """Refine a bisection in place-semantics (a refined copy is returned).
 
-    Returns ``(part, cut)`` with the final cut-net cost.  The pass loop
-    runs in C when :func:`repro.native.resolve_backend` resolves to
-    ``"native"``; the result is the same on either backend.
+    Returns ``(part, cut)`` with the final cut-net cost.  Set-up and
+    pass loop run in C when :func:`repro.native.resolve_backend`
+    resolves to ``"native"``; the result is the same on either backend.
     """
     part = np.asarray(part, dtype=np.int8).copy()
     n = hg.nvertices
@@ -148,27 +153,58 @@ def fm_refine(
         return part, 0
 
     ctx = _context(hg)
-    ncosts = hg.ncosts
-    vert_of_pin = hg.vert_of_pin
+    if resolve_backend() == "native":
+        cut, _, _, _ = native_ops.fm_passes(
+            get_kernels(),
+            xpins=hg.xpins, pins=hg.pins, ncosts=hg.ncosts,
+            vipt=ctx.vnets_indptr, vnets=ctx.vnets, vweights=hg.vweights,
+            targets=_target_array(targets), epsilon=epsilon, part=part,
+            gmax=ctx.gain_bound, max_passes=max_passes,
+            stall_fraction=_STALL_FRACTION,
+        )
+        return part, cut
 
-    limits = np.stack(
-        [
-            np.asarray(targets[0], dtype=np.float64) * (1.0 + epsilon),
-            np.asarray(targets[1], dtype=np.float64) * (1.0 + epsilon),
-        ]
+    inv_limits, limit_pos = _limits(targets, epsilon)
+    pc, cut, pw, gain = _fm_setup(hg, ctx, part)
+    cut = _fm_passes_numpy(
+        hg, ctx, part, pc, gain, pw, hg.vweights.astype(np.float64), inv_limits,
+        limit_pos, max_passes, cut,
     )
-    # Fast violation evaluation: precompute reciprocal limits once; the
-    # zero-limit convention matches :func:`_violation`.
+    return part, cut
+
+
+def _target_array(targets: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The two sides' targets as one float64 ``(2, ncon)`` array."""
+    return np.array(targets, dtype=np.float64).reshape(2, -1)
+
+
+def _limits(
+    targets: tuple[np.ndarray, np.ndarray], epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(inv_limits, limit_pos)`` of the side limits ``target · (1+ε)``:
+    reciprocals where a limit is positive, else 0 (the zero-limit
+    convention of :func:`_violation`), and that positivity mask."""
+    limits = _target_array(targets) * (1.0 + epsilon)
     limit_pos = limits > 0
     inv_limits = np.zeros_like(limits)
     np.divide(1.0, limits, out=inv_limits, where=limit_pos)
+    return inv_limits, limit_pos
 
-    # Pin counts per net per side, cut, part weights.
+
+def _fm_setup(
+    hg: Hypergraph, ctx: _RefineContext, part: np.ndarray
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """The pass loop's starting state from ``part``: ``(pc, cut, pw,
+    gain)`` — pin counts per net per side, the cut, float64 side
+    weights and every vertex's exact move gain.  The reference of the
+    set-up inside ``kernels.c:repro_fm_passes``."""
+    n = hg.nvertices
+    ncosts = hg.ncosts
+    vert_of_pin = hg.vert_of_pin
     pc = np.zeros((hg.nnets, 2), dtype=np.int64)
     np.add.at(pc, (hg.net_of_pin, part[hg.pins].astype(np.int64)), 1)
     cut = int(ncosts[(pc[:, 0] > 0) & (pc[:, 1] > 0)].sum())
     pw = part_weights(hg, part).astype(np.float64)
-    wfloat = hg.vweights.astype(np.float64)
 
     # Exact gains for every vertex, computed once and maintained
     # incrementally by the pass loop (forward moves and rollbacks alike).
@@ -180,22 +216,7 @@ def fm_refine(
     cp = vm & (pc[ee, 1 - pv] == 0)
     np.add.at(gain, vert_of_pin[ub], ncosts[ee[ub]])
     np.subtract.at(gain, vert_of_pin[cp], ncosts[ee[cp]])
-
-    if resolve_backend() == "native":
-        cut = native_ops.fm_passes(
-            get_kernels(),
-            xpins=hg.xpins, pins=hg.pins, ncosts=ncosts,
-            vipt=ctx.vnets_indptr, vnets=ctx.vnets, wfloat=wfloat,
-            inv_limits=inv_limits, zero_limit=(~limit_pos).astype(np.int8),
-            part=part, pc=pc, gain=gain, pw=pw, gmax=ctx.gain_bound,
-            max_passes=max_passes, stall_fraction=_STALL_FRACTION, cut=cut,
-        )
-    else:
-        cut = _fm_passes_numpy(
-            hg, ctx, part, pc, gain, pw, wfloat, inv_limits, limit_pos,
-            max_passes, cut,
-        )
-    return part, cut
+    return pc, cut, pw, gain
 
 
 def _fm_passes_numpy(

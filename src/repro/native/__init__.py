@@ -9,12 +9,14 @@ The kernels (``kernels.c``) serve two layers:
   single passes;
 - the hypergraph partitioner, whose FM pass loop and K-way polish make
   one move at a time and paid a dozen NumPy calls per move:
-  ``repro_fm_passes`` and ``repro_kway_passes`` run those loops whole
-  (:func:`repro.native.ops.fm_passes`, :func:`~repro.native.ops.kway_passes`);
-  and whose V-cycle front half visits one vertex at a time:
-  ``repro_hcm_match`` scores and matches on the fly (no sparse
-  product), ``repro_greedy_grow`` and ``repro_random_fill`` build the
-  initial bisections (:func:`~repro.native.ops.hcm_match`,
+  ``repro_fm_passes`` (state set-up included) and ``repro_kway_passes``
+  run those loops whole (:func:`repro.native.ops.fm_passes`,
+  :func:`~repro.native.ops.kway_passes`); and whose V-cycle front half
+  visits one vertex or net at a time: ``repro_hcm_match`` scores and
+  matches on the fly (no sparse product), ``repro_contract`` builds the
+  coarse hypergraph, ``repro_greedy_grow`` and ``repro_random_fill``
+  build the initial bisections (:func:`~repro.native.ops.hcm_match`,
+  :func:`~repro.native.ops.contract`,
   :func:`~repro.native.ops.greedy_grow`,
   :func:`~repro.native.ops.random_fill`).
 
@@ -36,10 +38,10 @@ via :mod:`ctypes`, and dispatched behind a feature flag:
 The C accumulations iterate in index order, so every sum reproduces
 ``np.bincount``/``np.add.at`` element order bit for bit — the golden
 y/ledger/flops pins hold unchanged under the native backend.  The
-partitioner kernels work on integer gains, or sum float scores and
-gains in the NumPy loops' order, with the same float64 balance
-arithmetic and tie-breaks, so partitions are identical on both
-backends.
+partitioner kernels work on integer gains, counts and costs, or sum
+float scores and gains in the NumPy loops' order, with the same
+float64 balance arithmetic, tie-breaks and net order, so partitions
+are identical on both backends.
 """
 
 from repro.native import ops

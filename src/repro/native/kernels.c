@@ -3,10 +3,11 @@
  * - fused gather / multiply / group-sum scatter loops for the compiled
  *   SpMV runtime (repro.runtime.plan, repro.runtime.shards);
  * - the per-vertex and per-move loops of the hypergraph partitioner:
- *   the FM pass loop of repro.hypergraph.refine, the K-way greedy
- *   polish of repro.hypergraph.kway, the heavy-connectivity matching of
- *   repro.hypergraph.coarsen and the two initial bisections of
- *   repro.hypergraph.initial (bottom of this file).
+ *   the FM set-up and pass loop of repro.hypergraph.refine, the K-way
+ *   greedy polish of repro.hypergraph.kway, the heavy-connectivity
+ *   matching and the contraction of repro.hypergraph.coarsen and the
+ *   two initial bisections of repro.hypergraph.initial (bottom of this
+ *   file).
  *
  * No kernel allocates: callers pass every output and workspace array.
  *
@@ -38,7 +39,7 @@
 
 /* Bumped whenever an exported signature changes; the loader refuses a
  * cached .so whose ABI does not match (stale-cache guard). */
-EXPORT int64_t repro_native_abi(void) { return 3; }
+EXPORT int64_t repro_native_abi(void) { return 4; }
 
 /* acc[idx[i]] += vals[i] * x[cols[i]]  — the fused expand/compute
  * inner loop: gather x, multiply by the nonzero value, scatter-add
@@ -283,36 +284,85 @@ static int64_t fm_apply(const fm_graph *g, int8_t *part, int64_t *pc, int64_t *g
     return nt;
 }
 
-/* Up to max_passes FM passes over a bisection; returns the final cut
- * (the input cut minus every kept pass's gain).
+/* The pass loop's starting state from part alone, as refine.py's
+ * _fm_setup computes it: the per-net side pin counts pc over every pin,
+ * the side weights pw (int64 sums in pw_sum, then converted to float64,
+ * as part_weights(...).astype(float64) does) and each vertex's exact
+ * move gain over its valid nets.  Every sum is an int64 sum, so its
+ * order is free.  Returns the cut. */
+static int64_t fm_setup(const fm_graph *g, int64_t n, int64_t nnets, int64_t ncon,
+                        const int64_t *vweights, const int8_t *part, int64_t *pc,
+                        int64_t *gain, double *pw, int64_t *pw_sum)
+{
+    for (int64_t i = 0; i < 2 * nnets; i++)
+        pc[i] = 0;
+    int64_t cut = 0;
+    for (int64_t e = 0; e < nnets; e++) {
+        for (int64_t p = g->xpins[e]; p < g->xpins[e + 1]; p++)
+            pc[2 * e + part[g->pins[p]]]++;
+        if (pc[2 * e] > 0 && pc[2 * e + 1] > 0)
+            cut += g->ncosts[e];
+    }
+    for (int64_t i = 0; i < 2 * ncon; i++)
+        pw_sum[i] = 0;
+    for (int64_t v = 0; v < n; v++)
+        for (int64_t j = 0; j < ncon; j++)
+            pw_sum[part[v] * ncon + j] += vweights[v * ncon + j];
+    for (int64_t i = 0; i < 2 * ncon; i++)
+        pw[i] = (double)pw_sum[i];
+    /* A lone pin on its side gains c by moving; a net with no pin on
+     * the other side costs c. */
+    for (int64_t v = 0; v < n; v++) {
+        const int a = part[v];
+        int64_t gv = 0;
+        for (int64_t k = g->vipt[v]; k < g->vipt[v + 1]; k++) {
+            const int64_t e = g->vnets[k], c = g->ncosts[e];
+            if (pc[2 * e + a] == 1)
+                gv += c;
+            if (pc[2 * e + 1 - a] == 0)
+                gv -= c;
+        }
+        gain[v] = gv;
+    }
+    return cut;
+}
+
+/* FM refinement of a bisection: the set-up above, then up to
+ * max_passes passes; returns the final cut (the initial cut minus every
+ * kept pass's gain).
  *
- * part (n, 0/1), pc (nnets x 2 pin counts), gain (n exact move gains)
- * and pw (2 x ncon side weights) are the state refine.py sets up and
- * are updated in place.  wfloat is n x ncon; inv_limits and zero_limit
- * are 2 x ncon.  Workspace: iwork holds 2*gmax + 1 + 7n int64, bwork 3n
- * int8.  A pass stops after max(64, seeds / stall_fraction) moves
- * without a better prefix, rolls back to its best prefix, and the
- * refinement ends when a pass keeps nothing or converges. */
+ * part (n, 0/1) is refined in place; pc (nnets x 2 pin counts), gain
+ * (n exact move gains) and pw (2 x ncon side weights) receive the
+ * state, final on return (the set-up state when max_passes is 0).
+ * targets is 2 x ncon: side s may carry targets[s] * (1 + epsilon).
+ * vweights is the int64 n x ncon weight matrix; gmax bounds every
+ * |gain| (the largest sum of a vertex's valid net costs).  Workspace:
+ * iwork holds 2*gmax + 1 + 7n + 2*ncon int64, dwork (n + 2) * ncon
+ * float64, bwork 3n + 2*ncon int8.  A pass stops after max(64, seeds /
+ * stall_fraction) moves without a better prefix, rolls back to its best
+ * prefix, and the refinement ends when a pass keeps nothing or
+ * converges. */
 EXPORT int64_t repro_fm_passes(
     int64_t n,
+    int64_t nnets,
     int64_t ncon,
     int64_t gmax,
     int64_t max_passes,
     int64_t stall_fraction,
-    int64_t cut,
+    double epsilon,
     const int64_t *restrict xpins,
     const int64_t *restrict pins,
     const int64_t *restrict ncosts,
     const int64_t *restrict vipt,
     const int64_t *restrict vnets,
-    const double *restrict wfloat,
-    const double *restrict inv_limits,
-    const int8_t *restrict zero_limit,
+    const int64_t *restrict vweights,
+    const double *restrict targets,
     int8_t *restrict part,
     int64_t *restrict pc,
     int64_t *restrict gain,
     double *restrict pw,
     int64_t *restrict iwork,
+    double *restrict dwork,
     int8_t *restrict bwork)
 {
     const fm_graph g = {xpins, pins, ncosts, vipt, vnets};
@@ -322,9 +372,23 @@ EXPORT int64_t repro_fm_passes(
     int64_t *seeds = iwork + nbuckets + 3 * n;
     int64_t *moves = seeds + n, *gsum = moves + n, *touched = gsum + n;
     int8_t *locked = bwork + n, *mark = bwork + 2 * n;
+    double *wfloat = dwork, *inv_limits = dwork + n * ncon;
+    int8_t *zero_limit = bwork + 3 * n;
+
+    int64_t cut = fm_setup(&g, n, nnets, ncon, vweights, part, pc, gain, pw,
+                           touched + n);
+    for (int64_t i = 0; i < n * ncon; i++)
+        wfloat[i] = (double)vweights[i];
+    /* refine.py's _limits: reciprocal limits, zero where a limit is not
+     * positive (the zero-limit convention of _violation). */
+    const double scale = 1.0 + epsilon;
     int has_zero = 0;
-    for (int64_t i = 0; i < 2 * ncon; i++)
-        has_zero |= zero_limit[i] != 0;
+    for (int64_t i = 0; i < 2 * ncon; i++) {
+        const double limit = targets[i] * scale;
+        zero_limit[i] = !(limit > 0);
+        inv_limits[i] = zero_limit[i] ? 0.0 : 1.0 / limit;
+        has_zero |= zero_limit[i];
+    }
     for (int64_t v = 0; v < n; v++)
         mark[v] = 0;
 
@@ -773,4 +837,233 @@ EXPORT void repro_random_fill(
         for (int64_t j = 0; j < ncon; j++)
             pw0[j] += w[j];
     }
+}
+
+/* ------------------------------------------------------------------
+ * Contraction: the coarse hypergraph of one matching.
+ *
+ * Bit-identity contract with repro.hypergraph.coarsen._contract (the
+ * reference, and the fallback without a compiler):
+ *
+ * - cluster ids are dealt in ascending-root order, the root of a pair
+ *   being its smaller vertex (np.unique's inverse over the roots);
+ * - each coarse net is the sorted set of its pins' cluster ids; nets of
+ *   fewer than two are dropped, the rest keep their fine order as live
+ *   index i;
+ * - a net's key is (size, h1, h2) with the same SplitMix64 content
+ *   hashes; nets are ordered by (size, h1, h2, i), which is exactly the
+ *   stable np.lexsort((h2, h1, csizes));
+ * - net order[k] merges into the group of order[k - 1] when the two are
+ *   equal: same key and the same pins.  Each net is compared with its
+ *   predecessor, as the reference's dup[] is, so a hash collision can
+ *   only miss a merge the reference misses too;
+ * - vertex weights and merged net costs are int64 sums.
+ */
+
+static uint64_t mix64(uint64_t x)
+{
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9ULL;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBULL;
+    x ^= x >> 31;
+    return x;
+}
+
+/* A live net's sort key; start is the offset of its pins. */
+typedef struct {
+    int64_t size;
+    uint64_t h1, h2;
+    int64_t index, start;
+} net_key;
+
+static int same_key(const net_key *a, const net_key *b)
+{
+    return a->size == b->size && a->h1 == b->h1 && a->h2 == b->h2;
+}
+
+/* (size, h1, h2, index) order. */
+static int key_before(const net_key *a, const net_key *b)
+{
+    if (a->size != b->size)
+        return a->size < b->size;
+    if (a->h1 != b->h1)
+        return a->h1 < b->h1;
+    if (a->h2 != b->h2)
+        return a->h2 < b->h2;
+    return a->index < b->index;
+}
+
+/* Bottom-up merge sort of n keys, with tmp as the second buffer;
+ * returns whichever of the two holds the sorted keys.  The index in the
+ * key makes the order total, so no two keys ever tie. */
+static net_key *sort_keys(net_key *a, net_key *tmp, int64_t n)
+{
+    for (int64_t width = 1; width < n; width *= 2) {
+        for (int64_t lo = 0; lo < n; lo += 2 * width) {
+            const int64_t mid = lo + width < n ? lo + width : n;
+            const int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            int64_t i = lo, j = mid, k = lo;
+            while (i < mid && j < hi)
+                tmp[k++] = key_before(&a[j], &a[i]) ? a[j++] : a[i++];
+            while (i < mid)
+                tmp[k++] = a[i++];
+            while (j < hi)
+                tmp[k++] = a[j++];
+        }
+        net_key *t = a;
+        a = tmp;
+        tmp = t;
+    }
+    return a;
+}
+
+/* Contract the hypergraph (xpins, pins, ncosts, n x ncon vweights)
+ * along the symmetric matching mate (-1: unmatched).
+ *
+ * Writes cmap (n), the coarse vweights (ncoarse x ncon), both CSR
+ * directions of the coarse incidence (cxpins/cpins, and cxnets/cnets
+ * with each vertex's nets in ascending order) and the coarse costs;
+ * counts receives (ncoarse, coarse nets, coarse pins).  The outputs are
+ * sized for the fine hypergraph: n x ncon, nnets + 1, npins, nnets,
+ * n + 1 and npins.  Both hashes are ANDed with hash_mask (all ones
+ * except in the tests that force collisions).  Workspace: iwork holds
+ * 2n + 1 + 2 * npins + 12 * nnets int64. */
+EXPORT void repro_contract(
+    int64_t n,
+    int64_t nnets,
+    int64_t ncon,
+    uint64_t hash_mask,
+    const int64_t *restrict xpins,
+    const int64_t *restrict pins,
+    const int64_t *restrict ncosts,
+    const int64_t *restrict vweights,
+    const int64_t *restrict mate,
+    int64_t *restrict cmap,
+    int64_t *restrict cvweights,
+    int64_t *restrict cxpins,
+    int64_t *restrict cpins,
+    int64_t *restrict ccosts,
+    int64_t *restrict cxnets,
+    int64_t *restrict cnets,
+    int64_t *restrict counts,
+    int64_t *restrict iwork)
+{
+    const int64_t npins = xpins[nnets];
+    int64_t *mark = iwork, *xv = mark + n, *tpins = xv + n + 1, *vlist = tpins + npins;
+    int64_t *live = vlist + npins, *fill = live + nnets;
+    net_key *keys = (net_key *)(fill + nnets), *spare = keys + nnets;
+
+    /* Cluster ids: a pair's larger vertex joins its smaller one. */
+    int64_t nc = 0;
+    for (int64_t v = 0; v < n; v++) {
+        const int64_t u = mate[v];
+        cmap[v] = u >= 0 && u < v ? cmap[u] : nc++;
+    }
+    for (int64_t i = 0; i < nc * ncon; i++)
+        cvweights[i] = 0;
+    for (int64_t v = 0; v < n; v++)
+        for (int64_t j = 0; j < ncon; j++)
+            cvweights[cmap[v] * ncon + j] += vweights[v * ncon + j];
+
+    /* Remap and de-duplicate every net (mark[c] == e: c is already in
+     * net e); keep those of two or more pins, in fine order, at
+     * keys[i].start, and count each cluster's pins in xv. */
+    for (int64_t c = 0; c < nc; c++) {
+        mark[c] = -1;
+        xv[c + 1] = 0;
+    }
+    xv[0] = 0;
+    int64_t nlive = 0, used = 0;
+    for (int64_t e = 0; e < nnets; e++) {
+        int64_t *net = tpins + used;
+        int64_t size = 0;
+        for (int64_t p = xpins[e]; p < xpins[e + 1]; p++) {
+            const int64_t c = cmap[pins[p]];
+            if (mark[c] != e) {
+                mark[c] = e;
+                net[size++] = c;
+            }
+        }
+        if (size < 2)
+            continue;
+        for (int64_t i = 0; i < size; i++)
+            xv[net[i] + 1]++;
+        keys[nlive].size = size;
+        keys[nlive].start = used;
+        live[nlive++] = e;
+        used += size;
+    }
+
+    /* Sort every net's pins with two counting passes: list each
+     * cluster's nets (vlist), then walk the clusters in ascending order
+     * appending each to its nets. */
+    for (int64_t c = 0; c < nc; c++) {
+        xv[c + 1] += xv[c];
+        mark[c] = xv[c];
+    }
+    for (int64_t i = 0; i < nlive; i++) {
+        fill[i] = keys[i].start;
+        for (int64_t p = fill[i]; p < fill[i] + keys[i].size; p++)
+            vlist[mark[tpins[p]]++] = i;
+    }
+    for (int64_t c = 0; c < nc; c++)
+        for (int64_t q = xv[c]; q < xv[c + 1]; q++)
+            tpins[fill[vlist[q]]++] = c;
+
+    /* Hash the sorted nets and order them by (size, h1, h2, index). */
+    for (int64_t i = 0; i < nlive; i++) {
+        const int64_t *net = tpins + keys[i].start;
+        uint64_t x = 0, s = 0;
+        for (int64_t j = 0; j < keys[i].size; j++) {
+            const uint64_t m = mix64(((uint64_t)net[j] + 1) * 0x9E3779B97F4A7C15ULL
+                                     ^ ((uint64_t)j + 1) * 0xBF58476D1CE4E5B9ULL);
+            x ^= m;
+            s += m;
+        }
+        keys[i].h1 = x & hash_mask;
+        keys[i].h2 = s & hash_mask;
+        keys[i].index = i;
+    }
+    keys = sort_keys(keys, spare, nlive);
+
+    /* Emit one net per group of equal neighbours, costs summed. */
+    int64_t ng = 0, ncp = 0;
+    cxpins[0] = 0;
+    for (int64_t i = 0; i < nlive; i++) {
+        const net_key *a = &keys[i];
+        const int64_t *net = tpins + a->start;
+        if (i > 0) {
+            const net_key *b = &keys[i - 1];
+            int equal = same_key(a, b);
+            for (int64_t p = 0; equal && p < a->size; p++)
+                equal = net[p] == tpins[b->start + p];
+            if (equal) {
+                ccosts[ng - 1] += ncosts[live[a->index]];
+                continue;
+            }
+        }
+        for (int64_t p = 0; p < a->size; p++)
+            cpins[ncp + p] = net[p];
+        ncp += a->size;
+        ccosts[ng] = ncosts[live[a->index]];
+        cxpins[++ng] = ncp;
+    }
+
+    /* The vertex -> net direction by counting sort, nets ascending per
+     * vertex (mark becomes the fill cursor). */
+    for (int64_t c = 0; c <= nc; c++)
+        cxnets[c] = 0;
+    for (int64_t p = 0; p < ncp; p++)
+        cxnets[cpins[p] + 1]++;
+    for (int64_t c = 0; c < nc; c++) {
+        cxnets[c + 1] += cxnets[c];
+        mark[c] = cxnets[c];
+    }
+    for (int64_t g = 0; g < ng; g++)
+        for (int64_t p = cxpins[g]; p < cxpins[g + 1]; p++)
+            cnets[mark[cpins[p]]++] = g;
+    counts[0] = nc;
+    counts[1] = ng;
+    counts[2] = ncp;
 }

@@ -14,14 +14,17 @@ backend and fetch the library once (per plan / per worker), so the per
 runtime, so the dependency points one way (runtime → native; lint rule
 ``REP007``).
 
-:func:`fm_passes` and :func:`kway_passes` run the partitioner's
-per-move loops, :func:`hcm_match`, :func:`greedy_grow` and
-:func:`random_fill` its per-vertex loops at the front of the V-cycle.
-They take plain CSR arrays rather than a ``Hypergraph`` for the same
-reason (hypergraph → native) and leave the same state as the NumPy
-loops in :mod:`repro.hypergraph.refine`, :mod:`repro.hypergraph.kway`,
+:func:`fm_passes` (set-up included) and :func:`kway_passes` run the
+partitioner's per-move loops, :func:`hcm_match`, :func:`contract`,
+:func:`greedy_grow` and :func:`random_fill` its per-vertex and per-net
+passes at the front of the V-cycle.  They take plain CSR arrays rather
+than a ``Hypergraph`` for the same reason (hypergraph → native) and
+leave the same state as the NumPy code in
+:mod:`repro.hypergraph.refine`, :mod:`repro.hypergraph.kway`,
 :mod:`repro.hypergraph.coarsen` and :mod:`repro.hypergraph.initial`.
-Each wrapper allocates the kernel's workspace.
+Each wrapper allocates the kernel's outputs and workspace, and passes
+every array as a bare address after checking its dtype and
+C-contiguity (``TypeError`` otherwise): no silent conversion.
 
 With ``REPRO_NATIVE_DEBUG=1`` (resolved by
 :func:`repro.native.build.debug_bounds_enabled` — the flag is never
@@ -36,6 +39,8 @@ cannot phrase.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from repro.errors import VerificationError
@@ -43,6 +48,7 @@ from repro.native import build as _build
 
 __all__ = [
     "compact_group",
+    "contract",
     "fm_passes",
     "fused_group_gather",
     "fused_group_gather_many",
@@ -100,10 +106,6 @@ def _f64(a: np.ndarray) -> np.ndarray:
 
 def _i64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
-
-
-def _i8(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.int8)
 
 
 def compact_group(gp) -> tuple[np.ndarray, int]:
@@ -239,21 +241,76 @@ def scatter_sum_many(lib, rows, values, nrows: int) -> np.ndarray:
 
 
 # ------------------------------------------------------------ partitioner
+#
+# The partitioner kernels take bare addresses (build._PTR): the V-cycle
+# makes thousands of calls with up to 14 arrays each, and ndpointer's
+# per-array check cost more than some of the loops.  _addrs makes the
+# same check (dtype, C-contiguity) and raises before anything enters C.
+
+_I8 = np.dtype(np.int8)
+_I64 = np.dtype(np.int64)
+_F64 = np.dtype(np.float64)
+_BOOL = np.dtype(np.bool_)
+
+
+def _addr(kernel: str, name: str, a, dtype: np.dtype) -> int:
+    if not isinstance(a, np.ndarray) or a.dtype != dtype or not a.flags.c_contiguous:
+        got = (
+            f"{a.dtype}{'' if a.flags.c_contiguous else ', not C-contiguous'}"
+            if isinstance(a, np.ndarray) else type(a).__name__
+        )
+        raise TypeError(
+            f"native {kernel}: {name} must be a C-contiguous {dtype} array (got {got})"
+        )
+    try:
+        # The buffer protocol yields the address several times faster
+        # than ``a.ctypes``; it refuses read-only and empty arrays.
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):
+        return a.ctypes.data
+
+
+def _addrs(kernel: str, *specs) -> list[int]:
+    """Data addresses of ``(name, array, dtype)`` specs, in order;
+    :class:`TypeError` for an array of another dtype or layout.
+
+    An address does not keep its array alive: the caller must hold a
+    reference to every array until the kernel returns.
+    """
+    return [_addr(kernel, name, a, dtype) for name, a, dtype in specs]
+
+
+def _validate_offsets(kernel: str, name: str, offsets: np.ndarray, total: int) -> None:
+    """Debug-mode check that CSR ``offsets`` start at 0, never decrease
+    and end at ``total``."""
+    if (
+        offsets.size == 0 or offsets[0] != 0 or offsets[-1] != total
+        or np.any(np.diff(offsets) < 0)
+    ):
+        raise VerificationError(
+            f"native {kernel}: {name} is not a monotone CSR offset array "
+            f"from 0 to {total}"
+        )
 
 
 def fm_passes(
-    lib, *, xpins, pins, ncosts, vipt, vnets, wfloat, inv_limits, zero_limit,
-    part, pc, gain, pw, gmax: int, max_passes: int, stall_fraction: int, cut: int,
-) -> int:
-    """The FM pass loop of :func:`repro.hypergraph.refine.fm_refine`.
+    lib, *, xpins, pins, ncosts, vipt, vnets, vweights, targets, epsilon: float,
+    part, gmax: int, max_passes: int, stall_fraction: int,
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`repro.hypergraph.refine.fm_refine` after its context: the
+    state set-up and the FM pass loop.
 
-    ``part`` (int8, 0/1), ``pc`` (int64 ``(nnets, 2)`` pin counts),
-    ``gain`` (int64 move gains, all within ``±gmax``) and ``pw``
-    (float64 ``(2, ncon)`` side weights) are updated in place.
-    ``vipt``/``vnets`` is the CSR vertex → nets-of-two-or-more-pins
-    adjacency.  Returns the final cut.
+    ``part`` (int8, 0/1) is refined in place.  ``vipt``/``vnets`` is the
+    CSR vertex → nets-of-two-or-more-pins adjacency, ``vweights`` the
+    int64 ``(n, ncon)`` weights, ``targets`` the float64 ``(2, ncon)``
+    side targets (side ``s`` may carry ``targets[s] * (1 + epsilon)``)
+    and ``gmax`` the largest sum of a vertex's valid net costs.  Returns
+    ``(cut, pc, gain, pw)``: the final cut, int64 ``(nnets, 2)`` pin
+    counts, int64 move gains and float64 ``(2, ncon)`` side weights —
+    the set-up state when ``max_passes`` is 0.
     """
-    n, nnets, ncon = part.size, ncosts.size, pw.shape[1]
+    n, ncon = vweights.shape
+    nnets = ncosts.size
     if _build.debug_bounds_enabled():
         _validate(
             "fm_passes", n,
@@ -262,21 +319,33 @@ def fm_passes(
             ("vipt", vipt, vnets.size + 1, n + 1),
             ("vnets", vnets, nnets, vnets.size),
             ("part", part, 2, n),
-            ("gain + gmax", gain + gmax, 2 * gmax + 1, n),
-            ("pc", pc, None, 2 * nnets),
-            ("pw", pw, None, 2 * ncon),
-            ("wfloat", wfloat, None, n * ncon),
-            ("inv_limits", inv_limits, None, 2 * ncon),
-            ("zero_limit", zero_limit, None, 2 * ncon),
+            ("targets", targets, None, 2 * ncon),
         )
-    iwork = np.empty(2 * gmax + 1 + 7 * n, dtype=np.int64)
-    bwork = np.empty(3 * n, dtype=np.int8)
-    return int(lib.fm_passes(
-        n, ncon, gmax, max_passes, stall_fraction, cut,
-        _i64(xpins), _i64(pins), _i64(ncosts), _i64(vipt), _i64(vnets),
-        _f64(wfloat), _f64(inv_limits), zero_limit,
-        part, pc, gain, pw, iwork, bwork,
-    ))
+        csum = np.concatenate(([0], np.cumsum(ncosts[vnets])))
+        if n and int((csum[vipt[1:]] - csum[vipt[:-1]]).max()) > gmax:
+            raise VerificationError(
+                f"native fm_passes: gmax {gmax} is below a vertex's valid "
+                "net-cost sum — some gain would have no bucket"
+            )
+    pc = np.empty((nnets, 2), dtype=np.int64)
+    gain = np.empty(n, dtype=np.int64)
+    pw = np.empty((2, ncon))
+    iwork = np.empty(2 * gmax + 1 + 7 * n + 2 * ncon, dtype=np.int64)
+    dwork = np.empty((n + 2) * ncon)
+    bwork = np.empty(3 * n + 2 * ncon, dtype=np.int8)
+    cut = lib.fm_passes(
+        n, nnets, ncon, gmax, max_passes, stall_fraction, epsilon,
+        *_addrs(
+            "fm_passes",
+            ("xpins", xpins, _I64), ("pins", pins, _I64), ("ncosts", ncosts, _I64),
+            ("vipt", vipt, _I64), ("vnets", vnets, _I64),
+            ("vweights", vweights, _I64), ("targets", targets, _F64),
+            ("part", part, _I8), ("pc", pc, _I64), ("gain", gain, _I64),
+            ("pw", pw, _F64), ("iwork", iwork, _I64), ("dwork", dwork, _F64),
+            ("bwork", bwork, _I8),
+        ),
+    )
+    return int(cut), pc, gain, pw
 
 
 def kway_passes(
@@ -308,48 +377,67 @@ def kway_passes(
     cut = np.empty(nnets, dtype=np.int8)
     lib.kway_passes(
         n, nnets, nparts, ncon, max_passes,
-        _i64(xnets), _i64(nets), _i64(vipt), _i64(vnets), _i64(ncosts),
-        _f64(wfloat), _f64(limit), part, pc, pw, gains, cut,
+        *_addrs(
+            "kway_passes",
+            ("xnets", xnets, _I64), ("nets", nets, _I64), ("vipt", vipt, _I64),
+            ("vnets", vnets, _I64), ("ncosts", ncosts, _I64),
+            ("wfloat", wfloat, _F64), ("limit", limit, _F64), ("part", part, _I64),
+            ("pc", pc, _I64), ("pw", pw, _F64), ("gains", gains, _I64),
+            ("cut", cut, _I8),
+        ),
     )
 
 
-def _incidence_specs(n, xpins, pins, xnets, nets, valid, contrib) -> tuple:
-    """:func:`_validate` specs of the two-way CSR incidence plus the
-    per-net ``valid`` (0/1) and ``contrib`` arrays."""
+def _incidence(kernel, n, xpins, pins, xnets, nets, valid, contrib) -> tuple:
+    """Debug-validate the two-way CSR incidence plus the per-net
+    ``valid`` (0/1) and ``contrib`` arrays of the front-half kernels,
+    and return their address specs."""
     nnets = xpins.size - 1
+    if _build.debug_bounds_enabled():
+        _validate(
+            kernel, n,
+            ("xpins", xpins, pins.size + 1, nnets + 1),
+            ("pins", pins, n, pins.size),
+            ("xnets", xnets, nets.size + 1, n + 1),
+            ("nets", nets, nnets, nets.size),
+            ("valid", valid, 2, nnets),
+            ("contrib", contrib, None, nnets),
+        )
     return (
-        ("xpins", xpins, pins.size + 1, nnets + 1),
-        ("pins", pins, n, pins.size),
-        ("xnets", xnets, nets.size + 1, n + 1),
-        ("nets", nets, nnets, nets.size),
-        ("valid", valid, 2, nnets),
-        ("contrib", contrib, None, nnets),
+        ("xpins", xpins, _I64), ("pins", pins, _I64), ("xnets", xnets, _I64),
+        ("nets", nets, _I64), ("valid", valid, _I8), ("contrib", contrib, _F64),
     )
+
+
+def _as_int8(valid):
+    """A bool mask viewed as the kernels' 0/1 int8 (no copy)."""
+    return valid.view(np.int8) if getattr(valid, "dtype", None) == _BOOL else valid
 
 
 def hcm_match(lib, *, xpins, pins, xnets, nets, valid, contrib, order) -> np.ndarray:
     """The matching loop of :func:`repro.hypergraph.coarsen.coarsen_once`.
 
     ``xpins``/``pins`` and ``xnets``/``nets`` are the two CSR directions
-    of the incidence; ``valid`` (0/1) marks the scoring nets and
-    ``contrib`` holds each one's per-pin share ``cost / (|e| − 1)``;
-    ``order`` is the visitation permutation.  Returns ``mate`` (int64,
-    ``-1`` for an unmatched vertex).
+    of the incidence; ``valid`` (bool or 0/1 int8) marks the scoring
+    nets and ``contrib`` holds each one's per-pin share
+    ``cost / (|e| − 1)``; ``order`` is the visitation permutation.
+    Returns ``mate`` (int64, ``-1`` for an unmatched vertex).
     """
     n = xnets.size - 1
-    valid = _i8(valid)
+    valid = _as_int8(valid)
+    incidence = _incidence("hcm_match", n, xpins, pins, xnets, nets, valid, contrib)
     if _build.debug_bounds_enabled():
-        _validate(
-            "hcm_match", n,
-            *_incidence_specs(n, xpins, pins, xnets, nets, valid, contrib),
-            ("order", order, n, n),
-        )
+        _validate("hcm_match", n, ("order", order, n, n))
         _validate_permutation("hcm_match", "order", order, n)
     mate = np.full(n, -1, dtype=np.int64)
+    acc, touched = np.empty(n), np.empty(n, dtype=np.int64)
+    mark = np.zeros(n, dtype=np.int8)
     lib.hcm_match(
-        n, _i64(xpins), _i64(pins), _i64(xnets), _i64(nets), valid, _f64(contrib),
-        _i64(order), mate, np.empty(n), np.empty(n, dtype=np.int64),
-        np.zeros(n, dtype=np.int8),
+        n,
+        *_addrs(
+            "hcm_match", *incidence, ("order", order, _I64), ("mate", mate, _I64),
+            ("acc", acc, _F64), ("touched", touched, _I64), ("mark", mark, _I8),
+        ),
     )
     return mate
 
@@ -365,21 +453,27 @@ def greedy_grow(
     part array (int8).
     """
     n, ncon = vweights.shape
-    valid = _i8(valid)
+    valid = _as_int8(valid)
+    incidence = _incidence("greedy_grow", n, xpins, pins, xnets, nets, valid, contrib)
     if _build.debug_bounds_enabled():
         _validate(
             "greedy_grow", n,
-            *_incidence_specs(n, xpins, pins, xnets, nets, valid, contrib),
             ("t0", t0, None, ncon),
             ("seed_order", seed_order, n, n),
         )
         _validate_permutation("greedy_grow", "seed_order", seed_order, n)
     part = np.ones(n, dtype=np.int8)
+    gain, heap = np.zeros(n), np.empty(n, dtype=np.int64)
+    pos, state = np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=np.int8)
+    pw0 = np.zeros(ncon)
     lib.greedy_grow(
-        n, ncon, _i64(xpins), _i64(pins), _i64(xnets), _i64(nets), valid,
-        _f64(contrib), _i64(vweights), _f64(t0), _i64(seed_order), part,
-        np.zeros(n), np.empty(n, dtype=np.int64), np.full(n, -1, dtype=np.int64),
-        np.zeros(n, dtype=np.int8), np.zeros(ncon),
+        n, ncon,
+        *_addrs(
+            "greedy_grow", *incidence, ("vweights", vweights, _I64), ("t0", t0, _F64),
+            ("seed_order", seed_order, _I64), ("part", part, _I8), ("gain", gain, _F64),
+            ("heap", heap, _I64), ("pos", pos, _I64), ("state", state, _I8),
+            ("pw0", pw0, _F64),
+        ),
     )
     return part
 
@@ -398,8 +492,70 @@ def random_fill(lib, *, vweights, t0, order) -> np.ndarray:
         )
         _validate_permutation("random_fill", "order", order, n)
     part = np.ones(n, dtype=np.int8)
+    pw0 = np.zeros(ncon, dtype=np.int64)
     lib.random_fill(
-        n, ncon, _i64(vweights), _f64(t0), _i64(order), part,
-        np.zeros(ncon, dtype=np.int64),
+        n, ncon,
+        *_addrs(
+            "random_fill", ("vweights", vweights, _I64), ("t0", t0, _F64),
+            ("order", order, _I64), ("part", part, _I8), ("pw0", pw0, _I64),
+        ),
     )
     return part
+
+
+def contract(
+    lib, *, xpins, pins, ncosts, vweights, mate, hash_mask: int,
+) -> tuple[np.ndarray, dict]:
+    """:func:`repro.hypergraph.coarsen.coarsen_once` after the matching:
+    cluster ids and the coarse hypergraph.
+
+    ``mate`` is the symmetric int64 matching (``-1``: unmatched) of the
+    hypergraph ``(xpins, pins, ncosts, vweights)``; ``hash_mask`` is
+    ANDed into both content hashes.  Returns ``(cmap, coarse)`` where
+    ``coarse`` maps ``xpins``, ``pins``, ``vweights``, ``ncosts``,
+    ``xnets`` and ``nets`` to the coarse arrays (each vertex's nets in
+    ascending order).  The kernel writes into buffers sized for the fine
+    hypergraph; only their used prefixes are kept.
+    """
+    n, ncon = vweights.shape
+    nnets, npins = ncosts.size, pins.size
+    if _build.debug_bounds_enabled():
+        _validate(
+            "contract", n,
+            ("xpins", xpins, npins + 1, nnets + 1),
+            ("pins", pins, n, npins),
+            ("mate + 1", mate + 1, n + 1, n),
+        )
+        _validate_offsets("contract", "xpins", xpins, npins)
+        matched = np.flatnonzero(mate >= 0)
+        if np.any(mate[mate[matched]] != matched):
+            raise VerificationError("native contract: mate is not a symmetric matching")
+    cmap = np.empty(n, dtype=np.int64)
+    cvweights = np.empty((n, ncon), dtype=np.int64)
+    cxpins = np.empty(nnets + 1, dtype=np.int64)
+    cpins = np.empty(npins, dtype=np.int64)
+    ccosts = np.empty(nnets, dtype=np.int64)
+    cxnets = np.empty(n + 1, dtype=np.int64)
+    cnets = np.empty(npins, dtype=np.int64)
+    counts = np.empty(3, dtype=np.int64)
+    iwork = np.empty(2 * n + 1 + 2 * npins + 12 * nnets, dtype=np.int64)
+    lib.contract(
+        n, nnets, ncon, hash_mask,
+        *_addrs(
+            "contract",
+            ("xpins", xpins, _I64), ("pins", pins, _I64), ("ncosts", ncosts, _I64),
+            ("vweights", vweights, _I64), ("mate", mate, _I64), ("cmap", cmap, _I64),
+            ("cvweights", cvweights, _I64), ("cxpins", cxpins, _I64),
+            ("cpins", cpins, _I64), ("ccosts", ccosts, _I64), ("cxnets", cxnets, _I64),
+            ("cnets", cnets, _I64), ("counts", counts, _I64), ("iwork", iwork, _I64),
+        ),
+    )
+    nc, ncnets, ncpins = counts.tolist()
+    return cmap, {
+        "xpins": cxpins[: ncnets + 1].copy(),
+        "pins": cpins[:ncpins].copy(),
+        "vweights": cvweights[:nc].copy(),
+        "ncosts": ccosts[:ncnets].copy(),
+        "xnets": cxnets[: nc + 1].copy(),
+        "nets": cnets[:ncpins].copy(),
+    }

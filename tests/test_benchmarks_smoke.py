@@ -54,6 +54,8 @@ def test_bench_partitioner_quick(tmp_path):
     assert data["quality_suite"]["max_ratio"] == max(
         m["ratio"] for m in data["quality_suite"]["matrices"]
     )
+    assert data["acceptance"]["backends_identical"] is True
+    assert data["acceptance"]["numpy_s"] > 0
     assert result["config"]["quick"] is True
 
 

@@ -125,8 +125,8 @@ for backend in ("numpy", "native"):
     parts[backend] = partition_kway(hg, 8, PartitionConfig(seed=2))
 assert np.array_equal(parts["numpy"], parts["native"])
 
-# The V-cycle's front half directly: HCM matching, greedy growing and
-# the random fill on a tie-heavy fine-grain model.
+# The V-cycle's front half directly: HCM matching, the contraction,
+# greedy growing and the random fill on a tie-heavy fine-grain model.
 from repro.hypergraph import fine_grain_model
 from repro.hypergraph.coarsen import coarsen_once
 from repro.hypergraph.initial import greedy_growing, random_bisection
@@ -139,12 +139,32 @@ for backend in ("numpy", "native"):
     set_default_backend(backend)
     cmap, coarse = coarsen_once(fg, as_generator(3))
     fronts[backend] = [
-        cmap, coarse.pins, coarse.ncosts,
+        cmap, coarse.xpins, coarse.pins, coarse.vweights, coarse.ncosts,
+        coarse.xnets, coarse.nets,
         greedy_growing(fg, (t * 0.4, t * 0.6), as_generator(4)),
         random_bisection(fg, (t * 0.4, t * 0.6), as_generator(5)),
     ]
 for want, got in zip(fronts["numpy"], fronts["native"]):
     assert np.array_equal(want, got)
+
+# The FM set-up inside the kernel (no passes) against _fm_setup, on the
+# fine level and the contracted one.
+from repro.hypergraph.refine import _context, _fm_setup, _target_array
+from repro.native import ops
+
+for h in (fg, coarse):
+    ctx = _context(h)
+    part = (np.arange(h.nvertices) % 3 == 0).astype(np.int8)
+    th = h.total_weight().astype(float)
+    pc, cut, pw, gain = _fm_setup(h, ctx, part)
+    got = ops.fm_passes(
+        lib, xpins=h.xpins, pins=h.pins, ncosts=h.ncosts, vipt=ctx.vnets_indptr,
+        vnets=ctx.vnets, vweights=h.vweights, targets=_target_array((th / 2, th / 2)),
+        epsilon=0.05, part=part, gmax=ctx.gain_bound, max_passes=0, stall_fraction=8,
+    )
+    assert got[0] == cut
+    for want, have in zip((pc, gain, pw), got[1:]):
+        assert np.array_equal(want, have)
 print("OK-SANITIZED-GOLDEN")
 """
 
@@ -171,9 +191,9 @@ def test_sanitized_kernels_pass_golden_applies():
     """The ASan/UBSan build variant is bit-identical to NumPy on full
     plan applies (single and s2D models, one and many right-hand
     sides), on a two-constraint ``partition_kway`` (every partitioner
-    kernel) and on direct calls of the HCM matching, greedy-growing and
-    random-fill kernels, run in a child with the sanitizer runtime
-    active."""
+    kernel) and on direct calls of the HCM matching, contraction,
+    greedy-growing and random-fill kernels and of the in-kernel FM
+    set-up, run in a child with the sanitizer runtime active."""
     proc = _run_child(_GOLDEN_CHILD)
     _skip_if_unloadable(proc)
     assert proc.returncode == 0, proc.stderr[-2000:]

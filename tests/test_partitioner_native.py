@@ -1,10 +1,11 @@
 """The partitioner's per-vertex and per-move loops on both backends.
 
-``coarsen_once`` (the HCM matching), ``greedy_growing``,
-``random_bisection``, ``fm_refine`` and ``kway_greedy_refine`` run
-their loops in C (``kernels.c``) when the native backend resolves, else
-in NumPy.  The contract is the native package's: same partitions, less
-time.  Pinned here:
+``coarsen_once`` (the HCM matching and the contraction),
+``greedy_growing``, ``random_bisection``, ``fm_refine`` (set-up and
+pass loop) and ``kway_greedy_refine`` run their loops in C
+(``kernels.c``) when the native backend resolves, else in NumPy.  The
+contract is the native package's: same partitions, less time.  Pinned
+here:
 
 - every partitioner pin of ``test_partitioner_vectorized`` holds with
   the backend forced either way;
@@ -16,10 +17,18 @@ time.  Pinned here:
   same random stream consumed, over the five families under the
   column-net and fine-grain models with one and two constraints, plus
   a tie-heavy unit-cost mesh, zero-cost nets and unscorable nets;
+- the same sweep with every content hash masked to 0, so the
+  contraction's net order rests on the index tie-break and its merges on
+  the exact pin comparison alone; crafted contractions (all nets
+  merging, nets collapsing to one pin, a same-key chain A, B, C with
+  A == C != B, costs above 2**53, an empty hypergraph);
+- the FM set-up state (pin counts, gains, side weights, cut) over the
+  same five families, both models and both constraint counts;
 - whole-``partition_kway`` identity, including fine-grain at K=64;
 - without a compiler, ``auto`` falls back to NumPy with the same
   partition;
-- the duplicate-pin precondition and the debug-mode bounds guard.
+- the duplicate-pin precondition, the debug-mode bounds guard and the
+  dtype/layout check in front of every partitioner kernel.
 """
 
 from contextlib import contextmanager
@@ -39,10 +48,17 @@ from repro.hypergraph import (
     fine_grain_model,
     partition_kway,
 )
-from repro.hypergraph.coarsen import _pair_scores, coarsen_once
+from repro.hypergraph import coarsen
+from repro.hypergraph.coarsen import _cluster_ids, _contract, _pair_scores, coarsen_once
 from repro.hypergraph.initial import greedy_growing, random_bisection
 from repro.hypergraph.kway import kway_greedy_refine
-from repro.hypergraph.refine import bisection_cut, fm_refine
+from repro.hypergraph.refine import (
+    _context,
+    _fm_setup,
+    _target_array,
+    bisection_cut,
+    fm_refine,
+)
 from repro.native import DEBUG_ENV, get_kernels, ops, set_default_backend
 from repro.native.build import _reset_native_state
 from repro.rng import as_generator
@@ -321,6 +337,132 @@ def test_front_half_identical_when_no_net_scores():
     assert want[len(_COARSE_ARRAYS) + 1] == as_generator(3).integers(1 << 62)
 
 
+# ----------------------------------------------------------------------
+# Contraction and FM set-up in C
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.native
+@pytest.mark.parametrize("family", ["circuit", "mesh", "rmat"])
+def test_front_half_identical_with_colliding_hashes(family, monkeypatch):
+    """Every content hash masked to 0: all nets of one size share a key,
+    so the coarse net order rests on the index tie-break and every merge
+    on the exact comparison of adjacent nets."""
+    monkeypatch.setattr(coarsen, "_HASH_MASK", 0)
+    for model in ("column-net", "fine-grain"):
+        hg = _model(family, 2, model)
+        want, got = _on_both_backends(lambda: _front_half(hg, seed=9))
+        _assert_same(want, got, (family, model))
+
+
+def _contract_both(hg: Hypergraph, mate) -> Hypergraph:
+    """Contract ``hg`` along ``mate`` with the reference and the kernel,
+    assert they agree, and return the reference's coarse hypergraph."""
+    mate = np.asarray(mate, dtype=np.int64)
+    cmap, ncoarse = _cluster_ids(mate)
+    want = _contract(hg, cmap, ncoarse)
+    got_cmap, got = ops.contract(
+        get_kernels(), xpins=hg.xpins, pins=hg.pins, ncosts=hg.ncosts,
+        vweights=hg.vweights, mate=mate, hash_mask=coarsen._HASH_MASK,
+    )
+    assert np.array_equal(cmap, got_cmap)
+    _assert_same(
+        [getattr(want, name) for name in _COARSE_ARRAYS],
+        [got[name] for name in _COARSE_ARRAYS],
+        "contract",
+    )
+    return want
+
+
+@pytest.mark.native
+def test_contraction_crafted_cases():
+    # Every net identical after contraction: 0-1 and 2-3 merge, and all
+    # four nets become {0, 1}.
+    hg = Hypergraph.from_net_lists(
+        [[0, 2], [1, 3], [3, 0], [2, 1]], 4, ncosts=np.array([1, 2, 3, 4])
+    )
+    c = _contract_both(hg, [1, 0, 3, 2])
+    assert c.pins.tolist() == [0, 1] and c.ncosts.tolist() == [10]
+    # Nets collapsing to one pin vanish; a repeated pin counts once.
+    hg = Hypergraph.from_net_lists([[0, 1], [2, 3, 2], [4], [1, 4]], 5)
+    c = _contract_both(hg, [1, 0, 3, 2, -1])
+    assert c.xpins.tolist() == [0, 2] and c.pins.tolist() == [0, 2]
+    assert c.vweights[:, 0].tolist() == [2, 2, 1]
+    # Zero-cost nets merge and survive like any other.
+    hg = Hypergraph.from_net_lists(
+        [[0, 1], [1, 0], [1, 2]], 3, ncosts=np.array([0, 0, 5])
+    )
+    c = _contract_both(hg, [-1, -1, -1])
+    assert sorted(c.ncosts.tolist()) == [0, 5]
+    # Empty hypergraphs: no nets, only one-pin nets, no vertices.
+    for hg in (
+        Hypergraph.from_net_lists([], 5),
+        Hypergraph.from_net_lists([[0], [1]], 3),
+        Hypergraph.from_net_lists([], 0),
+    ):
+        c = _contract_both(hg, np.full(hg.nvertices, -1))
+        assert c.nnets == 0 and c.nvertices == hg.nvertices
+
+
+@pytest.mark.native
+def test_contraction_merges_adjacent_pairs_only(monkeypatch):
+    """A same-key chain A, B, C, D with A == C == D != B: C is compared
+    with B, its predecessor, not with A, so only D merges (into C).
+    Masking the hashes gives all four nets one key."""
+    hg = Hypergraph.from_net_lists(
+        [[0, 1], [0, 2], [1, 0], [0, 1]], 3, ncosts=np.array([1, 2, 4, 8])
+    )
+    monkeypatch.setattr(coarsen, "_HASH_MASK", 0)
+    c = _contract_both(hg, [-1, -1, -1])
+    assert c.pins.tolist() == [0, 1, 0, 2, 0, 1]
+    assert c.ncosts.tolist() == [1, 2, 12]
+    monkeypatch.undo()  # real hashes: A, C and D share a key, B does not
+    c = _contract_both(hg, [-1, -1, -1])
+    assert sorted(c.ncosts.tolist()) == [2, 13]
+
+
+@pytest.mark.native
+def test_merged_costs_and_gain_bound_are_exact_int64_sums():
+    """2**53 + 1 is not a float64: a float sum of the merged costs (or
+    of a vertex's incident costs) would lose the 1."""
+    big = 2**53
+    hg = Hypergraph.from_net_lists(
+        [[0, 1], [1, 0], [1, 2]], 3, ncosts=np.array([big, 1, 1])
+    )
+    c = _contract_both(hg, [-1, -1, -1])
+    assert sorted(c.ncosts.tolist()) == [1, big + 1]
+    assert _context(hg).gain_bound == big + 2  # vertex 1 is on all three
+
+
+@pytest.mark.native
+@pytest.mark.parametrize("ncon", [1, 2])
+@pytest.mark.parametrize("model", ["column-net", "fine-grain"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_fm_setup_identical_across_backends(family, model, ncon):
+    """The kernel's state after set-up (``max_passes=0``) equals
+    ``_fm_setup``'s, on the model and on one contracted level."""
+    fine = _model(family, ncon, model)
+    with forced_backend("numpy"):
+        _, coarse = coarsen_once(fine, as_generator(1))
+    rng = np.random.default_rng(13)
+    for hg in (fine, coarse):
+        ctx = _context(hg)
+        t = hg.total_weight().astype(np.float64)
+        for frac in (0.5, 0.3):
+            part = rng.integers(0, 2, hg.nvertices).astype(np.int8)
+            pc, cut, pw, gain = _fm_setup(hg, ctx, part)
+            moved = part.copy()
+            got = ops.fm_passes(
+                get_kernels(), xpins=hg.xpins, pins=hg.pins, ncosts=hg.ncosts,
+                vipt=ctx.vnets_indptr, vnets=ctx.vnets, vweights=hg.vweights,
+                targets=_target_array((t * frac, t * (1 - frac))), epsilon=0.05,
+                part=moved, gmax=ctx.gain_bound, max_passes=0, stall_fraction=8,
+            )
+            assert got[0] == cut, (family, model, ncon)
+            _assert_same([pc, gain, pw], list(got[1:]), (family, model, ncon))
+            assert np.array_equal(moved, part)
+
+
 @pytest.mark.native
 def test_auto_without_compiler_falls_back_to_the_same_partition(monkeypatch):
     hg = _model("circuit", 2)
@@ -351,18 +493,16 @@ def test_partition_kway_rejects_duplicate_pins():
     assert partition_kway(ok, 2).shape == (2,)
 
 
-def _fm_state(hg):
-    """Arrays shaped like fm_refine's pass-loop state (values are never
-    run: every use below trips the guard first)."""
+def _fm_args(hg, max_passes=2):
+    """``ops.fm_passes`` keyword arguments for ``hg`` (every net of
+    ``hg`` must have two or more pins)."""
     n = hg.nvertices
-    part = (np.arange(n) % 2).astype(np.int8)
-    pc = np.zeros((hg.nnets, 2), dtype=np.int64)
+    t = hg.total_weight().astype(np.float64)
     return dict(
         xpins=hg.xpins, pins=hg.pins, ncosts=hg.ncosts, vipt=hg.xnets, vnets=hg.nets,
-        wfloat=np.ones((n, 1)), inv_limits=np.full((2, 1), 0.1),
-        zero_limit=np.zeros((2, 1), dtype=np.int8), part=part, pc=pc,
-        gain=np.zeros(n, dtype=np.int64), pw=np.full((2, 1), n / 2),
-        gmax=4, max_passes=2, stall_fraction=8, cut=0,
+        vweights=hg.vweights, targets=_target_array((t / 2, t / 2)), epsilon=0.1,
+        part=(np.arange(n) % 2).astype(np.int8), gmax=_context(hg).gain_bound,
+        max_passes=max_passes, stall_fraction=8,
     )
 
 
@@ -371,13 +511,13 @@ def test_debug_guard_blocks_bad_partitioner_indices(monkeypatch):
     lib = get_kernels()
     monkeypatch.setenv(DEBUG_ENV, "1")
     hg = Hypergraph.from_net_lists([[0, 1], [1, 2, 3]], 4)
-    state = _fm_state(hg)
+    state = _fm_args(hg)
     state["pins"] = np.array([0, 1, 1, 2, 9])  # vertex 9 does not exist
     with pytest.raises(VerificationError, match="fm_passes: pins indexes outside"):
         ops.fm_passes(lib, **state)
-    state = _fm_state(hg)
-    state["gain"][2] = 5  # beyond the gain bound: no bucket for it
-    with pytest.raises(VerificationError, match="gain \\+ gmax"):
+    state = _fm_args(hg)
+    state["gmax"] = 1  # vertex 1 has nets of cost 2: no bucket for its gain
+    with pytest.raises(VerificationError, match="fm_passes: gmax 1 is below"):
         ops.fm_passes(lib, **state)
     part = np.array([0, 1, 2, 3])
     pc = np.zeros((2, 3), dtype=np.int64)  # K=3, but part names part 3
@@ -434,3 +574,104 @@ def test_debug_guard_blocks_bad_front_half_inputs(monkeypatch):
     with forced_backend("native"):
         plain = front()
     _assert_same(guarded, plain, "guarded")
+
+
+@pytest.mark.native
+def test_debug_guard_blocks_bad_contraction_inputs(monkeypatch):
+    lib = get_kernels()
+    monkeypatch.setenv(DEBUG_ENV, "1")
+    hg = Hypergraph.from_net_lists([[0, 1], [1, 2, 3]], 4)
+    args = dict(
+        xpins=hg.xpins, pins=hg.pins, ncosts=hg.ncosts, vweights=hg.vweights,
+        hash_mask=coarsen._HASH_MASK,
+    )
+    unmatched = np.full(4, -1)
+    with pytest.raises(VerificationError, match="contract: mate \\+ 1 indexes outside"):
+        ops.contract(lib, **args, mate=np.array([1, 0, 4, -1]))
+    with pytest.raises(VerificationError, match="contract: mate is not a symmetric"):
+        ops.contract(lib, **args, mate=np.array([1, 2, -1, -1]))
+    with pytest.raises(VerificationError, match="contract: xpins is not a monotone"):
+        ops.contract(lib, **{**args, "xpins": np.array([0, 3, 2])}, mate=unmatched)
+    with pytest.raises(VerificationError, match="contract: pins indexes outside"):
+        ops.contract(lib, **{**args, "pins": np.array([0, 1, 1, 2, 7])}, mate=unmatched)
+
+    # Valid input passes the guard and gives the unguarded result.
+    def front():
+        cmap, coarse = coarsen_once(hg, as_generator(1))
+        return [cmap, *(getattr(coarse, name) for name in _COARSE_ARRAYS)]
+
+    with forced_backend("native"):
+        guarded = front()
+    monkeypatch.delenv(DEBUG_ENV)
+    with forced_backend("native"):
+        plain = front()
+    _assert_same(guarded, plain, "guarded")
+
+
+def _kernel_kwargs(hg: Hypergraph) -> dict:
+    """Fresh valid keyword arguments of every partitioner kernel wrapper
+    (``hg``'s nets all have two or more pins)."""
+    n = hg.nvertices
+    t0 = hg.total_weight().astype(np.float64) / 2
+    incidence = dict(
+        xpins=hg.xpins, pins=hg.pins, xnets=hg.xnets, nets=hg.nets,
+        valid=np.ones(hg.nnets, dtype=bool), contrib=np.ones(hg.nnets),
+    )
+    part = np.arange(n) % 2
+    pc = np.zeros((hg.nnets, 2), dtype=np.int64)
+    np.add.at(pc, (hg.net_of_pin, part[hg.pins]), 1)
+    pw = np.zeros((2, hg.nconstraints))
+    np.add.at(pw, part, hg.vweights.astype(np.float64))
+    return {
+        "fm_passes": _fm_args(hg),
+        "kway_passes": dict(
+            xnets=hg.xnets, nets=hg.nets, vipt=hg.xnets, vnets=hg.nets,
+            ncosts=hg.ncosts, wfloat=hg.vweights.astype(np.float64),
+            limit=hg.total_weight().astype(np.float64), part=part, pc=pc, pw=pw,
+            max_passes=1,
+        ),
+        "hcm_match": dict(**incidence, order=np.arange(n)),
+        "greedy_grow": dict(
+            **incidence, vweights=hg.vweights, t0=t0, seed_order=np.arange(n)
+        ),
+        "random_fill": dict(vweights=hg.vweights, t0=t0, order=np.arange(n)),
+        "contract": dict(
+            xpins=hg.xpins, pins=hg.pins, ncosts=hg.ncosts, vweights=hg.vweights,
+            mate=np.full(n, -1), hash_mask=coarsen._HASH_MASK,
+        ),
+    }
+
+
+@pytest.mark.native
+@pytest.mark.parametrize(
+    "kernel,arg",
+    [
+        ("fm_passes", "pins"), ("fm_passes", "vweights"), ("fm_passes", "targets"),
+        ("fm_passes", "part"),
+        ("kway_passes", "nets"), ("kway_passes", "wfloat"), ("kway_passes", "part"),
+        ("kway_passes", "pc"),
+        ("hcm_match", "xnets"), ("hcm_match", "contrib"), ("hcm_match", "order"),
+        ("greedy_grow", "vweights"), ("greedy_grow", "t0"),
+        ("greedy_grow", "seed_order"),
+        ("random_fill", "vweights"), ("random_fill", "order"),
+        ("contract", "pins"), ("contract", "vweights"), ("contract", "mate"),
+    ],
+)
+def test_partitioner_kernels_reject_wrong_dtype_or_layout(kernel, arg):
+    """The partitioner kernels take bare addresses; the wrapper refuses
+    an array of another dtype or a non-C-contiguous one before the call
+    instead of converting it (or letting C misread it)."""
+    hg = Hypergraph.from_net_lists(
+        [[i, (i + 1) % 12, (i + 5) % 12] for i in range(12)], 12,
+        vweights=np.column_stack([np.ones(12), np.arange(12) % 3]).astype(np.int64),
+    )
+    wrapper = getattr(ops, kernel)
+    wrapper(get_kernels(), **_kernel_kwargs(hg)[kernel])  # the valid call runs
+    good = _kernel_kwargs(hg)[kernel][arg]
+    wrong_dtype = good.astype(np.float32 if good.dtype.kind in "iu" else np.int64)
+    strided = np.repeat(good, 2, axis=0)[::2]  # same values, every other row
+    assert not strided.flags.c_contiguous
+    for bad in (wrong_dtype, strided):
+        kwargs = {**_kernel_kwargs(hg)[kernel], arg: bad}
+        with pytest.raises(TypeError, match=f"native {kernel}: {arg} must be a C-contig"):
+            wrapper(get_kernels(), **kwargs)
