@@ -1,7 +1,7 @@
 """Micro-benchmark: vectorized multilevel partitioner vs the seed code.
 
-Times end-to-end ``partition_kway`` (with per-stage breakdown from the
-profiling hooks) on column-net models of an R-MAT instance and a kNN
+Times end-to-end ``partition_kway`` (with a per-stage breakdown folded
+from its ``repro.obs`` trace) on column-net models of an R-MAT instance and a kNN
 mesh at K ∈ {16, 64}, against the preserved legacy implementation
 (:mod:`repro.hypergraph.legacy`), and compares connectivity-1 quality
 on the Table-I generator suite.  On the acceptance instance it also
@@ -35,6 +35,7 @@ NATIVE_SPEEDUP_TARGET = 5.0
 QUALITY_TOLERANCE = 1.05
 ACCEPTANCE_MODEL = "mesh10k-colnet"  # the ~10k-vertex column-net model
 ACCEPTANCE_K = 64
+STAGES = ("coarsen", "initial", "refine", "kway")
 
 
 def _models(quick: bool):
@@ -52,11 +53,25 @@ def _models(quick: bool):
     ]
 
 
+def _stages(trace, total_s: float) -> dict:
+    """The ``stages`` record of one traced ``partition_kway`` run."""
+    from repro import obs
+
+    times = obs.stage_times(trace, "partition")
+    counters = trace.total_counters()
+    stages = {f"{name}_s": times.get(name, 0.0) for name in STAGES}
+    stages["total_s"] = total_s
+    for name in ("levels", "bisections", "cut_before_kway", "cut_after_kway"):
+        if f"partition.{name}" in counters:
+            stages[name] = counters[f"partition.{name}"]
+    return stages
+
+
 def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
+    from repro import obs
     from repro.generators.suite import table1_suite
     from repro.hypergraph import (
         PartitionConfig,
-        PartitionProfile,
         column_net_model,
         connectivity_minus_one,
         imbalance,
@@ -73,10 +88,10 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
     for name, a in _models(quick):
         hg = column_net_model(a)
         for k in ks:
-            prof = PartitionProfile()
-            t0 = time.perf_counter()
-            part = partition_kway(hg, k, cfg, profile=prof)
-            t_new = time.perf_counter() - t0
+            with obs.tracing() as trace:
+                t0 = time.perf_counter()
+                part = partition_kway(hg, k, cfg)
+                t_new = time.perf_counter() - t0
             runs[name, k] = hg, part
             t0 = time.perf_counter()
             part_old = legacy_partition_kway(hg, k, cfg)
@@ -97,7 +112,7 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
                     "cut_legacy": cut_old,
                     "cut_ratio": cut_new / max(cut_old, 1),
                     "imbalance_vectorized": imbalance(hg, part, k),
-                    "stages": prof.as_dict(),
+                    "stages": _stages(trace, t_new),
                 }
             )
             print(

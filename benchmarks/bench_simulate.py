@@ -101,13 +101,11 @@ def _identical(run_new, run_old) -> bool:
 def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
     from repro.core import make_s2d_bounded
     from repro.engine import PartitionEngine, available_methods
-    from repro.simulate import (
+    from repro.simulate import run_s2d_bounded, run_single_phase, run_two_phase
+    from repro.simulate.legacy import (
         legacy_run_s2d_bounded,
         legacy_run_single_phase,
         legacy_run_two_phase,
-        run_s2d_bounded,
-        run_single_phase,
-        run_two_phase,
     )
 
     ks = (4, 8) if quick else (16, 64)

@@ -60,6 +60,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro import obs
 from repro.engine import ALIASES, PartitionEngine, available_methods
 from repro.errors import ConfigError, UsageError
 from repro.jobs import resolve_jobs
@@ -133,6 +134,23 @@ def _add_trace_args(p: argparse.ArgumentParser) -> None:
         help="trace file format (chrome = Perfetto timeline, json = "
         "schema-versioned span tree, tree = indented text)",
     )
+
+
+def _partition_profile(trace) -> str:
+    """The `partition --profile` view: partitioner stages folded from
+    the run's trace, then its level/bisection and polish counters."""
+    c = trace.total_counters()
+    lines = [
+        obs.stage_table(trace, "partition", labels={"kway": "kway-polish"}),
+        f"levels={c.get('partition.levels', 0)} "
+        f"bisections={c.get('partition.bisections', 0)}",
+    ]
+    if "partition.cut_before_kway" in c:
+        lines.append(
+            f"connectivity-1: {c['partition.cut_before_kway']} -> "
+            f"{c['partition.cut_after_kway']} (kway polish)"
+        )
+    return "\n".join(lines)
 
 
 def _quality_line(kind: str, q) -> str:
@@ -329,20 +347,20 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         trace_path = getattr(args, "trace", None)
-        if not trace_path:
+        if not (trace_path or getattr(args, "profile", False)):
             return _dispatch(args)
-        # Traced run: collect a span tree around the whole dispatch and
-        # export it; the command's numeric outputs are unaffected
-        # (instrumentation never touches numeric state).
-        from repro import obs
-        from repro.obs import tree_str, write_trace
-
+        # Traced run: collect one span tree around the whole dispatch;
+        # `--profile` tables are folds of it and `--trace` exports it.
+        # The command's numeric outputs are unaffected (instrumentation
+        # never touches numeric state).
         with obs.tracing() as tr:
             rc = _dispatch(args)
+        if not trace_path:
+            return rc
         if trace_path == "-":
-            print(tree_str(tr))
+            print(obs.tree_str(tr))
         else:
-            write_trace(tr, trace_path, fmt=args.trace_format)
+            obs.write_trace(tr, trace_path, fmt=args.trace_format)
             print(f"trace: {trace_path} ({args.trace_format})")
         return rc
     except (ConfigError, UsageError) as exc:
@@ -421,18 +439,15 @@ def _dispatch(args) -> int:
         a = read_matrix_market(args.mtx) if args.mtx else _find_matrix(args.matrix, args.scale)
         props = matrix_properties(a, name=args.matrix or args.mtx)
         print(props.table_row())
-        plan = _engine(a, cfg).plan(
-            args.scheme, args.k, config=cfg.partitioner(), profile=args.profile
-        )
-        if args.profile and plan.profile is not None:
-            print(plan.profile.stage_table())
+        plan = _engine(a, cfg).plan(args.scheme, args.k, config=cfg.partitioner())
+        if args.profile:
+            print(_partition_profile(obs.active_trace()))
         q = plan.quality()
         print(_quality_line(plan.kind, q))
         return 0
 
     if args.cmd == "simulate":
         from repro.engine import available_methods as _methods
-        from repro.simulate import profiling as sim_profiling
 
         if bool(args.matrix) == bool(args.mtx):
             raise SystemExit("provide exactly one of --matrix / --mtx")
@@ -444,12 +459,15 @@ def _dispatch(args) -> int:
         methods = _methods() if args.all else [args.scheme or "s2d"]
         for method in methods:
             plan = eng.plan(method, args.k, config=cfg.partitioner())
-            with sim_profiling.collect() as sprof:
-                run = eng.run(plan)
+            tr = obs.active_trace()  # open under --profile or --trace
+            first = len(tr.spans) if tr is not None else 0
+            run = eng.run(plan)
             q = plan.quality()
             print(_quality_line(plan.kind, q))
             if args.profile:
-                print(sprof.stage_table())
+                # This method's executor phases: the spans added since.
+                phases = obs.Trace(spans=tr.spans[first:])
+                print(obs.stage_table(phases, "simulate", title="phase"))
                 for entry in run.breakdown(cfg.machine):
                     print(
                         f"  {entry['name']:<15} compute={entry['compute']:<10g} "

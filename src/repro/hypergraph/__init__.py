@@ -19,8 +19,6 @@ implements the same algorithmic recipe:
 - :mod:`repro.hypergraph.partitioner` — recursive-bisection K-way
   driver with cut-net splitting (exactly models the connectivity-1
   communication-volume metric);
-- :mod:`repro.hypergraph.profiling` — per-stage wall-clock profiling of
-  the multilevel pipeline;
 - :mod:`repro.hypergraph.legacy` — the seed (pre-vectorization)
   implementation, kept as golden quality reference and benchmark
   baseline.
@@ -41,7 +39,6 @@ from repro.hypergraph.partitioner import (
     imbalance,
     partition_kway,
 )
-from repro.hypergraph.profiling import PartitionProfile
 
 __all__ = [
     "Hypergraph",
@@ -51,7 +48,6 @@ __all__ = [
     "medium_grain_model",
     "medium_grain_split",
     "PartitionConfig",
-    "PartitionProfile",
     "partition_kway",
     "connectivity_minus_one",
     "cutnet_cost",

@@ -23,13 +23,21 @@ connectivity-1 cost (only strictly positive gains are applied).
 The passes run in C (``kernels.c:repro_kway_passes``) when
 :func:`repro.native.resolve_backend` picks the native backend, else in
 :func:`_kway_passes_numpy`; both give the same partition.
+
+Under an open trace the connectivity-1 cost before and after the
+passes is charged to the innermost span (``partition.kway`` inside
+:func:`repro.hypergraph.partition_kway`) as the counters
+``partition.cut_before_kway`` / ``partition.cut_after_kway``, read off
+the pin-count matrix the passes maintain.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.partitioner import _lambda_cost
 from repro.hypergraph.refine import _context, _RefineContext
 from repro.native import get_kernels, resolve_backend
 from repro.native import ops as native_ops
@@ -53,6 +61,10 @@ def kway_greedy_refine(
     ctx = _context(hg)
     pc = np.zeros((hg.nnets, nparts), dtype=np.int64)
     np.add.at(pc, (hg.net_of_pin, part[hg.pins]), 1)
+    traced = obs.active_trace() is not None
+    if traced:
+        lam = (pc > 0).sum(axis=1)
+        obs.add("partition.cut_before_kway", _lambda_cost(lam, hg.ncosts))
 
     pw = np.zeros((nparts, hg.nconstraints), dtype=np.float64)
     np.add.at(pw, part, hg.vweights.astype(np.float64))
@@ -68,6 +80,9 @@ def kway_greedy_refine(
         )
     else:
         _kway_passes_numpy(hg, ctx, part, pc, pw, wfloat, limit, max_passes)
+    if traced:
+        lam = (pc > 0).sum(axis=1)
+        obs.add("partition.cut_after_kway", _lambda_cost(lam, hg.ncosts))
     return part
 
 

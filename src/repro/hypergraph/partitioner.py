@@ -15,10 +15,8 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ConfigError, ModelError
-from repro.hypergraph import profiling
 from repro.hypergraph.bisect import multilevel_bisect
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.profiling import PartitionProfile
 from repro.kernels import grouped_distinct_counts
 from repro.rng import as_generator, spawn
 
@@ -73,17 +71,16 @@ def partition_kway(
     hg: Hypergraph,
     nparts: int,
     config: PartitionConfig | None = None,
-    profile: PartitionProfile | None = None,
 ) -> np.ndarray:
     """Partition the vertices of ``hg`` into ``nparts`` balanced parts.
 
     Returns an ``int64`` part array of length ``hg.nvertices``.
 
-    ``profile`` (or an ambient :func:`repro.hypergraph.profiling.collect`
-    block) receives per-stage wall-clock timings; when profiling, the
-    connectivity-1 cost before and after the K-way polish is recorded
-    too — the polish only accepts positive-gain moves, so the cost can
-    never increase.
+    Under an open :func:`repro.obs.tracing` block every stage is a span
+    (``partition.coarsen`` / ``.initial`` / ``.refine`` / ``.kway``),
+    ``partition.coarsen`` counts bisections and levels, and
+    ``partition.kway`` carries the connectivity-1 cost before and after
+    the polish (see :func:`repro.hypergraph.kway.kway_greedy_refine`).
 
     Raises :class:`~repro.errors.ModelError` when a net lists a vertex
     twice (see :func:`_check_distinct_pins`).
@@ -92,36 +89,18 @@ def partition_kway(
         raise ConfigError("nparts must be at least 1")
     _check_distinct_pins(hg)
     config = config or PartitionConfig()
-    prof = profile if profile is not None else profiling.active_profile()
-    t_start = obs.now()
     rng = as_generator(config.seed)
     depth = max(1, int(np.ceil(np.log2(nparts)))) if nparts > 1 else 1
     eps_level = (1.0 + config.epsilon) ** (1.0 / depth) - 1.0
     part = np.zeros(hg.nvertices, dtype=np.int64)
-    _recurse(
-        hg, np.arange(hg.nvertices), nparts, 0, part, eps_level, config, rng, prof
-    )
+    _recurse(hg, np.arange(hg.nvertices), nparts, 0, part, eps_level, config, rng)
     if nparts > 1 and config.kway_passes > 0:
         from repro.hypergraph.kway import kway_greedy_refine
 
-        if prof is not None:
-            cut_before = connectivity_minus_one(hg, part)
-        t0 = obs.now()
         with obs.span("partition.kway"):
             part = kway_greedy_refine(
                 hg, part, nparts, epsilon=config.epsilon, max_passes=config.kway_passes
             )
-        if prof is not None:
-            prof.add("kway", obs.now() - t0)
-            # Accumulate (not overwrite): an ambient collector may span
-            # several partition_kway runs (e.g. the checkerboard row and
-            # column stages); the profile then reports the totals.
-            prof.cut_before_kway = (prof.cut_before_kway or 0) + cut_before
-            prof.cut_after_kway = (prof.cut_after_kway or 0) + connectivity_minus_one(
-                hg, part
-            )
-    if prof is not None:
-        prof.total_s += obs.now() - t_start
     return part
 
 
@@ -156,7 +135,6 @@ def _recurse(
     eps_level: float,
     config: PartitionConfig,
     rng: np.random.Generator,
-    prof: PartitionProfile | None = None,
 ) -> None:
     if nparts == 1 or hg.nvertices == 0:
         out[vertex_ids] = offset
@@ -175,7 +153,6 @@ def _recurse(
         ninitial=config.ninitial,
         fm_passes=config.fm_passes,
         max_net_size=config.max_net_size,
-        profile=prof,
     )
     rng0, rng1 = spawn(rng, 2)
     for side, kk, off, side_rng in ((0, k0, offset, rng0), (1, k1, offset + k0, rng1)):
@@ -184,7 +161,7 @@ def _recurse(
             out[vertex_ids[ids]] = off
             continue
         sub = _split_side(hg, part, side)
-        _recurse(sub, vertex_ids[ids], kk, off, out, eps_level, config, side_rng, prof)
+        _recurse(sub, vertex_ids[ids], kk, off, out, eps_level, config, side_rng)
 
 
 def _split_side(hg: Hypergraph, part: np.ndarray, side: int) -> Hypergraph:
@@ -237,9 +214,13 @@ def net_connectivities(hg: Hypergraph, part: np.ndarray) -> np.ndarray:
 
 def connectivity_minus_one(hg: Hypergraph, part: np.ndarray) -> int:
     """``Σ_e cost(e) · (λ_e − 1)`` over nets touched by ≥ 1 part."""
-    lam = net_connectivities(hg, part)
+    return _lambda_cost(net_connectivities(hg, part), hg.ncosts)
+
+
+def _lambda_cost(lam: np.ndarray, ncosts: np.ndarray) -> int:
+    """The connectivity-1 cost of per-net connectivities ``lam``."""
     touched = lam > 0
-    return int((hg.ncosts[touched] * (lam[touched] - 1)).sum())
+    return int((ncosts[touched] * (lam[touched] - 1)).sum())
 
 
 def cutnet_cost(hg: Hypergraph, part: np.ndarray) -> int:

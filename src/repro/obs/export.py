@@ -1,9 +1,12 @@
-"""Trace exporters: human tree, schema-versioned JSON, Chrome trace.
+"""Trace exporters: human tree, stage tables, schema-versioned JSON,
+Chrome trace.
 
-Three views of one :class:`~repro.obs.trace.Trace`:
+Views of one :class:`~repro.obs.trace.Trace`:
 
 - :func:`tree_str` — the CLI ``--trace -`` view: an indented tree with
   per-span seconds, share of the parent, attributes and counters;
+- :func:`stage_times` / :func:`stage_table` — one subsystem's spans
+  folded into seconds per stage (the CLI ``--profile`` tables);
 - :func:`to_json` / :func:`from_json` — a schema-versioned dict with
   stable (sorted) keys that round-trips exactly; the machine-readable
   record bench/regression tooling consumes;
@@ -26,6 +29,8 @@ from repro.obs.trace import SCHEMA_VERSION, Span, Trace
 
 __all__ = [
     "from_json",
+    "stage_table",
+    "stage_times",
     "to_chrome",
     "to_json",
     "tree_str",
@@ -64,6 +69,61 @@ def tree_str(trace: Trace) -> str:
             "counters: "
             + " ".join(f"{k}={totals[k]}" for k in sorted(totals))
         )
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Stage tables
+# ----------------------------------------------------------------------
+
+
+def _native_seconds(sp: Span) -> float:
+    """Duration of the outermost ``native.*`` spans below ``sp``."""
+    return sum(
+        child.dur if child.name.startswith("native.") else _native_seconds(child)
+        for child in sp.children
+    )
+
+
+def stage_times(trace: Trace, prefix: str) -> dict[str, float]:
+    """Seconds per stage of one subsystem, in first-seen order.
+
+    A stage span is one named ``<prefix>.<stage>…`` with no such span
+    above it; its row holds the span's duration, descendants included
+    (``partition.coarsen.match`` folds into ``coarsen``).  ``native.*``
+    descendants — a kernel build inside the first stage that needs the
+    kernels — are charged to a last ``native`` row instead.
+    """
+    head = prefix + "."
+    rows: dict[str, float] = {}
+    native = 0.0
+    stack = list(reversed(trace.spans))
+    while stack:
+        sp = stack.pop()
+        if not sp.name.startswith(head):
+            stack.extend(reversed(sp.children))
+            continue
+        stage = sp.name[len(head):].split(".", 1)[0]
+        inner = _native_seconds(sp)
+        rows[stage] = rows.get(stage, 0.0) + sp.dur - inner
+        native += inner
+    if native > 0:
+        rows["native"] = native
+    return rows
+
+
+def stage_table(
+    trace: Trace, prefix: str, *, title: str = "stage", labels: dict | None = None
+) -> str:
+    """:func:`stage_times` as a table: seconds and share per row, then
+    the total.  ``labels`` renames rows (``{"kway": "kway-polish"}``)."""
+    rows = stage_times(trace, prefix)
+    total = sum(rows.values())
+    lines = [f"{title:<13} {'seconds':>8}   share"]
+    for name, s in rows.items():
+        label = (labels or {}).get(name, name)
+        lines.append(f"{label:<13} {s:8.4f}  {100.0 * s / (total or 1.0):5.1f}%")
+    lines.append(f"{'total':<13} {total:8.4f}")
     return "\n".join(lines)
 
 

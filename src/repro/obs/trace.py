@@ -1,9 +1,9 @@
 """The tracer core: ambient span trees, counters, and the clock.
 
-One mechanism replaces the repo's scattered self-observation plumbing
-(two copy-pasted ambient profilers, ad-hoc ``perf_counter`` pairs):
+The repository's one self-observation mechanism:
 
-- :func:`tracing` opens an ambient :class:`Trace` collector;
+- :func:`tracing` opens an ambient :class:`Trace` collector (nested
+  blocks shadow the outer one and restore it on exit);
 - :func:`span` times a named block into the current trace as a node of
   a hierarchical span tree (engine plan/compile, partitioner stages,
   simulator phases, solver iterations, sweep cells — see the taxonomy
@@ -33,9 +33,8 @@ their results, and the coordinator grafts it in (see
 rule ``REP008`` confines direct ``time.perf_counter`` calls to this
 package so every timing in ``src/`` flows through the same clock.
 
-:class:`AmbientCollector` is the generic single-slot ambient pattern
-both legacy profiling modules (:mod:`repro.hypergraph.profiling`,
-:mod:`repro.simulate.profiling`) are now thin adapters over.
+There is no separate profiler: the CLI's ``--profile`` tables are a
+fold over the run's trace (:func:`repro.obs.export.stage_table`).
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 __all__ = [
-    "AmbientCollector",
     "SCHEMA_VERSION",
     "Span",
     "Trace",
@@ -129,46 +127,13 @@ class Trace:
         return totals
 
 
-class AmbientCollector:
-    """A generic thread-confined ambient slot with save/restore nesting.
-
-    ``collect(value)`` installs ``value`` (or ``factory()``) as the
-    active collector for the dynamic extent of the ``with`` block and
-    restores the previous one afterwards — exception or not.  This is
-    the one implementation of the pattern the two legacy profiling
-    modules each used to carry privately as a module global.
-    """
-
-    def __init__(self, factory=None):
-        self._factory = factory
-        self._tls = threading.local()
-
-    def active(self):
-        """The installed collector, or None outside any block."""
-        return getattr(self._tls, "value", None)
-
-    @contextmanager
-    def collect(self, value=None):
-        if value is None:
-            if self._factory is None:
-                raise ValueError("no collector value and no factory")
-            value = self._factory()
-        prev = self.active()
-        self._tls.value = value
-        try:
-            yield value
-        finally:
-            self._tls.value = prev
-
-
-# The ambient trace slot and the per-thread open-span stack.
-_TRACE = AmbientCollector(Trace)
+# The ambient trace and its open-span stack, per thread.
 _TLS = threading.local()
 
 
 def active_trace() -> Trace | None:
     """The ambient trace, if a :func:`tracing` block is open."""
-    return _TRACE.active()
+    return getattr(_TLS, "trace", None)
 
 
 def current_span() -> Span | None:
@@ -185,13 +150,13 @@ def tracing(trace: Trace | None = None):
     outer collector and restore it on exit (the outer trace does not
     see the inner block's spans).
     """
-    with _TRACE.collect(trace) as tr:
-        prev_stack = getattr(_TLS, "stack", None)
-        _TLS.stack = []
-        try:
-            yield tr
-        finally:
-            _TLS.stack = prev_stack
+    tr = Trace() if trace is None else trace
+    prev = active_trace(), getattr(_TLS, "stack", None)
+    _TLS.trace, _TLS.stack = tr, []
+    try:
+        yield tr
+    finally:
+        _TLS.trace, _TLS.stack = prev
 
 
 def _attach(trace: Trace, sp: Span) -> None:
@@ -211,7 +176,7 @@ def span(name: str, **attrs):
     labelled ``error=<exception type>`` before the exception
     propagates.
     """
-    trace = _TRACE.active()
+    trace = active_trace()
     if trace is None:
         yield None
         return
@@ -234,7 +199,7 @@ def span(name: str, **attrs):
 def add(counter: str, value: float = 1) -> None:
     """Bump ``counter`` on the innermost open span (or the trace's
     global counters between spans).  No trace open → no-op."""
-    trace = _TRACE.active()
+    trace = active_trace()
     if trace is None:
         return
     sp = current_span()
@@ -246,7 +211,7 @@ def add(counter: str, value: float = 1) -> None:
 
 def event(name: str, **attrs) -> None:
     """Record an instantaneous marker (a zero-duration span)."""
-    trace = _TRACE.active()
+    trace = active_trace()
     if trace is None:
         return
     _attach(trace, Span(name=name, t0=now(), attrs=attrs))
@@ -259,7 +224,7 @@ def record(name: str, t0: float, dur: float, **attrs) -> None:
     campaign worker's cell window; the coordinator calls this to merge
     them into its trace.
     """
-    trace = _TRACE.active()
+    trace = active_trace()
     if trace is None:
         return
     _attach(trace, Span(name=name, t0=float(t0), dur=float(dur), attrs=attrs))
@@ -272,7 +237,7 @@ def graft(spans: list[Span], counters: dict) -> None:
     The spans hang under the innermost open span (or become roots);
     each counter is charged like :func:`add`.  No trace open → no-op.
     """
-    trace = _TRACE.active()
+    trace = active_trace()
     if trace is None:
         return
     for sp in spans:

@@ -26,21 +26,19 @@ compiled :class:`~repro.runtime.plan.CommPlan`.  The simulators
   derivations share;
 - :mod:`repro.simulate.report` — the mode dispatch and one-call
   evaluation producing the numbers the paper's tables report;
-- :mod:`repro.simulate.profiling` — ambient per-phase wall-clock
-  timing of the derivations (CLI ``simulate --profile``);
 - :mod:`repro.simulate.legacy` — the seed executors, frozen as the
-  independent oracle for the derivations (bit-identical ledgers).
+  independent oracle for the derivations (bit-identical ledgers); import
+  them from there, they are not part of this package's namespace.
+
+Every derivation phase runs under an ``obs.span("simulate.<phase>")``
+and every ``run_*`` call bumps the ``simulate.runs`` counter, so a
+:func:`repro.obs.tracing` block (and the CLI's ``simulate --profile``
+table folded from it) sees where executor time goes.
 """
 
 from repro.simulate.bounded import run_s2d_bounded
-from repro.simulate.legacy import (
-    legacy_run_s2d_bounded,
-    legacy_run_single_phase,
-    legacy_run_two_phase,
-)
 from repro.simulate.machine import MachineModel, SpMVRun
 from repro.simulate.messages import Ledger
-from repro.simulate.profiling import SimulateProfile
 from repro.simulate.report import PartitionQuality, evaluate
 from repro.simulate.singlephase import run_single_phase
 from repro.simulate.twophase import run_two_phase
@@ -48,14 +46,10 @@ from repro.simulate.twophase import run_two_phase
 __all__ = [
     "Ledger",
     "MachineModel",
-    "SimulateProfile",
     "SpMVRun",
     "run_single_phase",
     "run_two_phase",
     "run_s2d_bounded",
-    "legacy_run_single_phase",
-    "legacy_run_two_phase",
-    "legacy_run_s2d_bounded",
     "evaluate",
     "PartitionQuality",
 ]

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ConfigError, SimulationError
 from repro.kernels import GroupPlan, pair_counts, unique_ints
 from repro.partition.checkerboard import mesh_shape
 from repro.partition.types import SpMVPartition
-from repro.simulate import profiling
 from repro.simulate.common import (
     Derivation,
     Routing,
@@ -67,7 +67,7 @@ def derive_s2d_bounded(p: SpMVPartition, x: np.ndarray | None = None) -> Derivat
     ledger = Ledger(k)
 
     # ---------------- Precompute --------------------------------------
-    with profiling.stage("precompute"):
+    with obs.span("simulate.precompute"):
         pre_owner = owner[pre_mask]
         flops_pre = 2 * np.bincount(pre_owner, minlength=k).astype(np.int64)
         # Partials keyed (producer, row): dense keys, histogram branch.
@@ -91,7 +91,7 @@ def derive_s2d_bounded(p: SpMVPartition, x: np.ndarray | None = None) -> Derivat
     y_t = mesh_intermediate(y_src, y_dst, pc)
 
     # ---------------- Row phase (hop 1, with combining) ----------------
-    with profiling.stage("route-row"):
+    with obs.span("simulate.route-row"):
         # x: unique (src, t, j) — one copy toward each mesh column.
         # src is a function of j, so (t, j) identifies the copy; several
         # final destinations in one mesh column collapse to one key.
@@ -119,7 +119,7 @@ def derive_s2d_bounded(p: SpMVPartition, x: np.ndarray | None = None) -> Derivat
     # (items whose hop-1 was a no-op are already "at" the source.)
 
     # ---------------- Combine at intermediates -------------------------
-    with profiling.stage("combine"):
+    with obs.span("simulate.combine"):
         # Partials for the same (t, i) merge in the plan's second
         # grouping stage; each merge beyond the first is one add at t.
         ckey = y_t * nrows + y_i
@@ -140,7 +140,7 @@ def derive_s2d_bounded(p: SpMVPartition, x: np.ndarray | None = None) -> Derivat
         ).astype(np.int64)
 
     # ---------------- Column phase (hop 2) -----------------------------
-    with profiling.stage("route-col"):
+    with obs.span("simulate.route-col"):
         # (dst, j) pairs are already unique, and t is a function of
         # (owner(j), dst) — no dedup needed for the second hop.
         hop2_x = x_t != x_dst
@@ -160,7 +160,7 @@ def derive_s2d_bounded(p: SpMVPartition, x: np.ndarray | None = None) -> Derivat
         ledger.record_pairs("route-col", p2_src, p2_dst, p2_words)
 
     # ---------------- Compute ------------------------------------------
-    with profiling.stage("compute"):
+    with obs.span("simulate.compute"):
         main_owner = owner[main_mask]
         flops_main = 2 * np.bincount(main_owner, minlength=k).astype(np.int64)
         mcols = cols[main_mask]
@@ -203,5 +203,5 @@ def derive_s2d_bounded(p: SpMVPartition, x: np.ndarray | None = None) -> Derivat
 
 def run_s2d_bounded(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
     """Execute the two-hop routed single-phase SpMV under ``p``."""
-    profiling.note_run()
+    obs.add("simulate.runs")
     return derive_s2d_bounded(p, x).run()

@@ -16,9 +16,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro import obs
 from repro.errors import SimulationError
 from repro.kernels import in_sorted, unique_ints
-from repro.simulate import profiling
 from repro.simulate.machine import SpMVRun
 
 if TYPE_CHECKING:
@@ -133,7 +133,7 @@ def freeze_plan(p, executor: str, **fields) -> "CommPlan":
 
 def verify_product(m, x: np.ndarray, y: np.ndarray, model: str) -> None:
     """The final audit of every model: ``y`` must equal serial ``A @ x``."""
-    with profiling.stage("verify"):
+    with obs.span("simulate.verify"):
         if not np.allclose(y, m @ x, rtol=1e-10, atol=1e-12):
             raise SimulationError(f"{model} SpMV result differs from serial A @ x")
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ConfigError
 from repro.partition.types import SpMVPartition
-from repro.simulate import profiling
 from repro.simulate.bounded import derive_s2d_bounded
 from repro.simulate.common import Derivation
 from repro.simulate.machine import MachineModel, SpMVRun
@@ -106,7 +106,7 @@ def derive(
 
 def run_partition(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
     """Execute the simulated SpMV with the executor matching ``p.kind``."""
-    profiling.note_run()
+    obs.add("simulate.runs")
     return derive(p, x).run()
 
 

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.errors import SimulationError
 from repro.kernels import GroupPlan, pair_counts
 from repro.partition.types import SpMVPartition
-from repro.simulate import profiling
 from repro.simulate.common import (
     Derivation,
     Routing,
@@ -72,7 +72,7 @@ def derive_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> Deriva
     ledger = Ledger(k)
 
     # ---------------- Phase 1: Precompute -----------------------------
-    with profiling.stage("precompute"):
+    with obs.span("simulate.precompute"):
         pre_owner = owner[pre_mask]
         flops_pre = 2 * np.bincount(pre_owner, minlength=k).astype(np.int64)
         # Locality: the x value used here must be owned by the computing proc.
@@ -90,7 +90,7 @@ def derive_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> Deriva
             raise SimulationError("a precomputed partial is already local")
 
     # ---------------- Phase 2: Expand-and-Fold ------------------------
-    with profiling.stage("exchange"):
+    with obs.span("simulate.exchange"):
         # x needs: row-side off-diagonal nonzeros read x they do not own.
         # The sender of x_j is its owner — a function of j — so the
         # delivery items deduplicate on the narrower (receiver, j) key,
@@ -113,7 +113,7 @@ def derive_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> Deriva
         )
 
     # ---------------- Phase 3: Compute --------------------------------
-    with profiling.stage("compute"):
+    with obs.span("simulate.compute"):
         main_owner = owner[main_mask]
         flops_main = 2 * np.bincount(main_owner, minlength=k).astype(np.int64)
         mcols = cols[main_mask]
@@ -153,5 +153,5 @@ def run_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
     ``p`` must be s2D-admissible (1D rowwise/columnwise partitions are,
     trivially).  Returns the simulated run; ``run.y`` equals ``A @ x``.
     """
-    profiling.note_run()
+    obs.add("simulate.runs")
     return derive_single_phase(p, x).run()

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.kernels import GroupPlan, pair_counts
 from repro.partition.types import SpMVPartition
-from repro.simulate import profiling
 from repro.simulate.common import (
     Derivation,
     Routing,
@@ -48,7 +48,7 @@ def derive_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> Derivatio
     ledger = Ledger(k)
 
     # ---------------- Phase 1: Expand ---------------------------------
-    with profiling.stage("expand"):
+    with obs.span("simulate.expand"):
         # The sender of x_j is its owner — a function of j — so expand
         # items deduplicate on the narrower (receiver, j) key, which is
         # also the sorted join table of the compute-phase audit.
@@ -60,7 +60,7 @@ def derive_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> Derivatio
         ledger.record_pairs("expand", *pair_counts(e_src, e_dst, k))
 
     # ---------------- Phase 2: Compute --------------------------------
-    with profiling.stage("compute"):
+    with obs.span("simulate.compute"):
         flops = 2 * np.bincount(owner, minlength=k).astype(np.int64)
         # Locality audit: every expanded x read must match a delivered
         # (receiver, j) key.
@@ -73,7 +73,7 @@ def derive_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> Derivatio
         p_dst = p.vectors.y_part[p_row]
 
     # ---------------- Phase 3: Fold -----------------------------------
-    with profiling.stage("fold"):
+    with obs.span("simulate.fold"):
         away = p_holder != p_dst
         ledger.record_pairs("fold", *pair_counts(p_holder[away], p_dst[away], k))
         flops_agg = np.bincount(p_dst[away], minlength=k).astype(np.int64)
@@ -98,5 +98,5 @@ def derive_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> Derivatio
 
 def run_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
     """Execute the expand/compute/fold SpMV under partition ``p``."""
-    profiling.note_run()
+    obs.add("simulate.runs")
     return derive_two_phase(p, x).run()

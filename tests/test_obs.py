@@ -9,9 +9,11 @@ Contract under test:
 - the JSON export round-trips exactly and refuses unknown schema
   versions; the Chrome export maps ``worker`` attrs to ``tid`` rows and
   puts a ``pid``-labelled span's subtree on that process row;
-- the profiling adapters (``repro.hypergraph.profiling``,
-  ``repro.simulate.profiling``) keep their byte-compatible public APIs
-  while feeding the same tracer core;
+- the partitioner and the simulators emit their stage spans and
+  counters straight into the trace, and ``stage_table`` folds them into
+  the ``--profile`` rows (``native.*`` time on a row of its own);
+- every program span name and counter the end-to-end benchmark's layer
+  fold (``benchmarks/e2e/layers.py``) keys on is still emitted;
 - ``graft`` attaches span trees and counters collected elsewhere (a
   sweep worker's trace) exactly where ``span``/``add`` would have put
   them;
@@ -23,18 +25,17 @@ import json
 import pytest
 
 from repro import obs
-from repro.hypergraph import profiling as hprof
 from repro.obs import (
-    AmbientCollector,
     Span,
     Trace,
     from_json,
+    stage_table,
+    stage_times,
     to_chrome,
     to_json,
     tree_str,
     write_trace,
 )
-from repro.simulate import profiling as sprof
 
 
 # ----------------------------------------------------------------------
@@ -134,18 +135,24 @@ def test_graft_attaches_foreign_spans_and_counters():
 
 
 def test_ambient_collector_save_restore():
-    slot = AmbientCollector(list)
-    assert slot.active() is None
-    with slot.collect() as a:
-        assert slot.active() is a
-        with pytest.raises(ValueError):
-            with slot.collect(["inner"]) as b:
-                assert slot.active() is b
-                raise ValueError("boom")
-        assert slot.active() is a
-    assert slot.active() is None
-    with pytest.raises(ValueError):
-        AmbientCollector().collect().__enter__()  # no value, no factory
+    """Nested ``tracing`` blocks install their trace and restore the
+    outer one, with its open-span stack, on exit — exception or not."""
+    assert obs.active_trace() is None
+    given = Trace()
+    with obs.tracing() as outer:
+        with obs.span("a") as a:
+            with pytest.raises(ValueError):
+                with obs.tracing(given) as inner:
+                    assert inner is given and obs.active_trace() is given
+                    assert obs.current_span() is None
+                    with obs.span("b"):
+                        raise ValueError("boom")
+            assert obs.active_trace() is outer
+            assert obs.current_span() is a
+    assert obs.active_trace() is None and obs.current_span() is None
+    assert [sp.name for sp in outer.walk()] == ["a"]
+    assert [sp.name for sp in given.spans] == ["b"]
+    assert given.spans[0].attrs["error"] == "ValueError"
 
 
 # ----------------------------------------------------------------------
@@ -221,37 +228,59 @@ def test_tree_str_renders_counters():
 
 
 # ----------------------------------------------------------------------
-# Profiling adapters over the tracer core
+# Stage spans, counters and the --profile fold
 # ----------------------------------------------------------------------
 
 
-def test_partition_profile_api_unchanged():
-    with hprof.collect() as prof:
-        active = hprof.active_profile()
-        assert active is prof
-        with prof.stage("coarsen"):
-            pass
-        prof.add("refine", 0.25)
-    assert hprof.active_profile() is None
-    d = prof.as_dict()
-    assert set(d) >= {"coarsen_s", "refine_s"} and d["refine_s"] == 0.25
-    assert "coarsen" in prof.stage_table()
+def test_stage_table_charges_native_to_its_own_row():
+    """A kernel build inside the first ``partition.initial`` is charged
+    to a ``native`` row, not to ``initial``."""
+    build = Span("native.build", t0=1.1, dur=1.4)
+    initial = Span("partition.initial", t0=1.0, dur=1.5, children=[build])
+    coarsen = Span(
+        "partition.coarsen", t0=0.0, dur=0.5,
+        children=[Span("partition.coarsen.match", t0=0.1, dur=0.2)],
+    )
+    plan = Span("engine.plan", t0=0.0, dur=3.0, children=[coarsen, initial])
+    tr = Trace(t0=0.0, spans=[plan, Span("simulate.verify", t0=3.0, dur=0.1)])
+    times = stage_times(tr, "partition")
+    assert list(times) == ["coarsen", "initial", "native"]
+    assert times["coarsen"] == 0.5  # the match child folds in
+    assert times["initial"] == pytest.approx(0.1)
+    assert times["native"] == 1.4
+    text = stage_table(tr, "partition", labels={"coarsen": "coarsen-x"})
+    assert text.splitlines()[0].startswith("stage")
+    assert "coarsen-x" in text and "native" in text
+    assert text.splitlines()[-1].split() == ["total", "2.0000"]
+    assert stage_times(tr, "simulate") == {"verify": 0.1}
 
 
-def test_profiling_adapters_emit_spans():
+def test_profiling_adapters_emit_spans(medium_square, rng):
+    """``partition_kway`` and the simulators write their stages, the
+    bisection/level counts and ``simulate.runs`` into the open trace."""
+    from repro.hypergraph import PartitionConfig, column_net_model, partition_kway
+    from repro.simulate import run_single_phase
+    from tests.conftest import random_s2d_partition
+
+    hg = column_net_model(medium_square)
+    p = random_s2d_partition(rng, medium_square, 4)
     with obs.tracing() as tr:
-        with hprof.collect() as prof:
-            with prof.stage("coarsen"):
-                pass
-        with sprof.collect() as sp_prof:
-            with sprof.stage("expand"):
-                sprof.note_run()
+        partition_kway(hg, 4, PartitionConfig(seed=1))
+        run_single_phase(p)
     names = {sp.name for sp in tr.walk()}
-    assert "partition.coarsen" in names
-    assert "simulate.expand" in names
-    assert prof.coarsen_s >= 0.0
-    assert sp_prof.runs == 1
-    assert tr.total_counters().get("simulate.runs") == 1
+    assert {
+        "partition.coarsen", "partition.initial", "partition.refine",
+        "partition.kway", "simulate.precompute", "simulate.exchange",
+        "simulate.compute", "simulate.verify",
+    } <= names
+    counters = tr.total_counters()
+    assert counters["partition.bisections"] == 3  # K=4: root + two halves
+    assert counters["partition.levels"] >= 0
+    assert counters["simulate.runs"] == 1
+    (kway,) = [sp for sp in tr.walk() if sp.name == "partition.kway"]
+    assert set(kway.counters) == {
+        "partition.cut_before_kway", "partition.cut_after_kway"
+    }
 
 
 def test_coarsening_emits_match_and_contract_spans():
@@ -271,10 +300,21 @@ def test_coarsening_emits_match_and_contract_spans():
     assert all(names == pair * (len(names) // 2) for names in stages)
 
 
-def test_simulate_stage_noop_without_collectors():
-    # Neither a profile nor a trace open: stage() must not blow up.
-    with sprof.stage("expand"):
-        pass
+def test_simulate_stage_noop_without_collectors(medium_square, rng):
+    """Untraced runs record nothing and equal traced runs bit for bit."""
+    from repro.core import make_s2d_bounded
+    from repro.simulate import run_s2d_bounded, run_single_phase
+    from tests.conftest import random_s2d_partition
+
+    p = random_s2d_partition(rng, medium_square, 4)
+    pb = make_s2d_bounded(p)
+    plain = [run_single_phase(p), run_s2d_bounded(pb)]
+    assert obs.active_trace() is None and obs.current_span() is None
+    with obs.tracing():
+        traced = [run_single_phase(p), run_s2d_bounded(pb)]
+    for a, b in zip(plain, traced):
+        assert a.y.tobytes() == b.y.tobytes()
+        assert a.ledger.as_dict() == b.ledger.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -308,3 +348,55 @@ def test_gather_stats_aggregates_engines(small_partition):
     assert report["native"] is None
     text = obs.stats_text(report)
     assert "engine" in text
+
+
+# ----------------------------------------------------------------------
+# The end-to-end benchmark's layer fold keys on program span names
+# ----------------------------------------------------------------------
+
+
+def _bench_layers():
+    """``benchmarks/e2e/layers.py``, executed from its source text so
+    the benchmark directory is only read (no import, no bytecode)."""
+    import pathlib
+    import types
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks/e2e/layers.py"
+    module = types.ModuleType("bench_e2e_layers")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module
+
+
+def test_bench_layer_span_names_are_emitted():
+    """Every program span the benchmark folds by name (``LAYER_OF`` and
+    ``COUNTS`` outside its own ``bench.*`` wrappers) and both engine
+    cache counters appear in a traced tiny Table II plus a short traced
+    CG solve on a compiled plan — a rename fails here instead of
+    silently zeroing a per-layer metric."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    from repro.engine import PartitionEngine
+    from repro.experiments import ExperimentConfig
+    from repro.experiments.tables import run_table2
+    from repro.generators.mesh import poisson2d
+    from repro.solvers import conjugate_gradient
+
+    layers = _bench_layers()
+    wanted = {
+        name
+        for name in (*layers.LAYER_OF, *layers.COUNTS.values())
+        if not name.startswith("bench.")
+    }
+    with obs.tracing() as tr:
+        run_table2(ExperimentConfig(scale="tiny"))
+        grid = abs(poisson2d(12, seed=2))
+        a = (grid + grid.T + 20.0 * sp.eye(grid.shape[0])).tocoo()  # SPD
+        eng = PartitionEngine(a, seed=1)
+        plan = eng.plan("s2d-heuristic", 4)
+        conjugate_gradient(
+            plan.partition, np.ones(a.shape[0]), iters=3, plan=eng.compiled_plan(plan)
+        )
+    emitted = {sp.name for sp in tr.walk()}
+    assert wanted - emitted == set()
+    assert {"engine.cache_hits", "engine.cache_misses"} <= set(tr.total_counters())

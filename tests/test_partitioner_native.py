@@ -25,6 +25,9 @@ here:
 - the FM set-up state (pin counts, gains, side weights, cut) over the
   same five families, both models and both constraint counts;
 - whole-``partition_kway`` identity, including fine-grain at K=64;
+- the K-way polish never raises the connectivity-1 cost of the
+  recursive-bisection partition, and the traced before/after counters
+  on ``partition.kway`` are exactly those two costs;
 - without a compiler, ``auto`` falls back to NumPy with the same
   partition;
 - the duplicate-pin precondition, the debug-mode bounds guard and the
@@ -37,6 +40,7 @@ import numpy as np
 import pytest
 
 import repro.native.build as native_build
+from repro import obs
 from repro.errors import ModelError, VerificationError
 from repro.generators.circuit import banded_with_dense_rows, circuit_like
 from repro.generators.mesh import knn_mesh, poisson2d
@@ -45,6 +49,7 @@ from repro.hypergraph import (
     Hypergraph,
     PartitionConfig,
     column_net_model,
+    connectivity_minus_one,
     fine_grain_model,
     partition_kway,
 )
@@ -478,6 +483,27 @@ def test_auto_without_compiler_falls_back_to_the_same_partition(monkeypatch):
     finally:
         _reset_native_state()
     assert np.array_equal(native, fallback)
+
+
+@pytest.mark.parametrize("k", [4, 8])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_kway_polish_invariant_through_partition_kway(family, k):
+    """Same seed with and without the polish: the polish consumes no
+    random numbers, so ``kway_passes=0`` yields the partition it
+    starts from, and it only applies positive-gain moves."""
+    hg = _model(family, 1)
+    seed = 2 + k
+    unpolished = partition_kway(hg, k, PartitionConfig(seed=seed, kway_passes=0))
+    with obs.tracing() as tr:
+        polished = partition_kway(hg, k, PartitionConfig(seed=seed))
+    before = connectivity_minus_one(hg, unpolished)
+    after = connectivity_minus_one(hg, polished)
+    assert before >= after
+    (kway,) = [sp for sp in tr.walk() if sp.name == "partition.kway"]
+    assert kway.counters == {
+        "partition.cut_before_kway": before,
+        "partition.cut_after_kway": after,
+    }
 
 
 # ----------------------------------------------------------------------

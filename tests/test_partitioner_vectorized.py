@@ -1,15 +1,15 @@
 """The vectorized partitioner core: determinism, quality vs the seed
-implementation, kernel correctness, edge cases, and profiling hooks."""
+implementation, kernel correctness, edge cases, and the stage spans
+the ``--profile`` table is folded from."""
 
 import numpy as np
 import pytest
 
-from repro.engine import PartitionEngine
+from repro import obs
 from repro.generators.suite import table1_suite
 from repro.hypergraph import (
     Hypergraph,
     PartitionConfig,
-    PartitionProfile,
     column_net_model,
     connectivity_minus_one,
     partition_kway,
@@ -284,45 +284,25 @@ def test_kway_polish_never_increases_cost(seed):
     assert connectivity_minus_one(hg, polished) <= before
 
 
-def test_profile_records_kway_regression(medium_square):
-    """The profile's before/after connectivity pins the polish invariant."""
-    hg = column_net_model(medium_square)
-    prof = PartitionProfile()
-    part = partition_kway(hg, 8, PartitionConfig(seed=2), profile=prof)
-    assert prof.cut_before_kway is not None
-    assert prof.cut_after_kway <= prof.cut_before_kway
-    assert prof.cut_after_kway == connectivity_minus_one(hg, part)
-
-
 # ----------------------------------------------------------------------
-# Profiling hooks
+# Stage spans
 # ----------------------------------------------------------------------
 
 
 def test_partition_profile_stages(medium_square):
     hg = column_net_model(medium_square)
-    prof = PartitionProfile()
-    partition_kway(hg, 8, PartitionConfig(seed=1), profile=prof)
-    assert prof.total_s > 0
-    assert prof.bisections >= 7  # K=8 recursive bisection tree
-    for stage in ("coarsen_s", "initial_s", "refine_s", "kway_s"):
-        assert getattr(prof, stage) >= 0
-    d = prof.as_dict()
-    assert set(d) >= {"coarsen_s", "initial_s", "refine_s", "kway_s", "total_s"}
-    assert "connectivity-1" in prof.stage_table()
-
-
-def test_engine_plan_profile(small_square):
-    eng = PartitionEngine(small_square, seed=1)
-    plan = eng.plan("1d-rowwise", 4, profile=True)
-    assert plan.profile is not None
-    assert plan.profile.total_s > 0
-    # unprofiled plans stay unprofiled (separate memo entries)
-    plain = eng.plan("1d-rowwise", 4)
-    assert plain.profile is None
-    assert np.array_equal(
-        plain.partition.nnz_part, plan.partition.nnz_part
-    )
+    with obs.tracing() as tr:
+        partition_kway(hg, 8, PartitionConfig(seed=1))
+    times = obs.stage_times(tr, "partition")
+    # A kernel build on first use adds a trailing "native" row.
+    assert [s for s in times if s != "native"] == ["coarsen", "initial", "refine", "kway"]
+    assert all(s >= 0 for s in times.values()) and sum(times.values()) > 0
+    counters = tr.total_counters()
+    assert counters["partition.bisections"] == 7  # K=8 recursive bisection tree
+    assert counters["partition.levels"] >= 0
+    assert "partition.cut_before_kway" in counters
+    table = obs.stage_table(tr, "partition", labels={"kway": "kway-polish"})
+    assert "kway-polish" in table and "total" in table
 
 
 def test_cli_partition_profile(capsys):
@@ -341,3 +321,10 @@ def test_cli_partition_profile(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "coarsen" in out and "refine" in out and "kway-polish" in out
+    # With --trace as well, one trace feeds both views.
+    argv = ["partition", "--matrix", "trdheim", "--scheme", "1d", "--k", "4",
+            "--scale", "tiny", "--profile", "--trace", "-"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "kway-polish" in out and "connectivity-1:" in out
+    assert "  partition.coarsen" in out and "partition.kway" in out

@@ -14,13 +14,11 @@ from repro.core import make_s2d_bounded
 from repro.generators.suite import table1_suite
 from repro.hypergraph import PartitionConfig
 from repro.partition import partition_1d_rowwise, partition_2d_finegrain
-from repro.simulate import (
+from repro.simulate import run_s2d_bounded, run_single_phase, run_two_phase
+from repro.simulate.legacy import (
     legacy_run_s2d_bounded,
     legacy_run_single_phase,
     legacy_run_two_phase,
-    run_s2d_bounded,
-    run_single_phase,
-    run_two_phase,
 )
 from tests.conftest import random_s2d_partition
 
