@@ -33,8 +33,10 @@ simulator.  Emits ``BENCH_runtime.json`` at the repository root.
 Acceptance: ≥ 5× per-iteration speedup for the single-phase model on
 the ~10k-vertex mesh at K = 64, with compile amortized within ≤ 10
 iterations; where the native backend is available, additionally a
-≥ 2.5× native-over-NumPy apply speedup for the single-phase model at
-K = 64 on BOTH benchmark matrices.
+≥ 2.5× native-over-NumPy apply speedup and a native apply at most
+``VS_SCIPY_NATIVE_TARGET``× the scipy CSR matvec (a ceiling on
+``vs_scipy_native``) for the single-phase model at K = 64 on BOTH
+benchmark matrices.
 
 Run directly (no pytest machinery needed)::
 
@@ -55,6 +57,11 @@ SEED = 17
 SPEEDUP_TARGET = 5.0
 AMORTIZE_TARGET = 10.0
 NATIVE_SPEEDUP_TARGET = 2.5
+# Ceiling on native apply / scipy CSR matvec.  The cyclic partitions
+# put about half the nonzeros in the precompute, whose grouped scatter
+# and fold a CSR matvec does not pay, so the one-call apply measures
+# about 2-3x here (it is 1.2-1.6x on the solve workloads' partitions).
+VS_SCIPY_NATIVE_TARGET = 4.0
 ACCEPTANCE_MODEL = "mesh10k"  # the ~10k-vertex suite mesh
 ACCEPTANCE_K = 64
 ACCEPTANCE_EXECUTOR = "single"
@@ -261,6 +268,9 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
         and e["native_speedup"] >= NATIVE_SPEEDUP_TARGET
         for e in native_gate
     )
+    vs_scipy_ok = quick or (not have_native) or all(
+        e["vs_scipy_native"] <= VS_SCIPY_NATIVE_TARGET for e in native_gate
+    )
     result = {
         "config": {"seed": SEED, "quick": quick, "ks": list(ks), "nrhs": NRHS},
         "native": {
@@ -282,12 +292,19 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
             },
             "native_speedup_target": NATIVE_SPEEDUP_TARGET,
             "native_passed": native_ok,
+            "vs_scipy_natives": {
+                e["model"]: e["vs_scipy_native"] for e in native_gate
+            },
+            "vs_scipy_native_target": VS_SCIPY_NATIVE_TARGET,
+            "vs_scipy_native_target_applies": have_native and not quick,
+            "vs_scipy_passed": vs_scipy_ok,
             "identical": all_identical,
             "passed": bool(
                 accept["speedup"] >= SPEEDUP_TARGET
                 and accept["amortize_iters"] <= AMORTIZE_TARGET
                 and all_identical
                 and native_ok
+                and vs_scipy_ok
             ),
         },
     }

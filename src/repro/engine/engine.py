@@ -16,13 +16,19 @@ partitioning methods share:
 
 ``plan()`` itself is memoized, so a table experiment comparing five
 methods on one matrix touches the matrix's block structure exactly
-once.  Set ``cache=False`` to rebuild everything per call (the
-equivalence tests pin that both modes produce identical results).
+once.  The memo holds each plan's partition and only a weak reference
+to the :class:`Plan` around it: a plan points back at its engine, and
+a memo holding plans made every engine a reference cycle, whose
+memory only a full garbage collection could free.  Without the cycle
+a dropped engine is freed at once.  Set ``cache=False`` to rebuild
+everything per call (the equivalence tests pin that both modes produce
+identical results).
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -143,6 +149,9 @@ class PartitionEngine:
         self.cache_enabled = bool(cache)
         self.artifacts = artifacts
         self._store: dict = {}
+        # key -> the live Plan around a memoized partition (weak: a plan
+        # references its engine, see the module docstring).
+        self._plans: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self._matrix_digest: str | None = None
         self.cache_stats = {"hits": 0, "misses": 0}
         obs.register_engine(self)
@@ -300,14 +309,15 @@ class PartitionEngine:
         ``seed`` actually governs the result.  Method-specific options
         (``w_lim``, ``shape``, ``vectors`` …) pass through ``opts`` and
         participate in the memo key, as does the engine-level
-        ``epsilon`` default the s2D builders fall back to.
+        ``epsilon`` default the s2D builders fall back to.  While a
+        returned plan is alive, later calls return that same object.
         """
         name = resolve_method(method)
         if config is None:
             config = self.partitioner()
         key = self.plan_key(name, nparts, config=config, **opts)
 
-        def build() -> Plan:
+        def build() -> SpMVPartition:
             partition = None
             if self.artifacts is not None:
                 partition = self.artifacts.fetch_partition(self.matrix_digest, key)
@@ -315,16 +325,19 @@ class PartitionEngine:
                 partition = METHODS[name](self, nparts, config, opts)
                 if self.artifacts is not None:
                     self.artifacts.store_partition(self.matrix_digest, key, partition)
-            return Plan(
-                method=name,
-                nparts=int(nparts),
-                partition=partition,
-                engine=self,
-                key=key,
-            )
+            return partition
 
         with obs.span("engine.plan", method=name, k=int(nparts)):
-            return self._memo(key, build)
+            partition = self._memo(key, build)
+        plan = self._plans.get(key) if self.cache_enabled else None
+        # A live plan may wrap a partition clear_cache() has since dropped.
+        if plan is None or plan.partition is not partition:
+            plan = Plan(
+                method=name, nparts=int(nparts), partition=partition, engine=self, key=key
+            )
+            if self.cache_enabled:
+                self._plans[key] = plan
+        return plan
 
     def run(self, plan: Plan, x: np.ndarray | None = None) -> SpMVRun:
         """Memoized simulated SpMV execution of a plan."""

@@ -5,8 +5,9 @@ The kernels (``kernels.c``) serve two layers:
 - the compiled :class:`~repro.runtime.CommPlan`, whose NumPy gathers
   and scatter-sums are multi-pass, temporary-allocating operations
   (``plan.apply`` sat ~5–6× above the raw single-core scipy CSR floor):
-  four tiny loops fuse gather → multiply → group-sum scatter into
-  single passes;
+  ``repro_plan_apply`` runs a whole apply — grouped precompute,
+  routed combine, row-segmented main products and fold — in one call,
+  and two index-order scatter loops serve the serial shard replay;
 - the hypergraph partitioner, whose FM pass loop and K-way polish make
   one move at a time and paid a dozen NumPy calls per move:
   ``repro_fm_passes`` (state set-up included) and ``repro_kway_passes``
@@ -35,9 +36,10 @@ via :mod:`ctypes`, and dispatched behind a feature flag:
   NumPy kernels and records the reason (``native_status()``, surfaced
   by the CLI ``native-info`` subcommand).
 
-The C accumulations iterate in index order, so every sum reproduces
-``np.bincount``/``np.add.at`` element order bit for bit — the golden
-y/ledger/flops pins hold unchanged under the native backend.  The
+The C accumulations iterate in index order (the main products of a row
+in a register from +0.0, as ``np.bincount`` sums a bin), so every sum
+reproduces ``np.bincount``/``np.add.at`` element order bit for bit —
+the golden y/ledger/flops pins hold unchanged under the native backend.  The
 partitioner kernels work on integer gains, counts and costs, or sum
 float scores and gains in the NumPy loops' order, with the same
 float64 balance arithmetic, tie-breaks and net order, so partitions

@@ -96,7 +96,7 @@ SANITIZE_ENV = "REPRO_NATIVE_SANITIZE"
 DEBUG_ENV = "REPRO_NATIVE_DEBUG"
 BACKENDS = ("auto", "numpy", "native")
 
-ABI_VERSION = 4
+ABI_VERSION = 5
 CFLAGS = ("-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off")
 # The sanitizer variant keeps -ffp-contract=off and the same loop code,
 # so its outputs stay bit-identical; -O1 keeps ASan shadow checks fast
@@ -113,17 +113,17 @@ _SOURCE = Path(__file__).with_name("kernels.c")
 _F64 = ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _I64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _INT = ctypes.c_int64
-# The partitioner's entry points take bare pointers: ndpointer's
-# from_param costs microseconds per array, and a V-cycle makes
-# thousands of calls with a dozen arrays each.  ops.py checks dtype and
-# contiguity itself before taking the address.
+# The plan apply and the partitioner's entry points take bare pointers:
+# ndpointer's from_param costs microseconds per array, a solve makes
+# hundreds of applies and a V-cycle thousands of calls with a dozen
+# arrays each.  ops.py checks dtype and contiguity itself before taking
+# the address.
 _PTR = ctypes.c_void_p
 # name -> (argtypes, restype)
 _SIGNATURES = {
     "repro_gather_mul_scatter": ([_INT, _F64, _I64, _F64, _I64, _F64], None),
     "repro_scatter_add": ([_INT, _I64, _F64, _F64], None),
-    "repro_gather_mul_scatter_many": ([_INT, _INT, _F64, _I64, _F64, _I64, _F64], None),
-    "repro_scatter_add_many": ([_INT, _INT, _I64, _F64, _F64], None),
+    "repro_plan_apply": ([_INT] * 5 + [_PTR] * 8 + [_INT] + [_PTR] * 3, None),
     "repro_fm_passes": ([_INT] * 6 + [ctypes.c_double] + [_PTR] * 14, _INT),
     "repro_kway_passes": ([_INT] * 5 + [_PTR] * 12, None),
     "repro_hcm_match": ([_INT] + [_PTR] * 11, None),
@@ -138,11 +138,12 @@ class KernelLib:
 
     ``gather_mul_scatter(n, vals, cols, x, idx, acc)`` and friends are
     raw ctypes functions — callers pass C-contiguous float64/int64
-    arrays (enforced by the ``ndpointer`` signatures of the SpMV
-    kernels; the partitioner kernels take addresses that
-    :mod:`repro.native.ops` checks and extracts) and own all
-    allocation; see :mod:`repro.native.ops` for the array-level
-    wrappers the runtime actually uses.
+    arrays (enforced by the ``ndpointer`` signatures of the two shard
+    replay scatters; ``plan_apply`` and the partitioner kernels take
+    addresses that :mod:`repro.native.ops` checks and extracts) and own
+    all allocation; see :mod:`repro.native.ops` for the array-level
+    wrappers and :class:`repro.runtime.plan.CommPlan` for the plan
+    apply.
     """
 
     def __init__(self, path: Path):

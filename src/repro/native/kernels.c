@@ -1,7 +1,9 @@
 /* Native kernels of two layers:
  *
- * - fused gather / multiply / group-sum scatter loops for the compiled
- *   SpMV runtime (repro.runtime.plan, repro.runtime.shards);
+ * - the compiled SpMV runtime: repro_plan_apply runs a whole
+ *   CommPlan apply (repro.runtime.plan) in one call, and the two
+ *   index-order scatter loops serve the serial shard replay
+ *   (repro.runtime.shards);
  * - the per-vertex and per-move loops of the hypergraph partitioner:
  *   the FM set-up and pass loop of repro.hypergraph.refine, the K-way
  *   greedy polish of repro.hypergraph.kway, the heavy-connectivity
@@ -11,24 +13,29 @@
  *
  * No kernel allocates: callers pass every output and workspace array.
  *
- * Bit-identity contract of the SpMV kernels with the NumPy kernels they
- * replace:
+ * Bit-identity contract of the SpMV kernels with the NumPy apply
+ * (CommPlan._apply_y_numpy):
  *
- * - every accumulation iterates items in index order, so the additions
- *   into each output slot happen in exactly the element order of
+ * - every scatter iterates items in index order, so the additions into
+ *   each output slot happen in exactly the element order of
  *   np.bincount(idx, weights=w) and np.add.at(acc, idx, w);
+ * - the main products of one row are summed in a register that starts
+ *   at +0.0 and adds the row's products in element order.  np.bincount
+ *   starts every bin at +0.0 and adds its weights in element order too,
+ *   so when a row's products are contiguous and in order (main_rows is
+ *   nondecreasing, checked when the plan state is built) the register
+ *   performs the identical additions.  Starting from +0.0 matters: a
+ *   row whose only products are -0.0 sums to +0.0, as in bincount;
  * - each product rounds to double before the add.  The build always
  *   passes -ffp-contract=off, so the compiler cannot contract the
  *   multiply-add into an FMA (which would skip the intermediate
  *   rounding and change the low bits);
- * - no reassociation: strict IEEE semantics are the C default, and the
- *   scatter loops carry a loop-dependent store that blocks
- *   autovectorization of the adds.
+ * - no reassociation: strict IEEE semantics are the C default, so the
+ *   register sum is not split into vector lanes.
  *
- * The batched (_many) variants process r right-hand-side columns per
- * item, matching np.add.at's row-vector accumulation: per column the
- * item order is identical to the single-RHS kernel, so batched results
- * equal sequential single applies bitwise.
+ * With r right-hand sides (x of shape (ncols, r), row-major) every
+ * column runs the single-column order, so batched results equal
+ * sequential single applies bitwise.
  */
 
 #include <math.h>
@@ -39,7 +46,7 @@
 
 /* Bumped whenever an exported signature changes; the loader refuses a
  * cached .so whose ABI does not match (stale-cache guard). */
-EXPORT int64_t repro_native_abi(void) { return 4; }
+EXPORT int64_t repro_native_abi(void) { return 5; }
 
 /* acc[idx[i]] += vals[i] * x[cols[i]]  — the fused expand/compute
  * inner loop: gather x, multiply by the nonzero value, scatter-add
@@ -68,17 +75,24 @@ EXPORT void repro_scatter_add(
         acc[idx[i]] += vals[i];
 }
 
-/* Batched repro_gather_mul_scatter over r columns:
- * acc[idx[i]*r + j] += vals[i] * x[cols[i]*r + j] for j in [0, r). */
-EXPORT void repro_gather_mul_scatter_many(
-    int64_t n,
-    int64_t r,
-    const double *restrict vals,
-    const int64_t *restrict cols,
-    const double *restrict x,
-    const int64_t *restrict idx,
+static void zero(double *a, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        a[i] = 0.0;
+}
+
+/* repro_gather_mul_scatter over r columns into a zeroed acc of m rows. */
+static void gather_mul_scatter_r(
+    int64_t n, int64_t r, int64_t m,
+    const double *restrict vals, const int64_t *restrict cols,
+    const double *restrict x, const int64_t *restrict idx,
     double *restrict acc)
 {
+    zero(acc, m * r);
+    if (r == 1) {
+        repro_gather_mul_scatter(n, vals, cols, x, idx, acc);
+        return;
+    }
     for (int64_t i = 0; i < n; i++) {
         const double v = vals[i];
         const double *restrict xrow = x + cols[i] * r;
@@ -88,20 +102,97 @@ EXPORT void repro_gather_mul_scatter_many(
     }
 }
 
-/* Batched repro_scatter_add over r columns:
- * acc[idx[i]*r + j] += vals[i*r + j]. */
-EXPORT void repro_scatter_add_many(
-    int64_t n,
-    int64_t r,
-    const int64_t *restrict idx,
-    const double *restrict vals,
+/* repro_scatter_add over r columns into a zeroed acc of m rows. */
+static void scatter_add_r(
+    int64_t n, int64_t r, int64_t m,
+    const int64_t *restrict idx, const double *restrict vals,
     double *restrict acc)
 {
+    zero(acc, m * r);
+    if (r == 1) {
+        repro_scatter_add(n, idx, vals, acc);
+        return;
+    }
     for (int64_t i = 0; i < n; i++) {
         const double *restrict vrow = vals + i * r;
         double *restrict arow = acc + idx[i] * r;
         for (int64_t j = 0; j < r; j++)
             arow[j] += vrow[j];
+    }
+}
+
+/* One CommPlan apply, y = A x, over r right-hand sides (x is (ncols, r)
+ * and y (nrows, r), row-major):
+ *
+ *   psums[g1[i]] += pre_vals[i] * x[pre_cols[i]]       (ng1 groups)
+ *   fsums[g2[i]] += psums[i]        when g2 != NULL     (ng2 groups)
+ *   y[row] = sum of main_vals[k] * x[main_cols[k]]
+ *            over k in ptr[row]..ptr[row+1]              (ptr != NULL)
+ *   y[fold_rows[i]] += fsums[i]     through a zeroed nrows buffer,
+ *                                   then one y += fold (nfold > 0)
+ *
+ * Two-phase plans have no main section (ptr == NULL): y is the fold
+ * scatter alone.  work holds ng1*r doubles for psums, then ng2*r for
+ * fsums when g2 != NULL, then nrows*r for the fold buffer when there
+ * is a main section and nfold > 0; every piece is zeroed here.  The
+ * group indices are compact (each below its group count).
+ *
+ * The main products are summed per row in a register, not scattered:
+ * a scatter's read-modify-write of y[row] puts a store-to-load
+ * dependency through memory on every product. */
+EXPORT void repro_plan_apply(
+    int64_t nrows, int64_t npre, int64_t ng1, int64_t ng2, int64_t nfold,
+    const double *restrict pre_vals,
+    const int64_t *restrict pre_cols,
+    const int64_t *restrict g1,
+    const int64_t *restrict g2,
+    const int64_t *restrict fold_rows,
+    const int64_t *restrict ptr,
+    const int64_t *restrict main_cols,
+    const double *restrict main_vals,
+    int64_t r,
+    const double *restrict x,
+    double *restrict y,
+    double *restrict work)
+{
+    double *psums = work;
+    gather_mul_scatter_r(npre, r, ng1, pre_vals, pre_cols, x, g1, psums);
+    const double *fsums = psums;
+    work += ng1 * r;
+    if (g2 != NULL) {
+        scatter_add_r(ng1, r, ng2, g2, psums, work);
+        fsums = work;
+        work += ng2 * r;
+    }
+    if (ptr == NULL) {
+        scatter_add_r(nfold, r, nrows, fold_rows, fsums, y);
+        return;
+    }
+    if (r == 1) {
+        for (int64_t row = 0; row < nrows; row++) {
+            double s = 0.0;
+            for (int64_t k = ptr[row]; k < ptr[row + 1]; k++)
+                s += main_vals[k] * x[main_cols[k]];
+            y[row] = s;
+        }
+    } else {
+        for (int64_t row = 0; row < nrows; row++) {
+            double *restrict yrow = y + row * r;
+            zero(yrow, r);
+            for (int64_t k = ptr[row]; k < ptr[row + 1]; k++) {
+                const double v = main_vals[k];
+                const double *restrict xrow = x + main_cols[k] * r;
+                for (int64_t j = 0; j < r; j++)
+                    yrow[j] += v * xrow[j];
+            }
+        }
+    }
+    if (nfold > 0) {
+        /* A separate accumulator, then one vector add: the association
+         * of the NumPy y += np.bincount(fold_rows, fsums). */
+        scatter_add_r(nfold, r, nrows, fold_rows, fsums, work);
+        for (int64_t i = 0; i < nrows * r; i++)
+            y[i] += work[i];
     }
 }
 

@@ -1,11 +1,14 @@
 """Array-level wrappers over the native kernel library.
 
-Each SpMV function mirrors one NumPy formulation used by the compiled
-runtime and produces bit-identical float64 results (same element
-order, same rounding — see ``kernels.c``).  All take the loaded
+Each SpMV function mirrors one NumPy formulation used by the serial
+shard replay (:mod:`repro.runtime.shards`) and produces bit-identical
+float64 results (same element order, same rounding — see
+``kernels.c``).  All take the loaded
 :class:`~repro.native.build.KernelLib` first; callers resolve the
-backend and fetch the library once (per plan / per worker), so the per
--apply overhead is a handful of ctypes calls.
+backend and fetch the library once (per replay).  A whole
+:class:`~repro.runtime.CommPlan` apply is one ``lib.plan_apply`` call
+made by the plan itself, with the addresses :func:`addresses` checks
+and extracts.
 
 ``group`` arguments are ``(index, length)`` pairs produced by
 :func:`compact_group` from a duck-typed group plan with the
@@ -47,21 +50,18 @@ from repro.errors import VerificationError
 from repro.native import build as _build
 
 __all__ = [
+    "addresses",
     "compact_group",
     "contract",
     "fm_passes",
     "fused_group_gather",
-    "fused_group_gather_many",
     "greedy_grow",
     "group_apply",
-    "group_apply_many",
     "hcm_match",
     "kway_passes",
     "random_fill",
     "scatter_products",
-    "scatter_products_many",
     "scatter_sum",
-    "scatter_sum_many",
 ]
 
 
@@ -180,72 +180,14 @@ def scatter_sum(lib, rows, values, nrows: int) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------- batched
-
-
-def fused_group_gather_many(lib, group, vals, cols, xs) -> np.ndarray:
-    """Batched :func:`fused_group_gather` over ``xs`` of shape (ncols, r)."""
-    idx, length = group
-    r = xs.shape[1]
-    if _build.debug_bounds_enabled():
-        _validate(
-            "gather_mul_scatter_many", vals.size,
-            ("cols", cols, xs.shape[0], vals.size),
-            ("group index", idx, length, vals.size),
-        )
-    acc = np.zeros((length, r))
-    lib.gather_mul_scatter_many(
-        vals.size, r, _f64(vals), _i64(cols), _f64(xs), idx, acc
-    )
-    return acc
-
-
-def group_apply_many(lib, group, values) -> np.ndarray:
-    """Batched :func:`group_apply` over ``values`` of shape (items, r)."""
-    idx, length = group
-    if _build.debug_bounds_enabled():
-        _validate(
-            "scatter_add_many", values.shape[0],
-            ("group index", idx, length, values.shape[0]),
-        )
-    acc = np.zeros((length, values.shape[1]))
-    lib.scatter_add_many(values.shape[0], values.shape[1], idx, _f64(values), acc)
-    return acc
-
-
-def scatter_products_many(lib, rows, vals, cols, xs, nrows: int) -> np.ndarray:
-    """Batched :func:`scatter_products` over ``xs`` of shape (ncols, r)."""
-    if _build.debug_bounds_enabled():
-        _validate(
-            "gather_mul_scatter_many", vals.size,
-            ("rows", rows, nrows, vals.size),
-            ("cols", cols, xs.shape[0], vals.size),
-        )
-    y = np.zeros((nrows, xs.shape[1]))
-    lib.gather_mul_scatter_many(
-        vals.size, xs.shape[1], _f64(vals), _i64(cols), _f64(xs), _i64(rows), y
-    )
-    return y
-
-
-def scatter_sum_many(lib, rows, values, nrows: int) -> np.ndarray:
-    """Batched :func:`scatter_sum` over ``values`` of shape (items, r)."""
-    if _build.debug_bounds_enabled():
-        _validate(
-            "scatter_add_many", values.shape[0],
-            ("rows", rows, nrows, values.shape[0]),
-        )
-    out = np.zeros((nrows, values.shape[1]))
-    lib.scatter_add_many(values.shape[0], values.shape[1], _i64(rows), _f64(values), out)
-    return out
-
-
-# ------------------------------------------------------------ partitioner
+# ------------------------------------------------- bare-pointer kernels
 #
-# The partitioner kernels take bare addresses (build._PTR): the V-cycle
-# makes thousands of calls with up to 14 arrays each, and ndpointer's
-# per-array check cost more than some of the loops.  _addrs makes the
-# same check (dtype, C-contiguity) and raises before anything enters C.
+# The plan apply and the partitioner kernels take bare addresses
+# (build._PTR): a solve makes hundreds of applies, the V-cycle
+# thousands of calls with up to 14 arrays each, and ndpointer's
+# per-array check cost more than some of the loops.  ``addresses``
+# makes the same check (dtype, C-contiguity) and raises before anything
+# enters C.
 
 _I8 = np.dtype(np.int8)
 _I64 = np.dtype(np.int64)
@@ -253,7 +195,9 @@ _F64 = np.dtype(np.float64)
 _BOOL = np.dtype(np.bool_)
 
 
-def _addr(kernel: str, name: str, a, dtype: np.dtype) -> int:
+def _addr(kernel: str, name: str, a, dtype: np.dtype) -> int | None:
+    if a is None:
+        return None
     if not isinstance(a, np.ndarray) or a.dtype != dtype or not a.flags.c_contiguous:
         got = (
             f"{a.dtype}{'' if a.flags.c_contiguous else ', not C-contiguous'}"
@@ -270,9 +214,10 @@ def _addr(kernel: str, name: str, a, dtype: np.dtype) -> int:
         return a.ctypes.data
 
 
-def _addrs(kernel: str, *specs) -> list[int]:
+def addresses(kernel: str, *specs) -> list[int | None]:
     """Data addresses of ``(name, array, dtype)`` specs, in order;
-    :class:`TypeError` for an array of another dtype or layout.
+    :class:`TypeError` for an array of another dtype or layout.  A
+    ``None`` array passes as a NULL pointer.
 
     An address does not keep its array alive: the caller must hold a
     reference to every array until the kernel returns.
@@ -335,7 +280,7 @@ def fm_passes(
     bwork = np.empty(3 * n + 2 * ncon, dtype=np.int8)
     cut = lib.fm_passes(
         n, nnets, ncon, gmax, max_passes, stall_fraction, epsilon,
-        *_addrs(
+        *addresses(
             "fm_passes",
             ("xpins", xpins, _I64), ("pins", pins, _I64), ("ncosts", ncosts, _I64),
             ("vipt", vipt, _I64), ("vnets", vnets, _I64),
@@ -377,7 +322,7 @@ def kway_passes(
     cut = np.empty(nnets, dtype=np.int8)
     lib.kway_passes(
         n, nnets, nparts, ncon, max_passes,
-        *_addrs(
+        *addresses(
             "kway_passes",
             ("xnets", xnets, _I64), ("nets", nets, _I64), ("vipt", vipt, _I64),
             ("vnets", vnets, _I64), ("ncosts", ncosts, _I64),
@@ -434,7 +379,7 @@ def hcm_match(lib, *, xpins, pins, xnets, nets, valid, contrib, order) -> np.nda
     mark = np.zeros(n, dtype=np.int8)
     lib.hcm_match(
         n,
-        *_addrs(
+        *addresses(
             "hcm_match", *incidence, ("order", order, _I64), ("mate", mate, _I64),
             ("acc", acc, _F64), ("touched", touched, _I64), ("mark", mark, _I8),
         ),
@@ -468,7 +413,7 @@ def greedy_grow(
     pw0 = np.zeros(ncon)
     lib.greedy_grow(
         n, ncon,
-        *_addrs(
+        *addresses(
             "greedy_grow", *incidence, ("vweights", vweights, _I64), ("t0", t0, _F64),
             ("seed_order", seed_order, _I64), ("part", part, _I8), ("gain", gain, _F64),
             ("heap", heap, _I64), ("pos", pos, _I64), ("state", state, _I8),
@@ -495,7 +440,7 @@ def random_fill(lib, *, vweights, t0, order) -> np.ndarray:
     pw0 = np.zeros(ncon, dtype=np.int64)
     lib.random_fill(
         n, ncon,
-        *_addrs(
+        *addresses(
             "random_fill", ("vweights", vweights, _I64), ("t0", t0, _F64),
             ("order", order, _I64), ("part", part, _I8), ("pw0", pw0, _I64),
         ),
@@ -541,7 +486,7 @@ def contract(
     iwork = np.empty(2 * n + 1 + 2 * npins + 12 * nnets, dtype=np.int64)
     lib.contract(
         n, nnets, ncon, hash_mask,
-        *_addrs(
+        *addresses(
             "contract",
             ("xpins", xpins, _I64), ("pins", pins, _I64), ("ncosts", ncosts, _I64),
             ("vweights", vweights, _I64), ("mate", mate, _I64), ("cmap", cmap, _I64),

@@ -24,12 +24,24 @@ compute their ``y`` with this module's NumPy apply — so a simulator's
 ``run.y`` and ``plan.apply_y`` under the NumPy backend are one
 computation, not two that must agree.  The grouping stages are frozen
 :class:`~repro.kernels.GroupPlan`s, the scatters ``np.bincount``
-accumulations.  The native C backend (:mod:`repro.native`, selected
-per call via ``backend=`` or the ``REPRO_NATIVE`` flag) runs fused
-gather/scatter loops that accumulate in index order, so native sums
-equal ``np.bincount``/``np.add.at`` element order bit for bit.
-:meth:`CommPlan.apply_many` routes each column through the same
-single-RHS accumulation order either way, so batched columns match
+accumulations.
+
+The native C backend (:mod:`repro.native`, selected per call via
+``backend=`` or the ``REPRO_NATIVE`` flag) runs a whole apply as one
+call of ``repro_plan_apply``, whose plan arrays are checked and bound
+to addresses once per plan (``_NativeApply``).  The group stages and
+the fold are index-order scatters, so every group sum equals
+``np.bincount``/``np.add.at`` element order bit for bit.  The main
+products are not scattered: the derivations emit the main section in
+row order (``main_rows`` nondecreasing — a ``plan.main-order``
+invariant of :func:`repro.verify.check_plan`), so each row's products
+are one contiguous segment, and the kernel sums it in a register that
+starts at +0.0 and adds the products in element order.  That is
+exactly what ``np.bincount`` does for the row's bin — it starts every
+bin at +0.0 and adds its weights in element order — so the register
+sum is bit-identical, down to a row of ``-0.0`` products summing to
++0.0.  :meth:`CommPlan.apply_many` runs the same call with ``r``
+columns, each in the single-RHS order, so batched columns match
 single applies bitwise too.
 """
 
@@ -40,11 +52,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.errors import SimulationError
+from repro.errors import SimulationError, VerificationError
 from repro.kernels import GroupPlan
 from repro.native import ops as native_ops
 from repro.native import resolve_backend
-from repro.native.build import get_kernels
+from repro.native.build import debug_bounds_enabled, get_kernels
 from repro.simulate.common import resolve_x
 from repro.simulate.machine import MachineModel, PhaseCost, SpMVRun
 from repro.simulate.messages import Ledger
@@ -52,80 +64,129 @@ from repro.simulate.messages import Ledger
 __all__ = ["CommPlan", "PartPlan"]
 
 
+_F64 = np.dtype(np.float64)
+_I64 = np.dtype(np.int64)
+
+
+def _plan_name(plan: "CommPlan") -> str:
+    return (
+        f"CommPlan(executor={plan.executor!r}, kind={plan.kind!r}, "
+        f"K={plan.nparts}, shape=({plan.nrows}, {plan.ncols}))"
+    )
+
+
 class _NativeApply:
-    """A plan's apply pipeline on the native C kernels.
+    """A plan's apply as one call of the native ``repro_plan_apply``.
 
     Built lazily on the first ``backend="native"`` apply and cached on
     the plan (never serialized — :meth:`CommPlan.__getstate__` drops
-    it, and :meth:`CommPlan.to_state` ignores it).  Holds nothing but
-    the loaded library plus dtype/contiguity-normalized views of the
-    plan's own index arrays, so construction is cheap and applies are
-    single fused passes per stage.
+    it, and :meth:`CommPlan.to_state` ignores it).  Construction does
+    everything iteration-invariant once: the group indices densified
+    (see ``native_ops.compact_group`` — same accumulation order, no
+    span-sized accumulators), the main section's row pointers built
+    from ``main_rows``, and every plan array checked (dtype, layout)
+    and turned into an address.  ``main_cols``/``main_vals`` are used
+    in place: the derivations emit the main section in row order, and
+    a plan whose ``main_rows`` decrease anywhere is refused with
+    :class:`~repro.errors.VerificationError` (the row-segmented kernel
+    would silently sum the wrong products).
+
+    An apply then checks ``x``, allocates ``y`` and a workspace with
+    ``np.empty`` (the plan holds no shared mutable state) and makes
+    exactly one ctypes call.  The addresses stay valid because this
+    object keeps every array it bound.
     """
 
     def __init__(self, plan: "CommPlan", lib):
-        f64 = lambda a: np.ascontiguousarray(a, dtype=np.float64)  # noqa: E731
-        i64 = lambda a: np.ascontiguousarray(a, dtype=np.int64)  # noqa: E731
-        self.lib = lib
-        self.plan = plan
-        # Everything iteration-invariant is normalized here, once: the
-        # group indices densified (see ``native_ops.compact_group`` —
-        # same accumulation order, no span-sized accumulators), the
-        # index/value arrays pinned to contiguous int64/float64.
-        self.group1 = native_ops.compact_group(plan.group1)
-        self.group2 = (
+        nrows = int(plan.nrows)
+        self.nrows, self.ncols = nrows, int(plan.ncols)
+        rows = plan.main_rows
+        ptr = main_cols = main_vals = None
+        if rows is not None:
+            if rows.size and np.any(rows[1:] < rows[:-1]):
+                raise VerificationError(
+                    f"{_plan_name(plan)}: main_rows is not nondecreasing — "
+                    "the native apply sums each row's main products as one "
+                    "contiguous segment"
+                )
+            if rows.size and (rows[0] < 0 or rows[-1] >= nrows):
+                raise VerificationError(
+                    f"{_plan_name(plan)}: main_rows has entries outside "
+                    f"[0, {nrows})"
+                )
+            ptr = np.zeros(nrows + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=nrows), out=ptr[1:])
+            main_cols = np.ascontiguousarray(plan.main_cols, dtype=np.int64)
+            main_vals = np.ascontiguousarray(plan.main_vals, dtype=np.float64)
+        g1, ng1 = native_ops.compact_group(plan.group1)
+        g2, ng2 = (
             native_ops.compact_group(plan.group2)
             if plan.group2 is not None
-            else None
+            else (None, 0)
         )
-        self.pre_vals = f64(plan.pre_vals)
-        self.pre_cols = i64(plan.pre_cols)
-        self.fold_rows = i64(plan.fold_rows)
-        self.main_rows = None if plan.main_rows is None else i64(plan.main_rows)
-        self.main_cols = None if plan.main_cols is None else i64(plan.main_cols)
-        self.main_vals = None if plan.main_vals is None else f64(plan.main_vals)
+        pre_vals = np.ascontiguousarray(plan.pre_vals, dtype=np.float64)
+        pre_cols = np.ascontiguousarray(plan.pre_cols, dtype=np.int64)
+        fold_rows = np.ascontiguousarray(plan.fold_rows, dtype=np.int64)
+        npre, nfold = int(pre_vals.size), int(fold_rows.size)
+        if debug_bounds_enabled():
+            specs = [
+                ("pre_cols", pre_cols, self.ncols, npre),
+                ("group1 index", g1, ng1, npre),
+                ("fold_rows", fold_rows, nrows, ng1 if g2 is None else ng2),
+            ]
+            if g2 is not None:
+                specs.append(("group2 index", g2, ng2, ng1))
+            if ptr is not None:
+                specs.append(("main_cols", main_cols, self.ncols, rows.size))
+                specs.append(("main_vals", main_vals, None, rows.size))
+            native_ops._validate("plan_apply", npre, *specs)
+        arrays = (
+            ("pre_vals", pre_vals, _F64), ("pre_cols", pre_cols, _I64),
+            ("group1 index", g1, _I64), ("group2 index", g2, _I64),
+            ("fold_rows", fold_rows, _I64), ("row pointers", ptr, _I64),
+            ("main_cols", main_cols, _I64), ("main_vals", main_vals, _F64),
+        )
+        self._keep = arrays
+        self._fn = lib.plan_apply
+        self._bound = (
+            nrows, npre, ng1, ng2, nfold,
+            *native_ops.addresses("plan_apply", *arrays),
+        )
+        # Per right-hand side: psums, then fsums (routed), then the
+        # fold accumulator (main section plus a fold).
+        self._work = ng1 + ng2 + (nrows if ptr is not None and nfold else 0)
+
+    def _call(self, x: np.ndarray, r: int, y: np.ndarray) -> np.ndarray:
+        work = np.empty(self._work * r)
+        self._fn(
+            *self._bound, r,
+            *native_ops.addresses(
+                "plan_apply", ("x", x, _F64), ("y", y, _F64), ("work", work, _F64)
+            ),
+        )
+        return y
 
     def apply_y(self, x: np.ndarray) -> np.ndarray:
-        p, lib = self.plan, self.lib
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        psums = native_ops.fused_group_gather(
-            lib, self.group1, self.pre_vals, self.pre_cols, x
-        )
-        fsums = (
-            native_ops.group_apply(lib, self.group2, psums)
-            if self.group2 is not None
-            else psums
-        )
-        if self.main_rows is None:
-            return native_ops.scatter_sum(lib, self.fold_rows, fsums, p.nrows)
-        y = native_ops.scatter_products(
-            lib, self.main_rows, self.main_vals, self.main_cols, x, p.nrows
-        )
-        if self.fold_rows.size:
-            # Fold into a separate accumulator, then one vector add —
-            # the same association as the NumPy ``y += bincount(...)``.
-            y += native_ops.scatter_sum(lib, self.fold_rows, fsums, p.nrows)
-        return y
+        """``y`` for a C-contiguous float64 ``x`` of length ``ncols``
+        (:class:`TypeError` / :class:`~repro.errors.SimulationError`
+        otherwise — nothing is converted here)."""
+        if getattr(x, "shape", None) != (self.ncols,):
+            raise SimulationError(
+                f"native plan apply: x has shape {getattr(x, 'shape', None)}, "
+                f"expected ({self.ncols},)"
+            )
+        return self._call(x, 1, np.empty(self.nrows))
 
     def apply_many(self, xs: np.ndarray) -> np.ndarray:
-        p, lib = self.plan, self.lib
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        psums = native_ops.fused_group_gather_many(
-            lib, self.group1, self.pre_vals, self.pre_cols, xs
-        )
-        fsums = (
-            native_ops.group_apply_many(lib, self.group2, psums)
-            if self.group2 is not None
-            else psums
-        )
-        if self.main_rows is None:
-            return native_ops.scatter_sum_many(lib, self.fold_rows, fsums, p.nrows)
-        y = native_ops.scatter_products_many(
-            lib, self.main_rows, self.main_vals, self.main_cols, xs, p.nrows
-        )
-        if self.fold_rows.size:
-            y += native_ops.scatter_sum_many(lib, self.fold_rows, fsums, p.nrows)
-        return y
+        """``Y`` (nrows, r) for a C-contiguous float64 ``xs`` (ncols, r)."""
+        shape = getattr(xs, "shape", None)
+        if shape is None or len(shape) != 2 or shape[0] != self.ncols:
+            raise SimulationError(
+                f"native plan apply: xs has shape {shape}, "
+                f"expected ({self.ncols}, r)"
+            )
+        r = int(shape[1])
+        return self._call(xs, r, np.empty((self.nrows, r)))
 
 
 # ----------------------------------------------------------------------
@@ -295,11 +356,12 @@ class CommPlan:
         """
         x = resolve_x(x, self.ncols)
         resolved = resolve_backend(backend)
-        with obs.span("plan.apply", mode=self.executor, backend=resolved):
-            obs.add("plan.sent_words", int(self.words))
-            obs.add("plan.msgs", int(self.msgs))
+        with obs.span("plan.apply", mode=self.executor, backend=resolved) as sp:
+            if sp is not None:  # the ledger sums cost more than a small apply
+                obs.add("plan.sent_words", int(self.words))
+                obs.add("plan.msgs", int(self.msgs))
             if resolved == "native":
-                return self._native().apply_y(x)
+                return self._native().apply_y(np.ascontiguousarray(x))
             return self._apply_y_numpy(x)
 
     def apply(
@@ -328,9 +390,9 @@ class CommPlan:
 
         Returns ``Y`` of shape (nrows, r); each column is bit-identical
         to ``apply_y(xs[:, j])``.  A 1-D input is promoted to a single
-        column and returned 1-D.  The native backend runs the batched C
-        kernels (one pass over the index arrays for all r columns); the
-        NumPy backend routes each column through the single-RHS kernels
+        column and returned 1-D.  The native backend makes the single
+        ``repro_plan_apply`` call with all r columns (one pass over the
+        index arrays); the NumPy backend routes each column through the single-RHS kernels
         — the former batched ``np.add.at`` formulation cost more per
         column than sequential applies, and per-column ``bincount``
         keeps the exact element order.
@@ -343,7 +405,7 @@ class CommPlan:
                 f"xs has shape {xs.shape}, expected ({self.ncols}, r)"
             )
         if resolve_backend(backend) == "native":
-            return self._native().apply_many(xs)
+            return self._native().apply_many(np.ascontiguousarray(xs))
         y = np.empty((self.nrows, xs.shape[1]))
         for j in range(xs.shape[1]):
             y[:, j] = self._apply_y_numpy(np.ascontiguousarray(xs[:, j]))

@@ -95,6 +95,11 @@ class _SpMVEngine:
         self._iter_words = self.plan.words
         self._iter_msgs = self.plan.msgs
         self._iter_time = self.plan.time(machine)
+        k = p.nparts
+        # reduction_cost's two increments, computed once: local work,
+        # then the allreduce.
+        self._reduce_local = machine.gamma * (2.0 * n / k)
+        self._reduce_allreduce = machine.alpha * float(np.ceil(np.log2(max(k, 2))))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         with obs.span("solver.matvec"):
@@ -108,9 +113,8 @@ class _SpMVEngine:
 
     def reduction_cost(self) -> None:
         """One global dot/norm: local work + an allreduce."""
-        k = self.p.nparts
-        self.time += self.machine.gamma * (2.0 * self.n / k)
-        self.time += self.machine.alpha * float(np.ceil(np.log2(max(k, 2))))
+        self.time += self._reduce_local
+        self.time += self._reduce_allreduce
 
 
 def power_iteration(

@@ -23,6 +23,9 @@ memory.  This module proves, by pure array inspection:
   exactly the precompute products, ``group2`` consumes exactly
   ``group1``'s output, the fold consumes exactly the last group
   stage's output, and ``nnz`` reconciles against the pre/main split;
+- the main section is in row order (``main_rows`` nondecreasing), so
+  each output row's main products form one contiguous segment — the
+  shape the native row-segmented apply sums in a register;
 - the executor mode, group/main field shape, ledger phase names and
   superstep cost schedule all agree with the canonical schedule of
   :data:`repro.runtime.shards.SCHEDULE`.
@@ -349,6 +352,14 @@ def check_plan(plan) -> VerifyReport:
             "plan.pipeline-sizes",
             "plan.main",
             "main_rows/main_cols/main_vals sizes disagree",
+        )
+        rows = plan.main_rows
+        ck.require(
+            not _is_int_array(rows) or rows.size < 2 or bool(np.all(rows[1:] >= rows[:-1])),
+            "plan.main-order",
+            "plan.main_rows",
+            "main_rows is not nondecreasing (the native apply sums each "
+            "row's main products as one contiguous segment)",
         )
         main_nnz = int(plan.main_rows.size)
     ck.require(

@@ -68,6 +68,28 @@ def test_dict_valued_metrics_fan_out():
     assert m["native_speedups.mesh10k"]["bound"] == 2.0
 
 
+def test_vs_scipy_is_a_dict_valued_ceiling():
+    """bench_runtime's native-apply-over-CSR ratios fan out per matrix
+    and fail when they rise above the recorded ceiling."""
+    base = {
+        "acceptance": {
+            "vs_scipy_natives": {"rmat13": 2.0, "mesh10k": 2.2},
+            "vs_scipy_native_target": 4.0,
+        }
+    }
+    m = acceptance_metrics(base)
+    assert m["vs_scipy_natives.rmat13"] == {
+        "value": 2.0, "bound": 4.0, "ceiling": True, "applies": True,
+    }
+    assert compare_bench(base, copy.deepcopy(base))["ok"]
+    fresh = copy.deepcopy(base)
+    fresh["acceptance"]["vs_scipy_natives"]["mesh10k"] = 4.5
+    result = compare_bench(base, fresh)
+    assert not result["ok"]
+    assert result["metrics"]["vs_scipy_natives.mesh10k"]["status"] == "regression"
+    assert result["metrics"]["vs_scipy_natives.rmat13"]["status"] == "ok"
+
+
 def test_identical_doc_passes():
     result = compare_bench(BASE, copy.deepcopy(BASE))
     assert result["ok"]

@@ -96,6 +96,12 @@ def test_bench_runtime_quick(tmp_path):
         else:
             assert entry["apply_native_s"] is None
     assert data["solver"]["comm_words_equal"] is True
+    acc = data["acceptance"]
+    # The vs-CSR ceiling is recorded, but only binds at full scale.
+    assert acc["vs_scipy_native_target_applies"] is False
+    assert acc["vs_scipy_passed"] is True
+    if data["native"]["available"]:
+        assert set(acc["vs_scipy_natives"]) == {e["model"] for e in data["entries"]}
     assert result["config"]["quick"] is True
 
 

@@ -5,6 +5,9 @@ with and without intermediate caching, and identical to calling the
 underlying construction functions directly.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,6 +20,7 @@ from repro.engine import (
     resolve_method,
 )
 from repro.errors import ConfigError
+from repro.native import find_compiler
 from repro.partition import partition_1d_rowwise
 from repro.partition import plan as plan_oneshot
 from repro.simulate import evaluate
@@ -72,6 +76,26 @@ def test_plan_memoized_and_cache_counted(matrix):
     again = eng.plan("s2d-heuristic", 4)
     assert again is first
     assert eng.cache_info()["hits"] > hits_after_first
+
+
+def test_dropped_engine_is_freed_without_a_gc_pass(matrix):
+    """Plans point at their engine, so the engine memoizes partitions
+    and holds its plans weakly: dropping the engine and its plans frees
+    everything by reference counting, not at some later full
+    collection (the native apply state holds no back-reference either)."""
+    gc.collect()
+    gc.disable()
+    try:
+        eng = PartitionEngine(matrix, seed=3)
+        plan = eng.plan("s2d-bounded", 4)
+        plan.quality()
+        cplan = eng.compiled_plan(plan)
+        cplan.apply_y(backend="native" if find_compiler() else "numpy")
+        engine_ref, cplan_ref = weakref.ref(eng), weakref.ref(cplan)
+        del eng, plan, cplan
+        assert engine_ref() is None and cplan_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_s2d_methods_share_block_analytics(matrix):

@@ -5,18 +5,25 @@ accumulation iterates in the exact element order of the NumPy
 ``bincount``/``add.at`` formulation it replaces, so ``y``, ledgers and
 flops must be *bit-identical* across backends on all golden instances
 and all three execution models — through ``apply``/``apply_many`` and
-the serial shard replay.  The dispatch layer is pinned separately:
+the serial shard replay.  The fused plan kernel (one C call per apply)
+is pinned on the golden instances, the partitioner families and the
+edge cases of its row-segmented sum (-0.0 products, empty rows, no
+fold, K=1, inf/NaN), together with its marshalling checks.  The dispatch layer is pinned separately:
 explicit/env/auto resolution, the silent no-compiler fallback with its
 recorded reason, build-cache reuse, the solver threading and the CLI
 surface.
 """
 
+import copy
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import repro.native.build as native_build
 from repro.cli import main
-from repro.errors import ConfigError
+from repro.engine import PartitionEngine
+from repro.errors import ConfigError, SimulationError, VerificationError
 from repro.native import (
     find_compiler,
     get_kernels,
@@ -27,9 +34,13 @@ from repro.native import (
 )
 from repro.native.build import CACHE_ENV, FLAG_ENV, _reset_native_state
 from repro.runtime import apply_shards_serial, compile_plan, shard_plan
+from repro.runtime.plan import _NativeApply
 from repro.simulate.report import run_partition
 from repro.solvers import power_iteration
+from repro.sparse.coo import canonical_coo
+from repro.verify import check_plan
 
+from tests.test_partitioner_native import FAMILIES
 from tests.test_runtime import partitioned_instances  # noqa: F401
 
 HAVE_CC = find_compiler() is not None
@@ -41,6 +52,12 @@ def clean_native_state():
     _reset_native_state()
     yield
     _reset_native_state()
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality: -0.0 differs from +0.0, a NaN equals only a NaN
+    with the same payload."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -58,7 +75,7 @@ def test_apply_bit_identical_across_backends(partitioned_instances):  # noqa: F8
         x = rng.standard_normal(plan.ncols)
         y_np = plan.apply_y(x, backend="numpy")
         y_nat = plan.apply_y(x, backend="native")
-        assert np.array_equal(y_np, y_nat)
+        assert _same_bits(y_np, y_nat)
         ref = run_partition(p, x)
         run = plan.apply(x, backend="native")
         assert np.array_equal(run.y, ref.y)
@@ -73,12 +90,12 @@ def test_apply_many_bit_identical_across_backends(partitioned_instances):  # noq
         xs = rng.standard_normal((plan.ncols, 5))
         ys_np = plan.apply_many(xs, backend="numpy")
         ys_nat = plan.apply_many(xs, backend="native")
-        assert np.array_equal(ys_np, ys_nat)
+        assert _same_bits(ys_np, ys_nat)
         # Each column must equal the single-RHS apply on both backends.
         for j in range(5):
             col = np.ascontiguousarray(xs[:, j])
-            assert np.array_equal(ys_np[:, j], plan.apply_y(col, backend="numpy"))
-            assert np.array_equal(ys_nat[:, j], plan.apply_y(col, backend="native"))
+            assert _same_bits(ys_np[:, j], plan.apply_y(col, backend="numpy"))
+            assert _same_bits(ys_nat[:, j], plan.apply_y(col, backend="native"))
 
 
 @pytest.mark.native
@@ -96,7 +113,9 @@ def test_shard_replay_bit_identical_across_backends(partitioned_instances):  # n
 
 @pytest.mark.native
 def test_ops_match_numpy_formulations():
-    """Each ops wrapper equals its documented NumPy one-liner bitwise."""
+    """Each ops wrapper equals its documented NumPy one-liner bitwise,
+    and so does every column of a native ``apply_many`` on a K=1 plan,
+    whose apply is one row-ordered ``np.bincount`` of the products."""
     lib = get_kernels()
     rng = np.random.default_rng(606)
     n, nrows, ncols = 500, 37, 41
@@ -111,13 +130,212 @@ def test_ops_match_numpy_formulations():
         ops.scatter_sum(lib, rows, w, nrows),
         np.bincount(rows, weights=w, minlength=nrows),
     )
+    a = canonical_coo(sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)))
+    plan = _plan(a, "1d-rowwise", 1)
+    assert plan.executor == "single" and plan.pre_vals.size == 0
     xs = rng.standard_normal((ncols, 3))
-    many = ops.scatter_products_many(lib, rows, vals, cols, xs, nrows)
+    many = plan.apply_many(xs, backend="native")
     for j in range(3):
-        assert np.array_equal(
+        assert _same_bits(
             many[:, j],
-            np.bincount(rows, weights=vals * xs[cols, j], minlength=nrows),
+            np.bincount(a.row, weights=a.data * xs[a.col, j], minlength=nrows),
         )
+
+
+# ----------------------------------------------------------------------
+# The fused plan kernel: one call, bit-identical, every model and edge
+# ----------------------------------------------------------------------
+
+
+def _plan(a, method: str, k: int):
+    eng = PartitionEngine(a, seed=3)
+    return eng.compiled_plan(eng.plan(method, k))
+
+
+def _assert_fused_matches_numpy(plan, x, xs=None) -> None:
+    """Native apply_y equals the NumPy apply bitwise, and every native
+    apply_many column equals the native apply_y of that column."""
+    y = plan.apply_y(x, backend="native")
+    assert _same_bits(y, plan._apply_y_numpy(x))
+    if xs is not None:
+        ys = plan.apply_many(xs, backend="native")
+        for j in range(xs.shape[1]):
+            col = np.ascontiguousarray(xs[:, j])
+            assert _same_bits(ys[:, j], plan.apply_y(col, backend="native"))
+            assert _same_bits(ys[:, j], plan._apply_y_numpy(col))
+
+
+#: Engine method -> execution model of its compiled plan.
+MODELS = {"s2d-heuristic": "single", "finegrain": "two", "s2d-bounded": "routed"}
+
+
+@pytest.mark.native
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_fused_apply_bit_identical_on_families(family):
+    """Each partitioner family under all three execution models."""
+    a = FAMILIES[family]()
+    rng = np.random.default_rng(808)
+    for method, mode in MODELS.items():
+        plan = _plan(a, method, 8)
+        assert plan.executor == mode
+        _assert_fused_matches_numpy(
+            plan, rng.standard_normal(plan.ncols), rng.standard_normal((plan.ncols, 3))
+        )
+
+
+@pytest.mark.native
+@pytest.mark.parametrize("method", sorted(MODELS) + ["1d-rowwise"])
+def test_fused_apply_negative_zero_products_sum_to_positive_zero(method):
+    """A row whose every product is -0.0 comes out +0.0, as np.bincount
+    (which starts each bin at +0.0) gives it — also with no fold term
+    to add a +0.0 afterwards (1D row-wise)."""
+    a = FAMILIES["circuit"]()
+    plan = _plan(a, method, 4)
+    x = np.random.default_rng(9).standard_normal(plan.ncols)
+    for row in (0, int(np.bincount(a.row).argmax())):
+        # x[c] = -0.0 under a positive value, +0.0 under a negative one.
+        on_row = a.row == row
+        x[a.col[on_row]] = np.where(a.data[on_row] > 0, -0.0, 0.0)
+        assert np.all(np.signbit(a.data[on_row] * x[a.col[on_row]]))
+        y = plan.apply_y(x, backend="native")
+        assert _same_bits(y[row : row + 1], np.zeros(1))
+        _assert_fused_matches_numpy(plan, x, np.column_stack([x, -x]))
+
+
+@pytest.mark.native
+@pytest.mark.parametrize("method", sorted(MODELS))
+def test_fused_apply_rows_without_main_nonzeros(method):
+    """Empty rows (no products at all) and rows whose products all go
+    through the precompute give bincount's +0.0 / fold-only sums."""
+    a = FAMILIES["knn"]()
+    keep = (a.row % 7) != 3  # every seventh row empty
+    a = canonical_coo(
+        sp.coo_matrix((a.data[keep], (a.row[keep], a.col[keep])), shape=a.shape)
+    )
+    rng = np.random.default_rng(10)
+    for k in (1, 8):
+        plan = _plan(a, method, k)
+        if plan.main_rows is not None:
+            has_main = np.bincount(plan.main_rows, minlength=plan.nrows) > 0
+            assert not has_main.all()
+        y = plan.apply_y(rng.standard_normal(plan.ncols), backend="native")
+        assert _same_bits(y[3::7], np.zeros(y[3::7].size))
+        _assert_fused_matches_numpy(
+            plan, rng.standard_normal(plan.ncols), rng.standard_normal((plan.ncols, 2))
+        )
+
+
+@pytest.mark.native
+def test_fused_apply_without_fold_and_at_k1():
+    """Plans with no fold (1D row-wise) and K=1 plans of every model."""
+    a = FAMILIES["rmat"]()
+    rng = np.random.default_rng(11)
+    plans = [_plan(a, "1d-rowwise", 4)] + [_plan(a, m, 1) for m in MODELS]
+    assert plans[0].fold_rows.size == 0 and plans[0].main_rows is not None
+    assert {p.executor for p in plans[1:]} == set(MODELS.values())
+    for plan in plans:
+        assert plan.nparts in (1, 4)
+        _assert_fused_matches_numpy(
+            plan, rng.standard_normal(plan.ncols), rng.standard_normal((plan.ncols, 3))
+        )
+
+
+@pytest.mark.native
+@pytest.mark.parametrize("method", sorted(MODELS))
+def test_fused_apply_with_inf_and_nan_in_x(method):
+    a = FAMILIES["circuit"]()
+    plan = _plan(a, method, 4)
+    x = np.random.default_rng(12).standard_normal(plan.ncols)
+    x[[3, 40]] = np.inf
+    x[[7, 41]] = np.nan
+    x[[9, 42]] = -np.inf
+    y = plan.apply_y(x, backend="native")
+    assert np.isnan(y).any() and np.isinf(y).any()
+    _assert_fused_matches_numpy(plan, x, np.column_stack([x, x[::-1]]))
+
+
+class _CountingLib:
+    """Stands in for the loaded library and counts every kernel call."""
+
+    def __init__(self, lib):
+        self.calls = []
+        for name in native_build._SIGNATURES:
+            fn = getattr(lib, name.removeprefix("repro_"))
+            setattr(self, name.removeprefix("repro_"), self._counted(name, fn))
+
+    def _counted(self, name, fn):
+        def call(*args):
+            self.calls.append(name)
+            return fn(*args)
+
+        return call
+
+
+@pytest.mark.native
+def test_every_native_apply_is_one_kernel_call(partitioned_instances):  # noqa: F811
+    rng = np.random.default_rng(13)
+    for p, _mode in partitioned_instances:
+        plan = compile_plan(p)
+        lib = _CountingLib(get_kernels())
+        plan.__dict__["_native_state"] = _NativeApply(plan, lib)
+        plan.apply_y(rng.standard_normal(plan.ncols), backend="native")
+        assert lib.calls == ["repro_plan_apply"]
+        plan.apply_many(rng.standard_normal((plan.ncols, 3)), backend="native")
+        assert lib.calls == ["repro_plan_apply"] * 2
+
+
+@pytest.mark.native
+def test_native_apply_rejects_bad_x_before_the_c_call(partitioned_instances):  # noqa: F811
+    """The bare-pointer entry points refuse a non-float64, strided or
+    wrong-length vector instead of handing C a bad address."""
+    p, _mode = partitioned_instances[2]  # routed
+    plan = compile_plan(p)
+    lib = _CountingLib(get_kernels())
+    state = _NativeApply(plan, lib)
+    x = np.random.default_rng(14).standard_normal(plan.ncols)
+    with pytest.raises(TypeError, match="x must be a C-contiguous float64"):
+        state.apply_y(x.astype(np.float32))
+    with pytest.raises(TypeError, match="not C-contiguous"):
+        state.apply_y(np.repeat(x, 2)[::2])
+    with pytest.raises(SimulationError, match="expected"):
+        state.apply_y(x[:-1])
+    with pytest.raises(SimulationError, match="expected"):
+        state.apply_y(list(x))
+    xs = np.random.default_rng(15).standard_normal((plan.ncols, 3))
+    with pytest.raises(TypeError, match="x must be a C-contiguous float64"):
+        state.apply_many(xs.astype(np.float32))
+    with pytest.raises(TypeError, match="not C-contiguous"):
+        state.apply_many(np.asfortranarray(xs))
+    with pytest.raises(SimulationError, match="expected"):
+        state.apply_many(xs[:-1])
+    with pytest.raises(SimulationError, match="expected"):
+        state.apply_many(x)
+    assert lib.calls == []
+    # The public surface still converts: a strided column is copied once.
+    assert _same_bits(
+        plan.apply_y(np.asfortranarray(xs)[:, 1], backend="native"),
+        plan.apply_y(np.ascontiguousarray(xs[:, 1]), backend="numpy"),
+    )
+
+
+@pytest.mark.native
+def test_shuffled_main_section_is_refused(partitioned_instances):  # noqa: F811
+    """A plan whose main section is out of row order fails the plan-IR
+    check and the native state's construction, instead of returning a
+    wrong y."""
+    p, _mode = partitioned_instances[1]  # s2d single-phase
+    plan = copy.deepcopy(compile_plan(p))
+    assert check_plan(plan).ok
+    perm = np.random.default_rng(16).permutation(plan.main_rows.size)
+    plan.main_rows = plan.main_rows[perm]
+    plan.main_cols = plan.main_cols[perm]
+    plan.main_vals = plan.main_vals[perm]
+    report = check_plan(plan)
+    assert [v.check for v in report.violations] == ["plan.main-order"]
+    with pytest.raises(VerificationError, match=r"CommPlan\(executor='single'.*main_rows"):
+        plan.apply_y(np.ones(plan.ncols), backend="native")
+    with pytest.raises(VerificationError, match="main_rows is not nondecreasing"):
+        _NativeApply(plan, get_kernels())
 
 
 # ----------------------------------------------------------------------

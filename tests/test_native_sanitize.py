@@ -100,16 +100,22 @@ from repro.sparse.coo import canonical_coo
 a = canonical_coo(sp.random(60, 60, density=0.1, random_state=3, format="coo"))
 eng = PartitionEngine(a, seed=11)
 rng = np.random.default_rng(44)
-for method in ("1d-rowwise", "s2d-heuristic"):
-    plan = eng.compiled_plan(eng.plan(method, 3), verify=True)
-    x = rng.standard_normal(plan.ncols)
-    assert np.array_equal(
-        plan.apply_y(x, backend="numpy"), plan.apply_y(x, backend="native")
-    ), method
-    xs = rng.standard_normal((plan.ncols, 4))
-    assert np.array_equal(
-        plan.apply_many(xs, backend="numpy"), plan.apply_many(xs, backend="native")
-    ), method
+# repro_plan_apply on all three execution models (single, two-phase,
+# routed), one and many right-hand sides, K=1 included.
+modes = set()
+for method in ("1d-rowwise", "s2d-heuristic", "finegrain", "s2d-bounded"):
+    for k in (1, 3):
+        plan = eng.compiled_plan(eng.plan(method, k), verify=True)
+        modes.add(plan.executor)
+        x = rng.standard_normal(plan.ncols)
+        assert np.array_equal(
+            plan.apply_y(x, backend="numpy"), plan.apply_y(x, backend="native")
+        ), method
+        xs = rng.standard_normal((plan.ncols, 4))
+        assert np.array_equal(
+            plan.apply_many(xs, backend="numpy"), plan.apply_many(xs, backend="native")
+        ), method
+assert modes == {"single", "two", "routed"}, modes
 
 # The partitioner kernels: one two-constraint partition_kway per backend.
 from repro.generators.circuit import circuit_like
@@ -189,9 +195,10 @@ print("UNREACHABLE")  # the sanitizer must abort before this line
 @pytest.mark.sanitize
 def test_sanitized_kernels_pass_golden_applies():
     """The ASan/UBSan build variant is bit-identical to NumPy on full
-    plan applies (single and s2D models, one and many right-hand
-    sides), on a two-constraint ``partition_kway`` (every partitioner
-    kernel) and on direct calls of the HCM matching, contraction,
+    plan applies (``repro_plan_apply`` under all three execution
+    models, one and many right-hand sides), on a two-constraint
+    ``partition_kway`` (every partitioner kernel) and on direct calls
+    of the HCM matching, contraction,
     greedy-growing and random-fill kernels and of the in-kernel FM
     set-up, run in a child with the sanitizer runtime active."""
     proc = _run_child(_GOLDEN_CHILD)
@@ -270,6 +277,27 @@ def test_debug_guard_blocks_bad_indices_before_the_c_loop(monkeypatch):
     got = ops.scatter_sum(lib, rows, vals, nrows=4)
     ref = np.bincount(rows, weights=vals, minlength=4)
     assert np.array_equal(got, ref)
+
+
+@pytest.mark.native
+def test_debug_guard_checks_plan_arrays_when_binding_the_apply(monkeypatch):
+    """The one-call plan apply binds its arrays once, so the debug guard
+    runs there: a corrupted index never reaches repro_plan_apply."""
+    if get_kernels() is None:
+        pytest.skip("native kernels unavailable")
+    from repro.runtime import compile_plan
+    from tests.golden_runtime import golden_instances
+
+    monkeypatch.setenv(DEBUG_ENV, "1")
+    _, p, _ = golden_instances()[2]  # routed: pre, combine, main and fold
+    plan = compile_plan(p)
+    x = np.random.default_rng(3).standard_normal(plan.ncols)
+    assert np.array_equal(plan.apply_y(x, backend="native"), plan.apply_y(x, backend="numpy"))
+    for field in ("pre_cols", "main_cols"):
+        bad = compile_plan(p)
+        getattr(bad, field)[0] = bad.ncols
+        with pytest.raises(VerificationError, match=f"plan_apply: {field}.*unchecked C loop"):
+            bad.apply_y(x, backend="native")
 
 
 def test_env_flag_parsing(monkeypatch):

@@ -280,3 +280,40 @@ def test_two_phase_stats_1d_has_empty_fold(medium_square):
     expand, fold = two_phase_comm_stats(p)
     assert fold.total_volume == 0
     assert expand.total_volume > 0
+
+
+#: ``sim_time.hex()`` of (power, Jacobi, CG) after 12 iterations on the
+#: golden partitions with SPD values on their pattern, under
+#: ``_ODD_MACHINE`` — recorded when ``reduction_cost`` still recomputed
+#: its two increments on every call.
+_SIM_TIME_PINS = {
+    "s2d/single": ("0x1.0ccd916872b04p+10", "0x1.b64e560418939p+9", "0x1.10f0c49ba5e38p+10"),
+    "s2d-bounded/routed": (
+        "0x1.09cd916872b04p+10", "0x1.b04e560418939p+9", "0x1.0df0c49ba5e38p+10",
+    ),
+    "finegrain/two": ("0x1.6acc8b4395812p+10", "0x1.392624dd2f1abp+10", "0x1.6eefbe76c8b45p+10"),
+}
+_ODD_MACHINE = MachineModel(alpha=7.3, beta=0.9, gamma=0.013)
+
+
+def test_solver_sim_time_pinned_on_golden_instances():
+    """The simulated time is the same ``+=`` sequence bit for bit: the
+    per-reduction increments are precomputed, not re-derived."""
+    from repro.partition.types import SpMVPartition
+
+    from tests.golden_runtime import golden_instances
+
+    for label, p, _mode in golden_instances()[1:4]:
+        a = p.matrix
+        values = np.where(a.row == a.col, 100.0, -1.0)  # PD symmetric part
+        q = SpMVPartition(
+            matrix=sp.coo_matrix((values, (a.row, a.col)), shape=a.shape),
+            nnz_part=p.nnz_part, vectors=p.vectors, kind=p.kind, meta=p.meta,
+        )
+        b = np.ones(a.shape[0])
+        got = (
+            power_iteration(q, iters=12, tol=0.0, machine=_ODD_MACHINE).sim_time,
+            jacobi(q, b, iters=12, tol=0.0, machine=_ODD_MACHINE).sim_time,
+            conjugate_gradient(q, b, iters=12, tol=0.0, machine=_ODD_MACHINE).sim_time,
+        )
+        assert tuple(t.hex() for t in got) == _SIM_TIME_PINS[label], label

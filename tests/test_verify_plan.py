@@ -82,6 +82,18 @@ def _mut_main_rows_oob(plan, shards):
     return True
 
 
+def _mut_main_rows_shuffled(plan, shards):
+    """The main section with its rows out of order (each nonzero kept
+    whole), which the native row-segmented apply cannot sum."""
+    if plan.main_rows is None or np.unique(plan.main_rows).size < 2:
+        return False
+    perm = np.random.default_rng(0).permutation(plan.main_rows.size)
+    plan.main_rows = plan.main_rows[perm]
+    plan.main_cols = plan.main_cols[perm]
+    plan.main_vals = plan.main_vals[perm]
+    return True
+
+
 def _mut_fold_rows_oob(plan, shards):
     if plan.fold_rows.size == 0:
         return False
@@ -190,6 +202,7 @@ def _mut_ledger_words_tampered(plan, shards):
 MUTATIONS = {
     "pre-cols-oob": _mut_pre_cols_oob,
     "main-rows-oob": _mut_main_rows_oob,
+    "main-rows-shuffled": _mut_main_rows_shuffled,
     "fold-rows-oob": _mut_fold_rows_oob,
     "group-take-permuted": _mut_group_take_permuted,
     "group-index-negative": _mut_group_index_negative,
