@@ -38,7 +38,14 @@ BENCHMARKS = [
     (
         bench_engine,
         "BENCH_engine.json",
-        lambda r: f"block-stats speedup {r['block_stats']['speedup']:.1f}x",
+        lambda r: (
+            f"block DM {r['block_dm']['numpy_s'] * 1e3:.1f} ms NumPy, "
+            + (
+                f"native {r['block_dm']['native_speedup']:.1f}x faster"
+                if r["block_dm"]["native_speedup"] is not None
+                else "native unavailable"
+            )
+        ),
     ),
     (
         bench_partitioner,

@@ -24,12 +24,13 @@ the x owner).  Two methods:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.dm import batched_block_dm
+from repro import obs
+from repro.dm import BlockDMTable, batched_block_dm
 from repro.errors import PartitionError
+from repro.native import get_kernels, resolve_backend
+from repro.native import ops as native_ops
 from repro.partition.types import SpMVPartition, VectorPartition
 from repro.partition.vector import vector_partition_from_rows
 from repro.sparse.blocks import BlockStructure
@@ -39,28 +40,8 @@ __all__ = [
     "s2d_optimal",
     "s2d_heuristic",
     "s2d_rowwise_baseline",
-    "BlockChoice",
     "choices_from_block_dm",
 ]
-
-
-@dataclass
-class BlockChoice:
-    """Per-off-diagonal-block bookkeeping used by Algorithm 1.
-
-    ``h_nnz`` are triplet indices of the block's horizontal sub-block
-    (the nonzeros alternative A2 moves to the column owner).
-    """
-
-    row_part: int
-    col_part: int
-    h_nnz: np.ndarray
-    lambda_minus: int
-    chose_a2: bool = False
-
-    @property
-    def h_size(self) -> int:
-        return int(self.h_nnz.size)
 
 
 def _as_vectors(a, x_part, y_part, nparts: int) -> tuple:
@@ -76,27 +57,56 @@ def _as_vectors(a, x_part, y_part, nparts: int) -> tuple:
     return m, vectors
 
 
-def choices_from_block_dm(dm_results) -> list[BlockChoice]:
-    """Fresh :class:`BlockChoice` bookkeeping from batched DM results.
+def choices_from_block_dm(dm: BlockDMTable) -> BlockDMTable:
+    """Algorithm 1's per-block inputs from batched DM results.
 
-    Choices carry mutable state (``chose_a2``) and get re-sorted by the
-    heuristic, so callers holding cached :class:`repro.dm.BlockDM`
-    results (the engine) build a fresh list per construction.
+    The :class:`~repro.dm.BlockDMTable` already holds them as flat
+    arrays (row and column part, ``λ⁻``, ``|H|`` and the ``H``
+    nonzeros) and is read-only, so every construction shares the
+    engine's memoized table as is: nothing is copied, and no
+    construction can change what the next one sees.
     """
-    return [
-        BlockChoice(
-            row_part=r.row_part,
-            col_part=r.col_part,
-            h_nnz=r.h_nnz,
-            lambda_minus=r.dm.volume_reduction(),
-        )
-        for r in dm_results
-    ]
+    if not isinstance(dm, BlockDMTable):
+        raise TypeError(f"expected a BlockDMTable, got {type(dm).__name__}")
+    return dm
 
 
-def _block_choices(m, bs: BlockStructure) -> list[BlockChoice]:
-    """DM decomposition of every nonempty off-diagonal block (batched)."""
-    return choices_from_block_dm(batched_block_dm(bs))
+def _assign_h(nnz_part: np.ndarray, choices: BlockDMTable, chosen: np.ndarray) -> None:
+    """Give the ``H`` nonzeros of every chosen block to its column part.
+
+    The ``H`` sets of different blocks are disjoint, so one scatter
+    does it in any order."""
+    flipped = np.repeat(chosen, choices.h_size)
+    owners = np.repeat(choices.col_part[chosen], choices.h_size[chosen])
+    nnz_part[choices.h_nnz[flipped]] = owners
+
+
+def _flip_numpy(order, row_part, col_part, h_size, loads, w_lim, max_rounds):
+    """The reference flip rounds of :func:`s2d_heuristic` (and the
+    fallback without a compiler): the loop of ``repro_s2d_flip``, over
+    Python ints.  ``loads`` is updated in place; returns ``(chosen,
+    rounds)``."""
+    rows, cols, sizes = row_part.tolist(), col_part.tolist(), h_size.tolist()
+    load = loads.tolist()
+    chosen = [False] * len(sizes)
+    w_max = max(load)
+    rounds = 0
+    changed = True
+    while changed and rounds < max_rounds:
+        changed = False
+        rounds += 1
+        for b in order.tolist():
+            h = sizes[b]
+            if chosen[b] or h == 0:
+                continue
+            if float(load[cols[b]] + h) <= max(float(w_max), w_lim):
+                chosen[b] = True
+                load[cols[b]] += h
+                load[rows[b]] -= h
+                w_max = max(load)
+                changed = True
+    loads[:] = load
+    return np.array(chosen, dtype=bool), rounds
 
 
 def s2d_rowwise_baseline(a, x_part=None, y_part=None, nparts: int = 1) -> SpMVPartition:
@@ -115,7 +125,7 @@ def s2d_optimal(
     nparts: int = 1,
     *,
     block_structure: BlockStructure | None = None,
-    choices: list[BlockChoice] | None = None,
+    choices: BlockDMTable | None = None,
 ) -> SpMVPartition:
     """Volume-optimal s2D partition for the given vector partition.
 
@@ -129,20 +139,19 @@ def s2d_optimal(
     """
     m, vectors = _as_vectors(a, x_part, y_part, nparts)
     if choices is None:
-        bs = block_structure or BlockStructure(
-            m.row, m.col, vectors.x_part, vectors.y_part, vectors.nparts
+        choices = batched_block_dm(
+            block_structure
+            or BlockStructure(m.row, m.col, vectors.x_part, vectors.y_part, vectors.nparts)
         )
-        choices = _block_choices(m, bs)
+    chosen = np.ones(len(choices), dtype=bool)
     nnz_part = vectors.y_part[m.row].copy()
-    for ch in choices:
-        nnz_part[ch.h_nnz] = ch.col_part
-        ch.chose_a2 = True
+    _assign_h(nnz_part, choices, chosen)
     out = SpMVPartition(
         matrix=m,
         nnz_part=nnz_part,
         vectors=vectors,
         kind="s2D",
-        meta={"method": "optimal", "choices": choices},
+        meta={"method": "optimal", "choices": choices, "chosen": chosen},
     )
     out.validate_s2d()
     return out
@@ -158,7 +167,7 @@ def s2d_heuristic(
     max_rounds: int = 64,
     *,
     block_structure: BlockStructure | None = None,
-    choices: list[BlockChoice] | None = None,
+    choices: BlockDMTable | None = None,
 ) -> SpMVPartition:
     """Algorithm 1: bi-objective s2D partitioning.
 
@@ -170,41 +179,39 @@ def s2d_heuristic(
     algorithm proceed even when the rowwise start already violates
     ``w_lim``, exactly as the implementation note in Section IV-B says.
 
+    Blocks are visited in decreasing order of ``λ⁻``, ties by larger
+    ``|H|`` first (more balance relief), then by block key.  The rounds
+    run in C (``repro_s2d_flip``) when
+    :func:`repro.native.resolve_backend` picks the native backend, and
+    in the NumPy reference loop otherwise; both flip the same blocks.
+
     ``block_structure`` / ``choices`` inject memoized intermediates
-    (see :func:`s2d_optimal`); ``choices`` are consumed (mutated).
+    (see :func:`s2d_optimal`).  ``meta["choices"]`` is the DM table and
+    ``meta["chosen"]`` the mask of blocks that took alternative A2.
     """
     m, vectors = _as_vectors(a, x_part, y_part, nparts)
     k = vectors.nparts
     bs = block_structure or BlockStructure(
         m.row, m.col, vectors.x_part, vectors.y_part, k
     )
+    if choices is None:
+        choices = batched_block_dm(bs)
     if w_lim is None:
         w_lim = (1.0 + epsilon) * (m.nnz / k)
 
     loads = bs.rowwise_loads().astype(np.int64)
+    order = np.lexsort((-choices.h_size, -choices.lambda_minus))
+    flat = dict(
+        order=order, row_part=choices.row_part, col_part=choices.col_part,
+        h_size=choices.h_size, loads=loads, w_lim=float(w_lim), max_rounds=max_rounds,
+    )
+    if resolve_backend() == "native":
+        chosen, rounds = native_ops.s2d_flip(get_kernels(), **flat)
+    else:
+        chosen, rounds = _flip_numpy(**flat)
+    obs.add("s2d.flip_rounds", rounds)
     nnz_part = vectors.y_part[m.row].copy()
-    if choices is None:
-        choices = _block_choices(m, bs)
-    # Decreasing volume saving; ties by larger H first (more balance relief).
-    choices.sort(key=lambda ch: (-ch.lambda_minus, -ch.h_size))
-
-    w_max = int(loads.max()) if loads.size else 0
-    rounds = 0
-    changed = True
-    while changed and rounds < max_rounds:
-        changed = False
-        rounds += 1
-        for ch in choices:
-            if ch.chose_a2 or ch.h_size == 0:
-                continue
-            cap = max(float(w_max), float(w_lim))
-            if loads[ch.col_part] + ch.h_size <= cap:
-                ch.chose_a2 = True
-                loads[ch.col_part] += ch.h_size
-                loads[ch.row_part] -= ch.h_size
-                nnz_part[ch.h_nnz] = ch.col_part
-                w_max = int(loads.max())
-                changed = True
+    _assign_h(nnz_part, choices, chosen)
 
     out = SpMVPartition(
         matrix=m,
@@ -216,6 +223,7 @@ def s2d_heuristic(
             "w_lim": float(w_lim),
             "rounds": rounds,
             "choices": choices,
+            "chosen": chosen,
         },
     )
     out.validate_s2d()

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.s2d import BlockChoice, s2d_heuristic
+from repro.core.s2d import s2d_heuristic
+from repro.dm import BlockDMTable
 from repro.partition.types import SpMVPartition
 from repro.sparse.blocks import BlockStructure
 
@@ -45,7 +46,7 @@ def s2d_heuristic_balanced(
     max_moves: int = 10_000,
     *,
     block_structure: BlockStructure | None = None,
-    choices: list[BlockChoice] | None = None,
+    choices: BlockDMTable | None = None,
 ) -> SpMVPartition:
     """Algorithm 1 plus (A3) balance-repair moves.
 
@@ -55,7 +56,7 @@ def s2d_heuristic_balanced(
     volume is knowingly traded for balance (each trade is recorded in
     ``meta['repair_moves']``).  ``block_structure`` / ``choices``
     inject memoized intermediates for the same vector partition
-    (engine hot path); ``choices`` are consumed.
+    (engine hot path).
     """
     base = s2d_heuristic(
         a,

@@ -12,18 +12,22 @@ traffic.  This package implements the whole chain from scratch:
   plus König-theorem verification helpers;
 - :mod:`repro.dm.batch` — the batched driver running the coarse
   decomposition over every block of a K×K block structure through
-  shared pre-sorted buffers (the s2D hot path).
+  shared pre-sorted buffers (the s2D hot path): one native
+  ``repro_block_dm`` call labels the whole batch, with its own
+  maximum matching — the labels do not depend on which maximum
+  matching is used — and the result is one read-only
+  :class:`~repro.dm.batch.BlockDMTable`.
 """
 
-from repro.dm.batch import BlockDM, batched_block_dm, legacy_block_dm
+from repro.dm.batch import BlockDM, BlockDMTable, batched_block_dm
 from repro.dm.decomposition import CoarseDM, coarse_dm, minimum_cover_size
 from repro.dm.fine import FineDM, fine_dm
 from repro.dm.matching import hopcroft_karp, is_matching, matching_size
 
 __all__ = [
     "BlockDM",
+    "BlockDMTable",
     "batched_block_dm",
-    "legacy_block_dm",
     "CoarseDM",
     "coarse_dm",
     "minimum_cover_size",

@@ -1,38 +1,47 @@
-"""Batched coarse-DM driver over all blocks of a :class:`BlockStructure`.
+"""Batched coarse DM of the blocks of a :class:`BlockStructure`.
 
 The s2D machinery needs the coarse DM decomposition of *every*
-nonempty off-diagonal block of the K×K structure.  The legacy path
-(:func:`legacy_block_dm`) re-slices the triplet arrays and re-runs
-``np.unique`` / ``argsort`` inside :func:`repro.dm.decomposition.coarse_dm`
-once per block.  The batched driver here performs all of that shared
-preprocessing in a handful of global sorted passes:
+nonempty off-diagonal block of the K×K structure.  The shared
+preprocessing runs as a handful of global sorted passes over the
+selected blocks' nonzeros:
 
-- one ``np.unique`` over ``block·stride + row`` keys yields, for every
-  block at once, its sorted distinct row ids *and* the local row index
-  of every nonzero (ditto for columns);
-- one stable ``argsort`` of the same keys yields every block's
-  row-major CSR adjacency as a contiguous slice of a single buffer
-  (ditto for the column-side adjacency).
+- one stable sort of ``block·stride + row`` keys yields, for every
+  block at once, its sorted distinct row ids, each nonzero's row pair
+  and every block's row-major CSR adjacency as a contiguous slice of a
+  single buffer (ditto for the columns).
 
-Per block only the genuinely combinatorial part remains: Hopcroft–Karp
-on the precomputed adjacency views and the alternating-path labeling
-(:func:`repro.dm.decomposition.coarse_labels`).  Because each block's
-adjacency arrays are bit-identical to what the per-block path builds,
-the matchings, labels and H-masks are bit-identical too — the golden
-tests pin this.
+The combinatorial part — a maximum matching and the alternating-path
+labels of :func:`repro.dm.decomposition.coarse_labels` for each block —
+is one ``repro_block_dm`` call over the whole batch when
+:func:`repro.native.resolve_backend` picks the native backend, and
+otherwise the NumPy reference loop (per block :func:`hopcroft_karp` and
+:func:`coarse_labels`), which is also the fallback without a compiler.
+The two backends may find different maximum matchings.  That changes
+nothing: a column is horizontal iff *some* maximum matching leaves it
+unmatched, the rows of ``H`` are the neighbours of its columns (``V``
+likewise from the rows), and every maximum matching has the same size
+(Pothen & Fan, "Computing the block triangular form of a sparse
+matrix", ACM TOMS 1990).  So labels, H-masks and matching sizes are
+identical on both backends.
+
+The result is one immutable struct-of-arrays :class:`BlockDMTable`;
+the engine memoizes it and every s2D construction reads it as is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.dm.decomposition import HORIZONTAL, CoarseDM, coarse_dm, coarse_labels
+from repro import obs
+from repro.dm.decomposition import HORIZONTAL, CoarseDM, coarse_labels
 from repro.dm.matching import hopcroft_karp
+from repro.native import get_kernels, resolve_backend
+from repro.native import ops as native_ops
 from repro.sparse.blocks import BlockStructure
 
-__all__ = ["BlockDM", "batched_block_dm", "legacy_block_dm"]
+__all__ = ["BlockDM", "BlockDMTable", "batched_block_dm"]
 
 
 def _sorted_groups(keys: np.ndarray):
@@ -59,9 +68,17 @@ def _sorted_groups(keys: np.ndarray):
     return order, uniq, inverse, counts
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets ``[0, c0, c0 + c1, …]`` of ``counts``."""
+    off = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=off[1:])
+    return off
+
+
 @dataclass(frozen=True)
 class BlockDM:
-    """Coarse DM decomposition of one block ``A_{ℓk}``.
+    """Coarse DM decomposition of one block ``A_{ℓk}`` (a view of one
+    row of a :class:`BlockDMTable`, for tests and exploratory use).
 
     ``nnz_idx`` are the block's nonzero indices into the canonical
     triplet arrays (block-sorted order, identical to
@@ -81,112 +98,171 @@ class BlockDM:
         return self.nnz_idx[self.h_mask]
 
 
-def batched_block_dm(
-    bs: BlockStructure, offdiagonal_only: bool = True
-) -> list[BlockDM]:
+@dataclass(frozen=True, eq=False)
+class BlockDMTable:
+    """Coarse DM of a batch of blocks as flat, read-only arrays.
+
+    Blocks are ordered by key ``ℓ·K + k``.  Per block ``i``:
+    ``row_part``/``col_part`` (``ℓ``, ``k``), ``matching_size``,
+    ``lambda_minus`` (``λ⁻ = n̂(H) − m̂(H)``, the volume alternative A2
+    saves) and ``h_size`` (``|H|``, the nonzeros A2 moves).  Spans into
+    the concatenated arrays:
+
+    - ``nnz_idx[nnz_off[i]:nnz_off[i+1]]`` are the block's triplet
+      indices in block-sorted order, and ``h_mask`` over the same span
+      flags those of ``H``;
+    - ``row_ids[row_off[i]:row_off[i+1]]`` are its nonempty rows
+      (ascending) with their H/S/V ``row_label``; likewise the columns.
+    """
+
+    nparts: int
+    row_part: np.ndarray
+    col_part: np.ndarray
+    matching_size: np.ndarray
+    lambda_minus: np.ndarray
+    h_size: np.ndarray
+    nnz_off: np.ndarray
+    nnz_idx: np.ndarray
+    h_mask: np.ndarray
+    row_off: np.ndarray
+    row_ids: np.ndarray
+    row_label: np.ndarray
+    col_off: np.ndarray
+    col_ids: np.ndarray
+    col_label: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    def __len__(self) -> int:
+        return int(self.row_part.size)
+
+    def __getitem__(self, i: int) -> BlockDM:
+        if not 0 <= i < len(self):
+            raise IndexError(f"block {i} out of range for {len(self)} blocks")
+        r = slice(self.row_off[i], self.row_off[i + 1])
+        c = slice(self.col_off[i], self.col_off[i + 1])
+        s = slice(self.nnz_off[i], self.nnz_off[i + 1])
+        return BlockDM(
+            row_part=int(self.row_part[i]),
+            col_part=int(self.col_part[i]),
+            nnz_idx=self.nnz_idx[s],
+            dm=CoarseDM(
+                row_ids=self.row_ids[r],
+                col_ids=self.col_ids[c],
+                row_label=self.row_label[r],
+                col_label=self.col_label[c],
+                matching_size=int(self.matching_size[i]),
+            ),
+            h_mask=self.h_mask[s],
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def h_nnz(self) -> np.ndarray:
+        """Triplet indices of every block's ``H`` nonzeros, block after
+        block (block ``i`` contributes ``h_size[i]`` of them)."""
+        return self.nnz_idx[self.h_mask]
+
+
+def _labels_numpy(row_off, col_off, rptr, adj, cptr, cadj):
+    """The reference per-block loop of :func:`batched_block_dm` (and the
+    fallback without a compiler): Hopcroft–Karp and
+    :func:`coarse_labels` on views of the shared buffers."""
+    nb = row_off.size - 1
+    row_label = np.empty(rptr.size - 1, dtype=np.int8)
+    col_label = np.empty(cptr.size - 1, dtype=np.int8)
+    matching_size = np.empty(nb, dtype=np.int64)
+    for i in range(nb):
+        r0, r1 = int(row_off[i]), int(row_off[i + 1])
+        c0, c1 = int(col_off[i]), int(col_off[i + 1])
+        e0, e1 = int(rptr[r0]), int(rptr[r1])
+        indptr = rptr[r0 : r1 + 1] - e0
+        cindptr = cptr[c0 : c1 + 1] - e0
+        match_row, match_col = hopcroft_karp(indptr, adj[e0:e1], r1 - r0, c1 - c0)
+        row_label[r0:r1], col_label[c0:c1] = coarse_labels(
+            indptr, adj[e0:e1], cindptr, cadj[e0:e1], match_row, match_col
+        )
+        matching_size[i] = np.count_nonzero(match_row != -1)
+    return row_label, col_label, matching_size
+
+
+def batched_block_dm(bs: BlockStructure, offdiagonal_only: bool = True) -> BlockDMTable:
     """Coarse DM of every nonempty (off-diagonal) block, batched.
 
-    Results are ordered by block key ``ℓ·K + k`` — the same order
+    Blocks are ordered by block key ``ℓ·K + k`` — the order
     :meth:`BlockStructure.nonempty_offdiagonal_blocks` yields.
     """
     stats = bs.block_stats()
-    if stats.nblocks == 0:
-        return []
-    order = bs.order
-    rows_s = bs.rows[order]
-    cols_s = bs.cols[order]
-    bid = np.repeat(bs.block_keys, stats.nnz)
-    nrows = np.int64(bs.nrows)
-    ncols = np.int64(bs.ncols)
+    row_part = stats.row_blocks
+    col_part = stats.col_blocks
+    sel = row_part != col_part if offdiagonal_only else np.ones(stats.nblocks, dtype=bool)
+    row_part, col_part = row_part[sel], col_part[sel]
+    nnz, mhat, nhat = stats.nnz[sel], stats.mhat[sel], stats.nhat[sel]
+    nb = int(row_part.size)
+    obs.add("dm.blocks", nb)
+    nnz_idx = bs.order[np.repeat(sel, stats.nnz)]
+    nnz_off, row_off, col_off = _offsets(nnz), _offsets(mhat), _offsets(nhat)
+    blk = np.arange(nb, dtype=np.int64)
+    blk_of_nnz = np.repeat(blk, nnz)
+    blk_of_row = np.repeat(blk, mhat)
+    blk_of_col = np.repeat(blk, nhat)
 
-    # Distinct (block, row) pairs: kr is block-major, so the unique key
-    # array concatenates every block's sorted distinct rows, and the
-    # inverse gives each nonzero's global pair index.  The same stable
-    # sort also orders each block's edges row-major (it permutes only
-    # within block spans), yielding every block's adjacency as a slice.
-    kr = bid * nrows + rows_s
-    order_r, kr_u, r_pair_of_nnz, r_pair_counts = _sorted_groups(kr)
-    kc = bid * ncols + cols_s
-    order_c, kc_u, c_pair_of_nnz, c_pair_counts = _sorted_groups(kc)
-
-    row_off = np.zeros(stats.nblocks + 1, dtype=np.int64)
-    np.cumsum(stats.mhat, out=row_off[1:])
-    col_off = np.zeros(stats.nblocks + 1, dtype=np.int64)
-    np.cumsum(stats.nhat, out=col_off[1:])
-
-    blk_of_nnz = np.repeat(np.arange(stats.nblocks, dtype=np.int64), stats.nnz)
-    r_local = r_pair_of_nnz - row_off[blk_of_nnz]
-    c_local = c_pair_of_nnz - col_off[blk_of_nnz]
-
-    adj_all = c_local[order_r]
-    cadj_all = r_local[order_c]
-
-    results: list[BlockDM] = []
-    keys = stats.keys
-    indptr_all = stats.indptr
-    for i in range(stats.nblocks):
-        ell, kk = divmod(int(keys[i]), bs.nparts)
-        if offdiagonal_only and ell == kk:
-            continue
-        s, e = int(indptr_all[i]), int(indptr_all[i + 1])
-        nr = int(stats.mhat[i])
-        nc = int(stats.nhat[i])
-        indptr = np.zeros(nr + 1, dtype=np.int64)
-        np.cumsum(r_pair_counts[row_off[i] : row_off[i + 1]], out=indptr[1:])
-        cindptr = np.zeros(nc + 1, dtype=np.int64)
-        np.cumsum(c_pair_counts[col_off[i] : col_off[i + 1]], out=cindptr[1:])
-        adj = adj_all[s:e]
-        cadj = cadj_all[s:e]
-        match_row, match_col = hopcroft_karp(indptr, adj, nr, nc)
-        row_label, col_label = coarse_labels(
-            indptr, adj, cindptr, cadj, match_row, match_col
+    if nb == 0:
+        row_ids = col_ids = np.empty(0, dtype=np.int64)
+        row_label = col_label = np.empty(0, dtype=np.int8)
+        matching_size = np.empty(0, dtype=np.int64)
+        h_mask = np.empty(0, dtype=bool)
+    else:
+        # Distinct (block, row) pairs: the keys are block-major, so the
+        # sorted distinct keys concatenate every block's sorted rows and
+        # the inverse gives each nonzero's global pair index.  The same
+        # stable sort orders each block's edges row-major (it permutes
+        # only within block spans): every block's adjacency is a slice.
+        nrows, ncols = np.int64(bs.nrows), np.int64(bs.ncols)
+        order_r, kr_u, r_pair, r_counts = _sorted_groups(
+            blk_of_nnz * nrows + bs.rows[nnz_idx]
         )
-        dm = CoarseDM(
-            row_ids=kr_u[row_off[i] : row_off[i + 1]] - keys[i] * nrows,
-            col_ids=kc_u[col_off[i] : col_off[i + 1]] - keys[i] * ncols,
-            row_label=row_label,
-            col_label=col_label,
-            matching_size=int(np.count_nonzero(match_row != -1)),
+        order_c, kc_u, c_pair, c_counts = _sorted_groups(
+            blk_of_nnz * ncols + bs.cols[nnz_idx]
         )
-        h_mask = col_label[c_local[s:e]] == HORIZONTAL
-        results.append(
-            BlockDM(
-                row_part=ell,
-                col_part=kk,
-                nnz_idx=order[s:e],
-                dm=dm,
-                h_mask=h_mask,
+        row_ids = kr_u - blk_of_row * nrows
+        col_ids = kc_u - blk_of_col * ncols
+        adj = (c_pair - col_off[blk_of_nnz])[order_r]
+        cadj = (r_pair - row_off[blk_of_nnz])[order_c]
+        rptr, cptr = _offsets(r_counts), _offsets(c_counts)
+        if resolve_backend() == "native":
+            row_label, col_label, matching_size = native_ops.block_dm(
+                get_kernels(), row_off=row_off, col_off=col_off,
+                rptr=rptr, adj=adj, cptr=cptr, cadj=cadj,
             )
-        )
-    return results
-
-
-def legacy_block_dm(
-    bs: BlockStructure, offdiagonal_only: bool = True
-) -> list[BlockDM]:
-    """The original slice-per-block DM driver (golden reference).
-
-    Calls :func:`coarse_dm` on each block's freshly sliced triplets,
-    exactly as the seed's ``_block_choices`` did; used by equivalence
-    tests and the engine micro-benchmark, never on a hot path.
-    """
-    results: list[BlockDM] = []
-    k = bs.nparts
-    for key in bs.block_keys.tolist():
-        ell, kk = divmod(int(key), k)
-        if offdiagonal_only and ell == kk:
-            continue
-        idx = bs.block_nnz_indices(ell, kk)
-        rows = bs.rows[idx]
-        cols = bs.cols[idx]
-        dm = coarse_dm(rows, cols)
-        results.append(
-            BlockDM(
-                row_part=ell,
-                col_part=kk,
-                nnz_idx=idx,
-                dm=dm,
-                h_mask=dm.horizontal_nnz_mask(rows, cols),
+        else:
+            row_label, col_label, matching_size = _labels_numpy(
+                row_off, col_off, rptr, adj, cptr, cadj
             )
-        )
-    return results
+        h_mask = col_label[c_pair] == HORIZONTAL
+
+    h_rows = np.bincount(blk_of_row[row_label == HORIZONTAL], minlength=nb)
+    h_cols = np.bincount(blk_of_col[col_label == HORIZONTAL], minlength=nb)
+    return BlockDMTable(
+        nparts=bs.nparts,
+        row_part=row_part,
+        col_part=col_part,
+        matching_size=matching_size,
+        lambda_minus=(h_cols - h_rows).astype(np.int64),
+        h_size=np.bincount(blk_of_nnz[h_mask], minlength=nb).astype(np.int64),
+        nnz_off=nnz_off,
+        nnz_idx=nnz_idx,
+        h_mask=h_mask,
+        row_off=row_off,
+        row_ids=row_ids,
+        row_label=row_label,
+        col_off=col_off,
+        col_ids=col_ids,
+        col_label=col_label,
+    )

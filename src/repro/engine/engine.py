@@ -34,7 +34,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.dm.batch import BlockDM, batched_block_dm
+from repro.dm.batch import BlockDMTable, batched_block_dm
 from repro.engine.registry import METHODS, available_methods, resolve_method
 from repro.hypergraph import PartitionConfig
 from repro.partition.types import SpMVPartition, VectorPartition
@@ -258,8 +258,9 @@ class PartitionEngine:
             ),
         )
 
-    def block_dm(self, vectors: VectorPartition) -> list[BlockDM]:
-        """Memoized batched coarse-DM results of all off-diagonal blocks."""
+    def block_dm(self, vectors: VectorPartition) -> BlockDMTable:
+        """Memoized batched coarse-DM table of all off-diagonal blocks
+        (read-only, so every s2D construction shares it)."""
         key = ("block-dm", self._vectors_key(vectors))
         return self._memo(
             key, lambda: batched_block_dm(self.block_structure(vectors))

@@ -1,6 +1,6 @@
 """Native C kernel backend.
 
-The kernels (``kernels.c``) serve two layers:
+The kernels (``kernels.c``) serve three layers:
 
 - the compiled :class:`~repro.runtime.CommPlan`, whose NumPy gathers
   and scatter-sums are multi-pass, temporary-allocating operations
@@ -19,7 +19,15 @@ The kernels (``kernels.c``) serve two layers:
   build the initial bisections (:func:`~repro.native.ops.hcm_match`,
   :func:`~repro.native.ops.contract`,
   :func:`~repro.native.ops.greedy_grow`,
-  :func:`~repro.native.ops.random_fill`).
+  :func:`~repro.native.ops.random_fill`);
+- Algorithm 1's combinatorics: ``repro_block_dm`` takes the coarse
+  Dulmage–Mendelsohn labels of every block of a DM batch in one call
+  (:func:`~repro.native.ops.block_dm`), and ``repro_s2d_flip`` runs the
+  s2D heuristic's greedy flip rounds (:func:`~repro.native.ops.s2d_flip`).
+  The DM kernel finds its own maximum matching rather than the NumPy
+  reference's Hopcroft–Karp one; the labels and the matching size are
+  the same for every maximum matching (Pothen & Fan, 1990), so the
+  results are identical.
 
 The library is compiled on demand with the host ``cc`` into a
 content-hash-named ``.so`` under a build cache (``build.py``), loaded
@@ -28,8 +36,8 @@ via :mod:`ctypes`, and dispatched behind a feature flag:
 - ``backend="numpy" | "native" | "auto"`` kwargs on
   :meth:`~repro.runtime.CommPlan.apply` /
   :meth:`~repro.runtime.CommPlan.apply_many`, the serial shard replay
-  and the solvers (the partitioner takes no kwarg and follows the
-  process default);
+  and the solvers (the partitioner, the DM batch and the s2D flip loop
+  take no kwarg and follow the process default);
 - the ``REPRO_NATIVE`` environment flag (``0`` forces NumPy, ``1`` or
   unset prefers native where a compiler exists);
 - when no compiler is available, ``auto`` silently falls back to the
@@ -43,7 +51,8 @@ the golden y/ledger/flops pins hold unchanged under the native backend.  The
 partitioner kernels work on integer gains, counts and costs, or sum
 float scores and gains in the NumPy loops' order, with the same
 float64 balance arithmetic, tie-breaks and net order, so partitions
-are identical on both backends.
+are identical on both backends; so are the s2D partitions, whose flip
+loop keeps int64 loads and compares them in double as NumPy does.
 """
 
 from repro.native import ops

@@ -96,7 +96,7 @@ SANITIZE_ENV = "REPRO_NATIVE_SANITIZE"
 DEBUG_ENV = "REPRO_NATIVE_DEBUG"
 BACKENDS = ("auto", "numpy", "native")
 
-ABI_VERSION = 5
+ABI_VERSION = 6
 CFLAGS = ("-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off")
 # The sanitizer variant keeps -ffp-contract=off and the same loop code,
 # so its outputs stay bit-identical; -O1 keeps ASan shadow checks fast
@@ -113,11 +113,11 @@ _SOURCE = Path(__file__).with_name("kernels.c")
 _F64 = ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _I64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _INT = ctypes.c_int64
-# The plan apply and the partitioner's entry points take bare pointers:
-# ndpointer's from_param costs microseconds per array, a solve makes
-# hundreds of applies and a V-cycle thousands of calls with a dozen
-# arrays each.  ops.py checks dtype and contiguity itself before taking
-# the address.
+# The plan apply, the partitioner's and Algorithm 1's entry points take
+# bare pointers: ndpointer's from_param costs microseconds per array, a
+# solve makes hundreds of applies and a V-cycle thousands of calls with
+# a dozen arrays each.  ops.py checks dtype and contiguity itself before
+# taking the address.
 _PTR = ctypes.c_void_p
 # name -> (argtypes, restype)
 _SIGNATURES = {
@@ -130,6 +130,8 @@ _SIGNATURES = {
     "repro_greedy_grow": ([_INT] * 2 + [_PTR] * 15, None),
     "repro_random_fill": ([_INT] * 2 + [_PTR] * 5, None),
     "repro_contract": ([_INT] * 3 + [ctypes.c_uint64] + [_PTR] * 14, None),
+    "repro_block_dm": ([_INT] + [_PTR] * 10, None),
+    "repro_s2d_flip": ([_INT] * 3 + [ctypes.c_double] + [_PTR] * 6, _INT),
 }
 
 
@@ -139,8 +141,9 @@ class KernelLib:
     ``gather_mul_scatter(n, vals, cols, x, idx, acc)`` and friends are
     raw ctypes functions — callers pass C-contiguous float64/int64
     arrays (enforced by the ``ndpointer`` signatures of the two shard
-    replay scatters; ``plan_apply`` and the partitioner kernels take
-    addresses that :mod:`repro.native.ops` checks and extracts) and own
+    replay scatters; ``plan_apply``, the partitioner kernels, ``block_dm``
+    and ``s2d_flip`` take addresses that :mod:`repro.native.ops` checks
+    and extracts) and own
     all allocation; see :mod:`repro.native.ops` for the array-level
     wrappers and :class:`repro.runtime.plan.CommPlan` for the plan
     apply.

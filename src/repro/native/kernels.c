@@ -1,4 +1,4 @@
-/* Native kernels of two layers:
+/* Native kernels of three layers:
  *
  * - the compiled SpMV runtime: repro_plan_apply runs a whole
  *   CommPlan apply (repro.runtime.plan) in one call, and the two
@@ -8,8 +8,14 @@
  *   the FM set-up and pass loop of repro.hypergraph.refine, the K-way
  *   greedy polish of repro.hypergraph.kway, the heavy-connectivity
  *   matching and the contraction of repro.hypergraph.coarsen and the
- *   two initial bisections of repro.hypergraph.initial (bottom of this
- *   file).
+ *   two initial bisections of repro.hypergraph.initial;
+ * - Algorithm 1's combinatorics (bottom of this file): repro_block_dm
+ *   takes the coarse Dulmage-Mendelsohn labels of every block of a
+ *   batch in one call (repro.dm.batch), and repro_s2d_flip runs the
+ *   greedy flip rounds of repro.core.s2d.s2d_heuristic.  The DM kernel
+ *   finds its own maximum matching, not the one the NumPy reference's
+ *   Hopcroft-Karp finds; the labels and the matching size are the same
+ *   for every maximum matching, so its outputs are identical.
  *
  * No kernel allocates: callers pass every output and workspace array.
  *
@@ -46,7 +52,7 @@
 
 /* Bumped whenever an exported signature changes; the loader refuses a
  * cached .so whose ABI does not match (stale-cache guard). */
-EXPORT int64_t repro_native_abi(void) { return 5; }
+EXPORT int64_t repro_native_abi(void) { return 6; }
 
 /* acc[idx[i]] += vals[i] * x[cols[i]]  — the fused expand/compute
  * inner loop: gather x, multiply by the nonzero value, scatter-add
@@ -1157,4 +1163,250 @@ EXPORT void repro_contract(
     counts[0] = nc;
     counts[1] = ng;
     counts[2] = ncp;
+}
+
+/* ------------------------------------------------------------ block DM
+ *
+ * repro_block_dm: the coarse Dulmage-Mendelsohn decomposition of every
+ * block of a batch (repro.dm.batch.batched_block_dm).  Block b owns the
+ * local rows row_off[b]..row_off[b+1] and columns col_off[b]..
+ * col_off[b+1] of the concatenated label arrays.  The row-major
+ * adjacency of global row r is adj[rptr[r]..rptr[r+1]], the column-major
+ * one of global column c is cadj[cptr[c]..cptr[c+1]]; both hold
+ * block-local ids.
+ *
+ * Per block: a maximum matching, then the alternating-path labels of
+ * repro.dm.decomposition.coarse_labels.  A column is horizontal iff
+ * some maximum matching leaves it unmatched, and the rows of H are the
+ * neighbours of its columns (V likewise from the rows), so the labels
+ * do not depend on which maximum matching is found (Pothen & Fan,
+ * "Computing the block triangular form of a sparse matrix", ACM TOMS
+ * 1990); neither does its size.  The matching here is theirs too:
+ * depth-first augmenting searches with lookahead, not Hopcroft-Karp.
+ */
+
+enum { DM_H = 0, DM_S = 1, DM_V = 2 };
+
+/* Maximum matching of one block (mr/mc: the column of each row and the
+ * row of each column, -1 when unmatched); returns its size.  Phases of
+ * depth-first searches from every free row share one set of visited
+ * columns (visit[v] == phase) and end when a phase augments nothing:
+ * with the matching unchanged through that phase, a column visited by
+ * an earlier failed search cannot lead to a free column.  The
+ * lookahead cursor la[u] only moves forward, since a matched column
+ * never becomes free again; the first phase's lookahead is a greedy
+ * start.  stack/via hold the searched rows and the columns left
+ * through. */
+static int64_t dm_match(
+    int64_t nr, int64_t nc, const int64_t *rptr, const int64_t *adj,
+    int64_t *mr, int64_t *mc, int64_t *la, int64_t *cur, int64_t *stack,
+    int64_t *via, int64_t *visit, int64_t *stamp)
+{
+    for (int64_t u = 0; u < nr; u++) {
+        mr[u] = -1;
+        la[u] = rptr[u];
+    }
+    for (int64_t v = 0; v < nc; v++)
+        mc[v] = -1;
+    int64_t size = 0, grew = 1;
+    while (grew) {
+        grew = 0;
+        const int64_t phase = ++*stamp;
+        for (int64_t root = 0; root < nr; root++) {
+            if (mr[root] != -1)
+                continue;
+            int64_t depth = 0, end = -1;
+            stack[0] = root;
+            cur[root] = rptr[root];
+            while (depth >= 0) {
+                const int64_t u = stack[depth];
+                while (la[u] < rptr[u + 1]) {
+                    const int64_t v = adj[la[u]++];
+                    if (mc[v] == -1) {
+                        end = v;
+                        break;
+                    }
+                }
+                if (end >= 0)
+                    break;
+                /* Every column of u is matched now: descend through an
+                 * unvisited one to its row, or give u up. */
+                int64_t w = -1;
+                while (cur[u] < rptr[u + 1]) {
+                    const int64_t v = adj[cur[u]++];
+                    if (visit[v] != phase) {
+                        visit[v] = phase;
+                        via[depth] = v;
+                        w = mc[v];
+                        break;
+                    }
+                }
+                if (w >= 0) {
+                    stack[++depth] = w;
+                    cur[w] = rptr[w];
+                } else {
+                    depth--;
+                }
+            }
+            if (end < 0)
+                continue;
+            /* Augment: each row on the path takes the column it was
+             * left through, the last one the free column. */
+            for (int64_t d = depth; d >= 0; d--) {
+                const int64_t v = d == depth ? end : via[d];
+                mr[stack[d]] = v;
+                mc[v] = stack[d];
+            }
+            size++;
+            grew = 1;
+        }
+    }
+    return size;
+}
+
+/* coarse_labels on one block: H is what alternating paths reach from
+ * the free columns, V what they reach from the free rows, the rest S.
+ * A label doubles as the visited mark of its own search. */
+static void dm_labels(
+    int64_t nr, int64_t nc, const int64_t *rptr, const int64_t *adj,
+    const int64_t *cptr, const int64_t *cadj, const int64_t *mr,
+    const int64_t *mc, int8_t *rl, int8_t *cl, int64_t *queue)
+{
+    for (int64_t u = 0; u < nr; u++)
+        rl[u] = DM_S;
+    for (int64_t v = 0; v < nc; v++)
+        cl[v] = DM_S;
+
+    int64_t head = 0, tail = 0;
+    for (int64_t v = 0; v < nc; v++)
+        if (mc[v] == -1) {
+            cl[v] = DM_H;
+            queue[tail++] = v;
+        }
+    while (head < tail) {
+        const int64_t v = queue[head++];
+        for (int64_t p = cptr[v]; p < cptr[v + 1]; p++) {
+            const int64_t u = cadj[p];
+            if (rl[u] == DM_H)
+                continue;
+            rl[u] = DM_H;
+            const int64_t w = mr[u];
+            if (w != -1 && cl[w] != DM_H) {
+                cl[w] = DM_H;
+                queue[tail++] = w;
+            }
+        }
+    }
+
+    head = tail = 0;
+    for (int64_t u = 0; u < nr; u++)
+        if (mr[u] == -1) {
+            rl[u] = DM_V;
+            queue[tail++] = u;
+        }
+    while (head < tail) {
+        const int64_t u = queue[head++];
+        for (int64_t p = rptr[u]; p < rptr[u + 1]; p++) {
+            const int64_t v = adj[p];
+            if (cl[v] == DM_V)
+                continue;
+            cl[v] = DM_V;
+            const int64_t w = mc[v];
+            if (w != -1 && rl[w] != DM_V) {
+                rl[w] = DM_V;
+                queue[tail++] = w;
+            }
+        }
+    }
+}
+
+/* Labels (int8: 0 H, 1 S, 2 V) and matching size of every block.
+ * iwork holds 6 * maxr + 3 * maxc int64, maxr / maxc being the most
+ * rows / columns of one block. */
+EXPORT void repro_block_dm(
+    int64_t nblocks,
+    const int64_t *restrict row_off,
+    const int64_t *restrict col_off,
+    const int64_t *restrict rptr,
+    const int64_t *restrict adj,
+    const int64_t *restrict cptr,
+    const int64_t *restrict cadj,
+    int8_t *restrict row_label,
+    int8_t *restrict col_label,
+    int64_t *restrict matching_size,
+    int64_t *restrict iwork)
+{
+    int64_t maxr = 0, maxc = 0;
+    for (int64_t b = 0; b < nblocks; b++) {
+        if (row_off[b + 1] - row_off[b] > maxr)
+            maxr = row_off[b + 1] - row_off[b];
+        if (col_off[b + 1] - col_off[b] > maxc)
+            maxc = col_off[b + 1] - col_off[b];
+    }
+    int64_t *mr = iwork, *la = mr + maxr, *cur = la + maxr, *stack = cur + maxr;
+    int64_t *via = stack + maxr, *mc = via + maxr, *visit = mc + maxc;
+    int64_t *queue = visit + maxc;
+    for (int64_t v = 0; v < maxc; v++)
+        visit[v] = 0;
+    int64_t stamp = 0;
+    for (int64_t b = 0; b < nblocks; b++) {
+        const int64_t r0 = row_off[b], nr = row_off[b + 1] - r0;
+        const int64_t c0 = col_off[b], nc = col_off[b + 1] - c0;
+        matching_size[b] = dm_match(
+            nr, nc, rptr + r0, adj, mr, mc, la, cur, stack, via, visit, &stamp);
+        dm_labels(nr, nc, rptr + r0, adj, cptr + c0, cadj, mr, mc,
+                  row_label + r0, col_label + c0, queue);
+    }
+}
+
+/* ------------------------------------------------------- s2D flip loop
+ *
+ * repro_s2d_flip: the greedy rounds of Algorithm 1
+ * (repro.core.s2d.s2d_heuristic).  Visiting blocks in `order`, a block
+ * not yet flipped with a nonempty H flips (chosen[b] = 1, h_size[b]
+ * nonzeros move from its row part's load to its column part's) when
+ * the column part's load stays within max(w_max, w_lim), w_max being
+ * the largest load after the previous flip.  Rounds repeat while one
+ * flips something, at most max_rounds; returns the number run.  Loads
+ * stay int64 and convert to double for the comparison, as NumPy
+ * compares an int64 load with the float cap. */
+EXPORT int64_t repro_s2d_flip(
+    int64_t nblocks,
+    int64_t nparts,
+    int64_t max_rounds,
+    double w_lim,
+    const int64_t *restrict order,
+    const int64_t *restrict row_part,
+    const int64_t *restrict col_part,
+    const int64_t *restrict h_size,
+    int64_t *restrict loads,
+    int8_t *restrict chosen)
+{
+    int64_t w_max = 0;
+    for (int64_t k = 0; k < nparts; k++)
+        if (k == 0 || loads[k] > w_max)
+            w_max = loads[k];
+    int64_t rounds = 0, changed = 1;
+    while (changed && rounds < max_rounds) {
+        changed = 0;
+        rounds++;
+        for (int64_t i = 0; i < nblocks; i++) {
+            const int64_t b = order[i], h = h_size[b];
+            if (chosen[b] || h == 0)
+                continue;
+            const double wm = (double)w_max;
+            const double cap = w_lim > wm ? w_lim : wm;
+            if ((double)(loads[col_part[b]] + h) <= cap) {
+                chosen[b] = 1;
+                loads[col_part[b]] += h;
+                loads[row_part[b]] -= h;
+                w_max = loads[0];
+                for (int64_t k = 1; k < nparts; k++)
+                    if (loads[k] > w_max)
+                        w_max = loads[k];
+                changed = 1;
+            }
+        }
+    }
+    return rounds;
 }

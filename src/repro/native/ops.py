@@ -25,6 +25,10 @@ than a ``Hypergraph`` for the same reason (hypergraph → native) and
 leave the same state as the NumPy code in
 :mod:`repro.hypergraph.refine`, :mod:`repro.hypergraph.kway`,
 :mod:`repro.hypergraph.coarsen` and :mod:`repro.hypergraph.initial`.
+:func:`block_dm` labels every block of a DM batch
+(:mod:`repro.dm.batch`) and :func:`s2d_flip` runs Algorithm 1's flip
+rounds (:mod:`repro.core.s2d`), over the same flat arrays as their NumPy
+references.
 Each wrapper allocates the kernel's outputs and workspace, and passes
 every array as a bare address after checking its dtype and
 C-contiguity (``TypeError`` otherwise): no silent conversion.
@@ -51,6 +55,7 @@ from repro.native import build as _build
 
 __all__ = [
     "addresses",
+    "block_dm",
     "compact_group",
     "contract",
     "fm_passes",
@@ -60,6 +65,7 @@ __all__ = [
     "hcm_match",
     "kway_passes",
     "random_fill",
+    "s2d_flip",
     "scatter_products",
     "scatter_sum",
 ]
@@ -504,3 +510,90 @@ def contract(
         "xnets": cxnets[: nc + 1].copy(),
         "nets": cnets[:ncpins].copy(),
     }
+
+
+def block_dm(
+    lib, *, row_off, col_off, rptr, adj, cptr, cadj,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coarse DM labels of every block of a batch (the per-block loop of
+    :func:`repro.dm.batch.batched_block_dm`).
+
+    Block ``b`` owns rows ``row_off[b]:row_off[b + 1]`` and columns
+    ``col_off[b]:col_off[b + 1]``; ``rptr``/``adj`` is the row-major CSR
+    adjacency over all rows and ``cptr``/``cadj`` the column-major one,
+    both with block-local ids.  Returns ``(row_label, col_label,
+    matching_size)``: int8 labels (0 H, 1 S, 2 V) over all rows and
+    columns, and each block's matching size (int64).
+    """
+    nb = row_off.size - 1
+    nrows, ncols = rptr.size - 1, cptr.size - 1
+    if _build.debug_bounds_enabled():
+        _validate_offsets("block_dm", "row_off", row_off, nrows)
+        _validate_offsets("block_dm", "col_off", col_off, ncols)
+        _validate_offsets("block_dm", "rptr", rptr, adj.size)
+        _validate_offsets("block_dm", "cptr", cptr, cadj.size)
+        if col_off.size != nb + 1 or np.any(rptr[row_off] != cptr[col_off]):
+            raise VerificationError(
+                "native block_dm: row and column offsets do not give every "
+                "block the same edge span"
+            )
+        edges = np.diff(rptr[row_off])
+        for name, ids, off in (("adj", adj, col_off), ("cadj", cadj, row_off)):
+            bound = np.repeat(np.diff(off), edges)
+            if ids.size and (int(ids.min()) < 0 or np.any(ids >= bound)):
+                raise VerificationError(
+                    f"native block_dm: {name} holds an id outside its block — "
+                    f"refusing to enter the unchecked C loop over {nb} blocks"
+                )
+    maxr = int(np.diff(row_off).max()) if nb > 0 else 0
+    maxc = int(np.diff(col_off).max()) if nb > 0 else 0
+    row_label = np.empty(nrows, dtype=np.int8)
+    col_label = np.empty(ncols, dtype=np.int8)
+    matching_size = np.empty(nb, dtype=np.int64)
+    iwork = np.empty(6 * maxr + 3 * maxc, dtype=np.int64)
+    lib.block_dm(
+        nb,
+        *addresses(
+            "block_dm",
+            ("row_off", row_off, _I64), ("col_off", col_off, _I64),
+            ("rptr", rptr, _I64), ("adj", adj, _I64), ("cptr", cptr, _I64),
+            ("cadj", cadj, _I64), ("row_label", row_label, _I8),
+            ("col_label", col_label, _I8), ("matching_size", matching_size, _I64),
+            ("iwork", iwork, _I64),
+        ),
+    )
+    return row_label, col_label, matching_size
+
+
+def s2d_flip(
+    lib, *, order, row_part, col_part, h_size, loads, w_lim: float, max_rounds: int,
+) -> tuple[np.ndarray, int]:
+    """The greedy rounds of :func:`repro.core.s2d.s2d_heuristic`.
+
+    Visits blocks in ``order``; ``row_part``, ``col_part`` and
+    ``h_size`` are per block, ``loads`` (int64, one per part) is updated
+    in place.  Returns ``(chosen, rounds)``: the bool mask of flipped
+    blocks and the number of rounds run.
+    """
+    nb, nparts = order.size, loads.size
+    if _build.debug_bounds_enabled():
+        _validate(
+            "s2d_flip", nb,
+            ("order", order, nb, nb),
+            ("row_part", row_part, nparts, nb),
+            ("col_part", col_part, nparts, nb),
+            ("h_size", h_size, None, nb),
+        )
+        _validate_permutation("s2d_flip", "order", order, nb)
+    chosen = np.zeros(nb, dtype=np.bool_)
+    flags = chosen.view(np.int8)
+    rounds = lib.s2d_flip(
+        nb, nparts, max_rounds, float(w_lim),
+        *addresses(
+            "s2d_flip",
+            ("order", order, _I64), ("row_part", row_part, _I64),
+            ("col_part", col_part, _I64), ("h_size", h_size, _I64),
+            ("loads", loads, _I64), ("chosen", flags, _I8),
+        ),
+    )
+    return chosen, int(rounds)

@@ -19,9 +19,10 @@ Two access styles coexist:
   (s2D, DM batching, volume bookkeeping, the engine) builds on;
 - the **per-block accessors** (``block_nnz_indices``, ``nhat`` …):
   convenience views over the same pre-sorted buffers, kept for tests
-  and exploratory use.  :func:`legacy_block_stats` preserves the
-  original one-``np.unique``-per-block computation as the golden
-  reference the batched kernel is pinned against.
+  and exploratory use.  The seed's one-``np.unique``-per-block
+  computation survives only as its frozen outputs
+  (``tests/fixtures/block_dm_seed.npz``), which the batched kernel is
+  pinned against.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "BlockStructure",
     "BlockStats",
     "grouped_distinct_counts",  # re-exported from repro.kernels
-    "legacy_block_stats",
 ]
 
 
@@ -240,7 +240,7 @@ class BlockStructure:
         """Batched nnz / ``n̂`` / ``m̂`` of every nonempty block.
 
         One linear incidence pass over all nonzeros replaces the
-        per-block ``np.unique`` calls of the legacy path; the result is
+        per-block ``np.unique`` calls of the seed code; the result is
         cached on the structure (it is immutable once built).
         """
         if self._stats is None:
@@ -328,28 +328,3 @@ class BlockStructure:
         np.add.at(loads, self.col_part_of_nnz, 1)
         return loads
 
-
-def legacy_block_stats(bs: BlockStructure) -> BlockStats:
-    """The original per-block computation of :meth:`BlockStructure.block_stats`.
-
-    One ``np.unique`` per block per statistic, exactly as the seed code
-    did it.  Kept as the golden reference for the equivalence tests and
-    as the baseline of ``benchmarks/bench_engine.py``; never used on a
-    hot path.
-    """
-    nnz, nhat, mhat = [], [], []
-    k = bs.nparts
-    for key in bs.block_keys.tolist():
-        ell, kk = divmod(int(key), k)
-        idx = bs.block_nnz_indices(ell, kk)
-        nnz.append(idx.size)
-        nhat.append(np.unique(bs.cols[idx]).size)
-        mhat.append(np.unique(bs.rows[idx]).size)
-    return BlockStats(
-        nparts=k,
-        keys=bs.block_keys.copy(),
-        indptr=bs.block_indptr.copy(),
-        nnz=np.asarray(nnz, dtype=np.int64),
-        nhat=np.asarray(nhat, dtype=np.int64),
-        mhat=np.asarray(mhat, dtype=np.int64),
-    )

@@ -129,8 +129,12 @@ def test_heuristic_meta_records_choices(small_square, rng):
     s = s2d_heuristic(small_square, y_part=y, nparts=k)
     assert s.meta["method"] == "heuristic"
     assert "w_lim" in s.meta
-    for ch in s.meta["choices"]:
-        assert ch.lambda_minus >= 0
+    table = s.meta["choices"]
+    assert len(table) > 0 and np.all(table.lambda_minus >= 0)
+    assert s.meta["chosen"].dtype == bool and s.meta["chosen"].size == len(table)
+    # Every block that took A2 moved exactly its H nonzeros to its column part.
+    for i in np.flatnonzero(s.meta["chosen"]):
+        assert np.all(s.nnz_part[table[i].h_nnz] == table.col_part[i])
 
 
 def test_vector_partition_defaults_symmetric_for_square(small_square, rng):

@@ -339,6 +339,143 @@ def test_shuffled_main_section_is_refused(partitioned_instances):  # noqa: F811
 
 
 # ----------------------------------------------------------------------
+# Algorithm 1's kernels: block DM and the flip loop
+# ----------------------------------------------------------------------
+
+
+def _one_block(dense: np.ndarray):
+    """The flat arrays ``ops.block_dm`` takes for one block with the
+    pattern of ``dense``: row-major adjacency (``rptr``, ``adj``) and
+    column-major adjacency (``cptr``, ``cadj``)."""
+    rows, cols = np.nonzero(dense)
+    nr, nc = dense.shape
+    rptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=nr))))
+    order = np.lexsort((rows, cols))
+    cptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=nc))))
+    return {
+        "row_off": np.array([0, nr], dtype=np.int64),
+        "col_off": np.array([0, nc], dtype=np.int64),
+        "rptr": rptr.astype(np.int64),
+        "adj": cols.astype(np.int64),
+        "cptr": cptr.astype(np.int64),
+        "cadj": rows[order].astype(np.int64),
+    }
+
+
+@pytest.mark.native
+def test_block_dm_labels_do_not_depend_on_the_matching():
+    """Reversing every row's adjacency makes Hopcroft–Karp find another
+    maximum matching; the labels from either matching, and the kernel's
+    from either adjacency, are the same."""
+    from repro.dm.decomposition import coarse_labels
+    from repro.dm.matching import hopcroft_karp
+
+    lib = get_kernels()
+    rng = np.random.default_rng(5)
+    dense = rng.random((9, 12)) < 0.3
+    dense[:4, :2] = True  # a dense corner: many maximum matchings
+    dense[7:, :] = False
+    dense[7:, 0] = True  # two rows sharing one column: structurally singular
+    arrays = _one_block(dense)
+    permuted = dict(arrays)
+    rptr = arrays["rptr"]
+    permuted["adj"] = np.concatenate(
+        [arrays["adj"][rptr[u]:rptr[u + 1]][::-1] for u in range(dense.shape[0])]
+    )
+    nr, nc = dense.shape
+    m1 = hopcroft_karp(rptr, arrays["adj"], nr, nc)
+    m2 = hopcroft_karp(rptr, permuted["adj"], nr, nc)
+    assert not np.array_equal(m1[0], m2[0])
+    want = coarse_labels(rptr, arrays["adj"], arrays["cptr"], arrays["cadj"], *m1)
+    other = coarse_labels(rptr, arrays["adj"], arrays["cptr"], arrays["cadj"], *m2)
+    assert all(np.array_equal(a, b) for a, b in zip(want, other))
+    for flat in (arrays, permuted):
+        row_label, col_label, msize = ops.block_dm(lib, **flat)
+        assert np.array_equal(row_label, want[0]) and np.array_equal(col_label, want[1])
+        assert msize.tolist() == [np.count_nonzero(m1[0] != -1)]
+    assert {0, 1, 2} <= set(want[0].tolist()) | set(want[1].tolist())
+
+
+def _flip_both(**flat):
+    """``(chosen, rounds, loads)`` of the NumPy and native flip loops."""
+    from repro.core.s2d import _flip_numpy
+
+    out = []
+    for run in (_flip_numpy, lambda **kw: ops.s2d_flip(get_kernels(), **kw)):
+        loads = flat["loads"].copy()
+        chosen, rounds = run(**{**flat, "loads": loads})
+        out.append((chosen.tolist(), rounds, loads.tolist()))
+    return out
+
+
+@pytest.mark.native
+@pytest.mark.parametrize("w_lim", [5.0, 12.0])
+def test_s2d_flip_cap_is_inclusive_at_equality(w_lim):
+    """A flip landing exactly on ``max(w_max, w_lim)`` is taken, one
+    nonzero more is not; the cap is ``w_max`` (10) for ``w_lim`` 5 and
+    ``w_lim`` itself for 12."""
+    cap = max(10, w_lim)
+    flat = dict(
+        order=np.array([0, 1, 2], dtype=np.int64),
+        row_part=np.array([0, 0, 2], dtype=np.int64),
+        col_part=np.array([1, 1, 1], dtype=np.int64),
+        h_size=np.array([int(cap) - 6, 1, 0], dtype=np.int64),
+        loads=np.array([10, 6, 3], dtype=np.int64),
+        w_lim=w_lim,
+        max_rounds=64,
+    )
+    numpy_run, native_run = _flip_both(**flat)
+    assert numpy_run == native_run
+    chosen, rounds, loads = native_run
+    # Block 0 fills part 1 to the cap exactly; block 1 would exceed it,
+    # block 2 has no H.  A second round changes nothing.
+    assert chosen == [True, False, False] and rounds == 2
+    assert loads == [10 - (int(cap) - 6), int(cap), 3]
+
+
+@pytest.mark.native
+def test_s2d_flip_identical_on_random_instances():
+    rng = np.random.default_rng(8)
+    for trial in range(50):
+        k, nb = int(rng.integers(2, 9)), int(rng.integers(0, 60))
+        rows = rng.integers(0, k, nb)
+        cols = (rows + rng.integers(1, k, nb)) % k
+        h = rng.integers(0, 6, nb)
+        flat = dict(
+            order=rng.permutation(nb).astype(np.int64), row_part=rows, col_part=cols,
+            h_size=h, loads=rng.integers(0, 40, k), w_lim=float(rng.integers(0, 40)),
+            max_rounds=int(rng.integers(1, 5)),
+        )
+        numpy_run, native_run = _flip_both(**flat)
+        assert numpy_run == native_run, trial
+
+
+@pytest.mark.native
+def test_block_dm_and_flip_reject_wrong_dtype_or_layout():
+    lib = get_kernels()
+    flat = _one_block(np.eye(3, dtype=bool))
+    for name, bad in (
+        ("row_off", flat["row_off"].astype(np.int32)),
+        ("adj", np.repeat(flat["adj"], 2)[::2]),
+        ("cadj", flat["cadj"].astype(float)),
+    ):
+        with pytest.raises(TypeError, match=f"block_dm: {name}"):
+            ops.block_dm(lib, **{**flat, name: bad})
+    good = dict(
+        order=np.arange(2, dtype=np.int64), row_part=np.zeros(2, dtype=np.int64),
+        col_part=np.ones(2, dtype=np.int64), h_size=np.ones(2, dtype=np.int64),
+        loads=np.array([4, 0], dtype=np.int64), w_lim=4.0, max_rounds=8,
+    )
+    for name, bad in (
+        ("loads", good["loads"].astype(np.int32)),
+        ("order", np.array([[0, 1], [1, 0]], dtype=np.int64)[:, 0]),
+        ("h_size", good["h_size"].astype(float)),
+    ):
+        with pytest.raises(TypeError, match=f"s2d_flip: {name}"):
+            ops.s2d_flip(lib, **{**good, name: bad})
+
+
+# ----------------------------------------------------------------------
 # Dispatch: env flag, overrides, no-compiler fallback
 # ----------------------------------------------------------------------
 

@@ -171,6 +171,34 @@ for h in (fg, coarse):
     assert got[0] == cut
     for want, have in zip((pc, gain, pw), got[1:]):
         assert np.array_equal(want, have)
+
+# Algorithm 1's kernels: repro_block_dm over every off-diagonal block and
+# repro_s2d_flip, against the NumPy reference, on a dense-row matrix and
+# a rectangular random one.
+from repro.core.s2d import s2d_heuristic
+from repro.dm.batch import batched_block_dm
+from repro.generators.circuit import banded_with_dense_rows
+from repro.sparse.blocks import BlockStructure
+
+rng = np.random.default_rng(9)
+for m in (
+    canonical_coo(banded_with_dense_rows(200, ndense=3, seed=2)),
+    canonical_coo(sp.random(70, 90, density=0.06, random_state=5, format="coo")),
+):
+    for k in (2, 7):
+        bs = BlockStructure(
+            m.row, m.col, rng.integers(0, k, m.shape[1]), rng.integers(0, k, m.shape[0]), k
+        )
+        runs = {}
+        for backend in ("numpy", "native"):
+            set_default_backend(backend)
+            t = batched_block_dm(bs)
+            h = s2d_heuristic(m, x_part=bs.x_part, y_part=bs.y_part, nparts=k,
+                              block_structure=bs, choices=t)
+            runs[backend] = [t.row_label, t.col_label, t.matching_size, t.h_mask,
+                             h.meta["chosen"], h.nnz_part, np.array([h.meta["rounds"]])]
+        for want, got in zip(runs["numpy"], runs["native"]):
+            assert np.array_equal(want, got)
 print("OK-SANITIZED-GOLDEN")
 """
 
@@ -200,7 +228,9 @@ def test_sanitized_kernels_pass_golden_applies():
     ``partition_kway`` (every partitioner kernel) and on direct calls
     of the HCM matching, contraction,
     greedy-growing and random-fill kernels and of the in-kernel FM
-    set-up, run in a child with the sanitizer runtime active."""
+    set-up, and on the block DM and s2D flip kernels over every
+    off-diagonal block of two matrices, run in a child with the
+    sanitizer runtime active."""
     proc = _run_child(_GOLDEN_CHILD)
     _skip_if_unloadable(proc)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -298,6 +328,59 @@ def test_debug_guard_checks_plan_arrays_when_binding_the_apply(monkeypatch):
         getattr(bad, field)[0] = bad.ncols
         with pytest.raises(VerificationError, match=f"plan_apply: {field}.*unchecked C loop"):
             bad.apply_y(x, backend="native")
+
+
+def _two_block_batch():
+    """A 2×2 identity block and a full 1×2 block, as ``ops.block_dm``
+    takes them."""
+    i64 = lambda *v: np.array(v, dtype=np.int64)  # noqa: E731
+    return dict(
+        row_off=i64(0, 2, 3), col_off=i64(0, 2, 4), rptr=i64(0, 1, 2, 4),
+        adj=i64(0, 1, 0, 1), cptr=i64(0, 1, 2, 3, 4), cadj=i64(0, 1, 0, 0),
+    )
+
+
+@pytest.mark.native
+def test_debug_guard_checks_block_dm_offsets_and_flip_indices(monkeypatch):
+    """Offsets that are not monotone, do not reach their totals or give
+    a block different row and column edge spans, and ids outside their
+    block, are refused before repro_block_dm; so are a flip order that
+    is not a permutation and part ids out of range before
+    repro_s2d_flip."""
+    lib = get_kernels()
+    if lib is None:
+        pytest.skip("native kernels unavailable")
+    from repro.dm.batch import _labels_numpy
+
+    monkeypatch.setenv(DEBUG_ENV, "1")
+    good = _two_block_batch()
+    got = ops.block_dm(lib, **good)
+    want = _labels_numpy(**good)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert got[2].tolist() == [2, 1]
+    i64 = lambda *v: np.array(v, dtype=np.int64)  # noqa: E731
+    for name, bad, message in (
+        ("rptr", i64(0, 2, 1, 4), "rptr is not a monotone"),
+        ("rptr", i64(0, 1, 2, 3), "rptr is not a monotone"),
+        ("col_off", i64(0, 2, 3), "col_off is not a monotone"),
+        ("row_off", i64(0, 3, 3), "same edge span"),
+        ("adj", i64(0, 2, 0, 1), "adj holds an id outside its block"),
+        ("cadj", i64(0, 1, 1, 0), "cadj holds an id outside its block"),
+    ):
+        with pytest.raises(VerificationError, match=f"native block_dm: .*{message}"):
+            ops.block_dm(lib, **{**good, name: bad})
+
+    flip = dict(
+        order=i64(1, 0), row_part=i64(0, 1), col_part=i64(1, 0), h_size=i64(2, 1),
+        loads=i64(5, 5), w_lim=6.0, max_rounds=4,
+    )
+    assert ops.s2d_flip(lib, **flip)[1] >= 1
+    for name, bad, message in (
+        ("order", i64(0, 0), "order is not a permutation"),
+        ("col_part", i64(1, 2), "col_part indexes outside"),
+    ):
+        with pytest.raises(VerificationError, match=f"native s2d_flip: {message}"):
+            ops.s2d_flip(lib, **{**flip, name: bad})
 
 
 def test_env_flag_parsing(monkeypatch):

@@ -317,6 +317,25 @@ def test_simulate_stage_noop_without_collectors(medium_square, rng):
         assert a.ledger.as_dict() == b.ledger.as_dict()
 
 
+def test_traced_s2d_plan_counts_dm_blocks_and_flip_rounds(medium_square):
+    """A traced s2D-heuristic plan reports how many blocks went through
+    DM and how many greedy rounds Algorithm 1 ran; the untraced plan is
+    the same partition."""
+    import numpy as np
+
+    from repro.engine import PartitionEngine
+
+    with obs.tracing() as tr:
+        traced = PartitionEngine(medium_square, seed=3).plan("s2d-heuristic", 4).partition
+    counters = tr.total_counters()
+    assert counters["dm.blocks"] == len(traced.meta["choices"]) > 0
+    assert counters["s2d.flip_rounds"] == traced.meta["rounds"] >= 1
+    plain = PartitionEngine(medium_square, seed=3).plan("s2d-heuristic", 4).partition
+    assert plain.nnz_part.tobytes() == traced.nnz_part.tobytes()
+    assert plain.meta["rounds"] == traced.meta["rounds"]
+    assert np.array_equal(plain.meta["chosen"], traced.meta["chosen"])
+
+
 # ----------------------------------------------------------------------
 # Stats aggregation
 # ----------------------------------------------------------------------
