@@ -65,31 +65,11 @@ from repro.engine import ALIASES, PartitionEngine, available_methods
 from repro.errors import ConfigError, UsageError
 from repro.jobs import resolve_jobs
 from repro.native import BACKENDS
-from repro.experiments import (
-    ExperimentConfig,
-    figure1_report,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
-    run_table6,
-    run_table7,
-)
+from repro.experiments import GRID_TABLES, TABLES, ExperimentConfig, figure1_report, run_table
 from repro.generators.suite import SCALES, table1_suite, table4_suite
 from repro.sparse import matrix_properties, read_matrix_market
 
 __all__ = ["main"]
-
-_TABLES = {
-    1: run_table1,
-    2: run_table2,
-    3: run_table3,
-    4: run_table4,
-    5: run_table5,
-    6: run_table6,
-    7: run_table7,
-}
 
 # Historical short spellings plus the engine's canonical method names;
 # either resolves through the registry.
@@ -171,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     p_suite.add_argument("--scale", choices=SCALES, default="small")
 
     p_table = sub.add_parser("table", help="regenerate a paper table")
-    p_table.add_argument("--id", type=int, choices=sorted(_TABLES), required=True)
+    p_table.add_argument("--id", type=int, choices=sorted(TABLES), required=True)
     p_table.add_argument("--scale", choices=SCALES, default=None)
     p_table.add_argument(
         "--jobs", type=int, default=1,
@@ -275,8 +255,8 @@ def main(argv: list[str] | None = None) -> int:
         help="campaign directory (journal.jsonl + artifact cache)",
     )
     p_camp.add_argument(
-        "--table", type=int, choices=(2, 3, 5, 6, 7), default=2,
-        help="which quantitative table's grid to run (default 2)",
+        "--table", type=int, choices=GRID_TABLES, default=GRID_TABLES[0],
+        help="which quantitative table's grid to run (default %(default)s)",
     )
     p_camp.add_argument("--scale", choices=SCALES, default=None)
     p_camp.add_argument(
@@ -387,7 +367,7 @@ def _dispatch(args) -> int:
         _resolve_backend_or_exit(args.backend)
         cfg = ExperimentConfig(scale=args.scale) if args.scale else ExperimentConfig()
         jobs = resolve_jobs(args.jobs, what="--jobs")
-        print(_TABLES[args.id](cfg, jobs=jobs, cache_dir=args.cache_dir).text)
+        print(run_table(args.id, cfg, jobs=jobs, cache_dir=args.cache_dir).text)
         return 0
 
     if args.cmd == "figure1":

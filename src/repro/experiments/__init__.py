@@ -6,7 +6,8 @@ One module per artefact family:
   configuration (``REPRO_SCALE`` environment variable);
 - :mod:`repro.experiments.figure1` — the worked 10×13 example of
   Figure 1;
-- :mod:`repro.experiments.tables` — Tables I–VII.
+- :mod:`repro.experiments.tables` — Tables I–VII, declared as column
+  specs in one registry (``TABLES``) and rendered by ``run_table``.
 
 Benchmarks (``benchmarks/``), the CLI (``python -m repro.cli``) and the
 examples all call these functions, so the numbers in every output
@@ -16,6 +17,9 @@ channel agree.
 from repro.experiments.config import ExperimentConfig, current_scale
 from repro.experiments.figure1 import figure1_partition, figure1_report
 from repro.experiments.tables import (
+    GRID_TABLES,
+    TABLES,
+    run_table,
     run_table1,
     run_table2,
     run_table3,
@@ -27,10 +31,13 @@ from repro.experiments.tables import (
 )
 
 __all__ = [
+    "GRID_TABLES",
+    "TABLES",
     "ExperimentConfig",
     "current_scale",
     "figure1_partition",
     "figure1_report",
+    "run_table",
     "run_table1",
     "run_table2",
     "run_table3",

@@ -1,43 +1,45 @@
 """Tables I–VII of the paper, regenerated on the synthetic suites.
 
-Every ``run_table*`` function returns a :class:`TableResult` holding
-both the formatted text (printed by the benchmark harness) and the raw
-per-instance records (consumed by tests and EXPERIMENTS.md).  Matrix
-names match the paper so rows line up side by side.
+Each table is one :class:`TableSpec` in :data:`TABLES`: its suite, its
+schemes (each under the record label its columns read), its default K
+and its column list.  One renderer, :func:`run_table`, turns a spec
+into a :class:`TableResult`: the formatted text (printed by the
+benchmark harness) plus the raw records (consumed by tests and
+EXPERIMENTS.md).  Matrix names match the paper so rows line up.
 
-All seven tables drive the sweep orchestrator
-(:mod:`repro.sweep`): each declares its grid — matrices × schemes × K
-over one seed and machine model — and consumes the resulting records.
-The orchestrator preserves the engine-affinity sharing the serial
-harness had (one :class:`repro.engine.PartitionEngine` per matrix, so
-Table II's s2D column reuses the 1D column's hypergraph run and one
-block-analytics pass per (matrix, K)) and adds two new controls:
+A quantitative record holds one (matrix, K): ``name``, ``K``, every
+scheme's :class:`~repro.simulate.PartitionQuality` under its label and
+the volume ratios the columns declare.  A :class:`Column` is a header,
+one or two record getters and one format; a cell row renders
+``fmt(*values)`` and the per-K geomean row ``fmt(*geomeans)`` — the
+formats are picked so one serves both (``f"{4:.0f}" == "4"``).  The
+property tables (I, IV) render per-matrix records with no geomean row.
 
-- ``jobs=N`` fans the per-matrix tasks out over a fork-based process
-  pool — records are bit-identical to a serial run;
-- ``cache_dir=…`` persists partitions and evaluated records in a
-  content-addressed store, so a warm rerun is pure cache reads.
+The quantitative tables run their :func:`table_grid` on the sweep
+orchestrator (:mod:`repro.sweep`): one
+:class:`repro.engine.PartitionEngine` per matrix, so schemes sharing a
+slot share partitioner work (Table II's s2D refines the 1D column's
+vector partition).  ``jobs=N`` fans the per-matrix tasks over a process
+pool with records bit-identical to a serial run; ``cache_dir=…``
+persists partitions and records in a content-addressed store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.experiments.config import ExperimentConfig
 from repro.metrics import format_li, format_table, geomean
-from repro.simulate import PartitionQuality
-from repro.sweep import (
-    MatrixRef,
-    SchemeSpec,
-    SweepGrid,
-    SweepResult,
-    map_tasks,
-    run_sweep,
-    suite_refs,
-)
+from repro.sweep import MatrixRef, SchemeSpec, SweepGrid, map_tasks, run_sweep, suite_refs
 
 __all__ = [
+    "GRID_TABLES",
+    "TABLES",
+    "Column",
     "TableResult",
+    "TableSpec",
+    "run_table",
     "run_table1",
     "run_table2",
     "run_table3",
@@ -69,56 +71,138 @@ class TableResult:
         return format_table(self.headers, self.rows, title=self.title)
 
 
-# ----------------------------------------------------------------------
-# Shared sweep plumbing
-# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Column:
+    """One column: cells are ``fmt(*(get(record) for get in gets))``.
+
+    ``total`` is fixed geomean-row text for a non-numeric column.
+    ``ratio = (key, label, base)`` has the record builder store
+    ``label``'s volume over ``base``'s under ``key``.
+    """
+
+    header: str
+    gets: tuple[Callable[[dict], object], ...]
+    fmt: Callable[..., str] = str
+    total: str | None = None
+    ratio: tuple[str, str, str] | None = None
 
 
-#: Quantitative tables: suite name × scheme/slot declarations.  Slot
-#: sharing encodes the paper's setup (e.g. s2D refines 1D's cached
-#: vector partition — see each ``run_table*`` comment).
-_TABLE_GRIDS: dict[int, tuple[str, tuple[SchemeSpec, ...]]] = {
-    2: (
-        "table1",
-        (
-            SchemeSpec("1d-rowwise", slot=0),
-            SchemeSpec("finegrain", slot=1),
-            SchemeSpec("s2d-heuristic", slot=0),
-        ),
+def _key(key: str, fmt: Callable[..., str] = str, header: str | None = None) -> Column:
+    """A column showing record field ``key``."""
+    return Column(header or key, (lambda rec: rec[key],), fmt)
+
+
+def _of(label: str, header: str, fmt: Callable[..., str], *attrs: str) -> Column:
+    """A column of quality fields of scheme ``label``; ``{}`` in
+    ``header`` is the label without dashes (``"s2D-b"`` -> ``"s2Db"``)."""
+    gets = tuple(lambda rec, a=a: getattr(rec[label], a) for a in attrs)
+    return Column(header.format(label.replace("-", "")), gets, fmt)
+
+
+def _li(label: str) -> Column:
+    return _of(label, "{}:LI", format_li, "load_imbalance")
+
+
+def _lat(label: str) -> Column:
+    return _of(label, "{}:lat(av/mx)", "{:.0f}/{:.0f}".format, "avg_msgs", "max_msgs")
+
+
+def _sp(label: str) -> Column:
+    return _of(label, "{}:Sp", "{:.1f}".format, "speedup")
+
+
+def _vol(label: str, header: str = "lam{}") -> Column:
+    return _of(label, header, "{:.2e}".format, "total_volume")
+
+
+def _ratio(key: str, label: str, base: str) -> Column:
+    header = f"{label}:lam/{base}".replace("-", "")
+    return Column(header, (lambda rec: rec[key],), "{:.2f}".format, ratio=(key, label, base))
+
+
+@dataclass(frozen=True)
+class TableSpec:
+    """Everything one table declares.
+
+    ``schemes`` pairs each record label with its grid entry (none for
+    the property tables); slot sharing encodes the paper's setup.
+    ``ks`` gives the default K axis.  ``keys`` open every row; the
+    geomean row shows ``"geomean"`` and its K there.  Volume ratios
+    divide by ``max(base volume, volume_floor)``.  ``best_of`` stores
+    the fastest of those labels as ``best`` / ``best_q``.
+    """
+
+    title: str
+    suite: str
+    columns: tuple[Column, ...]
+    schemes: tuple[tuple[str, SchemeSpec], ...] = ()
+    ks: Callable[[ExperimentConfig], tuple[int, ...]] = lambda cfg: ()
+    keys: tuple[str, ...] = ("name", "K")
+    volume_floor: int = 0
+    best_of: tuple[str, ...] = ()
+
+
+_PROPERTIES = (_key("n"), _key("nnz"), _key("davg", "{:.1f}".format), _key("dmax"),
+               _key("application"))
+_1D, _2D, _S2D = (SchemeSpec("1d-rowwise", 0), SchemeSpec("finegrain", 1),
+                  SchemeSpec("s2d-heuristic", 0))
+_2DB, _S2DB = SchemeSpec("checkerboard", 2), SchemeSpec("s2d-bounded", 0)
+
+#: Table id -> declaration: the one registry of the paper's tables.
+TABLES: dict[int, TableSpec] = {
+    1: TableSpec("Table I analog (scale={scale}): general matrices", "table1",
+                 _PROPERTIES, keys=("name",)),
+    2: TableSpec(
+        "Table II analog (scale={scale}): 1D vs 2D vs s2D", "table1",
+        (_li("1D"), _lat("1D"), _vol("1D"), _sp("1D"),
+         _li("2D"), _lat("2D"), _ratio("lam_ratio_2d", "2D", "1D"), _sp("2D"),
+         _li("s2D"), _ratio("lam_ratio_s2d", "s2D", "1D"), _sp("s2D")),
+        (("1D", _1D), ("2D", _2D), ("s2D", _S2D)),
+        lambda cfg: cfg.general_ks,
     ),
-    3: (
-        "table1",
-        (
-            SchemeSpec("1d-rowwise", slot=0),
-            SchemeSpec("finegrain", slot=1),
-            SchemeSpec("s2d-heuristic", slot=0),
-            SchemeSpec("checkerboard", slot=2),
-        ),
+    3: TableSpec(
+        "Table III analog (scale={scale}, K={k}): Cartesian 2D-b", "table1",
+        (_of("best_q", "best(1D,2D,s2D):Sp", "{:.1f}".format, "speedup"),
+         Column("scheme", (lambda rec: rec["best"],), total="-"),
+         _li("2D-b"), _lat("2D-b"), _ratio("lam_ratio", "2D-b", "1D"), _sp("2D-b")),
+        (("1D", _1D), ("2D", _2D), ("s2D", _S2D), ("2D-b", _2DB)),
+        lambda cfg: cfg.general_ks[-1:],
+        keys=("name",),
+        best_of=("1D", "2D", "s2D"),
     ),
-    5: (
-        "table4",
-        (
-            SchemeSpec("1d-rowwise", slot=0),
-            SchemeSpec("s2d-heuristic", slot=0),
-            SchemeSpec("s2d-bounded", slot=0),
-        ),
+    4: TableSpec("Table IV analog (scale={scale}): matrices with dense rows", "table4",
+                 _PROPERTIES, keys=("name",)),
+    # s2D-b shares the cached s2D plan: same nonzero partition, mesh-routed.
+    5: TableSpec(
+        "Table V analog (scale={scale}): 1D vs s2D vs s2D-b", "table4",
+        (_li("1D"), _lat("1D"), _vol("1D"),
+         _li("s2D"), _ratio("lam_s2d", "s2D", "1D"),
+         _lat("s2D-b"), _ratio("lam_s2db", "s2D-b", "1D")),
+        (("1D", _1D), ("s2D", _S2D), ("s2D-b", _S2DB)),
+        lambda cfg: cfg.dense_ks,
     ),
-    6: (
-        "table4",
-        (
-            SchemeSpec("checkerboard", slot=2),
-            SchemeSpec("1d-boman", slot=0),
-            SchemeSpec("s2d-bounded", slot=0),
-        ),
+    # 1D-b and s2D-b both route the cached 1D vector partition (slot 0).
+    6: TableSpec(
+        "Table VI analog (scale={scale}): bounded-latency schemes", "table4",
+        (_li("2D-b"), _vol("2D-b"),
+         _li("1D-b"), _ratio("lam_1db", "1D-b", "2D-b"),
+         _li("s2D-b"), _ratio("lam_s2db", "s2D-b", "2D-b")),
+        (("2D-b", _2DB), ("1D-b", SchemeSpec("1d-boman", 0)), ("s2D-b", _S2DB)),
+        lambda cfg: cfg.dense_ks,
     ),
-    7: (
-        "table4",
-        (
-            SchemeSpec("medium-grain", slot=3),
-            SchemeSpec("s2d-heuristic", slot=0),
-        ),
+    7: TableSpec(
+        "Table VII analog (scale={scale}): s2D vs s2D-mg", "table4",
+        (_li("mg"), _of("mg", "{}:lat", "{:.0f}".format, "avg_msgs"), _vol("mg", "lam_mg"),
+         _li("s2D"), _of("s2D", "{}:lat", "{:.0f}".format, "avg_msgs"),
+         _ratio("lam_ratio", "s2D", "mg")),
+        (("mg", SchemeSpec("medium-grain", 3)), ("s2D", _S2D)),
+        lambda cfg: cfg.dense_ks,
+        volume_floor=1,
     ),
 }
+
+#: The quantitative tables: the ones with a sweep grid.
+GRID_TABLES: tuple[int, ...] = tuple(t for t, spec in TABLES.items() if spec.schemes)
 
 
 def table_grid(
@@ -126,465 +210,138 @@ def table_grid(
     cfg: ExperimentConfig | None = None,
     ks: tuple[int, ...] | None = None,
 ) -> SweepGrid:
-    """The :class:`SweepGrid` behind one quantitative table (II, III,
-    V, VI, VII).
-
-    This is the single source of the tables' grid declarations: the
-    ``run_table*`` functions execute it through :func:`run_sweep`, and
-    the campaign CLI (``repro campaign run --table N``) wraps the same
-    grid in a crash-safe :class:`~repro.sweep.campaign.Campaign` —
-    both address identical cells, so a campaign's artifact cache warms
-    a later ``repro table`` run and vice versa.
+    """The :class:`SweepGrid` behind quantitative table ``table``, at its
+    default K unless ``ks`` is given.  :func:`run_table` and the
+    campaign CLI (``repro campaign run --table N``) both run it, so a
+    campaign's artifact cache warms a later ``repro table`` run.
     """
     table = int(table)
-    if table not in _TABLE_GRIDS:
+    if table not in GRID_TABLES:
         raise KeyError(
-            f"table {table} has no sweep grid (quantitative tables: "
-            f"{sorted(_TABLE_GRIDS)})"
+            f"table {table} has no sweep grid (quantitative tables: {list(GRID_TABLES)})"
         )
     cfg = cfg or ExperimentConfig()
-    which, schemes = _TABLE_GRIDS[table]
-    if ks is None:
-        if table == 3:
-            ks = (cfg.general_ks[-1],)
-        elif table == 2:
-            ks = cfg.general_ks
-        else:
-            ks = cfg.dense_ks
+    spec = TABLES[table]
     return SweepGrid(
-        matrices=suite_refs(which, cfg.scale),
-        schemes=schemes,
-        ks=tuple(int(k) for k in ks),
+        matrices=suite_refs(spec.suite, cfg.scale),
+        schemes=tuple(scheme for _, scheme in spec.schemes),
+        ks=tuple(int(k) for k in ks or spec.ks(cfg)),
         seeds=(cfg.seed,),
         machines=(cfg.machine,),
     )
 
 
-def _table_sweep(
-    table: int,
-    cfg: ExperimentConfig,
-    ks: tuple[int, ...],
-    *,
-    jobs: int,
-    cache_dir,
-) -> tuple[tuple[MatrixRef, ...], SweepResult]:
-    """Declare and run one quantitative table's grid."""
-    grid = table_grid(table, cfg, ks)
-    return grid.matrices, run_sweep(grid, jobs=jobs, cache_dir=cache_dir)
-
-
-def _sweep_meta(res: SweepResult, jobs: int) -> dict:
-    return {"jobs": jobs, "engines": res.engines}
-
-
-def _properties_cell(ref: MatrixRef) -> tuple:
+def _properties_cell(ref: MatrixRef) -> dict:
     """Worker body of the property tables (module-level: picklable)."""
     sm = ref.suite_entry()
-    return sm.properties(), sm.application
+    p = sm.properties()
+    return {"name": p.name, "n": p.nrows, "nnz": p.nnz, "davg": p.davg, "dmax": p.dmax,
+            "skew": p.row_skew, "application": sm.application}
 
 
-def _properties_table(
-    which: str, cfg: ExperimentConfig, title: str, jobs: int
-) -> TableResult:
-    refs = suite_refs(which, cfg.scale)
-    headers = ["name", "n", "nnz", "davg", "dmax", "application"]
-    rows, records = [], []
-    for p, application in map_tasks(_properties_cell, refs, jobs=jobs):
-        rows.append(
-            [p.name, p.nrows, p.nnz, f"{p.davg:.1f}", p.dmax, application]
-        )
-        records.append(
-            {
-                "name": p.name,
-                "n": p.nrows,
-                "nnz": p.nnz,
-                "davg": p.davg,
-                "dmax": p.dmax,
-                "skew": p.row_skew,
-            }
-        )
-    return TableResult(
-        title=title,
-        headers=headers,
-        rows=rows,
-        records=records,
-        meta={"jobs": jobs},
-    )
+def _grid_records(spec: TableSpec, grid: SweepGrid, res) -> list[dict]:
+    """One record per (matrix, K), in grid order."""
+    records = []
+    for ref in grid.matrices:
+        for k in grid.ks:
+            rec = {"name": ref.name, "K": k}
+            for label, scheme in spec.schemes:
+                rec[label] = res.quality(ref.name, scheme.scheme, k)
+            if spec.best_of:
+                rec["best"], rec["best_q"] = max(
+                    ((label, rec[label]) for label in spec.best_of),
+                    key=lambda t: t[1].speedup,
+                )
+            for key, label, base in (c.ratio for c in spec.columns if c.ratio):
+                volume = max(rec[base].total_volume, spec.volume_floor)
+                rec[key] = rec[label].total_volume / volume
+            records.append(rec)
+    return records
 
 
-def run_table1(
-    cfg: ExperimentConfig | None = None, *, jobs: int = 1, cache_dir=None
-) -> TableResult:
-    """Table I: properties of the general test suite.
-
-    ``cache_dir`` is accepted for interface uniformity; property sweeps
-    build no partition artifacts, so it is unused.
-    """
-    cfg = cfg or ExperimentConfig()
-    return _properties_table(
-        "table1",
-        cfg,
-        f"Table I analog (scale={cfg.scale}): general matrices",
-        jobs,
-    )
-
-
-def run_table4(
-    cfg: ExperimentConfig | None = None, *, jobs: int = 1, cache_dir=None
-) -> TableResult:
-    """Table IV: properties of the dense-row suite."""
-    cfg = cfg or ExperimentConfig()
-    return _properties_table(
-        "table4",
-        cfg,
-        f"Table IV analog (scale={cfg.scale}): matrices with dense rows",
-        jobs,
-    )
-
-
-# ----------------------------------------------------------------------
-# Table II: 1D vs 2D vs s2D
-# ----------------------------------------------------------------------
-
-
-def run_table2(
+def run_table(
+    table: int,
     cfg: ExperimentConfig | None = None,
     ks: tuple[int, ...] | None = None,
     *,
     jobs: int = 1,
     cache_dir=None,
 ) -> TableResult:
-    """Table II: 1D rowwise vs 2D fine-grain vs s2D (Algorithm 1)."""
+    """Regenerate paper table ``table`` (see :data:`TABLES`).
+
+    ``ks`` overrides a quantitative table's default K axis.  The
+    property tables build no partition artifacts, so they ignore
+    ``cache_dir``.
+    """
     cfg = cfg or ExperimentConfig()
-    ks = ks or cfg.general_ks
-    headers = [
-        "name", "K",
-        "1D:LI", "1D:lat(av/mx)", "lam1D", "1D:Sp",
-        "2D:LI", "2D:lat(av/mx)", "2D:lam/1D", "2D:Sp",
-        "s2D:LI", "s2D:lam/1D", "s2D:Sp",
+    spec = TABLES[table]
+    meta: dict = {"jobs": jobs}
+    if spec.schemes:
+        grid = table_grid(table, cfg, ks)
+        res = run_sweep(grid, jobs=jobs, cache_dir=cache_dir)
+        records, ks = _grid_records(spec, grid, res), grid.ks
+        meta["engines"] = res.engines
+    else:
+        records = map_tasks(_properties_cell, suite_refs(spec.suite, cfg.scale), jobs=jobs)
+        ks = ()
+    rows = [
+        [rec[key] for key in spec.keys]
+        + [col.fmt(*(get(rec) for get in col.gets)) for col in spec.columns]
+        for rec in records
     ]
-    # Slot 0 is shared between 1D and s2D: s2D refines 1D's cached
-    # vector partition, as in the paper's setup (grid in _TABLE_GRIDS).
-    refs, res = _table_sweep(2, cfg, ks, jobs=jobs, cache_dir=cache_dir)
-    rows, records = [], []
-    per_k: dict[int, list[dict]] = {k: [] for k in ks}
-    for ref in refs:
-        for k in ks:
-            q1 = res.quality(ref.name, "1d-rowwise", k)
-            q2 = res.quality(ref.name, "finegrain", k)
-            qs = res.quality(ref.name, "s2d-heuristic", k)
-            rec = {
-                "name": ref.name, "K": k,
-                "1D": q1, "2D": q2, "s2D": qs,
-                "lam_ratio_2d": q2.total_volume / q1.total_volume,
-                "lam_ratio_s2d": qs.total_volume / q1.total_volume,
-            }
-            records.append(rec)
-            per_k[k].append(rec)
-            rows.append(
-                [
-                    ref.name, k,
-                    q1.format_li(), f"{q1.avg_msgs:.0f}/{q1.max_msgs}",
-                    f"{q1.total_volume:.2e}", f"{q1.speedup:.1f}",
-                    q2.format_li(), f"{q2.avg_msgs:.0f}/{q2.max_msgs}",
-                    f"{rec['lam_ratio_2d']:.2f}", f"{q2.speedup:.1f}",
-                    qs.format_li(), f"{rec['lam_ratio_s2d']:.2f}",
-                    f"{qs.speedup:.1f}",
-                ]
-            )
     for k in ks:
-        rs = per_k[k]
-        if not rs:
-            continue
-        rows.append(
-            [
-                "geomean", k,
-                format_li(geomean(r["1D"].load_imbalance for r in rs)),
-                f"{geomean(r['1D'].avg_msgs for r in rs):.0f}/"
-                f"{geomean(r['1D'].max_msgs for r in rs):.0f}",
-                f"{geomean(r['1D'].total_volume for r in rs):.2e}",
-                f"{geomean(r['1D'].speedup for r in rs):.1f}",
-                format_li(geomean(r["2D"].load_imbalance for r in rs)),
-                f"{geomean(r['2D'].avg_msgs for r in rs):.0f}/"
-                f"{geomean(r['2D'].max_msgs for r in rs):.0f}",
-                f"{geomean(r['lam_ratio_2d'] for r in rs):.2f}",
-                f"{geomean(r['2D'].speedup for r in rs):.1f}",
-                format_li(geomean(r["s2D"].load_imbalance for r in rs)),
-                f"{geomean(r['lam_ratio_s2d'] for r in rs):.2f}",
-                f"{geomean(r['s2D'].speedup for r in rs):.1f}",
-            ]
-        )
+        group = [rec for rec in records if rec["K"] == k]
+        if group:  # a K with no records gets no geomean row
+            rows.append(["geomean", k][: len(spec.keys)] + [
+                col.fmt(*(geomean(get(rec) for rec in group) for get in col.gets))
+                if col.total is None else col.total
+                for col in spec.columns
+            ])
     return TableResult(
-        title=f"Table II analog (scale={cfg.scale}): 1D vs 2D vs s2D",
-        headers=headers,
+        title=spec.title.format(scale=cfg.scale, k=ks[-1] if ks else None),
+        headers=[*spec.keys, *(col.header for col in spec.columns)],
         rows=rows,
         records=records,
-        meta=_sweep_meta(res, jobs),
+        meta=meta,
     )
 
 
-# ----------------------------------------------------------------------
-# Table III: checkerboard vs best of (1D, 2D, s2D)
-# ----------------------------------------------------------------------
+_Cfg = ExperimentConfig | None
+_Ks = tuple[int, ...] | None
+
+
+def run_table1(cfg: _Cfg = None, *, jobs: int = 1, cache_dir=None) -> TableResult:
+    """Table I: properties of the general test suite."""
+    return run_table(1, cfg, jobs=jobs, cache_dir=cache_dir)
+
+
+def run_table2(cfg: _Cfg = None, ks: _Ks = None, *, jobs: int = 1, cache_dir=None) -> TableResult:
+    """Table II: 1D rowwise vs 2D fine-grain vs s2D (Algorithm 1)."""
+    return run_table(2, cfg, ks, jobs=jobs, cache_dir=cache_dir)
 
 
 def run_table3(
-    cfg: ExperimentConfig | None = None,
-    k: int | None = None,
-    *,
-    jobs: int = 1,
-    cache_dir=None,
+    cfg: _Cfg = None, k: int | None = None, *, jobs: int = 1, cache_dir=None
 ) -> TableResult:
     """Table III: hypergraph Cartesian 2D-b vs the best unbounded scheme."""
-    cfg = cfg or ExperimentConfig()
-    k = k or cfg.general_ks[-1]
-    headers = [
-        "name", "best(1D,2D,s2D):Sp", "scheme",
-        "2Db:LI", "2Db:lat(av/mx)", "2Db:lam/1D", "2Db:Sp",
-    ]
-    refs, res = _table_sweep(3, cfg, (k,), jobs=jobs, cache_dir=cache_dir)
-    rows, records = [], []
-    for ref in refs:
-        q1 = res.quality(ref.name, "1d-rowwise", k)
-        q2 = res.quality(ref.name, "finegrain", k)
-        qs = res.quality(ref.name, "s2d-heuristic", k)
-        qb = res.quality(ref.name, "checkerboard", k)
-        best_name, best_q = max(
-            (("1D", q1), ("2D", q2), ("s2D", qs)), key=lambda t: t[1].speedup
-        )
-        rec = {
-            "name": ref.name, "K": k, "best": best_name, "best_q": best_q,
-            "2D-b": qb, "lam_ratio": qb.total_volume / q1.total_volume,
-        }
-        records.append(rec)
-        rows.append(
-            [
-                ref.name, f"{best_q.speedup:.1f}", best_name,
-                qb.format_li(), f"{qb.avg_msgs:.0f}/{qb.max_msgs}",
-                f"{rec['lam_ratio']:.2f}", f"{qb.speedup:.1f}",
-            ]
-        )
-    rows.append(
-        [
-            "geomean",
-            f"{geomean(r['best_q'].speedup for r in records):.1f}", "-",
-            format_li(geomean(r["2D-b"].load_imbalance for r in records)),
-            f"{geomean(r['2D-b'].avg_msgs for r in records):.0f}/"
-            f"{geomean(r['2D-b'].max_msgs for r in records):.0f}",
-            f"{geomean(r['lam_ratio'] for r in records):.2f}",
-            f"{geomean(r['2D-b'].speedup for r in records):.1f}",
-        ]
-    )
-    return TableResult(
-        title=f"Table III analog (scale={cfg.scale}, K={k}): Cartesian 2D-b",
-        headers=headers,
-        rows=rows,
-        records=records,
-        meta=_sweep_meta(res, jobs),
-    )
+    return run_table(3, cfg, k and (k,), jobs=jobs, cache_dir=cache_dir)
 
 
-# ----------------------------------------------------------------------
-# Table V: 1D vs s2D vs s2D-b on the dense-row suite
-# ----------------------------------------------------------------------
+def run_table4(cfg: _Cfg = None, *, jobs: int = 1, cache_dir=None) -> TableResult:
+    """Table IV: properties of the dense-row suite."""
+    return run_table(4, cfg, jobs=jobs, cache_dir=cache_dir)
 
 
-def run_table5(
-    cfg: ExperimentConfig | None = None,
-    ks: tuple[int, ...] | None = None,
-    *,
-    jobs: int = 1,
-    cache_dir=None,
-) -> TableResult:
+def run_table5(cfg: _Cfg = None, ks: _Ks = None, *, jobs: int = 1, cache_dir=None) -> TableResult:
     """Table V: the dense-row suite under 1D, s2D and s2D-b."""
-    cfg = cfg or ExperimentConfig()
-    ks = ks or cfg.dense_ks
-    headers = [
-        "name", "K",
-        "1D:LI", "1D:lat(av/mx)", "lam1D",
-        "s2D:LI", "s2D:lam/1D",
-        "s2Db:lat(av/mx)", "s2Db:lam/1D",
-    ]
-    # All three share slot 0: s2D refines 1D's vectors, and s2D-b
-    # shares the cached s2D plan (same nonzero partition, mesh-routed
-    # schedule).
-    refs, res = _table_sweep(5, cfg, ks, jobs=jobs, cache_dir=cache_dir)
-    rows, records = [], []
-    per_k: dict[int, list[dict]] = {k: [] for k in ks}
-    for ref in refs:
-        for k in ks:
-            q1 = res.quality(ref.name, "1d-rowwise", k)
-            qs = res.quality(ref.name, "s2d-heuristic", k)
-            qb = res.quality(ref.name, "s2d-bounded", k)
-            rec = {
-                "name": ref.name, "K": k, "1D": q1, "s2D": qs, "s2D-b": qb,
-                "lam_s2d": qs.total_volume / q1.total_volume,
-                "lam_s2db": qb.total_volume / q1.total_volume,
-            }
-            records.append(rec)
-            per_k[k].append(rec)
-            rows.append(
-                [
-                    ref.name, k,
-                    q1.format_li(), f"{q1.avg_msgs:.0f}/{q1.max_msgs}",
-                    f"{q1.total_volume:.2e}",
-                    qs.format_li(), f"{rec['lam_s2d']:.2f}",
-                    f"{qb.avg_msgs:.0f}/{qb.max_msgs}",
-                    f"{rec['lam_s2db']:.2f}",
-                ]
-            )
-    for k in ks:
-        rs = per_k[k]
-        rows.append(
-            [
-                "geomean", k,
-                format_li(geomean(r["1D"].load_imbalance for r in rs)),
-                f"{geomean(r['1D'].avg_msgs for r in rs):.0f}/"
-                f"{geomean(r['1D'].max_msgs for r in rs):.0f}",
-                f"{geomean(r['1D'].total_volume for r in rs):.2e}",
-                format_li(geomean(r["s2D"].load_imbalance for r in rs)),
-                f"{geomean(r['lam_s2d'] for r in rs):.2f}",
-                f"{geomean(r['s2D-b'].avg_msgs for r in rs):.0f}/"
-                f"{geomean(r['s2D-b'].max_msgs for r in rs):.0f}",
-                f"{geomean(r['lam_s2db'] for r in rs):.2f}",
-            ]
-        )
-    return TableResult(
-        title=f"Table V analog (scale={cfg.scale}): 1D vs s2D vs s2D-b",
-        headers=headers,
-        rows=rows,
-        records=records,
-        meta=_sweep_meta(res, jobs),
-    )
+    return run_table(5, cfg, ks, jobs=jobs, cache_dir=cache_dir)
 
 
-# ----------------------------------------------------------------------
-# Table VI: s2D-b vs 2D-b vs 1D-b
-# ----------------------------------------------------------------------
-
-
-def run_table6(
-    cfg: ExperimentConfig | None = None,
-    ks: tuple[int, ...] | None = None,
-    *,
-    jobs: int = 1,
-    cache_dir=None,
-) -> TableResult:
+def run_table6(cfg: _Cfg = None, ks: _Ks = None, *, jobs: int = 1, cache_dir=None) -> TableResult:
     """Table VI: the latency-bounded schemes compared."""
-    cfg = cfg or ExperimentConfig()
-    ks = ks or cfg.dense_ks
-    headers = [
-        "name", "K",
-        "2Db:LI", "lam2Db",
-        "1Db:LI", "1Db:lam/2Db",
-        "s2Db:LI", "s2Db:lam/2Db",
-    ]
-    # 1D-b and s2D-b both route the cached 1D vector partition (slot 0).
-    refs, res = _table_sweep(6, cfg, ks, jobs=jobs, cache_dir=cache_dir)
-    rows, records = [], []
-    per_k: dict[int, list[dict]] = {k: [] for k in ks}
-    for ref in refs:
-        for k in ks:
-            qcb = res.quality(ref.name, "checkerboard", k)
-            q1b = res.quality(ref.name, "1d-boman", k)
-            qsb = res.quality(ref.name, "s2d-bounded", k)
-            rec = {
-                "name": ref.name, "K": k,
-                "2D-b": qcb, "1D-b": q1b, "s2D-b": qsb,
-                "lam_1db": q1b.total_volume / qcb.total_volume,
-                "lam_s2db": qsb.total_volume / qcb.total_volume,
-            }
-            records.append(rec)
-            per_k[k].append(rec)
-            rows.append(
-                [
-                    ref.name, k,
-                    qcb.format_li(), f"{qcb.total_volume:.2e}",
-                    q1b.format_li(), f"{rec['lam_1db']:.2f}",
-                    qsb.format_li(), f"{rec['lam_s2db']:.2f}",
-                ]
-            )
-    for k in ks:
-        rs = per_k[k]
-        rows.append(
-            [
-                "geomean", k,
-                format_li(geomean(r["2D-b"].load_imbalance for r in rs)),
-                f"{geomean(r['2D-b'].total_volume for r in rs):.2e}",
-                format_li(geomean(r["1D-b"].load_imbalance for r in rs)),
-                f"{geomean(r['lam_1db'] for r in rs):.2f}",
-                format_li(geomean(r["s2D-b"].load_imbalance for r in rs)),
-                f"{geomean(r['lam_s2db'] for r in rs):.2f}",
-            ]
-        )
-    return TableResult(
-        title=f"Table VI analog (scale={cfg.scale}): bounded-latency schemes",
-        headers=headers,
-        rows=rows,
-        records=records,
-        meta=_sweep_meta(res, jobs),
-    )
+    return run_table(6, cfg, ks, jobs=jobs, cache_dir=cache_dir)
 
 
-# ----------------------------------------------------------------------
-# Table VII: s2D vs s2D-mg
-# ----------------------------------------------------------------------
-
-
-def run_table7(
-    cfg: ExperimentConfig | None = None,
-    ks: tuple[int, ...] | None = None,
-    *,
-    jobs: int = 1,
-    cache_dir=None,
-) -> TableResult:
+def run_table7(cfg: _Cfg = None, ks: _Ks = None, *, jobs: int = 1, cache_dir=None) -> TableResult:
     """Table VII: the Algorithm-1 s2D vs the medium-grain s2D."""
-    cfg = cfg or ExperimentConfig()
-    ks = ks or cfg.dense_ks
-    headers = [
-        "name", "K",
-        "mg:LI", "mg:lat", "lam_mg",
-        "s2D:LI", "s2D:lat", "s2D:lam/mg",
-    ]
-    refs, res = _table_sweep(7, cfg, ks, jobs=jobs, cache_dir=cache_dir)
-    rows, records = [], []
-    per_k: dict[int, list[dict]] = {k: [] for k in ks}
-    for ref in refs:
-        for k in ks:
-            qmg = res.quality(ref.name, "medium-grain", k)
-            qs = res.quality(ref.name, "s2d-heuristic", k)
-            rec = {
-                "name": ref.name, "K": k, "mg": qmg, "s2D": qs,
-                "lam_ratio": qs.total_volume / max(qmg.total_volume, 1),
-            }
-            records.append(rec)
-            per_k[k].append(rec)
-            rows.append(
-                [
-                    ref.name, k,
-                    qmg.format_li(), f"{qmg.avg_msgs:.0f}",
-                    f"{qmg.total_volume:.2e}",
-                    qs.format_li(), f"{qs.avg_msgs:.0f}",
-                    f"{rec['lam_ratio']:.2f}",
-                ]
-            )
-    for k in ks:
-        rs = per_k[k]
-        rows.append(
-            [
-                "geomean", k,
-                format_li(geomean(r["mg"].load_imbalance for r in rs)),
-                f"{geomean(r['mg'].avg_msgs for r in rs):.0f}",
-                f"{geomean(r['mg'].total_volume for r in rs):.2e}",
-                format_li(geomean(r["s2D"].load_imbalance for r in rs)),
-                f"{geomean(r['s2D'].avg_msgs for r in rs):.0f}",
-                f"{geomean(r['lam_ratio'] for r in rs):.2f}",
-            ]
-        )
-    return TableResult(
-        title=f"Table VII analog (scale={cfg.scale}): s2D vs s2D-mg",
-        headers=headers,
-        rows=rows,
-        records=records,
-        meta=_sweep_meta(res, jobs),
-    )
+    return run_table(7, cfg, ks, jobs=jobs, cache_dir=cache_dir)

@@ -12,7 +12,6 @@ __all__ = [
     "load_imbalance",
     "format_li",
     "format_table",
-    "normalized",
 ]
 
 
@@ -43,12 +42,6 @@ def format_li(li: float) -> str:
     if li >= 1.0:
         return f"{li:.1f}*"
     return f"{100.0 * li:.1f}%"
-
-
-def normalized(value: float, reference: float) -> float:
-    """``value / reference`` with a 0 reference mapped to 0 (the paper
-    normalizes volumes to the 1D volume, which is never 0 in practice)."""
-    return value / reference if reference else 0.0
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence], title: str = "") -> str:

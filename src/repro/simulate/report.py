@@ -20,6 +20,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ConfigError
+from repro.metrics import format_li
 from repro.partition.types import SpMVPartition
 from repro.simulate.bounded import derive_s2d_bounded
 from repro.simulate.common import Derivation
@@ -75,9 +76,7 @@ class PartitionQuality:
 
     def format_li(self) -> str:
         """Paper-style LI rendering: '12.9%' or '1.2*' (= 120%)."""
-        if self.load_imbalance >= 1.0:
-            return f"{self.load_imbalance:.1f}*"
-        return f"{self.li_percent:.1f}%"
+        return format_li(self.load_imbalance)
 
 
 def resolve_mode(p: SpMVPartition, executor: str | None = None) -> str:

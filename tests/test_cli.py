@@ -95,3 +95,15 @@ def test_cli_campaign_negative_jobs_clean_error(tmp_path, capsys):
     assert rc == 2
     assert err.count("\n") == 1
     assert "--jobs" in err and "Traceback" not in err
+
+
+def test_cli_campaign_refuses_a_property_table(tmp_path, capsys):
+    """``campaign --table`` offers only the registry's tables with a
+    sweep grid; Table I is refused by argparse before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "run", "--table", "1", "--dir", str(tmp_path / "camp")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --table: invalid choice: 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "camp").exists()

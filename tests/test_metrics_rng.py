@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics import format_li, format_table, geomean, load_imbalance, normalized
+from repro.metrics import format_li, format_table, geomean, load_imbalance
 from repro.rng import DEFAULT_SEED, as_generator, spawn
 
 
@@ -37,11 +37,6 @@ def test_format_li_paper_style():
     assert format_li(0.129) == "12.9%"
     assert format_li(1.2) == "1.2*"
     assert format_li(0.0) == "0.0%"
-
-
-def test_normalized():
-    assert normalized(5, 10) == 0.5
-    assert normalized(5, 0) == 0
 
 
 def test_format_table_alignment():
