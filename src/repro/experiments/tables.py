@@ -87,9 +87,9 @@ class Column:
     ratio: tuple[str, str, str] | None = None
 
 
-def _key(key: str, fmt: Callable[..., str] = str, header: str | None = None) -> Column:
-    """A column showing record field ``key``."""
-    return Column(header or key, (lambda rec: rec[key],), fmt)
+def _key(key: str, fmt: Callable[..., str] = str) -> Column:
+    """A column showing record field ``key`` under that header."""
+    return Column(key, (lambda rec: rec[key],), fmt)
 
 
 def _of(label: str, header: str, fmt: Callable[..., str], *attrs: str) -> Column:
