@@ -3,7 +3,9 @@
 One engine wraps one matrix and memoizes every intermediate the
 partitioning methods share:
 
-- the canonical COO form (computed once, at construction);
+- the canonical COO form (computed once, at construction; its
+  arrays are read-only, and every partition built from it shares
+  them instead of re-sorting, see :func:`repro.sparse.coo.canonical_coo`);
 - hypergraph vector partitions, keyed by (method, K, partitioner
   config) — an s2D plan and the 1D plan it refines share one
   hypergraph run;

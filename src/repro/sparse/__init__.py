@@ -15,7 +15,7 @@ library:
 """
 
 from repro.sparse.blocks import BlockStructure
-from repro.sparse.coo import canonical_coo, coo_triplets, empty_like_shape
+from repro.sparse.coo import canonical_coo, coo_triplets
 from repro.sparse.io_mm import read_matrix_market, write_matrix_market
 from repro.sparse.permute import block_permutation, spy_string
 from repro.sparse.properties import MatrixProperties, matrix_properties
@@ -24,7 +24,6 @@ __all__ = [
     "BlockStructure",
     "canonical_coo",
     "coo_triplets",
-    "empty_like_shape",
     "read_matrix_market",
     "write_matrix_market",
     "block_permutation",
