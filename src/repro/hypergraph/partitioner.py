@@ -5,20 +5,40 @@ sum of the bisection cut-net costs telescopes into the K-way
 connectivity-1 cost — the metric that equals SpMV communication volume
 under the models of :mod:`repro.hypergraph.models`.  This is the same
 strategy PaToH applies for the connectivity metric.
+
+When :func:`repro.native.resolve_backend` picks the native backend and
+the generator is PCG64-backed, :func:`partition_kway` is one call of
+``kernels.c:repro_partition_kway``: every bisection's V-cycle, the
+side splits and the K-way polish, with NumPy's random streams ported
+bit for bit, so the parts are those of the Python driver below
+(:func:`_recurse`, :func:`_split_side`, which also serves every other
+bit generator).  Under an open trace the kernel logs its stages and
+the same spans are grafted in.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
 from repro.errors import ConfigError, ModelError
-from repro.hypergraph.bisect import multilevel_bisect
+from repro.hypergraph import coarsen
+from repro.hypergraph.bisect import (
+    MAX_LEVELS,
+    event_log,
+    graft_stage_events,
+    multilevel_bisect,
+)
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.refine import _STALL_FRACTION
 from repro.kernels import grouped_distinct_counts
-from repro.rng import as_generator, spawn
+from repro.native import get_kernels, resolve_backend
+from repro.native import ops as native_ops
+from repro.rng import as_generator, pcg64_words, set_pcg64_words, spawn
 
 __all__ = [
     "PartitionConfig",
@@ -37,6 +57,8 @@ class PartitionConfig:
     ``epsilon`` is the final K-way imbalance tolerance; the paper uses
     PaToH's default 3%.  Each bisection level receives the per-level
     tolerance ``(1+ε)^(1/⌈log2 K⌉) − 1`` so compounding stays within ε.
+    ``seed`` is ``None`` (the library default seed), an integer ≥ 0, or
+    a :class:`numpy.random.Generator`, which the partitioner advances.
     """
 
     epsilon: float = 0.03
@@ -50,8 +72,27 @@ class PartitionConfig:
     bisection (0 disables)."""
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be nonnegative")
+        if not (
+            isinstance(self.epsilon, numbers.Real)
+            and math.isfinite(self.epsilon)
+            and self.epsilon >= 0
+        ):
+            raise ConfigError(
+                f"epsilon must be finite and nonnegative, got {self.epsilon!r}"
+            )
+        seed = self.seed
+        if not (
+            seed is None
+            or isinstance(seed, np.random.Generator)
+            or (
+                isinstance(seed, numbers.Integral)
+                and not isinstance(seed, bool)
+                and seed >= 0
+            )
+        ):
+            raise ConfigError(
+                f"seed must be None, an integer >= 0 or a numpy Generator, got {seed!r}"
+            )
         if self.coarsen_to < 2:
             raise ConfigError("coarsen_to must be at least 2")
         if self.ninitial < 1:
@@ -82,9 +123,13 @@ def partition_kway(
     ``partition.kway`` carries the connectivity-1 cost before and after
     the polish (see :func:`repro.hypergraph.kway.kway_greedy_refine`).
 
-    Raises :class:`~repro.errors.ModelError` when a net lists a vertex
-    twice (see :func:`_check_distinct_pins`).
+    Raises :class:`~repro.errors.ConfigError` for an ``nparts`` that is
+    not an integer of at least 1, and :class:`~repro.errors.ModelError`
+    when a net lists a vertex twice (see :func:`_check_distinct_pins`).
     """
+    if not isinstance(nparts, numbers.Integral) or isinstance(nparts, bool):
+        raise ConfigError(f"nparts must be an integer, got {nparts!r}")
+    nparts = int(nparts)
     if nparts < 1:
         raise ConfigError("nparts must be at least 1")
     _check_distinct_pins(hg)
@@ -92,6 +137,10 @@ def partition_kway(
     rng = as_generator(config.seed)
     depth = max(1, int(np.ceil(np.log2(nparts)))) if nparts > 1 else 1
     eps_level = (1.0 + config.epsilon) ** (1.0 / depth) - 1.0
+    if resolve_backend() == "native":
+        words = pcg64_words(rng)
+        if words is not None:
+            return _partition_native(hg, nparts, eps_level, config, rng, words)
     part = np.zeros(hg.nvertices, dtype=np.int64)
     _recurse(hg, np.arange(hg.nvertices), nparts, 0, part, eps_level, config, rng)
     if nparts > 1 and config.kway_passes > 0:
@@ -101,6 +150,33 @@ def partition_kway(
             part = kway_greedy_refine(
                 hg, part, nparts, epsilon=config.epsilon, max_passes=config.kway_passes
             )
+    return part
+
+
+def _partition_native(
+    hg: Hypergraph,
+    nparts: int,
+    eps_level: float,
+    config: PartitionConfig,
+    rng: np.random.Generator,
+    words: np.ndarray,
+) -> np.ndarray:
+    """:func:`partition_kway` as one native call; ``words`` is ``rng``'s
+    PCG64 state, written back afterwards."""
+    events = event_log(
+        native_ops.kway_event_rows(hg.nvertices, nparts, config.ninitial, MAX_LEVELS)
+    )
+    part, nevents = native_ops.partition_kway(
+        get_kernels(), xpins=hg.xpins, pins=hg.pins, xnets=hg.xnets, nets=hg.nets,
+        vweights=hg.vweights, ncosts=hg.ncosts, nparts=nparts, eps_level=eps_level,
+        epsilon=config.epsilon, coarsen_to=config.coarsen_to, ninitial=config.ninitial,
+        fm_passes=config.fm_passes, max_net_size=config.max_net_size,
+        kway_passes=config.kway_passes, max_levels=MAX_LEVELS,
+        stall_fraction=_STALL_FRACTION, hash_mask=coarsen._HASH_MASK,
+        rng_state=words, events=events,
+    )
+    set_pcg64_words(rng, words)
+    graft_stage_events(events, nevents)
     return part
 
 

@@ -9,6 +9,13 @@
  *   greedy polish of repro.hypergraph.kway, the heavy-connectivity
  *   matching and the contraction of repro.hypergraph.coarsen and the
  *   two initial bisections of repro.hypergraph.initial;
+ * - the recursive-bisection drivers (after the partitioner's stage
+ *   kernels): repro_partition_kway runs all of
+ *   repro.hypergraph.partition_kway in one call and repro_bisect one
+ *   V-cycle of repro.hypergraph.bisect.multilevel_bisect, chaining the
+ *   stage kernels above, with a bit-exact port of the NumPy random
+ *   streams they draw (PCG64, Generator.permutation's shuffle, spawn's
+ *   bounded draws and SeedSequence seeding);
  * - Algorithm 1's combinatorics (bottom of this file): repro_block_dm
  *   takes the coarse Dulmage-Mendelsohn labels of every block of a
  *   batch in one call (repro.dm.batch), and repro_s2d_flip runs the
@@ -18,6 +25,11 @@
  *   for every maximum matching, so its outputs are identical.
  *
  * No kernel allocates: callers pass every output and workspace array.
+ * The one exception is the two recursive-bisection drivers, whose
+ * scratch depends on how deep the coarsening goes: they malloc it
+ * inside the call and free all of it before returning, on every path,
+ * and report a failed allocation as a status that Python raises as
+ * MemoryError.
  *
  * Bit-identity contract of the SpMV kernels with the NumPy apply
  * (CommPlan._apply_y_numpy):
@@ -44,15 +56,20 @@
  * sequential single applies bitwise.
  */
 
+#define _POSIX_C_SOURCE 199309L /* clock_gettime */
+
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+#include <time.h>
 
 #define EXPORT __attribute__((visibility("default")))
 
 /* Bumped whenever an exported signature changes; the loader refuses a
  * cached .so whose ABI does not match (stale-cache guard). */
-EXPORT int64_t repro_native_abi(void) { return 6; }
+EXPORT int64_t repro_native_abi(void) { return 7; }
 
 /* acc[idx[i]] += vals[i] * x[cols[i]]  — the fused expand/compute
  * inner loop: gather x, multiply by the nonzero value, scatter-add
@@ -1409,4 +1426,904 @@ EXPORT int64_t repro_s2d_flip(
         }
     }
     return rounds;
+}
+
+/* ------------------------------------------------ recursive bisection
+ *
+ * repro_partition_kway runs the whole recursive bisection of
+ * repro.hypergraph.partitioner.partition_kway in one call: every
+ * subproblem's V-cycle, the splits and the K-way polish.  repro_bisect
+ * runs one V-cycle (repro.hypergraph.bisect.multilevel_bisect).  Both
+ * are built from the stage kernels above, each called as its NumPy
+ * driver calls its wrapper, so the stage loops exist once and the
+ * partitions are the Python driver's bit for bit:
+ *
+ * - the random streams are NumPy's.  PCG64's step and XSL-RR output,
+ *   its buffered next_uint32 (random_interval draws 32-bit values for
+ *   bounds below 2**32, which Generator.permutation's shuffle uses),
+ *   Lemire's bounded 64-bit draw (spawn's integers(0, 2**63 - 1)) and
+ *   SeedSequence(int) -> PCG64 seeding (spawn's default_rng(seed)) are
+ *   ported below.  Python passes the root generator's state in and
+ *   reads the final state back, has_uint32 and uinteger included;
+ * - the floating-point inputs are the Python driver's: side targets
+ *   t0 = total * (k0 / nparts) and t1 = total - t0, per-pin shares
+ *   cost / (|e| - 1) computed only for the nets that qualify, the
+ *   K-way limit (total / nparts) * (1 + epsilon), the level tolerance
+ *   computed by the caller;
+ * - a split filters both CSR directions of the parent in order, so each
+ *   side's nets keep their pins in order and each vertex its nets in
+ *   ascending order, as Hypergraph() builds them, without a sort.
+ *
+ * These two drivers are the exception to "no kernel allocates": their
+ * scratch (root-sized stage workspace, coarse levels, the subproblem
+ * arena) is malloc'd inside the call and freed before it returns, on
+ * every path.  A failed allocation returns DRV_ENOMEM.  Subproblems
+ * waiting for their V-cycle are disjoint slices of one arena: a split
+ * writes both sides above its parent and moves them down over it.
+ *
+ * With an event log (ev_ints != NULL), every stage writes one event:
+ * (stage, a, b) into ev_ints and its CLOCK_MONOTONIC start and end (the
+ * clock of repro.obs.now) into ev_times, in the order the Python driver
+ * opens its spans.  A full log stops recording and the call returns
+ * DRV_ELOG after finishing its work.
+ */
+
+#define DRV_OK 0
+#define DRV_ENOMEM 1
+#define DRV_ELOG 2
+
+/* Stage ids of the event log (bisect.py's _STAGES). */
+enum { EV_COARSEN, EV_MATCH, EV_CONTRACT, EV_INITIAL, EV_REFINE, EV_KWAY };
+
+/* NumPy's PCG64 (numpy/random/src/pcg64). */
+typedef struct {
+    __uint128_t state, inc;
+    int has32;
+    uint32_t u32;
+} pcg64;
+
+static void pcg_step(pcg64 *g)
+{
+    const __uint128_t mult =
+        ((__uint128_t)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL;
+    g->state = g->state * mult + g->inc;
+}
+
+static uint64_t pcg_next64(pcg64 *g)
+{
+    pcg_step(g);
+    const uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    const unsigned r = (unsigned)(g->state >> 122);
+    return (x >> r) | (x << ((64 - r) & 63));
+}
+
+static uint32_t pcg_next32(pcg64 *g)
+{
+    if (g->has32) {
+        g->has32 = 0;
+        return g->u32;
+    }
+    const uint64_t next = pcg_next64(g);
+    g->has32 = 1;
+    g->u32 = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+/* random_interval: uniform on [0, max] by masked rejection. */
+static uint64_t pcg_interval(pcg64 *g, uint64_t max)
+{
+    if (max == 0)
+        return 0;
+    uint64_t mask = max, value;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    if (max <= 0xFFFFFFFFULL) {
+        while ((value = (pcg_next32(g) & mask)) > max)
+            ;
+    } else {
+        while ((value = (pcg_next64(g) & mask)) > max)
+            ;
+    }
+    return value;
+}
+
+/* Generator.permutation(n): arange(n) shuffled from the back. */
+static void pcg_permutation(pcg64 *g, int64_t *a, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        a[i] = i;
+    for (int64_t i = n - 1; i > 0; i--) {
+        const int64_t j = (int64_t)pcg_interval(g, (uint64_t)i);
+        const int64_t t = a[i];
+        a[i] = a[j];
+        a[j] = t;
+    }
+}
+
+/* Lemire's bounded draw on [0, rng] (rng < 2**64 - 1). */
+static uint64_t pcg_bounded(pcg64 *g, uint64_t rng)
+{
+    const uint64_t excl = rng + 1;
+    __uint128_t m = (__uint128_t)pcg_next64(g) * excl;
+    uint64_t left = (uint64_t)m;
+    if (left < excl) {
+        const uint64_t threshold = (UINT64_MAX - rng) % excl;
+        while (left < threshold) {
+            m = (__uint128_t)pcg_next64(g) * excl;
+            left = (uint64_t)m;
+        }
+    }
+    return (uint64_t)(m >> 64);
+}
+
+static uint32_t ss_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= 0x931E8875U;
+    value *= *hash_const;
+    value ^= value >> 16;
+    return value;
+}
+
+static uint32_t ss_mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = 0xCA01F9DDU * x - 0x4973F715U * y;
+    r ^= r >> 16;
+    return r;
+}
+
+/* default_rng(seed): SeedSequence(seed) mixes the seed's 32-bit words
+ * into a pool of four, generate_state(4, uint64) draws the PCG64 seed
+ * and increment from it. */
+static pcg64 pcg_seeded(uint64_t seed)
+{
+    const uint32_t entropy[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+    const int nwords = seed >> 32 ? 2 : 1;
+    uint32_t pool[4], hash_const = 0x43B0D7E5U;
+    for (int i = 0; i < 4; i++)
+        pool[i] = ss_hashmix(i < nwords ? entropy[i] : 0, &hash_const);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = ss_mix(pool[dst], ss_hashmix(pool[src], &hash_const));
+    uint32_t words[8], hash_b = 0x8B51F9DDU;
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i % 4] ^ hash_b;
+        hash_b *= 0x58F38DEDU;
+        v *= hash_b;
+        words[i] = v ^ (v >> 16);
+    }
+    uint64_t w[4];
+    for (int k = 0; k < 4; k++)
+        w[k] = words[2 * k] | (uint64_t)words[2 * k + 1] << 32;
+    pcg64 g = {0, ((((__uint128_t)w[2] << 64) | w[3]) << 1) | 1, 0, 0};
+    pcg_step(&g);
+    g.state += ((__uint128_t)w[0] << 64) | w[1];
+    pcg_step(&g);
+    return g;
+}
+
+/* spawn's draw: integers(0, 2**63 - 1) is a bounded draw on [0, 2**63 - 2]. */
+#define SPAWN_MAX ((UINT64_C(1) << 63) - 2)
+
+/* The state words Python passes: state and inc (high, low), has_uint32,
+ * uinteger. */
+static pcg64 pcg_load(const uint64_t *s)
+{
+    pcg64 g = {((__uint128_t)s[0] << 64) | s[1], ((__uint128_t)s[2] << 64) | s[3],
+               s[4] != 0, (uint32_t)s[5]};
+    return g;
+}
+
+static void pcg_store(const pcg64 *g, uint64_t *s)
+{
+    s[0] = (uint64_t)(g->state >> 64);
+    s[1] = (uint64_t)g->state;
+    s[2] = (uint64_t)(g->inc >> 64);
+    s[3] = (uint64_t)g->inc;
+    s[4] = (uint64_t)g->has32;
+    s[5] = g->u32;
+}
+
+typedef struct {
+    int64_t *ints; /* cap rows of (stage, a, b); NULL: not tracing */
+    double *times; /* cap rows of (t0, t1) */
+    int64_t cap, count;
+    int full;
+} ev_log;
+
+/* repro.obs.now: CLOCK_MONOTONIC nanoseconds as double seconds. */
+static double mono_now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)((int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec) / 1e9;
+}
+
+/* Open a stage event; returns its row, -1 when not recorded. */
+static int64_t ev_open(ev_log *log, int64_t stage)
+{
+    if (log->ints == NULL)
+        return -1;
+    if (log->count == log->cap) {
+        log->full = 1;
+        return -1;
+    }
+    const int64_t i = log->count++;
+    log->ints[3 * i] = stage;
+    log->ints[3 * i + 1] = log->ints[3 * i + 2] = -1;
+    log->times[2 * i] = mono_now();
+    return i;
+}
+
+/* Close event i with counters a and b (-1: none). */
+static void ev_close(ev_log *log, int64_t i, int64_t a, int64_t b)
+{
+    if (i < 0)
+        return;
+    log->ints[3 * i + 1] = a;
+    log->ints[3 * i + 2] = b;
+    log->times[2 * i + 1] = mono_now();
+}
+
+/* Every allocation of one driver call, freed together (or back to a
+ * mark, at the end of each V-cycle). */
+typedef struct {
+    void **ptr;
+    int64_t n, cap;
+} mem_pool;
+
+static void *pool_alloc(mem_pool *p, int64_t count, size_t size)
+{
+    if (p->n == p->cap) {
+        const int64_t cap = p->cap ? 2 * p->cap : 64;
+        void **grown = realloc(p->ptr, (size_t)cap * sizeof(void *));
+        if (grown == NULL)
+            return NULL;
+        p->ptr = grown;
+        p->cap = cap;
+    }
+    void *a = malloc(count > 0 ? (size_t)count * size : 1);
+    if (a != NULL)
+        p->ptr[p->n++] = a;
+    return a;
+}
+
+static void pool_release(mem_pool *p, int64_t mark)
+{
+    while (p->n > mark)
+        free(p->ptr[--p->n]);
+}
+
+#define ALLOC(d, ptr, count)                                              \
+    do {                                                                  \
+        if (((ptr) = pool_alloc(&(d)->mem, (count), sizeof *(ptr))) == NULL) \
+            return DRV_ENOMEM;                                            \
+    } while (0)
+
+/* A hypergraph as the stage kernels read it; npins = xpins[nnets]. */
+typedef struct {
+    int64_t n, nnets;
+    const int64_t *xpins, *pins, *xnets, *nets, *vweights, *ncosts;
+} hgraph;
+
+/* One driver call's configuration and stage workspace, sized for the
+ * root: every coarse level and every split side is at most as large
+ * in vertices, nets and pins. */
+typedef struct {
+    int64_t ncon, ninitial, fm_passes, max_net_size, max_levels, stall_fraction;
+    uint64_t hash_mask;
+    mem_pool mem;
+    ev_log log;
+    /* matching and contraction */
+    int64_t *order, *mate, *touched, *cmap, *cvw, *cxpins, *cpins, *ccosts, *cxnets,
+        *cnets, *counts, *ciwork;
+    double *acc, *contrib;
+    int8_t *valid, *mark;
+    /* initial bisections */
+    int64_t *heap, *pos, *pw0i;
+    double *ggain, *gpw0;
+    int8_t *state;
+    /* FM: state, workspace, the top level's valid-net adjacency */
+    int64_t *pc, *gain, *vipt, *vnets;
+    double *pw, *dwork;
+    int8_t *bwork, *part[2];
+} driver;
+
+/* The stage workspace for a root of n vertices, nnets nets and npins pins. */
+static int driver_alloc(driver *d, int64_t n, int64_t nnets, int64_t npins)
+{
+    const int64_t ncon = d->ncon;
+    ALLOC(d, d->order, n);
+    ALLOC(d, d->mate, n);
+    ALLOC(d, d->touched, n);
+    ALLOC(d, d->cmap, n);
+    ALLOC(d, d->cvw, n * ncon);
+    ALLOC(d, d->cxpins, nnets + 1);
+    ALLOC(d, d->cpins, npins);
+    ALLOC(d, d->ccosts, nnets);
+    ALLOC(d, d->cxnets, n + 1);
+    ALLOC(d, d->cnets, npins);
+    ALLOC(d, d->counts, 3);
+    ALLOC(d, d->ciwork, 2 * n + 1 + 2 * npins + 12 * nnets);
+    ALLOC(d, d->acc, n);
+    ALLOC(d, d->contrib, nnets);
+    ALLOC(d, d->valid, nnets);
+    ALLOC(d, d->mark, n);
+    ALLOC(d, d->heap, n);
+    ALLOC(d, d->pos, n);
+    ALLOC(d, d->pw0i, ncon);
+    ALLOC(d, d->ggain, n);
+    ALLOC(d, d->gpw0, ncon);
+    ALLOC(d, d->state, n);
+    ALLOC(d, d->pc, 2 * nnets);
+    ALLOC(d, d->gain, n);
+    ALLOC(d, d->vipt, n + 1);
+    ALLOC(d, d->vnets, npins);
+    ALLOC(d, d->pw, 2 * ncon);
+    ALLOC(d, d->dwork, (n + 2) * ncon);
+    ALLOC(d, d->bwork, 3 * n + 2 * ncon);
+    ALLOC(d, d->part[0], n);
+    ALLOC(d, d->part[1], n);
+    memset(d->mark, 0, (size_t)n);
+    return DRV_OK;
+}
+
+/* The per-pin shares of the nets of lo..hi pins (as the matching and
+ * greedy growing compute them): valid[e] and, for valid nets only,
+ * contrib[e] = cost / (|e| - 1).  Returns whether any net is valid. */
+static int net_shares(const hgraph *h, int64_t lo, int64_t hi, int8_t *valid,
+                      double *contrib)
+{
+    int any = 0;
+    for (int64_t e = 0; e < h->nnets; e++) {
+        const int64_t size = h->xpins[e + 1] - h->xpins[e];
+        valid[e] = size >= lo && size <= hi;
+        contrib[e] = valid[e] ? (double)h->ncosts[e] / (double)(size - 1) : 0.0;
+        any |= valid[e];
+    }
+    return any;
+}
+
+/* refine.py's _context: the vertex -> valid-net adjacency is the
+ * incidence itself unless some net has fewer than two pins (only ever a
+ * top level); then it is filtered into d->vipt / d->vnets. */
+static void valid_adjacency(driver *d, const hgraph *h, const int64_t **vipt,
+                            const int64_t **vnets)
+{
+    *vipt = h->xnets;
+    *vnets = h->nets;
+    int64_t e = 0;
+    while (e < h->nnets && h->xpins[e + 1] - h->xpins[e] >= 2)
+        e++;
+    if (e == h->nnets)
+        return;
+    int64_t k = 0;
+    d->vipt[0] = 0;
+    for (int64_t v = 0; v < h->n; v++) {
+        for (int64_t i = h->xnets[v]; i < h->xnets[v + 1]; i++) {
+            const int64_t f = h->nets[i];
+            if (h->xpins[f + 1] - h->xpins[f] >= 2)
+                d->vnets[k++] = f;
+        }
+        d->vipt[v + 1] = k;
+    }
+    *vipt = d->vipt;
+    *vnets = d->vnets;
+}
+
+/* refine.py's fm_refine on h: part is refined in place, *cut receives
+ * the final cut (0 for a hypergraph without vertices or nets). */
+static int fm_refine_c(driver *d, const hgraph *h, int8_t *part, const double *targets,
+                       double epsilon, int64_t *cut)
+{
+    *cut = 0;
+    const int64_t n = h->n, ncon = d->ncon;
+    if (n == 0 || h->nnets == 0)
+        return DRV_OK;
+    const int64_t *vipt, *vnets;
+    valid_adjacency(d, h, &vipt, &vnets);
+    int64_t gmax = 0;
+    for (int64_t v = 0; v < n; v++) {
+        int64_t s = 0;
+        for (int64_t i = vipt[v]; i < vipt[v + 1]; i++)
+            s += h->ncosts[vnets[i]];
+        if (s > gmax)
+            gmax = s;
+    }
+    if (gmax > INT64_MAX / 32)
+        return DRV_ENOMEM; /* the bucket array alone would not fit */
+    int64_t *iwork = malloc((size_t)(2 * gmax + 1 + 7 * n + 2 * ncon) * sizeof *iwork);
+    if (iwork == NULL)
+        return DRV_ENOMEM;
+    *cut = repro_fm_passes(n, h->nnets, ncon, gmax, d->fm_passes, d->stall_fraction,
+                           epsilon, h->xpins, h->pins, h->ncosts, vipt, vnets,
+                           h->vweights, targets, part, d->pc, d->gain, d->pw, iwork,
+                           d->dwork, d->bwork);
+    free(iwork);
+    return DRV_OK;
+}
+
+/* coarsen.py's coarsen_once on cur: the matching (a visitation order is
+ * drawn only when some net scores) and the contraction.  The coarse
+ * level and cur's cluster map go into one block of the pool. */
+static int coarsen_c(driver *d, const hgraph *cur, pcg64 *rng, hgraph *coarse,
+                     const int64_t **cmap)
+{
+    const int64_t n = cur->n, ncon = d->ncon;
+    int64_t ev = ev_open(&d->log, EV_MATCH);
+    for (int64_t v = 0; v < n; v++)
+        d->mate[v] = -1;
+    if (net_shares(cur, 2, d->max_net_size, d->valid, d->contrib)) {
+        pcg_permutation(rng, d->order, n);
+        repro_hcm_match(n, cur->xpins, cur->pins, cur->xnets, cur->nets, d->valid,
+                        d->contrib, d->order, d->mate, d->acc, d->touched, d->mark);
+    }
+    ev_close(&d->log, ev, -1, -1);
+
+    ev = ev_open(&d->log, EV_CONTRACT);
+    repro_contract(n, cur->nnets, ncon, d->hash_mask, cur->xpins, cur->pins, cur->ncosts,
+                   cur->vweights, d->mate, d->cmap, d->cvw, d->cxpins, d->cpins,
+                   d->ccosts, d->cxnets, d->cnets, d->counts, d->ciwork);
+    const int64_t nc = d->counts[0], nn = d->counts[1], np = d->counts[2];
+    int64_t *block;
+    ALLOC(d, block, n + nc * ncon + 2 * nn + 1 + nc + 1 + 2 * np);
+    int64_t *a = block;
+#define TAKE(dst, src, count)                                 \
+    do {                                                      \
+        memcpy(a, (src), (size_t)(count) * sizeof(int64_t)); \
+        (dst) = a;                                            \
+        a += (count);                                         \
+    } while (0)
+    TAKE(*cmap, d->cmap, n);
+    TAKE(coarse->vweights, d->cvw, nc * ncon);
+    TAKE(coarse->xpins, d->cxpins, nn + 1);
+    TAKE(coarse->pins, d->cpins, np);
+    TAKE(coarse->ncosts, d->ccosts, nn);
+    TAKE(coarse->xnets, d->cxnets, nc + 1);
+    TAKE(coarse->nets, d->cnets, np);
+#undef TAKE
+    coarse->n = nc;
+    coarse->nnets = nn;
+    ev_close(&d->log, ev, -1, -1);
+    return DRV_OK;
+}
+
+/* initial.py's greedy_growing (even trials) or random_bisection (odd)
+ * on the coarsest level h into part. */
+static void initial_c(driver *d, const hgraph *h, int64_t trial, const double *targets,
+                      pcg64 *rng, int8_t *part)
+{
+    const int64_t n = h->n, ncon = d->ncon;
+    if (trial % 2 == 1) {
+        pcg_permutation(rng, d->order, n);
+        memset(part, 1, (size_t)n);
+        for (int64_t j = 0; j < ncon; j++)
+            d->pw0i[j] = 0;
+        repro_random_fill(n, ncon, h->vweights, targets, d->order, part, d->pw0i);
+        return;
+    }
+    if (n == 0)
+        return; /* greedy_growing draws no seed order for an empty level */
+    net_shares(h, 2, INT64_MAX, d->valid, d->contrib);
+    pcg_permutation(rng, d->order, n);
+    memset(part, 1, (size_t)n);
+    for (int64_t v = 0; v < n; v++) {
+        d->ggain[v] = 0.0;
+        d->pos[v] = -1;
+        d->state[v] = 0;
+    }
+    for (int64_t j = 0; j < ncon; j++)
+        d->gpw0[j] = 0.0;
+    repro_greedy_grow(n, ncon, h->xpins, h->pins, h->xnets, h->nets, d->valid,
+                      d->contrib, h->vweights, targets, d->order, part, d->ggain,
+                      d->heap, d->pos, d->state, d->gpw0);
+}
+
+/* bisect.py's multilevel_bisect: coarsen while the level has more than
+ * coarsen_to vertices (at most max_levels levels; a level that keeps
+ * over 95% of the vertices is dropped and ends the coarsening), try
+ * ninitial initial bisections of the coarsest level, each from its own
+ * spawned stream and FM-refined, keep the first of least cut, and
+ * project it back level by level refining at each.  Writes the 0/1
+ * sides of top into out and the final cut into *cut. */
+static int vcycle(driver *d, const hgraph *top, const double *targets, double epsilon,
+                  int64_t coarsen_to, pcg64 *rng, int8_t *out, int64_t *cut)
+{
+    const int64_t mark = d->mem.n;
+    hgraph *lv;
+    const int64_t **cmaps;
+    uint64_t *seeds;
+    ALLOC(d, lv, d->max_levels + 1);
+    ALLOC(d, cmaps, d->max_levels);
+    ALLOC(d, seeds, d->ninitial);
+    lv[0] = *top;
+    int64_t nlev = 0;
+    const int64_t ev = ev_open(&d->log, EV_COARSEN);
+    while (lv[nlev].n > coarsen_to && nlev < d->max_levels) {
+        const int st = coarsen_c(d, &lv[nlev], rng, &lv[nlev + 1], &cmaps[nlev]);
+        if (st != DRV_OK)
+            return st;
+        if ((double)lv[nlev + 1].n > 0.95 * (double)lv[nlev].n)
+            break; /* matching stalled; further levels would be no-ops */
+        nlev++;
+    }
+    ev_close(&d->log, ev, 1, nlev);
+
+    const hgraph *c = &lv[nlev];
+    int8_t *best = d->part[0], *trial = d->part[1];
+    int64_t best_cut = INT64_MAX;
+    for (int64_t t = 0; t < d->ninitial; t++)
+        seeds[t] = pcg_bounded(rng, SPAWN_MAX);
+    for (int64_t t = 0; t < d->ninitial; t++) {
+        pcg64 trial_rng = pcg_seeded(seeds[t]);
+        int64_t e = ev_open(&d->log, EV_INITIAL);
+        initial_c(d, c, t, targets, &trial_rng, trial);
+        ev_close(&d->log, e, -1, -1);
+        e = ev_open(&d->log, EV_REFINE);
+        int64_t cut0;
+        const int st = fm_refine_c(d, c, trial, targets, epsilon, &cut0);
+        ev_close(&d->log, e, -1, -1);
+        if (st != DRV_OK)
+            return st;
+        if (cut0 < best_cut) {
+            int8_t *t8 = best;
+            best = trial;
+            trial = t8;
+            best_cut = cut0;
+        }
+    }
+
+    const int64_t e = ev_open(&d->log, EV_REFINE);
+    for (int64_t l = nlev - 1; l >= 0; l--) {
+        const int64_t *cmap = cmaps[l];
+        for (int64_t v = 0; v < lv[l].n; v++)
+            trial[v] = best[cmap[v]];
+        int8_t *t8 = best;
+        best = trial;
+        trial = t8;
+        const int st = fm_refine_c(d, &lv[l], best, targets, epsilon, &best_cut);
+        if (st != DRV_OK)
+            return st;
+    }
+    ev_close(&d->log, e, -1, -1);
+    memcpy(out, best, (size_t)top->n);
+    *cut = best_cut;
+    pool_release(&d->mem, mark);
+    return DRV_OK;
+}
+
+static int driver_start(driver *d, const hgraph *h, int64_t ncon, int64_t ninitial,
+                        int64_t fm_passes, int64_t max_net_size, int64_t max_levels,
+                        int64_t stall_fraction, uint64_t hash_mask, int64_t ev_cap,
+                        int64_t *ev_ints, double *ev_times)
+{
+    memset(d, 0, sizeof *d);
+    d->ncon = ncon;
+    d->ninitial = ninitial;
+    d->fm_passes = fm_passes;
+    d->max_net_size = max_net_size;
+    d->max_levels = max_levels;
+    d->stall_fraction = stall_fraction;
+    d->hash_mask = hash_mask;
+    d->log.ints = ev_ints;
+    d->log.times = ev_times;
+    d->log.cap = ev_cap;
+    return driver_alloc(d, h->n, h->nnets, h->xpins[h->nnets]);
+}
+
+static int64_t driver_finish(driver *d, int st, int64_t *ev_count)
+{
+    pool_release(&d->mem, 0);
+    free(d->mem.ptr);
+    *ev_count = d->log.count;
+    return st != DRV_OK ? st : d->log.full ? DRV_ELOG : DRV_OK;
+}
+
+/* One V-cycle of the hypergraph (xpins, pins, xnets, nets, vweights,
+ * ncosts) toward the 2 x ncon side targets: part (n, int8) receives the
+ * sides, *cut the cut-net cost.  rng holds the generator's state words
+ * (state and inc high and low, has_uint32, uinteger), advanced in
+ * place.  Returns DRV_OK, DRV_ENOMEM or DRV_ELOG (*ev_count events
+ * written either way). */
+EXPORT int64_t repro_bisect(
+    int64_t n, int64_t nnets, int64_t ncon, int64_t coarsen_to, int64_t ninitial,
+    int64_t fm_passes, int64_t max_net_size, int64_t max_levels, int64_t stall_fraction,
+    double epsilon, uint64_t hash_mask,
+    const int64_t *xpins, const int64_t *pins, const int64_t *xnets, const int64_t *nets,
+    const int64_t *vweights, const int64_t *ncosts, const double *targets,
+    uint64_t *rng_state, int8_t *part, int64_t *cut,
+    int64_t ev_cap, int64_t *ev_ints, double *ev_times, int64_t *ev_count)
+{
+    const hgraph h = {n, nnets, xpins, pins, xnets, nets, vweights, ncosts};
+    driver d;
+    pcg64 rng = pcg_load(rng_state);
+    int st = driver_start(&d, &h, ncon, ninitial, fm_passes, max_net_size, max_levels,
+                          stall_fraction, hash_mask, ev_cap, ev_ints, ev_times);
+    if (st == DRV_OK)
+        st = vcycle(&d, &h, targets, epsilon, coarsen_to, &rng, part, cut);
+    pcg_store(&rng, rng_state);
+    return driver_finish(&d, st, ev_count);
+}
+
+/* A subproblem of the recursion: its hypergraph, the root id of each
+ * of its vertices, its part range and stream, and its slice of the
+ * arena (size 0 for the root, which is the caller's arrays). */
+typedef struct {
+    hgraph h;
+    const int64_t *ids;
+    int64_t npins, nparts, offset, base, size;
+    pcg64 rng;
+} task;
+
+/* Arena words of a split side: ids, vweights, xpins, pins, ncosts,
+ * xnets, nets, laid out in that order by side_bind. */
+static int64_t side_words(int64_t n, int64_t nnets, int64_t npins, int64_t ncon)
+{
+    return n * (2 + ncon) + 2 * nnets + 2 * npins + 2;
+}
+
+/* Point t's arrays into its arena slice (again after the slice moves). */
+static void side_bind(task *t, int64_t *arena, int64_t ncon)
+{
+    int64_t *a = arena + t->base;
+    const int64_t n = t->h.n, nn = t->h.nnets, npins = t->npins;
+    t->ids = a;
+    t->h.vweights = a += n;
+    t->h.xpins = a += n * ncon;
+    t->h.pins = a += nn + 1;
+    t->h.ncosts = a += npins;
+    t->h.xnets = a += nn;
+    t->h.nets = a + n + 1;
+}
+
+/* partitioner.py's _split_side for side s of t (sides[] over t's
+ * vertices, vmap[v] = v's index within its side), written at arena[at]:
+ * the nets with two or more pins on side s, restricted to those pins,
+ * in order; both CSR directions are filtered in order.  netmap (nnets)
+ * is workspace.  Returns the side's task. */
+static task split_side(const task *t, const int8_t *sides, int s, int64_t ns,
+                       const int64_t *vmap, const int64_t *cnt, int64_t *netmap,
+                       int64_t *arena, int64_t at, int64_t ncon)
+{
+    const hgraph *h = &t->h;
+    int64_t nn = 0, np = 0;
+    for (int64_t e = 0; e < h->nnets; e++) {
+        const int64_t c = cnt[2 * e + s];
+        netmap[e] = c >= 2 ? nn++ : -1;
+        np += c >= 2 ? c : 0;
+    }
+    task side = {{ns, nn, NULL, NULL, NULL, NULL, NULL, NULL}, NULL, np, 0, 0, at,
+                 side_words(ns, nn, np, ncon), {0, 0, 0, 0}};
+    side_bind(&side, arena, ncon);
+    int64_t *ids = (int64_t *)side.ids, *vw = (int64_t *)side.h.vweights;
+    int64_t *xp = (int64_t *)side.h.xpins, *pn = (int64_t *)side.h.pins;
+    int64_t *nc = (int64_t *)side.h.ncosts, *xn = (int64_t *)side.h.xnets;
+    int64_t *nt = (int64_t *)side.h.nets;
+    int64_t j = 0, q = 0;
+    xn[0] = 0;
+    for (int64_t v = 0; v < h->n; v++) {
+        if (sides[v] != s)
+            continue;
+        ids[j] = t->ids[v];
+        for (int64_t k = 0; k < ncon; k++)
+            vw[j * ncon + k] = h->vweights[v * ncon + k];
+        for (int64_t i = h->xnets[v]; i < h->xnets[v + 1]; i++)
+            if (netmap[h->nets[i]] >= 0)
+                nt[q++] = netmap[h->nets[i]];
+        xn[++j] = q;
+    }
+    q = 0;
+    xp[0] = 0;
+    for (int64_t e = 0; e < h->nnets; e++) {
+        if (netmap[e] < 0)
+            continue;
+        for (int64_t p = h->xpins[e]; p < h->xpins[e + 1]; p++)
+            if (sides[h->pins[p]] == s)
+                pn[q++] = vmap[h->pins[p]];
+        nc[netmap[e]] = h->ncosts[e];
+        xp[netmap[e] + 1] = q;
+    }
+    return side;
+}
+
+/* _lambda_cost: the connectivity-1 cost of the pin counts pc. */
+static int64_t lambda_cost(const hgraph *h, const int64_t *pc, int64_t nparts)
+{
+    int64_t cost = 0;
+    for (int64_t e = 0; e < h->nnets; e++) {
+        int64_t lam = 0;
+        for (int64_t k = 0; k < nparts; k++)
+            lam += pc[e * nparts + k] > 0;
+        if (lam > 0)
+            cost += h->ncosts[e] * (lam - 1);
+    }
+    return cost;
+}
+
+/* kway.py's kway_greedy_refine on the root after the recursion; with
+ * traced set, *before and *after receive the connectivity-1 cost
+ * around the passes. */
+static int kway_c(driver *d, const hgraph *h, int64_t *part, int64_t nparts,
+                  double epsilon, int64_t max_passes, int traced, int64_t *before,
+                  int64_t *after)
+{
+    const int64_t n = h->n, nn = h->nnets, ncon = d->ncon;
+    int64_t *pc, *gains, *total;
+    double *pw, *limit;
+    int8_t *cut;
+    ALLOC(d, pc, nn * nparts);
+    ALLOC(d, gains, nparts);
+    ALLOC(d, total, ncon);
+    ALLOC(d, pw, nparts * ncon);
+    ALLOC(d, limit, ncon);
+    ALLOC(d, cut, nn);
+    memset(pc, 0, (size_t)(nn * nparts) * sizeof *pc);
+    for (int64_t e = 0; e < nn; e++)
+        for (int64_t p = h->xpins[e]; p < h->xpins[e + 1]; p++)
+            pc[e * nparts + part[h->pins[p]]]++;
+    if (traced)
+        *before = lambda_cost(h, pc, nparts);
+    for (int64_t i = 0; i < nparts * ncon; i++)
+        pw[i] = 0.0;
+    for (int64_t j = 0; j < ncon; j++)
+        total[j] = 0;
+    double *wfloat = d->dwork;
+    for (int64_t v = 0; v < n; v++)
+        for (int64_t j = 0; j < ncon; j++) {
+            const int64_t w = h->vweights[v * ncon + j];
+            wfloat[v * ncon + j] = (double)w;
+            pw[part[v] * ncon + j] += (double)w;
+            total[j] += w;
+        }
+    for (int64_t j = 0; j < ncon; j++)
+        limit[j] = (double)total[j] / (double)nparts * (1.0 + epsilon);
+    const int64_t *vipt, *vnets;
+    valid_adjacency(d, h, &vipt, &vnets);
+    repro_kway_passes(n, nn, nparts, ncon, max_passes, h->xnets, h->nets, vipt, vnets,
+                      h->ncosts, wfloat, limit, part, pc, pw, gains, cut);
+    if (traced)
+        *after = lambda_cost(h, pc, nparts);
+    return DRV_OK;
+}
+
+/* partitioner.py's _recurse with an explicit stack, side 0 before side
+ * 1 as the Python recursion goes.  *rng ends as the root's stream ends:
+ * after the root's V-cycle and its spawn(rng, 2). */
+static int recurse_c(driver *d, const hgraph *root, int64_t nparts, int64_t coarsen_to,
+                     double eps_level, pcg64 *rng, int64_t *part)
+{
+    const int64_t n = root->n, ncon = d->ncon, npins = root->xpins[root->nnets];
+    /* Pending tasks: one side per level of the split tree, plus two. */
+    int64_t depth = 0;
+    while (depth < 63 && (INT64_C(1) << depth) < nparts)
+        depth++;
+    task *stack;
+    int64_t *ids, *vmap, *cnt, *netmap, *arena;
+    int8_t *sides;
+    double *targets;
+    ALLOC(d, stack, depth + 3);
+    ALLOC(d, ids, n);
+    ALLOC(d, vmap, n);
+    ALLOC(d, cnt, 2 * root->nnets);
+    ALLOC(d, netmap, root->nnets);
+    ALLOC(d, sides, n);
+    ALLOC(d, targets, 2 * ncon);
+    /* The pending sides and the current task are disjoint pieces of the
+     * root, each with at most half as many nets as pins; the two sides
+     * of a split take at most as much again. */
+    ALLOC(d, arena, 2 * side_words(n, npins / 2, npins, ncon) + 4 * (depth + 3));
+    for (int64_t v = 0; v < n; v++)
+        ids[v] = v;
+    const task first = {*root, ids, npins, nparts, 0, 0, 0, *rng};
+    int64_t ntask = 0, top = 0;
+    int is_root = 1;
+    stack[ntask++] = first;
+    while (ntask > 0) {
+        task t = stack[--ntask];
+        const hgraph *h = &t.h;
+        if (t.nparts == 1 || h->n == 0) {
+            for (int64_t v = 0; v < h->n; v++)
+                part[t.ids[v]] = t.offset;
+            top = t.base;
+            is_root = 0;
+            continue;
+        }
+        const int64_t k[2] = {(t.nparts + 1) / 2, t.nparts - (t.nparts + 1) / 2};
+        for (int64_t j = 0; j < ncon; j++) {
+            int64_t total = 0;
+            for (int64_t v = 0; v < h->n; v++)
+                total += h->vweights[v * ncon + j];
+            targets[j] = (double)total * ((double)k[0] / (double)t.nparts);
+            targets[ncon + j] = (double)total - targets[j];
+        }
+        const int64_t to = coarsen_to > 8 * t.nparts ? coarsen_to : 8 * t.nparts;
+        int64_t cut;
+        const int st = vcycle(d, h, targets, eps_level, to, &t.rng, sides, &cut);
+        if (st != DRV_OK)
+            return st;
+        const uint64_t seed[2] = {pcg_bounded(&t.rng, SPAWN_MAX),
+                                  pcg_bounded(&t.rng, SPAWN_MAX)};
+        if (is_root)
+            *rng = t.rng;
+        is_root = 0;
+
+        int64_t ns[2] = {0, 0};
+        for (int64_t v = 0; v < h->n; v++)
+            vmap[v] = ns[sides[v]]++;
+        for (int64_t e = 0; e < h->nnets; e++) {
+            cnt[2 * e] = cnt[2 * e + 1] = 0;
+            for (int64_t p = h->xpins[e]; p < h->xpins[e + 1]; p++)
+                cnt[2 * e + sides[h->pins[p]]]++;
+        }
+        /* Both sides above t, side 1 below side 0, then moved down over
+         * t: side 0 ends on top of the arena and of the stack. */
+        task kids[2];
+        int nkids = 0;
+        int64_t at = top;
+        for (int s = 1; s >= 0; s--) {
+            const int64_t off = t.offset + (s ? k[0] : 0);
+            if (k[s] == 1 || ns[s] == 0) {
+                for (int64_t v = 0; v < h->n; v++)
+                    if (sides[v] == s)
+                        part[t.ids[v]] = off;
+                continue;
+            }
+            task side = split_side(&t, sides, s, ns[s], vmap, cnt, netmap, arena, at, ncon);
+            side.nparts = k[s];
+            side.offset = off;
+            side.rng = pcg_seeded(seed[s]);
+            at += side.size;
+            kids[nkids++] = side;
+        }
+        memmove(arena + t.base, arena + top, (size_t)(at - top) * sizeof *arena);
+        for (int i = 0; i < nkids; i++) {
+            kids[i].base -= top - t.base;
+            side_bind(&kids[i], arena, ncon);
+            stack[ntask++] = kids[i];
+        }
+        top = t.base + (at - top);
+    }
+    return DRV_OK;
+}
+
+/* The whole of partition_kway: recursive bisection of the hypergraph
+ * (xpins, pins, xnets, nets, vweights, ncosts) into nparts parts, each
+ * bisection a V-cycle at tolerance eps_level coarsening to
+ * max(coarsen_to, 8 * its part count), then up to kway_passes K-way
+ * passes at tolerance epsilon (none when nparts is 1).  part (n,
+ * int64) receives the parts; rng as in repro_bisect.  The kway event
+ * carries the connectivity-1 cost before and after the passes, -1 when
+ * the polish had nothing to do. */
+EXPORT int64_t repro_partition_kway(
+    int64_t n, int64_t nnets, int64_t ncon, int64_t nparts, int64_t coarsen_to,
+    int64_t ninitial, int64_t fm_passes, int64_t max_net_size, int64_t kway_passes,
+    int64_t max_levels, int64_t stall_fraction, double eps_level, double epsilon,
+    uint64_t hash_mask,
+    const int64_t *xpins, const int64_t *pins, const int64_t *xnets, const int64_t *nets,
+    const int64_t *vweights, const int64_t *ncosts,
+    uint64_t *rng_state, int64_t *part,
+    int64_t ev_cap, int64_t *ev_ints, double *ev_times, int64_t *ev_count)
+{
+    const hgraph h = {n, nnets, xpins, pins, xnets, nets, vweights, ncosts};
+    driver d;
+    pcg64 rng = pcg_load(rng_state);
+    int st = driver_start(&d, &h, ncon, ninitial, fm_passes, max_net_size, max_levels,
+                          stall_fraction, hash_mask, ev_cap, ev_ints, ev_times);
+    if (st == DRV_OK)
+        st = recurse_c(&d, &h, nparts, coarsen_to, eps_level, &rng, part);
+    if (st == DRV_OK && nparts > 1 && kway_passes > 0) {
+        const int64_t ev = ev_open(&d.log, EV_KWAY);
+        int64_t before = -1, after = -1;
+        if (n > 0 && nnets > 0)
+            st = kway_c(&d, &h, part, nparts, epsilon, kway_passes, ev_ints != NULL,
+                        &before, &after);
+        ev_close(&d.log, ev, before, after);
+    }
+    pcg_store(&rng, rng_state);
+    return driver_finish(&d, st, ev_count);
 }

@@ -108,6 +108,38 @@ def test_partition_config_rejects_misuse(field, value, message):
         PartitionConfig(**{field: value})
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.01])
+def test_partition_config_rejects_bad_epsilon(epsilon):
+    """A NaN tolerance admits no move and an infinite one admits every
+    move (all vertices in one part); both fail up front, like a
+    negative one."""
+    with pytest.raises(ConfigError, match="epsilon must be finite and nonnegative"):
+        PartitionConfig(epsilon=epsilon)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+def test_partition_config_rejects_bad_seed(seed):
+    with pytest.raises(ConfigError, match="seed must be None, an integer >= 0"):
+        PartitionConfig(seed=seed)
+
+
+def test_partition_config_accepts_every_seed_form():
+    for seed in (None, 0, np.int64(3), 2**70, np.random.default_rng(1)):
+        assert PartitionConfig(seed=seed).seed is seed
+
+
+@pytest.mark.parametrize("nparts", [2.5, 2.0, True, np.float64(4)])
+def test_partition_kway_rejects_non_integral_nparts(small_square, nparts):
+    """2.5 used to recurse without end and True to return one part."""
+    with pytest.raises(ConfigError, match="nparts must be an integer"):
+        partition_kway(column_net_model(small_square), nparts)
+
+
+def test_partition_kway_accepts_numpy_integer_nparts(small_square):
+    hg = column_net_model(small_square)
+    assert np.array_equal(partition_kway(hg, np.int64(4)), partition_kway(hg, 4))
+
+
 def test_partition_config_zero_passes_stay_valid():
     cfg = PartitionConfig(fm_passes=0, kway_passes=0, ninitial=1, max_net_size=2)
     hg = _chain_hg(32)
