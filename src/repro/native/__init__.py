@@ -20,10 +20,9 @@ The kernels (``kernels.c``) serve three layers:
   :func:`~repro.native.ops.contract`,
   :func:`~repro.native.ops.greedy_grow`,
   :func:`~repro.native.ops.random_fill`).  ``repro_partition_kway``
-  and ``repro_bisect`` chain those stages into the whole recursive
-  bisection or one V-cycle per call, drawing NumPy's PCG64 streams bit
-  for bit (:func:`~repro.native.ops.partition_kway`,
-  :func:`~repro.native.ops.bisect`);
+  chains those stages into the whole recursive bisection in one call,
+  drawing NumPy's PCG64 streams bit for bit
+  (:func:`~repro.native.ops.partition_kway`);
 - Algorithm 1's combinatorics: ``repro_block_dm`` takes the coarse
   Dulmage–Mendelsohn labels of every block of a DM batch in one call
   (:func:`~repro.native.ops.block_dm`), and ``repro_s2d_flip`` runs the

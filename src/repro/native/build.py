@@ -132,11 +132,6 @@ _SIGNATURES = {
     "repro_contract": ([_INT] * 3 + [ctypes.c_uint64] + [_PTR] * 14, None),
     "repro_block_dm": ([_INT] + [_PTR] * 10, None),
     "repro_s2d_flip": ([_INT] * 3 + [ctypes.c_double] + [_PTR] * 6, _INT),
-    "repro_bisect": (
-        [_INT] * 9 + [ctypes.c_double, ctypes.c_uint64] + [_PTR] * 10 + [_INT]
-        + [_PTR] * 3,
-        _INT,
-    ),
     "repro_partition_kway": (
         [_INT] * 11 + [ctypes.c_double] * 2 + [ctypes.c_uint64] + [_PTR] * 8 + [_INT]
         + [_PTR] * 3,

@@ -9,13 +9,12 @@
  *   greedy polish of repro.hypergraph.kway, the heavy-connectivity
  *   matching and the contraction of repro.hypergraph.coarsen and the
  *   two initial bisections of repro.hypergraph.initial;
- * - the recursive-bisection drivers (after the partitioner's stage
+ * - the recursive-bisection driver (after the partitioner's stage
  *   kernels): repro_partition_kway runs all of
- *   repro.hypergraph.partition_kway in one call and repro_bisect one
- *   V-cycle of repro.hypergraph.bisect.multilevel_bisect, chaining the
- *   stage kernels above, with a bit-exact port of the NumPy random
- *   streams they draw (PCG64, Generator.permutation's shuffle, spawn's
- *   bounded draws and SeedSequence seeding);
+ *   repro.hypergraph.partition_kway in one call, chaining the stage
+ *   kernels above, with a bit-exact port of the NumPy random streams
+ *   they draw (PCG64, Generator.permutation's shuffle, spawn's bounded
+ *   draws and SeedSequence seeding);
  * - Algorithm 1's combinatorics (bottom of this file): repro_block_dm
  *   takes the coarse Dulmage-Mendelsohn labels of every block of a
  *   batch in one call (repro.dm.batch), and repro_s2d_flip runs the
@@ -25,10 +24,10 @@
  *   for every maximum matching, so its outputs are identical.
  *
  * No kernel allocates: callers pass every output and workspace array.
- * The one exception is the two recursive-bisection drivers, whose
- * scratch depends on how deep the coarsening goes: they malloc it
- * inside the call and free all of it before returning, on every path,
- * and report a failed allocation as a status that Python raises as
+ * The one exception is the recursive-bisection driver, whose scratch
+ * depends on how deep the coarsening goes: it mallocs it inside the
+ * call and frees all of it before returning, on every path, and
+ * reports a failed allocation as a status that Python raises as
  * MemoryError.
  *
  * Bit-identity contract of the SpMV kernels with the NumPy apply
@@ -1432,11 +1431,10 @@ EXPORT int64_t repro_s2d_flip(
  *
  * repro_partition_kway runs the whole recursive bisection of
  * repro.hypergraph.partitioner.partition_kway in one call: every
- * subproblem's V-cycle, the splits and the K-way polish.  repro_bisect
- * runs one V-cycle (repro.hypergraph.bisect.multilevel_bisect).  Both
- * are built from the stage kernels above, each called as its NumPy
- * driver calls its wrapper, so the stage loops exist once and the
- * partitions are the Python driver's bit for bit:
+ * subproblem's V-cycle, the splits and the K-way polish.  It is built
+ * from the stage kernels above, each called as the Python driver calls
+ * its wrapper, so the stage loops exist once and the partitions are the
+ * Python driver's bit for bit:
  *
  * - the random streams are NumPy's.  PCG64's step and XSL-RR output,
  *   its buffered next_uint32 (random_interval draws 32-bit values for
@@ -1454,10 +1452,10 @@ EXPORT int64_t repro_s2d_flip(
  *   side's nets keep their pins in order and each vertex its nets in
  *   ascending order, as Hypergraph() builds them, without a sort.
  *
- * These two drivers are the exception to "no kernel allocates": their
- * scratch (root-sized stage workspace, coarse levels, the subproblem
- * arena) is malloc'd inside the call and freed before it returns, on
- * every path.  A failed allocation returns DRV_ENOMEM.  Subproblems
+ * The driver is the exception to "no kernel allocates": its scratch
+ * (root-sized stage workspace, coarse levels, the subproblem arena) is
+ * malloc'd inside the call and freed before it returns, on every
+ * path.  A failed allocation returns DRV_ENOMEM.  Subproblems
  * waiting for their V-cycle are disjoint slices of one arena: a split
  * writes both sides above its parent and moves them down over it.
  *
@@ -1997,59 +1995,6 @@ static int vcycle(driver *d, const hgraph *top, const double *targets, double ep
     return DRV_OK;
 }
 
-static int driver_start(driver *d, const hgraph *h, int64_t ncon, int64_t ninitial,
-                        int64_t fm_passes, int64_t max_net_size, int64_t max_levels,
-                        int64_t stall_fraction, uint64_t hash_mask, int64_t ev_cap,
-                        int64_t *ev_ints, double *ev_times)
-{
-    memset(d, 0, sizeof *d);
-    d->ncon = ncon;
-    d->ninitial = ninitial;
-    d->fm_passes = fm_passes;
-    d->max_net_size = max_net_size;
-    d->max_levels = max_levels;
-    d->stall_fraction = stall_fraction;
-    d->hash_mask = hash_mask;
-    d->log.ints = ev_ints;
-    d->log.times = ev_times;
-    d->log.cap = ev_cap;
-    return driver_alloc(d, h->n, h->nnets, h->xpins[h->nnets]);
-}
-
-static int64_t driver_finish(driver *d, int st, int64_t *ev_count)
-{
-    pool_release(&d->mem, 0);
-    free(d->mem.ptr);
-    *ev_count = d->log.count;
-    return st != DRV_OK ? st : d->log.full ? DRV_ELOG : DRV_OK;
-}
-
-/* One V-cycle of the hypergraph (xpins, pins, xnets, nets, vweights,
- * ncosts) toward the 2 x ncon side targets: part (n, int8) receives the
- * sides, *cut the cut-net cost.  rng holds the generator's state words
- * (state and inc high and low, has_uint32, uinteger), advanced in
- * place.  Returns DRV_OK, DRV_ENOMEM or DRV_ELOG (*ev_count events
- * written either way). */
-EXPORT int64_t repro_bisect(
-    int64_t n, int64_t nnets, int64_t ncon, int64_t coarsen_to, int64_t ninitial,
-    int64_t fm_passes, int64_t max_net_size, int64_t max_levels, int64_t stall_fraction,
-    double epsilon, uint64_t hash_mask,
-    const int64_t *xpins, const int64_t *pins, const int64_t *xnets, const int64_t *nets,
-    const int64_t *vweights, const int64_t *ncosts, const double *targets,
-    uint64_t *rng_state, int8_t *part, int64_t *cut,
-    int64_t ev_cap, int64_t *ev_ints, double *ev_times, int64_t *ev_count)
-{
-    const hgraph h = {n, nnets, xpins, pins, xnets, nets, vweights, ncosts};
-    driver d;
-    pcg64 rng = pcg_load(rng_state);
-    int st = driver_start(&d, &h, ncon, ninitial, fm_passes, max_net_size, max_levels,
-                          stall_fraction, hash_mask, ev_cap, ev_ints, ev_times);
-    if (st == DRV_OK)
-        st = vcycle(&d, &h, targets, epsilon, coarsen_to, &rng, part, cut);
-    pcg_store(&rng, rng_state);
-    return driver_finish(&d, st, ev_count);
-}
-
 /* A subproblem of the recursion: its hypergraph, the root id of each
  * of its vertices, its part range and stream, and its slice of the
  * arena (size 0 for the root, which is the caller's arrays). */
@@ -2296,9 +2241,12 @@ static int recurse_c(driver *d, const hgraph *root, int64_t nparts, int64_t coar
  * bisection a V-cycle at tolerance eps_level coarsening to
  * max(coarsen_to, 8 * its part count), then up to kway_passes K-way
  * passes at tolerance epsilon (none when nparts is 1).  part (n,
- * int64) receives the parts; rng as in repro_bisect.  The kway event
- * carries the connectivity-1 cost before and after the passes, -1 when
- * the polish had nothing to do. */
+ * int64) receives the parts.  rng_state holds the generator's state
+ * words (state and inc high and low, has_uint32, uinteger), advanced in
+ * place.  The kway event carries the connectivity-1 cost before and
+ * after the passes, -1 when the polish had nothing to do.  Returns
+ * DRV_OK, DRV_ENOMEM or DRV_ELOG (*ev_count events written either
+ * way). */
 EXPORT int64_t repro_partition_kway(
     int64_t n, int64_t nnets, int64_t ncon, int64_t nparts, int64_t coarsen_to,
     int64_t ninitial, int64_t fm_passes, int64_t max_net_size, int64_t kway_passes,
@@ -2311,9 +2259,19 @@ EXPORT int64_t repro_partition_kway(
 {
     const hgraph h = {n, nnets, xpins, pins, xnets, nets, vweights, ncosts};
     driver d;
+    memset(&d, 0, sizeof d);
+    d.ncon = ncon;
+    d.ninitial = ninitial;
+    d.fm_passes = fm_passes;
+    d.max_net_size = max_net_size;
+    d.max_levels = max_levels;
+    d.stall_fraction = stall_fraction;
+    d.hash_mask = hash_mask;
+    d.log.ints = ev_ints;
+    d.log.times = ev_times;
+    d.log.cap = ev_cap;
     pcg64 rng = pcg_load(rng_state);
-    int st = driver_start(&d, &h, ncon, ninitial, fm_passes, max_net_size, max_levels,
-                          stall_fraction, hash_mask, ev_cap, ev_ints, ev_times);
+    int st = driver_alloc(&d, n, nnets, xpins[nnets]);
     if (st == DRV_OK)
         st = recurse_c(&d, &h, nparts, coarsen_to, eps_level, &rng, part);
     if (st == DRV_OK && nparts > 1 && kway_passes > 0) {
@@ -2325,5 +2283,8 @@ EXPORT int64_t repro_partition_kway(
         ev_close(&d.log, ev, before, after);
     }
     pcg_store(&rng, rng_state);
-    return driver_finish(&d, st, ev_count);
+    pool_release(&d.mem, 0);
+    free(d.mem.ptr);
+    *ev_count = d.log.count;
+    return st != DRV_OK ? st : d.log.full ? DRV_ELOG : DRV_OK;
 }

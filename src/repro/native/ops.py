@@ -25,22 +25,20 @@ than a ``Hypergraph`` for the same reason (hypergraph → native) and
 leave the same state as the NumPy code in
 :mod:`repro.hypergraph.refine`, :mod:`repro.hypergraph.kway`,
 :mod:`repro.hypergraph.coarsen` and :mod:`repro.hypergraph.initial`.
-:func:`partition_kway` and :func:`bisect` run the recursive-bisection
-drivers built from those stage kernels: all of
-:func:`repro.hypergraph.partition_kway`, or one V-cycle of
-:func:`repro.hypergraph.bisect.multilevel_bisect`, in one call, with
-NumPy's PCG64 streams ported to C.  They take the generator's state as
-six ``uint64`` words and advance them in place, and record stage events
-only into a log the caller sizes (:func:`kway_event_rows`,
-:func:`bisect_event_rows`) and passes while a trace is open.
+:func:`partition_kway` runs the recursive-bisection driver built from
+those stage kernels: all of :func:`repro.hypergraph.partition_kway` in
+one call, with NumPy's PCG64 streams ported to C.  It takes the
+generator's state as six ``uint64`` words and advances them in place,
+and records stage events only into a log the caller sizes
+(:func:`kway_event_rows`) and passes while a trace is open.
 :func:`block_dm` labels every block of a DM batch
 (:mod:`repro.dm.batch`) and :func:`s2d_flip` runs Algorithm 1's flip
 rounds (:mod:`repro.core.s2d`), over the same flat arrays as their NumPy
 references.
 Each wrapper allocates the kernel's outputs and workspace, and passes
 every array as a bare address after checking its dtype and
-C-contiguity (``TypeError`` otherwise): no silent conversion.  The two
-drivers allocate their own scratch inside the call and free it before
+C-contiguity (``TypeError`` otherwise): no silent conversion.  The
+driver allocates its own scratch inside the call and frees it before
 returning; a failed allocation raises :class:`MemoryError`.
 
 With ``REPRO_NATIVE_DEBUG=1`` (resolved by
@@ -65,8 +63,6 @@ from repro.native import build as _build
 
 __all__ = [
     "addresses",
-    "bisect",
-    "bisect_event_rows",
     "block_dm",
     "compact_group",
     "contract",
@@ -616,38 +612,50 @@ def s2d_flip(
 
 # ------------------------------------------------ recursive bisection
 #
-# Two driver kernels run whole V-cycles, and the whole recursion, from
-# the stage loops above.  They allocate their own scratch (freed before
-# they return), take a PCG64 generator's state as six uint64 words
-# (state and increment, high and low; has_uint32; uinteger) and advance
-# it in place, and write stage events into an optional log that the
-# caller sizes with bisect_event_rows / kway_event_rows.
+# The driver kernel runs the whole recursion from the stage loops
+# above.  It allocates its own scratch (freed before it returns), takes
+# a PCG64 generator's state as six uint64 words (state and increment,
+# high and low; has_uint32; uinteger) and advances it in place, and
+# writes stage events into an optional log that the caller sizes with
+# kway_event_rows.
 
-_DRIVER_OK, _DRIVER_ENOMEM, _DRIVER_ELOG = 0, 1, 2
-
-
-def bisect_event_rows(ninitial: int, max_levels: int) -> int:
-    """Event-log rows of one V-cycle: one coarsen event, a match and a
-    contract event per level tried (at most ``max_levels``), an initial
-    and a refine event per trial and one projection refine event."""
-    return 2 + 2 * max_levels + 2 * ninitial
+_DRIVER_ENOMEM, _DRIVER_ELOG = 1, 2  # kernels.c DRV_*; 0 is success
 
 
 def kway_event_rows(n: int, nparts: int, ninitial: int, max_levels: int) -> int:
     """Event-log rows of a ``partition_kway`` of ``n`` vertices into
-    ``nparts`` parts: the split tree has ``nparts - 1`` inner nodes and
-    the subproblems at one depth are disjoint sets of at least one
-    vertex, so at most ``min(nparts - 1, n * depth)`` V-cycles run; one
-    more row for the polish."""
+    ``nparts`` parts.  One V-cycle writes one coarsen event, a match and
+    a contract event per level tried (at most ``max_levels``), an
+    initial and a refine event per trial and one projection refine
+    event.  The split tree has ``nparts - 1`` inner nodes and the
+    subproblems at one depth are disjoint sets of at least one vertex,
+    so at most ``min(nparts - 1, n * depth)`` V-cycles run; one more row
+    for the polish."""
     depth = (nparts - 1).bit_length()  # ceil(log2(nparts))
-    return min(nparts - 1, n * depth) * bisect_event_rows(ninitial, max_levels) + 1
+    per_vcycle = 2 + 2 * max_levels + 2 * ninitial
+    return min(nparts - 1, n * depth) * per_vcycle + 1
 
 
-def _driver_specs(kernel, n, xpins, pins, xnets, nets, vweights, ncosts, rng_state,
-                  events, rows: int) -> tuple:
-    """Debug-validate a driver's hypergraph, stream state and event log,
-    and return the hypergraph's address specs."""
-    nnets = xpins.size - 1
+def partition_kway(
+    lib, *, xpins, pins, xnets, nets, vweights, ncosts, nparts: int, eps_level: float,
+    epsilon: float, coarsen_to: int, ninitial: int, fm_passes: int, max_net_size: int,
+    kway_passes: int, max_levels: int, stall_fraction: int, hash_mask: int, rng_state,
+    events=None,
+) -> tuple[np.ndarray, int]:
+    """The whole of :func:`repro.hypergraph.partition_kway`: recursive
+    bisection into ``nparts`` parts, each V-cycle at tolerance
+    ``eps_level``, then the K-way polish at ``epsilon``.
+
+    Both CSR directions of the hypergraph, its int64 ``(n, ncon)``
+    ``vweights`` and ``ncosts``.  ``rng_state`` (six uint64 words) is
+    advanced in place; ``events`` is ``None`` or an ``(ints (rows, 3),
+    times (rows, 2))`` log of :func:`kway_event_rows` rows.  Returns
+    ``(part, nevents)``: the int64 parts and the number of events
+    written.
+    """
+    kernel = "partition_kway"
+    n, nnets = xnets.size - 1, xpins.size - 1
+    rows = kway_event_rows(n, nparts, ninitial, max_levels)
     if _build.debug_bounds_enabled():
         _validate_offsets(kernel, "xpins", xpins, pins.size)
         _validate_offsets(kernel, "xnets", xnets, nets.size)
@@ -662,6 +670,8 @@ def _driver_specs(kernel, n, xpins, pins, xnets, nets, vweights, ncosts, rng_sta
             raise VerificationError(
                 f"native {kernel}: vweights must be ({n}, ncon), got {vweights.shape}"
             )
+        if nparts < 1:
+            raise VerificationError(f"native {kernel}: nparts {nparts} is below 1")
         if events is not None and not (
             events[0].shape[1:] == (3,) and events[1].shape[1:] == (2,)
             and events[0].shape[0] == events[1].shape[0] >= rows
@@ -670,99 +680,28 @@ def _driver_specs(kernel, n, xpins, pins, xnets, nets, vweights, ncosts, rng_sta
                 f"native {kernel}: the event log must hold {rows} rows of 3 and 2 "
                 f"columns, got {events[0].shape} and {events[1].shape}"
             )
-    return (
-        ("xpins", xpins, _I64), ("pins", pins, _I64), ("xnets", xnets, _I64),
-        ("nets", nets, _I64), ("vweights", vweights, _I64), ("ncosts", ncosts, _I64),
-    )
-
-
-def _event_specs(kernel: str, events) -> tuple[int, list]:
-    """``(rows, addresses)`` of an event log ``(ints, times)``; no log
-    passes NULL pointers."""
-    ints, times = events if events is not None else (None, None)
-    rows = 0 if ints is None else ints.shape[0]
-    return rows, addresses(kernel, ("ev_ints", ints, _I64), ("ev_times", times, _F64))
-
-
-def _driver_status(kernel: str, status: int, rows: int) -> None:
-    if status == _DRIVER_ENOMEM:
-        raise MemoryError(f"native {kernel}: out of memory for the driver's scratch")
-    if status == _DRIVER_ELOG:
-        raise VerificationError(f"native {kernel}: the event log of {rows} rows overflowed")
-
-
-def bisect(
-    lib, *, xpins, pins, xnets, nets, vweights, ncosts, targets, epsilon: float,
-    coarsen_to: int, ninitial: int, fm_passes: int, max_net_size: int,
-    max_levels: int, stall_fraction: int, hash_mask: int, rng_state, events=None,
-) -> tuple[np.ndarray, int, int]:
-    """One V-cycle of :func:`repro.hypergraph.bisect.multilevel_bisect`.
-
-    Both CSR directions of the hypergraph, its int64 ``(n, ncon)``
-    ``vweights`` and ``ncosts``; ``targets`` is the float64 ``(2,
-    ncon)`` side targets.  ``rng_state`` (six uint64 words) is advanced
-    in place; ``events`` is ``None`` or an ``(ints (rows, 3), times
-    (rows, 2))`` log of :func:`bisect_event_rows` rows.
-    Returns ``(part, cut, nevents)``: the int8 sides, the cut-net cost
-    and the number of events written.
-    """
-    n = xnets.size - 1
-    rows = bisect_event_rows(ninitial, max_levels)
-    specs = _driver_specs(
-        "bisect", n, xpins, pins, xnets, nets, vweights, ncosts, rng_state, events, rows,
-    )
-    if _build.debug_bounds_enabled():
-        _validate("bisect", n, ("targets", targets, None, 2 * vweights.shape[1]))
-    part = np.empty(n, dtype=np.int8)
-    cut = np.zeros(1, dtype=np.int64)
-    count = np.zeros(1, dtype=np.int64)
-    cap, log = _event_specs("bisect", events)
-    status = lib.bisect(
-        n, xpins.size - 1, vweights.shape[1], coarsen_to, ninitial, fm_passes,
-        max_net_size, max_levels, stall_fraction, epsilon, hash_mask,
-        *addresses(
-            "bisect", *specs, ("targets", targets, _F64),
-            ("rng_state", rng_state, _U64), ("part", part, _I8), ("cut", cut, _I64),
-        ),
-        cap, *log, *addresses("bisect", ("ev_count", count, _I64)),
-    )
-    _driver_status("bisect", status, cap)
-    return part, int(cut[0]), int(count[0])
-
-
-def partition_kway(
-    lib, *, xpins, pins, xnets, nets, vweights, ncosts, nparts: int, eps_level: float,
-    epsilon: float, coarsen_to: int, ninitial: int, fm_passes: int, max_net_size: int,
-    kway_passes: int, max_levels: int, stall_fraction: int, hash_mask: int, rng_state,
-    events=None,
-) -> tuple[np.ndarray, int]:
-    """The whole of :func:`repro.hypergraph.partition_kway`: recursive
-    bisection into ``nparts`` parts, each V-cycle at tolerance
-    ``eps_level``, then the K-way polish at ``epsilon``.
-
-    Arguments as in :func:`bisect`; ``events`` holds
-    :func:`kway_event_rows` rows.  Returns ``(part, nevents)`` with the int64 parts.
-    """
-    n = xnets.size - 1
-    rows = kway_event_rows(n, nparts, ninitial, max_levels)
-    specs = _driver_specs(
-        "partition_kway", n, xpins, pins, xnets, nets, vweights, ncosts, rng_state,
-        events, rows,
-    )
-    if _build.debug_bounds_enabled() and nparts < 1:
-        raise VerificationError(f"native partition_kway: nparts {nparts} is below 1")
     part = np.empty(n, dtype=np.int64)
     count = np.zeros(1, dtype=np.int64)
-    cap, log = _event_specs("partition_kway", events)
+    ints, times = events if events is not None else (None, None)
+    cap = 0 if ints is None else ints.shape[0]
     status = lib.partition_kway(
-        n, xpins.size - 1, vweights.shape[1], nparts, coarsen_to, ninitial, fm_passes,
+        n, nnets, vweights.shape[1], nparts, coarsen_to, ninitial, fm_passes,
         max_net_size, kway_passes, max_levels, stall_fraction, eps_level, epsilon,
         hash_mask,
         *addresses(
-            "partition_kway", *specs, ("rng_state", rng_state, _U64),
-            ("part", part, _I64),
+            kernel, ("xpins", xpins, _I64), ("pins", pins, _I64),
+            ("xnets", xnets, _I64), ("nets", nets, _I64),
+            ("vweights", vweights, _I64), ("ncosts", ncosts, _I64),
+            ("rng_state", rng_state, _U64), ("part", part, _I64),
         ),
-        cap, *log, *addresses("partition_kway", ("ev_count", count, _I64)),
+        cap,
+        *addresses(
+            kernel, ("ev_ints", ints, _I64), ("ev_times", times, _F64),
+            ("ev_count", count, _I64),
+        ),
     )
-    _driver_status("partition_kway", status, cap)
+    if status == _DRIVER_ENOMEM:
+        raise MemoryError(f"native {kernel}: out of memory for the driver's scratch")
+    if status == _DRIVER_ELOG:
+        raise VerificationError(f"native {kernel}: the event log of {cap} rows overflowed")
     return part, int(count[0])

@@ -56,15 +56,12 @@ def test_s2db_volume_stays_within_twice_s2d(tables):
     takes at most two hops, and combining words on the way only removes
     some, so s2D-b sends at most twice s2D's total volume.  Table VI has
     no plain s2D column, so the records holding both are Table V's."""
-    compared = 0
-    for table in ("5", "6"):
-        for rec in tables[table].records:
-            if "s2D" in rec and "s2D-b" in rec:
-                assert rec["s2D-b"].total_volume <= 2 * rec["s2D"].total_volume, (
-                    table, rec["name"], rec["K"],
-                )
-                compared += 1
-    assert compared == len(tables["5"].records) > 0
+    records = tables["5"].records
+    assert records
+    for rec in records:
+        assert rec["s2D-b"].total_volume <= 2 * rec["s2D"].total_volume, (
+            rec["name"], rec["K"],
+        )
 
 
 def test_s2db_keeps_the_s2d_load_balance(tables):

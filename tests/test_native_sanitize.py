@@ -117,21 +117,19 @@ for method in ("1d-rowwise", "s2d-heuristic", "finegrain", "s2d-bounded"):
         ), method
 assert modes == {"single", "two", "routed"}, modes
 
-# The partitioner drivers: two-constraint partition_kway calls (one
+# The partitioner driver: two-constraint partition_kway calls (one
 # repro_partition_kway each, traced ones with an event log, one with
-# every content hash masked) and direct V-cycles (one repro_bisect
-# each) per backend.
+# every content hash masked) per backend, and one that returns early
+# with its workspace allocated (a gain bound too large for the buckets).
 from repro import obs
 from repro.generators.circuit import circuit_like
 from repro.hypergraph import Hypergraph, PartitionConfig, column_net_model, partition_kway
 from repro.hypergraph import coarsen as coarsen_mod
-from repro.hypergraph.bisect import multilevel_bisect
 from repro.native import set_default_backend
 
 hg = column_net_model(circuit_like(200, seed=5))
 extra = np.random.default_rng(1).integers(0, 3, hg.nvertices)
 hg = Hypergraph(hg.xpins, hg.pins, np.column_stack([hg.vweights[:, 0], extra]), hg.ncosts)
-th = hg.total_weight().astype(float)
 runs = {}
 for backend in ("numpy", "native"):
     set_default_backend(backend)
@@ -143,13 +141,16 @@ for backend in ("numpy", "native"):
     coarsen_mod._HASH_MASK = 0
     out.append(partition_kway(hg, 8, PartitionConfig(seed=3)))
     coarsen_mod._HASH_MASK = (1 << 64) - 1
-    for seed in (0, 2**63 - 2):
-        rng = np.random.default_rng(seed)
-        side, cut = multilevel_bisect(hg, (th * 0.3, th * 0.7), 0.05, rng)
-        out += [side, np.array([cut]), np.array([rng.integers(1 << 62)])]
     runs[backend] = out
 for want, got in zip(runs["numpy"], runs["native"]):
     assert np.array_equal(want, got)
+costly = Hypergraph(hg.xpins, hg.pins, hg.vweights, np.full(hg.nnets, 2**58))
+try:
+    partition_kway(costly, 8)
+except MemoryError:
+    pass
+else:
+    raise AssertionError("no MemoryError")
 
 # The V-cycle's front half directly: HCM matching, the contraction,
 # greedy growing and the random fill on a tie-heavy fine-grain model.
@@ -245,9 +246,9 @@ def test_sanitized_kernels_pass_golden_applies():
     """The ASan/UBSan build variant is bit-identical to NumPy on full
     plan applies (``repro_plan_apply`` under all three execution
     models, one and many right-hand sides), on two-constraint
-    ``partition_kway`` calls and V-cycles (the recursive-bisection
-    drivers, their allocations and event logs, and through them every
-    partitioner kernel) and on direct calls
+    ``partition_kway`` calls (the recursive-bisection driver, its
+    allocations, event logs and early out-of-memory return, and through
+    it every partitioner kernel) and on direct calls
     of the HCM matching, contraction,
     greedy-growing and random-fill kernels and of the in-kernel FM
     set-up, and on the block DM and s2D flip kernels over every

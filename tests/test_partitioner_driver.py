@@ -1,9 +1,9 @@
 """The recursive-bisection driver in C against the Python driver.
 
 With the native backend and a PCG64-backed generator,
-``partition_kway`` is one call of ``kernels.c:repro_partition_kway``
-and ``multilevel_bisect`` one call of ``repro_bisect``; both port
-NumPy's random streams.  Pinned here:
+``partition_kway`` is one call of ``kernels.c:repro_partition_kway``,
+which ports NumPy's random streams; ``multilevel_bisect`` stays the
+Python V-cycle over the native stage kernels.  Pinned here:
 
 - over more than 200 seeds, edge seeds included, both backends give the
   same parts and cuts, and a caller's generator ends in the same state
@@ -13,12 +13,15 @@ NumPy's random streams.  Pinned here:
 - a traced native run grafts the Python driver's span tree and
   counters; an untraced one passes no event log;
 - the driver reads the contraction's hash mask, validates its inputs
-  under ``REPRO_NATIVE_DEBUG=1`` and reports a failed allocation as
-  ``MemoryError``.
+  under ``REPRO_NATIVE_DEBUG=1`` and reports both a failed ``malloc``
+  and an oversized gain-bucket bound as ``MemoryError``.
 """
 
 import copy
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -162,9 +165,8 @@ def _spy(monkeypatch, lib, name: str) -> list:
 
 
 # Positions of the event log's capacity and pointers, and of the hash
-# mask, in the drivers' argument lists.
-_LOG_AT = {"partition_kway": 22, "bisect": 21}
-_MASK_AT = {"partition_kway": 13, "bisect": 10}
+# mask, in the driver's argument list.
+_LOG_AT, _MASK_AT = 22, 13
 
 
 def _run_drivers(hg: Hypergraph, seed: int = 3):
@@ -175,17 +177,15 @@ def _run_drivers(hg: Hypergraph, seed: int = 3):
 
 
 def test_untraced_call_passes_no_event_log(monkeypatch):
-    lib = get_kernels()
-    calls = {name: _spy(monkeypatch, lib, name) for name in _LOG_AT}
+    calls = _spy(monkeypatch, get_kernels(), "partition_kway")
     hg = _model("mesh", 1)
     with forced_backend("native"):
         _run_drivers(hg)
         with obs.tracing():
             _run_drivers(hg)
-    for name, at in _LOG_AT.items():
-        untraced, traced = calls[name]
-        assert untraced[at : at + 3] == (0, None, None), name
-        assert traced[at] > 0 and traced[at + 1] is not None, name
+    untraced, traced = calls
+    assert untraced[_LOG_AT : _LOG_AT + 3] == (0, None, None)
+    assert traced[_LOG_AT] > 0 and traced[_LOG_AT + 1] is not None
 
 
 @pytest.mark.parametrize("family", ["circuit", "rmat"])
@@ -193,14 +193,12 @@ def test_colliding_hashes_through_the_driver(family, monkeypatch):
     """Every content hash masked to 0 reaches the driver's contraction,
     which then merges nets by the exact pin comparison alone."""
     monkeypatch.setattr(coarsen, "_HASH_MASK", 0)
-    lib = get_kernels()
-    calls = {name: _spy(monkeypatch, lib, name) for name in _MASK_AT}
+    calls = _spy(monkeypatch, get_kernels(), "partition_kway")
     hg = _model(family, 2)
     want, got = _both(lambda: _run_drivers(hg, seed=9))
     assert np.array_equal(want[0], got[0])
     assert np.array_equal(want[1], got[1]) and want[2] == got[2]
-    for name, at in _MASK_AT.items():
-        assert [args[at] for args in calls[name]] == [0], name
+    assert [args[_MASK_AT] for args in calls] == [0]
 
 
 def _driver_args(hg: Hypergraph, nparts: int = 4) -> dict:
@@ -232,10 +230,6 @@ def test_debug_guard_checks_driver_inputs(monkeypatch):
     for change, message in cases:
         with pytest.raises(VerificationError, match=f"partition_kway: {message}"):
             ops.partition_kway(lib, **{**_driver_args(hg), **change})
-    args = _driver_args(hg)
-    del args["nparts"], args["eps_level"], args["kway_passes"]
-    with pytest.raises(VerificationError, match="bisect: targets has 3 entries"):
-        ops.bisect(lib, **args, targets=np.zeros(3))
     # Valid input passes the guard and gives the unguarded result.
     rows = ops.kway_event_rows(hg.nvertices, 4, 4, MAX_LEVELS)
     log = (np.empty((rows, 3), dtype=np.int64), np.empty((rows, 2)))
@@ -246,16 +240,65 @@ def test_debug_guard_checks_driver_inputs(monkeypatch):
     assert guarded[1] > 0 and plain[1] == 0  # events written only to a log
 
 
-def test_driver_reports_out_of_memory():
-    """Net costs near 2**58 need a gain-bucket array of about 2**62
-    entries: the driver returns its out-of-memory status, raised as
-    MemoryError, instead of crashing."""
+def test_oversized_gain_bound_raises_memory_error():
+    """Net costs near 2**58 bound the gains so high that the gain-bucket
+    array alone would not fit: the driver refuses before allocating it
+    and the call raises MemoryError instead of crashing."""
     hg = Hypergraph.from_net_lists(
         [[0, 1], [1, 2], [0, 2]], 3, ncosts=np.array([2**58, 2**58, 1])
     )
     with forced_backend("native"):
         with pytest.raises(MemoryError, match="native partition_kway: out of memory"):
             partition_kway(hg, 2)
-        t = hg.total_weight().astype(np.float64)
-        with pytest.raises(MemoryError, match="native bisect: out of memory"):
-            multilevel_bisect(hg, (t / 2, t / 2), 0.05, np.random.default_rng(0))
+
+
+_FAILED_MALLOC_CHILD = """
+import resource
+import numpy as np
+from repro.hypergraph import Hypergraph, PartitionConfig, partition_kway
+from repro.native import get_kernels, set_default_backend
+
+assert get_kernels() is not None
+set_default_backend("native")
+n, ncon = 1024, 2048
+# The driver's first large block, the coarse weights, takes 16 MiB.
+wide = Hypergraph.from_net_lists(
+    [[i, i + 1] for i in range(n - 1)], n, vweights=np.ones((n, ncon), dtype=np.int64)
+)
+# A gain bound of about 2**37 asks malloc for 2 TiB of gain buckets.
+costly = Hypergraph.from_net_lists(
+    [[0, 1], [1, 2], [0, 2]], 3, ncosts=np.array([2**36, 2**36, 1])
+)
+small = Hypergraph.from_net_lists([[i, i + 1] for i in range(40)], 41)
+want = partition_kway(small, 4, PartitionConfig(seed=1))
+with open("/proc/self/status") as f:
+    vm = next(int(line.split()[1]) for line in f if line.startswith("VmSize:")) * 1024
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (vm + (8 << 20), hard))
+for hg in (wide, costly, wide):
+    try:
+        partition_kway(hg, 2)
+    except MemoryError as exc:
+        assert "native partition_kway: out of memory" in str(exc), exc
+    else:
+        raise AssertionError("no MemoryError")
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+assert np.array_equal(partition_kway(small, 4, PartitionConfig(seed=1)), want)
+print("OK-FAILED-MALLOC")
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc and RLIMIT_AS")
+def test_failed_malloc_raises_memory_error():
+    """Under a lowered address-space limit ``malloc`` really returns
+    NULL, once in the driver's pooled workspace and once in the FM
+    gain buckets: each call raises MemoryError, and the driver's early
+    returns leave a process that partitions as before once the limit is
+    lifted."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILED_MALLOC_CHILD], capture_output=True, text=True,
+        timeout=300, cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "OK-FAILED-MALLOC" in proc.stdout
