@@ -131,7 +131,8 @@ class PartitionEngine:
         to disk keyed on the matrix digest plus the full plan key, and
         :meth:`plan` / :meth:`compiled_plan` consult the store before
         building — a warm process reconstructs a table's plans from
-        pure cache reads.
+        pure cache reads.  ``fetch_partition`` receives this engine's
+        canonical matrix and rebuilds the partition around it.
     """
 
     def __init__(
@@ -323,7 +324,9 @@ class PartitionEngine:
         def build() -> SpMVPartition:
             partition = None
             if self.artifacts is not None:
-                partition = self.artifacts.fetch_partition(self.matrix_digest, key)
+                partition = self.artifacts.fetch_partition(
+                    self.matrix_digest, key, self._matrix
+                )
             if partition is None:
                 partition = METHODS[name](self, nparts, config, opts)
                 if self.artifacts is not None:

@@ -7,7 +7,8 @@ the generator is chosen to reproduce the property the paper keys on
 
 - ``tiny``  — for unit/CI tests (hundreds of nonzeros);
 - ``small`` — the default benchmark scale (thousands of nonzeros);
-- ``medium`` — closer-to-paper trends, minutes of runtime.
+- ``medium`` — closer-to-paper trends, seconds per table (serial
+  Table II about 12 s, Table V about 8 s on 2 vCPUs).
 
 Set the environment variable ``REPRO_SCALE`` to override the scale used
 by the benchmark harness.

@@ -56,18 +56,16 @@ from pathlib import Path
 from repro import obs
 from repro.engine import PartitionEngine
 from repro.errors import CampaignError, ConfigError
-from repro.hypergraph import PartitionConfig
 from repro.jobs import resolve_jobs
 from repro.sweep.cache import ArtifactCache
 from repro.sweep.faults import FaultPlan
-from repro.sweep.grid import Cell, MatrixTask, SweepGrid, derive_seed
+from repro.sweep.grid import Cell, MatrixTask, SweepGrid
 from repro.sweep.journal import Journal
 from repro.sweep.orchestrator import (
     CellRecord,
     SweepResult,
     _execute_cell,
     _fork_context,
-    _machine_key,
 )
 
 __all__ = [
@@ -242,19 +240,15 @@ def _campaign_worker(conn, task, items, cache_dir, faults) -> None:
                 if faults is not None:
                     faults.fire(uid, attempt)
                 record = _execute_cell(task, engine, cache, digest, cell)
-                machine = task.machines[cell.machine_index]
-                config = PartitionConfig(
-                    epsilon=task.epsilon,
-                    seed=derive_seed(task.seed, task.matrix_index, cell.slot),
-                )
-                plan_key = engine.plan_key(
-                    cell.scheme, cell.k, config=config, **dict(cell.opts)
-                )
-                key_hex = ArtifactCache.record_key(
-                    digest, plan_key, _machine_key(machine)
-                )
                 conn.send(
-                    ("done", uid, key_hex, t0, obs.now() - t0, record.from_cache)
+                    (
+                        "done",
+                        uid,
+                        record.record_key,
+                        t0,
+                        obs.now() - t0,
+                        record.from_cache,
+                    )
                 )
             except BaseException as exc:
                 conn.send(("failed", uid, t0, obs.now() - t0, _exc_fields(exc)))
@@ -679,19 +673,15 @@ class Campaign:
                 if self.faults is not None:
                     self.faults.fire(uid, attempt)
                 record = _execute_cell(task, engine, cache, digest, cell)
-                machine = task.machines[cell.machine_index]
-                config = PartitionConfig(
-                    epsilon=task.epsilon,
-                    seed=derive_seed(task.seed, task.matrix_index, cell.slot),
-                )
-                plan_key = engine.plan_key(
-                    cell.scheme, cell.k, config=config, **dict(cell.opts)
-                )
-                key_hex = ArtifactCache.record_key(
-                    digest, plan_key, _machine_key(machine)
-                )
                 shim.send(
-                    ("done", uid, key_hex, t0, obs.now() - t0, record.from_cache)
+                    (
+                        "done",
+                        uid,
+                        record.record_key,
+                        t0,
+                        obs.now() - t0,
+                        record.from_cache,
+                    )
                 )
             except Exception as exc:
                 shim.send(("failed", uid, t0, obs.now() - t0, _exc_fields(exc)))

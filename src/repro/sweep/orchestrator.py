@@ -74,6 +74,8 @@ class CellRecord:
     machine: MachineModel
     quality: PartitionQuality
     from_cache: bool = False
+    #: The record's artifact-cache address (None without a cache).
+    record_key: str | None = None
 
 
 @dataclass
@@ -222,19 +224,19 @@ def _execute_cell(task, engine, cache, digest, cell) -> CellRecord:
     )
     opts = dict(cell.opts)
     quality = None
-    from_cache = False
-    plan_key = None
+    record_key = None
     if cache is not None:
-        # Address the record without building the plan.
+        # Address the record once, without building the plan.
         plan_key = engine.plan_key(cell.scheme, cell.k, config=config, **opts)
-        quality = cache.fetch_record(digest, plan_key, _machine_key(machine))
-        from_cache = quality is not None
+        record_key = cache.record_key(digest, plan_key, _machine_key(machine))
+        quality = cache.fetch_record_hex(record_key)
+    from_cache = quality is not None
     plan = None
     if quality is None:
         plan = engine.plan(cell.scheme, cell.k, config=config, **opts)
         quality = engine.evaluate(plan, machine=machine)
         if cache is not None:
-            cache.store_record(digest, plan_key, _machine_key(machine), quality)
+            cache.store_record_hex(record_key, quality)
     if task.compile_plans:
         # Compile even when the record came from the cache: the
         # plan itself is then a cheap artifact fetch, and the
@@ -252,6 +254,7 @@ def _execute_cell(task, engine, cache, digest, cell) -> CellRecord:
         machine=machine,
         quality=quality,
         from_cache=from_cache,
+        record_key=record_key,
     )
 
 

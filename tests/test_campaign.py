@@ -21,6 +21,7 @@ from __future__ import annotations
 import pickle
 import shutil
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -537,16 +538,22 @@ def test_artifact_cache_corrupt_eviction_is_visible(tmp_path):
     cache = ArtifactCache(tmp_path)
     cache.store_record("digest", ("plan",), ("machine",), {"q": 1})
     key = ArtifactCache.record_key("digest", ("plan",), ("machine",))
-    path = cache._path(key, "pkl")
-    path.write_bytes(b"not a pickle")
-    with obs.tracing() as tr:
-        assert cache.fetch_record("digest", ("plan",), ("machine",)) is None
-    assert cache.stats["corrupt"] == 1
-    counters = tr.total_counters()
-    assert counters.get("artifact.corrupt") == 1
-    [ev] = [sp for sp in tr.walk() if sp.name == "artifact.corrupt"]
-    assert ev.attrs["key"] == key  # the corrupt *key* is named, not just a path
-    assert not path.exists()  # evicted
-    # Re-fetch is a clean miss, and rehydration shares the same path.
+    db = sqlite3.connect(cache.path, isolation_level=None)
+    try:
+        db.execute(
+            "UPDATE artifacts SET payload = ? WHERE key = ?", (b"not a pickle", key)
+        )
+        with obs.tracing() as tr:
+            assert cache.fetch_record("digest", ("plan",), ("machine",)) is None
+        assert cache.stats["corrupt"] == 1
+        counters = tr.total_counters()
+        assert counters.get("artifact.corrupt") == 1
+        [ev] = [sp for sp in tr.walk() if sp.name == "artifact.corrupt"]
+        assert ev.attrs["key"] == key  # the corrupt *key* is named, not just a file
+        stored = "SELECT COUNT(*) FROM artifacts WHERE key = ?"
+        assert db.execute(stored, (key,)).fetchone() == (0,)  # evicted
+    finally:
+        db.close()
+    # Re-fetch is a clean miss, and rehydration shares the same address.
     assert cache.fetch_record_hex(key) is None
     assert cache.stats["corrupt"] == 1
