@@ -68,6 +68,50 @@ ACCEPTANCE_EXECUTOR = "single"
 NRHS = 8
 
 
+def _matrices(quick: bool):
+    from repro.generators.mesh import knn_mesh
+    from repro.generators.rmat import rmat
+
+    if quick:
+        return [
+            ("rmat9", rmat(9, edge_factor=8.0, seed=99)),
+            ("mesh400", knn_mesh(400, 8, dim=2, seed=7)),
+        ]
+    return [
+        ("rmat13", rmat(13, edge_factor=8.0, seed=99)),
+        ("mesh10k", knn_mesh(10_000, 12, dim=2, seed=7)),
+    ]
+
+
+def _cyclic_s2d(a, k: int, seed: int):
+    """A communication-heavy but admissible s2D partition.
+
+    Vectors are dealt cyclically (so nearly every off-diagonal nonzero
+    reads a remote x and most partials travel), and each nonzero goes
+    to its row or column owner by a deterministic coin flip.  This
+    stresses exactly the paths the executors vectorize: message
+    assembly, delivery joins and partial folds.
+    """
+    import numpy as np
+
+    from repro.partition.types import SpMVPartition, VectorPartition
+    from repro.sparse.coo import canonical_coo
+
+    m = canonical_coo(a)
+    nrows, ncols = m.shape
+    x_part = np.arange(ncols, dtype=np.int64) % k
+    y_part = np.arange(nrows, dtype=np.int64) % k
+    rng = np.random.default_rng(seed)
+    side = rng.random(m.nnz) < 0.5
+    nnz_part = np.where(side, y_part[m.row], x_part[m.col])
+    return SpMVPartition(
+        matrix=m,
+        nnz_part=nnz_part,
+        vectors=VectorPartition(x_part=x_part, y_part=y_part, nparts=k),
+        kind="s2D",
+    )
+
+
 def _identical(run_plan, run_ref) -> bool:
     import numpy as np
 
@@ -81,7 +125,6 @@ def _identical(run_plan, run_ref) -> bool:
 def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
     import numpy as np
 
-    from bench_simulate import _cyclic_s2d, _matrices
     from repro.core import make_s2d_bounded
     from repro.native import get_kernels, native_status
     from repro.runtime import compile_plan

@@ -1,9 +1,8 @@
 """Regenerate every ``BENCH_*.json`` artifact in one shot.
 
 Drives the JSON-emitting benchmark modules (currently
-``bench_engine``, ``bench_partitioner``, ``bench_simulate``,
-``bench_runtime`` and ``bench_sweep``) and prints
-a one-line summary per artifact.  ``--quick`` runs every benchmark at tiny scale
+``bench_engine``, ``bench_partitioner``, ``bench_runtime`` and
+``bench_sweep``) and prints a one-line summary per artifact.  ``--quick`` runs every benchmark at tiny scale
 (seconds, not minutes) — the same entry point the slow-marked pytest
 smoke test uses, so the bench scripts cannot rot unnoticed; the quick
 pass exercises the sweep orchestrator end-to-end (parallel workers +
@@ -30,7 +29,6 @@ sys.path.insert(0, str(BENCH_DIR))
 import bench_engine  # noqa: E402
 import bench_partitioner  # noqa: E402
 import bench_runtime  # noqa: E402
-import bench_simulate  # noqa: E402
 import bench_sweep  # noqa: E402
 
 #: (module, artifact filename, headline extractor)
@@ -51,17 +49,8 @@ BENCHMARKS = [
         bench_partitioner,
         "BENCH_partitioner.json",
         lambda r: (
-            f"partitioner speedup {r['acceptance']['speedup']:.1f}x, native over "
-            f"NumPy {r['acceptance']['native_speedup']:.1f}x "
-            f"(quality max ratio {r['quality_suite']['max_ratio']:.3f})"
-        ),
-    ),
-    (
-        bench_simulate,
-        "BENCH_simulate.json",
-        lambda r: (
-            f"single-phase executor speedup {r['acceptance']['speedup']:.1f}x "
-            f"(ledgers identical: {r['acceptance']['ledgers_identical']})"
+            f"partitioner native over NumPy {r['acceptance']['native_speedup']:.1f}x, "
+            f"quality max ratio {r['quality_suite']['max_ratio']:.3f} vs seed"
         ),
     ),
     (

@@ -18,10 +18,7 @@ implements the same algorithmic recipe:
 - :mod:`repro.hypergraph.bisect` — the multilevel V-cycle;
 - :mod:`repro.hypergraph.partitioner` — recursive-bisection K-way
   driver with cut-net splitting (exactly models the connectivity-1
-  communication-volume metric);
-- :mod:`repro.hypergraph.legacy` — the seed (pre-vectorization)
-  implementation, kept as golden quality reference and benchmark
-  baseline.
+  communication-volume metric).
 """
 
 from repro.hypergraph.hypergraph import Hypergraph

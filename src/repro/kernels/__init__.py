@@ -17,7 +17,6 @@ __all__ = [
     "GroupPlan",
     "concat_ranges",
     "concat_spans",
-    "group_sum",
     "grouped_distinct_counts",
     "in_sorted",
     "pair_counts",
@@ -110,13 +109,6 @@ class GroupPlan:
         sums = np.zeros(self.length, dtype=values.dtype)
         np.add.at(sums, self.index, values)
         return sums
-
-
-def group_sum(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``values`` by integer ``keys``; returns ``(unique_keys, sums)``
-    — a one-shot :class:`GroupPlan`."""
-    plan, uniq = GroupPlan.build(keys)
-    return uniq, plan.apply(np.asarray(values))
 
 
 def in_sorted(haystack: np.ndarray, queries: np.ndarray) -> np.ndarray:

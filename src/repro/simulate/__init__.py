@@ -25,10 +25,11 @@ compiled :class:`~repro.runtime.plan.CommPlan`.  The simulators
 - :mod:`repro.simulate.common` — the audits and types the three
   derivations share;
 - :mod:`repro.simulate.report` — the mode dispatch and one-call
-  evaluation producing the numbers the paper's tables report;
-- :mod:`repro.simulate.legacy` — the seed executors, frozen as the
-  independent oracle for the derivations (bit-identical ledgers); import
-  them from there, they are not part of this package's namespace.
+  evaluation producing the numbers the paper's tables report.
+
+The seed executors' ledgers, flops and ``y`` are frozen in
+``tests/fixtures/simulate_seed.npz``, the independent oracle the
+derivations are pinned against (bit-identical ledgers).
 
 Every derivation phase runs under an ``obs.span("simulate.<phase>")``
 and every ``run_*`` call bumps the ``simulate.runs`` counter, so a

@@ -14,9 +14,10 @@ counts come from :func:`~repro.kernels.pair_counts`, the
 mesh-containment and locality checks are vectorized assertions, the
 combined-partial fold verifies delivery ownership, and the combine is
 the plan's second grouping stage.  :func:`repro.runtime.compile_plan`
-and :func:`run_s2d_bounded` both run it.  The seed executor (preserved
-in :mod:`repro.simulate.legacy`) skipped the ``x`` size check, the
-nonzero-classification check and the fold ownership check.
+and :func:`run_s2d_bounded` both run it.  The seed executor (its
+outputs frozen in ``tests/fixtures/simulate_seed.npz``) skipped the
+``x`` size check, the nonzero-classification check and the fold
+ownership check.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ the paper notes.
 word counts come from :func:`~repro.kernels.pair_counts`, the locality
 audit is a searchsorted join against the delivered ``(receiver, j)``
 keys, and ``y`` is the compiled plan's NumPy apply, verified against
-the serial product.  The seed executor is preserved in
-:mod:`repro.simulate.legacy`; ledgers are bit-identical.
+the serial product.  Ledgers are bit-identical to the seed executor's,
+frozen in ``tests/fixtures/simulate_seed.npz``.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ columns, fold inside mesh rows) emerges from their vector placement;
 no special-case code is involved, which is itself a useful check.
 
 :func:`derive_two_phase` is this model's one derivation (see
-:mod:`repro.simulate.singlephase`); the seed executor is preserved in
-:mod:`repro.simulate.legacy` with bit-identical ledgers.
+:mod:`repro.simulate.singlephase`); ledgers are bit-identical to the
+seed executor's, frozen in ``tests/fixtures/simulate_seed.npz``.
 """
 
 from __future__ import annotations

@@ -51,27 +51,16 @@ def test_bench_partitioner_quick(tmp_path):
     for entry in data["end_to_end"]:
         assert entry["vectorized_s"] > 0
         assert entry["stages"]["total_s"] > 0
-    assert data["quality_suite"]["max_ratio"] == max(
-        m["ratio"] for m in data["quality_suite"]["matrices"]
-    )
+        assert "speedup" not in entry and "legacy_s" not in entry
+        seed_cut = bench_partitioner.SEED_CUTS[entry["model"], entry["k"]]
+        assert entry["cut_legacy"] == seed_cut
+    quality = data["quality_suite"]
+    for m in quality["matrices"]:
+        assert m["cut_legacy"] == bench_partitioner.SEED_CUTS[m["matrix"], quality["k"]]
+    assert quality["max_ratio"] == max(m["ratio"] for m in quality["matrices"])
+    assert "speedup" not in data["acceptance"]
     assert data["acceptance"]["backends_identical"] is True
     assert data["acceptance"]["numpy_s"] > 0
-    assert result["config"]["quick"] is True
-
-
-def test_bench_simulate_quick(tmp_path):
-    import bench_simulate
-
-    out = tmp_path / "BENCH_simulate.json"
-    result = bench_simulate.run(out, quick=True)
-    assert out.exists()
-    data = json.loads(out.read_text())
-    assert {"config", "executors", "simulate_all", "acceptance"} <= set(data)
-    assert len(data["executors"]) == 12  # 2 models x 2 K values x 3 executors
-    for entry in data["executors"]:
-        assert entry["vectorized_s"] > 0
-        assert entry["ledger_identical"] is True
-    assert data["simulate_all"]["methods"] > 0
     assert result["config"]["quick"] is True
 
 
@@ -133,7 +122,6 @@ def test_run_all_driver_quick(tmp_path):
     assert set(results) == {
         "BENCH_engine.json",
         "BENCH_partitioner.json",
-        "BENCH_simulate.json",
         "BENCH_runtime.json",
         "BENCH_sweep.json",
     }

@@ -1,29 +1,73 @@
-"""Golden tests: vectorized executors vs the preserved seed executors.
+"""Golden tests: vectorized executors vs the frozen seed executors.
 
 The vectorized single-phase, two-phase and mesh-routed executors must
 produce *bit-identical* ledgers (same phase order, same (src, dst)
 pairs, same word counts), identical per-phase flops and the same ``y``
-as the seed implementations frozen in :mod:`repro.simulate.legacy` —
-on the generator suite and on random admissible partitions.
+as the seed implementations did — on the generator suite, on real
+partitioner output, on random admissible partitions, on a rectangular
+matrix and on communication-heavy cyclic s2D partitions of an R-MAT
+graph and a kNN mesh.
+
+The seed executors are deleted; their outputs on every instance are
+frozen in ``tests/fixtures/simulate_seed.npz``, written once by the
+seed code and **not regenerable** (the code that wrote it is gone).
+Every partition is rebuilt from the stored inputs, so a later change to
+a generator, the partitioner or a random stream cannot move the
+oracle.  Layout, per instance name ``I`` (listed in ``instances``):
+
+- ``I/row``, ``I/col``, ``I/data``, ``I/shape`` — the canonical COO
+  triplets of the matrix;
+- ``I/nnz_part``, ``I/x_part``, ``I/y_part``, ``I/nparts`` — the s2D
+  partition;
+- ``I/x`` — the input vector; ``I/default_x`` is true when the seed
+  run took the executors' default ``x`` (then ``I/x`` is that default
+  and the executors are called without one);
+- ``I/executors`` — which of ``single``, ``two`` and ``routed`` ran
+  (``routed`` runs on ``make_s2d_bounded`` of the partition).
+
+And per executor ``E`` of ``I``:
+
+- ``I/E/ledger_phases`` — the ledger's phase names, in order;
+  ``I/E/ledger/<i>`` is phase ``i``'s book as ``(src, dst, words)``
+  rows;
+- ``I/E/phases`` — the run's superstep names; ``I/E/flops/<j>`` is
+  superstep ``j``'s per-processor flops (absent when it computes
+  nothing);
+- ``I/E/y`` — the seed ``y``, as an array, not a digest: today's
+  ``y`` agrees to ``rtol=1e-12`` but on most runs not bit for bit.
 """
+
+import pathlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import make_s2d_bounded
-from repro.generators.suite import table1_suite
-from repro.hypergraph import PartitionConfig
-from repro.partition import partition_1d_rowwise, partition_2d_finegrain
-from repro.simulate import run_s2d_bounded, run_single_phase, run_two_phase
-from repro.simulate.legacy import (
-    legacy_run_s2d_bounded,
-    legacy_run_single_phase,
-    legacy_run_two_phase,
+from repro.partition.types import SpMVPartition, VectorPartition
+from repro.simulate import (
+    Ledger,
+    SpMVRun,
+    run_s2d_bounded,
+    run_single_phase,
+    run_two_phase,
 )
-from tests.conftest import random_s2d_partition
+from repro.simulate.machine import PhaseCost
 
-CFG = PartitionConfig(seed=19, ninitial=2, fm_passes=2)
-SUITE = table1_suite("tiny")[:5]
+FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "simulate_seed.npz"
+SUITE = ["crystk02", "turon_m", "trdheim", "c-big", "ASIC_680k"]
+CYCLIC = [f"{m}-k{k}" for m in ("rmat9", "mesh400") for k in (4, 8)]
+EXECUTORS = {
+    "single": run_single_phase,
+    "two": run_two_phase,
+    "routed": run_s2d_bounded,
+}
+
+
+@pytest.fixture(scope="module")
+def seed():
+    with np.load(FIXTURE) as f:
+        return {name: f[name] for name in f.files}
 
 
 def assert_runs_identical(run_new, run_old):
@@ -38,60 +82,78 @@ def assert_runs_identical(run_new, run_old):
             assert np.array_equal(ph_new.flops, ph_old.flops)
 
 
-@pytest.mark.parametrize("sm", SUITE, ids=[s.name for s in SUITE])
-def test_suite_golden_all_executors(sm):
-    """Total volume / message counts pinned against the seed executors
-    on the 5-matrix generator suite (random admissible s2D vectors)."""
-    a = sm.matrix()
-    rng = np.random.default_rng(hash(sm.name) % 2**32)
-    p = random_s2d_partition(rng, a, 4)
-    x = rng.random(p.matrix.shape[1])
-    assert_runs_identical(run_single_phase(p, x), legacy_run_single_phase(p, x))
-    assert_runs_identical(run_two_phase(p, x), legacy_run_two_phase(p, x))
-    pb = make_s2d_bounded(p)
-    assert_runs_identical(run_s2d_bounded(pb, x), legacy_run_s2d_bounded(pb, x))
+def seed_run(seed, name, executor):
+    """The frozen seed run of ``executor`` on instance ``name``."""
+    pre = f"{name}/{executor}/"
+    ledger = Ledger(int(seed[f"{name}/nparts"]))
+    for i, phase in enumerate(seed[pre + "ledger_phases"].tolist()):
+        src, dst, words = seed[pre + f"ledger/{i}"].T
+        ledger.record_pairs(phase, src, dst, words)
+    phases = [
+        PhaseCost(phase, flops=seed.get(pre + f"flops/{j}"))
+        for j, phase in enumerate(seed[pre + "phases"].tolist())
+    ]
+    nnz = int(seed[f"{name}/row"].size)
+    return SpMVRun(y=seed[pre + "y"], ledger=ledger, phases=phases, nnz=nnz)
 
 
-@pytest.mark.parametrize("sm", SUITE[:2], ids=[s.name for s in SUITE[:2]])
-def test_suite_golden_partitioned(sm):
-    """Same pinning on real partitioner output (1D and fine-grain 2D)."""
-    a = sm.matrix()
-    p1 = partition_1d_rowwise(a, 4, CFG)
-    assert_runs_identical(run_single_phase(p1), legacy_run_single_phase(p1))
-    p2 = partition_2d_finegrain(a, 4, CFG)
-    assert_runs_identical(run_two_phase(p2), legacy_run_two_phase(p2))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_random_partitions_golden(seed):
-    import scipy.sparse as sp
-
-    rng = np.random.default_rng(seed)
-    a = sp.random(40, 40, density=0.15, random_state=seed) + sp.eye(40)
-    k = int(rng.integers(2, 7))
-    p = random_s2d_partition(rng, a, k)
-    x = rng.random(40)
-    assert_runs_identical(run_single_phase(p, x), legacy_run_single_phase(p, x))
-    assert_runs_identical(run_two_phase(p, x), legacy_run_two_phase(p, x))
-    pb = make_s2d_bounded(p)
-    assert_runs_identical(run_s2d_bounded(pb, x), legacy_run_s2d_bounded(pb, x))
-
-
-def test_rectangular_golden(small_rect, rng):
-    """Rectangular matrices exercise distinct row/col key spaces."""
-    k = 3
-    x_part = rng.integers(0, k, small_rect.shape[1])
-    y_part = rng.integers(0, k, small_rect.shape[0])
-    from repro.partition.types import SpMVPartition, VectorPartition
-
-    side = rng.random(small_rect.nnz) < 0.5
-    nnz_part = np.where(side, y_part[small_rect.row], x_part[small_rect.col])
+def check_instance(seed, name):
+    """Rebuild instance ``name`` and pin every executor it ran."""
+    a = sp.coo_matrix(
+        (seed[f"{name}/data"], (seed[f"{name}/row"], seed[f"{name}/col"])),
+        shape=tuple(seed[f"{name}/shape"].tolist()),
+    )
     p = SpMVPartition(
-        matrix=small_rect,
-        nnz_part=nnz_part,
-        vectors=VectorPartition(x_part=x_part, y_part=y_part, nparts=k),
+        matrix=a,
+        nnz_part=seed[f"{name}/nnz_part"],
+        vectors=VectorPartition(
+            x_part=seed[f"{name}/x_part"],
+            y_part=seed[f"{name}/y_part"],
+            nparts=int(seed[f"{name}/nparts"]),
+        ),
         kind="s2D",
     )
-    x = rng.random(small_rect.shape[1])
-    assert_runs_identical(run_single_phase(p, x), legacy_run_single_phase(p, x))
-    assert_runs_identical(run_two_phase(p, x), legacy_run_two_phase(p, x))
+    args = () if seed[f"{name}/default_x"] else (seed[f"{name}/x"],)
+    executors = seed[f"{name}/executors"].tolist()
+    for executor in executors:
+        pp = make_s2d_bounded(p) if executor == "routed" else p
+        run_new = EXECUTORS[executor](pp, *args)
+        assert_runs_identical(run_new, seed_run(seed, name, executor))
+    return executors
+
+
+@pytest.mark.parametrize("matrix", SUITE)
+def test_suite_golden_all_executors(seed, matrix):
+    """Total volume / message counts pinned against the seed executors
+    on the 5-matrix generator suite (random admissible s2D vectors,
+    seeded by ``zlib.crc32`` of the matrix name)."""
+    assert check_instance(seed, f"suite-{matrix}") == ["single", "two", "routed"]
+
+
+@pytest.mark.parametrize("matrix", SUITE[:2])
+def test_suite_golden_partitioned(seed, matrix):
+    """Same pinning on real partitioner output: 1D rowwise under the
+    single-phase executor and fine-grain 2D under the two-phase one
+    (K = 4, ``PartitionConfig(seed=19, ninitial=2, fm_passes=2)``)."""
+    assert check_instance(seed, f"1d-{matrix}") == ["single"]
+    assert check_instance(seed, f"finegrain-{matrix}") == ["two"]
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_random_partitions_golden(seed, s):
+    """``sp.random(40, 40, density=0.15) + I`` with a random admissible
+    s2D partition at K in [2, 7)."""
+    assert check_instance(seed, f"random-{s}") == ["single", "two", "routed"]
+
+
+def test_rectangular_golden(seed):
+    """Rectangular matrices exercise distinct row/col key spaces."""
+    assert check_instance(seed, "rect") == ["single", "two"]
+
+
+@pytest.mark.parametrize("instance", CYCLIC)
+def test_cyclic_golden(seed, instance):
+    """Cyclic s2D partitions (``bench_runtime``'s quick instances): almost
+    every off-diagonal nonzero reads a remote ``x`` and most partials
+    travel, which stresses message assembly, delivery joins and folds."""
+    assert check_instance(seed, f"cyclic-{instance}") == ["single", "two", "routed"]
