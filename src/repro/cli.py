@@ -22,8 +22,9 @@
     python -m repro.cli check plan --plan-file saved-plan.npz
 
 The ``table`` subcommand regenerates any of the paper's Tables I–VII
-through the sweep orchestrator — ``--jobs N`` fans the per-matrix tasks
-over a process pool (records bit-identical to serial), ``--cache-dir``
+through the sweep supervisor — ``--jobs N`` fans the per-matrix tasks
+over up to N worker processes (records bit-identical to serial; a
+failed cell is retried, a stuck worker reaped), ``--cache-dir``
 persists partitions and evaluated records so a warm rerun is pure
 cache reads;
 ``partition`` runs one scheme on one matrix and prints the quality

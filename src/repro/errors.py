@@ -69,13 +69,12 @@ class SerializationError(ReproError):
 class CellExecutionError(ReproError):
     """A sweep/campaign grid cell failed, with its identity attached.
 
-    Pool workers used to propagate raw pickled exceptions with no hint
-    of *which* ``(matrix, scheme, K, seed)`` cell blew up or which task
-    ran it; this wrapper carries the cell coordinates and the
-    originating worker traceback text so a failure deep in an
-    8-matrix × 3-scheme × 3-K grid names its cell.  Pickles cleanly
-    across process boundaries (the structured fields survive the
-    pool's exception round-trip).
+    A raw exception from a worker process gives no hint of *which*
+    ``(matrix, scheme, K, seed)`` cell blew up or which task ran it;
+    this wrapper carries the cell coordinates and the originating
+    worker traceback text so a failure deep in an 8-matrix × 3-scheme
+    × 3-K grid names its cell.  Pickles cleanly across process
+    boundaries (the structured fields survive a pickle round-trip).
     """
 
     def __init__(self, message: str, cell: dict | None = None,
@@ -95,10 +94,9 @@ class CellExecutionError(ReproError):
 class CampaignError(ReproError):
     """Raised when a campaign cannot maintain its crash-safety contract.
 
-    Examples: resuming a journal that belongs to a different grid, a
-    ``done``-journaled record vanishing from the artifact cache at
-    finalization, or fault kinds that need a fork pool on a platform
-    without one.  Per-cell *failures* never raise this — they are
+    Examples: resuming a journal that belongs to a different grid or
+    names an unknown cell, or fault kinds that need worker processes
+    on a platform without ``fork``.  Per-cell *failures* never raise this — they are
     retried or quarantined; the campaign degrades gracefully instead of
     aborting.
     """

@@ -85,25 +85,17 @@ def figure1_partition() -> SpMVPartition:
     return p
 
 
-def _figure1_cell(_) -> tuple:
-    """Worker body of the Figure 1 harness (module-level: picklable)."""
+def _figure1_cell() -> tuple:
+    """The Figure 1 partition and its fused messages."""
     from repro.core.volume import pairwise_volumes  # local import: avoid cycle
 
     p = figure1_partition()
     return p, pairwise_volumes(p)
 
 
-def figure1_report(*, jobs: int = 1) -> str:
-    """ASCII rendition of Figure 1 plus the worked message table.
-
-    Routed through the sweep orchestrator's task layer
-    (:func:`repro.sweep.map_tasks`) like every other experiment
-    artifact — a single-cell grid, so ``jobs`` only selects where the
-    cell runs.
-    """
-    from repro.sweep import map_tasks
-
-    (p, lam), = map_tasks(_figure1_cell, [None], jobs=jobs)
+def figure1_report() -> str:
+    """ASCII rendition of Figure 1 plus the worked message table."""
+    p, lam = _figure1_cell()
     lines = [
         "Figure 1 (reconstruction): 10x13 matrix, 3-way s2D partition",
         "(digits are 1-based owning processors; rows/cols grouped by part)",

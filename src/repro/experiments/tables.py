@@ -15,12 +15,12 @@ one or two record getters and one format; a cell row renders
 formats are picked so one serves both (``f"{4:.0f}" == "4"``).  The
 property tables (I, IV) render per-matrix records with no geomean row.
 
-The quantitative tables run their :func:`table_grid` on the sweep
-orchestrator (:mod:`repro.sweep`): one
+The quantitative tables run their :func:`table_grid` through
+:func:`repro.sweep.run_sweep`: one
 :class:`repro.engine.PartitionEngine` per matrix, so schemes sharing a
 slot share partitioner work (Table II's s2D refines the 1D column's
-vector partition).  ``jobs=N`` fans the per-matrix tasks over a process
-pool with records bit-identical to a serial run; ``cache_dir=…``
+vector partition).  ``jobs=N`` fans the per-matrix tasks over up to N
+worker processes with records bit-identical to a serial run; ``cache_dir=…``
 persists partitions and records in a content-addressed store.
 """
 
@@ -31,7 +31,7 @@ from typing import Callable
 
 from repro.experiments.config import ExperimentConfig
 from repro.metrics import format_li, format_table, geomean
-from repro.sweep import MatrixRef, SchemeSpec, SweepGrid, map_tasks, run_sweep, suite_refs
+from repro.sweep import MatrixRef, SchemeSpec, SweepGrid, run_sweep, suite_refs
 
 __all__ = [
     "GRID_TABLES",
@@ -232,7 +232,7 @@ def table_grid(
 
 
 def _properties_cell(ref: MatrixRef) -> dict:
-    """Worker body of the property tables (module-level: picklable)."""
+    """One property-table record."""
     sm = ref.suite_entry()
     p = sm.properties()
     return {"name": p.name, "n": p.nrows, "nnz": p.nnz, "davg": p.davg, "dmax": p.dmax,
@@ -270,8 +270,8 @@ def run_table(
     """Regenerate paper table ``table`` (see :data:`TABLES`).
 
     ``ks`` overrides a quantitative table's default K axis.  The
-    property tables build no partition artifacts, so they ignore
-    ``cache_dir``.
+    property tables build no partition artifacts and run in-process,
+    so they ignore ``jobs`` and ``cache_dir``.
     """
     cfg = cfg or ExperimentConfig()
     spec = TABLES[table]
@@ -282,7 +282,7 @@ def run_table(
         records, ks = _grid_records(spec, grid, res), grid.ks
         meta["engines"] = res.engines
     else:
-        records = map_tasks(_properties_cell, suite_refs(spec.suite, cfg.scale), jobs=jobs)
+        records = [_properties_cell(ref) for ref in suite_refs(spec.suite, cfg.scale)]
         ks = ()
     rows = [
         [rec[key] for key in spec.keys]

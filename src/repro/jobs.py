@@ -1,13 +1,13 @@
 """Worker-count resolution shared by every parallel entry point.
 
-The sweep orchestrator, the campaign runner and the CLI all take a
+``run_sweep``, the campaign runner and the CLI all take a
 ``jobs`` knob.  The convention is uniform:
 
 - ``None``  → the caller's default (serial unless stated otherwise);
 - ``0``     → auto: one job per usable core;
 - ``n > 0`` → exactly ``n`` jobs;
 - ``n < 0`` → :class:`~repro.errors.UsageError` (previously this fell
-  through to the process pool as a ``ValueError`` traceback).
+  through to the worker processes as a ``ValueError`` traceback).
 """
 
 from __future__ import annotations

@@ -12,9 +12,8 @@ The repository's one self-observation mechanism:
   innermost open span;
 - :func:`event` records an instantaneous marker (a native kernel
   build, an artifact-cache store);
-- :func:`record` appends an *already measured* span — the hook the
-  campaign coordinator uses to merge worker-measured ``campaign.cell``
-  windows into the trace;
+- :func:`record` appends an *already measured* span — a window timed
+  elsewhere, such as in another process;
 - :func:`graft` attaches whole span trees and counters collected by
   another :func:`tracing` block — how a traced sweep merges the trees
   its worker processes return.
@@ -27,7 +26,7 @@ opening thread, spans recorded by other threads fall into that
 thread's own ambient slot (or nowhere).  Worker *processes* never
 share a trace object — they collect their own and send it back with
 their results, and the coordinator grafts it in (see
-:func:`repro.sweep.orchestrator.run_sweep`).
+:func:`repro.sweep.run_sweep`).
 
 :func:`now` is the repository's one sanctioned wall-clock read; lint
 rule ``REP008`` confines direct ``time.perf_counter`` calls to this
@@ -220,9 +219,8 @@ def event(name: str, **attrs) -> None:
 def record(name: str, t0: float, dur: float, **attrs) -> None:
     """Append an externally measured span under the current position.
 
-    ``t0``/``dur`` are :func:`now` seconds measured elsewhere — e.g. a
-    campaign worker's cell window; the coordinator calls this to merge
-    them into its trace.
+    ``t0``/``dur`` are :func:`now` seconds measured elsewhere — e.g. in
+    another process, whose clock is the same system-wide clock.
     """
     trace = active_trace()
     if trace is None:

@@ -1,21 +1,24 @@
-"""Parallel sweep orchestration with a persistent artifact cache.
+"""Sweep execution with a persistent artifact cache.
 
 The experiment layer's answer to table-scale grids: a declarative
 :class:`SweepGrid` (matrices × schemes × K × seeds × machine models)
 compiles into a task DAG with per-matrix engine affinity
-(:mod:`repro.sweep.grid`), executes on a fork-based process pool with
-deterministic seed derivation (:mod:`repro.sweep.orchestrator`), and
-persists partitions, compiled communication plans and evaluated cell
-records in a content-addressed on-disk store
-(:mod:`repro.sweep.cache`) — a warm rerun of a full table is pure
-cache reads, and parallel records are bit-identical to serial ones.
+(:mod:`repro.sweep.grid`).  One worker body runs a task's cells
+through one engine with deterministic seed derivation
+(:mod:`repro.sweep.orchestrator`), and persists partitions, compiled
+communication plans and evaluated cell records in a content-addressed
+on-disk store (:mod:`repro.sweep.cache`) — a warm rerun of a full
+table is pure cache reads, and parallel records are bit-identical to
+serial ones.
 
-For long grids, :class:`~repro.sweep.campaign.Campaign` wraps the same
-execution in a crash-safe supervisor: an append-only checksummed
-journal (:mod:`repro.sweep.journal`), retry/backoff with quarantine,
-per-task watchdogs, and resume-after-``kill -9`` with records
-bit-identical to an unfaulted serial run — provable under the
-deterministic fault injection of :mod:`repro.sweep.faults`.
+One supervisor schedules every run (:mod:`repro.sweep.campaign`):
+long-lived forked workers, a per-worker watchdog, retry/backoff with
+quarantine.  :func:`run_sweep` is that supervisor with no journal;
+:class:`~repro.sweep.campaign.Campaign` adds an append-only
+checksummed journal (:mod:`repro.sweep.journal`) and
+resume-after-``kill -9`` with records bit-identical to an unfaulted
+serial run — provable under the deterministic fault injection of
+:mod:`repro.sweep.faults`.
 """
 
 from repro.sweep.cache import ArtifactCache, cache_key
@@ -27,6 +30,7 @@ from repro.sweep.campaign import (
     RetryPolicy,
     campaign_status,
     cell_uid,
+    run_sweep,
 )
 from repro.sweep.faults import FaultInjected, FaultPlan, FaultSpec
 from repro.sweep.journal import Journal, JournalReplay, replay_journal
@@ -39,13 +43,7 @@ from repro.sweep.grid import (
     derive_seed,
     suite_refs,
 )
-from repro.sweep.orchestrator import (
-    CellRecord,
-    SweepResult,
-    map_tasks,
-    quality_identical,
-    run_sweep,
-)
+from repro.sweep.orchestrator import CellRecord, SweepResult, quality_identical
 
 __all__ = [
     "ArtifactCache",
@@ -70,7 +68,6 @@ __all__ = [
     "campaign_status",
     "cell_uid",
     "derive_seed",
-    "map_tasks",
     "quality_identical",
     "replay_journal",
     "run_sweep",

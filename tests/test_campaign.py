@@ -215,10 +215,36 @@ def test_cold_campaign_matches_serial_sweep(tmp_path, grid, serial):
     assert result.complete and not result.failed_cells
     _assert_bit_identical(serial, result)
     names = [sp.name for sp in tr.walk()]
-    assert "campaign.cell" in names
+    assert "sweep.cell" in names
     assert tr.total_counters().get("campaign.cells_executed") == len(
         serial.records
     )
+
+
+def test_long_lived_workers_and_one_engine_info_shape(tmp_path):
+    """Both entry points run an 8-task grid on at most ``jobs`` forked
+    workers, reaped before they return, and report the same engine
+    bookkeeping keys per task."""
+    import multiprocessing
+
+    grid = SweepGrid(
+        matrices=suite_refs("table1", scale="tiny"),
+        schemes=(SchemeSpec("1d-rowwise", 0),),
+        ks=(2,),
+        seeds=(42,),
+        machines=(_CFG.machine,),
+    )
+    assert len(grid.tasks()) == 8
+    swept = run_sweep(grid, jobs=2, cache_dir=tmp_path / "sweep")
+    assert multiprocessing.active_children() == []
+    camp = Campaign(grid, tmp_path / "camp", jobs=2, fsync=False).run()
+    assert multiprocessing.active_children() == []
+    for engines in (swept.engines, camp.engines):
+        assert [e["matrix"] for e in engines] == [r.name for r in grid.matrices]
+        assert len({e["pid"] for e in engines}) <= 2
+    keys = {frozenset(e) for e in swept.engines + camp.engines}
+    assert len(keys) == 1
+    assert {"matrix", "seed", "pid", "task_s", "artifacts"} <= next(iter(keys))
 
 
 def test_campaign_run_refuses_existing_progress(tmp_path, grid):
@@ -421,9 +447,10 @@ grid = SweepGrid(
     machines=(cfg.machine,),
 )
 uids = [cell_uid(t, c) for t in grid.tasks() for c in t.cells]
-# Stall deterministically at the third cell so the parent's SIGKILL
-# always lands mid-campaign with two cells journaled done.
-faults = FaultPlan(specs=(FaultSpec(kind="stall", cell=uids[2], seconds=120.0),))
+# Stall deterministically at the third cell to run so the parent's
+# SIGKILL always lands mid-campaign with two cells journaled done.  Tasks
+# run largest first, so the second matrix's cells (uids[2:]) go first.
+faults = FaultPlan(specs=(FaultSpec(kind="stall", cell=uids[0], seconds=120.0),))
 Campaign(grid, {root!r}, jobs=1, faults=faults, watchdog_s=600.0).run()
 """
 
@@ -462,6 +489,76 @@ def test_sigkill_of_campaign_process_then_resume(tmp_path, grid, serial):
     assert result.complete
     assert result.counters["resumed_cells"] >= 2
     _assert_bit_identical(serial, result)
+
+
+_ORPHAN_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.experiments.config import ExperimentConfig
+from repro.sweep import Campaign, FaultPlan, FaultSpec, SchemeSpec, SweepGrid
+from repro.sweep import cell_uid, suite_refs
+
+grid = SweepGrid(
+    matrices=suite_refs("table1", scale="tiny")[:2],
+    schemes=(SchemeSpec("1d-rowwise", 0),),
+    ks=(4,),
+    seeds=(42,),
+    machines=(ExperimentConfig(scale="tiny").machine,),
+)
+uid = {uid!r}
+faults = FaultPlan(specs=(FaultSpec(kind="stall", cell=uid, seconds=2.0),))
+Campaign(grid, {root!r}, jobs=1, faults=faults, watchdog_s=600.0).run()
+"""
+
+
+def _exited(pid: int) -> bool:
+    """True once ``pid`` is gone or a zombie nobody has reaped yet."""
+    try:
+        stat = open(f"/proc/{pid}/stat").read()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+def test_worker_exits_after_its_coordinator_is_killed(tmp_path):
+    """A worker outlives a SIGKILLed coordinator only until it next
+    talks to it: then it sees the pipe close and exits, instead of
+    waiting for work forever."""
+    root = tmp_path / "orphan"
+    grid = SweepGrid(
+        matrices=suite_refs("table1", scale="tiny")[:2],
+        schemes=(SchemeSpec("1d-rowwise", 0),),
+        ks=(4,),
+        seeds=(42,),
+        machines=(_CFG.machine,),
+    )
+    first = cell_uid(grid.tasks()[1], grid.tasks()[1].cells[0])  # runs first
+    script = _ORPHAN_SCRIPT.format(
+        src=str((__import__("pathlib").Path(__file__).parent.parent / "src")),
+        uid=first,
+        root=str(root),
+    )
+    proc = subprocess.Popen([sys.executable, "-c", script])
+    journal = root / "journal.jsonl"
+    deadline = time.monotonic() + 120.0
+    try:
+        pid = None
+        while pid is None and time.monotonic() < deadline:
+            if journal.exists():
+                for ev in replay_journal(journal).events:
+                    if ev.get("ev") == "started" and ev.get("cell") == first:
+                        pid = ev["pid"]
+            time.sleep(0.02)
+        assert pid is not None, "the stalled cell never started"
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=60)
+    while not _exited(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _exited(pid), f"worker {pid} outlived its coordinator"
 
 
 # ----------------------------------------------------------------------

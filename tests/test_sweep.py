@@ -23,7 +23,6 @@ from repro.sweep import (
     SchemeSpec,
     SweepGrid,
     derive_seed,
-    map_tasks,
     quality_identical,
     run_sweep,
     suite_refs,
@@ -167,10 +166,6 @@ def test_machine_axis_reprices_not_repartitions():
     assert q_cheap.time != q_dear.time
 
 
-def test_map_tasks_preserves_order():
-    assert map_tasks(len, ["a", "bb", "ccc"]) == [1, 2, 3]
-
-
 # ----------------------------------------------------------------------
 # Jobs resolution
 # ----------------------------------------------------------------------
@@ -191,40 +186,25 @@ def test_run_sweep_rejects_negative_jobs():
         run_sweep(None, jobs=-2)
 
 
-def _square(v):
-    return v * v
-
-
-def test_map_tasks_jobs_auto():
-    assert map_tasks(_square, [1, 2, 3], jobs=0) == [1, 4, 9]
-    with pytest.raises(UsageError):
-        map_tasks(_square, [1], jobs=-1)
-
-
-def test_map_tasks_rejects_unpicklable_fn_up_front():
-    """A lambda cannot reach a pool worker: the error names it before
-    any worker starts, instead of a pickle traceback from the pool."""
-    with pytest.raises(UsageError, match="<lambda>.*module-level function"):
-        map_tasks(lambda v: v, [1, 2], jobs=2)
-    # In-process execution never pickles, so a lambda is fine there.
-    assert map_tasks(lambda v: v + 1, [1, 2], jobs=1) == [2, 3]
-
-
 def test_pool_path_resolves_backend_before_forking(monkeypatch):
-    """run_sweep resolves the kernel backend in the parent, so forked
-    workers inherit the loaded library instead of each loading it."""
-    import repro.sweep.orchestrator as orch
+    """run_sweep resolves the kernel backend in the parent before its
+    first fork, so forked workers inherit the loaded library instead of
+    each loading it; at jobs=1 nothing forks and nothing is pre-loaded."""
+    from multiprocessing.context import ForkProcess
+
+    import repro.sweep.campaign as campaign
 
     calls = []
-    monkeypatch.setattr(orch, "resolve_backend", lambda: calls.append("resolve"))
+    monkeypatch.setattr(campaign, "resolve_backend", lambda: calls.append("resolve"))
+    start = ForkProcess.start
     monkeypatch.setattr(
-        orch, "_pool_map", lambda fn, jobs, items: calls.append(("pool", jobs)) or []
+        ForkProcess, "start", lambda self: calls.append("fork") or start(self)
     )
     run_sweep(_tiny_grid(), jobs=2)
-    assert calls == ["resolve", ("pool", 2)]
+    assert calls[0] == "resolve" and "fork" in calls
     calls.clear()
     run_sweep(_tiny_grid(), jobs=1)
-    assert calls == [("pool", 1)]  # nothing forks, nothing to pre-load
+    assert calls == []  # nothing forks, nothing to pre-load
 
 
 def test_run_sweep_rejects_unpicklable_matrix_ref_up_front():
