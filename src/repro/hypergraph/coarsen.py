@@ -7,24 +7,23 @@ same scheme PaToH uses by default (HCM).
 The greedy matching walks a random visitation order; each unmatched
 vertex ``v`` takes the unmatched neighbour ``u`` of largest
 connectivity score ``S[v, u] = Σ cost(e) / (|e| − 1)`` over the scoring
-nets they share, the smaller ``u`` on ties.  When
-:func:`repro.native.resolve_backend` picks the native backend the C
-kernel ``repro_hcm_match`` computes each visited vertex's score row on
-the fly from its nets.  Otherwise :func:`_hcm_match_numpy`, the
-reference, reads the rows from the sparse product ``Bᵀ·(W·B)`` of the
-net–vertex incidence.  Both sum every score over the shared nets in
-ascending net id, so the matchings are identical.
+nets they share, the smaller ``u`` on ties.  The scores are the rows of
+the sparse product ``Bᵀ·(W·B)`` of the net–vertex incidence, each
+summed over the shared nets in ascending net id.
 
 Contraction merges each matched pair, de-duplicates every net's pins,
 drops nets left with one pin and merges identical nets, summing their
-costs.  On the native backend ``repro_contract`` does it in one pass
-per net plus one sort of the nets, and also emits the coarse vertex →
-net direction.  Otherwise :func:`_contract`, the reference, runs it as
-array passes: one composite-key sort de-duplicates pins within nets,
-and identical coarse nets are found by hash bucketing with exact
-pin-array verification.  Both order the nets by the same key and merge
-by the same adjacent-pair rule, so the coarse hypergraphs are
-identical.
+costs.  It runs as array passes: one composite-key sort de-duplicates
+pins within nets, and identical coarse nets are found by hash
+bucketing with exact pin-array verification.
+
+This module is the NumPy reference of the native V-cycle: the C
+drivers behind :func:`repro.hypergraph.partition_kway` and
+:func:`repro.hypergraph.bisect.multilevel_bisect` match on the fly
+(``kernels.c:repro_hcm_match``, same sums in the same order, same
+tie-break) and contract in one pass per net plus one sort
+(``repro_contract``, same net order and adjacent-pair merge rule), so
+their coarse hypergraphs are these bit for bit.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ import scipy.sparse as sp
 from repro import obs
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import concat_ranges
-from repro.native import get_kernels, resolve_backend
-from repro.native import ops as native_ops
 
 __all__ = ["coarsen_once"]
 
@@ -84,12 +81,6 @@ def coarsen_once(
         mate = _hcm_match(hg, rng, max_net_size)
 
     with obs.span("partition.coarsen.contract"):
-        if resolve_backend() == "native":
-            cmap, arrays = native_ops.contract(
-                get_kernels(), xpins=hg.xpins, pins=hg.pins, ncosts=hg.ncosts,
-                vweights=hg.vweights, mate=mate, hash_mask=_HASH_MASK,
-            )
-            return cmap, Hypergraph.from_incidence(**arrays)
         cmap, ncoarse = _cluster_ids(mate)
         return cmap, _contract(hg, cmap, ncoarse)
 
@@ -97,35 +88,16 @@ def coarsen_once(
 def _hcm_match(hg: Hypergraph, rng: np.random.Generator, max_net_size: int) -> np.ndarray:
     """``mate`` array of the greedy HCM matching (``-1``: unmatched).
 
-    The visitation order is drawn only when some net can score, on
-    both backends, so the random stream does not depend on the backend.
-    """
-    n = hg.nvertices
-    sizes = hg.net_sizes()
-    valid = (sizes >= 2) & (sizes <= max_net_size)
-    if not np.any(valid):
-        return np.full(n, -1, dtype=np.int64)
-    order = rng.permutation(n)
-    if resolve_backend() == "native":
-        contrib = np.zeros(hg.nnets)
-        np.divide(hg.ncosts, sizes - 1, out=contrib, where=valid)
-        return native_ops.hcm_match(
-            get_kernels(), xpins=hg.xpins, pins=hg.pins, xnets=hg.xnets,
-            nets=hg.nets, valid=valid, contrib=contrib, order=order,
-        )
-    return _hcm_match_numpy(hg, order, max_net_size)
-
-
-def _hcm_match_numpy(hg: Hypergraph, order: np.ndarray, max_net_size: int) -> np.ndarray:
-    """The reference matching loop (and the fallback without a compiler).
-
-    Picks each visited vertex's partner from its row of the score
-    matrix.  The rows' column indices are sorted, so ``np.argmax`` over
-    the masked scores is "largest score, smallest id on ties";
-    ``kernels.c:repro_hcm_match`` reproduces it bit for bit.
+    The visitation order is drawn only when some net can score.  Each
+    visited vertex's partner comes from its row of the score matrix.
+    The rows' column indices are sorted, so ``np.argmax`` over the
+    masked scores is "largest score, smallest id on ties".
     """
     mate = np.full(hg.nvertices, -1, dtype=np.int64)
     scores = _pair_scores(hg, max_net_size)
+    if scores is None:
+        return mate
+    order = rng.permutation(hg.nvertices)
     indptr, indices, data = scores.indptr, scores.indices, scores.data
     for v in order:
         if mate[v] != -1:
@@ -144,7 +116,7 @@ def _hcm_match_numpy(hg: Hypergraph, order: np.ndarray, max_net_size: int) -> np
 
 
 def _cluster_ids(mate: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(cmap, ncoarse)`` of a matching (the reference).
+    """``(cmap, ncoarse)`` of a matching.
 
     The smaller endpoint of each pair names the cluster; ids are dealt
     in ascending root order (= first-encounter order of a 0..n−1 scan,
@@ -157,9 +129,7 @@ def _cluster_ids(mate: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _contract(hg: Hypergraph, cmap: np.ndarray, ncoarse: int) -> Hypergraph:
-    """Contract ``hg`` along ``cmap`` into ``ncoarse`` vertices (the
-    reference of ``kernels.c:repro_contract``, and the fallback without
-    a compiler).
+    """Contract ``hg`` along ``cmap`` into ``ncoarse`` vertices.
 
     Per-net pins are remapped and deduplicated; single-pin nets are
     dropped (they can never be cut); *identical* nets are merged with

@@ -58,22 +58,6 @@ class Hypergraph:
         self._build_vertex_to_net()
 
     @classmethod
-    def from_incidence(cls, xpins, pins, vweights, ncosts, xnets, nets) -> "Hypergraph":
-        """Wrap both CSR directions as they are, without validation or
-        building the vertex → net direction.
-
-        For producers that emit a valid hypergraph in canonical form
-        (C-contiguous int64 arrays, 2-D ``vweights``, each vertex's nets
-        in ascending order), such as the native contraction.
-        """
-        hg = cls.__new__(cls)
-        hg.xpins, hg.pins, hg.vweights, hg.ncosts = xpins, pins, vweights, ncosts
-        hg.xnets, hg.nets = xnets, nets
-        return hg
-
-    # ------------------------------------------------------------------
-
-    @classmethod
     def from_net_lists(
         cls,
         net_lists: list[list[int]],

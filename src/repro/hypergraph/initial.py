@@ -15,11 +15,10 @@ the free pins become candidates, selected by (gain descending, id
 ascending).  Vertices that once failed the balance check are retired
 permanently — part-0 weight only grows, so they can never fit again.
 
-Both loops run in C (``kernels.c:repro_greedy_grow`` and
-``repro_random_fill``) when :func:`repro.native.resolve_backend` picks
-the native backend, else in :func:`_greedy_grow_numpy` and
-:func:`_random_fill_numpy`, the references they reproduce bit for bit.
-The random permutations are drawn here, the same on both backends.
+This module is the NumPy reference of the native V-cycle's initial
+bisections (``kernels.c:repro_greedy_grow`` and ``repro_random_fill``,
+run inside the C drivers), which draw the same permutations and
+reproduce both loops bit for bit.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import concat_ranges
-from repro.native import get_kernels, resolve_backend
-from repro.native import ops as native_ops
 
 __all__ = ["random_bisection", "greedy_growing"]
 
@@ -44,22 +41,13 @@ def _fits(pw0: np.ndarray, w: np.ndarray, t0: np.ndarray) -> bool:
 def random_bisection(
     hg: Hypergraph, targets: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
 ) -> np.ndarray:
-    """Fill part 0 with randomly ordered vertices up to its target weight."""
+    """Fill part 0 with randomly ordered vertices up to its target
+    weight; the part weight stays int64 and converts for the
+    comparison."""
     t0 = np.ascontiguousarray(targets[0], dtype=np.float64)
-    order = rng.permutation(hg.nvertices)
-    if resolve_backend() == "native":
-        return native_ops.random_fill(
-            get_kernels(), vweights=hg.vweights, t0=t0, order=order
-        )
-    return _random_fill_numpy(hg, t0, order)
-
-
-def _random_fill_numpy(hg: Hypergraph, t0: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The reference fill loop (and the fallback without a compiler):
-    the part weight stays int64 and converts for the comparison."""
     part = np.ones(hg.nvertices, dtype=np.int8)
     pw0 = np.zeros(hg.nconstraints, dtype=np.int64)
-    for v in order:
+    for v in rng.permutation(hg.nvertices):
         w = hg.vweights[v]
         if _fits(pw0, w, t0):
             part[v] = 0
@@ -70,7 +58,12 @@ def _random_fill_numpy(hg: Hypergraph, t0: np.ndarray, order: np.ndarray) -> np.
 def greedy_growing(
     hg: Hypergraph, targets: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
 ) -> np.ndarray:
-    """Greedy hypergraph growing from a random seed vertex."""
+    """Greedy hypergraph growing from a random seed vertex.
+
+    The connectivity bumps of one absorption land in one ``np.add.at``
+    over the pins of its valid nets, in net order; the touched free
+    vertices re-enter a lazy-deletion heap.
+    """
     n = hg.nvertices
     if n == 0:
         return np.ones(0, dtype=np.int8)
@@ -80,35 +73,11 @@ def greedy_growing(
     contrib = np.zeros(hg.nnets, dtype=np.float64)
     np.divide(hg.ncosts, sizes - 1, out=contrib, where=valid)
     seed_order = rng.permutation(n)
-    if resolve_backend() == "native":
-        return native_ops.greedy_grow(
-            get_kernels(), xpins=hg.xpins, pins=hg.pins, xnets=hg.xnets,
-            nets=hg.nets, valid=valid, contrib=contrib, vweights=hg.vweights,
-            t0=t0, seed_order=seed_order,
-        )
-    return _greedy_grow_numpy(hg, t0, valid, contrib, seed_order)
-
-
-def _greedy_grow_numpy(
-    hg: Hypergraph,
-    t0: np.ndarray,
-    valid: np.ndarray,
-    contrib: np.ndarray,
-    seed_order: np.ndarray,
-) -> np.ndarray:
-    """The reference growing loop (and the fallback without a compiler).
-
-    The connectivity bumps of one absorption land in one ``np.add.at``
-    over the pins of its valid nets, in net order; the touched free
-    vertices re-enter a lazy-deletion heap.
-    """
-    n = hg.nvertices
     part = np.ones(n, dtype=np.int8)
     pw0 = np.zeros(hg.nconstraints, dtype=np.float64)
     vw = hg.vweights
     xpins, pins = hg.xpins, hg.pins
     xnets, nets = hg.xnets, hg.nets
-    sizes = hg.net_sizes()
 
     gain = np.zeros(n, dtype=np.float64)
     absorbed = np.zeros(n, dtype=bool)

@@ -20,9 +20,9 @@ gains of one vertex are evaluated as two small matrix products over the
 nested Python loops; a move can therefore never increase the
 connectivity-1 cost (only strictly positive gains are applied).
 
-The passes run in C (``kernels.c:repro_kway_passes``) when
-:func:`repro.native.resolve_backend` picks the native backend, else in
-:func:`_kway_passes_numpy`; both give the same partition.
+This module is the NumPy reference of the native driver's polish:
+``kernels.c:repro_kway_passes``, run at the end of
+``repro_partition_kway``, gives the same partition.
 
 Under an open trace the connectivity-1 cost before and after the
 passes is charged to the innermost span (``partition.kway`` inside
@@ -39,8 +39,6 @@ from repro import obs
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.partitioner import _lambda_cost
 from repro.hypergraph.refine import _context, _RefineContext
-from repro.native import get_kernels, resolve_backend
-from repro.native import ops as native_ops
 
 __all__ = ["kway_greedy_refine"]
 
@@ -71,22 +69,14 @@ def kway_greedy_refine(
     limit = hg.total_weight().astype(np.float64) / nparts * (1.0 + epsilon)
     wfloat = hg.vweights.astype(np.float64)
 
-    if resolve_backend() == "native":
-        native_ops.kway_passes(
-            get_kernels(),
-            xnets=hg.xnets, nets=hg.nets, vipt=ctx.vnets_indptr,
-            vnets=ctx.vnets, ncosts=hg.ncosts, wfloat=wfloat, limit=limit,
-            part=part, pc=pc, pw=pw, max_passes=max_passes,
-        )
-    else:
-        _kway_passes_numpy(hg, ctx, part, pc, pw, wfloat, limit, max_passes)
+    _kway_passes(hg, ctx, part, pc, pw, wfloat, limit, max_passes)
     if traced:
         lam = (pc > 0).sum(axis=1)
         obs.add("partition.cut_after_kway", _lambda_cost(lam, hg.ncosts))
     return part
 
 
-def _kway_passes_numpy(
+def _kway_passes(
     hg: Hypergraph,
     ctx: _RefineContext,
     part: np.ndarray,
@@ -96,8 +86,7 @@ def _kway_passes_numpy(
     limit: np.ndarray,
     max_passes: int,
 ) -> None:
-    """The reference greedy passes (and the fallback without a
-    compiler): update ``part``, ``pc`` and ``pw`` in place."""
+    """The greedy passes: update ``part``, ``pc`` and ``pw`` in place."""
     xnets, nets = hg.xnets, hg.nets
     vipt, vnets = ctx.vnets_indptr, ctx.vnets
     ncosts = hg.ncosts

@@ -11,9 +11,13 @@ the generator is PCG64-backed, :func:`partition_kway` is one call of
 ``kernels.c:repro_partition_kway``: every bisection's V-cycle, the
 side splits and the K-way polish, with NumPy's random streams ported
 bit for bit, so the parts are those of the Python driver below
-(:func:`_recurse`, :func:`_split_side`, which also serves every other
-bit generator).  Under an open trace the kernel logs its stages and
-the same spans are grafted in.
+(:func:`_recurse`, :func:`_split_side`).  That driver is the
+reference and serves the NumPy backend and a generator on any other
+bit generator; its V-cycles are :func:`multilevel_bisect` calls, so on
+the native backend those drawn from PCG64 streams (every subproblem's,
+as :func:`repro.rng.spawn` makes them) are one ``repro_bisect`` call
+each.  Under an open trace the kernels log their stages and the same
+spans are grafted in.
 """
 
 from __future__ import annotations
@@ -27,7 +31,12 @@ import numpy as np
 from repro import obs
 from repro.errors import ConfigError, ModelError
 from repro.hypergraph import coarsen
-from repro.hypergraph.bisect import MAX_LEVELS, multilevel_bisect
+from repro.hypergraph.bisect import (
+    MAX_LEVELS,
+    event_log,
+    graft_stage_events,
+    multilevel_bisect,
+)
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.refine import _STALL_FRACTION
 from repro.kernels import grouped_distinct_counts
@@ -43,17 +52,6 @@ __all__ = [
     "imbalance",
     "net_connectivities",
 ]
-
-
-#: Span names of the native driver's stage ids (kernels.c's EV_*).
-_STAGES = (
-    "partition.coarsen",
-    "partition.coarsen.match",
-    "partition.coarsen.contract",
-    "partition.initial",
-    "partition.refine",
-    "partition.kway",
-)
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,7 @@ def _partition_native(
 ) -> np.ndarray:
     """:func:`partition_kway` as one native call; ``words`` is ``rng``'s
     PCG64 state, written back afterwards."""
-    events = _event_log(
+    events = event_log(
         native_ops.kway_event_rows(hg.nvertices, nparts, config.ninitial, MAX_LEVELS)
     )
     part, nevents = native_ops.partition_kway(
@@ -182,44 +180,8 @@ def _partition_native(
         rng_state=words, events=events,
     )
     set_pcg64_words(rng, words)
-    _graft_stage_events(events, nevents)
+    graft_stage_events(events, nevents)
     return part
-
-
-def _event_log(rows: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The native driver's event log of ``rows`` rows while a trace is
-    open, else ``None`` (the driver then records nothing)."""
-    if obs.active_trace() is None:
-        return None
-    return np.empty((rows, 3), dtype=np.int64), np.empty((rows, 2))
-
-
-def _graft_stage_events(events, count: int) -> None:
-    """Graft the spans the native driver's first ``count`` events
-    describe under the current span: the tree the Python driver opens.
-
-    Each event is ``(stage, a, b)`` and ``(t0, t1)`` in :func:`obs.now`
-    seconds.  A coarsen event carries the ``partition.bisections`` and
-    ``partition.levels`` counters and adopts the match and contract
-    events after it; a kway event with ``a >= 0`` carries the
-    connectivity-1 cost before and after the polish.
-    """
-    if events is None:
-        return
-    roots: list[obs.Span] = []
-    for (stage, a, b), (t0, t1) in zip(
-        events[0][:count].tolist(), events[1][:count].tolist()
-    ):
-        sp = obs.Span(_STAGES[stage], t0=t0, dur=t1 - t0)
-        if stage in (1, 2):
-            roots[-1].children.append(sp)
-            continue
-        if stage == 0:
-            sp.counters = {"partition.bisections": a, "partition.levels": b}
-        elif stage == 5 and a >= 0:
-            sp.counters = {"partition.cut_before_kway": a, "partition.cut_after_kway": b}
-        roots.append(sp)
-    obs.graft(roots, {})
 
 
 def _check_distinct_pins(hg: Hypergraph) -> None:

@@ -29,14 +29,12 @@ Implementation notes (the vectorized core):
 - A pass whose best prefix shows no positive gain ends the refinement
   early (``max_passes`` is an upper bound, not a fixed trip count).
 - The pass loop itself — select, apply, re-insert, best prefix,
-  rollback — runs one move at a time.  When
-  :func:`repro.native.resolve_backend` picks the native backend,
-  :func:`fm_refine` hands the partition to the C kernel
-  ``repro_fm_passes``, which also sets up the state (pin counts, cut,
-  side weights, gains, limits) from it.  Otherwise :func:`_fm_setup`
-  and :func:`_fm_passes_numpy` run, the reference the kernel reproduces
-  bit for bit (integer counts and gains, the same float64 balance
-  arithmetic, the same tie-breaks).
+  rollback — runs one move at a time.  :func:`_fm_setup` and
+  :func:`_fm_passes` are the NumPy reference of the native V-cycle's
+  refinement: ``kernels.c:repro_fm_passes``, run inside the C drivers,
+  sets up the same state (pin counts, cut, side weights, gains, limits)
+  and reproduces the passes bit for bit (integer counts and gains, the
+  same float64 balance arithmetic, the same tie-breaks).
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import concat_spans as _ranges
-from repro.native import get_kernels, resolve_backend
-from repro.native import ops as native_ops
 
 __all__ = ["fm_refine", "bisection_cut", "part_weights"]
 
@@ -143,9 +139,7 @@ def fm_refine(
 ) -> tuple[np.ndarray, int]:
     """Refine a bisection in place-semantics (a refined copy is returned).
 
-    Returns ``(part, cut)`` with the final cut-net cost.  Set-up and
-    pass loop run in C when :func:`repro.native.resolve_backend`
-    resolves to ``"native"``; the result is the same on either backend.
+    Returns ``(part, cut)`` with the final cut-net cost.
     """
     part = np.asarray(part, dtype=np.int8).copy()
     n = hg.nvertices
@@ -153,20 +147,9 @@ def fm_refine(
         return part, 0
 
     ctx = _context(hg)
-    if resolve_backend() == "native":
-        cut, _, _, _ = native_ops.fm_passes(
-            get_kernels(),
-            xpins=hg.xpins, pins=hg.pins, ncosts=hg.ncosts,
-            vipt=ctx.vnets_indptr, vnets=ctx.vnets, vweights=hg.vweights,
-            targets=_target_array(targets), epsilon=epsilon, part=part,
-            gmax=ctx.gain_bound, max_passes=max_passes,
-            stall_fraction=_STALL_FRACTION,
-        )
-        return part, cut
-
     inv_limits, limit_pos = _limits(targets, epsilon)
     pc, cut, pw, gain = _fm_setup(hg, ctx, part)
-    cut = _fm_passes_numpy(
+    cut = _fm_passes(
         hg, ctx, part, pc, gain, pw, hg.vweights.astype(np.float64), inv_limits,
         limit_pos, max_passes, cut,
     )
@@ -219,7 +202,7 @@ def _fm_setup(
     return pc, cut, pw, gain
 
 
-def _fm_passes_numpy(
+def _fm_passes(
     hg: Hypergraph,
     ctx: _RefineContext,
     part: np.ndarray,
@@ -232,11 +215,8 @@ def _fm_passes_numpy(
     max_passes: int,
     cut: int,
 ) -> int:
-    """The reference FM pass loop (and the fallback without a compiler).
-
-    Updates ``part``, ``pc`` and ``gain`` in place and returns the final
-    cut; ``kernels.c:repro_fm_passes`` reproduces it bit for bit.
-    """
+    """The FM pass loop: updates ``part``, ``pc`` and ``gain`` in place
+    and returns the final cut."""
     n = hg.nvertices
     xpins, pins, ncosts = hg.xpins, hg.pins, hg.ncosts
     vipt, vnets = ctx.vnets_indptr, ctx.vnets

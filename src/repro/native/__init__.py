@@ -1,28 +1,21 @@
 """Native C kernel backend.
 
-The kernels (``kernels.c``) serve three layers:
+The library (``kernels.c``) exports whole calls only, one per job a
+layer hands to C:
 
-- the compiled :class:`~repro.runtime.CommPlan`, whose NumPy gathers
-  and scatter-sums are multi-pass, temporary-allocating operations
-  (``plan.apply`` sat ~5–6× above the raw single-core scipy CSR floor):
-  ``repro_plan_apply`` runs a whole apply — grouped precompute,
-  routed combine, row-segmented main products and fold — in one call,
-  and two index-order scatter loops serve the serial shard replay;
-- the hypergraph partitioner, whose FM pass loop and K-way polish make
-  one move at a time and paid a dozen NumPy calls per move:
-  ``repro_fm_passes`` (state set-up included) and ``repro_kway_passes``
-  run those loops whole (:func:`repro.native.ops.fm_passes`,
-  :func:`~repro.native.ops.kway_passes`); and whose V-cycle front half
-  visits one vertex or net at a time: ``repro_hcm_match`` scores and
-  matches on the fly (no sparse product), ``repro_contract`` builds the
-  coarse hypergraph, ``repro_greedy_grow`` and ``repro_random_fill``
-  build the initial bisections (:func:`~repro.native.ops.hcm_match`,
-  :func:`~repro.native.ops.contract`,
-  :func:`~repro.native.ops.greedy_grow`,
-  :func:`~repro.native.ops.random_fill`).  ``repro_partition_kway``
-  chains those stages into the whole recursive bisection in one call,
-  drawing NumPy's PCG64 streams bit for bit
-  (:func:`~repro.native.ops.partition_kway`);
+- ``repro_plan_apply`` runs a whole :class:`~repro.runtime.CommPlan`
+  apply — grouped precompute, routed combine, row-segmented main
+  products and fold — in one call (the NumPy apply's gathers and
+  scatter-sums are multi-pass, temporary-allocating operations);
+- ``repro_partition_kway`` runs the whole recursive bisection of
+  :func:`repro.hypergraph.partition_kway` and ``repro_bisect`` one
+  V-cycle of :func:`repro.hypergraph.bisect.multilevel_bisect`
+  (Mondriaan ORB's bisections), drawing NumPy's PCG64 streams bit for
+  bit (:func:`repro.native.ops.partition_kway`,
+  :func:`~repro.native.ops.bisect`).  Their stage loops — HCM matching,
+  contraction, both initial bisections, FM set-up and passes, the
+  K-way polish — are static in C; the stage modules of
+  :mod:`repro.hypergraph` are their NumPy reference;
 - Algorithm 1's combinatorics: ``repro_block_dm`` takes the coarse
   Dulmage–Mendelsohn labels of every block of a DM batch in one call
   (:func:`~repro.native.ops.block_dm`), and ``repro_s2d_flip`` runs the
@@ -38,9 +31,10 @@ via :mod:`ctypes`, and dispatched behind a feature flag:
 
 - ``backend="numpy" | "native" | "auto"`` kwargs on
   :meth:`~repro.runtime.CommPlan.apply` /
-  :meth:`~repro.runtime.CommPlan.apply_many`, the serial shard replay
-  and the solvers (the partitioner, the DM batch and the s2D flip loop
-  take no kwarg and follow the process default);
+  :meth:`~repro.runtime.CommPlan.apply_many` and the solvers (the
+  partitioner, the DM batch and the s2D flip loop take no kwarg and
+  follow the process default; the serial shard replay, a verification
+  aid, runs NumPy only);
 - the ``REPRO_NATIVE`` environment flag (``0`` forces NumPy, ``1`` or
   unset prefers native where a compiler exists);
 - when no compiler is available, ``auto`` silently falls back to the
@@ -51,8 +45,8 @@ The C accumulations iterate in index order (the main products of a row
 in a register from +0.0, as ``np.bincount`` sums a bin), so every sum
 reproduces ``np.bincount``/``np.add.at`` element order bit for bit —
 the golden y/ledger/flops pins hold unchanged under the native backend.  The
-partitioner kernels work on integer gains, counts and costs, or sum
-float scores and gains in the NumPy loops' order, with the same
+partitioner's stage loops work on integer gains, counts and costs, or
+sum float scores and gains in the NumPy loops' order, with the same
 float64 balance arithmetic, tie-breaks and net order, so partitions
 are identical on both backends; so are the s2D partitions, whose flip
 loop keeps int64 loads and compares them in double as NumPy does.

@@ -67,9 +67,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-from numpy.ctypeslib import ndpointer
-
 from repro import obs
 from repro.errors import ConfigError, NativeBuildError
 
@@ -96,7 +93,7 @@ SANITIZE_ENV = "REPRO_NATIVE_SANITIZE"
 DEBUG_ENV = "REPRO_NATIVE_DEBUG"
 BACKENDS = ("auto", "numpy", "native")
 
-ABI_VERSION = 7
+ABI_VERSION = 8
 CFLAGS = ("-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off")
 # The sanitizer variant keeps -ffp-contract=off and the same loop code,
 # so its outputs stay bit-identical; -O1 keeps ASan shadow checks fast
@@ -110,28 +107,22 @@ _ASAN_OPTIONS = "verify_asan_link_order=0:detect_leaks=0"
 
 _SOURCE = Path(__file__).with_name("kernels.c")
 
-_F64 = ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_I64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _INT = ctypes.c_int64
-# The plan apply, the partitioner's and Algorithm 1's entry points take
-# bare pointers: ndpointer's from_param costs microseconds per array, a
-# solve makes hundreds of applies and a V-cycle thousands of calls with
-# a dozen arrays each.  ops.py checks dtype and contiguity itself before
-# taking the address.
+# Every entry takes bare pointers: ndpointer's from_param costs
+# microseconds per array and a solve makes hundreds of applies.  ops.py
+# checks dtype and contiguity itself before taking the address.
 _PTR = ctypes.c_void_p
-# name -> (argtypes, restype)
+# name -> (argtypes, restype): the whole-call entries, the library's
+# only exports besides repro_native_abi.
 _SIGNATURES = {
-    "repro_gather_mul_scatter": ([_INT, _F64, _I64, _F64, _I64, _F64], None),
-    "repro_scatter_add": ([_INT, _I64, _F64, _F64], None),
     "repro_plan_apply": ([_INT] * 5 + [_PTR] * 8 + [_INT] + [_PTR] * 3, None),
-    "repro_fm_passes": ([_INT] * 6 + [ctypes.c_double] + [_PTR] * 14, _INT),
-    "repro_kway_passes": ([_INT] * 5 + [_PTR] * 12, None),
-    "repro_hcm_match": ([_INT] + [_PTR] * 11, None),
-    "repro_greedy_grow": ([_INT] * 2 + [_PTR] * 15, None),
-    "repro_random_fill": ([_INT] * 2 + [_PTR] * 5, None),
-    "repro_contract": ([_INT] * 3 + [ctypes.c_uint64] + [_PTR] * 14, None),
     "repro_block_dm": ([_INT] + [_PTR] * 10, None),
     "repro_s2d_flip": ([_INT] * 3 + [ctypes.c_double] + [_PTR] * 6, _INT),
+    "repro_bisect": (
+        [_INT] * 9 + [ctypes.c_double, ctypes.c_uint64] + [_PTR] * 10 + [_INT]
+        + [_PTR] * 3,
+        _INT,
+    ),
     "repro_partition_kway": (
         [_INT] * 11 + [ctypes.c_double] * 2 + [ctypes.c_uint64] + [_PTR] * 8 + [_INT]
         + [_PTR] * 3,
@@ -143,15 +134,12 @@ _SIGNATURES = {
 class KernelLib:
     """The loaded kernel library: bound, signature-checked entry points.
 
-    ``gather_mul_scatter(n, vals, cols, x, idx, acc)`` and friends are
-    raw ctypes functions — callers pass C-contiguous float64/int64
-    arrays (enforced by the ``ndpointer`` signatures of the two shard
-    replay scatters; ``plan_apply``, the partitioner kernels, ``block_dm``
-    and ``s2d_flip`` take addresses that :mod:`repro.native.ops` checks
-    and extracts) and own
-    all allocation; see :mod:`repro.native.ops` for the array-level
-    wrappers and :class:`repro.runtime.plan.CommPlan` for the plan
-    apply.
+    ``plan_apply``, ``partition_kway``, ``bisect``, ``block_dm`` and
+    ``s2d_flip`` are raw ctypes functions taking addresses that
+    :mod:`repro.native.ops` checks and extracts; callers own all
+    allocation but the drivers' scratch.  See :mod:`repro.native.ops`
+    for the array-level wrappers and :class:`repro.runtime.plan.CommPlan`
+    for the plan apply.
     """
 
     def __init__(self, path: Path):

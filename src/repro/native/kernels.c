@@ -1,33 +1,33 @@
-/* Native kernels of three layers:
+/* Native kernels behind six exported whole-call entries:
  *
- * - the compiled SpMV runtime: repro_plan_apply runs a whole
- *   CommPlan apply (repro.runtime.plan) in one call, and the two
- *   index-order scatter loops serve the serial shard replay
- *   (repro.runtime.shards);
- * - the per-vertex and per-move loops of the hypergraph partitioner:
- *   the FM set-up and pass loop of repro.hypergraph.refine, the K-way
+ * - repro_plan_apply runs a whole CommPlan apply (repro.runtime.plan)
+ *   in one call;
+ * - repro_partition_kway runs all of repro.hypergraph.partition_kway in
+ *   one call, and repro_bisect one V-cycle of
+ *   repro.hypergraph.bisect.multilevel_bisect (Mondriaan ORB's
+ *   bisections).  Both chain the partitioner's stage loops below (the
+ *   FM set-up and pass loop of repro.hypergraph.refine, the K-way
  *   greedy polish of repro.hypergraph.kway, the heavy-connectivity
  *   matching and the contraction of repro.hypergraph.coarsen and the
- *   two initial bisections of repro.hypergraph.initial;
- * - the recursive-bisection driver (after the partitioner's stage
- *   kernels): repro_partition_kway runs all of
- *   repro.hypergraph.partition_kway in one call, chaining the stage
- *   kernels above, with a bit-exact port of the NumPy random streams
- *   they draw (PCG64, Generator.permutation's shuffle, spawn's bounded
- *   draws and SeedSequence seeding);
+ *   two initial bisections of repro.hypergraph.initial), with a
+ *   bit-exact port of the NumPy random streams they draw (PCG64,
+ *   Generator.permutation's shuffle, spawn's bounded draws and
+ *   SeedSequence seeding).  The stage loops are static: the Python
+ *   stage modules are their NumPy reference, not their callers;
  * - Algorithm 1's combinatorics (bottom of this file): repro_block_dm
  *   takes the coarse Dulmage-Mendelsohn labels of every block of a
  *   batch in one call (repro.dm.batch), and repro_s2d_flip runs the
  *   greedy flip rounds of repro.core.s2d.s2d_heuristic.  The DM kernel
  *   finds its own maximum matching, not the one the NumPy reference's
  *   Hopcroft-Karp finds; the labels and the matching size are the same
- *   for every maximum matching, so its outputs are identical.
+ *   for every maximum matching, so its outputs are identical;
+ * - repro_native_abi, the loader's stale-cache guard.
  *
  * No kernel allocates: callers pass every output and workspace array.
- * The one exception is the recursive-bisection driver, whose scratch
- * depends on how deep the coarsening goes: it mallocs it inside the
- * call and frees all of it before returning, on every path, and
- * reports a failed allocation as a status that Python raises as
+ * The exceptions are the two recursive-bisection drivers, whose
+ * scratch depends on how deep the coarsening goes: they malloc it
+ * inside the call and free all of it before returning, on every path,
+ * and report a failed allocation as a status that Python raises as
  * MemoryError.
  *
  * Bit-identity contract of the SpMV kernels with the NumPy apply
@@ -68,12 +68,17 @@
 
 /* Bumped whenever an exported signature changes; the loader refuses a
  * cached .so whose ABI does not match (stale-cache guard). */
-EXPORT int64_t repro_native_abi(void) { return 7; }
+EXPORT int64_t repro_native_abi(void) { return 8; }
 
 /* acc[idx[i]] += vals[i] * x[cols[i]]  — the fused expand/compute
  * inner loop: gather x, multiply by the nonzero value, scatter-add
- * into the group (or output-row) accumulator. */
-EXPORT void repro_gather_mul_scatter(
+ * into the group (or output-row) accumulator.
+ *
+ * This loop and the next stay out of line.  Which operand of an add
+ * passes its NaN on is the compiler's choice, and inlining them changes
+ * that choice in the batched loops below; the inf/NaN bit-identity
+ * tests pin the out-of-line code. */
+static __attribute__((noinline)) void gather_mul_scatter(
     int64_t n,
     const double *restrict vals,
     const int64_t *restrict cols,
@@ -87,7 +92,7 @@ EXPORT void repro_gather_mul_scatter(
 
 /* acc[idx[i]] += vals[i]  — the group-sum / fold scatter
  * (np.bincount(idx, weights=vals) / np.add.at element order). */
-EXPORT void repro_scatter_add(
+static __attribute__((noinline)) void scatter_add(
     int64_t n,
     const int64_t *restrict idx,
     const double *restrict vals,
@@ -103,7 +108,7 @@ static void zero(double *a, int64_t n)
         a[i] = 0.0;
 }
 
-/* repro_gather_mul_scatter over r columns into a zeroed acc of m rows. */
+/* gather_mul_scatter over r columns into a zeroed acc of m rows. */
 static void gather_mul_scatter_r(
     int64_t n, int64_t r, int64_t m,
     const double *restrict vals, const int64_t *restrict cols,
@@ -112,7 +117,7 @@ static void gather_mul_scatter_r(
 {
     zero(acc, m * r);
     if (r == 1) {
-        repro_gather_mul_scatter(n, vals, cols, x, idx, acc);
+        gather_mul_scatter(n, vals, cols, x, idx, acc);
         return;
     }
     for (int64_t i = 0; i < n; i++) {
@@ -124,7 +129,7 @@ static void gather_mul_scatter_r(
     }
 }
 
-/* repro_scatter_add over r columns into a zeroed acc of m rows. */
+/* scatter_add over r columns into a zeroed acc of m rows. */
 static void scatter_add_r(
     int64_t n, int64_t r, int64_t m,
     const int64_t *restrict idx, const double *restrict vals,
@@ -132,7 +137,7 @@ static void scatter_add_r(
 {
     zero(acc, m * r);
     if (r == 1) {
-        repro_scatter_add(n, idx, vals, acc);
+        scatter_add(n, idx, vals, acc);
         return;
     }
     for (int64_t i = 0; i < n; i++) {
@@ -221,10 +226,9 @@ EXPORT void repro_plan_apply(
 /* ------------------------------------------------------------------
  * Hypergraph partitioner: the FM pass loop and the K-way greedy polish.
  *
- * Bit-identity contract with the NumPy loops they replace
- * (repro.hypergraph.refine._fm_passes_numpy and
- * repro.hypergraph.kway._kway_passes_numpy, which stay as the reference
- * and as the fallback without a compiler):
+ * Bit-identity contract with their NumPy reference
+ * (repro.hypergraph.refine._fm_setup and _fm_passes, and
+ * repro.hypergraph.kway._kway_passes):
  *
  * - every gain is an int64 sum of net costs, so the order in which the
  *   per-net deltas land cannot change a gain;
@@ -455,7 +459,7 @@ static int64_t fm_setup(const fm_graph *g, int64_t n, int64_t nnets, int64_t nco
  * stall_fraction) moves without a better prefix, rolls back to its best
  * prefix, and the refinement ends when a pass keeps nothing or
  * converges. */
-EXPORT int64_t repro_fm_passes(
+static int64_t repro_fm_passes(
     int64_t n,
     int64_t nnets,
     int64_t ncon,
@@ -622,7 +626,7 @@ EXPORT int64_t repro_fm_passes(
  * pc (nnets x nparts pin counts) and pw (nparts x ncon part weights)
  * are updated in place; wfloat is n x ncon, limit ncon.  Workspace:
  * gains holds nparts int64, cut nnets int8. */
-EXPORT void repro_kway_passes(
+static void repro_kway_passes(
     int64_t n,
     int64_t nnets,
     int64_t nparts,
@@ -707,8 +711,8 @@ EXPORT void repro_kway_passes(
  * The front half of the V-cycle: heavy-connectivity matching and the
  * two initial bisections.
  *
- * Bit-identity contract with repro.hypergraph.coarsen._hcm_match_numpy
- * and repro.hypergraph.initial._greedy_grow_numpy / _random_fill_numpy:
+ * Bit-identity contract with repro.hypergraph.coarsen._hcm_match and
+ * repro.hypergraph.initial.greedy_growing / random_bisection:
  *
  * - float scores and gains are summed in the reference's order: the
  *   visited vertex's valid nets in ascending net id (the order of
@@ -732,7 +736,7 @@ EXPORT void repro_kway_passes(
  * matrix bit for bit: scipy accumulates S[v, u] over the shared nets in
  * ascending net id too.  mate (n) must be -1 on entry and mark (n) 0;
  * acc (n) and touched (n) are workspace.  mark is 0 again on return. */
-EXPORT void repro_hcm_match(
+static void repro_hcm_match(
     int64_t n,
     const int64_t *restrict xpins,
     const int64_t *restrict pins,
@@ -854,7 +858,7 @@ enum { GROW_FREE = 0, GROW_ABSORBED = 1, GROW_RETIRED = 2 };
  * gain, so sifting that one entry up keeps the heap ordered.
  * Workspace: gain (n float64, zero), heap (n), pos (n, -1), state (n
  * int8, zero), pw0 (ncon float64, zero). */
-EXPORT void repro_greedy_grow(
+static void repro_greedy_grow(
     int64_t n,
     int64_t ncon,
     const int64_t *restrict xpins,
@@ -929,7 +933,7 @@ EXPORT void repro_greedy_grow(
  * (part[] all 1 on entry) while its int64 weight keeps every
  * constraint of part 0 at or below t0.  Workspace: pw0 (ncon int64,
  * zero). */
-EXPORT void repro_random_fill(
+static void repro_random_fill(
     int64_t n,
     int64_t ncon,
     const int64_t *restrict vweights,
@@ -955,8 +959,7 @@ EXPORT void repro_random_fill(
 /* ------------------------------------------------------------------
  * Contraction: the coarse hypergraph of one matching.
  *
- * Bit-identity contract with repro.hypergraph.coarsen._contract (the
- * reference, and the fallback without a compiler):
+ * Bit-identity contract with repro.hypergraph.coarsen._contract:
  *
  * - cluster ids are dealt in ascending-root order, the root of a pair
  *   being its smaller vertex (np.unique's inverse over the roots);
@@ -1042,7 +1045,7 @@ static net_key *sort_keys(net_key *a, net_key *tmp, int64_t n)
  * n + 1 and npins.  Both hashes are ANDed with hash_mask (all ones
  * except in the tests that force collisions).  Workspace: iwork holds
  * 2n + 1 + 2 * npins + 12 * nnets int64. */
-EXPORT void repro_contract(
+static void repro_contract(
     int64_t n,
     int64_t nnets,
     int64_t ncon,
@@ -1431,10 +1434,11 @@ EXPORT int64_t repro_s2d_flip(
  *
  * repro_partition_kway runs the whole recursive bisection of
  * repro.hypergraph.partitioner.partition_kway in one call: every
- * subproblem's V-cycle, the splits and the K-way polish.  It is built
- * from the stage kernels above, each called as the Python driver calls
- * its wrapper, so the stage loops exist once and the partitions are the
- * Python driver's bit for bit:
+ * subproblem's V-cycle, the splits and the K-way polish.  repro_bisect
+ * runs one V-cycle (repro.hypergraph.bisect.multilevel_bisect).  Both
+ * are built from the stage loops above, each called where the Python
+ * driver calls its NumPy stage, so the partitions are the Python
+ * driver's bit for bit:
  *
  * - the random streams are NumPy's.  PCG64's step and XSL-RR output,
  *   its buffered next_uint32 (random_interval draws 32-bit values for
@@ -1452,10 +1456,10 @@ EXPORT int64_t repro_s2d_flip(
  *   side's nets keep their pins in order and each vertex its nets in
  *   ascending order, as Hypergraph() builds them, without a sort.
  *
- * The driver is the exception to "no kernel allocates": its scratch
- * (root-sized stage workspace, coarse levels, the subproblem arena) is
- * malloc'd inside the call and freed before it returns, on every
- * path.  A failed allocation returns DRV_ENOMEM.  Subproblems
+ * These two drivers are the exception to "no kernel allocates": their
+ * scratch (root-sized stage workspace, coarse levels, the subproblem
+ * arena) is malloc'd inside the call and freed before it returns, on
+ * every path.  A failed allocation returns DRV_ENOMEM.  Subproblems
  * waiting for their V-cycle are disjoint slices of one arena: a split
  * writes both sides above its parent and moves them down over it.
  *
@@ -2236,6 +2240,61 @@ static int recurse_c(driver *d, const hgraph *root, int64_t nparts, int64_t coar
     return DRV_OK;
 }
 
+/* The driver's configuration, event log and stage workspace for the
+ * root hypergraph h; driver_finish frees the workspace and gives the
+ * entry's status. */
+static int driver_start(driver *d, const hgraph *h, int64_t ncon, int64_t ninitial,
+                        int64_t fm_passes, int64_t max_net_size, int64_t max_levels,
+                        int64_t stall_fraction, uint64_t hash_mask, int64_t ev_cap,
+                        int64_t *ev_ints, double *ev_times)
+{
+    memset(d, 0, sizeof *d);
+    d->ncon = ncon;
+    d->ninitial = ninitial;
+    d->fm_passes = fm_passes;
+    d->max_net_size = max_net_size;
+    d->max_levels = max_levels;
+    d->stall_fraction = stall_fraction;
+    d->hash_mask = hash_mask;
+    d->log.ints = ev_ints;
+    d->log.times = ev_times;
+    d->log.cap = ev_cap;
+    return driver_alloc(d, h->n, h->nnets, h->xpins[h->nnets]);
+}
+
+static int64_t driver_finish(driver *d, int st, int64_t *ev_count)
+{
+    pool_release(&d->mem, 0);
+    free(d->mem.ptr);
+    *ev_count = d->log.count;
+    return st != DRV_OK ? st : d->log.full ? DRV_ELOG : DRV_OK;
+}
+
+/* One V-cycle (multilevel_bisect) of the hypergraph (xpins, pins,
+ * xnets, nets, vweights, ncosts) toward the 2 x ncon side targets:
+ * part (n, int8) receives the sides, *cut the cut-net cost.  rng_state
+ * as in repro_partition_kway.  Returns DRV_OK, DRV_ENOMEM or DRV_ELOG
+ * (*ev_count events written either way). */
+EXPORT int64_t repro_bisect(
+    int64_t n, int64_t nnets, int64_t ncon, int64_t coarsen_to, int64_t ninitial,
+    int64_t fm_passes, int64_t max_net_size, int64_t max_levels, int64_t stall_fraction,
+    double epsilon, uint64_t hash_mask,
+    const int64_t *xpins, const int64_t *pins, const int64_t *xnets, const int64_t *nets,
+    const int64_t *vweights, const int64_t *ncosts, const double *targets,
+    uint64_t *rng_state, int8_t *part, int64_t *cut,
+    int64_t ev_cap, int64_t *ev_ints, double *ev_times, int64_t *ev_count)
+{
+    const hgraph h = {n, nnets, xpins, pins, xnets, nets, vweights, ncosts};
+    driver d;
+    pcg64 rng = pcg_load(rng_state);
+    int st = driver_start(&d, &h, ncon, ninitial, fm_passes, max_net_size, max_levels,
+                          stall_fraction, hash_mask, ev_cap, ev_ints, ev_times);
+    if (st == DRV_OK)
+        st = vcycle(&d, &h, targets, epsilon, coarsen_to, &rng, part, cut);
+    pcg_store(&rng, rng_state);
+    return driver_finish(&d, st, ev_count);
+}
+
 /* The whole of partition_kway: recursive bisection of the hypergraph
  * (xpins, pins, xnets, nets, vweights, ncosts) into nparts parts, each
  * bisection a V-cycle at tolerance eps_level coarsening to
@@ -2259,19 +2318,9 @@ EXPORT int64_t repro_partition_kway(
 {
     const hgraph h = {n, nnets, xpins, pins, xnets, nets, vweights, ncosts};
     driver d;
-    memset(&d, 0, sizeof d);
-    d.ncon = ncon;
-    d.ninitial = ninitial;
-    d.fm_passes = fm_passes;
-    d.max_net_size = max_net_size;
-    d.max_levels = max_levels;
-    d.stall_fraction = stall_fraction;
-    d.hash_mask = hash_mask;
-    d.log.ints = ev_ints;
-    d.log.times = ev_times;
-    d.log.cap = ev_cap;
     pcg64 rng = pcg_load(rng_state);
-    int st = driver_alloc(&d, n, nnets, xpins[nnets]);
+    int st = driver_start(&d, &h, ncon, ninitial, fm_passes, max_net_size, max_levels,
+                          stall_fraction, hash_mask, ev_cap, ev_ints, ev_times);
     if (st == DRV_OK)
         st = recurse_c(&d, &h, nparts, coarsen_to, eps_level, &rng, part);
     if (st == DRV_OK && nparts > 1 && kway_passes > 0) {
@@ -2283,8 +2332,5 @@ EXPORT int64_t repro_partition_kway(
         ev_close(&d.log, ev, before, after);
     }
     pcg_store(&rng, rng_state);
-    pool_release(&d.mem, 0);
-    free(d.mem.ptr);
-    *ev_count = d.log.count;
-    return st != DRV_OK ? st : d.log.full ? DRV_ELOG : DRV_OK;
+    return driver_finish(&d, st, ev_count);
 }

@@ -27,17 +27,15 @@ properties are checked by ``shard_plan`` before it returns:
 
 No parallel executor runs the shards: a process pool over them measured
 slower than the single-core apply (see DESIGN.md, "Shard
-decomposition").
+decomposition").  The replay runs NumPy kernels only, whatever the
+process's backend: the replay exists to verify plans, and on the
+per-part sizes it sees the NumPy kernels are the faster ones.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SimulationError
-from repro.native import ops as native_ops
-from repro.native import resolve_backend
-from repro.native.build import get_kernels
 from repro.runtime.plan import CommPlan, PartPlan
 from repro.simulate.common import resolve_x
 
@@ -65,13 +63,6 @@ class _PartRunner:
     ``x_local`` starts NaN-poisoned so a read of an x entry the part
     neither owns nor received surfaces as a NaN in ``y`` instead of
     silently using stale data.
-
-    ``backend`` selects the numeric kernels (already resolved to
-    ``"numpy"`` or ``"native"`` by the caller): the native path runs
-    the fused C loops of :mod:`repro.native` for the per-part
-    precompute, main products, combine and fold — bit-identical
-    because they accumulate in the same index order — while buffer
-    publishes, receives and gather assembly stay NumPy slicing.
     """
 
     def __init__(
@@ -83,25 +74,12 @@ class _PartRunner:
         stats_row: np.ndarray,
         x: np.ndarray,
         y: np.ndarray,
-        backend: str = "numpy",
     ):
         self.s = shard
         self.buffers = buffers
         self.stats = stats_row
         self.x = x
         self.y = y
-        self.lib = get_kernels() if backend == "native" else None
-        if backend == "native" and self.lib is None:
-            raise SimulationError(
-                "native backend selected but the kernel library is unavailable"
-            )
-        if self.lib is not None:
-            self.g1 = native_ops.compact_group(shard.group1)
-            self.g2 = (
-                native_ops.compact_group(shard.group2)
-                if shard.group2 is not None
-                else None
-            )
         self.x_local = np.full(ncols, np.nan)
         self.psums: np.ndarray | None = None
         self.csums: np.ndarray | None = None
@@ -123,10 +101,6 @@ class _PartRunner:
 
     def _precompute(self) -> np.ndarray:
         s = self.s
-        if self.lib is not None:
-            return native_ops.fused_group_gather(
-                self.lib, self.g1, s.pre_vals, s.pre_cols, self.x_local
-            )
         return s.group1.apply(s.pre_vals * self.x_local[s.pre_cols])
 
     def _send(self, phase: str, partials: np.ndarray | None) -> None:
@@ -145,11 +119,6 @@ class _PartRunner:
 
     def _main_y(self) -> np.ndarray:
         s = self.s
-        if self.lib is not None:
-            return native_ops.scatter_products(
-                self.lib, s.main_rows_c, s.main_vals, s.main_cols,
-                self.x_local, s.nrows_local,
-            )
         return np.bincount(
             s.main_rows_c,
             weights=s.main_vals * self.x_local[s.main_cols],
@@ -159,8 +128,6 @@ class _PartRunner:
     def _fold(self, phase: str, partials: np.ndarray) -> np.ndarray:
         s = self.s
         w = s.fold_gather.assemble(self.buffers[phase], partials)
-        if self.lib is not None:
-            return native_ops.scatter_sum(self.lib, s.fold_rows_c, w, s.nrows_local)
         return np.bincount(s.fold_rows_c, weights=w, minlength=s.nrows_local)
 
     # ------------------------------------------------------------- single
@@ -204,11 +171,7 @@ class _PartRunner:
         s = self.s
         self._recv_x("route-row")
         w = s.comb_gather.assemble(self.buffers["route-row"], self.psums)
-        self.csums = (
-            native_ops.group_apply(self.lib, self.g2, w)
-            if self.lib is not None
-            else s.group2.apply(w)
-        )
+        self.csums = s.group2.apply(w)
         self._send("route-col", self.csums)
 
     def _routed2(self) -> None:
@@ -233,7 +196,6 @@ def apply_shards_serial(
     x: np.ndarray | None = None,
     *,
     stats: np.ndarray | None = None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Replay the sharded superstep program on one core.
 
@@ -242,10 +204,7 @@ def apply_shards_serial(
     ``stats``, a (K, nphases) int64 array in :data:`PHASES` column
     order, accumulates the words each part writes.  Message buffers
     start NaN-poisoned, so a slot nobody writes poisons ``y``.
-    ``backend`` selects the per-part numeric kernels exactly as on
-    :meth:`CommPlan.apply`.
     """
-    resolved = resolve_backend(backend)
     x = resolve_x(x, plan.ncols)
     y = np.zeros(plan.nrows)
     buffers = {ph: np.full(n, np.nan) for ph, n in _buffer_sizes(plan).items()}
@@ -254,7 +213,7 @@ def apply_shards_serial(
     runners = [
         _PartRunner(
             sh, ncols=plan.ncols, buffers=buffers, stats_row=stats[sh.part],
-            x=x, y=y, backend=resolved,
+            x=x, y=y,
         )
         for sh in shards
     ]

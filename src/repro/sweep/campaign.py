@@ -1005,6 +1005,10 @@ class Campaign(_Supervisor):
             try:
                 self._replay_into_state(replay.events)
                 self._rehydrate(cache)
+                # The coordinator is done with the store: close its
+                # connection so no worker forks while it holds SQLite
+                # state (a serial run reopens it on first use).
+                cache._disconnect()
                 if not replay.events:
                     journal.append(
                         {

@@ -18,6 +18,7 @@ Fault injection is deterministic (:mod:`repro.sweep.faults` keys on
 
 from __future__ import annotations
 
+import os
 import pickle
 import shutil
 import signal
@@ -48,6 +49,8 @@ from repro.sweep import (
     run_sweep,
     suite_refs,
 )
+from repro.sweep import cache as cache_mod
+from repro.sweep import campaign as campaign_mod
 from repro.sweep.faults import corrupt_journal_tail
 from repro.sweep.journal import _encode
 
@@ -338,6 +341,30 @@ def test_idempotent_resume_zero_recompute(tmp_path, grid, serial):
     assert tr.total_counters().get("campaign.resumed_cells") == len(
         serial.records
     )
+    _assert_bit_identical(serial, result)
+
+
+def test_resumed_campaign_forks_without_an_open_store_connection(
+    tmp_path, grid, serial, monkeypatch
+):
+    """Rehydrating done cells reads the store; the coordinator closes its
+    connection again before the first worker forks, so no child inherits
+    SQLite state."""
+    root = tmp_path / "resumed"
+    shutil.copytree(_interrupted_campaign(tmp_path, grid), root)
+    store = (os.getpid(), str(root / "cache" / cache_mod.DB_NAME))
+    held = []
+    send_batch = campaign_mod._Supervisor._send_batch
+
+    def spy(self, idle, task, items):
+        if not idle:  # the batch goes to a fresh fork
+            held.append(store in cache_mod._CONNECTIONS)
+        return send_batch(self, idle, task, items)
+
+    monkeypatch.setattr(campaign_mod._Supervisor, "_send_batch", spy)
+    result = Campaign(grid, root, jobs=2, fsync=False).resume()
+    assert result.complete and result.counters["resumed_cells"] == 2
+    assert held and held[0] is False
     _assert_bit_identical(serial, result)
 
 

@@ -4,17 +4,19 @@ The native backend's whole contract is "same bits, less time": every C
 accumulation iterates in the exact element order of the NumPy
 ``bincount``/``add.at`` formulation it replaces, so ``y``, ledgers and
 flops must be *bit-identical* across backends on all golden instances
-and all three execution models — through ``apply``/``apply_many`` and
-the serial shard replay.  The fused plan kernel (one C call per apply)
-is pinned on the golden instances, the partitioner families and the
-edge cases of its row-segmented sum (-0.0 products, empty rows, no
-fold, K=1, inf/NaN), together with its marshalling checks.  The dispatch layer is pinned separately:
-explicit/env/auto resolution, the silent no-compiler fallback with its
-recorded reason, build-cache reuse, the solver threading and the CLI
-surface.
+and all three execution models — through ``apply``/``apply_many``.  The
+fused plan kernel (one C call per apply) is pinned on the golden
+instances, the partitioner families and the edge cases of its
+row-segmented sum (-0.0 products, empty rows, no fold, K=1, inf/NaN),
+together with its marshalling checks.  The library's export surface is
+exactly its bound whole-call entries.  The dispatch layer is pinned
+separately: explicit/env/auto resolution, the silent no-compiler
+fallback with its recorded reason, build-cache reuse, the solver
+threading and the CLI surface.
 """
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -32,8 +34,14 @@ from repro.native import (
     resolve_backend,
     set_default_backend,
 )
-from repro.native.build import CACHE_ENV, FLAG_ENV, _reset_native_state
-from repro.runtime import apply_shards_serial, compile_plan, shard_plan
+from repro.native.build import (
+    _SIGNATURES,
+    _SOURCE,
+    CACHE_ENV,
+    FLAG_ENV,
+    _reset_native_state,
+)
+from repro.runtime import compile_plan
 from repro.runtime.plan import _NativeApply
 from repro.simulate.report import run_partition
 from repro.solvers import power_iteration
@@ -98,48 +106,15 @@ def test_apply_many_bit_identical_across_backends(partitioned_instances):  # noq
             assert _same_bits(ys_nat[:, j], plan.apply_y(col, backend="native"))
 
 
-@pytest.mark.native
-def test_shard_replay_bit_identical_across_backends(partitioned_instances):  # noqa: F811
-    rng = np.random.default_rng(404)
-    for p, _mode in partitioned_instances:
-        plan = compile_plan(p)
-        shards = shard_plan(p, plan)
-        x = rng.standard_normal(plan.ncols)
-        y_np = apply_shards_serial(plan, shards, x, backend="numpy")
-        y_nat = apply_shards_serial(plan, shards, x, backend="native")
-        assert np.array_equal(y_np, y_nat)
-        assert np.array_equal(y_nat, plan.apply_y(x, backend="numpy"))
-
-
-@pytest.mark.native
-def test_ops_match_numpy_formulations():
-    """Each ops wrapper equals its documented NumPy one-liner bitwise,
-    and so does every column of a native ``apply_many`` on a K=1 plan,
-    whose apply is one row-ordered ``np.bincount`` of the products."""
-    lib = get_kernels()
-    rng = np.random.default_rng(606)
-    n, nrows, ncols = 500, 37, 41
-    rows = rng.integers(0, nrows, size=n)
-    cols = rng.integers(0, ncols, size=n)
-    vals = rng.standard_normal(n)
-    x = rng.standard_normal(ncols)
-    want = np.bincount(rows, weights=vals * x[cols], minlength=nrows)
-    assert np.array_equal(ops.scatter_products(lib, rows, vals, cols, x, nrows), want)
-    w = rng.standard_normal(n)
-    assert np.array_equal(
-        ops.scatter_sum(lib, rows, w, nrows),
-        np.bincount(rows, weights=w, minlength=nrows),
-    )
-    a = canonical_coo(sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)))
-    plan = _plan(a, "1d-rowwise", 1)
-    assert plan.executor == "single" and plan.pre_vals.size == 0
-    xs = rng.standard_normal((ncols, 3))
-    many = plan.apply_many(xs, backend="native")
-    for j in range(3):
-        assert _same_bits(
-            many[:, j],
-            np.bincount(a.row, weights=a.data * xs[a.col, j], minlength=nrows),
-        )
+def test_exports_are_exactly_the_bound_entries():
+    """Every ``EXPORT`` symbol of ``kernels.c`` has a ctypes binding, and
+    every binding an export: a stage loop cannot be exported again
+    without a binding, nor bound without an export."""
+    source = _SOURCE.read_text()
+    exported = re.findall(r"^EXPORT\s+[\w\s*]+?\b(repro_\w+)\s*\(", source, re.M)
+    assert len(exported) == len(set(exported))
+    assert set(exported) == set(_SIGNATURES) | {"repro_native_abi"}
+    assert len(exported) == 6
 
 
 # ----------------------------------------------------------------------

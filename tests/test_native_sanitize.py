@@ -17,6 +17,7 @@ import pytest
 
 import repro.native.build as native_build
 from repro.errors import ConfigError, VerificationError
+from repro.hypergraph import Hypergraph
 from repro.native import (
     DEBUG_ENV,
     SANITIZE_ENV,
@@ -152,46 +153,34 @@ except MemoryError:
 else:
     raise AssertionError("no MemoryError")
 
-# The V-cycle's front half directly: HCM matching, the contraction,
-# greedy growing and the random fill on a tie-heavy fine-grain model.
+# One V-cycle per repro_bisect call on a tie-heavy fine-grain model:
+# the HCM matching, the contraction, greedy growing and the random fill
+# (two trials), the FM set-up alone (no passes) and with its passes,
+# both targets, and a call whose event log is written.
 from repro.hypergraph import fine_grain_model
-from repro.hypergraph.coarsen import coarsen_once
-from repro.hypergraph.initial import greedy_growing, random_bisection
+from repro.hypergraph.bisect import multilevel_bisect
 from repro.rng import as_generator
 
 fg = fine_grain_model(circuit_like(120, seed=6)).hypergraph
 t = fg.total_weight().astype(float)
-fronts = {}
+bisections = {}
 for backend in ("numpy", "native"):
     set_default_backend(backend)
-    cmap, coarse = coarsen_once(fg, as_generator(3))
-    fronts[backend] = [
-        cmap, coarse.xpins, coarse.pins, coarse.vweights, coarse.ncosts,
-        coarse.xnets, coarse.nets,
-        greedy_growing(fg, (t * 0.4, t * 0.6), as_generator(4)),
-        random_bisection(fg, (t * 0.4, t * 0.6), as_generator(5)),
-    ]
-for want, got in zip(fronts["numpy"], fronts["native"]):
+    out = []
+    for frac in (0.4, 0.5):
+        for passes in (0, 4):
+            rng = as_generator(3)
+            side, cut = multilevel_bisect(
+                fg, (t * frac, t * (1 - frac)), 0.05, rng, coarsen_to=40,
+                ninitial=2, fm_passes=passes,
+            )
+            out += [side, np.array([cut]), np.array([rng.integers(1 << 62)])]
+    with obs.tracing() as tr:
+        out.append(multilevel_bisect(fg, (t / 2, t / 2), 0.05, as_generator(4))[0])
+    out.append(np.array(sorted(sp.name for sp in tr.walk())))
+    bisections[backend] = out
+for want, got in zip(bisections["numpy"], bisections["native"]):
     assert np.array_equal(want, got)
-
-# The FM set-up inside the kernel (no passes) against _fm_setup, on the
-# fine level and the contracted one.
-from repro.hypergraph.refine import _context, _fm_setup, _target_array
-from repro.native import ops
-
-for h in (fg, coarse):
-    ctx = _context(h)
-    part = (np.arange(h.nvertices) % 3 == 0).astype(np.int8)
-    th = h.total_weight().astype(float)
-    pc, cut, pw, gain = _fm_setup(h, ctx, part)
-    got = ops.fm_passes(
-        lib, xpins=h.xpins, pins=h.pins, ncosts=h.ncosts, vipt=ctx.vnets_indptr,
-        vnets=ctx.vnets, vweights=h.vweights, targets=_target_array((th / 2, th / 2)),
-        epsilon=0.05, part=part, gmax=ctx.gain_bound, max_passes=0, stall_fraction=8,
-    )
-    assert got[0] == cut
-    for want, have in zip((pc, gain, pw), got[1:]):
-        assert np.array_equal(want, have)
 
 # Algorithm 1's kernels: repro_block_dm over every off-diagonal block and
 # repro_s2d_flip, against the NumPy reference, on a dense-row matrix and
@@ -231,11 +220,14 @@ lib = build.get_kernels()
 if lib is None:
     print("SKIP-NATIVE:", build.native_status()["sanitize_reason"])
     raise SystemExit(0)
-# One past the output buffer: lands in the ASan redzone, not in some
+# Block 0 flips and moves its load out of row part 2 of two parts: one
+# past the loads buffer, in the ASan redzone rather than in some
 # unrelated mapping a huge offset might silently hit.
-rows = np.array([0, 1, 4], dtype=np.int64)
-vals = np.ones(3)
-ops.scatter_sum(lib, rows, vals, nrows=4)  # debug guard off: raw C loop
+i64 = lambda *v: np.array(v, dtype=np.int64)
+ops.s2d_flip(  # debug guard off: straight into the C loop
+    lib, order=i64(0), row_part=i64(2), col_part=i64(0), h_size=i64(1),
+    loads=i64(5, 5), w_lim=10.0, max_rounds=1,
+)
 print("UNREACHABLE")  # the sanitizer must abort before this line
 """
 
@@ -243,17 +235,17 @@ print("UNREACHABLE")  # the sanitizer must abort before this line
 @pytest.mark.native
 @pytest.mark.sanitize
 def test_sanitized_kernels_pass_golden_applies():
-    """The ASan/UBSan build variant is bit-identical to NumPy on full
-    plan applies (``repro_plan_apply`` under all three execution
-    models, one and many right-hand sides), on two-constraint
-    ``partition_kway`` calls (the recursive-bisection driver, its
-    allocations, event logs and early out-of-memory return, and through
-    it every partitioner kernel) and on direct calls
-    of the HCM matching, contraction,
-    greedy-growing and random-fill kernels and of the in-kernel FM
-    set-up, and on the block DM and s2D flip kernels over every
-    off-diagonal block of two matrices, run in a child with the
-    sanitizer runtime active."""
+    """The ASan/UBSan build variant is bit-identical to NumPy on every
+    exported entry, run in a child with the sanitizer runtime active:
+    full plan applies (``repro_plan_apply`` under all three execution
+    models, one and many right-hand sides); two-constraint
+    ``partition_kway`` calls (``repro_partition_kway``: its allocations,
+    event logs and early out-of-memory return, and through it every
+    partitioner stage including the K-way polish); ``multilevel_bisect``
+    calls (``repro_bisect``: the HCM matching, contraction, both
+    initial bisections and the FM set-up without and with passes); and
+    the block DM and s2D flip kernels over every off-diagonal block of
+    two matrices."""
     proc = _run_child(_GOLDEN_CHILD)
     _skip_if_unloadable(proc)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -263,9 +255,10 @@ def test_sanitized_kernels_pass_golden_applies():
 @pytest.mark.native
 @pytest.mark.sanitize
 def test_sanitizer_catches_out_of_bounds_write():
-    """Negative control: an intentionally out-of-bounds scatter through
-    the raw C loop must make the sanitized child die loudly instead of
-    corrupting memory — proof the instrumentation is actually live."""
+    """Negative control: an intentionally out-of-bounds load update in
+    the s2D flip loop must make the sanitized child die loudly instead
+    of corrupting memory — proof the instrumentation is actually
+    live."""
     if _libasan() is None:
         pytest.skip("cannot locate the ASan runtime for LD_PRELOAD")
     proc = _run_child(_OOB_CHILD, preload_asan=True)
@@ -305,31 +298,57 @@ def test_in_process_sanitize_load_refused_without_exec_env(monkeypatch):
 
 def test_validate_rejects_out_of_bounds_and_size_mismatch():
     rows = np.array([0, 1, 3], dtype=np.int64)
-    ops._validate("scatter_sum", 3, ("rows", rows, 4, 3))  # clean
+    ops._validate("plan_apply", 3, ("rows", rows, 4, 3))  # clean
     with pytest.raises(VerificationError, match="outside"):
-        ops._validate("scatter_sum", 3, ("rows", rows, 3, 3))
-    with pytest.raises(VerificationError, match="scatter_sum"):
-        ops._validate("scatter_sum", 3, ("rows", rows, 4, 2))
+        ops._validate("plan_apply", 3, ("rows", rows, 3, 3))
+    with pytest.raises(VerificationError, match="plan_apply"):
+        ops._validate("plan_apply", 3, ("rows", rows, 4, 2))
     with pytest.raises(VerificationError):
         ops._validate("k", 1, ("idx", np.array([-1], dtype=np.int64), 4, 1))
 
 
 @pytest.mark.native
 def test_debug_guard_blocks_bad_indices_before_the_c_loop(monkeypatch):
+    """``repro_bisect``'s inputs: a pin past the last vertex, offsets
+    that decrease, targets of the wrong size, no initial trial and a
+    short event log are refused before the C V-cycle; valid input goes
+    through and gives the unguarded result."""
     lib = get_kernels()
     if lib is None:
         pytest.skip("native kernels unavailable")
+    from repro.hypergraph import coarsen
+    from repro.hypergraph.bisect import MAX_LEVELS
+
     monkeypatch.setenv(DEBUG_ENV, "1")
     assert debug_bounds_enabled()
-    bad_rows = np.array([0, 1, 7], dtype=np.int64)
-    with pytest.raises(VerificationError, match="unchecked C loop"):
-        ops.scatter_sum(lib, bad_rows, np.ones(3), nrows=4)
-    # Valid input still goes through and stays bit-identical.
-    rows = np.array([0, 1, 3, 1], dtype=np.int64)
-    vals = np.array([1.5, 2.0, -0.5, 4.25])
-    got = ops.scatter_sum(lib, rows, vals, nrows=4)
-    ref = np.bincount(rows, weights=vals, minlength=4)
-    assert np.array_equal(got, ref)
+    hg = Hypergraph.from_net_lists([[i, i + 1, (i + 5) % 12] for i in range(11)], 12)
+    t = hg.total_weight().astype(np.float64) / 2
+
+    def args():
+        return dict(
+            xpins=hg.xpins, pins=hg.pins, xnets=hg.xnets, nets=hg.nets,
+            vweights=hg.vweights, ncosts=hg.ncosts, targets=np.array([t, t]),
+            epsilon=0.05, coarsen_to=4, ninitial=2, fm_passes=2, max_net_size=200,
+            max_levels=MAX_LEVELS, stall_fraction=8, hash_mask=coarsen._HASH_MASK,
+            rng_state=np.array([0, 1, 0, 1, 0, 0], dtype=np.uint64),
+        )
+
+    for change, message in (
+        ({"pins": np.where(hg.pins == 5, 12, hg.pins)}, "pins indexes outside .*unchecked C loop"),
+        ({"xnets": hg.xnets[::-1].copy()}, "xnets is not a monotone"),
+        ({"targets": np.array([t])}, "targets has 1 entries, expected 2"),
+        ({"ninitial": 0}, "ninitial 0 is below 1"),
+        (
+            {"events": (np.empty((3, 3), dtype=np.int64), np.empty((3, 2)))},
+            "the event log must hold",
+        ),
+    ):
+        with pytest.raises(VerificationError, match=f"native bisect: {message}"):
+            ops.bisect(lib, **{**args(), **change})
+    guarded = ops.bisect(lib, **args())
+    monkeypatch.delenv(DEBUG_ENV)
+    plain = ops.bisect(lib, **args())
+    assert np.array_equal(guarded[0], plain[0]) and guarded[1:] == plain[1:]
 
 
 @pytest.mark.native

@@ -1,20 +1,22 @@
-"""The recursive-bisection driver in C against the Python driver.
+"""The recursive-bisection drivers in C against the Python driver.
 
 With the native backend and a PCG64-backed generator,
-``partition_kway`` is one call of ``kernels.c:repro_partition_kway``,
-which ports NumPy's random streams; ``multilevel_bisect`` stays the
-Python V-cycle over the native stage kernels.  Pinned here:
+``partition_kway`` is one call of ``kernels.c:repro_partition_kway``
+and ``multilevel_bisect`` one call of ``kernels.c:repro_bisect``; both
+port NumPy's random streams.  Every other generator runs the Python
+driver over the NumPy stages.  Pinned here:
 
 - over more than 200 seeds, edge seeds included, both backends give the
   same parts and cuts, and a caller's generator ends in the same state
   (also when it starts with a buffered 32-bit draw);
 - an MT19937-backed generator runs the Python driver and partitions as
-  before the C driver existed;
+  before the C driver existed, on both backends;
 - a traced native run grafts the Python driver's span tree and
   counters; an untraced one passes no event log;
-- the driver reads the contraction's hash mask, validates its inputs
-  under ``REPRO_NATIVE_DEBUG=1`` and reports both a failed ``malloc``
-  and an oversized gain-bucket bound as ``MemoryError``.
+- the drivers read the contraction's hash mask, validate their inputs
+  under ``REPRO_NATIVE_DEBUG=1``, refuse arrays of the wrong dtype or
+  layout, and report both a failed ``malloc`` and an oversized
+  gain-bucket bound as ``MemoryError``.
 """
 
 import copy
@@ -101,7 +103,9 @@ def _digest(a: np.ndarray) -> str:
 @pytest.mark.parametrize("backend", ["numpy", "native"])
 def test_mt19937_generator_partitions_as_before(backend):
     """Values recorded before the C driver existed: a generator on
-    another bit generator still runs the Python driver."""
+    another bit generator runs the Python driver on either backend, its
+    own V-cycles over the NumPy stages (the subproblems' spawned PCG64
+    streams run ``repro_bisect`` on the native backend)."""
     hg = _model("knn", 1)
     with forced_backend(backend):
         rng = np.random.Generator(np.random.MT19937(5))
@@ -165,8 +169,9 @@ def _spy(monkeypatch, lib, name: str) -> list:
 
 
 # Positions of the event log's capacity and pointers, and of the hash
-# mask, in the driver's argument list.
+# mask, in the drivers' argument lists.
 _LOG_AT, _MASK_AT = 22, 13
+_BISECT_LOG_AT, _BISECT_MASK_AT = 21, 10
 
 
 def _run_drivers(hg: Hypergraph, seed: int = 3):
@@ -177,15 +182,17 @@ def _run_drivers(hg: Hypergraph, seed: int = 3):
 
 
 def test_untraced_call_passes_no_event_log(monkeypatch):
-    calls = _spy(monkeypatch, get_kernels(), "partition_kway")
+    kway_calls = _spy(monkeypatch, get_kernels(), "partition_kway")
+    bisect_calls = _spy(monkeypatch, get_kernels(), "bisect")
     hg = _model("mesh", 1)
     with forced_backend("native"):
         _run_drivers(hg)
         with obs.tracing():
             _run_drivers(hg)
-    untraced, traced = calls
-    assert untraced[_LOG_AT : _LOG_AT + 3] == (0, None, None)
-    assert traced[_LOG_AT] > 0 and traced[_LOG_AT + 1] is not None
+    for calls, log_at in ((kway_calls, _LOG_AT), (bisect_calls, _BISECT_LOG_AT)):
+        untraced, traced = calls
+        assert untraced[log_at : log_at + 3] == (0, None, None)
+        assert traced[log_at] > 0 and traced[log_at + 1] is not None
 
 
 @pytest.mark.parametrize("family", ["circuit", "rmat"])
@@ -193,12 +200,14 @@ def test_colliding_hashes_through_the_driver(family, monkeypatch):
     """Every content hash masked to 0 reaches the driver's contraction,
     which then merges nets by the exact pin comparison alone."""
     monkeypatch.setattr(coarsen, "_HASH_MASK", 0)
-    calls = _spy(monkeypatch, get_kernels(), "partition_kway")
+    kway_calls = _spy(monkeypatch, get_kernels(), "partition_kway")
+    bisect_calls = _spy(monkeypatch, get_kernels(), "bisect")
     hg = _model(family, 2)
     want, got = _both(lambda: _run_drivers(hg, seed=9))
     assert np.array_equal(want[0], got[0])
     assert np.array_equal(want[1], got[1]) and want[2] == got[2]
-    assert [args[_MASK_AT] for args in calls] == [0]
+    assert [args[_MASK_AT] for args in kway_calls] == [0]
+    assert [args[_BISECT_MASK_AT] for args in bisect_calls] == [0]
 
 
 def _driver_args(hg: Hypergraph, nparts: int = 4) -> dict:
@@ -238,6 +247,31 @@ def test_debug_guard_checks_driver_inputs(monkeypatch):
     plain = ops.partition_kway(lib, **_driver_args(hg))
     assert np.array_equal(guarded[0], plain[0])
     assert guarded[1] > 0 and plain[1] == 0  # events written only to a log
+
+
+@pytest.mark.parametrize("arg", ["pins", "xnets", "vweights", "rng_state"])
+def test_driver_entries_reject_wrong_dtype_or_layout(arg):
+    """The drivers take bare addresses; the wrappers refuse an array of
+    another dtype or a non-C-contiguous one before the call instead of
+    converting it (or letting C misread it)."""
+    hg = _model("mesh", 2)
+    t = hg.total_weight().astype(np.float64) / 2
+    kway = _driver_args(hg)
+    bisect = {k: v for k, v in kway.items() if k not in ("nparts", "eps_level", "kway_passes")}
+    bisect["targets"] = np.array([t, t])
+    lib = get_kernels()
+    for name, wrapper, args in (
+        ("partition_kway", ops.partition_kway, kway),
+        ("bisect", ops.bisect, bisect),
+    ):
+        wrapper(lib, **args)  # the valid call runs
+        good = args[arg]
+        wrong_dtype = good.astype(np.float32 if good.dtype.kind in "iu" else np.int64)
+        strided = np.repeat(good, 2, axis=0)[::2]  # same values, every other row
+        assert not strided.flags.c_contiguous
+        for bad in (wrong_dtype, strided):
+            with pytest.raises(TypeError, match=f"native {name}: {arg} must be a C-contig"):
+                wrapper(lib, **{**args, arg: bad})
 
 
 def test_oversized_gain_bound_raises_memory_error():
