@@ -4,8 +4,8 @@ backends.
 Times ``BlockStructure.block_stats`` and ``batched_block_dm`` on a
 64-part R-MAT instance (≥ 1e5 nonzeros) — the DM batch once with the
 native kernel (one ``repro_block_dm`` call) and once with the NumPy
-reference loop — plus the engine's cached-vs-uncached multi-method
-pipeline, and emits the numbers to ``BENCH_engine.json`` at the
+reference loop — plus the engine's multi-method pipeline on one
+shared engine against a fresh engine per method, and emits the numbers to ``BENCH_engine.json`` at the
 repository root.  Exits non-zero when the native DM batch is less than
 ``NATIVE_DM_SPEEDUP_TARGET`` times faster than the NumPy one (skipped
 without a compiler).
@@ -84,13 +84,19 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
     t_dm_native = _dm_time("native") if native else None
 
     # Engine pipeline: five methods on one matrix, shared intermediates
-    # vs rebuilt-per-method.  A smaller instance keeps this section fast.
+    # (one engine) vs rebuilt per method (a fresh engine each, built
+    # before the clock starts).  A smaller instance keeps this section
+    # fast.
     b = rmat(9, edge_factor=8.0, seed=7)
+    methods = ("1d-rowwise", "s2d-heuristic", "s2d-optimal", "s2d-bounded", "s2d-balanced")
 
-    def _pipeline(cache: bool) -> float:
-        eng = PartitionEngine(b, seed=1, cache=cache)
+    def _pipeline(shared: bool) -> float:
+        if shared:
+            engines = [PartitionEngine(b, seed=1)] * len(methods)
+        else:
+            engines = [PartitionEngine(b, seed=1) for _ in methods]
         t0 = time.perf_counter()
-        for method in ("1d-rowwise", "s2d-heuristic", "s2d-optimal", "s2d-bounded", "s2d-balanced"):
+        for eng, method in zip(engines, methods):
             eng.plan(method, 16)
         return time.perf_counter() - t0
 
@@ -117,7 +123,7 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
             "native_speedup_target": NATIVE_DM_SPEEDUP_TARGET,
         },
         "engine_pipeline": {
-            "methods": 5,
+            "methods": len(methods),
             "nparts": 16,
             "uncached_s": t_pipe_uncached,
             "cached_s": t_pipe_cached,

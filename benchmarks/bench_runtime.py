@@ -12,11 +12,9 @@ mesh under a communication-heavy cyclic s2D partition at K ∈ {16, 64}:
 - the compiled plan's per-iteration wall-clock (after compile),
 - the compile cost and the break-even iteration count
   (``compile_s / (per_call_s − apply_s)``),
-- a batched ``apply_many`` pass over 8 right-hand sides (with the
-  per-RHS-column cost ``apply_many_per_rhs_s`` alongside the total),
-- the native C kernel backend's apply / apply_many
-  (``apply_native_s``/``apply_many_native_s``; ``native_speedup`` =
-  NumPy apply over native apply) when a C compiler is available,
+- the native C kernel backend's apply (``apply_native_s``;
+  ``native_speedup`` = NumPy apply over native apply) when a C
+  compiler is available,
 - a raw single-core ``scipy.sparse`` CSR matvec on the same vector
   (``scipy_csr_s``) — the no-partition floor the compiled apply's
   gather/scatter overhead is judged against; every entry carries
@@ -24,7 +22,7 @@ mesh under a communication-heavy cyclic s2D partition at K ∈ {16, 64}:
   lower is better) and ``vs_scipy_native`` for the native kernels,
 
 verifying on every entry that the compiled apply's ``y`` — under *both*
-kernel backends, batched and single-RHS — is *bit-identical* to the
+kernel backends — is *bit-identical* to the
 simulator's and the ledgers snapshot identically.
 A second section times a full 30-iteration power-iteration solve
 through the compiled runtime against a hand loop over the per-call
@@ -65,7 +63,6 @@ VS_SCIPY_NATIVE_TARGET = 4.0
 ACCEPTANCE_MODEL = "mesh10k"  # the ~10k-vertex suite mesh
 ACCEPTANCE_K = 64
 ACCEPTANCE_EXECUTOR = "single"
-NRHS = 8
 
 
 def _matrices(quick: bool):
@@ -148,7 +145,6 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
             ncols = p.matrix.shape[1]
             rng = np.random.default_rng(SEED)
             x = rng.standard_normal(ncols)
-            xs = rng.standard_normal((ncols, NRHS))
             # Single-core floor: a raw scipy CSR matvec on the same x
             # (no partition, no ledger) — context for apply_s.
             t_csr = float("inf")
@@ -158,9 +154,8 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
                 t_csr = min(t_csr, time.perf_counter() - t0)
             for ex_name, per_call, routed in executors:
                 pp = pb if routed else p
-                t_compile = t_call = t_apply = t_many = float("inf")
-                t_apply_nat = t_many_nat = float("inf")
-                run_nat = ys_nat = None
+                t_compile = t_call = t_apply = t_apply_nat = float("inf")
+                run_nat = None
                 for _ in range(reps):  # best-of-N vs noise
                     t0 = time.perf_counter()
                     plan = compile_plan(pp, executor=ex_name)
@@ -176,28 +171,16 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
                     t0 = time.perf_counter()
                     run_plan = plan.apply(x, backend="numpy")
                     t_apply = min(t_apply, time.perf_counter() - t0)
-                    t0 = time.perf_counter()
-                    ys = plan.apply_many(xs, backend="numpy")
-                    t_many = min(t_many, time.perf_counter() - t0)
                     if have_native:
                         plan.apply_y(x, backend="native")
                         t0 = time.perf_counter()
                         run_nat = plan.apply(x, backend="native")
                         t_apply_nat = min(t_apply_nat, time.perf_counter() - t0)
-                        t0 = time.perf_counter()
-                        ys_nat = plan.apply_many(xs, backend="native")
-                        t_many_nat = min(t_many_nat, time.perf_counter() - t0)
-                same = _identical(run_plan, run_ref) and np.array_equal(
-                    ys[:, 0], plan.apply_y(xs[:, 0], backend="numpy")
-                )
+                same = _identical(run_plan, run_ref)
                 if have_native:
                     # The native kernels must reproduce the NumPy bits
-                    # exactly — apply, batched, and per column.
-                    same = (
-                        same
-                        and _identical(run_nat, run_ref)
-                        and np.array_equal(ys_nat, ys)
-                    )
+                    # exactly.
+                    same = same and _identical(run_nat, run_ref)
                 saved = t_call - t_apply
                 amortize = t_compile / saved if saved > 0 else float("inf")
                 native_speedup = t_apply / t_apply_nat if have_native else None
@@ -217,13 +200,6 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
                         "vs_scipy_native": (
                             t_apply_nat / t_csr if have_native else None
                         ),
-                        "apply_many_s": t_many,
-                        "apply_many_per_rhs_s": t_many / NRHS,
-                        "apply_many_native_s": t_many_nat if have_native else None,
-                        "apply_many_native_per_rhs_s": (
-                            t_many_nat / NRHS if have_native else None
-                        ),
-                        "apply_many_rhs": NRHS,
                         "speedup": t_call / t_apply,
                         "amortize_iters": amortize,
                         "identical": same,
@@ -315,7 +291,7 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
         e["vs_scipy_native"] <= VS_SCIPY_NATIVE_TARGET for e in native_gate
     )
     result = {
-        "config": {"seed": SEED, "quick": quick, "ks": list(ks), "nrhs": NRHS},
+        "config": {"seed": SEED, "quick": quick, "ks": list(ks)},
         "native": {
             "available": have_native,
             "status": native_status(),

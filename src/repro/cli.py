@@ -166,8 +166,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_table.add_argument(
         "--backend", choices=BACKENDS, default="auto",
-        help="numeric kernel backend for any compiled applies "
-        "(auto = native where a C compiler is available)",
+        help="process-default kernel backend, followed by the hypergraph "
+        "partitioner, the batched block DM and the s2D flip loop "
+        "(auto = native where a C compiler is available; tables are "
+        "identical on every backend)",
     )
     _add_trace_args(p_table)
 
@@ -362,8 +364,8 @@ def _dispatch(args) -> int:
     if args.cmd == "table":
         from repro.native import set_default_backend
 
-        # Tables reach compiled applies through many layers; setting the
-        # process default covers them all without threading the kwarg.
+        # The partitioner, the block DM batch and the s2D flip loop take
+        # no backend kwarg; they follow the process default set here.
         set_default_backend(args.backend)
         _resolve_backend_or_exit(args.backend)
         cfg = ExperimentConfig(scale=args.scale) if args.scale else ExperimentConfig()

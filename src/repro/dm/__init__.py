@@ -4,7 +4,9 @@ The paper's volume-optimal s2D split (Section IV-A) rests on the coarse
 DM decomposition of each off-diagonal block: the *horizontal* block
 ``H`` (more columns than rows) is the unique maximal sub-block whose
 reassignment to the column owner turns column traffic into cheaper row
-traffic.  This package implements the whole chain from scratch:
+traffic.  Only the coarse decomposition is needed for that: the fine
+(block-triangular) form of the square block plays no part in the split.
+This package implements the chain from scratch:
 
 - :mod:`repro.dm.matching` — Hopcroft–Karp maximum bipartite matching;
 - :mod:`repro.dm.decomposition` — the coarse (horizontal/square/
@@ -21,7 +23,6 @@ traffic.  This package implements the whole chain from scratch:
 
 from repro.dm.batch import BlockDM, BlockDMTable, batched_block_dm
 from repro.dm.decomposition import CoarseDM, coarse_dm, minimum_cover_size
-from repro.dm.fine import FineDM, fine_dm
 from repro.dm.matching import hopcroft_karp, is_matching, matching_size
 
 __all__ = [
@@ -31,8 +32,6 @@ __all__ = [
     "CoarseDM",
     "coarse_dm",
     "minimum_cover_size",
-    "FineDM",
-    "fine_dm",
     "hopcroft_karp",
     "is_matching",
     "matching_size",

@@ -22,9 +22,7 @@ once.  The memo holds each plan's partition and only a weak reference
 to the :class:`Plan` around it: a plan points back at its engine, and
 a memo holding plans made every engine a reference cycle, whose
 memory only a full garbage collection could free.  Without the cycle
-a dropped engine is freed at once.  Set ``cache=False`` to rebuild
-everything per call (the equivalence tests pin that both modes produce
-identical results).
+a dropped engine is freed at once.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import numpy as np
 
 from repro import obs
 from repro.dm.batch import BlockDMTable, batched_block_dm
-from repro.engine.registry import METHODS, available_methods, resolve_method
+from repro.engine.registry import METHODS, resolve_method
 from repro.hypergraph import PartitionConfig
 from repro.partition.types import SpMVPartition, VectorPartition
 from repro.runtime import CommPlan, compile_plan
@@ -121,9 +119,6 @@ class PartitionEngine:
         and for the s2D load tolerance.
     machine:
         Default cost model for :meth:`evaluate`.
-    cache:
-        When False, every call rebuilds its intermediates (results are
-        identical; only work is repeated).
     artifacts:
         Optional persistent artifact store (duck-typed; see
         :class:`repro.sweep.cache.ArtifactCache`).  When set, built
@@ -142,14 +137,12 @@ class PartitionEngine:
         seed: int = 42,
         epsilon: float = 0.03,
         machine: MachineModel | None = None,
-        cache: bool = True,
         artifacts=None,
     ) -> None:
         self._matrix = canonical_coo(a)
         self.seed = seed
         self.epsilon = epsilon
         self.machine = machine or MachineModel()
-        self.cache_enabled = bool(cache)
         self.artifacts = artifacts
         self._store: dict = {}
         # key -> the live Plan around a memoized partition (weak: a plan
@@ -182,8 +175,6 @@ class PartitionEngine:
         return self._matrix_digest
 
     def _memo(self, key: tuple, build):
-        if not self.cache_enabled:
-            return build()
         if key in self._store:
             self.cache_stats["hits"] += 1
             obs.add("engine.cache_hits")
@@ -193,11 +184,6 @@ class PartitionEngine:
         value = build()
         self._store[key] = value
         return value
-
-    def clear_cache(self) -> None:
-        """Drop every memoized intermediate (the matrix stays)."""
-        self._store.clear()
-        self.cache_stats = {"hits": 0, "misses": 0}
 
     def cache_info(self) -> dict:
         """Hit/miss counters, stored-entry count, and ``cached_bytes``
@@ -335,14 +321,12 @@ class PartitionEngine:
 
         with obs.span("engine.plan", method=name, k=int(nparts)):
             partition = self._memo(key, build)
-        plan = self._plans.get(key) if self.cache_enabled else None
-        # A live plan may wrap a partition clear_cache() has since dropped.
-        if plan is None or plan.partition is not partition:
+        plan = self._plans.get(key)
+        if plan is None:
             plan = Plan(
                 method=name, nparts=int(nparts), partition=partition, engine=self, key=key
             )
-            if self.cache_enabled:
-                self._plans[key] = plan
+            self._plans[key] = plan
         return plan
 
     def run(self, plan: Plan, x: np.ndarray | None = None) -> SpMVRun:
@@ -390,36 +374,6 @@ class PartitionEngine:
             verify_plan(cplan)
         return cplan
 
-    def simulate_all(
-        self,
-        nparts: int,
-        methods=None,
-        *,
-        x: np.ndarray | None = None,
-        config: PartitionConfig | None = None,
-        **opts,
-    ) -> dict[str, SpMVRun]:
-        """Plan and execute every method's simulated SpMV in one batch.
-
-        ``methods`` defaults to every registered method.  All runs share
-        this engine's memoized intermediates — the s2D family reuses one
-        1D hypergraph vector partition and one block-analytics pass, and
-        repeated methods (or later :meth:`evaluate` calls) reuse the
-        cached :class:`~repro.simulate.machine.SpMVRun` — so simulating
-        the whole registry costs far less than independent executions.
-        Returns ``{canonical method name: run}`` in iteration order.
-        """
-        names = (
-            [resolve_method(m) for m in methods]
-            if methods is not None
-            else available_methods()
-        )
-        runs: dict[str, SpMVRun] = {}
-        for name in names:
-            plan = self.plan(name, nparts, config=config, **opts)
-            runs[name] = self.run(plan, x)
-        return runs
-
     def evaluate(
         self,
         plan: Plan | SpMVPartition,
@@ -435,18 +389,3 @@ class PartitionEngine:
         if isinstance(plan, SpMVPartition):
             return summarize(plan, run_partition(plan, x), machine)
         return summarize(plan.partition, self.run(plan, x), machine)
-
-    def compare(
-        self,
-        methods,
-        nparts: int,
-        *,
-        config: PartitionConfig | None = None,
-        machine: MachineModel | None = None,
-        **opts,
-    ) -> dict[str, PartitionQuality]:
-        """Plan and evaluate several methods on the shared intermediates."""
-        return {
-            m: self.plan(m, nparts, config=config, **opts).quality(machine)
-            for m in methods
-        }

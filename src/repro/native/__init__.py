@@ -31,7 +31,7 @@ via :mod:`ctypes`, and dispatched behind a feature flag:
 
 - ``backend="numpy" | "native" | "auto"`` kwargs on
   :meth:`~repro.runtime.CommPlan.apply` /
-  :meth:`~repro.runtime.CommPlan.apply_many` and the solvers (the
+  :meth:`~repro.runtime.CommPlan.apply_y` and the solvers (the
   partitioner, the DM batch and the s2D flip loop take no kwarg and
   follow the process default; the serial shard replay, a verification
   aid, runs NumPy only);

@@ -93,7 +93,7 @@ SANITIZE_ENV = "REPRO_NATIVE_SANITIZE"
 DEBUG_ENV = "REPRO_NATIVE_DEBUG"
 BACKENDS = ("auto", "numpy", "native")
 
-ABI_VERSION = 8
+ABI_VERSION = 9
 CFLAGS = ("-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off")
 # The sanitizer variant keeps -ffp-contract=off and the same loop code,
 # so its outputs stay bit-identical; -O1 keeps ASan shadow checks fast
@@ -115,7 +115,7 @@ _PTR = ctypes.c_void_p
 # name -> (argtypes, restype): the whole-call entries, the library's
 # only exports besides repro_native_abi.
 _SIGNATURES = {
-    "repro_plan_apply": ([_INT] * 5 + [_PTR] * 8 + [_INT] + [_PTR] * 3, None),
+    "repro_plan_apply": ([_INT] * 5 + [_PTR] * 11, None),
     "repro_block_dm": ([_INT] + [_PTR] * 10, None),
     "repro_s2d_flip": ([_INT] * 3 + [ctypes.c_double] + [_PTR] * 6, _INT),
     "repro_bisect": (

@@ -49,10 +49,6 @@
  *   rounding and change the low bits);
  * - no reassociation: strict IEEE semantics are the C default, so the
  *   register sum is not split into vector lanes.
- *
- * With r right-hand sides (x of shape (ncols, r), row-major) every
- * column runs the single-column order, so batched results equal
- * sequential single applies bitwise.
  */
 
 #define _POSIX_C_SOURCE 199309L /* clock_gettime */
@@ -68,16 +64,16 @@
 
 /* Bumped whenever an exported signature changes; the loader refuses a
  * cached .so whose ABI does not match (stale-cache guard). */
-EXPORT int64_t repro_native_abi(void) { return 8; }
+EXPORT int64_t repro_native_abi(void) { return 9; }
 
 /* acc[idx[i]] += vals[i] * x[cols[i]]  — the fused expand/compute
  * inner loop: gather x, multiply by the nonzero value, scatter-add
  * into the group (or output-row) accumulator.
  *
  * This loop and the next stay out of line.  Which operand of an add
- * passes its NaN on is the compiler's choice, and inlining them changes
- * that choice in the batched loops below; the inf/NaN bit-identity
- * tests pin the out-of-line code. */
+ * passes its NaN on is the compiler's choice, and inlining them has
+ * changed that choice before; the inf/NaN bit-identity tests pin the
+ * out-of-line code. */
 static __attribute__((noinline)) void gather_mul_scatter(
     int64_t n,
     const double *restrict vals,
@@ -108,48 +104,7 @@ static void zero(double *a, int64_t n)
         a[i] = 0.0;
 }
 
-/* gather_mul_scatter over r columns into a zeroed acc of m rows. */
-static void gather_mul_scatter_r(
-    int64_t n, int64_t r, int64_t m,
-    const double *restrict vals, const int64_t *restrict cols,
-    const double *restrict x, const int64_t *restrict idx,
-    double *restrict acc)
-{
-    zero(acc, m * r);
-    if (r == 1) {
-        gather_mul_scatter(n, vals, cols, x, idx, acc);
-        return;
-    }
-    for (int64_t i = 0; i < n; i++) {
-        const double v = vals[i];
-        const double *restrict xrow = x + cols[i] * r;
-        double *restrict arow = acc + idx[i] * r;
-        for (int64_t j = 0; j < r; j++)
-            arow[j] += v * xrow[j];
-    }
-}
-
-/* scatter_add over r columns into a zeroed acc of m rows. */
-static void scatter_add_r(
-    int64_t n, int64_t r, int64_t m,
-    const int64_t *restrict idx, const double *restrict vals,
-    double *restrict acc)
-{
-    zero(acc, m * r);
-    if (r == 1) {
-        scatter_add(n, idx, vals, acc);
-        return;
-    }
-    for (int64_t i = 0; i < n; i++) {
-        const double *restrict vrow = vals + i * r;
-        double *restrict arow = acc + idx[i] * r;
-        for (int64_t j = 0; j < r; j++)
-            arow[j] += vrow[j];
-    }
-}
-
-/* One CommPlan apply, y = A x, over r right-hand sides (x is (ncols, r)
- * and y (nrows, r), row-major):
+/* One CommPlan apply, y = A x:
  *
  *   psums[g1[i]] += pre_vals[i] * x[pre_cols[i]]       (ng1 groups)
  *   fsums[g2[i]] += psums[i]        when g2 != NULL     (ng2 groups)
@@ -159,10 +114,10 @@ static void scatter_add_r(
  *                                   then one y += fold (nfold > 0)
  *
  * Two-phase plans have no main section (ptr == NULL): y is the fold
- * scatter alone.  work holds ng1*r doubles for psums, then ng2*r for
- * fsums when g2 != NULL, then nrows*r for the fold buffer when there
- * is a main section and nfold > 0; every piece is zeroed here.  The
- * group indices are compact (each below its group count).
+ * scatter alone.  work holds ng1 doubles for psums, then ng2 for fsums
+ * when g2 != NULL, then nrows for the fold buffer when there is a main
+ * section and nfold > 0; every piece is zeroed here.  The group
+ * indices are compact (each below its group count).
  *
  * The main products are summed per row in a register, not scattered:
  * a scatter's read-modify-write of y[row] puts a store-to-load
@@ -177,48 +132,38 @@ EXPORT void repro_plan_apply(
     const int64_t *restrict ptr,
     const int64_t *restrict main_cols,
     const double *restrict main_vals,
-    int64_t r,
     const double *restrict x,
     double *restrict y,
     double *restrict work)
 {
     double *psums = work;
-    gather_mul_scatter_r(npre, r, ng1, pre_vals, pre_cols, x, g1, psums);
+    zero(psums, ng1);
+    gather_mul_scatter(npre, pre_vals, pre_cols, x, g1, psums);
     const double *fsums = psums;
-    work += ng1 * r;
+    work += ng1;
     if (g2 != NULL) {
-        scatter_add_r(ng1, r, ng2, g2, psums, work);
+        zero(work, ng2);
+        scatter_add(ng1, g2, psums, work);
         fsums = work;
-        work += ng2 * r;
+        work += ng2;
     }
     if (ptr == NULL) {
-        scatter_add_r(nfold, r, nrows, fold_rows, fsums, y);
+        zero(y, nrows);
+        scatter_add(nfold, fold_rows, fsums, y);
         return;
     }
-    if (r == 1) {
-        for (int64_t row = 0; row < nrows; row++) {
-            double s = 0.0;
-            for (int64_t k = ptr[row]; k < ptr[row + 1]; k++)
-                s += main_vals[k] * x[main_cols[k]];
-            y[row] = s;
-        }
-    } else {
-        for (int64_t row = 0; row < nrows; row++) {
-            double *restrict yrow = y + row * r;
-            zero(yrow, r);
-            for (int64_t k = ptr[row]; k < ptr[row + 1]; k++) {
-                const double v = main_vals[k];
-                const double *restrict xrow = x + main_cols[k] * r;
-                for (int64_t j = 0; j < r; j++)
-                    yrow[j] += v * xrow[j];
-            }
-        }
+    for (int64_t row = 0; row < nrows; row++) {
+        double s = 0.0;
+        for (int64_t k = ptr[row]; k < ptr[row + 1]; k++)
+            s += main_vals[k] * x[main_cols[k]];
+        y[row] = s;
     }
     if (nfold > 0) {
         /* A separate accumulator, then one vector add: the association
          * of the NumPy y += np.bincount(fold_rows, fsums). */
-        scatter_add_r(nfold, r, nrows, fold_rows, fsums, work);
-        for (int64_t i = 0; i < nrows * r; i++)
+        zero(work, nrows);
+        scatter_add(nfold, fold_rows, fsums, work);
+        for (int64_t i = 0; i < nrows; i++)
             y[i] += work[i];
     }
 }

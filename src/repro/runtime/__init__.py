@@ -15,10 +15,8 @@ verification) on every multiply.  This package keeps that structure:
   pure array gathers/scatters with zero per-call set-up, returning an
   :class:`~repro.simulate.machine.SpMVRun` whose ``y`` and ledger are
   bit-identical to the per-call simulator's (which computes its ``y``
-  with this same apply);
-- :meth:`CommPlan.apply_many` batches several right-hand sides through
-  the one compiled schedule (column-stacked, same bit-identical
-  numerics per column).
+  with this same apply).  A solver multiplies one vector per
+  iteration, so each apply takes one right-hand side.
 
 The iterative solvers (:mod:`repro.solvers`), the engine's memoized
 ``compiled_plan`` intermediate and the CLI ``solve`` subcommand all

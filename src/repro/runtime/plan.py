@@ -40,9 +40,7 @@ starts at +0.0 and adds the products in element order.  That is
 exactly what ``np.bincount`` does for the row's bin — it starts every
 bin at +0.0 and adds its weights in element order — so the register
 sum is bit-identical, down to a row of ``-0.0`` products summing to
-+0.0.  :meth:`CommPlan.apply_many` runs the same call with ``r``
-columns, each in the single-RHS order, so batched columns match
-single applies bitwise too.
++0.0.
 """
 
 from __future__ import annotations
@@ -152,19 +150,9 @@ class _NativeApply:
             nrows, npre, ng1, ng2, nfold,
             *native_ops.addresses("plan_apply", *arrays),
         )
-        # Per right-hand side: psums, then fsums (routed), then the
-        # fold accumulator (main section plus a fold).
+        # psums, then fsums (routed), then the fold accumulator (main
+        # section plus a fold).
         self._work = ng1 + ng2 + (nrows if ptr is not None and nfold else 0)
-
-    def _call(self, x: np.ndarray, r: int, y: np.ndarray) -> np.ndarray:
-        work = np.empty(self._work * r)
-        self._fn(
-            *self._bound, r,
-            *native_ops.addresses(
-                "plan_apply", ("x", x, _F64), ("y", y, _F64), ("work", work, _F64)
-            ),
-        )
-        return y
 
     def apply_y(self, x: np.ndarray) -> np.ndarray:
         """``y`` for a C-contiguous float64 ``x`` of length ``ncols``
@@ -175,18 +163,15 @@ class _NativeApply:
                 f"native plan apply: x has shape {getattr(x, 'shape', None)}, "
                 f"expected ({self.ncols},)"
             )
-        return self._call(x, 1, np.empty(self.nrows))
-
-    def apply_many(self, xs: np.ndarray) -> np.ndarray:
-        """``Y`` (nrows, r) for a C-contiguous float64 ``xs`` (ncols, r)."""
-        shape = getattr(xs, "shape", None)
-        if shape is None or len(shape) != 2 or shape[0] != self.ncols:
-            raise SimulationError(
-                f"native plan apply: xs has shape {shape}, "
-                f"expected ({self.ncols}, r)"
-            )
-        r = int(shape[1])
-        return self._call(xs, r, np.empty((self.nrows, r)))
+        y = np.empty(self.nrows)
+        work = np.empty(self._work)
+        self._fn(
+            *self._bound,
+            *native_ops.addresses(
+                "plan_apply", ("x", x, _F64), ("y", y, _F64), ("work", work, _F64)
+            ),
+        )
+        return y
 
 
 # ----------------------------------------------------------------------
@@ -382,34 +367,6 @@ class CommPlan:
             kind=self.kind,
             meta=self.meta,
         )
-
-    def apply_many(
-        self, xs: np.ndarray, *, backend: str | None = None
-    ) -> np.ndarray:
-        """Batch column-stacked right-hand sides ``xs`` (ncols, r).
-
-        Returns ``Y`` of shape (nrows, r); each column is bit-identical
-        to ``apply_y(xs[:, j])``.  A 1-D input is promoted to a single
-        column and returned 1-D.  The native backend makes the single
-        ``repro_plan_apply`` call with all r columns (one pass over the
-        index arrays); the NumPy backend routes each column through the single-RHS kernels
-        — the former batched ``np.add.at`` formulation cost more per
-        column than sequential applies, and per-column ``bincount``
-        keeps the exact element order.
-        """
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim == 1:
-            return self.apply_y(xs, backend=backend)
-        if xs.ndim != 2 or xs.shape[0] != self.ncols:
-            raise SimulationError(
-                f"xs has shape {xs.shape}, expected ({self.ncols}, r)"
-            )
-        if resolve_backend(backend) == "native":
-            return self._native().apply_many(np.ascontiguousarray(xs))
-        y = np.empty((self.nrows, xs.shape[1]))
-        for j in range(xs.shape[1]):
-            y[:, j] = self._apply_y_numpy(np.ascontiguousarray(xs[:, j]))
-        return y
 
     # ------------------------------------------------------------ pickling
 

@@ -5,12 +5,13 @@ Both run a :class:`~repro.sweep.grid.SweepGrid` on one supervisor.
 :class:`Campaign` adds durable state, so a worker crash, OOM kill or
 host reboot loses at most the in-flight cells:
 
-- **journal** — every cell lifecycle transition (``scheduled`` /
-  ``started`` / ``done`` / ``failed`` / ``quarantined``) is an
-  append-only, fsync'd, checksummed JSONL event
-  (:mod:`repro.sweep.journal`).  The journal is written *before* the
-  campaign's in-memory state advances, so ``kill -9`` at any byte
-  offset loses at most the in-flight cells.
+- **journal** — every cell lifecycle transition (``started`` /
+  ``done`` / ``failed`` / ``quarantined``) is an append-only, fsync'd,
+  checksummed JSONL event (:mod:`repro.sweep.journal`).  A dispatch
+  writes nothing: a cell handed to a worker that dies before its
+  ``started`` line is still pending on replay.  The journal is written
+  *before* the campaign's in-memory state advances, so ``kill -9`` at
+  any byte offset loses at most the in-flight cells.
 - **resume** — :meth:`Campaign.resume` replays the journal (recovering
   a torn or corrupted tail first), rehydrates completed cells' records
   from the :class:`~repro.sweep.cache.ArtifactCache` (write-through
@@ -454,9 +455,6 @@ class _Supervisor:
                 continue  # one worker per task at a time (engine affinity)
             items = []
             for state in ready[task_index]:
-                self._journal.append(
-                    {"ev": "scheduled", "cell": state.uid, "attempt": state.attempts},
-                )
                 state.status = "running"
                 items.append((state.uid, state.cell, state.attempts))
             job = _Job(task_index, items, deadline=now + self.watchdog_s)
@@ -950,6 +948,8 @@ class Campaign(_Supervisor):
             elif kind == "quarantined":
                 state.status = "quarantined"
                 state.quarantine_reason = ev.get("reason", "budget")
+            # Older journals also hold a "scheduled" line per dispatch;
+            # it carries no state and is skipped.
         # A start with no matching outcome was in flight when the
         # campaign died: charge one transient attempt so a cell that
         # *causes* the crash (e.g. the OOM killer) cannot loop forever

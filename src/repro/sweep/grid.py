@@ -197,7 +197,6 @@ class MatrixTask:
     epsilon: float
     machines: tuple[MachineModel, ...]
     cells: tuple[Cell, ...]
-    compile_plans: bool = False
 
     @property
     def name(self) -> str:
@@ -210,9 +209,7 @@ class SweepGrid:
 
     ``matrices`` × ``schemes`` × ``ks`` × ``seeds`` × ``machines``;
     ``epsilon`` is both the partitioner imbalance tolerance and the
-    engines' s2D default.  ``compile_plans=True`` additionally compiles
-    (and, with a cache, persists) a :class:`~repro.runtime.CommPlan`
-    per cell — for sweeps feeding iterative-solver scenarios.
+    engines' s2D default.
     """
 
     matrices: tuple[MatrixRef, ...]
@@ -221,7 +218,6 @@ class SweepGrid:
     seeds: tuple[int, ...] = (42,)
     machines: tuple[MachineModel, ...] = (MachineModel(),)
     epsilon: float = 0.03
-    compile_plans: bool = False
 
     def __post_init__(self) -> None:
         if not (self.matrices and self.schemes and self.ks):
@@ -271,7 +267,6 @@ class SweepGrid:
                         epsilon=self.epsilon,
                         machines=self.machines,
                         cells=cells,
-                        compile_plans=self.compile_plans,
                     )
                 )
         return tasks

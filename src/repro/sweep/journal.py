@@ -1,9 +1,9 @@
 """Append-only, fsync'd, checksummed JSONL campaign journal.
 
 The journal is the crash-safety backbone of :mod:`repro.sweep.campaign`:
-every cell lifecycle transition (``scheduled`` / ``started`` / ``done``
-/ ``failed`` / ``quarantined``) is one line, appended and fsync'd
-before the campaign acts on it, so a ``kill -9`` at *any byte offset*
+every cell lifecycle transition (``started`` / ``done`` / ``failed`` /
+``quarantined``) is one line, appended and fsync'd before the campaign
+acts on it, so a ``kill -9`` at *any byte offset*
 loses at most the in-flight cells — never a completed one.
 
 Line format::

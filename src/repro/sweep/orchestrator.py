@@ -231,19 +231,11 @@ def _execute_cell(task, engine, cache, digest, cell) -> CellRecord:
         record_key = cache.record_key(digest, plan_key, _machine_key(machine))
         quality = cache.fetch_record_hex(record_key)
     from_cache = quality is not None
-    plan = None
     if quality is None:
         plan = engine.plan(cell.scheme, cell.k, config=config, **opts)
         quality = engine.evaluate(plan, machine=machine)
         if cache is not None:
             cache.store_record_hex(record_key, quality)
-    if task.compile_plans:
-        # Compile even when the record came from the cache: the
-        # plan itself is then a cheap artifact fetch, and the
-        # CommPlan contract holds regardless of record warmth.
-        if plan is None:
-            plan = engine.plan(cell.scheme, cell.k, config=config, **opts)
-        engine.compiled_plan(plan)
     return CellRecord(
         matrix=task.name,
         scale=task.ref.scale,

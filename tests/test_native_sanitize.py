@@ -102,7 +102,7 @@ a = canonical_coo(sp.random(60, 60, density=0.1, random_state=3, format="coo"))
 eng = PartitionEngine(a, seed=11)
 rng = np.random.default_rng(44)
 # repro_plan_apply on all three execution models (single, two-phase,
-# routed), one and many right-hand sides, K=1 included.
+# routed), K=1 included.
 modes = set()
 for method in ("1d-rowwise", "s2d-heuristic", "finegrain", "s2d-bounded"):
     for k in (1, 3):
@@ -111,10 +111,6 @@ for method in ("1d-rowwise", "s2d-heuristic", "finegrain", "s2d-bounded"):
         x = rng.standard_normal(plan.ncols)
         assert np.array_equal(
             plan.apply_y(x, backend="numpy"), plan.apply_y(x, backend="native")
-        ), method
-        xs = rng.standard_normal((plan.ncols, 4))
-        assert np.array_equal(
-            plan.apply_many(xs, backend="numpy"), plan.apply_many(xs, backend="native")
         ), method
 assert modes == {"single", "two", "routed"}, modes
 

@@ -356,12 +356,9 @@ def test_gather_stats_aggregates_engines(small_partition):
     from repro.engine import PartitionEngine
 
     eng = PartitionEngine(small_partition.matrix)
-    try:
-        eng.plan("1d", 2)
-        eng.plan("1d", 2)  # memo hit
-        report = obs.gather_stats(engines=[eng], caches=[], native=False)
-    finally:
-        eng.clear_cache()
+    eng.plan("1d", 2)
+    eng.plan("1d", 2)  # memo hit
+    report = obs.gather_stats(engines=[eng], caches=[], native=False)
     assert report["engine_totals"]["hits"] >= 1
     assert report["engine_totals"]["misses"] >= 1
     assert report["native"] is None

@@ -5,7 +5,7 @@
 digests of ``tests/fixtures/runtime_golden.json`` and stay
 bit-identical to each other — on suite matrices, real partitioner
 output, random admissible partitions and rectangular instances — plus
-the batched ``apply_many``, plan persistence, the engine's memoized
+plan persistence, the engine's memoized
 ``compiled_plan`` intermediate and the CLI ``solve`` subcommand.
 """
 
@@ -77,19 +77,6 @@ def test_apply_default_x_matches_executor(partitioned_instances):
         assert np.array_equal(plan.apply_y(), run_partition(p).y)
 
 
-def test_apply_many_matches_single_applies(partitioned_instances):
-    rng = np.random.default_rng(29)
-    for p, _ in partitioned_instances:
-        plan = compile_plan(p)
-        xs = rng.standard_normal((p.matrix.shape[1], 4))
-        ys = plan.apply_many(xs)
-        assert ys.shape == (p.matrix.shape[0], 4)
-        for j in range(4):
-            assert np.array_equal(ys[:, j], plan.apply_y(xs[:, j]))
-        # 1-D input degenerates to a single apply
-        assert np.array_equal(plan.apply_many(xs[:, 0]), plan.apply_y(xs[:, 0]))
-
-
 def test_static_costs_match_executor_run(partitioned_instances):
     machine = MachineModel(alpha=50, beta=2, gamma=1)
     for p, _ in partitioned_instances:
@@ -105,8 +92,6 @@ def test_plan_rejects_wrong_x_size(partitioned_instances):
     plan = compile_plan(p)
     with pytest.raises(SimulationError, match="size"):
         plan.apply_y(np.ones(plan.ncols + 1))
-    with pytest.raises(SimulationError, match="shape"):
-        plan.apply_many(np.ones((plan.ncols + 1, 2)))
 
 
 @pytest.mark.parametrize(
@@ -254,15 +239,6 @@ def test_engine_memoizes_compiled_plan(medium_square):
     assert again is first
     assert eng.cache_stats["misses"] == misses
     assert np.array_equal(first.apply_y(), run_partition(plan.partition).y)
-
-
-def test_engine_compiled_plan_no_cache(medium_square):
-    eng = PartitionEngine(medium_square, seed=9, cache=False)
-    plan = eng.plan("1d-rowwise", 4)
-    a = eng.compiled_plan(plan)
-    b = eng.compiled_plan(plan)
-    assert a is not b
-    assert a.ledger.as_dict() == b.ledger.as_dict()
 
 
 def test_cli_solve_power(capsys):

@@ -159,28 +159,6 @@ def test_corrupted_entries_are_rebuilt(grid, tmp_path):
     _assert_identical(cold, warm)
 
 
-def test_compile_plans_runs_even_on_warm_records(grid, tmp_path):
-    """compile_plans=True must persist CommPlans even when every cell
-    record is answered from the cache (regression: the compile branch
-    used to be skipped on record hits)."""
-    run_sweep(grid, cache_dir=tmp_path)  # warm the record store
-    compiling = SweepGrid(
-        matrices=grid.matrices,
-        schemes=grid.schemes,
-        ks=grid.ks,
-        compile_plans=True,
-    )
-    res = run_sweep(compiling, cache_dir=tmp_path)
-    assert all(r.from_cache for r in res.records)
-    (info,) = res.engines
-    assert info["artifacts"]["stores"] > 0  # the CommPlans were written
-    # and a rerun fetches them instead of recompiling
-    rerun = run_sweep(compiling, cache_dir=tmp_path)
-    (info2,) = rerun.engines
-    assert info2["artifacts"]["stores"] == 0
-    assert info2["artifacts"]["hits"] > len(rerun.records)
-
-
 def test_engine_artifact_roundtrip_partition_and_plan(matrix, tmp_path):
     """The engine-level hook: partitions and compiled CommPlans persist
     and load back apply-ready, bit-identically."""
