@@ -5,11 +5,15 @@ from its ``repro.obs`` trace) on column-net models of an R-MAT instance
 and a kNN mesh at K ∈ {16, 64}, and compares its connectivity-1 cuts,
 there and on the Table-I generator suite, with the seed
 (pre-vectorization) partitioner's cuts, frozen in :data:`SEED_CUTS`.
-On the acceptance instance it also times ``partition_kway`` with the
-NumPy loops forced (``set_default_backend("numpy")``): the
-native-over-NumPy speedup gates the C V-cycle, and both backends must
-return the same partition.  Emits ``BENCH_partitioner.json`` at the
-repository root.
+The same models at K = 1024 (``large_k``; no seed cut exists there)
+time the K-way polish at a large K.  Every run uses the process's
+partitioner threads (``config.nthreads``, all of ``config.host_cpus``)
+and is repeated on one thread: the partitions must be identical
+(``threads_identical``).  On the acceptance instance it also times
+``partition_kway`` with the NumPy loops forced
+(``set_default_backend("numpy")``): the native-over-NumPy speedup gates
+the C V-cycle, and both backends must return the same partition.
+Emits ``BENCH_partitioner.json`` at the repository root.
 
 Run directly (no pytest machinery needed)::
 
@@ -88,8 +92,25 @@ def _stages(trace, total_s: float) -> dict:
     return stages
 
 
-def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
+def _timed(hg, k: int, cfg, nthreads: int | None = None):
+    """``(part, seconds, trace)`` of one ``partition_kway`` on the
+    process's partitioner threads, or on ``nthreads`` of them."""
     from repro import obs
+    from repro.hypergraph import partition_kway
+    from repro.jobs import set_partition_threads
+
+    set_partition_threads(nthreads)
+    try:
+        with obs.tracing() as trace:
+            t0 = time.perf_counter()
+            part = partition_kway(hg, k, cfg)
+            seconds = time.perf_counter() - t0
+    finally:
+        set_partition_threads(None)
+    return part, seconds, trace
+
+
+def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
     from repro.generators.suite import table1_suite
     from repro.hypergraph import (
         PartitionConfig,
@@ -98,41 +119,55 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
         imbalance,
         partition_kway,
     )
+    from repro.jobs import host_cpus, partition_threads
     from repro.native import resolve_backend, set_default_backend
 
     ks = (4, 8) if quick else (16, 64)
+    large_k = 64 if quick else 1024
     cfg = PartitionConfig(seed=SEED)
 
     entries = []
+    large = []
     runs = {}  # (model, k) -> (hypergraph, partition)
+    threads_identical = True
     for name, a in _models(quick):
         hg = column_net_model(a)
-        for k in ks:
-            with obs.tracing() as trace:
-                t0 = time.perf_counter()
-                part = partition_kway(hg, k, cfg)
-                t_new = time.perf_counter() - t0
+        for k in (*ks, large_k):
+            part, t_new, trace = _timed(hg, k, cfg)
+            one, one_s, _ = _timed(hg, k, cfg, nthreads=1)
+            threads_identical &= bool(np.array_equal(part, one))
             runs[name, k] = hg, part
             cut_new = connectivity_minus_one(hg, part)
+            entry = {
+                "model": name,
+                "nvertices": hg.nvertices,
+                "nnets": hg.nnets,
+                "npins": hg.npins,
+                "k": k,
+                "vectorized_s": t_new,
+                "one_thread_s": one_s,
+                "cut_vectorized": cut_new,
+            }
+            if k == large_k:
+                entry["imbalance_vectorized"] = imbalance(hg, part, k)
+                entry["stages"] = _stages(trace, t_new)
+                large.append(entry)
+                print(
+                    f"{name:16s} K={k:<4d} vectorized {t_new:7.2f}s  "
+                    f"one thread {one_s:7.2f}s  kway {entry['stages']['kway_s']:.3f}s"
+                )
+                continue
             cut_old = SEED_CUTS[name, k]
-            entries.append(
-                {
-                    "model": name,
-                    "nvertices": hg.nvertices,
-                    "nnets": hg.nnets,
-                    "npins": hg.npins,
-                    "k": k,
-                    "vectorized_s": t_new,
-                    "cut_vectorized": cut_new,
-                    "cut_legacy": cut_old,
-                    "cut_ratio": cut_new / max(cut_old, 1),
-                    "imbalance_vectorized": imbalance(hg, part, k),
-                    "stages": _stages(trace, t_new),
-                }
+            entry.update(
+                cut_legacy=cut_old,
+                cut_ratio=cut_new / max(cut_old, 1),
+                imbalance_vectorized=imbalance(hg, part, k),
+                stages=_stages(trace, t_new),
             )
+            entries.append(entry)
             print(
-                f"{name:16s} K={k:<3d} vectorized {t_new:7.2f}s  "
-                f"cut ratio {cut_new / max(cut_old, 1):.3f}"
+                f"{name:16s} K={k:<4d} vectorized {t_new:7.2f}s  "
+                f"one thread {one_s:7.2f}s  cut ratio {cut_new / max(cut_old, 1):.3f}"
             )
 
     # Quality sweep over the generator suite (cut within 5% of seed).
@@ -182,8 +217,15 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
         f"native speedup {native_speedup:5.1f}x  identical {backends_identical}"
     )
     result = {
-        "config": {"seed": SEED, "quick": quick, "kway_passes": cfg.kway_passes},
+        "config": {
+            "seed": SEED,
+            "quick": quick,
+            "kway_passes": cfg.kway_passes,
+            "nthreads": partition_threads(),
+            "host_cpus": host_cpus(),
+        },
         "end_to_end": entries,
+        "large_k": large,
         "quality_suite": {
             "k": qk,
             "scale": "tiny",
@@ -199,10 +241,12 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
             "native_speedup_target": NATIVE_SPEEDUP_TARGET,
             "native_speedup_target_applies": native_applies,
             "backends_identical": backends_identical,
+            "threads_identical": threads_identical,
             "quality_tolerance": QUALITY_TOLERANCE,
             "passed": bool(
                 max(ratios) <= QUALITY_TOLERANCE
                 and backends_identical
+                and threads_identical
                 and (native_speedup >= NATIVE_SPEEDUP_TARGET or not native_applies)
             ),
         },

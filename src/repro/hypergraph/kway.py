@@ -22,7 +22,13 @@ connectivity-1 cost (only strictly positive gains are applied).
 
 This module is the NumPy reference of the native driver's polish:
 ``kernels.c:repro_kway_passes``, run at the end of
-``repro_partition_kway``, gives the same partition.
+``repro_partition_kway``, gives the same partition.  The reference
+stays serial and dense: its ``(nnets × nparts)`` pin-count matrix
+takes ``8 · nnets · K`` bytes (about 1 GB for 33,000 nets at
+K = 4096).  The C polish keeps each net's parts as a set instead, in
+O(pins) memory, and weighs only the parts on a vertex's nets: a part
+on none of them has gain ``−T ≤ 0`` (``T`` sums the costs of the nets
+where the vertex's part has two or more pins) and can never win.
 
 Under an open trace the connectivity-1 cost before and after the
 passes is charged to the innermost span (``partition.kway`` inside

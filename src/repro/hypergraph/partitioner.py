@@ -11,11 +11,14 @@ the generator is PCG64-backed, :func:`partition_kway` is one call of
 ``kernels.c:repro_partition_kway``: every bisection's V-cycle, the
 side splits and the K-way polish, with NumPy's random streams ported
 bit for bit, so the parts are those of the Python driver below
-(:func:`_recurse`, :func:`_split_side`).  That driver is the
-reference and serves the NumPy backend and a generator on any other
-bit generator; its V-cycles are :func:`multilevel_bisect` calls, so on
-the native backend those drawn from PCG64 streams (every subproblem's,
-as :func:`repro.rng.spawn` makes them) are one ``repro_bisect`` call
+(:func:`_recurse`, :func:`_split_side`).  The two sides of a split
+share nothing, so the call runs them on separate threads, up to
+:func:`repro.jobs.partition_threads`; the parts do not depend on the
+thread count.  The Python driver is the reference and serves the
+NumPy backend and a generator on any other bit generator; its
+V-cycles are :func:`multilevel_bisect` calls, so on the native backend
+those drawn from PCG64 streams (every subproblem's, as
+:func:`repro.rng.spawn` makes them) are one ``repro_bisect`` call
 each.  Under an open trace the kernels log their stages and the same
 spans are grafted in.
 """
@@ -39,6 +42,7 @@ from repro.hypergraph.bisect import (
 )
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.refine import _STALL_FRACTION
+from repro.jobs import partition_threads
 from repro.kernels import grouped_distinct_counts
 from repro.native import get_kernels, resolve_backend
 from repro.native import ops as native_ops
@@ -177,7 +181,7 @@ def _partition_native(
         fm_passes=config.fm_passes, max_net_size=config.max_net_size,
         kway_passes=config.kway_passes, max_levels=MAX_LEVELS,
         stall_fraction=_STALL_FRACTION, hash_mask=coarsen._HASH_MASK,
-        rng_state=words, events=events,
+        rng_state=words, events=events, nthreads=partition_threads(),
     )
     set_pcg64_words(rng, words)
     graft_stage_events(events, nevents)

@@ -12,7 +12,9 @@ layer hands to C:
   V-cycle of :func:`repro.hypergraph.bisect.multilevel_bisect`
   (Mondriaan ORB's bisections), drawing NumPy's PCG64 streams bit for
   bit (:func:`repro.native.ops.partition_kway`,
-  :func:`~repro.native.ops.bisect`).  Their stage loops — HCM matching,
+  :func:`~repro.native.ops.bisect`).  The recursion runs the two sides
+  of a split on separate threads, with the same parts at any thread
+  count, and its K-way polish keeps O(pins) memory at any K.  Their stage loops — HCM matching,
   contraction, both initial bisections, FM set-up and passes, the
   K-way polish — are static in C; the stage modules of
   :mod:`repro.hypergraph` are their NumPy reference;

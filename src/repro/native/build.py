@@ -93,14 +93,14 @@ SANITIZE_ENV = "REPRO_NATIVE_SANITIZE"
 DEBUG_ENV = "REPRO_NATIVE_DEBUG"
 BACKENDS = ("auto", "numpy", "native")
 
-ABI_VERSION = 9
-CFLAGS = ("-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off")
+ABI_VERSION = 10
+CFLAGS = ("-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
 # The sanitizer variant keeps -ffp-contract=off and the same loop code,
 # so its outputs stay bit-identical; -O1 keeps ASan shadow checks fast
 # to compile while preserving line-accurate UBSan reports.
 SANITIZE_CFLAGS = (
     "-std=c99", "-O1", "-g", "-fno-omit-frame-pointer", "-fPIC", "-shared",
-    "-ffp-contract=off", "-fsanitize=address,undefined",
+    "-ffp-contract=off", "-pthread", "-fsanitize=address,undefined",
 )
 _VARIANT_CFLAGS = {"std": CFLAGS, "sanitize": SANITIZE_CFLAGS}
 _ASAN_OPTIONS = "verify_asan_link_order=0:detect_leaks=0"
@@ -125,7 +125,7 @@ _SIGNATURES = {
     ),
     "repro_partition_kway": (
         [_INT] * 11 + [ctypes.c_double] * 2 + [ctypes.c_uint64] + [_PTR] * 8 + [_INT]
-        + [_PTR] * 3,
+        + [_PTR] * 3 + [_INT],
         _INT,
     ),
 }

@@ -13,7 +13,10 @@
  *   bit-exact port of the NumPy random streams they draw (PCG64,
  *   Generator.permutation's shuffle, spawn's bounded draws and
  *   SeedSequence seeding).  The stage loops are static: the Python
- *   stage modules are their NumPy reference, not their callers;
+ *   stage modules are their NumPy reference, not their callers.
+ *   repro_partition_kway runs the two sides of a split on separate
+ *   threads (POSIX threads, all joined before it returns), with the
+ *   same parts at any thread count; repro_bisect is serial;
  * - Algorithm 1's combinatorics (bottom of this file): repro_block_dm
  *   takes the coarse Dulmage-Mendelsohn labels of every block of a
  *   batch in one call (repro.dm.batch), and repro_s2d_flip runs the
@@ -51,9 +54,10 @@
  *   register sum is not split into vector lanes.
  */
 
-#define _POSIX_C_SOURCE 199309L /* clock_gettime */
+#define _POSIX_C_SOURCE 200112L /* clock_gettime, pthreads */
 
 #include <math.h>
+#include <pthread.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -64,7 +68,7 @@
 
 /* Bumped whenever an exported signature changes; the loader refuses a
  * cached .so whose ABI does not match (stale-cache guard). */
-EXPORT int64_t repro_native_abi(void) { return 9; }
+EXPORT int64_t repro_native_abi(void) { return 10; }
 
 /* acc[idx[i]] += vals[i] * x[cols[i]]  — the fused expand/compute
  * inner loop: gather x, multiply by the nonzero value, scatter-add
@@ -563,82 +567,198 @@ static int64_t repro_fm_passes(
     return cut;
 }
 
+/* Per-net connectivity sets for the K-way polish, O(pins) in all.  Net
+ * e's parts and their pin counts are slots off[e] .. off[e] + lam[e] - 1
+ * of part / count; lam[e] is the net's connectivity.  A net of fewer
+ * than two pins, which no move can cut, has no slots.
+ *
+ * - A sparse net (2|e| < nparts) has room for |e| slots, its parts in
+ *   no particular order; a part's slot is found by a scan.
+ * - A dense net (2|e| >= nparts) has nparts slots holding every part:
+ *   the lam[e] parts on the net first, then the absent ones.  where at
+ *   woff[e] gives each part's slot (woff[e] < 0: a sparse net).  Its
+ *   nparts-sized arrays cost at most 6 words a pin. */
+typedef struct {
+    int64_t *off, *lam, *part, *count, *woff, *where;
+} net_parts;
+
+/* Swap slots i and j of a dense net (slots, counts and where at its
+ * offsets). */
+static void dense_swap(int64_t *part, int64_t *count, int64_t *where, int64_t i, int64_t j)
+{
+    const int64_t pi = part[i], pj = part[j], ci = count[i];
+    part[i] = pj;
+    part[j] = pi;
+    count[i] = count[j];
+    count[j] = ci;
+    where[pj] = i;
+    where[pi] = j;
+}
+
+/* Scratch of one weighing: gains[p] of every part in touched (seen[p]
+ * marks them), aslot[j] the slot of the vertex's own part on its j-th
+ * valid net. */
+typedef struct {
+    int64_t *gains, *touched, *aslot;
+    int8_t *seen;
+} kway_scratch;
+
 /* Up to max_passes greedy K-way passes under the connectivity-1 metric.
  *
  * A pass visits the vertices on a net spanning >= 2 parts at the pass
  * start, in ascending order.  Each moves to the first part of maximal
  * positive gain whose weights stay within limit, if any.  part (n),
- * pc (nnets x nparts pin counts) and pw (nparts x ncon part weights)
- * are updated in place; wfloat is n x ncon, limit ncon.  Workspace:
- * gains holds nparts int64, cut nnets int8. */
+ * the sets np and pw (nparts x ncon part weights) are updated in place;
+ * wfloat is n x ncon, limit ncon; cut (nnets) is workspace.
+ *
+ * The gain of moving v from a to k sums, over v's nets e of cost c,
+ * +c where pc[e][a] == 1 and pc[e][k] > 0 and -c where pc[e][a] >= 2
+ * and pc[e][k] == 0 (kway.py's dense reference).  That is P_k - T: P_k
+ * sums c over v's nets that hold k, T over v's nets with pc[e][a] >= 2.
+ * P_k is accumulated over the parts on each net, or, on a dense net
+ * holding more than half the parts, as c for every part (U) minus c
+ * for each absent one, so weighing v costs at most nparts / 2 per net.
+ * A part that no net touches has gain U - T: only the first such part
+ * that fits can win, and only when U - T > 0.  The touched parts are
+ * weighed in any order; the largest gain among those that fit, the
+ * smallest part on ties, is the dense scan's first part of maximal
+ * gain. */
 static void repro_kway_passes(
     int64_t n,
     int64_t nnets,
     int64_t nparts,
     int64_t ncon,
     int64_t max_passes,
-    const int64_t *restrict xnets,
-    const int64_t *restrict nets,
     const int64_t *restrict vipt,
     const int64_t *restrict vnets,
     const int64_t *restrict ncosts,
     const double *restrict wfloat,
     const double *restrict limit,
     int64_t *restrict part,
-    int64_t *restrict pc,
+    const net_parts *np,
     double *restrict pw,
-    int64_t *restrict gains,
+    const kway_scratch *ks,
     int8_t *restrict cut)
 {
+    int64_t *restrict gains = ks->gains, *restrict touched = ks->touched;
+    int64_t *restrict spart = np->part, *restrict scount = np->count;
+    int8_t *restrict seen = ks->seen;
     for (int64_t pass = 0; pass < max_passes; pass++) {
-        for (int64_t e = 0; e < nnets; e++) {
-            const int64_t *row = pc + e * nparts;
-            int64_t lam = 0;
-            for (int64_t k = 0; k < nparts && lam < 2; k++)
-                lam += row[k] > 0;
-            cut[e] = lam >= 2;
-        }
+        for (int64_t e = 0; e < nnets; e++)
+            cut[e] = np->lam[e] >= 2;
         int moved = 0;
         for (int64_t v = 0; v < n; v++) {
+            const int64_t *vn = vnets + vipt[v];
+            const int64_t deg = vipt[v + 1] - vipt[v];
             int boundary = 0;
-            for (int64_t k = xnets[v]; k < xnets[v + 1] && !boundary; k++)
-                boundary = cut[nets[k]];
-            if (!boundary || vipt[v] == vipt[v + 1])
+            for (int64_t j = 0; j < deg && !boundary; j++)
+                boundary = cut[vn[j]];
+            if (!boundary)
                 continue;
             const int64_t a = part[v];
-            for (int64_t k = 0; k < nparts; k++)
-                gains[k] = 0;
-            for (int64_t i = vipt[v]; i < vipt[v + 1]; i++) {
-                const int64_t e = vnets[i], c = ncosts[e];
-                const int64_t *row = pc + e * nparts;
-                if (row[a] == 1) { /* lambda drops where the net already is */
-                    for (int64_t k = 0; k < nparts; k++)
-                        if (row[k] > 0)
-                            gains[k] += c;
-                } else if (row[a] >= 2) { /* lambda grows where it is not */
-                    for (int64_t k = 0; k < nparts; k++)
-                        if (row[k] == 0)
-                            gains[k] -= c;
+            int64_t nt = 0, all = 0, drop = 0;
+#define TOUCH(p, delta)                \
+    do {                               \
+        const int64_t p_ = (p);        \
+        if (!seen[p_]) {               \
+            seen[p_] = 1;              \
+            gains[p_] = 0;             \
+            touched[nt++] = p_;        \
+        }                              \
+        gains[p_] += (delta);          \
+    } while (0)
+            for (int64_t j = 0; j < deg; j++) {
+                const int64_t e = vn[j], c = ncosts[e], base = np->off[e], lam = np->lam[e];
+                if (np->woff[e] >= 0) {
+                    const int64_t sa = np->where[np->woff[e] + a];
+                    ks->aslot[j] = sa;
+                    drop += scount[base + sa] >= 2 ? c : 0;
+                    if (2 * lam > nparts) {
+                        all += c;
+                        for (int64_t s = lam; s < nparts; s++)
+                            TOUCH(spart[base + s], -c);
+                    } else {
+                        for (int64_t s = 0; s < lam; s++)
+                            TOUCH(spart[base + s], c);
+                    }
+                    continue;
+                }
+                for (int64_t s = 0; s < lam; s++) {
+                    const int64_t p = spart[base + s];
+                    TOUCH(p, c);
+                    if (p == a) {
+                        ks->aslot[j] = s;
+                        drop += scount[base + s] >= 2 ? c : 0;
+                    }
                 }
             }
+#undef TOUCH
             const double *w = wfloat + v * ncon;
             int64_t best = -1, best_gain = 0;
-            for (int64_t k = 0; k < nparts; k++) {
-                if (k == a || gains[k] <= best_gain)
+            for (int64_t i = 0; i < nt; i++) {
+                const int64_t k = touched[i], g = all + gains[k] - drop;
+                if (k == a || g < best_gain || g <= 0 || (g == best_gain && k > best))
                     continue;
                 int fits = 1;
                 for (int64_t j = 0; j < ncon && fits; j++)
                     fits = pw[k * ncon + j] + w[j] <= limit[j];
                 if (fits) {
                     best = k;
-                    best_gain = gains[k];
+                    best_gain = g;
                 }
             }
+            const int64_t g0 = all - drop; /* the gain of every untouched part */
+            if (g0 > 0 && g0 >= best_gain) {
+                for (int64_t k = 0; k < nparts && !(g0 == best_gain && k > best); k++) {
+                    if (k == a || seen[k])
+                        continue;
+                    int fits = 1;
+                    for (int64_t j = 0; j < ncon && fits; j++)
+                        fits = pw[k * ncon + j] + w[j] <= limit[j];
+                    if (fits) {
+                        best = k;
+                        best_gain = g0;
+                        break;
+                    }
+                }
+            }
+            for (int64_t i = 0; i < nt; i++)
+                seen[touched[i]] = 0;
             if (best < 0)
                 continue;
-            for (int64_t i = xnets[v]; i < xnets[v + 1]; i++) {
-                pc[nets[i] * nparts + a] -= 1;
-                pc[nets[i] * nparts + best] += 1;
+            for (int64_t j = 0; j < deg; j++) {
+                const int64_t e = vn[j], base = np->off[e];
+                int64_t *sp = spart + base, *sc = scount + base;
+                const int64_t sa = ks->aslot[j];
+                if (np->woff[e] >= 0) {
+                    int64_t *where = np->where + np->woff[e];
+                    if (--sc[sa] == 0) /* a leaves e */
+                        dense_swap(sp, sc, where, sa, --np->lam[e]);
+                    int64_t sb = where[best];
+                    if (sc[sb] == 0) { /* best joins e */
+                        dense_swap(sp, sc, where, sb, np->lam[e]);
+                        sb = np->lam[e]++;
+                    }
+                    sc[sb]++;
+                    continue;
+                }
+                int64_t sb = 0;
+                while (sb < np->lam[e] && sp[sb] != best)
+                    sb++;
+                if (sb < np->lam[e]) {
+                    sc[sb]++;
+                    if (--sc[sa] == 0) { /* a leaves e: the last slot fills the gap */
+                        const int64_t last = --np->lam[e];
+                        sp[sa] = sp[last];
+                        sc[sa] = sc[last];
+                    }
+                } else if (sc[sa] == 1) { /* v was a's only pin on e */
+                    sp[sa] = best;
+                } else {
+                    sc[sa]--;
+                    sp[np->lam[e]] = best;
+                    sc[np->lam[e]++] = 1;
+                }
             }
             for (int64_t j = 0; j < ncon; j++) {
                 pw[a * ncon + j] -= w[j];
@@ -1413,6 +1533,26 @@ EXPORT int64_t repro_s2d_flip(
  * clock of repro.obs.now) into ev_times, in the order the Python driver
  * opens its spans.  A full log stops recording and the call returns
  * DRV_ELOG after finishing its work.
+ *
+ * Threads (repro_partition_kway only).  Once a split leaves two sides
+ * that both need a V-cycle, the sides share nothing: each has its own
+ * hypergraph slice, its own stream (pcg_seeded of a seed drawn before
+ * the split) and its own vertices' entries of part.  So side 1 can run
+ * on a thread of its own, a fork, while the calling thread keeps side
+ * 0, and the parts are those of the serial run.  A fork is a whole
+ * driver: its own workspace sized for its subtree, its own pool and
+ * arena, its own event log.  The thread budget (nthreads at the root)
+ * is halved at each fork, so at most nthreads threads run, and the
+ * subtrees below the first ceil(log2 nthreads) levels run where their
+ * parents ran.  The root's stream is written back after its V-cycle,
+ * before the first fork; the K-way polish runs after the last join.
+ * Forks are joined newest first before recurse_c returns, on error
+ * paths too, and their events appended to their parent's log: forks
+ * are made top down along the path the calling thread keeps, so that
+ * is the order of a serial run.  A fork that fails reports its status
+ * at the join; a fork whose thread cannot be created runs at the join
+ * on the calling thread.  No thread outlives the call, so the process
+ * is single-threaded whenever Python runs and may fork.
  */
 
 #define DRV_OK 0
@@ -1945,12 +2085,13 @@ static int vcycle(driver *d, const hgraph *top, const double *targets, double ep
 }
 
 /* A subproblem of the recursion: its hypergraph, the root id of each
- * of its vertices, its part range and stream, and its slice of the
- * arena (size 0 for the root, which is the caller's arrays). */
+ * of its vertices, its part range, stream and thread budget, and its
+ * slice of the arena (size 0 for the root, which is the caller's
+ * arrays). */
 typedef struct {
     hgraph h;
     const int64_t *ids;
-    int64_t npins, nparts, offset, base, size;
+    int64_t npins, nparts, offset, base, size, threads;
     pcg64 rng;
 } task;
 
@@ -1975,24 +2116,34 @@ static void side_bind(task *t, int64_t *arena, int64_t ncon)
     t->h.nets = a + n + 1;
 }
 
-/* partitioner.py's _split_side for side s of t (sides[] over t's
- * vertices, vmap[v] = v's index within its side), written at arena[at]:
- * the nets with two or more pins on side s, restricted to those pins,
- * in order; both CSR directions are filtered in order.  netmap (nnets)
- * is workspace.  Returns the side's task. */
-static task split_side(const task *t, const int8_t *sides, int s, int64_t ns,
-                       const int64_t *vmap, const int64_t *cnt, int64_t *netmap,
-                       int64_t *arena, int64_t at, int64_t ncon)
+/* The nets of side s of h (cnt[2e + s] of net e's pins on side s):
+ * those with two or more pins there.  netmap[e] receives e's index on
+ * the side or -1, *np the side's pins; returns the side's net count. */
+static int64_t side_nets(const hgraph *h, const int64_t *cnt, int s, int64_t *netmap,
+                         int64_t *np)
 {
-    const hgraph *h = &t->h;
-    int64_t nn = 0, np = 0;
+    int64_t nn = 0;
+    *np = 0;
     for (int64_t e = 0; e < h->nnets; e++) {
         const int64_t c = cnt[2 * e + s];
         netmap[e] = c >= 2 ? nn++ : -1;
-        np += c >= 2 ? c : 0;
+        *np += c >= 2 ? c : 0;
     }
+    return nn;
+}
+
+/* partitioner.py's _split_side for side s of t (sides[] over t's
+ * vertices, vmap[v] = v's index within its side), written at arena[at]:
+ * the nn nets of np pins side_nets found (netmap), restricted to the
+ * side's pins, in order; both CSR directions are filtered in order.
+ * Returns the side's task. */
+static task split_side(const task *t, const int8_t *sides, int s, int64_t ns, int64_t nn,
+                       int64_t np, const int64_t *vmap, const int64_t *netmap,
+                       int64_t *arena, int64_t at, int64_t ncon)
+{
+    const hgraph *h = &t->h;
     task side = {{ns, nn, NULL, NULL, NULL, NULL, NULL, NULL}, NULL, np, 0, 0, at,
-                 side_words(ns, nn, np, ncon), {0, 0, 0, 0}};
+                 side_words(ns, nn, np, ncon), 1, {0, 0, 0, 0}};
     side_bind(&side, arena, ncon);
     int64_t *ids = (int64_t *)side.ids, *vw = (int64_t *)side.h.vweights;
     int64_t *xp = (int64_t *)side.h.xpins, *pn = (int64_t *)side.h.pins;
@@ -2025,43 +2176,104 @@ static task split_side(const task *t, const int8_t *sides, int s, int64_t ns,
     return side;
 }
 
-/* _lambda_cost: the connectivity-1 cost of the pin counts pc. */
-static int64_t lambda_cost(const hgraph *h, const int64_t *pc, int64_t nparts)
+/* _lambda_cost: the connectivity-1 cost of the sets np.  A net of one
+ * pin, which has no set, costs nothing either way. */
+static int64_t lambda_cost(const hgraph *h, const net_parts *np)
 {
     int64_t cost = 0;
-    for (int64_t e = 0; e < h->nnets; e++) {
-        int64_t lam = 0;
-        for (int64_t k = 0; k < nparts; k++)
-            lam += pc[e * nparts + k] > 0;
-        if (lam > 0)
-            cost += h->ncosts[e] * (lam - 1);
-    }
+    for (int64_t e = 0; e < h->nnets; e++)
+        if (np->lam[e] > 0)
+            cost += h->ncosts[e] * (np->lam[e] - 1);
     return cost;
 }
 
 /* kway.py's kway_greedy_refine on the root after the recursion; with
  * traced set, *before and *after receive the connectivity-1 cost
- * around the passes. */
+ * around the passes.  kway.py keeps a dense nnets x nparts pin-count
+ * table; here each net holds a set (net_parts), so the memory is
+ * O(nnets + pins + nparts), whatever nparts is. */
 static int kway_c(driver *d, const hgraph *h, int64_t *part, int64_t nparts,
                   double epsilon, int64_t max_passes, int traced, int64_t *before,
                   int64_t *after)
 {
     const int64_t n = h->n, nn = h->nnets, ncon = d->ncon;
-    int64_t *pc, *gains, *total;
+    const int64_t *vipt, *vnets;
+    valid_adjacency(d, h, &vipt, &vnets);
+    net_parts np;
+    kway_scratch ks;
+    int64_t *total;
     double *pw, *limit;
     int8_t *cut;
-    ALLOC(d, pc, nn * nparts);
-    ALLOC(d, gains, nparts);
+    ALLOC(d, np.off, nn + 1);
+    ALLOC(d, np.lam, nn);
+    ALLOC(d, np.woff, nn);
+    int64_t nwhere = 0;
+    np.off[0] = 0;
+    for (int64_t e = 0; e < nn; e++) {
+        const int64_t size = h->xpins[e + 1] - h->xpins[e];
+        const int dense = size >= 2 && 2 * size >= nparts;
+        np.off[e + 1] = np.off[e] + (size < 2 ? 0 : dense ? nparts : size);
+        np.woff[e] = dense ? nwhere : -1;
+        nwhere += dense ? nparts : 0;
+    }
+    int64_t max_deg = 0;
+    for (int64_t v = 0; v < n; v++)
+        max_deg = vipt[v + 1] - vipt[v] > max_deg ? vipt[v + 1] - vipt[v] : max_deg;
+    ALLOC(d, np.part, np.off[nn]);
+    ALLOC(d, np.count, np.off[nn]);
+    ALLOC(d, np.where, nwhere);
+    ALLOC(d, ks.gains, nparts);
+    ALLOC(d, ks.touched, nparts);
+    ALLOC(d, ks.aslot, max_deg);
+    ALLOC(d, ks.seen, nparts);
     ALLOC(d, total, ncon);
     ALLOC(d, pw, nparts * ncon);
     ALLOC(d, limit, ncon);
     ALLOC(d, cut, nn);
-    memset(pc, 0, (size_t)(nn * nparts) * sizeof *pc);
-    for (int64_t e = 0; e < nn; e++)
-        for (int64_t p = h->xpins[e]; p < h->xpins[e + 1]; p++)
-            pc[e * nparts + part[h->pins[p]]]++;
+    memset(ks.seen, 0, (size_t)nparts);
+    /* gains doubles as each part's slot while a sparse net's set is
+     * built. */
+    for (int64_t k = 0; k < nparts; k++)
+        ks.gains[k] = -1;
+    for (int64_t e = 0; e < nn; e++) {
+        int64_t *sp = np.part + np.off[e], *sc = np.count + np.off[e];
+        int64_t lam = 0;
+        if (np.woff[e] >= 0) {
+            int64_t *where = np.where + np.woff[e];
+            for (int64_t k = 0; k < nparts; k++)
+                sc[k] = 0;
+            for (int64_t p = h->xpins[e]; p < h->xpins[e + 1]; p++)
+                sc[part[h->pins[p]]]++;
+            for (int64_t k = 0; k < nparts; k++)
+                lam += sc[k] > 0;
+            int64_t in = 0, out = lam;
+            for (int64_t k = 0; k < nparts; k++)
+                sp[sc[k] > 0 ? in++ : out++] = k;
+            for (int64_t s = 0; s < nparts; s++)
+                where[sp[s]] = s;
+            for (int64_t s = 0; s < nparts; s++)
+                ks.gains[s] = sc[s];
+            for (int64_t s = 0; s < nparts; s++)
+                sc[s] = ks.gains[sp[s]];
+            for (int64_t k = 0; k < nparts; k++)
+                ks.gains[k] = -1;
+        } else if (np.off[e + 1] > np.off[e]) {
+            for (int64_t p = h->xpins[e]; p < h->xpins[e + 1]; p++) {
+                const int64_t k = part[h->pins[p]];
+                if (ks.gains[k] < 0) {
+                    ks.gains[k] = lam;
+                    sp[lam] = k;
+                    sc[lam++] = 0;
+                }
+                sc[ks.gains[k]]++;
+            }
+            for (int64_t s = 0; s < lam; s++)
+                ks.gains[sp[s]] = -1;
+        }
+        np.lam[e] = lam;
+    }
     if (traced)
-        *before = lambda_cost(h, pc, nparts);
+        *before = lambda_cost(h, &np);
     for (int64_t i = 0; i < nparts * ncon; i++)
         pw[i] = 0.0;
     for (int64_t j = 0; j < ncon; j++)
@@ -2076,55 +2288,162 @@ static int kway_c(driver *d, const hgraph *h, int64_t *part, int64_t nparts,
         }
     for (int64_t j = 0; j < ncon; j++)
         limit[j] = (double)total[j] / (double)nparts * (1.0 + epsilon);
-    const int64_t *vipt, *vnets;
-    valid_adjacency(d, h, &vipt, &vnets);
-    repro_kway_passes(n, nn, nparts, ncon, max_passes, h->xnets, h->nets, vipt, vnets,
-                      h->ncosts, wfloat, limit, part, pc, pw, gains, cut);
+    repro_kway_passes(n, nn, nparts, ncon, max_passes, vipt, vnets, h->ncosts, wfloat, limit,
+                      part, &np, pw, &ks, cut);
     if (traced)
-        *after = lambda_cost(h, pc, nparts);
+        *after = lambda_cost(h, &np);
     return DRV_OK;
 }
 
-/* partitioner.py's _recurse with an explicit stack, side 0 before side
- * 1 as the Python recursion goes.  *rng ends as the root's stream ends:
- * after the root's V-cycle and its spawn(rng, 2). */
-static int recurse_c(driver *d, const hgraph *root, int64_t nparts, int64_t coarsen_to,
-                     double eps_level, pcg64 *rng, int64_t *part)
+static int64_t ceil_log2(int64_t k)
 {
-    const int64_t n = root->n, ncon = d->ncon, npins = root->xpins[root->nnets];
-    /* Pending tasks: one side per level of the split tree, plus two. */
-    int64_t depth = 0;
-    while (depth < 63 && (INT64_C(1) << depth) < nparts)
-        depth++;
+    int64_t d = 0;
+    while (d < 63 && (INT64_C(1) << d) < k)
+        d++;
+    return d;
+}
+
+/* The arena of a recursion from a root of n vertices, npins pins and
+ * nparts parts.  The pending sides and the current task are disjoint
+ * pieces of the root, each with at most half as many nets as pins (a
+ * fork's root is one of them); the two sides of a split take at most
+ * as much again.  The stack holds one side per level of the split tree
+ * plus two, and each piece adds two words of offsets. */
+static int64_t arena_words(int64_t n, int64_t npins, int64_t nparts, int64_t ncon)
+{
+    return 2 * side_words(n, npins / 2, npins, ncon) + 4 * (ceil_log2(nparts) + 3);
+}
+
+/* A subtree on a thread of its own: a driver of its own (workspace,
+ * pool, event log) and its task in an arena from that pool.  A
+ * driver's forks form a list, newest first, which recurse_c joins
+ * before it returns. */
+typedef struct fork_job {
+    driver d;
+    task t;
+    int64_t *arena, *part, coarsen_to;
+    double eps_level;
+    int st, started;
+    pthread_t thread;
+    struct fork_job *next;
+} fork_job;
+
+static int recurse_c(driver *d, task first, int64_t *arena, int64_t coarsen_to,
+                     double eps_level, pcg64 *root_rng, int64_t *part);
+
+static void *fork_main(void *arg)
+{
+    fork_job *f = arg;
+    f->st = driver_alloc(&f->d, f->t.h.n, f->t.h.nnets, f->t.npins);
+    if (f->st == DRV_OK)
+        f->st = recurse_c(&f->d, f->t, f->arena, f->coarsen_to, f->eps_level, NULL,
+                          f->part);
+    return NULL;
+}
+
+static void fork_free(fork_job *f)
+{
+    pool_release(&f->d.mem, 0);
+    free(f->d.mem.ptr);
+    free(f);
+}
+
+/* A fork for a subtree of n vertices, npins pins and nparts parts with
+ * d's configuration, pushed onto *forks; NULL when out of memory.  Its
+ * event log, when d traces, holds every V-cycle the subtree can run
+ * (ops.kway_event_rows without the polish's row). */
+static fork_job *fork_new(const driver *d, int64_t n, int64_t npins, int64_t nparts,
+                          int64_t coarsen_to, double eps_level, int64_t *part,
+                          fork_job **forks)
+{
+    fork_job *f = calloc(1, sizeof *f);
+    if (f == NULL)
+        return NULL;
+    driver *c = &f->d;
+    c->ncon = d->ncon;
+    c->ninitial = d->ninitial;
+    c->fm_passes = d->fm_passes;
+    c->max_net_size = d->max_net_size;
+    c->max_levels = d->max_levels;
+    c->stall_fraction = d->stall_fraction;
+    c->hash_mask = d->hash_mask;
+    f->arena = pool_alloc(&c->mem, arena_words(n, npins, nparts, d->ncon), sizeof(int64_t));
+    int ok = f->arena != NULL;
+    if (ok && d->log.ints != NULL) {
+        const int64_t depth = ceil_log2(nparts);
+        const int64_t cycles = n * depth < nparts - 1 ? n * depth : nparts - 1;
+        c->log.cap = cycles * (2 + 2 * d->max_levels + 2 * d->ninitial);
+        c->log.ints = pool_alloc(&c->mem, 3 * c->log.cap, sizeof(int64_t));
+        c->log.times = pool_alloc(&c->mem, 2 * c->log.cap, sizeof(double));
+        ok = c->log.ints != NULL && c->log.times != NULL;
+    }
+    if (!ok) {
+        fork_free(f);
+        return NULL;
+    }
+    f->coarsen_to = coarsen_to;
+    f->eps_level = eps_level;
+    f->part = part;
+    f->next = *forks;
+    *forks = f;
+    return f;
+}
+
+/* Append the events of from to log, as far as log has room. */
+static void ev_append(ev_log *log, const ev_log *from)
+{
+    if (log->ints == NULL)
+        return;
+    int64_t m = from->count;
+    if (m > log->cap - log->count) {
+        m = log->cap - log->count;
+        log->full = 1;
+    }
+    memcpy(log->ints + 3 * log->count, from->ints, (size_t)(3 * m) * sizeof *log->ints);
+    memcpy(log->times + 2 * log->count, from->times, (size_t)(2 * m) * sizeof *log->times);
+    log->count += m;
+    log->full |= from->full;
+}
+
+/* partitioner.py's _recurse from the task first with an explicit
+ * stack, side 0 before side 1 as the Python recursion goes.  *root_rng
+ * (when not NULL) ends as first's stream ends: after its V-cycle and
+ * its spawn(rng, 2).
+ *
+ * A task whose thread budget is above one and whose two sides both
+ * need a V-cycle hands side 1 to a fork with half the budget and keeps
+ * side 0 with the rest.  The sides share nothing: each has its own
+ * hypergraph slice and its own stream, spawned before the split, and
+ * writes its own vertices' parts; so the parts do not depend on the
+ * budget.  Forks are spawned top down along the path this thread
+ * keeps, so joining them newest first appends their events in the
+ * order a serial run writes them. */
+static int recurse_loop(driver *d, task first, int64_t *arena, int64_t coarsen_to,
+                        double eps_level, pcg64 *root_rng, int64_t *part,
+                        fork_job **forks)
+{
+    const int64_t ncon = d->ncon;
     task *stack;
-    int64_t *ids, *vmap, *cnt, *netmap, *arena;
+    int64_t *vmap, *cnt, *netmap;
     int8_t *sides;
     double *targets;
-    ALLOC(d, stack, depth + 3);
-    ALLOC(d, ids, n);
-    ALLOC(d, vmap, n);
-    ALLOC(d, cnt, 2 * root->nnets);
-    ALLOC(d, netmap, root->nnets);
-    ALLOC(d, sides, n);
+    ALLOC(d, stack, ceil_log2(first.nparts) + 3);
+    ALLOC(d, vmap, first.h.n);
+    ALLOC(d, cnt, 2 * first.h.nnets);
+    ALLOC(d, netmap, first.h.nnets);
+    ALLOC(d, sides, first.h.n);
     ALLOC(d, targets, 2 * ncon);
-    /* The pending sides and the current task are disjoint pieces of the
-     * root, each with at most half as many nets as pins; the two sides
-     * of a split take at most as much again. */
-    ALLOC(d, arena, 2 * side_words(n, npins / 2, npins, ncon) + 4 * (depth + 3));
-    for (int64_t v = 0; v < n; v++)
-        ids[v] = v;
-    const task first = {*root, ids, npins, nparts, 0, 0, 0, *rng};
-    int64_t ntask = 0, top = 0;
-    int is_root = 1;
+    int64_t ntask = 0, top = first.base + first.size;
     stack[ntask++] = first;
     while (ntask > 0) {
         task t = stack[--ntask];
+        pcg64 *rng_out = root_rng;
+        root_rng = NULL;
         const hgraph *h = &t.h;
         if (t.nparts == 1 || h->n == 0) {
             for (int64_t v = 0; v < h->n; v++)
                 part[t.ids[v]] = t.offset;
             top = t.base;
-            is_root = 0;
             continue;
         }
         const int64_t k[2] = {(t.nparts + 1) / 2, t.nparts - (t.nparts + 1) / 2};
@@ -2142,9 +2461,8 @@ static int recurse_c(driver *d, const hgraph *root, int64_t nparts, int64_t coar
             return st;
         const uint64_t seed[2] = {pcg_bounded(&t.rng, SPAWN_MAX),
                                   pcg_bounded(&t.rng, SPAWN_MAX)};
-        if (is_root)
-            *rng = t.rng;
-        is_root = 0;
+        if (rng_out != NULL)
+            *rng_out = t.rng;
 
         int64_t ns[2] = {0, 0};
         for (int64_t v = 0; v < h->n; v++)
@@ -2154,8 +2472,10 @@ static int recurse_c(driver *d, const hgraph *root, int64_t nparts, int64_t coar
             for (int64_t p = h->xpins[e]; p < h->xpins[e + 1]; p++)
                 cnt[2 * e + sides[h->pins[p]]]++;
         }
+        const int fork = t.threads > 1 && k[0] > 1 && ns[0] > 0 && k[1] > 1 && ns[1] > 0;
         /* Both sides above t, side 1 below side 0, then moved down over
-         * t: side 0 ends on top of the arena and of the stack. */
+         * t: side 0 ends on top of the arena and of the stack.  A forked
+         * side 1 goes to its fork's arena instead. */
         task kids[2];
         int nkids = 0;
         int64_t at = top;
@@ -2167,10 +2487,25 @@ static int recurse_c(driver *d, const hgraph *root, int64_t nparts, int64_t coar
                         part[t.ids[v]] = off;
                 continue;
             }
-            task side = split_side(&t, sides, s, ns[s], vmap, cnt, netmap, arena, at, ncon);
+            int64_t np;
+            const int64_t nn = side_nets(h, cnt, s, netmap, &np);
+            fork_job *f = NULL;
+            if (fork && s == 1) {
+                f = fork_new(d, ns[s], np, k[s], coarsen_to, eps_level, part, forks);
+                if (f == NULL)
+                    return DRV_ENOMEM;
+            }
+            task side = split_side(&t, sides, s, ns[s], nn, np, vmap, netmap,
+                                   f ? f->arena : arena, f ? 0 : at, ncon);
             side.nparts = k[s];
             side.offset = off;
             side.rng = pcg_seeded(seed[s]);
+            side.threads = !fork ? t.threads : s ? t.threads / 2 : t.threads - t.threads / 2;
+            if (f != NULL) {
+                f->t = side;
+                f->started = pthread_create(&f->thread, NULL, fork_main, f) == 0;
+                continue;
+            }
             at += side.size;
             kids[nkids++] = side;
         }
@@ -2183,6 +2518,44 @@ static int recurse_c(driver *d, const hgraph *root, int64_t nparts, int64_t coar
         top = t.base + (at - top);
     }
     return DRV_OK;
+}
+
+/* recurse_loop, then its forks joined newest first: each one's status
+ * and events join d's.  A fork whose thread could not be created runs
+ * here, unless the call has already failed. */
+static int recurse_c(driver *d, task first, int64_t *arena, int64_t coarsen_to,
+                     double eps_level, pcg64 *root_rng, int64_t *part)
+{
+    fork_job *f = NULL;
+    int st = recurse_loop(d, first, arena, coarsen_to, eps_level, root_rng, part, &f);
+    while (f != NULL) {
+        fork_job *next = f->next;
+        if (f->started)
+            pthread_join(f->thread, NULL);
+        else if (st == DRV_OK)
+            fork_main(f);
+        if (st == DRV_OK) {
+            st = f->st;
+            ev_append(&d->log, &f->d.log);
+        }
+        fork_free(f);
+        f = next;
+    }
+    return st;
+}
+
+/* The recursion from the root h, spread over nthreads threads. */
+static int partition_c(driver *d, const hgraph *h, int64_t nparts, int64_t nthreads,
+                       int64_t coarsen_to, double eps_level, pcg64 *rng, int64_t *part)
+{
+    const int64_t npins = h->xpins[h->nnets];
+    int64_t *ids, *arena;
+    ALLOC(d, ids, h->n);
+    ALLOC(d, arena, arena_words(h->n, npins, nparts, d->ncon));
+    for (int64_t v = 0; v < h->n; v++)
+        ids[v] = v;
+    const task first = {*h, ids, npins, nparts, 0, 0, 0, nthreads > 1 ? nthreads : 1, *rng};
+    return recurse_c(d, first, arena, coarsen_to, eps_level, rng, part);
 }
 
 /* The driver's configuration, event log and stage workspace for the
@@ -2243,14 +2616,15 @@ EXPORT int64_t repro_bisect(
 /* The whole of partition_kway: recursive bisection of the hypergraph
  * (xpins, pins, xnets, nets, vweights, ncosts) into nparts parts, each
  * bisection a V-cycle at tolerance eps_level coarsening to
- * max(coarsen_to, 8 * its part count), then up to kway_passes K-way
- * passes at tolerance epsilon (none when nparts is 1).  part (n,
- * int64) receives the parts.  rng_state holds the generator's state
- * words (state and inc high and low, has_uint32, uinteger), advanced in
- * place.  The kway event carries the connectivity-1 cost before and
- * after the passes, -1 when the polish had nothing to do.  Returns
- * DRV_OK, DRV_ENOMEM or DRV_ELOG (*ev_count events written either
- * way). */
+ * max(coarsen_to, 8 * its part count), on up to nthreads threads (the
+ * parts do not depend on it; below 1 counts as 1), then up to
+ * kway_passes K-way passes at tolerance epsilon (none when nparts is
+ * 1).  part (n, int64) receives the parts.  rng_state holds the
+ * generator's state words (state and inc high and low, has_uint32,
+ * uinteger), advanced in place.  The kway event carries the
+ * connectivity-1 cost before and after the passes, -1 when the polish
+ * had nothing to do.  Returns DRV_OK, DRV_ENOMEM or DRV_ELOG (*ev_count
+ * events written either way); every thread has been joined. */
 EXPORT int64_t repro_partition_kway(
     int64_t n, int64_t nnets, int64_t ncon, int64_t nparts, int64_t coarsen_to,
     int64_t ninitial, int64_t fm_passes, int64_t max_net_size, int64_t kway_passes,
@@ -2259,7 +2633,7 @@ EXPORT int64_t repro_partition_kway(
     const int64_t *xpins, const int64_t *pins, const int64_t *xnets, const int64_t *nets,
     const int64_t *vweights, const int64_t *ncosts,
     uint64_t *rng_state, int64_t *part,
-    int64_t ev_cap, int64_t *ev_ints, double *ev_times, int64_t *ev_count)
+    int64_t ev_cap, int64_t *ev_ints, double *ev_times, int64_t *ev_count, int64_t nthreads)
 {
     const hgraph h = {n, nnets, xpins, pins, xnets, nets, vweights, ncosts};
     driver d;
@@ -2267,7 +2641,7 @@ EXPORT int64_t repro_partition_kway(
     int st = driver_start(&d, &h, ncon, ninitial, fm_passes, max_net_size, max_levels,
                           stall_fraction, hash_mask, ev_cap, ev_ints, ev_times);
     if (st == DRV_OK)
-        st = recurse_c(&d, &h, nparts, coarsen_to, eps_level, &rng, part);
+        st = partition_c(&d, &h, nparts, nthreads, coarsen_to, eps_level, &rng, part);
     if (st == DRV_OK && nparts > 1 && kway_passes > 0) {
         const int64_t ev = ev_open(&d.log, EV_KWAY);
         int64_t before = -1, after = -1;

@@ -381,15 +381,18 @@ def partition_kway(
     lib, *, xpins, pins, xnets, nets, vweights, ncosts, nparts: int, eps_level: float,
     epsilon: float, coarsen_to: int, ninitial: int, fm_passes: int, max_net_size: int,
     kway_passes: int, max_levels: int, stall_fraction: int, hash_mask: int, rng_state,
-    events=None,
+    events=None, nthreads: int = 1,
 ) -> tuple[np.ndarray, int]:
     """The whole of :func:`repro.hypergraph.partition_kway`: recursive
     bisection into ``nparts`` parts, each V-cycle at tolerance
     ``eps_level``, then the K-way polish at ``epsilon``.
 
     Arguments as in :func:`bisect`; ``events`` holds
-    :func:`kway_event_rows` rows.  Returns ``(part, nevents)``: the
-    int64 parts and the number of events written.
+    :func:`kway_event_rows` rows.  The two sides of a split run on
+    separate threads while ``nthreads`` allows; the parts, the final
+    stream state and the events do not depend on ``nthreads``.
+    Returns ``(part, nevents)``: the int64 parts and the number of
+    events written.
     """
     n = xnets.size - 1
     specs = _driver_specs(
@@ -409,7 +412,7 @@ def partition_kway(
             "partition_kway", *specs, ("rng_state", rng_state, _U64),
             ("part", part, _I64),
         ),
-        cap, *log, *addresses("partition_kway", ("ev_count", count, _I64)),
+        cap, *log, *addresses("partition_kway", ("ev_count", count, _I64)), nthreads,
     )
     _driver_status("partition_kway", status, cap)
     return part, int(count[0])

@@ -15,6 +15,7 @@ from repro.obs.export import (
     from_json,
     stage_table,
     stage_times,
+    stage_wall,
     to_chrome,
     to_json,
     tree_str,
@@ -58,6 +59,7 @@ __all__ = [
     "span",
     "stage_table",
     "stage_times",
+    "stage_wall",
     "stats_text",
     "to_chrome",
     "to_json",

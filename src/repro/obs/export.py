@@ -5,8 +5,9 @@ Views of one :class:`~repro.obs.trace.Trace`:
 
 - :func:`tree_str` — the CLI ``--trace -`` view: an indented tree with
   per-span seconds, share of the parent, attributes and counters;
-- :func:`stage_times` / :func:`stage_table` — one subsystem's spans
-  folded into seconds per stage (the CLI ``--profile`` tables);
+- :func:`stage_times` / :func:`stage_wall` / :func:`stage_table` — one
+  subsystem's spans folded into seconds per stage and the elapsed
+  seconds they cover (the CLI ``--profile`` tables);
 - :func:`to_json` / :func:`from_json` — a schema-versioned dict with
   stable (sorted) keys that round-trips exactly; the machine-readable
   record bench/regression tooling consumes;
@@ -31,6 +32,7 @@ __all__ = [
     "from_json",
     "stage_table",
     "stage_times",
+    "stage_wall",
     "to_chrome",
     "to_json",
     "tree_str",
@@ -85,6 +87,19 @@ def _native_seconds(sp: Span) -> float:
     )
 
 
+def _stage_spans(trace: Trace, prefix: str):
+    """The stage spans of one subsystem, in first-seen order: the spans
+    named ``<prefix>.<stage>…`` with no such span above them."""
+    head = prefix + "."
+    stack = list(reversed(trace.spans))
+    while stack:
+        sp = stack.pop()
+        if sp.name.startswith(head):
+            yield sp
+        else:
+            stack.extend(reversed(sp.children))
+
+
 def stage_times(trace: Trace, prefix: str) -> dict[str, float]:
     """Seconds per stage of one subsystem, in first-seen order.
 
@@ -92,17 +107,15 @@ def stage_times(trace: Trace, prefix: str) -> dict[str, float]:
     above it; its row holds the span's duration, descendants included
     (``partition.coarsen.match`` folds into ``coarsen``).  ``native.*``
     descendants — a kernel build inside the first stage that needs the
-    kernels — are charged to a last ``native`` row instead.
+    kernels — are charged to a last ``native`` row instead.  Stages
+    that ran concurrently (the native partitioner's subtrees on their
+    own threads) each count in full, so the rows can sum to more than
+    the time that passed (see :func:`stage_wall`).
     """
     head = prefix + "."
     rows: dict[str, float] = {}
     native = 0.0
-    stack = list(reversed(trace.spans))
-    while stack:
-        sp = stack.pop()
-        if not sp.name.startswith(head):
-            stack.extend(reversed(sp.children))
-            continue
+    for sp in _stage_spans(trace, prefix):
         stage = sp.name[len(head):].split(".", 1)[0]
         inner = _native_seconds(sp)
         rows[stage] = rows.get(stage, 0.0) + sp.dur - inner
@@ -112,17 +125,31 @@ def stage_times(trace: Trace, prefix: str) -> dict[str, float]:
     return rows
 
 
+def stage_wall(trace: Trace, prefix: str) -> float:
+    """Seconds during which some stage of one subsystem ran: the length
+    of the union of the stage spans' intervals.  It equals the sum of
+    :func:`stage_times` when no two stages overlap."""
+    wall, end = 0.0, float("-inf")
+    for t0, t1 in sorted((sp.t0, sp.t0 + sp.dur) for sp in _stage_spans(trace, prefix)):
+        if t1 > end:
+            wall += t1 - max(t0, end)
+            end = t1
+    return wall
+
+
 def stage_table(
     trace: Trace, prefix: str, *, title: str = "stage", labels: dict | None = None
 ) -> str:
-    """:func:`stage_times` as a table: seconds and share per row, then
-    the total.  ``labels`` renames rows (``{"kway": "kway-polish"}``)."""
+    """:func:`stage_times` as a table: seconds and share per row, the
+    :func:`stage_wall` seconds, then the total of the rows.  ``labels``
+    renames rows (``{"kway": "kway-polish"}``)."""
     rows = stage_times(trace, prefix)
     total = sum(rows.values())
     lines = [f"{title:<13} {'seconds':>8}   share"]
     for name, s in rows.items():
         label = (labels or {}).get(name, name)
         lines.append(f"{label:<13} {s:8.4f}  {100.0 * s / (total or 1.0):5.1f}%")
+    lines.append(f"{'wall':<13} {stage_wall(trace, prefix):8.4f}")
     lines.append(f"{'total':<13} {total:8.4f}")
     return "\n".join(lines)
 

@@ -27,10 +27,12 @@ The supervisor, shared by both:
   per-cell ``started`` / ``done`` / ``failed`` messages back (records
   travel with ``done``); one worker per task at a time, so a task's
   cells share one engine.  Batches are dispatched largest task first
-  (suites list their matrices in ascending nnz).  A plain
-  :func:`run_sweep` at ``jobs=1`` runs the same worker body in the
-  coordinator instead; a campaign forks at every ``jobs``, because its
-  kill and stall faults need a separate process.
+  (suites list their matrices in ascending nnz).  Each worker gets its
+  share of the cores for the native partitioner's threads,
+  ``max(1, host_cpus() // jobs)`` (:func:`repro.jobs.worker_threads`).
+  A plain :func:`run_sweep` at ``jobs=1`` runs the same worker body in
+  the coordinator instead; a campaign forks at every ``jobs``, because
+  its kill and stall faults need a separate process.
 - **watchdog** — while a worker holds a batch, a deadline reset by each
   of its messages; an expired worker is reaped (``Process.kill`` from
   the coordinator, never a raw signal), its in-flight cell marked
@@ -71,7 +73,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.errors import CampaignError, CellExecutionError, ConfigError, UsageError
-from repro.jobs import resolve_jobs
+from repro.jobs import resolve_jobs, set_partition_threads, worker_threads
 from repro.native import resolve_backend
 from repro.sweep.cache import ArtifactCache
 from repro.sweep.faults import FaultPlan
@@ -210,14 +212,18 @@ class CampaignResult:
 # ----------------------------------------------------------------------
 
 
-def _worker_loop(conn, coordinator_end, cache_dir, faults, traced: bool) -> None:
+def _worker_loop(
+    conn, coordinator_end, cache_dir, faults, traced: bool, nthreads: int
+) -> None:
     """A forked worker: run ``(task, items)`` batches from ``conn``
-    until the coordinator sends ``None`` or goes away.  Exits via
+    until the coordinator sends ``None`` or goes away, partitioning on
+    ``nthreads`` threads (its share of the cores).  Exits via
     ``os._exit`` like every forked worker in this repo (no
     inherited-teardown noise)."""
     # The fork copied the coordinator's end of the pipe too; holding it
     # would hide the coordinator's death (no EOF, no broken pipe).
     coordinator_end.close()
+    set_partition_threads(nthreads)
     try:
         for task, items in iter(conn.recv, None):
             _run_batch(task, items, cache_dir, faults, traced, conn.send)
@@ -494,7 +500,10 @@ class _Supervisor:
         parent, child = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_loop,
-            args=(child, parent, self.cache_dir, self.faults, self._traced),
+            args=(
+                child, parent, self.cache_dir, self.faults, self._traced,
+                worker_threads(self.jobs),
+            ),
             daemon=True,
         )
         proc.start()

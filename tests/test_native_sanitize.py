@@ -38,15 +38,20 @@ _CHILD_ENV_BASE = {
 }
 
 
-def _run_child(code: str, *, preload_asan: bool = False) -> subprocess.CompletedProcess:
+def _run_child(
+    code: str, *, preload_asan: bool = False, asan_options: str = ""
+) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter with ASan preconfigured.
 
     ``preload_asan=True`` additionally LD_PRELOADs the ASan runtime so
     its malloc interceptors wrap NumPy's allocations — required for
     redzone detection around buffers allocated outside instrumented
     code (a late-dlopen'd runtime cannot retrofit interception).
+    ``asan_options`` are appended to the child's ``ASAN_OPTIONS``.
     """
     env = {**os.environ, **_CHILD_ENV_BASE}
+    if asan_options:
+        env["ASAN_OPTIONS"] += ":" + asan_options
     if preload_asan:
         env["LD_PRELOAD"] = _libasan()
     return subprocess.run(
@@ -115,15 +120,18 @@ for method in ("1d-rowwise", "s2d-heuristic", "finegrain", "s2d-bounded"):
 assert modes == {"single", "two", "routed"}, modes
 
 # The partitioner driver: two-constraint partition_kway calls (one
-# repro_partition_kway each, traced ones with an event log, one with
-# every content hash masked) per backend, and one that returns early
-# with its workspace allocated (a gain bound too large for the buckets).
+# repro_partition_kway each, on two threads, traced ones with an event
+# log, one with every content hash masked) per backend, and one that
+# returns early with its workspace allocated (a gain bound too large
+# for the buckets).
 from repro import obs
 from repro.generators.circuit import circuit_like
 from repro.hypergraph import Hypergraph, PartitionConfig, column_net_model, partition_kway
 from repro.hypergraph import coarsen as coarsen_mod
+from repro.jobs import set_partition_threads
 from repro.native import set_default_backend
 
+set_partition_threads(2)
 hg = column_net_model(circuit_like(200, seed=5))
 extra = np.random.default_rng(1).integers(0, 3, hg.nvertices)
 hg = Hypergraph(hg.xpins, hg.pins, np.column_stack([hg.vweights[:, 0], extra]), hg.ncosts)
@@ -208,6 +216,85 @@ for m in (
 print("OK-SANITIZED-GOLDEN")
 """
 
+def subtree_enomem_case() -> Hypergraph:
+    """A K = 4 partition (``coarsen_to=2``) whose root bisection fits in
+    8 MB allocations and one of whose sides does not.
+
+    Component A (20 unit vertices, a 3-regular graph of nets of cost C)
+    and component B (4 vertices of weight 5) weigh the same, so the root
+    splits them apart.  The root has 24 <= 8K vertices and is not
+    coarsened: its FM gain bound is 3C, its gain buckets take 7.2 MB.
+    Side A (20 vertices, two parts, coarsened to 16) is coarsened: a
+    matched pair has four nets of cost C, and its gain buckets take
+    9.6 MB.  Seed 4 puts A on side 1, which runs on a fork's thread;
+    seed 0 on side 0, which the calling thread keeps while the fork
+    runs side B (``test_subtree_enomem_case_splits_as_documented``).
+    """
+    c = 150_000
+    nets = (
+        [[i, (i + 1) % 20] for i in range(20)] + [[i, i + 10] for i in range(10)]
+        + [[20 + i, 20 + (i + 1) % 4] for i in range(4)]
+    )
+    w = np.array([1] * 20 + [5] * 4, dtype=np.int64)[:, None]
+    return Hypergraph.from_net_lists(
+        nets, 24, vweights=w, ncosts=np.array([c] * 30 + [1] * 4)
+    )
+
+
+def test_subtree_enomem_case_splits_as_documented():
+    from repro import obs
+    from repro.hypergraph import PartitionConfig, partition_kway
+    from repro.native import set_default_backend
+
+    hg = subtree_enomem_case()
+    set_default_backend("numpy")
+    try:
+        for seed, a_parts, levels in ((4, {2, 3}, [0, 0, 1]), (0, {0, 1}, [0, 1, 0])):
+            with obs.tracing() as tr:
+                part = partition_kway(hg, 4, PartitionConfig(seed=seed, coarsen_to=2))
+            assert set(part[:20].tolist()) == a_parts, seed
+            coarsen = [sp for sp in tr.walk() if sp.name == "partition.coarsen"]
+            assert [sp.counters["partition.levels"] for sp in coarsen] == levels, seed
+    finally:
+        set_default_backend(None)
+
+
+# The driver with a side, not the root, out of memory: the child's
+# ASAN_OPTIONS let no allocation take more than 8 MB.
+_SUBTREE_ENOMEM_CHILD = """
+import numpy as np
+from repro.native import build
+
+lib = build.get_kernels()
+if lib is None:
+    print("SKIP-NATIVE:", build.native_status()["sanitize_reason"])
+    raise SystemExit(0)
+from repro.hypergraph import Hypergraph, PartitionConfig, partition_kway
+from repro.jobs import set_partition_threads
+from repro.native import set_default_backend
+
+from tests.test_native_sanitize import subtree_enomem_case
+
+hg = subtree_enomem_case()
+set_default_backend("native")
+for seed in (4, 0):
+    for nthreads in (2, 1):
+        set_partition_threads(nthreads)
+        try:
+            partition_kway(hg, 4, PartitionConfig(seed=seed, coarsen_to=2))
+        except MemoryError as exc:
+            assert "native partition_kway: out of memory" in str(exc), exc
+        else:
+            raise AssertionError(f"no MemoryError at seed {seed}, {nthreads} threads")
+# Every fork was joined and freed: the process partitions as before.
+set_partition_threads(2)
+small = Hypergraph.from_net_lists([[i, i + 1] for i in range(40)], 41)
+got = partition_kway(small, 4, PartitionConfig(seed=1))
+set_default_backend("numpy")
+assert np.array_equal(got, partition_kway(small, 4, PartitionConfig(seed=1)))
+print("OK-SUBTREE-ENOMEM")
+"""
+
 _OOB_CHILD = """
 import numpy as np
 from repro.native import build, ops
@@ -246,6 +333,24 @@ def test_sanitized_kernels_pass_golden_applies():
     _skip_if_unloadable(proc)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "OK-SANITIZED-GOLDEN" in proc.stdout
+
+
+@pytest.mark.native
+@pytest.mark.sanitize
+def test_sanitized_driver_fails_inside_a_subtree_cleanly():
+    """``repro_partition_kway`` at ``nthreads = 2`` with a side, not the
+    root, out of memory (ASan's allocator returns NULL above 8 MB in
+    this child): on the fork's thread and on the calling thread, the
+    call joins every thread, frees everything, raises MemoryError, and
+    the next call partitions as the NumPy reference does."""
+    proc = _run_child(
+        _SUBTREE_ENOMEM_CHILD,
+        preload_asan=True,
+        asan_options="allocator_may_return_null=1:max_allocation_size_mb=8",
+    )
+    _skip_if_unloadable(proc)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "OK-SUBTREE-ENOMEM" in proc.stdout
 
 
 @pytest.mark.native

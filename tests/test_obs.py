@@ -31,6 +31,7 @@ from repro.obs import (
     from_json,
     stage_table,
     stage_times,
+    stage_wall,
     to_chrome,
     to_json,
     tree_str,
@@ -253,6 +254,34 @@ def test_stage_table_charges_native_to_its_own_row():
     assert "coarsen-x" in text and "native" in text
     assert text.splitlines()[-1].split() == ["total", "2.0000"]
     assert stage_times(tr, "simulate") == {"verify": 0.1}
+
+
+def test_stage_table_wall_is_the_union_of_overlapping_stages():
+    """Stages that overlap in time (subtrees of the native partitioner
+    on two threads) count in full in ``total``; ``wall`` counts the
+    time any stage ran, once."""
+    plan = Span(
+        "engine.plan", t0=0.0, dur=4.0,
+        children=[
+            Span("partition.coarsen", t0=0.0, dur=1.0),
+            Span("partition.initial", t0=1.0, dur=2.0),  # one thread
+            Span("partition.refine", t0=1.5, dur=1.0),  # the other, inside it
+            Span("partition.refine", t0=2.5, dur=1.0),  # overlapping its end
+            Span("partition.kway", t0=3.75, dur=0.25),  # after a gap
+        ],
+    )
+    tr = Trace(t0=0.0, spans=[plan])
+    assert stage_times(tr, "partition") == {
+        "coarsen": 1.0, "initial": 2.0, "refine": 2.0, "kway": 0.25,
+    }
+    assert stage_wall(tr, "partition") == 3.75
+    lines = stage_table(tr, "partition").splitlines()
+    assert lines[-2].split() == ["wall", "3.7500"]
+    assert lines[-1].split() == ["total", "5.2500"]
+    # Without overlap the two agree.
+    serial = Trace(t0=0.0, spans=[Span("partition.coarsen", t0=0.0, dur=1.0),
+                                  Span("partition.refine", t0=2.0, dur=0.5)])
+    assert stage_wall(serial, "partition") == sum(stage_times(serial, "partition").values())
 
 
 def test_profiling_adapters_emit_spans(medium_square, rng):

@@ -12,7 +12,8 @@ driver over the NumPy stages.  Pinned here:
 - an MT19937-backed generator runs the Python driver and partitions as
   before the C driver existed, on both backends;
 - a traced native run grafts the Python driver's span tree and
-  counters; an untraced one passes no event log;
+  counters; an untraced one passes no event log; at 1-4 threads the
+  traced parts, spans (in order) and counters equal the serial run's;
 - the drivers read the contraction's hash mask, validate their inputs
   under ``REPRO_NATIVE_DEBUG=1``, refuse arrays of the wrong dtype or
   layout, and report both a failed ``malloc`` and an oversized
@@ -37,7 +38,7 @@ from repro.hypergraph import coarsen
 from repro.hypergraph.bisect import MAX_LEVELS, multilevel_bisect
 from repro.native import DEBUG_ENV, get_kernels, ops
 
-from tests.test_partitioner_native import _model, forced_backend
+from tests.test_partitioner_native import _model, forced_backend, partition_threads
 
 pytestmark = pytest.mark.native
 
@@ -153,6 +154,30 @@ def test_traced_driver_grafts_the_python_span_tree():
         assert start <= sp.t0 and sp.dur >= 0 and sp.t0 + sp.dur <= end
         for child in sp.children:
             assert sp.t0 <= child.t0 and child.t0 + child.dur <= sp.t0 + sp.dur + ulp
+
+
+@pytest.mark.parametrize("family", ["knn", "dense-row"])
+def test_traced_threads_graft_the_serial_tree(family):
+    """At 1-4 threads, traced and untraced parts are equal, and the
+    grafted span tree and ``partition.*`` counters (bisections and
+    levels per V-cycle, the polish's cut before and after) equal the
+    1-thread run's: each fork's events land in subtree order."""
+    hg = _model(family, 1)
+    with forced_backend("native"):
+        runs = {}
+        for nthreads in (1, 2, 3, 4):
+            with partition_threads(nthreads):
+                untraced = partition_kway(hg, 24, PartitionConfig(seed=6))
+                with obs.tracing() as tr:
+                    traced = partition_kway(hg, 24, PartitionConfig(seed=6))
+            assert np.array_equal(untraced, traced), nthreads
+            names = [sp.name for sp in tr.walk() if sp.name.startswith("partition.")]
+            runs[nthreads] = traced, _stage_tree(tr), names
+    want_part, want_tree, want_names = runs[1]
+    assert want_tree[1]["partition.bisections"] == 23
+    for nthreads, (part, tree, names) in runs.items():
+        assert np.array_equal(part, want_part), nthreads
+        assert tree == want_tree and names == want_names, nthreads
 
 
 def _spy(monkeypatch, lib, name: str) -> list:

@@ -62,6 +62,7 @@ from repro.hypergraph.bisect import multilevel_bisect
 from repro.hypergraph.coarsen import _cluster_ids, _contract, _pair_scores, coarsen_once
 from repro.hypergraph.initial import greedy_growing
 from repro.hypergraph.refine import _context, bisection_cut
+from repro.jobs import set_partition_threads
 from repro.native import set_default_backend
 from repro.native.build import _reset_native_state
 from repro.rng import as_generator, spawn
@@ -78,6 +79,18 @@ def forced_backend(backend):
         yield
     finally:
         set_default_backend(None)
+
+
+@contextmanager
+def partition_threads(n):
+    """The native driver's thread count set to ``n`` (a sweep worker's
+    share; None: the process's own), so threads run on any host, a
+    1-CPU one included."""
+    set_partition_threads(n)
+    try:
+        yield
+    finally:
+        set_partition_threads(None)
 
 
 # ----------------------------------------------------------------------
@@ -178,18 +191,25 @@ def _bisect_both(hg: Hypergraph, frac: float = 0.5, seed: int = 7, epsilon=0.05,
     return want[0], want[1], want[3]
 
 
-def _kway_both(hg: Hypergraph, k: int, seed: int, **kw) -> np.ndarray:
-    """``partition_kway`` on both backends with a caller's generator:
-    asserts equal parts and final generator state; returns the parts."""
+def _kway_both(hg: Hypergraph, k: int, seed: int, threads=(None,), **kw) -> np.ndarray:
+    """``partition_kway`` on both backends with a caller's generator,
+    the native one at each thread count in ``threads`` (None: the
+    process's own): asserts equal parts and final generator state;
+    returns the parts."""
 
     def run():
         rng = as_generator(seed)
         part = partition_kway(hg, k, PartitionConfig(seed=rng, **kw))
         return part, rng.bit_generator.state
 
-    (want, want_state), (got, got_state) = _on_both_backends(run)
-    assert np.array_equal(want, got), (k, seed, kw)
-    assert want_state == got_state, (k, seed, kw)
+    with forced_backend("numpy"):
+        want, want_state = run()
+    with forced_backend("native"):
+        for nthreads in threads:
+            with partition_threads(nthreads):
+                got, got_state = run()
+            assert np.array_equal(want, got), (k, seed, nthreads, kw)
+            assert want_state == got_state, (k, seed, nthreads, kw)
     return want
 
 
@@ -251,6 +271,38 @@ def test_partition_kway_k1024_identical_across_backends():
     """The K-way polish at a large K: a 2,304-vertex mesh into 1024
     parts, about two vertices a part."""
     _kway_both(column_net_model(poisson2d(48)), 1024, seed=8)
+
+
+# ----------------------------------------------------------------------
+# Any thread count: the native driver's subtrees on 1-4 threads
+# ----------------------------------------------------------------------
+
+
+THREADS = (1, 2, 3, 4)
+
+
+@pytest.mark.native
+@pytest.mark.parametrize("model", ["column-net", "fine-grain"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_partition_kway_identical_at_any_thread_count(family, model):
+    """K = 3 splits off a one-part side at the root; at K = 1024 most
+    subproblems have fewer vertices than parts, so bisections leave a
+    side empty; K = 5 and 7 give uneven splits, where a side is handed
+    to a fork with half the thread budget."""
+    hg = _model(family, 1, model)
+    for k in (3, 5, 7, 64, 1024):
+        _kway_both(hg, k, seed=k, threads=THREADS)
+
+
+@pytest.mark.native
+def test_threads_with_one_part_and_empty_sides():
+    """Five vertices into 16 parts: the splits below the root leave
+    sides empty or with one part, and forks are made only for splits
+    whose two sides both need a V-cycle."""
+    hg = Hypergraph.from_net_lists([[0, 1, 2], [2, 3], [3, 4], [0, 4]], 5)
+    for k in (2, 3, 16):
+        parts = _kway_both(hg, k, seed=1, threads=THREADS)
+        assert parts.min() >= 0 and parts.max() < k
 
 
 # ----------------------------------------------------------------------

@@ -179,6 +179,33 @@ def test_resolve_jobs():
         resolve_jobs(-1, what="--jobs")
 
 
+def test_worker_threads_share_the_host(monkeypatch):
+    """Each of ``jobs`` sweep workers partitions on ``max(1, host_cpus()
+    // jobs)`` threads; a plain process on every usable core."""
+    import repro.jobs as jobs
+
+    monkeypatch.setattr(jobs, "host_cpus", lambda: 8)
+    assert [jobs.worker_threads(j) for j in (1, 2, 3, 4, 8, 16)] == [8, 4, 2, 2, 1, 1]
+    assert jobs.partition_threads() == 8
+    jobs.set_partition_threads(3)
+    try:
+        assert jobs.partition_threads() == 3
+    finally:
+        jobs.set_partition_threads(None)
+    assert jobs.partition_threads() == 8
+
+
+def test_supervisor_hands_each_worker_its_thread_share(monkeypatch):
+    """The supervisor derives a forked worker's thread count from its
+    own ``jobs`` when it forks, and passes it to the worker."""
+    import repro.sweep.campaign as campaign
+
+    shares = []
+    monkeypatch.setattr(campaign, "worker_threads", lambda jobs: shares.append(jobs) or 1)
+    run_sweep(_tiny_grid(), jobs=2)
+    assert shares == [2, 2]
+
+
 def test_run_sweep_rejects_negative_jobs():
     # Jobs are validated before the grid is touched, so a malformed
     # request fails fast without building any task.
