@@ -37,6 +37,7 @@ import numpy as np
 from repro import obs
 from repro.dm.decomposition import HORIZONTAL, CoarseDM, coarse_labels
 from repro.dm.matching import hopcroft_karp
+from repro.kernels import stable_order
 from repro.native import get_kernels, resolve_backend
 from repro.native import ops as native_ops
 from repro.sparse.blocks import BlockStructure
@@ -44,28 +45,29 @@ from repro.sparse.blocks import BlockStructure
 __all__ = ["BlockDM", "BlockDMTable", "batched_block_dm"]
 
 
-def _sorted_groups(keys: np.ndarray):
-    """One stable sort serving four derived views of ``keys``.
+def _sorted_groups(block: np.ndarray, ids: np.ndarray, nblocks: int, nids: int):
+    """One stable sort of the ``(block, id)`` pairs serving four views.
 
-    Returns ``(order, uniq, inverse, counts)`` — the stable sorting
-    permutation, the sorted distinct keys, each element's index into
-    ``uniq``, and the multiplicity of each distinct key.  Equivalent to
-    ``np.argsort(keys, kind="stable")`` plus ``np.unique(keys,
-    return_inverse=True, return_counts=True)``, but pays for a single
-    sort instead of two.
+    The pairs are ordered by block, then by id (``np.lexsort((ids,
+    block))``: a ``stable_order`` by id, then one by block).  Returns
+    ``(order, pair_ids, inverse, counts)`` — the sorting permutation,
+    the id of each distinct pair in sorted order, each element's index
+    into the distinct pairs, and the multiplicity of each pair.  Needs
+    at least one pair.
     """
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    n = sorted_keys.size
+    order = stable_order(ids, nids)
+    order = order[stable_order(block[order], nblocks)]
+    sorted_block, sorted_ids = block[order], ids[order]
+    n = order.size
     new = np.empty(n, dtype=bool)
     new[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
-    uniq = sorted_keys[new]
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=new[1:])
+    new[1:] |= sorted_block[1:] != sorted_block[:-1]
     starts = np.flatnonzero(new)
     counts = np.diff(np.append(starts, n))
     inverse = np.empty(n, dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
-    return order, uniq, inverse, counts
+    return order, sorted_ids[new], inverse, counts
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -219,20 +221,17 @@ def batched_block_dm(bs: BlockStructure, offdiagonal_only: bool = True) -> Block
         matching_size = np.empty(0, dtype=np.int64)
         h_mask = np.empty(0, dtype=bool)
     else:
-        # Distinct (block, row) pairs: the keys are block-major, so the
-        # sorted distinct keys concatenate every block's sorted rows and
-        # the inverse gives each nonzero's global pair index.  The same
+        # Distinct (block, row) pairs: the order is block-major, so the
+        # distinct pairs concatenate every block's sorted rows and the
+        # inverse gives each nonzero's global pair index.  The same
         # stable sort orders each block's edges row-major (it permutes
         # only within block spans): every block's adjacency is a slice.
-        nrows, ncols = np.int64(bs.nrows), np.int64(bs.ncols)
-        order_r, kr_u, r_pair, r_counts = _sorted_groups(
-            blk_of_nnz * nrows + bs.rows[nnz_idx]
+        order_r, row_ids, r_pair, r_counts = _sorted_groups(
+            blk_of_nnz, bs.rows[nnz_idx], nb, bs.nrows
         )
-        order_c, kc_u, c_pair, c_counts = _sorted_groups(
-            blk_of_nnz * ncols + bs.cols[nnz_idx]
+        order_c, col_ids, c_pair, c_counts = _sorted_groups(
+            blk_of_nnz, bs.cols[nnz_idx], nb, bs.ncols
         )
-        row_ids = kr_u - blk_of_row * nrows
-        col_ids = kc_u - blk_of_col * ncols
         adj = (c_pair - col_off[blk_of_nnz])[order_r]
         cadj = (r_pair - row_off[blk_of_nnz])[order_c]
         rptr, cptr = _offsets(r_counts), _offsets(c_counts)

@@ -16,6 +16,8 @@ from collections import deque
 
 import numpy as np
 
+from repro.kernels import stable_order
+
 __all__ = ["hopcroft_karp", "bipartite_adjacency", "is_matching", "matching_size"]
 
 _INF = np.iinfo(np.int64).max
@@ -29,7 +31,7 @@ def bipartite_adjacency(rows: np.ndarray, cols: np.ndarray, nrows: int) -> tuple
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    order = np.argsort(rows, kind="stable")
+    order = stable_order(rows, nrows)
     sorted_rows = rows[order]
     sorted_cols = cols[order]
     counts = np.bincount(sorted_rows, minlength=nrows)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ModelError
+from repro.kernels import stable_order
 
 __all__ = ["Hypergraph"]
 
@@ -169,7 +170,7 @@ class Hypergraph:
         sizes = np.diff(self.xpins)
         net_of_pin = np.repeat(np.arange(self.nnets, dtype=np.int64), sizes)
         self.__dict__["_net_of_pin"] = net_of_pin  # seeds the net_of_pin cache
-        order = np.argsort(self.pins, kind="stable")
+        order = stable_order(self.pins, n)
         self.nets = net_of_pin[order]
         counts = np.bincount(self.pins, minlength=n)
         self.xnets = np.zeros(n + 1, dtype=np.int64)

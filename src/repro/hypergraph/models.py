@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.kernels import stable_order
 from repro.sparse.coo import coo_triplets, nnz_per_col, nnz_per_row
 
 __all__ = [
@@ -41,7 +42,7 @@ __all__ = [
 
 def _csr_like(group: np.ndarray, member: np.ndarray, ngroups: int) -> tuple[np.ndarray, np.ndarray]:
     """Group ``member`` values by ``group`` id into CSR arrays."""
-    order = np.argsort(group, kind="stable")
+    order = stable_order(group, ngroups)
     counts = np.bincount(group, minlength=ngroups)
     xpins = np.zeros(ngroups + 1, dtype=np.int64)
     np.cumsum(counts, out=xpins[1:])
@@ -233,7 +234,7 @@ def medium_grain_model(a, to_row: np.ndarray | None = None) -> MediumGrainModel:
     net_lists: list[np.ndarray] = []
     # Column nets over Ar.
     r_rows, r_cols = rows[to_row], cols[to_row]
-    order = np.argsort(r_cols, kind="stable")
+    order = stable_order(r_cols, n)
     r_rows, r_cols = r_rows[order], r_cols[order]
     uniq_cols, starts = np.unique(r_cols, return_index=True)
     ends = np.append(starts[1:], r_cols.size)
@@ -243,7 +244,7 @@ def medium_grain_model(a, to_row: np.ndarray | None = None) -> MediumGrainModel:
         net_lists.append(pins)
     # Row nets over Ac.
     c_rows, c_cols = rows[~to_row], cols[~to_row]
-    order = np.argsort(c_rows, kind="stable")
+    order = stable_order(c_rows, m)
     c_rows, c_cols = c_rows[order], c_cols[order]
     uniq_rows, starts = np.unique(c_rows, return_index=True)
     ends = np.append(starts[1:], c_rows.size)

@@ -262,12 +262,10 @@ def _split_side(hg: Hypergraph, part: np.ndarray, side: int) -> Hypergraph:
     kept_nets = hg.net_of_pin[pin_mask]
     per_net = np.bincount(kept_nets, minlength=hg.nnets)
     live = per_net >= 2
-    net_map = np.cumsum(live) - 1
-    keep_pin = live[kept_nets]
-    new_net_of_pin = net_map[kept_nets[keep_pin]]
-    new_pins = kept_pins[keep_pin]
-    order = np.argsort(new_net_of_pin, kind="stable")
-    new_pins = new_pins[order]
+    # ``net_of_pin`` is nondecreasing (pins are stored net by net) and
+    # the masks keep that order, so the surviving pins are already
+    # grouped by their renumbered net: no sort is needed.
+    new_pins = kept_pins[live[kept_nets]]
     counts = per_net[live]
     xpins = np.zeros(int(live.sum()) + 1, dtype=np.int64)
     np.cumsum(counts, out=xpins[1:])

@@ -20,6 +20,7 @@ __all__ = [
     "grouped_distinct_counts",
     "in_sorted",
     "pair_counts",
+    "stable_order",
     "unique_ints",
 ]
 
@@ -56,6 +57,43 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     if lens.size == 0:
         return np.empty(0, dtype=np.int64)
     return concat_spans(starts, lens)
+
+
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    The one stable ordering kernel of the package.  A stable sort's
+    permutation is fixed by the keys alone (ties keep input order), so
+    any stable algorithm returns the same array; this one is a
+    least-significant-digit radix sort over 16-bit digits.  Each pass
+    is a stable ``argsort`` of one ``uint16`` digit, which NumPy runs
+    as a linear-time radix sort, and there are ``ceil(log2(bound) /
+    16)`` passes: one for any ``bound <= 65536``.  Multi-key orders are
+    successive calls, least significant key first (``np.lexsort``
+    semantics)::
+
+        order = stable_order(minor, n_minor)
+        order = order[stable_order(major[order], n_major)]
+
+    Raises ``ValueError`` for non-integer keys or keys outside
+    ``[0, bound)``.  Returns ``int64`` positions.
+    """
+    keys = np.asarray(keys)
+    if keys.ndim != 1 or not np.issubdtype(keys.dtype, np.integer):
+        raise ValueError("stable_order needs a 1-D integer key array")
+    bound = int(bound)
+    if keys.size and (int(keys.min()) < 0 or int(keys.max()) >= bound):
+        raise ValueError(f"stable_order keys must lie in [0, {bound})")
+    top = bound - 1  # the largest admissible key: its bit length sets the pass count
+    if keys.size == 0 or top < 1:
+        return np.arange(keys.size, dtype=np.int64)
+    order = np.argsort(keys.astype(np.uint16, copy=False), kind="stable")
+    shift = 16
+    while top >> shift:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
 
 
 def _use_histogram(span: int, nitems: int) -> bool:

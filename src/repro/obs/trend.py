@@ -189,8 +189,8 @@ def trend_report(baseline_dir, fresh_dir) -> dict:
     """Compare every ``BENCH_*.json`` under ``fresh_dir`` against
     ``baseline_dir``; baseline-only files count as missing benches.
 
-    Files without an ``acceptance`` block (e.g. ``BENCH_engine.json``)
-    are listed as uncomparable but do not fail the gate.
+    Files without an ``acceptance`` block are listed as uncomparable
+    but do not fail the gate.
     """
     baseline_dir, fresh_dir = Path(baseline_dir), Path(fresh_dir)
     names = sorted(

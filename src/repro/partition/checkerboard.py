@@ -63,13 +63,14 @@ def _multiconstraint_column_groups(
     nrows, ncols = m.shape
     vweights = np.zeros((ncols, pr), dtype=np.int64)
     np.add.at(vweights, (cols, row_stripe[rows]), 1)
-    order = np.argsort(rows, kind="stable")
+    # Canonical triplets are row-major: ``cols`` already lists each
+    # row-net's pins in order.
     counts = np.bincount(rows, minlength=nrows)
     xpins = np.zeros(nrows + 1, dtype=np.int64)
     np.cumsum(counts, out=xpins[1:])
     hg = Hypergraph(
         xpins=xpins,
-        pins=cols[order],
+        pins=cols,
         vweights=vweights,
         ncosts=np.ones(nrows, dtype=np.int64),
     )

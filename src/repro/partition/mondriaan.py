@@ -18,6 +18,7 @@ from repro.hypergraph import PartitionConfig
 from repro.hypergraph.bisect import multilevel_bisect
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.models import _majority_owner
+from repro.kernels import stable_order
 from repro.partition.types import SpMVPartition, VectorPartition
 from repro.rng import as_generator, spawn
 from repro.sparse.coo import canonical_coo
@@ -42,7 +43,7 @@ def _line_bisection(
     cross_ids, cross_idx = np.unique(crosses, return_inverse=True)
     nlines = line_ids.size
     vweights = np.bincount(line_idx, minlength=nlines).astype(np.int64)
-    order = np.argsort(cross_idx, kind="stable")
+    order = stable_order(cross_idx, cross_ids.size)
     counts = np.bincount(cross_idx, minlength=cross_ids.size)
     xpins = np.zeros(cross_ids.size + 1, dtype=np.int64)
     np.cumsum(counts, out=xpins[1:])

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import PartitionError
-from repro.kernels import grouped_distinct_counts
+from repro.kernels import grouped_distinct_counts, stable_order
 from repro.sparse.coo import coo_triplets
 
 __all__ = [
@@ -149,7 +149,6 @@ class BlockStructure:
     order: np.ndarray = field(init=False, repr=False)
     block_keys: np.ndarray = field(init=False, repr=False)
     block_indptr: np.ndarray = field(init=False, repr=False)
-    _block_ids_sorted: np.ndarray = field(init=False, repr=False)
     _stats: BlockStats | None = field(init=False, repr=False, default=None)
 
     @classmethod
@@ -177,12 +176,15 @@ class BlockStructure:
         self.row_part_of_nnz = self.y_part[self.rows]
         self.col_part_of_nnz = self.x_part[self.cols]
         block_ids = self.row_part_of_nnz * k + self.col_part_of_nnz
-        self.order = np.argsort(block_ids, kind="stable")
-        self._block_ids_sorted = block_ids[self.order]
-        self.block_keys, starts = np.unique(self._block_ids_sorted, return_index=True)
-        self.block_indptr = np.append(starts, self._block_ids_sorted.size).astype(
-            np.int64
-        )
+        self.order = stable_order(block_ids, k * k)
+        # The keys are sorted now: each block's span starts where the
+        # key changes (a boundary scan, no second sort).
+        ids = block_ids[self.order]
+        starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+        if ids.size:
+            starts = np.concatenate(([0], starts))
+        self.block_keys = ids[starts]
+        self.block_indptr = np.append(starts, ids.size).astype(np.int64)
         self._stats = None
 
     # ------------------------------------------------------------------

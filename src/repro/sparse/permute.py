@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels import stable_order
 from repro.sparse.coo import coo_triplets
 
 __all__ = ["block_permutation", "spy_string"]
@@ -23,7 +24,7 @@ def block_permutation(part: np.ndarray) -> np.ndarray:
     entries of part 0 come first, then part 1, etc.
     """
     part = np.asarray(part)
-    return np.argsort(part, kind="stable")
+    return stable_order(part, int(part.max()) + 1 if part.size else 0)
 
 
 def spy_string(a, nnz_part: np.ndarray, x_part=None, y_part=None) -> str:

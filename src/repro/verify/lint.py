@@ -47,6 +47,15 @@ Rules
     injection harness).  Production code reaps children only through
     ``Process.kill()`` on the coordinator side — signalling arbitrary
     pids bypasses the reaper discipline and can hit a recycled pid.
+``REP010`` **one-ordering** — ``np.lexsort`` and stable
+    ``argsort`` calls (``kind="stable"`` or ``"mergesort"``, function
+    or method form) are confined to :mod:`repro.kernels`, whose
+    ``stable_order`` is the one ordering kernel: bounded integer ids
+    sort there in linear time.  The allowlist names the sorts whose
+    keys are not bounded non-negative ids: the 64-bit hashes of
+    ``hypergraph/coarsen.py``, the negated sizes of ``core/s2d.py``
+    and the shard replay's four-key slot order in
+    ``runtime/compile.py``.
 
 Each violation carries its rule ID; suppressing one requires editing
 the rule's allowlist here — visible in review — rather than a magic
@@ -95,6 +104,11 @@ RULES: dict[str, tuple[str, str]] = {
         "production code reaps children via Process.kill(); raw signals "
         "bypass the reaper discipline and can hit a recycled pid",
     ),
+    "REP010": (
+        "np.lexsort/stable argsort only in repro.kernels (plus allowlist)",
+        "bounded integer ids sort through kernels.stable_order in linear "
+        "time; a comparison sort elsewhere is a slow second ordering path",
+    ),
 }
 
 # First path segment (relative to the repro package) of the layers
@@ -107,6 +121,12 @@ _ENV_MODULES = frozenset({"native/build.py", "experiments/config.py"})
 _CLOCK_LAYER = "obs"
 _NATIVE_FORBIDDEN = ("repro.runtime", "repro.engine", "repro.sweep", "repro.hypergraph")
 _SIGKILL_MODULE = "sweep/faults.py"
+_ORDERING_LAYER = "kernels"
+# Sorts whose keys are not bounded non-negative ids (see REP010).
+_ORDERING_MODULES = frozenset(
+    {"hypergraph/coarsen.py", "core/s2d.py", "runtime/compile.py"}
+)
+_STABLE_KINDS = frozenset({"stable", "mergesort"})
 _MUTABLE_CTORS = frozenset({"list", "dict", "set", "defaultdict", "OrderedDict"})
 
 
@@ -184,6 +204,7 @@ class _Visitor(ast.NodeVisitor):
         name = _dotted(node.func)
         if name:
             self._check_accumulation(node, name)
+            self._check_ordering(node, name)
             if name == "os.getenv" and not self._env_allowed():
                 self.flag("REP004", node, f"environment read via {name}")
             if name == "os.kill" and not self._sigkill_allowed():
@@ -207,6 +228,25 @@ class _Visitor(ast.NodeVisitor):
                 node,
                 f"accumulation primitive {name} outside kernel-bearing layers",
             )
+
+    def _check_ordering(self, node: ast.Call, name: str) -> None:
+        if self.layer == _ORDERING_LAYER or self.rel in _ORDERING_MODULES:
+            return
+        last = name.rsplit(".", 1)[-1]
+        if last == "lexsort":
+            what = name
+        elif last == "argsort" and any(
+            kw.arg == "kind"
+            and isinstance(kw.value, ast.Constant)
+            and kw.value.value in _STABLE_KINDS
+            for kw in node.keywords
+        ):
+            what = f"stable {name}"
+        else:
+            return
+        self.flag(
+            "REP010", node, f"{what} outside repro.kernels (use stable_order)"
+        )
 
     # ---------------------------------------------------------- attributes
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro import obs
+from repro.kernels import stable_order
 from repro.sparse.coo import (
     canonical_coo,
     coo_triplets,
@@ -253,3 +254,89 @@ def test_engine_on_sorted_csr_laplacian_never_sorts():
         engine = PartitionEngine(lap)
         engine.compiled_plan(engine.plan("s2d-heuristic", 16))
     assert tr.total_counters().get("sparse.canonical_sorts", 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# stable_order: the radix ordering kernel behind canonicalization
+# ---------------------------------------------------------------------------
+
+_BOUNDS = (1, 2, 2**16 - 1, 2**16, 2**16 + 1, 2**32 + 1)
+_KEY_DTYPES = (np.int32, np.int64, np.uint16, np.uint32)
+
+
+@pytest.mark.parametrize("bound", _BOUNDS)
+@pytest.mark.parametrize("dtype", _KEY_DTYPES)
+@pytest.mark.parametrize("n", (0, 1, 1000))
+def test_stable_order_equals_stable_argsort(bound, dtype, n):
+    rng = np.random.default_rng(bound % 997 + n)
+    top = min(bound, int(np.iinfo(dtype).max) + 1)
+    cases = [
+        rng.integers(0, top, size=n).astype(dtype),
+        np.full(n, top - 1, dtype=dtype),  # all keys equal, at the top
+        np.zeros(n, dtype=dtype),  # all keys equal, at zero
+    ]
+    if n > 1:  # few distinct keys: long runs of ties
+        cases.append(rng.choice([0, top - 1, top // 2], size=n).astype(dtype))
+    for keys in cases:
+        got = stable_order(keys, bound)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.argsort(keys, kind="stable"))
+
+
+@pytest.mark.parametrize(
+    "keys, bound",
+    [
+        (np.array([0, -1, 2]), 3),
+        (np.array([0, 3, 2]), 3),
+        (np.array([1]), 1),
+        (np.array([0]), 0),
+        (np.array([5, 2**16]), 2**16),
+        (np.array([0.0, 1.0]), 2),
+    ],
+)
+def test_stable_order_rejects_keys_outside_the_bound(keys, bound):
+    with pytest.raises(ValueError):
+        stable_order(keys, bound)
+
+
+def test_canonical_sums_duplicates_in_input_order():
+    rng = np.random.default_rng(11)
+    shape = (70_000, 300)  # two radix passes over rows, one over columns
+    rows = rng.integers(0, shape[0], size=400)
+    cols = rng.integers(0, shape[1], size=400)
+    # Four copies of one entry, scattered, with values whose float sum
+    # depends on the order of addition.
+    dup = np.array([3, 97, 211, 388])
+    rows[dup], cols[dup] = 123, 45
+    vals = rng.standard_normal(400)
+    vals[dup] = [1e16, 1.0, -1e16, 1.0]
+    perm = rng.permutation(400)
+    rows, cols, vals = rows[perm], cols[perm], vals[perm]
+
+    got = canonical_coo(sp.coo_matrix((vals, (rows, cols)), shape=shape))
+
+    order = np.lexsort((cols, rows))
+    r, c, v = rows[order], cols[order], vals[order]
+    first = np.ones(r.size, dtype=bool)
+    first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(v, starts)
+    keep = sums != 0
+    np.testing.assert_array_equal(got.row, r[starts][keep])
+    np.testing.assert_array_equal(got.col, c[starts][keep])
+    assert got.data.tobytes() == sums[keep].tobytes()
+    # The check can fail: the same four values summed in reversed
+    # order give another float.
+    at = np.flatnonzero((got.row == 123) & (got.col == 45))
+    run = vals[(rows == 123) & (cols == 45)]
+    assert run.size == 4
+    assert got.data[at].tolist() == np.add.reduceat(run, [0]).tolist()
+    assert got.data[at].tolist() != np.add.reduceat(run[::-1], [0]).tolist()
+
+
+def test_canonical_inputs_match_the_pinned_digests():
+    """Canonical triplets and column-net models of the suite matrices,
+    a k-NN mesh and an R-MAT graph are bit-identical to the fixture."""
+    from tests import golden_canonical
+
+    assert golden_canonical.check() == []

@@ -173,6 +173,37 @@ def test_rep009_allows_faults_module_and_process_kill():
     )
 
 
+# ---------------------------------------------------------------- REP010
+
+
+def test_rep010_flags_comparison_sorts_outside_kernels():
+    assert "REP010" in _rules(
+        "import numpy as np\no = np.lexsort((c, r))\n", "sparse/coo.py"
+    )
+    assert "REP010" in _rules(
+        "import numpy as np\no = np.argsort(k, kind='stable')\n", "sparse/blocks.py"
+    )
+    assert "REP010" in _rules(
+        "import numpy as np\no = np.argsort(k, kind='mergesort')\n", "dm/batch.py"
+    )
+    # The method form and a bare imported name count too.
+    assert "REP010" in _rules("o = keys.argsort(kind='stable')\n", "hypergraph/models.py")
+    assert "REP010" in _rules("from numpy import lexsort\no = lexsort((c, r))\n")
+
+
+def test_rep010_allows_kernels_allowlist_and_unstable_sorts():
+    src = "import numpy as np\no = np.lexsort((c, r))\np = np.argsort(k, kind='stable')\n"
+    assert "REP010" not in _rules(src, "kernels/__init__.py")
+    for rel in ("hypergraph/coarsen.py", "core/s2d.py", "runtime/compile.py"):
+        assert "REP010" not in _rules(src, rel)
+    # Non-stable sorts and the kernel itself are fine anywhere.
+    assert "REP010" not in _rules(
+        "import numpy as np\no = np.argsort(k)\np = np.argsort(k, kind='quicksort')\n"
+        "q = stable_order(k, n)\n",
+        "sparse/coo.py",
+    )
+
+
 # ---------------------------------------------------------------- REP000
 
 
@@ -187,7 +218,7 @@ def test_syntax_error_is_a_violation_not_a_crash():
 
 def test_every_rule_has_catalog_entry_and_both_polarities_covered():
     # REP002/REP003 are retired; their IDs stay reserved, not reused.
-    assert set(RULES) == {f"REP00{i}" for i in (1, 4, 5, 6, 7, 8, 9)}
+    assert set(RULES) == {f"REP00{i}" for i in (1, 4, 5, 6, 7, 8, 9)} | {"REP010"}
     for rule_id, (summary, rationale) in RULES.items():
         assert summary and rationale, rule_id
 
