@@ -17,8 +17,8 @@ values × 3 schemes through one engine per matrix) at bench scale:
   would — no graceful journal marker), then resumed.  The resume must
   rehydrate every journaled-complete cell from the artifact cache
   (zero recompute), finish the rest, and match the serial baseline
-  bit-for-bit.  The journal's measured fsync cost across both halves
-  is bounded against the serial cold wall-clock.
+  bit-for-bit.  The time spent committing lifecycle rows across both
+  halves is bounded against the serial cold wall-clock.
 
 Every record of the parallel, warm and campaign runs is verified
 *bit-identical* to the serial baseline (same LI / volume / message
@@ -55,7 +55,8 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_sweep.json"
 #: the floor sits 10% under the lowest of them.
 COLD_TARGET = 1.2
 WARM_TARGET = 8.0
-#: Journal fsync cost across run+resume, as a fraction of serial cold.
+#: Time spent committing lifecycle rows across run+resume, as a
+#: fraction of serial cold.
 JOURNAL_OVERHEAD_MAX = 0.05
 JOBS = 4
 SCHEME_KEYS = ("1D", "2D", "s2D")

@@ -40,10 +40,10 @@ kernels; ``native-info`` reports whether the native C kernel backend
 is available and where its build cache lives.
 
 ``campaign`` is the crash-safe way to run a table-scale grid: every
-cell lifecycle event lands in an append-only checksummed journal under
+cell lifecycle event is committed as a row of the artifact store under
 ``--dir``, so a ``kill -9`` at any point loses at most the in-flight
-cells — ``campaign resume`` replays the journal, rehydrates completed
-cells from the artifact cache (zero recompute, bit-identical records)
+cells — ``campaign resume`` replays the rows, rehydrates completed
+cells from the same store (zero recompute, bit-identical records)
 and finishes the rest; ``campaign status`` reports progress and an ETA
 from measured per-cell durations.  Failing cells are retried with
 exponential backoff; deterministic failures are quarantined and
@@ -63,7 +63,7 @@ import sys
 
 from repro import obs
 from repro.engine import ALIASES, PartitionEngine, available_methods
-from repro.errors import ConfigError, UsageError
+from repro.errors import CampaignError, ConfigError, UsageError
 from repro.jobs import resolve_jobs
 from repro.native import BACKENDS
 from repro.experiments import GRID_TABLES, TABLES, ExperimentConfig, figure1_report, run_table
@@ -245,17 +245,17 @@ def main(argv: list[str] | None = None) -> int:
 
     p_camp = sub.add_parser(
         "campaign",
-        help="crash-safe journaled table runs: run / resume / status",
+        help="crash-safe resumable table runs: run / resume / status",
     )
     p_camp.add_argument(
         "action", choices=("run", "resume", "status"),
-        help="run starts a fresh campaign (refuses an in-progress "
-        "journal), resume continues one after a crash or kill, status "
-        "reports progress + ETA from the journal alone",
+        help="run starts a fresh campaign (refuses one in progress), "
+        "resume continues one after a crash or kill, status reports "
+        "progress + ETA from its lifecycle rows alone",
     )
     p_camp.add_argument(
         "--dir", required=True, dest="campaign_dir",
-        help="campaign directory (journal.jsonl + artifact cache)",
+        help="campaign directory (artifact cache with lifecycle rows)",
     )
     p_camp.add_argument(
         "--table", type=int, choices=GRID_TABLES, default=GRID_TABLES[0],
@@ -346,10 +346,11 @@ def main(argv: list[str] | None = None) -> int:
             obs.write_trace(tr, trace_path, fmt=args.trace_format)
             print(f"trace: {trace_path} ({args.trace_format})")
         return rc
-    except (ConfigError, UsageError) as exc:
+    except (CampaignError, ConfigError, UsageError) as exc:
         # Malformed command-level input (e.g. --jobs -2) or a refused
-        # configuration (e.g. `campaign run` over a journal that
-        # already has progress): one clean line instead of a traceback.
+        # configuration (e.g. `campaign run` over a campaign that
+        # already has progress, or `campaign resume` over another
+        # table's campaign): one clean line instead of a traceback.
         print(f"s2d-repro: error: {exc}", file=sys.stderr)
         return 2
 
@@ -511,7 +512,7 @@ def _campaign_cmd(args) -> int:
     if args.action == "status":
         st = campaign_status(args.campaign_dir)
         if st.total == 0:
-            print(f"no campaign journal under {args.campaign_dir}")
+            print(f"no campaign under {args.campaign_dir}")
             return 1
         print(st.line())
         return 0

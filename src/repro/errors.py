@@ -94,11 +94,11 @@ class CellExecutionError(ReproError):
 class CampaignError(ReproError):
     """Raised when a campaign cannot maintain its crash-safety contract.
 
-    Examples: resuming a journal that belongs to a different grid or
-    names an unknown cell, or fault kinds that need worker processes
-    on a platform without ``fork``.  Per-cell *failures* never raise this — they are
-    retried or quarantined; the campaign degrades gracefully instead of
-    aborting.
+    Examples: resuming a campaign whose lifecycle rows belong to a
+    different grid or name an unknown cell, or fault kinds that need
+    worker processes on a platform without ``fork``.  Per-cell
+    *failures* never raise this — they are retried or quarantined; the
+    campaign degrades gracefully instead of aborting.
     """
 
 

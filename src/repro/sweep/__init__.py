@@ -13,12 +13,12 @@ serial ones.
 
 One supervisor schedules every run (:mod:`repro.sweep.campaign`):
 long-lived forked workers, a per-worker watchdog, retry/backoff with
-quarantine.  :func:`run_sweep` is that supervisor with no journal;
-:class:`~repro.sweep.campaign.Campaign` adds an append-only
-checksummed journal (:mod:`repro.sweep.journal`) and
-resume-after-``kill -9`` with records bit-identical to an unfaulted
-serial run — provable under the deterministic fault injection of
-:mod:`repro.sweep.faults`.
+quarantine.  :func:`run_sweep` is that supervisor with no durable
+state; :class:`~repro.sweep.campaign.Campaign` commits every cell
+lifecycle event as a row of the same SQLite store that holds the
+records, and resumes after a ``kill -9`` with records bit-identical to
+an unfaulted serial run — provable under the deterministic fault
+injection of :mod:`repro.sweep.faults`.
 """
 
 from repro.sweep.cache import ArtifactCache, cache_key
@@ -33,7 +33,6 @@ from repro.sweep.campaign import (
     run_sweep,
 )
 from repro.sweep.faults import FaultInjected, FaultPlan, FaultSpec
-from repro.sweep.journal import Journal, JournalReplay, replay_journal
 from repro.sweep.grid import (
     Cell,
     MatrixRef,
@@ -56,8 +55,6 @@ __all__ = [
     "FaultInjected",
     "FaultPlan",
     "FaultSpec",
-    "Journal",
-    "JournalReplay",
     "MatrixRef",
     "MatrixTask",
     "RetryPolicy",
@@ -69,7 +66,6 @@ __all__ = [
     "cell_uid",
     "derive_seed",
     "quality_identical",
-    "replay_journal",
     "run_sweep",
     "suite_refs",
 ]

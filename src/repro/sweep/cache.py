@@ -19,11 +19,13 @@ seed, or a format version bump — therefore changes the address and
 forces a rebuild; stale entries are simply never referenced again.
 
 **Storage.**  A root holds one database, ``artifacts.sqlite``, with
-one table ``artifacts(key, payload)``: the hex address and the payload
-blob.  It runs in WAL mode with ``synchronous=NORMAL``; every store is
-one autocommitted ``INSERT OR REPLACE`` and every fetch one ``SELECT``,
-so no transaction ever stays open between calls and a committed store
-survives a killed process.  Payloads:
+two tables: ``artifacts(key, payload)``, the hex address and the
+payload blob, and ``events(seq, event)``, the lifecycle rows of a
+:class:`~repro.sweep.campaign.Campaign` (one JSON object each, in
+commit order).  It runs in WAL mode with ``synchronous=NORMAL``; every
+store and every event is one autocommitted ``INSERT`` and every fetch
+one ``SELECT``, so no transaction ever stays open between calls and a
+committed row survives a killed process.  Payloads:
 
 - partitions keep only their assignment
   (:func:`repro.partition.serialize.pack_assignment`); a fetch rebuilds
@@ -45,7 +47,9 @@ other connection of the process whose file is gone.  The constructor
 creates a missing database in the constructing process and closes it
 again, so a sweep creates it once before it forks and its workers
 inherit no SQLite state for it; processes that race on a fresh file
-wait for each other under the busy timeout.
+wait for each other under the busy timeout.  :func:`read_events`
+reads through a short-lived read-only connection of its own, so a
+status query creates no database and repairs none.
 
 **Corruption** is a miss, never an error: a payload that does not
 decode is deleted, and a file that is not a database is removed with
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 import pathlib
 import pickle
@@ -73,7 +78,7 @@ from repro.partition.serialize import (
     unpack_assignment,
 )
 
-__all__ = ["ArtifactCache", "RECORD_VERSION", "cache_key"]
+__all__ = ["ArtifactCache", "RECORD_VERSION", "cache_key", "read_events"]
 
 #: Schema version of pickled cell records; bump when the record payload
 #: (PartitionQuality / SpMVRun / Ledger) changes incompatibly.
@@ -85,11 +90,15 @@ DB_NAME = "artifacts.sqlite"
 _BUSY_TIMEOUT_S = 60.0
 _SCHEMA = (
     "CREATE TABLE IF NOT EXISTS artifacts"
-    " (key TEXT PRIMARY KEY, payload BLOB NOT NULL)"
+    " (key TEXT PRIMARY KEY, payload BLOB NOT NULL)",
+    "CREATE TABLE IF NOT EXISTS events"
+    " (seq INTEGER PRIMARY KEY, event TEXT NOT NULL)",
 )
 _SELECT = "SELECT payload FROM artifacts WHERE key = ?"
 _UPSERT = "INSERT OR REPLACE INTO artifacts (key, payload) VALUES (?, ?)"
 _DELETE = "DELETE FROM artifacts WHERE key = ?"
+_APPEND_EVENT = "INSERT INTO events (event) VALUES (?)"
+_SELECT_EVENTS = "SELECT event FROM events ORDER BY seq"
 
 # (pid, database path) -> (connection, (st_dev, st_ino) of the file it
 # opened).  Entries of other pids were inherited through fork: never
@@ -144,7 +153,8 @@ def _open(path: str) -> sqlite3.Connection:
                 if "locked" not in str(exc) or time.monotonic() > deadline:
                     raise
                 time.sleep(0.001)
-        conn.execute(_SCHEMA)
+        for table in _SCHEMA:
+            conn.execute(table)
     except BaseException:
         conn.close()
         raise
@@ -159,6 +169,31 @@ def _close_stale(pid: int) -> None:
         if slot[0] == pid and _file_id(slot[1]) != ident:
             del _CONNECTIONS[slot]
             conn.close()
+
+
+def read_events(root) -> list[dict]:
+    """The lifecycle rows under cache root ``root`` in commit order,
+    read through a read-only connection that creates and repairs
+    nothing: a missing database, one written before the events table
+    existed and a file that is not a database all read as no rows."""
+    path = pathlib.Path(root).expanduser().absolute() / DB_NAME
+    if not path.is_file():
+        return []
+    conn = sqlite3.connect(
+        f"{path.as_uri()}?mode=ro", uri=True, timeout=_BUSY_TIMEOUT_S
+    )
+    try:
+        rows = conn.execute(_SELECT_EVENTS).fetchall()
+    except sqlite3.DatabaseError as exc:
+        # Not a database (the base class), or a store written before
+        # the events table existed; anything else is a real error.
+        not_a_store = type(exc) is sqlite3.DatabaseError
+        if not (not_a_store or "no such table" in str(exc)):
+            raise
+        return []
+    finally:
+        conn.close()
+    return [json.loads(text) for (text,) in rows]
 
 
 class ArtifactCache:
@@ -322,7 +357,7 @@ class ArtifactCache:
         """Fetch a cell record by its precomputed hex address.
 
         The orchestrator addresses each cell once, and campaign resume
-        rehydrates ``done`` cells from the journal's stored record keys
+        rehydrates ``done`` cells from the record keys their rows store
         without rebuilding engines; same hit / miss / corrupt-eviction
         semantics as :meth:`fetch_record`.
         """
@@ -338,3 +373,12 @@ class ArtifactCache:
     def store_record_hex(self, key_hex: str, record) -> None:
         """Store a cell record under its precomputed hex address."""
         self._store(key_hex, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+
+    # ------------------------------------------------------------------
+    # Campaign lifecycle rows
+    # ------------------------------------------------------------------
+
+    def append_event(self, event: dict) -> None:
+        """Commit one lifecycle row (read back by :func:`read_events`)."""
+        text = json.dumps(event, sort_keys=True, separators=(",", ":"))
+        self._query(_APPEND_EVENT, (text,), None)

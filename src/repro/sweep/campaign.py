@@ -1,24 +1,26 @@
 """Sweep scheduling: :func:`run_sweep` and the crash-safe :class:`Campaign`.
 
 Both run a :class:`~repro.sweep.grid.SweepGrid` on one supervisor.
-:func:`run_sweep` is that supervisor with no journal; a
-:class:`Campaign` adds durable state, so a worker crash, OOM kill or
-host reboot loses at most the in-flight cells:
+:func:`run_sweep` is that supervisor with no durable state; a
+:class:`Campaign` adds it, so a worker crash, OOM kill or host reboot
+loses at most the in-flight cells:
 
-- **journal** — every cell lifecycle transition (``started`` /
-  ``done`` / ``failed`` / ``quarantined``) is an append-only, fsync'd,
-  checksummed JSONL event (:mod:`repro.sweep.journal`).  A dispatch
-  writes nothing: a cell handed to a worker that dies before its
-  ``started`` line is still pending on replay.  The journal is written
-  *before* the campaign's in-memory state advances, so ``kill -9`` at
-  any byte offset loses at most the in-flight cells.
-- **resume** — :meth:`Campaign.resume` replays the journal (recovering
-  a torn or corrupted tail first), rehydrates completed cells' records
-  from the :class:`~repro.sweep.cache.ArtifactCache` (write-through
-  during execution, so it is the source of truth), and re-queues only
-  the rest.  Resumed records are bit-identical to an unfaulted serial
-  run — the cache stores exact pickles and cell seeds are pure
-  functions of grid coordinates.
+- **lifecycle rows** — every cell lifecycle transition (``started`` /
+  ``done`` / ``failed`` / ``quarantined``) is one row of the
+  ``events`` table in the campaign's ``cache/artifacts.sqlite``,
+  committed by one autocommitted ``INSERT`` through
+  :class:`~repro.sweep.cache.ArtifactCache` before the campaign's
+  in-memory state advances.  A dispatch writes nothing: a cell handed
+  to a worker that dies before its ``started`` row is still pending on
+  replay.  Records and rows share one write-ahead log: a worker
+  commits a cell's record before it reports ``done``, and the
+  coordinator commits the ``done`` row only after that report, so no
+  recovered database holds a ``done`` row without its record.
+- **resume** — :meth:`Campaign.resume` replays the rows in commit
+  order, rehydrates completed cells' records from the same store and
+  re-queues only the rest.  Resumed records are bit-identical to an
+  unfaulted serial run — the cache stores exact pickles and cell
+  seeds are pure functions of grid coordinates.
 
 The supervisor, shared by both:
 
@@ -56,8 +58,7 @@ trace open and the coordinator grafts the ``sweep.task`` /
 ``sweep.cell`` trees back (:mod:`repro.sweep.orchestrator`); it bumps
 ``campaign.cells_executed`` / ``campaign.retries`` /
 ``campaign.resumed_cells`` / ``campaign.timeouts`` /
-``campaign.quarantined`` counters, and a campaign's journal replay and
-recovery emit ``journal.*`` events.
+``campaign.quarantined`` counters.
 """
 
 from __future__ import annotations
@@ -75,10 +76,9 @@ from repro import obs
 from repro.errors import CampaignError, CellExecutionError, ConfigError, UsageError
 from repro.jobs import resolve_jobs, set_partition_threads, worker_threads
 from repro.native import resolve_backend
-from repro.sweep.cache import ArtifactCache
+from repro.sweep.cache import ArtifactCache, read_events
 from repro.sweep.faults import FaultPlan
 from repro.sweep.grid import Cell, MatrixTask, SweepGrid
-from repro.sweep.journal import Journal
 from repro.sweep.orchestrator import CellRecord, SweepResult, _run_batch
 
 __all__ = [
@@ -121,7 +121,7 @@ class RetryPolicy:
 
 def cell_uid(task: MatrixTask, cell: Cell) -> str:
     """Stable identity of one grid cell — a pure function of its
-    coordinates, so journal entries address the same cell across
+    coordinates, so lifecycle rows address the same cell across
     processes and resumes."""
     uid = (
         f"{task.name}:s{task.seed}:{cell.scheme}:K{cell.k}"
@@ -192,7 +192,7 @@ class CampaignResult:
     ``failed_cells`` the quarantined ones; ``complete`` is True iff
     every grid cell is done (no pending, no quarantined).  ``counters``
     carries the robustness bookkeeping (retries, resumed cells,
-    timeouts, journal stats).
+    timeouts, lifecycle-row commit stats).
     """
 
     records: list[CellRecord]
@@ -299,13 +299,6 @@ class _Job:
     eof: bool = False  # the worker died
 
 
-class _NoJournal:
-    """:func:`run_sweep`'s journal: nothing is made durable."""
-
-    @staticmethod
-    def append(event: dict) -> None:
-        pass
-
 class _Supervisor:
     """The sweep's one scheduler: dispatch, workers, watchdog, retries.
 
@@ -367,10 +360,12 @@ class _Supervisor:
             "cells_executed": 0,
             "cells_from_cache": 0,
             "rehydrate_miss": 0,
-            "journal_recovered": 0,
+            "journal_appends": 0,
+            "journal_write_s": 0.0,
         }
         self.engines: list[dict] = []
-        self._journal = _NoJournal()
+        # A campaign's store for lifecycle rows; run_sweep has none.
+        self._rows: ArtifactCache | None = None
         self._traced = False
         self._ndone = 0
         self._ended: list[tuple[int, dict | None, tuple | None]] = []
@@ -525,6 +520,16 @@ class _Supervisor:
 
     # ---------------------------------------------------- message intake
 
+    def _append(self, event: dict) -> None:
+        """Commit one lifecycle row, timing the commit for the
+        benchmark's overhead bound; nothing when there is no store."""
+        if self._rows is None:
+            return
+        t0 = obs.now()
+        self._rows.append_event(event)
+        self.counters["journal_appends"] += 1
+        self.counters["journal_write_s"] += obs.now() - t0
+
     def _drain(self, job: _Job) -> bool:
         """Process every buffered message of a job whose pipe is
         readable or whose worker is dead; True = aborted."""
@@ -542,7 +547,7 @@ class _Supervisor:
         kind = msg[0]
         if kind == "started":
             uid = msg[1]
-            self._journal.append(
+            self._append(
                 {
                     "ev": "started",
                     "cell": uid,
@@ -556,7 +561,7 @@ class _Supervisor:
         if kind == "done":
             _, uid, record, dur = msg
             state = self.cells[uid]
-            self._journal.append(
+            self._append(
                 {
                     "ev": "done",
                     "cell": uid,
@@ -648,7 +653,7 @@ class _Supervisor:
         state.attempts += 1
         state.failures.append((kind, exc_type, msg))
         state.status = "pending"
-        self._journal.append(
+        self._append(
             {
                 "ev": "failed",
                 "cell": state.uid,
@@ -681,7 +686,7 @@ class _Supervisor:
             return False
         state.status = "quarantined"
         state.quarantine_reason = "deterministic" if deterministic else "budget"
-        self._journal.append(
+        self._append(
             {
                 "ev": "quarantined",
                 "cell": state.uid,
@@ -832,30 +837,40 @@ def run_sweep(
 
 
 class Campaign(_Supervisor):
-    """Supervised, journaled, resumable execution of one sweep grid.
+    """Supervised, resumable execution of one sweep grid with durable
+    lifecycle rows.
 
     Parameters
     ----------
     grid:
         The :class:`SweepGrid` to evaluate.
     root:
-        Campaign directory: holds ``journal.jsonl`` and the artifact
-        cache under ``cache/`` (shared with any other run of the same
-        grid — content addressing makes that safe).
+        Campaign directory: holds the artifact cache under ``cache/``,
+        whose ``artifacts.sqlite`` also holds the lifecycle rows (the
+        records may be shared with any other run of the same grid —
+        content addressing makes that safe).
     jobs:
         Max concurrent worker processes (``resolve_jobs`` convention).
     retry, watchdog_s, faults:
         Retry policy, per-cell watchdog timeout, optional
         :class:`FaultPlan` (tests/benchmarks).
-    fsync:
-        Journal durability (default on; tests may disable).
     progress:
         Optional callable receiving a :class:`CampaignStatus` after
         every cell completion/failure.
     stop_after:
         Test/bench harness hook: abruptly stop the coordinator after
-        this many cells are ``done`` — *without* any graceful journal
-        marker, exactly as a ``kill -9`` of the campaign process would.
+        this many cells are ``done`` — *without* any graceful marker
+        row, exactly as a ``kill -9`` of the campaign process would.
+
+    The coordinator closes its connection to the store before its
+    first workers fork, then holds one while it supervises (it commits
+    the rows), so a worker forked later — a replacement for a dead or
+    reaped one — inherits that connection open.  The worker never uses
+    or closes it (connections are keyed by pid) and leaves through
+    ``os._exit``.
+
+    A ``root`` holding a ``journal.jsonl`` of an older release is
+    refused with :class:`~repro.errors.UsageError`.
     """
 
     def __init__(
@@ -867,13 +882,11 @@ class Campaign(_Supervisor):
         retry: RetryPolicy | None = None,
         watchdog_s: float = 300.0,
         faults: FaultPlan | None = None,
-        fsync: bool = True,
         progress=None,
         stop_after: int | None = None,
         sleep=time.sleep,
     ) -> None:
         self.root = Path(root).expanduser()
-        self.fsync = bool(fsync)
         super().__init__(
             grid,
             jobs=resolve_jobs(jobs, what="jobs"),
@@ -890,12 +903,6 @@ class Campaign(_Supervisor):
             "\n".join(self.order).encode()
         ).hexdigest()[:16]
 
-    # ------------------------------------------------------------- paths
-
-    @property
-    def journal_path(self) -> Path:
-        return self.root / "journal.jsonl"
-
     @property
     def cell_uids(self) -> list[str]:
         """All cell uids in deterministic grid order (fault targeting)."""
@@ -904,20 +911,15 @@ class Campaign(_Supervisor):
     # ------------------------------------------------------------ public
 
     def run(self) -> CampaignResult:
-        """Execute from scratch; refuses a journal with prior progress
+        """Execute from scratch; refuses a campaign with prior progress
         (use :meth:`resume` for that — the split keeps an accidental
         re-``run`` from silently reusing half a campaign)."""
-        replay = Journal(self.journal_path).replay()
-        if any(e.get("ev") != "campaign" for e in replay.events):
-            raise ConfigError(
-                f"campaign journal {self.journal_path} already has progress; "
-                "use resume"
-            )
-        return self._execute()
+        return self._execute(fresh=True)
 
     def resume(self) -> CampaignResult:
-        """Replay the journal, skip completed cells, finish the rest."""
-        return self._execute()
+        """Replay the lifecycle rows, skip completed cells, finish the
+        rest."""
+        return self._execute(fresh=False)
 
     def status(self) -> CampaignStatus:
         return campaign_status(self.root)
@@ -931,14 +933,14 @@ class Campaign(_Supervisor):
             if kind == "campaign":
                 if ev.get("sig") != self.grid_sig:
                     raise CampaignError(
-                        "journal belongs to a different grid "
+                        "campaign rows belong to a different grid "
                         f"(sig {ev.get('sig')} != {self.grid_sig})"
                     )
                 continue
             state = self.cells.get(ev.get("cell"))
             if state is None:
                 raise CampaignError(
-                    f"journal names unknown cell {ev.get('cell')!r}"
+                    f"campaign rows name unknown cell {ev.get('cell')!r}"
                 )
             if kind == "started":
                 open_starts[state.uid] = True
@@ -957,8 +959,6 @@ class Campaign(_Supervisor):
             elif kind == "quarantined":
                 state.status = "quarantined"
                 state.quarantine_reason = ev.get("reason", "budget")
-            # Older journals also hold a "scheduled" line per dispatch;
-            # it carries no state and is skipped.
         # A start with no matching outcome was in flight when the
         # campaign died: charge one transient attempt so a cell that
         # *causes* the crash (e.g. the OOM killer) cannot loop forever
@@ -975,8 +975,9 @@ class Campaign(_Supervisor):
                 continue
             quality = cache.fetch_record_hex(state.record_key)
             if quality is None:
-                # Cache loss: the journal says done but the record is
-                # gone — recompute rather than fail the resume.
+                # The row says done but the record is gone (evicted as
+                # corrupt, or stored under an older address): recompute
+                # rather than fail the resume.
                 state.status = "pending"
                 state.record_key = None
                 self.counters["rehydrate_miss"] += 1
@@ -997,79 +998,80 @@ class Campaign(_Supervisor):
             self.counters["resumed_cells"] += 1
             obs.add("campaign.resumed_cells")
 
-    def _execute(self) -> CampaignResult:
-        self.root.mkdir(parents=True, exist_ok=True)
+    def _execute(self, *, fresh: bool) -> CampaignResult:
+        _refuse_old_journal(self.root)
+        events = read_events(self.cache_dir)
+        if fresh and any(e.get("ev") != "campaign" for e in events):
+            raise ConfigError(
+                f"campaign {self.root} already has progress; use resume"
+            )
         cache = ArtifactCache(self.cache_dir)
-        journal = Journal(self.journal_path, fsync=self.fsync)
-        replay = journal.recover()
-        if replay.damaged:
-            self.counters["journal_recovered"] = 1
-        obs.event(
-            "campaign.replay",
-            events=len(replay.events),
-            dropped_lines=replay.dropped_lines,
-        )
+        obs.event("campaign.replay", events=len(events))
         with obs.span("campaign.run", cells=len(self.order), jobs=self.jobs):
-            self._journal = journal
-            try:
-                self._replay_into_state(replay.events)
-                self._rehydrate(cache)
-                # The coordinator is done with the store: close its
-                # connection so no worker forks while it holds SQLite
-                # state (a serial run reopens it on first use).
-                cache._disconnect()
-                if not replay.events:
-                    journal.append(
-                        {
-                            "ev": "campaign",
-                            "cells": len(self.order),
-                            "sig": self.grid_sig,
-                        }
-                    )
-                # Quarantine anything whose replayed history already
-                # exhausts the policy (e.g. a lowered budget on resume).
-                for state in self.cells.values():
-                    if state.status == "pending" and state.failures:
-                        self._maybe_quarantine(state)
-                aborted = self._supervise()
-            finally:
-                journal.close()
-                # Journal cost accounting for the benchmark's
-                # journal-overhead acceptance bound.
-                self.counters["journal_appends"] = journal.appended
-                self.counters["journal_write_s"] = journal.write_s
-            return self._finalize(aborted)
+            self._rows = cache
+            self._replay_into_state(events)
+            self._rehydrate(cache)
+            if not events:
+                self._append(
+                    {"ev": "campaign", "cells": len(self.order), "sig": self.grid_sig}
+                )
+            # Quarantine anything whose replayed history already
+            # exhausts the policy (e.g. a lowered budget on resume).
+            for state in self.cells.values():
+                if state.status == "pending" and state.failures:
+                    self._maybe_quarantine(state)
+            # Close the coordinator's connection so the first workers
+            # fork without SQLite state; the next row reopens it.
+            cache._disconnect()
+            return self._finalize(self._supervise())
 
 
 # ----------------------------------------------------------------------
-# Journal-only status (no grid needed)
+# Status from the lifecycle rows alone (no grid needed)
 # ----------------------------------------------------------------------
+
+
+def _refuse_old_journal(root: Path) -> None:
+    """Refuse a campaign directory written by a release that kept its
+    lifecycle in a JSONL journal file."""
+    old = root / "journal.jsonl"
+    if old.exists():
+        raise UsageError(
+            f"{old} is a campaign journal of an older release: finish "
+            "that campaign with the release that wrote it, or start a "
+            "new directory"
+        )
 
 
 def campaign_status(root) -> CampaignStatus:
-    """Progress of a campaign directory from its journal alone.
+    """Progress of a campaign directory from its lifecycle rows alone.
 
-    Works on a live, killed, or finished campaign; ``eta_s`` projects
-    the measured average cell duration over the remaining cells
-    (serial basis — divide by your job count for a pool estimate).
+    Reads through a read-only connection, so it creates nothing and
+    works on a live, killed or finished campaign; a directory without
+    a store reports ``total == 0``.  ``eta_s`` projects the measured
+    average cell duration over the remaining cells (serial basis —
+    divide by your job count for a pool estimate).
     """
-    from repro.sweep.journal import replay_journal
-
-    replay = replay_journal(Path(root).expanduser() / "journal.jsonl")
+    root = Path(root).expanduser()
+    _refuse_old_journal(root)
     total = 0
     done: dict[str, float] = {}
     quarantined: set = set()
     retries = 0
-    for ev in replay.events:
-        kind = ev.get("ev")
+    last: dict[str, str] = {}  # cell -> kind of its latest row
+    for ev in read_events(root / "cache"):
+        kind, cell = ev.get("ev"), ev.get("cell")
         if kind == "campaign":
             total = int(ev.get("cells", 0))
         elif kind == "done":
-            done[ev.get("cell")] = float(ev.get("dur", 0.0))
+            done[cell] = float(ev.get("dur", 0.0))
         elif kind == "failed":
             retries += 1
         elif kind == "quarantined":
-            quarantined.add(ev.get("cell"))
+            quarantined.add(cell)
+            if last.get(cell) == "failed":
+                retries -= 1  # that failure quarantined the cell
+        last[cell] = kind
     durs = [d for d in done.values() if d > 0]
     avg = sum(durs) / len(durs) if durs else 0.0
     pending = max(0, total - len(done) - len(quarantined))

@@ -11,9 +11,9 @@ campaign's records are bit-identical to an unfaulted serial run.
 
 Fault taxonomy (see DESIGN.md "Campaign runner"):
 
-- ``kill``  — the worker SIGKILLs itself *after* journaling ``started``
-  but before computing the cell: the crash the journal exists for.
-  Transient: the campaign retries the cell on a fresh worker.
+- ``kill``  — the worker SIGKILLs itself *after* reporting ``started``
+  but before computing the cell: the crash the lifecycle rows exist
+  for.  Transient: the campaign retries the cell on a fresh worker.
 - ``raise`` — the cell raises :class:`FaultInjected`.  With
   ``attempts=(0,)`` it models a transient error (retry succeeds); with
   ``attempts=None`` (every attempt) it models a deterministic bug —
@@ -22,9 +22,10 @@ Fault taxonomy (see DESIGN.md "Campaign runner"):
 - ``stall`` — the cell sleeps past the campaign watchdog: the worker
   is reaped, the cell marked ``timed_out`` and retried.
 
-Journal-level faults don't travel through workers; they are applied to
-the file between runs by :func:`corrupt_journal_tail` (truncate at an
-arbitrary byte offset, scribble garbage, flip a byte) — the on-disk
+Store-level faults don't travel through workers: the tests damage
+``artifacts.sqlite`` and its write-ahead log between runs (delete a
+suffix of lifecycle rows, overwrite a record payload, overwrite the
+file with garbage, tear or flip the log's last frames) — the on-disk
 half of the ``kill -9`` story.
 
 This module is the **only** place in ``src/`` allowed to send
@@ -42,12 +43,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError, ReproError
 
-__all__ = [
-    "FaultInjected",
-    "FaultPlan",
-    "FaultSpec",
-    "corrupt_journal_tail",
-]
+__all__ = ["FaultInjected", "FaultPlan", "FaultSpec"]
 
 
 class FaultInjected(ReproError):
@@ -131,35 +127,3 @@ class FaultPlan:
         )
         return FaultPlan(specs=specs)
 
-
-def corrupt_journal_tail(path, mode: str = "truncate", *, offset: int | None = None) -> int:
-    """Damage a journal file the way a crash or bit rot would.
-
-    ``mode="truncate"`` cuts the file at ``offset`` (default: mid-way
-    through the final line — a torn write); ``mode="garbage"`` appends
-    a half-formed line with no newline; ``mode="flip"`` XOR-flips one
-    payload byte of the final line (checksum mismatch, length intact).
-    Returns the resulting file size.  Only meaningful between campaign
-    runs — never call it while a :class:`~repro.sweep.journal.Journal`
-    holds the file open.
-    """
-    import pathlib
-
-    path = pathlib.Path(path)
-    raw = path.read_bytes()
-    if not raw:
-        raise ConfigError(f"cannot corrupt empty journal {path}")
-    if mode == "truncate":
-        if offset is None:
-            offset = len(raw) - max(2, len(raw.splitlines()[-1]) // 2)
-        offset = max(0, min(int(offset), len(raw)))
-        path.write_bytes(raw[:offset])
-    elif mode == "garbage":
-        path.write_bytes(raw + b'deadbeefcafe {"ev": "not-even-clo')
-    elif mode == "flip":
-        start = raw.rfind(b"\n", 0, len(raw) - 1) + 1
-        pos = min(start + 20, len(raw) - 2)  # inside the payload
-        path.write_bytes(raw[:pos] + bytes([raw[pos] ^ 0x40]) + raw[pos + 1 :])
-    else:
-        raise ConfigError(f"unknown corruption mode {mode!r}")
-    return path.stat().st_size

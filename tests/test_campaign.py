@@ -1,13 +1,16 @@
-"""Crash-safety tests for the journaled campaign runner.
+"""Crash-safety tests for the campaign runner.
 
-The contract under test (ISSUE 10 / DESIGN.md "Campaign runner"):
+The contract under test (DESIGN.md "Campaign runner"):
 
-- ``kill -9`` at *any* journal byte offset loses at most the in-flight
-  cells: resume replays the journal, rehydrates completed cells from
-  the artifact cache with zero recompute, and the final records are
-  bit-identical to an unfaulted serial ``run_sweep``;
-- torn and checksum-corrupted journal tails are recovered (truncated
-  back to the last clean line) instead of poisoning later appends;
+- a ``kill -9`` at *any* point loses at most the in-flight cells:
+  resume replays the lifecycle rows of ``cache/artifacts.sqlite``,
+  rehydrates completed cells from the same store with zero recompute,
+  and the final records are bit-identical to an unfaulted serial
+  ``run_sweep``;
+- a torn or damaged end of the store's write-ahead log loses at most
+  its last commits, never an earlier one without the later ones;
+- a store that lost a suffix of its rows, a record payload or the
+  whole file resumes bit-identically, recomputing only what is gone;
 - transient faults (worker SIGKILL, watchdog timeout) are retried with
   backoff; a cell raising the same exception twice is deterministic
   and is quarantined — the campaign still completes every other cell.
@@ -18,7 +21,9 @@ Fault injection is deterministic (:mod:`repro.sweep.faults` keys on
 
 from __future__ import annotations
 
+import json
 import os
+import pathlib
 import pickle
 import shutil
 import signal
@@ -30,7 +35,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.errors import CampaignError, CellExecutionError, ConfigError
+from repro.errors import CampaignError, CellExecutionError, ConfigError, UsageError
 from repro.experiments.config import ExperimentConfig
 from repro.sweep import (
     ArtifactCache,
@@ -38,21 +43,18 @@ from repro.sweep import (
     FaultInjected,
     FaultPlan,
     FaultSpec,
-    Journal,
     RetryPolicy,
     SchemeSpec,
     SweepGrid,
     campaign_status,
     cell_uid,
     quality_identical,
-    replay_journal,
     run_sweep,
     suite_refs,
 )
 from repro.sweep import cache as cache_mod
 from repro.sweep import campaign as campaign_mod
-from repro.sweep.faults import corrupt_journal_tail
-from repro.sweep.journal import _encode
+from repro.sweep.cache import read_events
 
 pytestmark = pytest.mark.campaign
 
@@ -94,77 +96,81 @@ def _assert_bit_identical(serial, result):
 
 
 # ----------------------------------------------------------------------
-# Journal mechanics
+# Lifecycle rows and the store's write-ahead log
 # ----------------------------------------------------------------------
 
 
+def _live_store(root, n=4):
+    """A store with ``n`` rows whose writer still holds it open, so
+    every row is still in the write-ahead log, as after a crash."""
+    cache = ArtifactCache(root)
+    for i in range(n):
+        cache.append_event({"ev": "x", "n": i})
+    return cache
+
+
+def _crash_copy(src, dst, damage=None):
+    """Copy the database and its log as a crash would leave them, with
+    ``damage(log_bytes, commit_ends, frame_bytes)`` applied to the log.
+    The shared-memory index is not copied: a reader rebuilds it from
+    the log, checking every frame's checksum."""
+    dst.mkdir()
+    db = src / cache_mod.DB_NAME
+    shutil.copy(db, dst / cache_mod.DB_NAME)
+    log = pathlib.Path(f"{db}-wal").read_bytes()
+    frame = 24 + int.from_bytes(log[8:12], "big")  # header + one page
+    ends = [
+        off + frame
+        for off in range(32, len(log) - frame + 1, frame)
+        if int.from_bytes(log[off + 4 : off + 8], "big")  # a commit frame
+    ]
+    if damage is not None:
+        log = damage(log, ends, frame)
+    pathlib.Path(f"{dst / cache_mod.DB_NAME}-wal").write_bytes(log)
+
+
+def _flip(log, pos):
+    return log[:pos] + bytes([log[pos] ^ 0x40]) + log[pos + 1 :]
+
+
 def test_journal_roundtrip(tmp_path):
-    path = tmp_path / "j.jsonl"
-    events = [{"ev": "a", "n": i} for i in range(5)]
-    with Journal(path, fsync=False) as j:
-        for ev in events:
-            j.append(ev)
-        assert j.appended == 5
-    replay = replay_journal(path)
-    assert replay.events == events
-    assert not replay.damaged
-    assert replay.good_bytes == path.stat().st_size
+    _live_store(tmp_path)
+    assert read_events(tmp_path) == [{"ev": "x", "n": i} for i in range(4)]
 
 
 def test_journal_missing_file_is_empty_replay(tmp_path):
-    replay = replay_journal(tmp_path / "absent.jsonl")
-    assert replay.events == [] and not replay.damaged
+    assert read_events(tmp_path / "absent") == []
+    assert read_events(tmp_path) == []
+    assert list(tmp_path.iterdir()) == []  # the read created nothing
 
 
 @pytest.mark.parametrize("mode", ["truncate", "garbage", "flip"])
 def test_journal_damaged_tail_drops_only_the_tail(tmp_path, mode):
-    path = tmp_path / "j.jsonl"
-    with Journal(path, fsync=False) as j:
-        for i in range(4):
-            j.append({"ev": "x", "n": i})
-    corrupt_journal_tail(path, mode=mode)
-    replay = replay_journal(path)
-    assert replay.damaged
-    # The clean prefix survives intact; only the damaged tail is lost.
-    assert 3 <= len(replay.events) <= 4
-    assert [e["n"] for e in replay.events] == list(range(len(replay.events)))
-
-
-def test_journal_recover_truncates_and_appends_cleanly(tmp_path):
-    path = tmp_path / "j.jsonl"
-    with Journal(path, fsync=False) as j:
-        j.append({"ev": "keep"})
-        j.append({"ev": "lost"})
-    corrupt_journal_tail(path, mode="flip")
-    j2 = Journal(path, fsync=False)
-    replay = j2.recover()
-    assert replay.damaged and [e["ev"] for e in replay.events] == ["keep"]
-    assert path.stat().st_size == replay.good_bytes
-    j2.append({"ev": "after"})
-    j2.close()
-    final = replay_journal(path)
-    assert not final.damaged
-    assert [e["ev"] for e in final.events] == ["keep", "after"]
-
-
-def test_journal_recover_refused_after_open(tmp_path):
-    j = Journal(tmp_path / "j.jsonl", fsync=False)
-    j.append({"ev": "x"})
-    with pytest.raises(ConfigError):
-        j.recover()
-    j.close()
+    """A torn or damaged end of the write-ahead log loses at most the
+    last commit, and later rows append cleanly after the survivors."""
+    _live_store(tmp_path / "live")
+    damage = {
+        "truncate": lambda log, ends, frame: log[: ends[-1] - frame // 2],
+        "garbage": lambda log, ends, frame: log + b"deadbeef" * 64,
+        "flip": lambda log, ends, frame: _flip(log, ends[-1] - 100),
+    }[mode]
+    _crash_copy(tmp_path / "live", tmp_path / "crashed", damage)
+    kept = [e["n"] for e in read_events(tmp_path / "crashed")]
+    assert kept == list(range(len(kept))) and 3 <= len(kept) <= 4
+    ArtifactCache(tmp_path / "crashed").append_event({"ev": "x", "n": "after"})
+    assert [e["n"] for e in read_events(tmp_path / "crashed")] == [*kept, "after"]
 
 
 def test_journal_interior_corruption_discards_suffix(tmp_path):
-    path = tmp_path / "j.jsonl"
-    good = _encode({"ev": "a"})
-    bad = b"000000000000 {\"ev\":\"b\"}\n"  # wrong checksum, right shape
-    path.write_bytes(good + bad + _encode({"ev": "c"}))
-    replay = replay_journal(path)
-    # Bit rot mid-file: everything from the bad line on is dropped,
-    # exactly as if the process had died there.
-    assert [e["ev"] for e in replay.events] == ["a"]
-    assert replay.dropped_lines == 2
+    """The log's frame checksums chain: a bad frame mid-log discards it
+    and every later commit, exactly as if the writer had died there."""
+    _live_store(tmp_path / "live")
+    _crash_copy(
+        tmp_path / "live",
+        tmp_path / "crashed",
+        lambda log, ends, frame: _flip(log, ends[1] - 100),
+    )
+    assert [e["n"] for e in read_events(tmp_path / "crashed")] == [0]
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +220,7 @@ def test_retry_backoff_deterministic_and_bounded():
 
 def test_cold_campaign_matches_serial_sweep(tmp_path, grid, serial):
     with obs.tracing() as tr:
-        result = Campaign(grid, tmp_path, jobs=2, fsync=False).run()
+        result = Campaign(grid, tmp_path, jobs=2).run()
     assert result.complete and not result.failed_cells
     _assert_bit_identical(serial, result)
     names = [sp.name for sp in tr.walk()]
@@ -240,7 +246,7 @@ def test_long_lived_workers_and_one_engine_info_shape(tmp_path):
     assert len(grid.tasks()) == 8
     swept = run_sweep(grid, jobs=2, cache_dir=tmp_path / "sweep")
     assert multiprocessing.active_children() == []
-    camp = Campaign(grid, tmp_path / "camp", jobs=2, fsync=False).run()
+    camp = Campaign(grid, tmp_path / "camp", jobs=2).run()
     assert multiprocessing.active_children() == []
     for engines in (swept.engines, camp.engines):
         assert [e["matrix"] for e in engines] == [r.name for r in grid.matrices]
@@ -251,15 +257,15 @@ def test_long_lived_workers_and_one_engine_info_shape(tmp_path):
 
 
 def test_campaign_run_refuses_existing_progress(tmp_path, grid):
-    Campaign(grid, tmp_path, jobs=1, fsync=False, stop_after=1).run()
+    Campaign(grid, tmp_path, jobs=1, stop_after=1).run()
     with pytest.raises(ConfigError, match="use resume"):
-        Campaign(grid, tmp_path, jobs=1, fsync=False).run()
+        Campaign(grid, tmp_path, jobs=1).run()
 
 
 def test_resume_rejects_foreign_grid_journal(tmp_path, grid):
-    Campaign(grid, tmp_path, jobs=1, fsync=False, stop_after=1).run()
+    Campaign(grid, tmp_path, jobs=1, stop_after=1).run()
     with pytest.raises(CampaignError, match="different grid"):
-        Campaign(_grid(nmat=1), tmp_path, jobs=1, fsync=False).resume()
+        Campaign(_grid(nmat=1), tmp_path, jobs=1).resume()
 
 
 def test_duplicate_cell_uids_rejected(grid):
@@ -268,49 +274,70 @@ def test_duplicate_cell_uids_rejected(grid):
 
 
 # ----------------------------------------------------------------------
-# kill -9 at three journal offsets × resume → bit-identical
+# kill -9 before / after a done commit, or a destroyed store → resume
 # ----------------------------------------------------------------------
 
 
 def _interrupted_campaign(tmp_path, grid):
     """A campaign aborted after 2 done cells, as a template directory."""
     root = tmp_path / "template"
-    res = Campaign(grid, root, jobs=1, fsync=False, stop_after=2).run()
+    res = Campaign(grid, root, jobs=1, stop_after=2).run()
     assert not res.complete
     return root
 
 
-def _done_line_span(journal_path):
-    """Byte [start, end) of the first ``done`` line in the journal."""
-    raw = journal_path.read_bytes()
-    offset = 0
-    for line in raw.splitlines(keepends=True):
-        if b'"ev":"done"' in line:
-            return offset, offset + len(line)
-        offset += len(line)
-    raise AssertionError("no done record in journal")
+def _store(root):
+    return sqlite3.connect(root / "cache" / cache_mod.DB_NAME, isolation_level=None)
 
 
-@pytest.mark.parametrize("where", ["before", "inside", "after"])
+def _rows(root):
+    """``(seq, event)`` of every lifecycle row, in commit order."""
+    db = _store(root)
+    try:
+        rows = db.execute("SELECT seq, event FROM events ORDER BY seq").fetchall()
+    finally:
+        db.close()
+    return [(seq, json.loads(text)) for seq, text in rows]
+
+
+@pytest.mark.parametrize("where", ["before", "torn", "after"])
 def test_kill_at_offset_then_resume_is_bit_identical(
     tmp_path, grid, serial, where
 ):
     template = _interrupted_campaign(tmp_path, grid)
     root = tmp_path / where
     shutil.copytree(template, root)
-    start, end = _done_line_span(root / "journal.jsonl")
-    offset = {"before": start, "inside": (start + end) // 2, "after": end}[where]
-    corrupt_journal_tail(root / "journal.jsonl", mode="truncate", offset=offset)
+    if where == "before":
+        # The coordinator died before it committed the first done row.
+        first_done = min(seq for seq, ev in _rows(root) if ev["ev"] == "done")
+        db = _store(root)
+        db.execute("DELETE FROM events WHERE seq >= ?", (first_done,))
+        db.close()
+    elif where == "torn":
+        # The store is no database at all (its log went with it: pages
+        # still in the write-ahead log would otherwise shadow the file).
+        db = root / "cache" / cache_mod.DB_NAME
+        for log in ("-wal", "-shm"):
+            pathlib.Path(f"{db}{log}").unlink(missing_ok=True)
+        db.write_bytes(b"\x00garbage" * 512)
 
-    result = Campaign(grid, root, jobs=2, fsync=False).resume()
+    with obs.tracing() as tr:
+        result = Campaign(grid, root, jobs=2).resume()
     assert result.complete
     _assert_bit_identical(serial, result)
-    if where == "after":
-        # The done record survived the cut: that cell is rehydrated
-        # from the cache, never recomputed.
-        assert result.counters["resumed_cells"] >= 1
-    # Cells whose done record was cut still hit the artifact cache on
-    # recompute — the write-through store is the source of truth.
+    if where == "before":
+        # The cells whose rows were lost run again, from the cache.
+        assert result.counters["resumed_cells"] == 0
+        assert result.counters["cells_from_cache"] == 2
+    elif where == "after":
+        # The done rows survived: those cells are rehydrated from the
+        # store, never recomputed.
+        assert result.counters["resumed_cells"] == 2
+    else:
+        # Not a database: recreated, and the campaign starts over.
+        assert tr.total_counters().get("artifact.corrupt", 0) >= 1
+        assert result.counters["resumed_cells"] == 0
+        assert result.counters["cells_executed"] == len(serial.records)
     assert result.counters["cells_executed"] + result.counters[
         "cells_from_cache"
     ] + result.counters["resumed_cells"] == len(serial.records)
@@ -319,22 +346,46 @@ def test_kill_at_offset_then_resume_is_bit_identical(
 def test_resume_with_wiped_cache_recomputes_bit_identical(
     tmp_path, grid, serial
 ):
+    """A done row whose record payload no longer decodes is a
+    rehydrate miss: the cell is recomputed, the other is resumed."""
     template = _interrupted_campaign(tmp_path, grid)
     root = tmp_path / "wiped"
     shutil.copytree(template, root)
-    shutil.rmtree(root / "cache")
-    result = Campaign(grid, root, jobs=1, fsync=False).resume()
+    key = next(ev["key"] for _seq, ev in _rows(root) if ev["ev"] == "done")
+    db = _store(root)
+    db.execute("UPDATE artifacts SET payload = ? WHERE key = ?", (b"torn", key))
+    db.close()
+    result = Campaign(grid, root, jobs=1).resume()
     assert result.complete
     assert result.counters["rehydrate_miss"] >= 1
-    assert result.counters["resumed_cells"] == 0
+    assert result.counters["resumed_cells"] == 1
     _assert_bit_identical(serial, result)
+
+
+def test_done_rows_follow_their_records_and_started_rows_name_the_worker(
+    tmp_path, grid
+):
+    """After an abort at ``jobs=2`` every ``done`` row's record is in
+    the store (the worker commits it before it reports the cell), and
+    every ``started`` row carries the pid of the worker that ran it."""
+    result = Campaign(grid, tmp_path, jobs=2, stop_after=2).run()
+    assert not result.complete
+    events = read_events(tmp_path / "cache")
+    done = [ev for ev in events if ev["ev"] == "done"]
+    started = [ev for ev in events if ev["ev"] == "started"]
+    assert len(done) >= 2 and started
+    cache = ArtifactCache(tmp_path / "cache")
+    for ev in done:
+        assert cache.fetch_record_hex(ev["key"]) is not None, ev["cell"]
+    for ev in started:
+        assert isinstance(ev["pid"], int) and ev["pid"] != os.getpid()
 
 
 def test_idempotent_resume_zero_recompute(tmp_path, grid, serial):
     root = tmp_path / "c"
-    Campaign(grid, root, jobs=2, fsync=False).run()
+    Campaign(grid, root, jobs=2).run()
     with obs.tracing() as tr:
-        result = Campaign(grid, root, jobs=1, fsync=False).resume()
+        result = Campaign(grid, root, jobs=1).resume()
     assert result.complete
     assert result.counters["cells_executed"] == 0
     assert result.counters["resumed_cells"] == len(serial.records)
@@ -344,49 +395,20 @@ def test_idempotent_resume_zero_recompute(tmp_path, grid, serial):
     _assert_bit_identical(serial, result)
 
 
-def test_resume_skips_scheduled_lines_of_older_journals(tmp_path, grid, serial):
-    """Journals written before dispatch stopped being journaled hold a
-    ``scheduled`` line per cell of every dispatched batch, ahead of its
-    ``started`` / ``done`` lines.  Resume and status ignore them."""
-    template = tmp_path / "template"
-    # Aborted after one done cell: its batch-mate was dispatched but
-    # never started.
-    assert not Campaign(grid, template, jobs=1, fsync=False, stop_after=1).run().complete
-    old = tmp_path / "old"
-    shutil.copytree(template, old)
-    uids = {t.task_index: [cell_uid(t, c) for c in t.cells] for t in grid.tasks()}
-    task_of = {uid: ti for ti, batch in uids.items() for uid in batch}
-    events = replay_journal(template / "journal.jsonl").events
-    (old / "journal.jsonl").unlink()
-    scheduled = 0
-    with Journal(old / "journal.jsonl", fsync=False) as j:
-        dispatched: set = set()
-        for ev in events:
-            ti = task_of.get(ev.get("cell"))
-            if ti is not None and ti not in dispatched:
-                dispatched.add(ti)
-                for uid in uids[ti]:
-                    j.append({"ev": "scheduled", "cell": uid, "attempt": 0})
-                    scheduled += 1
-            j.append(ev)
-    done = sum(e["ev"] == "done" for e in events)
-    assert scheduled > done >= 1
-    assert campaign_status(old) == campaign_status(template)
-
-    new_result = Campaign(grid, template, jobs=2, fsync=False).resume()
-    old_result = Campaign(grid, old, jobs=2, fsync=False).resume()
-    assert old_result.complete
-    assert (
-        old_result.counters["resumed_cells"]
-        == new_result.counters["resumed_cells"]
-        == done
-    )
-    _assert_bit_identical(serial, old_result)
-    # Cell durations are measured per run; the counts must agree.
-    old_st, new_st = campaign_status(old), campaign_status(template)
-    for field in ("total", "done", "quarantined", "pending", "retries"):
-        assert getattr(old_st, field) == getattr(new_st, field), field
-    assert old_st.done == old_st.total == len(serial.records)
+def test_old_journal_directories_are_refused(tmp_path, grid):
+    """A directory holding an older release's ``journal.jsonl`` is
+    neither replayed nor overwritten."""
+    old = tmp_path / "journal.jsonl"
+    old.write_bytes(b'0123456789ab {"cells":4,"ev":"campaign","sig":"x"}\n')
+    for call in (
+        Campaign(grid, tmp_path, jobs=1).run,
+        Campaign(grid, tmp_path, jobs=1).resume,
+        lambda: campaign_status(tmp_path),
+    ):
+        with pytest.raises(UsageError, match="journal.jsonl") as exc:
+            call()
+        assert "release that wrote it" in str(exc.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["journal.jsonl"]
 
 
 def test_resumed_campaign_forks_without_an_open_store_connection(
@@ -407,7 +429,7 @@ def test_resumed_campaign_forks_without_an_open_store_connection(
         return send_batch(self, idle, task, items)
 
     monkeypatch.setattr(campaign_mod._Supervisor, "_send_batch", spy)
-    result = Campaign(grid, root, jobs=2, fsync=False).resume()
+    result = Campaign(grid, root, jobs=2).resume()
     assert result.complete and result.counters["resumed_cells"] == 2
     assert held and held[0] is False
     _assert_bit_identical(serial, result)
@@ -422,7 +444,7 @@ def test_worker_sigkill_fault_retries_and_completes(tmp_path, grid, serial):
     uids = _uids(grid)
     plan = FaultPlan(specs=(FaultSpec(kind="kill", cell=uids[1]),))
     result = Campaign(
-        grid, tmp_path, jobs=1, fsync=False, faults=plan,
+        grid, tmp_path, jobs=1, faults=plan,
         retry=RetryPolicy(base=0.01, cap=0.05),
     ).run()
     assert result.complete
@@ -435,7 +457,7 @@ def test_transient_raise_is_retried(tmp_path, grid, serial):
     uids = _uids(grid)
     plan = FaultPlan(specs=(FaultSpec(kind="raise", cell=uids[0], attempts=(0,)),))
     result = Campaign(
-        grid, tmp_path, jobs=2, fsync=False, faults=plan,
+        grid, tmp_path, jobs=2, faults=plan,
         retry=RetryPolicy(base=0.01, cap=0.05),
     ).run()
     assert result.complete and result.counters["retries"] == 1
@@ -448,7 +470,7 @@ def test_deterministic_raise_quarantined_campaign_completes_rest(
     uids = _uids(grid)
     plan = FaultPlan(specs=(FaultSpec(kind="raise", cell=uids[2], attempts=None),))
     result = Campaign(
-        grid, tmp_path, jobs=1, fsync=False, faults=plan,
+        grid, tmp_path, jobs=1, faults=plan,
         retry=RetryPolicy(base=0.01, cap=0.05),
     ).run()
     assert not result.complete
@@ -458,9 +480,11 @@ def test_deterministic_raise_quarantined_campaign_completes_rest(
     assert fc.reason == "deterministic"
     assert fc.attempts == 2  # same exception twice → no third try
     assert "FaultInjected" in fc.summary()
+    # The failure that quarantined the cell is not a retry.
+    assert campaign_status(tmp_path).retries == result.counters["retries"]
     # Quarantine persists across resume: the cell is not retried again.
     again = Campaign(
-        grid, tmp_path, jobs=1, fsync=False, faults=plan,
+        grid, tmp_path, jobs=1, faults=plan,
         retry=RetryPolicy(base=0.01, cap=0.05),
     ).resume()
     assert not again.complete
@@ -475,7 +499,7 @@ def test_attempt_budget_quarantines_flaky_cell(tmp_path):
     # Kill every attempt: transient each time, but the budget caps it.
     plan = FaultPlan(specs=(FaultSpec(kind="kill", cell=uids[0], attempts=None),))
     result = Campaign(
-        grid, tmp_path, jobs=1, fsync=False, faults=plan,
+        grid, tmp_path, jobs=1, faults=plan,
         retry=RetryPolicy(max_attempts=2, base=0.01, cap=0.05),
     ).run()
     assert not result.complete
@@ -489,7 +513,7 @@ def test_watchdog_reaps_stalled_worker(tmp_path, serial, grid):
     plan = FaultPlan(specs=(FaultSpec(kind="stall", cell=uids[1], seconds=60.0),))
     t0 = time.monotonic()
     result = Campaign(
-        grid, tmp_path, jobs=1, fsync=False, faults=plan,
+        grid, tmp_path, jobs=1, faults=plan,
         watchdog_s=1.0, retry=RetryPolicy(base=0.01, cap=0.05),
     ).run()
     assert time.monotonic() - t0 < 30.0  # reaped, not waited out
@@ -520,7 +544,7 @@ grid = SweepGrid(
 )
 uids = [cell_uid(t, c) for t in grid.tasks() for c in t.cells]
 # Stall deterministically at the third cell to run so the parent's
-# SIGKILL always lands mid-campaign with two cells journaled done.  Tasks
+# SIGKILL always lands mid-campaign with two cells committed done.  Tasks
 # run largest first, so the second matrix's cells (uids[2:]) go first.
 faults = FaultPlan(specs=(FaultSpec(kind="stall", cell=uids[0], seconds=120.0),))
 Campaign(grid, {root!r}, jobs=1, faults=faults, watchdog_s=600.0).run()
@@ -534,16 +558,14 @@ def test_sigkill_of_campaign_process_then_resume(tmp_path, grid, serial):
         root=str(root),
     )
     proc = subprocess.Popen([sys.executable, "-c", script])
-    journal = root / "journal.jsonl"
     deadline = time.monotonic() + 120.0
     try:
-        # Wait until the journal proves two cells completed and the
-        # third is in flight (the stall), then kill -9 the coordinator.
+        # Wait until the rows prove two cells completed and the third
+        # is in flight (the stall), then kill -9 the coordinator.
         while time.monotonic() < deadline:
-            if journal.exists():
-                events = replay_journal(journal).events
-                if sum(1 for e in events if e.get("ev") == "done") >= 2:
-                    break
+            events = read_events(root / "cache")
+            if sum(1 for e in events if e.get("ev") == "done") >= 2:
+                break
             time.sleep(0.05)
         else:
             raise AssertionError("campaign never reached the stalled cell")
@@ -612,15 +634,13 @@ def test_worker_exits_after_its_coordinator_is_killed(tmp_path):
         root=str(root),
     )
     proc = subprocess.Popen([sys.executable, "-c", script])
-    journal = root / "journal.jsonl"
     deadline = time.monotonic() + 120.0
     try:
         pid = None
         while pid is None and time.monotonic() < deadline:
-            if journal.exists():
-                for ev in replay_journal(journal).events:
-                    if ev.get("ev") == "started" and ev.get("cell") == first:
-                        pid = ev["pid"]
+            for ev in read_events(root / "cache"):
+                if ev.get("ev") == "started" and ev.get("cell") == first:
+                    pid = ev["pid"]
             time.sleep(0.02)
         assert pid is not None, "the stalled cell never started"
         proc.send_signal(signal.SIGKILL)
@@ -641,7 +661,7 @@ def test_worker_exits_after_its_coordinator_is_killed(tmp_path):
 def test_campaign_status_and_progress_callback(tmp_path, grid):
     seen = []
     result = Campaign(
-        grid, tmp_path, jobs=1, fsync=False, progress=seen.append
+        grid, tmp_path, jobs=1, progress=seen.append
     ).run()
     assert result.complete
     assert len(seen) == len(result.records)
@@ -659,6 +679,7 @@ def test_campaign_status_and_progress_callback(tmp_path, grid):
 def test_campaign_status_empty_dir(tmp_path):
     st = campaign_status(tmp_path)
     assert st.total == 0 and st.done == 0
+    assert list(tmp_path.iterdir()) == []  # status creates nothing
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.experiments import ExperimentConfig, table_grid
+from repro.sweep import ArtifactCache, Campaign
 
 
 def test_cli_suite(capsys):
@@ -107,3 +109,30 @@ def test_cli_campaign_refuses_a_property_table(tmp_path, capsys):
     assert "argument --table: invalid choice: 1" in err
     assert "Traceback" not in err
     assert not (tmp_path / "camp").exists()
+
+
+def test_cli_campaign_refusals_are_one_line_errors(tmp_path, capsys):
+    """Resuming another table's campaign (``CampaignError``) and a
+    directory of an older release's journal (``UsageError``) both end
+    in one ``s2d-repro: error:`` line and exit 2, not a traceback."""
+    table2 = tmp_path / "t2"
+    grid = table_grid(2, ExperimentConfig(scale="tiny"))
+    camp = Campaign(grid, table2)
+    ArtifactCache(table2 / "cache").append_event(
+        {"ev": "campaign", "cells": len(camp.cell_uids), "sig": camp.grid_sig}
+    )
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "journal.jsonl").write_text("")
+    resume = ["campaign", "resume", "--scale", "tiny"]
+    runs = [
+        ([*resume, "--table", "3", "--dir", str(table2)], "different grid"),
+        ([*resume, "--table", "2", "--dir", str(old)], "journal.jsonl"),
+        (["campaign", "status", "--dir", str(old)], "journal.jsonl"),
+    ]
+    for argv, needle in runs:
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, argv
+        assert err.startswith("s2d-repro: error: ") and err.count("\n") == 1, err
+        assert needle in err and "Traceback" not in err
