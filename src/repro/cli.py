@@ -51,9 +51,9 @@ reported without aborting the rest of the grid.
 
 ``check`` runs the static verification layer and exits 1 on any
 violation: ``check plan`` proves a compiled plan's index-array IR
-well-formed (from a partitioned suite matrix, or a saved ``.npz`` via
-``--plan-file``) and, for a suite matrix, replays its per-part shards;
-``check lint`` runs the project AST lint over the ``repro`` package.
+well-formed (from a partitioned suite matrix or MatrixMarket file, or
+a saved ``.npz`` via ``--plan-file``); ``check lint`` runs the project
+AST lint over the ``repro`` package.
 """
 
 from __future__ import annotations
@@ -586,7 +586,7 @@ def _check_cmd(args) -> int:
 
     # check plan
     from repro.errors import SerializationError
-    from repro.verify import check_plan, verify_plan
+    from repro.verify import check_plan
 
     if args.plan_file is not None:
         from repro.partition.serialize import load_plan
@@ -604,15 +604,11 @@ def _check_cmd(args) -> int:
         raise SystemExit(
             "check plan needs exactly one of --matrix / --mtx / --plan-file"
         )
-    from repro.runtime import shard_plan
-
     cfg = ExperimentConfig(scale=args.scale)
     a = read_matrix_market(args.mtx) if args.mtx else _find_matrix(args.matrix, args.scale)
     eng = _engine(a, cfg)
     plan = eng.plan(args.scheme, args.k, config=cfg.partitioner())
-    cplan = eng.compiled_plan(plan)
-    shards = shard_plan(plan.partition, cplan)
-    report = verify_plan(cplan, shards, raise_on_error=False)
+    report = check_plan(eng.compiled_plan(plan))
     print(report.summary())
     return 0 if report.ok else 1
 

@@ -335,21 +335,16 @@ class PartitionEngine:
         with obs.span("engine.run", method=plan.method, k=plan.nparts):
             return self._memo(xkey, lambda: run_partition(plan.partition, x))
 
-    def compiled_plan(self, plan: Plan, *, verify: bool = False) -> CommPlan:
+    def compiled_plan(self, plan: Plan) -> CommPlan:
         """Memoized communication plan compiled from ``plan``'s partition.
 
         The :class:`~repro.runtime.CommPlan` sits next to the block
         structure and DM results as a shared intermediate: the solvers,
         the CLI ``solve`` subcommand and repeated-apply workloads all
         fetch one compiled plan per (method, K, config) instead of
-        re-deriving the message structure per multiply.
-
-        ``verify=True`` runs the static plan-IR checker
-        (:func:`repro.verify.verify_plan`) on the result — whether
-        freshly compiled, memoized, or fetched from the artifact store
-        — raising :class:`~repro.errors.VerificationError` on any
-        violation.  Verification is not part of the memo key: it is a
-        read-only audit of the same plan object.
+        re-deriving the message structure per multiply.  A plan fetched
+        from the artifact store has passed
+        :func:`repro.verify.check_plan` on load.
         """
         key = ("comm-plan", plan.key)
 
@@ -367,12 +362,7 @@ class PartitionEngine:
             return built
 
         with obs.span("engine.compile", method=plan.method, k=plan.nparts):
-            cplan = self._memo(key, build)
-        if verify:
-            from repro.verify import verify_plan
-
-            verify_plan(cplan)
-        return cplan
+            return self._memo(key, build)
 
     def evaluate(
         self,

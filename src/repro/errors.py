@@ -48,9 +48,9 @@ class VerificationError(ReproError):
     """Raised when the static verification layer rejects an artifact.
 
     Carries a :class:`repro.verify.VerifyReport` summary: the plan-IR
-    checker found an out-of-bounds index array, a non-covering owned-row
-    set, a send-slot/ledger mismatch, or a statically unsound superstep
-    schedule.  Unlike :class:`SimulationError` — which fires when a
+    checker found an out-of-bounds index array, mismatched pipeline
+    stage widths, an unsorted main section, or a ledger that breaks
+    the model's phase schedule.  Unlike :class:`SimulationError` — which fires when a
     *run* goes wrong — this fires before anything executes.
     """
 

@@ -35,8 +35,7 @@ via :mod:`ctypes`, and dispatched behind a feature flag:
   :meth:`~repro.runtime.CommPlan.apply` /
   :meth:`~repro.runtime.CommPlan.apply_y` and the solvers (the
   partitioner, the DM batch and the s2D flip loop take no kwarg and
-  follow the process default; the serial shard replay, a verification
-  aid, runs NumPy only);
+  follow the process default);
 - the ``REPRO_NATIVE`` environment flag (``0`` forces NumPy, ``1`` or
   unset prefers native where a compiler exists);
 - when no compiler is available, ``auto`` silently falls back to the

@@ -23,20 +23,14 @@ The iterative solvers (:mod:`repro.solvers`), the engine's memoized
 run on this layer; compiled plans can be persisted with
 :func:`repro.partition.serialize.save_plan`.
 
-To verify that a plan is a real per-part message-passing program,
-:func:`shard_plan` splits it into per-part :class:`PartPlan`s and
-:func:`apply_shards_serial` replays them superstep by superstep on one
-core (:mod:`repro.runtime.shards`).
+The static plan-IR checker (:func:`repro.verify.check_plan`) proves a
+plan's index arrays and ledger well-formed without running it.  There
+is no parallel executor: the per-part program a process pool once ran
+measured slower than this single-core apply and was deleted (see
+DESIGN.md, "No parallel executor").
 """
 
-from repro.runtime.compile import compile_plan, shard_plan
-from repro.runtime.plan import CommPlan, PartPlan
-from repro.runtime.shards import apply_shards_serial
+from repro.runtime.compile import compile_plan
+from repro.runtime.plan import CommPlan
 
-__all__ = [
-    "CommPlan",
-    "PartPlan",
-    "apply_shards_serial",
-    "compile_plan",
-    "shard_plan",
-]
+__all__ = ["CommPlan", "compile_plan"]

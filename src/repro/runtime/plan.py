@@ -59,7 +59,7 @@ from repro.simulate.common import resolve_x
 from repro.simulate.machine import MachineModel, PhaseCost, SpMVRun
 from repro.simulate.messages import Ledger
 
-__all__ = ["CommPlan", "PartPlan"]
+__all__ = ["CommPlan"]
 
 
 _F64 = np.dtype(np.float64)
@@ -172,107 +172,6 @@ class _NativeApply:
             ),
         )
         return y
-
-
-# ----------------------------------------------------------------------
-# Plan shards: the per-part slices of the distributed program
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class _SendSpec:
-    """One part's writes into one communication phase's message buffer.
-
-    ``buffer[x_slots] = x_local[x_cols]`` publishes the x words this
-    part owns and must expand; ``buffer[p_slots] = partials[p_idx]``
-    publishes its outgoing partial sums.  Slot indices are assigned at
-    shard time so that every ``(src, dst)`` pair occupies one
-    contiguous run in ledger pair order — the buffer *is* the ledger,
-    one float64 word per recorded word.
-    """
-
-    x_slots: np.ndarray
-    x_cols: np.ndarray
-    p_slots: np.ndarray
-    p_idx: np.ndarray
-
-    @property
-    def words(self) -> int:
-        return int(self.x_slots.size + self.p_slots.size)
-
-
-@dataclass
-class _RecvX:
-    """One part's x-word reads from one phase buffer:
-    ``x_local[cols] = buffer[slots]``."""
-
-    slots: np.ndarray
-    cols: np.ndarray
-
-
-@dataclass
-class _Gather:
-    """Assemble a combine/fold input vector in the *global* element
-    order of the single-core plan, interleaving buffer reads with
-    locally-held partials::
-
-        w[buf_pos] = buffer[buf_slots]
-        w[loc_pos] = local_partials[loc_idx]
-
-    Keeping the global order is what makes the per-row sums bit-equal
-    to ``CommPlan.apply_y``: contributions to one output row arrive
-    sorted by producing part, exactly as the single-core ``bincount``
-    sees them.
-    """
-
-    size: int
-    buf_pos: np.ndarray
-    buf_slots: np.ndarray
-    loc_pos: np.ndarray
-    loc_idx: np.ndarray
-
-    def assemble(self, buffer: np.ndarray, local: np.ndarray) -> np.ndarray:
-        w = np.empty(self.size, dtype=np.float64)
-        if self.buf_pos.size:
-            w[self.buf_pos] = buffer[self.buf_slots]
-        if self.loc_pos.size:
-            w[self.loc_pos] = local[self.loc_idx]
-        return w
-
-
-@dataclass
-class PartPlan:
-    """Everything one processor needs to run its share of a
-    :class:`CommPlan`, frozen at shard time.
-
-    Built by :func:`repro.runtime.compile.shard_plan`; a list of K of
-    these plus the plan itself fully describes the distributed
-    execution (see :mod:`repro.runtime.shards` for the superstep
-    schedule).  Row indices into the output are *compact* (positions
-    within ``own_rows``) so a part's fold touches only its owned rows.
-    """
-
-    part: int
-    mode: str
-    own_rows: np.ndarray
-    x_own_cols: np.ndarray
-    pre_cols: np.ndarray
-    pre_vals: np.ndarray
-    group1: GroupPlan
-    has_fold: bool
-    fold_rows_c: np.ndarray
-    fold_gather: _Gather
-    sends: dict
-    recvs_x: dict
-    main_rows_c: np.ndarray | None = None
-    main_cols: np.ndarray | None = None
-    main_vals: np.ndarray | None = None
-    group2: GroupPlan | None = None
-    comb_gather: _Gather | None = None
-
-    @property
-    def nrows_local(self) -> int:
-        return int(self.own_rows.size)
 
 
 @dataclass

@@ -30,8 +30,8 @@ from repro.kernels import GroupPlan, pair_counts, unique_ints
 from repro.partition.checkerboard import mesh_shape
 from repro.partition.types import SpMVPartition
 from repro.simulate.common import (
+    PHASES,
     Derivation,
-    Routing,
     check_fold_ownership,
     check_locality,
     classify_nonzeros,
@@ -45,6 +45,8 @@ from repro.simulate.machine import PhaseCost, SpMVRun
 from repro.simulate.messages import Ledger
 
 __all__ = ["derive_s2d_bounded", "run_s2d_bounded"]
+
+ROW, COL = PHASES["routed"]
 
 
 def derive_s2d_bounded(p: SpMVPartition, x: np.ndarray | None = None) -> Derivation:
@@ -114,7 +116,7 @@ def derive_s2d_bounded(p: SpMVPartition, x: np.ndarray | None = None) -> Derivat
             raise SimulationError(
                 f"row-phase message {p1_src[t]}->{p1_dst[t]} leaves mesh row"
             )
-        ledger.record_pairs("route-row", p1_src, p1_dst, p1_words)
+        ledger.record_pairs(ROW, p1_src, p1_dst, p1_words)
 
     # State after hop 1: x values and partials present at intermediates.
     # (items whose hop-1 was a no-op are already "at" the source.)
@@ -158,7 +160,7 @@ def derive_s2d_bounded(p: SpMVPartition, x: np.ndarray | None = None) -> Derivat
             raise SimulationError(
                 f"column-phase message {p2_src[t]}->{p2_dst[t]} leaves mesh column"
             )
-        ledger.record_pairs("route-col", p2_src, p2_dst, p2_words)
+        ledger.record_pairs(COL, p2_src, p2_dst, p2_words)
 
     # ---------------- Compute ------------------------------------------
     with obs.span("simulate.compute"):
@@ -178,9 +180,9 @@ def derive_s2d_bounded(p: SpMVPartition, x: np.ndarray | None = None) -> Derivat
             p, "routed", kind=p.kind or "s2D-b", ledger=ledger,
             phases=[
                 PhaseCost("precompute", flops=flops_pre),
-                PhaseCost("route-row", comm_phase="route-row"),
+                PhaseCost(ROW, comm_phase=ROW),
                 PhaseCost("combine", flops=flops_combine),
-                PhaseCost("route-col", comm_phase="route-col"),
+                PhaseCost(COL, comm_phase=COL),
                 PhaseCost("compute", flops=flops_main),
             ],
             pre_cols=cols[pre_mask],
@@ -196,10 +198,7 @@ def derive_s2d_bounded(p: SpMVPartition, x: np.ndarray | None = None) -> Derivat
         y = plan._apply_y_numpy(x)
 
     verify_product(m, x, y, "s2D-b")
-    routing = Routing(
-        pre_owner, pk, pkeys, recv_keys, main_owner, x_t, y_t, x1, ckey, ckeys, c_dst
-    )
-    return Derivation(plan, routing, y)
+    return Derivation(plan, y)
 
 
 def run_s2d_bounded(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:

@@ -2,9 +2,11 @@
 
 The models differ in *which* items travel (fused packets, expand
 words, two-hop routed copies) but agree on the bookkeeping around
-them: the delivered ``(receiver, j)`` key table, the locality audit
-against it, the fold-time ownership guard, the final ``A @ x`` audit,
-and the :class:`Derivation` each one returns.  Keeping those here
+them: the phase names of :data:`PHASES`, the delivered
+``(receiver, j)`` key table, the locality audit against it, the
+fold-time ownership guard, the freezing of the
+:class:`~repro.runtime.plan.CommPlan`, the final ``A @ x`` audit, and
+the :class:`Derivation` each one returns.  Keeping those here
 means a change to the audit semantics or messages lands in every
 model at once.
 """
@@ -25,10 +27,20 @@ if TYPE_CHECKING:
     from repro.runtime.plan import CommPlan
 
 __all__ = [
-    "Derivation", "Routing", "classify_nonzeros", "mesh_intermediate", "resolve_x",
+    "PHASES", "Derivation", "classify_nonzeros", "mesh_intermediate", "resolve_x",
     "delivery_keys", "check_locality", "check_fold_ownership", "freeze_plan",
     "verify_product",
 ]
+
+#: Each execution model's communication phases, in the order they run:
+#: the ledger phase names and comm ``PhaseCost`` names of its
+#: derivation, and the schedule :func:`repro.verify.check_plan` holds a
+#: plan's ledger to.
+PHASES: dict[str, tuple[str, ...]] = {
+    "single": ("expand-and-fold",),
+    "two": ("expand", "fold"),
+    "routed": ("route-row", "route-col"),
+}
 
 
 def resolve_x(x: np.ndarray | None, ncols: int) -> np.ndarray:
@@ -139,43 +151,13 @@ def verify_product(m, x: np.ndarray, y: np.ndarray, model: str) -> None:
 
 
 @dataclass
-class Routing:
-    """The routing keys of one derived execution model, along which
-    :func:`repro.runtime.shard_plan` splits its plan per part.
-
-    ``pk`` keys each precompute product ``owner·nrows + row``
-    (``pre_owner`` is that owner), ``pkeys`` are the distinct partial
-    keys and ``recv_keys`` the delivered ``receiver·ncols + j`` keys.
-    Single-phase models add ``main_owner``, the owner of each row-owner
-    nonzero; the routed model adds the mesh intermediates ``x_t``/``y_t``
-    of the x deliveries and partials, the hop-1 x copy keys
-    ``x1 = t·ncols + j``, each partial's combine key
-    ``ckey = t·nrows + i``, the distinct ``ckeys`` and each combined
-    partial's destination ``c_dst``.
-    """
-
-    pre_owner: np.ndarray
-    pk: np.ndarray
-    pkeys: np.ndarray
-    recv_keys: np.ndarray
-    main_owner: np.ndarray | None = None
-    x_t: np.ndarray | None = None
-    y_t: np.ndarray | None = None
-    x1: np.ndarray | None = None
-    ckey: np.ndarray | None = None
-    ckeys: np.ndarray | None = None
-    c_dst: np.ndarray | None = None
-
-
-@dataclass
 class Derivation:
     """One execution model derived from a partition in a single pass:
-    the compiled ``plan``, the ``routing`` keys it was built from, and
-    the ``y`` of the derivation's ``x``, computed by the plan's NumPy
-    apply and audited against serial ``A @ x``."""
+    the compiled ``plan`` and the ``y`` of the derivation's ``x``,
+    computed by the plan's NumPy apply and audited against serial
+    ``A @ x``."""
 
     plan: "CommPlan"
-    routing: Routing
     y: np.ndarray
 
     def run(self) -> SpMVRun:

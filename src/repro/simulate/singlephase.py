@@ -33,8 +33,8 @@ from repro.errors import SimulationError
 from repro.kernels import GroupPlan, pair_counts
 from repro.partition.types import SpMVPartition
 from repro.simulate.common import (
+    PHASES,
     Derivation,
-    Routing,
     check_fold_ownership,
     check_locality,
     classify_nonzeros,
@@ -48,7 +48,7 @@ from repro.simulate.messages import Ledger
 
 __all__ = ["derive_single_phase", "run_single_phase"]
 
-PHASE = "expand-and-fold"
+(PHASE,) = PHASES["single"]
 
 
 def derive_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> Derivation:
@@ -144,7 +144,7 @@ def derive_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> Deriva
         y = plan._apply_y_numpy(x)
 
     verify_product(m, x, y, "single-phase")
-    return Derivation(plan, Routing(pre_owner, pk, pkeys, recv_keys, main_owner), y)
+    return Derivation(plan, y)
 
 
 def run_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:

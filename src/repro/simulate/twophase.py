@@ -19,8 +19,8 @@ from repro import obs
 from repro.kernels import GroupPlan, pair_counts
 from repro.partition.types import SpMVPartition
 from repro.simulate.common import (
+    PHASES,
     Derivation,
-    Routing,
     check_locality,
     delivery_keys,
     freeze_plan,
@@ -31,6 +31,8 @@ from repro.simulate.machine import PhaseCost, SpMVRun
 from repro.simulate.messages import Ledger
 
 __all__ = ["derive_two_phase", "run_two_phase"]
+
+EXPAND, FOLD = PHASES["two"]
 
 
 def derive_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> Derivation:
@@ -57,7 +59,7 @@ def derive_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> Derivatio
         e_dst = recv_keys // ncols
         e_j = recv_keys % ncols
         e_src = p.vectors.x_part[e_j]
-        ledger.record_pairs("expand", *pair_counts(e_src, e_dst, k))
+        ledger.record_pairs(EXPAND, *pair_counts(e_src, e_dst, k))
 
     # ---------------- Phase 2: Compute --------------------------------
     with obs.span("simulate.compute"):
@@ -75,14 +77,14 @@ def derive_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> Derivatio
     # ---------------- Phase 3: Fold -----------------------------------
     with obs.span("simulate.fold"):
         away = p_holder != p_dst
-        ledger.record_pairs("fold", *pair_counts(p_holder[away], p_dst[away], k))
+        ledger.record_pairs(FOLD, *pair_counts(p_holder[away], p_dst[away], k))
         flops_agg = np.bincount(p_dst[away], minlength=k).astype(np.int64)
         plan = freeze_plan(
             p, "two", ledger=ledger,
             phases=[
-                PhaseCost("expand", comm_phase="expand"),
+                PhaseCost(EXPAND, comm_phase=EXPAND),
                 PhaseCost("compute", flops=flops),
-                PhaseCost("fold", comm_phase="fold"),
+                PhaseCost(FOLD, comm_phase=FOLD),
                 PhaseCost("aggregate", flops=flops_agg),
             ],
             pre_cols=cols,
@@ -93,7 +95,7 @@ def derive_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> Derivatio
         y = plan._apply_y_numpy(x)
 
     verify_product(m, x, y, "two-phase")
-    return Derivation(plan, Routing(owner, pk, pkeys, recv_keys), y)
+    return Derivation(plan, y)
 
 
 def run_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:

@@ -1,14 +1,11 @@
 """Plan-IR checker: prove a compiled plan well-formed without running it.
 
-A :class:`~repro.runtime.plan.CommPlan` (and its sharded
-:class:`~repro.runtime.plan.PartPlan` decomposition) is an index-array
-IR: frozen gather/scatter/expand/fold indices plus a static message
-ledger.  The executors trust those arrays completely — an out-of-range
-index is at best an ``IndexError`` three layers down and at worst, on
-the native kernel backend, a silent out-of-bounds write into foreign
-memory.  This module proves, by pure array inspection:
-
-**Plan level** (:func:`check_plan`)
+A :class:`~repro.runtime.plan.CommPlan` is an index-array IR: frozen
+gather/scatter/expand/fold indices plus a static message ledger.  The
+apply trusts those arrays completely — an out-of-range index is at
+best an ``IndexError`` three layers down and at worst, on the native
+kernel backend, a silent out-of-bounds write into foreign memory.
+:func:`check_plan` proves, by pure array inspection:
 
 - every index array is in-bounds for its declared buffer
   (``pre_cols``/``main_cols`` < ncols, ``main_rows``/``fold_rows`` <
@@ -17,8 +14,7 @@ memory.  This module proves, by pure array inspection:
   hist-mode group's ``take`` is strictly increasing and agrees exactly
   with the bins its index array populates, a scatter-mode group hits
   every one of its ``length`` groups — the sorted-unique-key structure
-  that owner-major sharding (and hence parallel bit-identity) depends
-  on;
+  the grouped sums' accumulation order rests on;
 - the numeric pipeline's stage widths agree: ``group1`` consumes
   exactly the precompute products, ``group2`` consumes exactly
   ``group1``'s output, the fold consumes exactly the last group
@@ -27,33 +23,16 @@ memory.  This module proves, by pure array inspection:
   each output row's main products form one contiguous segment — the
   shape the native row-segmented apply sums in a register;
 - the executor mode, group/main field shape, ledger phase names and
-  superstep cost schedule all agree with the canonical schedule of
-  :data:`repro.runtime.shards.SCHEDULE`.
+  phase cost list all agree with the model's communication phases,
+  :data:`repro.simulate.common.PHASES`; every recorded message joins
+  two distinct parts in range and carries at least one word, and
+  every per-part flop count is finite and non-negative.
 
-**Shard level** (:func:`check_shards`)
-
-- owned-row sets are sorted, disjoint, and cover every output row
-  exactly once (the property that makes per-part folds a partition of
-  ``y``);
-- every per-part index array is in-bounds for its (compact) buffers;
-- per phase, the send slots of the shards are **pair-contiguous and
-  exactly reconcile against** ``ledger.phase_pairs``: slots are laid
-  out in sorted ``(src, dst)`` pair order with each pair occupying one
-  contiguous run of exactly its ledger word count, every part writes
-  precisely the slot set of its outgoing pairs, and the union covers
-  the whole buffer with no overlap;
-- every receive (x receives, fold/combine gathers) reads only slots
-  inside ranges addressed *to* that part, and only from phases whose
-  send superstep precedes the receive superstep — so the superstep
-  schedule is statically deadlock-free: no part ever waits on a
-  message that no schedule step produces;
-- gather interleaves are exact permutations (buffer and local
-  positions partition the gather output) with in-range local indices.
-
+It guards :func:`repro.partition.serialize.load_plan` and the artifact
+store's plan fetch, in front of the unchecked native apply loops.
 Checks never raise on malformed input — every defect becomes a
 :class:`Violation` in the returned :class:`VerifyReport`; callers that
-want an exception use :meth:`VerifyReport.raise_if_failed` or
-:func:`verify_plan`.
+want an exception use :meth:`VerifyReport.raise_if_failed`.
 """
 
 from __future__ import annotations
@@ -63,26 +42,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import VerificationError
-from repro.runtime.shards import PHASES, SCHEDULE
+from repro.simulate.common import PHASES
 
-__all__ = [
-    "VerifyReport",
-    "Violation",
-    "check_plan",
-    "check_shards",
-    "verify_plan",
-]
-
-# A plan whose ledger phases or slot traffic cannot be laid onto the
-# runtime's superstep SCHEDULE is rejected.  The fold gather reads the
-# last phase's buffer, the routed combine gather the first (hop 1).
+__all__ = ["VerifyReport", "Violation", "check_plan"]
 
 _GROUP_MODES = ("empty", "hist", "scatter")
 
 
 @dataclass(frozen=True)
 class Violation:
-    """One statically-proven defect in a plan or shard set."""
+    """One statically-proven defect in a plan."""
 
     check: str
     location: str
@@ -103,13 +72,6 @@ class VerifyReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def merge(self, other: "VerifyReport") -> "VerifyReport":
-        for c in other.checks:
-            if c not in self.checks:
-                self.checks.append(c)
-        self.violations.extend(other.violations)
-        return self
 
     def summary(self) -> str:
         if self.ok:
@@ -228,8 +190,8 @@ def _check_group(ck: _Checker, g, loc: str) -> bool:
             "(or carries a stray take array)",
         )
     # hist mode: take must be the exact, strictly-increasing set of
-    # populated bins — the sorted-unique-key (owner-major/monotone)
-    # structure bit-identical sharding depends on.
+    # populated bins — the sorted-unique-key structure that lays the
+    # group sums out in key order.
     if g.take is None or not _is_int_array(g.take):
         ck.flag("group.monotone", loc, "hist-mode group lacks an integer take array")
         return False
@@ -265,10 +227,10 @@ def check_plan(plan) -> VerifyReport:
 
     mode = plan.executor
     if not ck.require(
-        mode in SCHEDULE,
+        mode in PHASES,
         "plan.executor-mode",
         "plan",
-        f"unknown executor {mode!r}; expected one of {sorted(SCHEDULE)}",
+        f"unknown executor {mode!r}; expected one of {sorted(PHASES)}",
     ):
         return ck.report
 
@@ -382,7 +344,7 @@ def _check_ledger(ck: _Checker, plan, mode: str, nparts: int) -> None:
         "plan.ledger",
         f"ledger is for {ledger.nparts} parts, plan for {nparts}",
     )
-    canonical = list(SCHEDULE[mode])
+    canonical = list(PHASES[mode])
     names = ledger.phase_names
     ck.require(
         all(n in canonical for n in names)
@@ -432,361 +394,3 @@ def _check_ledger(ck: _Checker, plan, mode: str, nparts: int) -> None:
                 loc,
                 "per-part flops are not a finite non-negative array of size K",
             )
-
-
-# ----------------------------------------------------------------------
-# Shard-level checks
-# ----------------------------------------------------------------------
-
-
-def _pair_ranges(ledger, phase: str, nparts: int):
-    """Slot ranges of every ``(src, dst)`` pair in ledger pair order.
-
-    Slot assignment at shard time lexsorts by ``(src, dst, cat, key)``,
-    so the buffer is partitioned into contiguous runs, one per pair, in
-    sorted pair order, each exactly the pair's ledger word count.
-    Returns ``(src, dst, start, stop)`` arrays plus the buffer size.
-    """
-    src, dst, words = ledger.phase_pairs(phase)
-    stop = np.cumsum(words)
-    start = stop - words
-    total = int(stop[-1]) if words.size else 0
-    return src, dst, start, stop, total
-
-
-def _ranges_for(
-    src: np.ndarray, start: np.ndarray, stop: np.ndarray, q: int
-) -> np.ndarray:
-    """Sorted concatenation of all slot indices in ranges where
-    ``src == q`` (works for dst-side selection by passing dst)."""
-    sel = np.flatnonzero(src == q)
-    if sel.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([np.arange(start[i], stop[i], dtype=np.int64) for i in sel])
-
-
-def _slots_in_ranges(slots: np.ndarray, allowed: np.ndarray) -> bool:
-    """Every slot a member of the (sorted) allowed slot set."""
-    if slots.size == 0:
-        return True
-    if allowed.size == 0:
-        return False
-    pos = np.searchsorted(allowed, slots)
-    pos[pos == allowed.size] = allowed.size - 1
-    return bool(np.all(allowed[pos] == slots))
-
-
-def _check_gather(
-    ck: _Checker, gather, loc: str, *, local_size: int, allowed_slots: np.ndarray
-) -> None:
-    """One interleave spec: positions partition the output, local
-    indices are in range, buffer reads stay inside inbound ranges."""
-    size = int(gather.size)
-    for name, arr in (
-        ("buf_pos", gather.buf_pos),
-        ("buf_slots", gather.buf_slots),
-        ("loc_pos", gather.loc_pos),
-        ("loc_idx", gather.loc_idx),
-    ):
-        if not _is_int_array(arr):
-            ck.flag("shards.gather", loc, f"{name} is not an integer ndarray")
-            return
-    ck.require(
-        gather.buf_pos.size == gather.buf_slots.size
-        and gather.loc_pos.size == gather.loc_idx.size,
-        "shards.gather",
-        loc,
-        "gather position/index arrays have mismatched sizes",
-    )
-    positions = np.concatenate((gather.buf_pos, gather.loc_pos))
-    ck.require(
-        positions.size == size
-        and np.array_equal(np.sort(positions), np.arange(size)),
-        "shards.gather",
-        loc,
-        f"gather positions do not partition [0, {size})",
-    )
-    ck.require(
-        _bounds_ok(gather.loc_idx, local_size),
-        "shards.gather",
-        loc,
-        f"local gather indices outside [0, {local_size})",
-    )
-    ck.require(
-        _slots_in_ranges(np.sort(gather.buf_slots), allowed_slots),
-        "shards.recv-slots",
-        loc,
-        "gather reads buffer slots outside the ranges addressed to this part",
-    )
-
-
-def check_shards(plan, shards) -> VerifyReport:
-    """Statically verify a :func:`~repro.runtime.compile.shard_plan`
-    decomposition against its plan."""
-    ck = _Checker(
-        f"PartPlans(K={getattr(plan, 'nparts', '?')}, "
-        f"executor={getattr(plan, 'executor', '?')!r})"
-    )
-    mode = plan.executor
-    if not ck.require(
-        mode in SCHEDULE,
-        "shards.structure",
-        "shards",
-        f"unknown executor {mode!r}",
-    ):
-        return ck.report
-    nparts, nrows, ncols = int(plan.nparts), int(plan.nrows), int(plan.ncols)
-    if not ck.require(
-        len(shards) == nparts
-        and sorted(s.part for s in shards) == list(range(nparts)),
-        "shards.structure",
-        "shards",
-        f"expected one shard per part 0..{nparts - 1}, "
-        f"got parts {sorted(s.part for s in shards)}",
-    ):
-        return ck.report
-    ck.require(
-        all(s.mode == mode for s in shards),
-        "shards.structure",
-        "shards",
-        "shard modes disagree with the plan executor",
-    )
-    shards = sorted(shards, key=lambda s: s.part)
-
-    # --- owned rows: sorted, disjoint, covering ---------------------------
-    all_rows = []
-    for s in shards:
-        loc = f"shard[{s.part}].own_rows"
-        if _check_index(ck, "shards.own-rows", loc, "own_rows", s.own_rows, nrows):
-            ck.require(
-                s.own_rows.size < 2 or bool(np.all(np.diff(s.own_rows) > 0)),
-                "shards.own-rows",
-                loc,
-                "own_rows is not strictly increasing",
-            )
-        all_rows.append(np.asarray(s.own_rows).ravel())
-    union = np.concatenate(all_rows) if all_rows else np.empty(0, dtype=np.int64)
-    ck.require(
-        union.size == nrows and np.array_equal(np.sort(union), np.arange(nrows)),
-        "shards.own-rows",
-        "shards",
-        f"owned-row sets are not a disjoint cover of [0, {nrows}) "
-        f"({union.size} rows claimed)",
-    )
-
-    # --- per-phase buffer layout ------------------------------------------
-    canonical = list(SCHEDULE[mode])
-    layouts = {ph: _pair_ranges(plan.ledger, ph, nparts) for ph in canonical}
-    pre_total = 0
-    main_total = 0
-
-    for s in shards:
-        who = f"shard[{s.part}]"
-        q = s.part
-        n_local = int(np.asarray(s.own_rows).size)
-
-        _check_index(
-            ck, "shards.index-bounds", f"{who}.x_own_cols", "x_own_cols",
-            s.x_own_cols, ncols,
-        )
-        _check_index(
-            ck, "shards.index-bounds", f"{who}.pre_cols", "pre_cols",
-            s.pre_cols, ncols,
-        )
-        g1_ok = _check_group(ck, s.group1, f"{who}.group1")
-        ck.require(
-            s.pre_vals.size == s.pre_cols.size
-            and (not g1_ok or s.group1.index.size == s.pre_cols.size),
-            "shards.pipeline-sizes",
-            who,
-            "precompute value/column/group sizes disagree",
-        )
-        pre_total += int(s.pre_cols.size)
-        local_psums = _group_out_size(s.group1) if g1_ok else 0
-
-        g2_ok = False
-        local_csums = 0
-        if mode == "routed":
-            g2_ok = s.group2 is not None and _check_group(
-                ck, s.group2, f"{who}.group2"
-            )
-            local_csums = _group_out_size(s.group2) if g2_ok else 0
-        # What each phase's published partials index into: the ``two``
-        # expand hop carries x only, the routed second hop publishes
-        # the *combined* sums (group2 output), everything else the
-        # part's group1 partial sums.
-        psum_bound = {
-            "expand-and-fold": local_psums,
-            "expand": 0,
-            "fold": local_psums,
-            "route-row": local_psums,
-            "route-col": local_csums,
-        }
-
-        if s.main_rows_c is not None:
-            _check_index(
-                ck, "shards.index-bounds", f"{who}.main_rows_c", "main_rows_c",
-                s.main_rows_c, n_local,
-            )
-            _check_index(
-                ck, "shards.index-bounds", f"{who}.main_cols", "main_cols",
-                s.main_cols, ncols,
-            )
-            ck.require(
-                s.main_vals is not None
-                and s.main_rows_c.size == s.main_cols.size == s.main_vals.size,
-                "shards.pipeline-sizes",
-                who,
-                "main_rows_c/main_cols/main_vals sizes disagree",
-            )
-            main_total += int(s.main_rows_c.size)
-
-        # Sends: the union of this part's slot writes must be exactly
-        # the slot ranges of its outgoing ledger pairs — the
-        # pair-contiguity + reconciliation check.
-        ck.require(
-            set(s.sends) == set(canonical) and set(s.recvs_x) <= set(canonical),
-            "shards.schedule",
-            who,
-            f"send/recv phases {sorted(s.sends)}/{sorted(s.recvs_x)} do not "
-            f"match the {mode!r} schedule {canonical}",
-        )
-        for ph in canonical:
-            spec = s.sends.get(ph)
-            if spec is None:
-                continue
-            lsrc, ldst, lstart, lstop, btotal = layouts[ph]
-            loc = f"{who}.sends[{ph!r}]"
-            if not (
-                _is_int_array(spec.x_slots)
-                and _is_int_array(spec.p_slots)
-                and _is_int_array(spec.x_cols)
-                and _is_int_array(spec.p_idx)
-            ):
-                ck.flag("shards.send-slots", loc, "send spec arrays are not integer ndarrays")
-                continue
-            ck.require(
-                spec.x_slots.size == spec.x_cols.size
-                and spec.p_slots.size == spec.p_idx.size,
-                "shards.send-slots",
-                loc,
-                "slot/payload array sizes disagree",
-            )
-            _check_index(
-                ck, "shards.index-bounds", loc, "x_cols", spec.x_cols, ncols
-            )
-            ck.require(
-                _bounds_ok(spec.p_idx, psum_bound[ph]),
-                "shards.send-slots",
-                loc,
-                f"published partial indices outside the part's "
-                f"{psum_bound[ph]} phase-{ph!r} partial sums",
-            )
-            written = np.sort(np.concatenate((spec.x_slots, spec.p_slots)))
-            expected = _ranges_for(lsrc, lstart, lstop, q)
-            ck.require(
-                np.array_equal(written, expected),
-                "shards.send-slots",
-                loc,
-                f"writes {written.size} slots but the ledger assigns this "
-                f"part {expected.size} pair-contiguous slots in phase {ph!r}",
-            )
-
-        # Receives: reads stay inside inbound ranges; the sender's
-        # superstep strictly precedes the reader's, so no receive can
-        # wait on a message the schedule never produces.
-        for ph, spec in s.recvs_x.items():
-            if ph not in layouts:
-                continue  # flagged by shards.schedule above
-            lsrc, ldst, lstart, lstop, btotal = layouts[ph]
-            loc = f"{who}.recvs_x[{ph!r}]"
-            if not (_is_int_array(spec.slots) and _is_int_array(spec.cols)):
-                ck.flag("shards.recv-slots", loc, "recv spec arrays are not integer ndarrays")
-                continue
-            ck.require(
-                spec.slots.size == spec.cols.size,
-                "shards.recv-slots",
-                loc,
-                "slot/column array sizes disagree",
-            )
-            _check_index(ck, "shards.index-bounds", loc, "cols", spec.cols, ncols)
-            inbound = _ranges_for(ldst, lstart, lstop, q)
-            ck.require(
-                _slots_in_ranges(np.sort(spec.slots), inbound),
-                "shards.recv-slots",
-                loc,
-                "reads buffer slots outside the ranges addressed to this part",
-            )
-            send_step, recv_step = SCHEDULE[mode][ph]
-            ck.require(
-                send_step < recv_step,
-                "shards.schedule",
-                loc,
-                f"phase {ph!r} would be read at step {recv_step} before its "
-                f"send step {send_step} completes",
-            )
-
-        # Fold gather reads the mode's last (fold-carrying) phase.
-        lsrc, ldst, lstart, lstop, _ = layouts[PHASES[mode][-1]]
-        fold_local = local_psums
-        if mode == "routed":
-            fold_local = local_csums
-            if s.comb_gather is not None:
-                csrc, cdst, cstart, cstop, _ = layouts[PHASES[mode][0]]
-                _check_gather(
-                    ck,
-                    s.comb_gather,
-                    f"{who}.comb_gather",
-                    local_size=local_psums,
-                    allowed_slots=_ranges_for(cdst, cstart, cstop, q),
-                )
-                if g2_ok:
-                    ck.require(
-                        s.group2.index.size == s.comb_gather.size,
-                        "shards.pipeline-sizes",
-                        who,
-                        f"group2 consumes {s.group2.index.size} items but the "
-                        f"combine gather assembles {s.comb_gather.size}",
-                    )
-            else:
-                ck.flag("shards.structure", who, "routed shard lacks a combine gather")
-        _check_index(
-            ck, "shards.index-bounds", f"{who}.fold_rows_c", "fold_rows_c",
-            s.fold_rows_c, max(n_local, 1) if n_local else 1,
-        )
-        _check_gather(
-            ck,
-            s.fold_gather,
-            f"{who}.fold_gather",
-            local_size=fold_local,
-            allowed_slots=_ranges_for(ldst, lstart, lstop, q),
-        )
-        ck.require(
-            s.fold_rows_c.size == s.fold_gather.size,
-            "shards.pipeline-sizes",
-            who,
-            f"fold scatters {s.fold_rows_c.size} rows but the fold gather "
-            f"assembles {s.fold_gather.size}",
-        )
-
-    # The shards' nonzeros must re-tile the plan's.
-    main_plan = 0 if plan.main_rows is None else int(plan.main_rows.size)
-    ck.require(
-        pre_total == int(plan.pre_cols.size) and main_total == main_plan,
-        "shards.nnz-cover",
-        "shards",
-        f"shards carry pre={pre_total}/main={main_total} nonzeros, plan has "
-        f"pre={plan.pre_cols.size}/main={main_plan}",
-    )
-    return ck.report
-
-
-def verify_plan(plan, shards=None, *, raise_on_error: bool = True) -> VerifyReport:
-    """Run :func:`check_plan` (and :func:`check_shards` when ``shards``
-    is given) and optionally raise :class:`~repro.errors.VerificationError`."""
-    report = check_plan(plan)
-    if shards is not None:
-        report.merge(check_shards(plan, shards))
-    if raise_on_error:
-        report.raise_if_failed()
-    return report

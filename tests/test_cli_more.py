@@ -70,3 +70,43 @@ def test_cli_table_with_default_scale_env(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_SCALE", "tiny")
     assert main(["table", "--id", "4"]) == 0
     assert "scale=tiny" in capsys.readouterr().out
+
+
+def test_cli_check_plan_suite_matrix(capsys):
+    assert main(
+        ["check", "plan", "--matrix", "crystk02", "--scale", "tiny", "--k", "4"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("CommPlan(executor='single'): OK (")
+
+
+def _saved_plan(small_square, path, *, corrupt: bool = False):
+    from repro.engine import PartitionEngine
+    from repro.partition.serialize import save_plan
+
+    eng = PartitionEngine(small_square, seed=5)
+    plan = eng.compiled_plan(eng.plan("finegrain", 3))
+    assert plan.fold_rows.size
+    if corrupt:
+        plan.fold_rows[0] = plan.nrows + 4
+    save_plan(plan, path)
+    return path
+
+
+def test_cli_check_plan_file_clean(tmp_path, small_square, capsys):
+    path = _saved_plan(small_square, tmp_path / "plan.npz")
+    assert main(["check", "plan", "--plan-file", str(path)]) == 0
+    assert "CommPlan(executor='two'): OK (" in capsys.readouterr().out
+
+
+def test_cli_check_plan_file_fold_rows_out_of_range(tmp_path, small_square, capsys):
+    path = _saved_plan(small_square, tmp_path / "bad.npz", corrupt=True)
+    assert main(["check", "plan", "--plan-file", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "violation(s)" in out
+    assert "[plan.index-bounds] plan.fold_rows" in out
+
+
+def test_cli_check_plan_requires_one_source():
+    with pytest.raises(SystemExit, match="exactly one"):
+        main(["check", "plan", "--matrix", "crystk02", "--mtx", "x.mtx"])

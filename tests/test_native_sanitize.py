@@ -102,6 +102,7 @@ assert st["variant"] == "sanitize", st
 import scipy.sparse as sp
 from repro.engine import PartitionEngine
 from repro.sparse.coo import canonical_coo
+from repro.verify import check_plan
 
 a = canonical_coo(sp.random(60, 60, density=0.1, random_state=3, format="coo"))
 eng = PartitionEngine(a, seed=11)
@@ -111,7 +112,8 @@ rng = np.random.default_rng(44)
 modes = set()
 for method in ("1d-rowwise", "s2d-heuristic", "finegrain", "s2d-bounded"):
     for k in (1, 3):
-        plan = eng.compiled_plan(eng.plan(method, k), verify=True)
+        plan = eng.compiled_plan(eng.plan(method, k))
+        check_plan(plan).raise_if_failed()
         modes.add(plan.executor)
         x = rng.standard_normal(plan.ncols)
         assert np.array_equal(

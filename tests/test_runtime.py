@@ -21,7 +21,8 @@ from repro.hypergraph import PartitionConfig
 from repro.partition.serialize import load_partition, load_plan, save_partition, save_plan
 from repro.runtime import CommPlan, compile_plan
 from repro.simulate import MachineModel
-from repro.simulate.report import run_partition
+from repro.simulate.common import PHASES
+from repro.simulate.report import EXECUTORS, run_partition
 
 from tests.conftest import random_s2d_partition
 from tests.golden_runtime import LABELS, check, golden_instances
@@ -85,6 +86,23 @@ def test_static_costs_match_executor_run(partitioned_instances):
         assert plan.words == ref.ledger.total_volume()
         assert plan.msgs == ref.ledger.total_msgs()
         assert plan.time(machine) == ref.time(machine)
+
+
+def test_phase_tables_cover_all_executors(partitioned_instances):
+    """``PHASES`` is every model's one phase list: each compiled plan
+    names exactly its model's comm phases, in order, and books its
+    ledger in an ordered subset of them."""
+    assert set(PHASES) == set(EXECUTORS.values())
+    seen = set()
+    for p, mode in partitioned_instances:
+        plan = compile_plan(p)
+        assert plan.executor == mode
+        comm = [ph.comm_phase for ph in plan.phases if ph.comm_phase is not None]
+        assert comm == [ph.name for ph in plan.phases if ph.comm_phase] == list(PHASES[mode])
+        names = plan.ledger.phase_names
+        assert names == [ph for ph in PHASES[mode] if ph in names]
+        seen.add(mode)
+    assert seen == {"single", "two", "routed"}
 
 
 def test_plan_rejects_wrong_x_size(partitioned_instances):

@@ -128,7 +128,7 @@ def test_rep008_flags_perf_counter_outside_obs():
         "import time\nt0 = time.perf_counter()\n", "engine/engine.py"
     )
     assert "REP008" in _rules(
-        "from time import perf_counter\n", "runtime/shards.py"
+        "from time import perf_counter\n", "runtime/plan.py"
     )
 
 
@@ -140,7 +140,7 @@ def test_rep008_allows_obs_and_other_time_calls():
     # *clock*, not the module.
     assert "REP008" not in _rules(
         "import time\ntime.sleep(0.1)\nfrom time import sleep\n",
-        "runtime/shards.py",
+        "runtime/plan.py",
     )
 
 
@@ -149,7 +149,7 @@ def test_rep008_allows_obs_and_other_time_calls():
 
 def test_rep009_flags_os_kill_and_sigkill_outside_faults():
     assert "REP009" in _rules(
-        "import os\nos.kill(pid, 9)\n", "runtime/shards.py"
+        "import os\nos.kill(pid, 9)\n", "runtime/plan.py"
     )
     assert "REP009" in _rules(
         "import signal\nSIG = signal.SIGKILL\n", "sweep/campaign.py"
@@ -191,10 +191,17 @@ def test_rep010_flags_comparison_sorts_outside_kernels():
     assert "REP010" in _rules("from numpy import lexsort\no = lexsort((c, r))\n")
 
 
+def test_rep010_no_longer_allows_runtime_compile():
+    # The runtime sorts nothing, so no runtime module is on the allowlist.
+    assert "REP010" in _rules(
+        "import numpy as np\no = np.lexsort((k, d, s))\n", "runtime/compile.py"
+    )
+
+
 def test_rep010_allows_kernels_allowlist_and_unstable_sorts():
     src = "import numpy as np\no = np.lexsort((c, r))\np = np.argsort(k, kind='stable')\n"
     assert "REP010" not in _rules(src, "kernels/__init__.py")
-    for rel in ("hypergraph/coarsen.py", "core/s2d.py", "runtime/compile.py"):
+    for rel in ("hypergraph/coarsen.py", "core/s2d.py"):
         assert "REP010" not in _rules(src, rel)
     # Non-stable sorts and the kernel itself are fine anywhere.
     assert "REP010" not in _rules(

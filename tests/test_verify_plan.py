@@ -1,12 +1,12 @@
 """Plan-IR checker: golden instances verify clean, seeded mutations are
-all flagged, and the serialize/engine verification hooks fire.
+all flagged, and the serialize verification hook fires.
 
 The mutation corpus is the checker's own test oracle: every mutation
-class is a realistic corruption (an index nudged out of range, one send
-slot dropped, two parts' receives cross-wired, a tampered ledger entry)
-applied to a deep copy of a *verified-clean* golden artifact, so a
-mutation the checker misses is a hole in the invariant catalog, not a
-test artifact.
+class is a realistic corruption (an index nudged out of range, a
+shuffled main section, a self-message in the ledger, a swapped
+executor) applied to a deep copy of a *verified-clean* golden plan, so
+a mutation the checker misses is a hole in the invariant catalog, not
+a test artifact.
 """
 
 import copy
@@ -17,9 +17,9 @@ import pytest
 from repro.engine import PartitionEngine
 from repro.errors import SerializationError, VerificationError
 from repro.partition.serialize import load_plan, save_plan
-from repro.runtime import compile_plan, shard_plan
+from repro.runtime import compile_plan
 from repro.simulate.machine import MachineModel
-from repro.verify import check_plan, check_shards, verify_plan
+from repro.verify import check_plan
 
 from tests.test_runtime import CFG, partitioned_instances  # noqa: F401
 
@@ -28,23 +28,32 @@ pytestmark = pytest.mark.check
 
 @pytest.fixture(scope="module")
 def verified_artifacts(partitioned_instances):  # noqa: F811
-    """(partition, plan, shards) per golden instance — compiled once."""
+    """(partition, plan) per golden instance — compiled once."""
     out = []
     for p, mode in partitioned_instances:
         plan = compile_plan(p)
         assert plan.executor == mode
-        out.append((p, plan, shard_plan(p, plan)))
+        out.append((p, plan))
     return out
+
+
+# The plan-level checks that run on every plan, whatever its executor.
+_ALWAYS_RUN = {
+    "plan.executor-mode", "plan.shape", "plan.index-bounds", "group.structure",
+    "plan.pipeline-sizes", "plan.nnz-reconcile", "plan.ledger", "plan.phases",
+}
 
 
 def test_all_golden_instances_verify_clean(verified_artifacts):
     """All 7 pristine instances — covering all 3 execution models —
-    pass both the plan-level and the shard-level checker."""
+    pass the plan-IR checker."""
     executors = set()
-    for _, plan, shards in verified_artifacts:
-        report = verify_plan(plan, shards, raise_on_error=False)
+    for _, plan in verified_artifacts:
+        report = check_plan(plan)
         assert report.ok, report.summary()
-        assert len(report.checks) >= 10
+        ran = set(report.checks)
+        assert ran >= _ALWAYS_RUN, sorted(_ALWAYS_RUN - ran)
+        assert ("plan.main-order" in ran) == (plan.main_rows is not None)
         executors.add(plan.executor)
     assert executors == {"single", "two", "routed"}
     assert len(verified_artifacts) == 7
@@ -52,37 +61,37 @@ def test_all_golden_instances_verify_clean(verified_artifacts):
 
 def test_verify_plan_raises_on_violation(verified_artifacts):
     # Instance 1 (s2d on the mesh) has nonempty pre/fold pipelines.
-    _, plan, shards = verified_artifacts[1]
+    _, plan = verified_artifacts[1]
     bad = copy.deepcopy(plan)
     bad.fold_rows[0] = bad.nrows + 7
     with pytest.raises(VerificationError, match="fold_rows"):
-        verify_plan(bad)
-    # raise_on_error=False returns the report instead.
-    assert not verify_plan(bad, raise_on_error=False).ok
+        check_plan(bad).raise_if_failed()
+    # The report itself never raises.
+    assert not check_plan(bad).ok
 
 
 # ----------------------------------------------------------------------
 # Mutation corpus
 # ----------------------------------------------------------------------
 #
-# Each mutator takes deep-copied (plan, shards) and returns True when it
-# could apply to this instance (feature present), mutating in place.
+# Each mutator takes a deep-copied plan and returns True when it could
+# apply to this instance (feature present), mutating in place.
 
-def _mut_pre_cols_oob(plan, shards):
+def _mut_pre_cols_oob(plan):
     if plan.pre_cols.size == 0:
         return False
     plan.pre_cols[0] = plan.ncols
     return True
 
 
-def _mut_main_rows_oob(plan, shards):
+def _mut_main_rows_oob(plan):
     if plan.main_rows is None or plan.main_rows.size == 0:
         return False
     plan.main_rows[-1] = plan.nrows + 2
     return True
 
 
-def _mut_main_rows_shuffled(plan, shards):
+def _mut_main_rows_shuffled(plan):
     """The main section with its rows out of order (each nonzero kept
     whole), which the native row-segmented apply cannot sum."""
     if plan.main_rows is None or np.unique(plan.main_rows).size < 2:
@@ -94,14 +103,14 @@ def _mut_main_rows_shuffled(plan, shards):
     return True
 
 
-def _mut_fold_rows_oob(plan, shards):
+def _mut_fold_rows_oob(plan):
     if plan.fold_rows.size == 0:
         return False
     plan.fold_rows[0] = -1
     return True
 
 
-def _mut_group_take_permuted(plan, shards):
+def _mut_group_take_permuted(plan):
     g = plan.group1
     if g.mode != "hist" or g.take is None or g.take.size < 2:
         return False
@@ -109,7 +118,7 @@ def _mut_group_take_permuted(plan, shards):
     return True
 
 
-def _mut_group_index_negative(plan, shards):
+def _mut_group_index_negative(plan):
     g = plan.group1
     if g.mode == "empty" or g.index.size == 0:
         return False
@@ -117,7 +126,7 @@ def _mut_group_index_negative(plan, shards):
     return True
 
 
-def _mut_group_length_shrunk(plan, shards):
+def _mut_group_length_shrunk(plan):
     g = plan.group1
     if g.mode == "empty" or g.length < 2:
         return False
@@ -125,78 +134,67 @@ def _mut_group_length_shrunk(plan, shards):
     return True
 
 
-def _mut_nnz_mismatch(plan, shards):
+def _mut_nnz_mismatch(plan):
     plan.nnz = int(plan.nnz) + 1
     return True
 
 
-def _mut_pre_vals_truncated(plan, shards):
+def _mut_pre_vals_truncated(plan):
     if plan.pre_vals.size == 0:
         return False
     plan.pre_vals = plan.pre_vals[:-1]
     return True
 
 
-def _mut_send_slot_dropped(plan, shards):
-    for s in shards:
-        for spec in s.sends.values():
-            if spec.x_slots.size:
-                spec.x_slots = spec.x_slots[:-1]
-                spec.x_cols = spec.x_cols[:-1]
-                return True
-            if spec.p_slots.size:
-                spec.p_slots = spec.p_slots[:-1]
-                spec.p_idx = spec.p_idx[:-1]
-                return True
-    return False
-
-
-def _mut_send_slot_duplicated(plan, shards):
-    for s in shards:
-        for spec in s.sends.values():
-            if spec.x_slots.size >= 2:
-                spec.x_slots[0] = spec.x_slots[1]
-                return True
-            if spec.p_slots.size >= 2:
-                spec.p_slots[0] = spec.p_slots[1]
-                return True
-    return False
-
-
-def _mut_recvs_cross_wired(plan, shards):
-    for ph in plan.ledger.phase_names:
-        a = [s for s in shards if ph in s.recvs_x and s.recvs_x[ph].slots.size]
-        if len(a) >= 2:
-            a[0].recvs_x[ph], a[1].recvs_x[ph] = a[1].recvs_x[ph], a[0].recvs_x[ph]
-            return True
-    return False
-
-
-def _mut_own_rows_overlap(plan, shards):
-    a, b = shards[0], shards[1]
-    if a.own_rows.size == 0 or b.own_rows.size == 0:
+def _mut_main_cols_oob(plan):
+    if plan.main_cols is None or plan.main_cols.size == 0:
         return False
-    b.own_rows[0] = a.own_rows[0]
+    plan.main_cols[0] = plan.ncols
     return True
 
 
-def _mut_fold_gather_oob(plan, shards):
-    for s in shards:
-        if s.fold_gather.loc_idx.size:
-            s.fold_gather.loc_idx[0] = 10**6
-            return True
-    return False
+def _mut_group2_index_oob(plan):
+    g = plan.group2
+    if g is None or g.mode == "empty" or g.index.size == 0:
+        return False
+    g.index[-1] = int(g.length)
+    return True
 
 
-def _mut_ledger_words_tampered(plan, shards):
-    for ph in plan.ledger.phase_names:
-        book = plan.ledger._phases[ph]
+def _rebook_first_message(plan, endpoint) -> bool:
+    """Move the first message of the first non-empty ledger phase to
+    the destination ``endpoint(src, nparts)``."""
+    ledger = plan.ledger
+    for ph in ledger.phase_names:
+        book = ledger._phases[ph]
         if book:
-            pair = next(iter(book))
-            book[pair] += 5
-            plan.ledger._agg.pop(ph, None)
+            (src, dst), words = next(iter(book.items()))
+            del book[(src, dst)]
+            book[(src, endpoint(src, ledger.nparts))] = words
+            ledger._agg.pop(ph, None)
             return True
     return False
+
+
+def _mut_ledger_self_message(plan):
+    return _rebook_first_message(plan, lambda src, k: src)
+
+
+def _mut_ledger_endpoint_oob(plan):
+    return _rebook_first_message(plan, lambda src, k: k)
+
+
+def _mut_phase_flops_negative(plan):
+    for ph in plan.phases:
+        if ph.flops is not None and ph.flops.size:
+            ph.flops[0] = -1
+            return True
+    return False
+
+
+def _mut_executor_field_mismatch(plan):
+    plan.executor = {"single": "two", "two": "single", "routed": "single"}[plan.executor]
+    return True
 
 
 MUTATIONS = {
@@ -209,12 +207,12 @@ MUTATIONS = {
     "group-length-shrunk": _mut_group_length_shrunk,
     "nnz-mismatch": _mut_nnz_mismatch,
     "pre-vals-truncated": _mut_pre_vals_truncated,
-    "send-slot-dropped": _mut_send_slot_dropped,
-    "send-slot-duplicated": _mut_send_slot_duplicated,
-    "recvs-cross-wired": _mut_recvs_cross_wired,
-    "own-rows-overlap": _mut_own_rows_overlap,
-    "fold-gather-oob": _mut_fold_gather_oob,
-    "ledger-words-tampered": _mut_ledger_words_tampered,
+    "main-cols-oob": _mut_main_cols_oob,
+    "group2-index-oob": _mut_group2_index_oob,
+    "ledger-self-message": _mut_ledger_self_message,
+    "ledger-endpoint-oob": _mut_ledger_endpoint_oob,
+    "phase-flops-negative": _mut_phase_flops_negative,
+    "executor-field-mismatch": _mut_executor_field_mismatch,
 }
 
 
@@ -228,13 +226,12 @@ def test_every_mutation_class_is_flagged(name, verified_artifacts):
     and be flagged by the checker on every instance it applies to."""
     mutate = MUTATIONS[name]
     applied = 0
-    for _, plan, shards in verified_artifacts:
+    for _, plan in verified_artifacts:
         mplan = copy.deepcopy(plan)
-        mshards = copy.deepcopy(shards)
-        if not mutate(mplan, mshards):
+        if not mutate(mplan):
             continue
         applied += 1
-        report = verify_plan(mplan, mshards, raise_on_error=False)
+        report = check_plan(mplan)
         assert not report.ok, (
             f"mutation {name!r} on executor {plan.executor!r} "
             "was not flagged by the checker"
@@ -243,8 +240,9 @@ def test_every_mutation_class_is_flagged(name, verified_artifacts):
 
 
 def test_mutated_plan_alone_is_flagged_without_shards(verified_artifacts):
-    """check_plan (no shards) catches the plan-level classes on its own."""
-    for _, plan, _ in verified_artifacts:
+    """check_plan flags a fold row appended past the last row on
+    every executor."""
+    for _, plan in verified_artifacts:
         bad = copy.deepcopy(plan)
         bad.fold_rows = np.append(bad.fold_rows, bad.nrows + 5)
         assert not check_plan(bad).ok
@@ -256,7 +254,7 @@ def test_mutated_plan_alone_is_flagged_without_shards(verified_artifacts):
 
 
 def test_load_plan_verifies_by_default(tmp_path, verified_artifacts):
-    _, plan, _ = verified_artifacts[1]
+    _, plan = verified_artifacts[1]
     path = tmp_path / "plan.npz"
     save_plan(plan, path)
     loaded = load_plan(path)  # clean file passes with verify on
@@ -283,7 +281,7 @@ def test_load_plan_rejects_undecodable_file(tmp_path):
 def test_load_plan_rejects_wrong_payload(tmp_path, verified_artifacts):
     from repro.partition.serialize import save_partition
 
-    p, _, _ = verified_artifacts[0]
+    p, _ = verified_artifacts[0]
     path = tmp_path / "part.npz"
     save_partition(p, path)
     with pytest.raises(SerializationError, match="holds a 'partition'"):
@@ -291,25 +289,19 @@ def test_load_plan_rejects_wrong_payload(tmp_path, verified_artifacts):
 
 
 # ----------------------------------------------------------------------
-# engine hook
+# engine
 # ----------------------------------------------------------------------
 
 
 def test_engine_compiled_plan_verify_hook(verified_artifacts):
-    p, _, _ = verified_artifacts[0]
+    """The engine's memoized plan checks clean, and the checker sees a
+    corruption of the memoized object on the next fetch."""
+    p, _ = verified_artifacts[0]
     eng = PartitionEngine(p.matrix, seed=3, machine=MachineModel())
     plan = eng.plan("s2d-heuristic", 3, config=CFG)
-    cplan = eng.compiled_plan(plan, verify=True)  # clean plan passes
-    # The memo returns the same object; corrupting it makes the next
-    # verify=True fetch raise while verify=False still returns it.
+    cplan = eng.compiled_plan(plan)
+    check_plan(cplan).raise_if_failed()  # clean plan passes
     cplan.nnz = int(cplan.nnz) + 1
     assert eng.compiled_plan(plan) is cplan
-    with pytest.raises(VerificationError):
-        eng.compiled_plan(plan, verify=True)
-
-
-def test_check_shards_rejects_wrong_shard_count(verified_artifacts):
-    _, plan, shards = verified_artifacts[0]
-    report = check_shards(plan, shards[:-1])
-    assert not report.ok
-    assert any("one shard per part" in str(v) for v in report.violations)
+    with pytest.raises(VerificationError, match="nnz"):
+        check_plan(eng.compiled_plan(plan)).raise_if_failed()

@@ -5,7 +5,7 @@ Runs, in order, and prints one PASS/FAIL line per step:
 
 1. project lint over ``src/repro`` (``repro check lint``);
 2. the plan-IR checker on freshly compiled golden instances across all
-   three execution models (plan- and shard-level), and their ``y``
+   three execution models, and their ``y``
    digests, ledgers, phase flops and plan arrays against the committed
    ``tests/fixtures/runtime_golden.json``;
 3. the fast pytest tier (``-m "not slow"``) in a subprocess — skipped
@@ -45,16 +45,15 @@ def step_lint() -> tuple[bool, str]:
 
 
 def step_plans() -> tuple[bool, str]:
-    from repro.runtime import compile_plan, shard_plan
-    from repro.verify import verify_plan
+    from repro.runtime import compile_plan
+    from repro.verify import check_plan
 
     from tests.golden_runtime import FIXTURE, check, golden_instances
 
     instances = golden_instances()
     lines, ok = [], True
     for label, p, _ in instances:
-        plan = compile_plan(p)
-        report = verify_plan(plan, shard_plan(p, plan), raise_on_error=False)
+        report = check_plan(compile_plan(p))
         ok &= report.ok
         lines.append(f"{label}: {report.summary()}")
     drift = check(instances)
