@@ -26,7 +26,11 @@ kernel backends — is *bit-identical* to the
 simulator's and the ledgers snapshot identically.
 A second section times a full 30-iteration power-iteration solve
 through the compiled runtime against a hand loop over the per-call
-simulator.  Emits ``BENCH_runtime.json`` at the repository root.
+simulator, and a native CG solve on an SPD operator over the mesh's
+pattern (single-phase, K = 64) against one bare bound native apply:
+``loop_overhead`` = solve wall ÷ (iterations × bare apply), the share
+of a solver iteration spent outside the kernel (1.0 = none).  Emits
+``BENCH_runtime.json`` at the repository root.
 
 Acceptance: ≥ 5× per-iteration speedup for the single-phase model on
 the ~10k-vertex mesh at K = 64, with compile amortized within ≤ 10
@@ -34,7 +38,8 @@ iterations; where the native backend is available, additionally a
 ≥ 2.5× native-over-NumPy apply speedup and a native apply at most
 ``VS_SCIPY_NATIVE_TARGET``× the scipy CSR matvec (a ceiling on
 ``vs_scipy_native``) for the single-phase model at K = 64 on BOTH
-benchmark matrices.
+benchmark matrices, and a CG ``loop_overhead`` at most
+``LOOP_OVERHEAD_TARGET`` (a ceiling).
 
 Run directly (no pytest machinery needed)::
 
@@ -60,6 +65,12 @@ NATIVE_SPEEDUP_TARGET = 2.5
 # and fold a CSR matvec does not pay, so the one-call apply measures
 # about 2-3x here (it is 1.2-1.6x on the solve workloads' partitions).
 VS_SCIPY_NATIVE_TARGET = 4.0
+# Ceiling on a native CG solve's wall over iterations x one bare
+# bound apply (mesh10k, single-phase, K = 64), set between the
+# allocating loop it replaced and the allocation-free one (see
+# EXPERIMENTS.md, "Allocation-free solver iterations").
+LOOP_OVERHEAD_TARGET = 1.25
+CG_ITERS = 100
 ACCEPTANCE_MODEL = "mesh10k"  # the ~10k-vertex suite mesh
 ACCEPTANCE_K = 64
 ACCEPTANCE_EXECUTOR = "single"
@@ -107,6 +118,65 @@ def _cyclic_s2d(a, k: int, seed: int):
         vectors=VectorPartition(x_part=x_part, y_part=y_part, nparts=k),
         kind="s2D",
     )
+
+
+def _spd(a):
+    """``D − W + I/100`` over the symmetrized off-diagonal pattern of
+    ``a`` (unit weights): SPD, so CG applies."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    c = sp.coo_matrix(a)
+    off = c.row != c.col
+    w = sp.coo_matrix((np.ones(int(off.sum())), (c.row[off], c.col[off])), shape=c.shape)
+    w = (w + w.T).tocsr()
+    w.data[:] = 1.0
+    degree = np.asarray(w.sum(axis=1)).ravel()
+    return (sp.diags(degree + 1e-2) - w).tocoo()
+
+
+def _cg_loop_overhead(a, k: int, quick: bool, reps: int) -> dict:
+    """A fixed-length native CG solve against one bare native apply.
+
+    The bare apply is one call of the plan's bound ``repro_plan_apply``
+    (:meth:`~repro.runtime.CommPlan.bind`).  Each of ``reps`` rounds
+    times a block of bare calls and then one solve, so the two see the
+    same host; the result is the median round.
+    """
+    import numpy as np
+
+    from repro.runtime import compile_plan
+    from repro.solvers import conjugate_gradient
+
+    p = _cyclic_s2d(_spd(a), k, SEED)
+    plan = compile_plan(p)
+    n = p.matrix.shape[0]
+    rng = np.random.default_rng(SEED)
+    b = rng.standard_normal(n)
+    iters = 20 if quick else CG_ITERS
+    x, y = rng.standard_normal(n), np.empty(n)
+    step = plan.bind(x, y, backend="native")
+    calls = 20 if quick else 200
+    rounds = []
+    step()
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            step()
+        t_bare = (time.perf_counter() - t0) / calls
+        t0 = time.perf_counter()
+        res = conjugate_gradient(p, b, iters=iters, tol=0.0, plan=plan, backend="native")
+        t_solve = time.perf_counter() - t0
+        rounds.append((t_solve / (res.iterations * t_bare), t_solve, t_bare))
+    loop_overhead, t_solve, t_bare = sorted(rounds)[len(rounds) // 2]
+    return {
+        "executor": plan.executor,
+        "iters": res.iterations,
+        "solve_s": t_solve,
+        "bare_apply_s": t_bare,
+        "loop_overhead": loop_overhead,
+        "rounds": [r[0] for r in rounds],
+    }
 
 
 def _identical(run_plan, run_ref) -> bool:
@@ -258,6 +328,16 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
         f"compiled {t_solver:.3f}s  per-call loop {t_loop:.3f}s  "
         f"speedup {t_loop / t_solver:.1f}x"
     )
+    if have_native:
+        solver["cg"] = cg = _cg_loop_overhead(sa, sk, quick, 3 if quick else 9)
+        print(
+            f"conjugate_gradient[{sname}, K={sk}, {cg['executor']}, "
+            f"{cg['iters']} iters, native]: {cg['solve_s']:.4f}s  "
+            f"bare apply {cg['bare_apply_s'] * 1e6:.1f}us  "
+            f"loop_overhead {cg['loop_overhead']:.3f}x"
+        )
+    loop_overhead = solver["cg"]["loop_overhead"] if have_native else None
+    loop_ok = quick or (not have_native) or loop_overhead <= LOOP_OVERHEAD_TARGET
 
     accept = next(
         (
@@ -317,6 +397,10 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
             "vs_scipy_native_target": VS_SCIPY_NATIVE_TARGET,
             "vs_scipy_native_target_applies": have_native and not quick,
             "vs_scipy_passed": vs_scipy_ok,
+            "loop_overhead": loop_overhead,
+            "loop_overhead_target": LOOP_OVERHEAD_TARGET,
+            "loop_overhead_target_applies": have_native and not quick,
+            "loop_overhead_passed": loop_ok,
             "identical": all_identical,
             "passed": bool(
                 accept["speedup"] >= SPEEDUP_TARGET
@@ -324,6 +408,7 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
                 and all_identical
                 and native_ok
                 and vs_scipy_ok
+                and loop_ok
             ),
         },
     }

@@ -29,8 +29,10 @@ accumulations.
 The native C backend (:mod:`repro.native`, selected per call via
 ``backend=`` or the ``REPRO_NATIVE`` flag) runs a whole apply as one
 call of ``repro_plan_apply``, whose plan arrays are checked and bound
-to addresses once per plan (``_NativeApply``).  The group stages and
-the fold are index-order scatters, so every group sum equals
+to addresses once per plan (``_NativeApply``); :meth:`CommPlan.bind`
+also binds a loop's own ``x``/``y`` buffers once, so each step of an
+iterative solver is that one call and nothing else.  The group stages
+and the fold are index-order scatters, so every group sum equals
 ``np.bincount``/``np.add.at`` element order bit for bit.  The main
 products are not scattered: the derivations emit the main section in
 row order (``main_rows`` nondecreasing — a ``plan.main-order``
@@ -45,6 +47,8 @@ sum is bit-identical, down to a row of ``-0.0`` products summing to
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,8 +95,9 @@ class _NativeApply:
 
     An apply then checks ``x``, allocates ``y`` and a workspace with
     ``np.empty`` (the plan holds no shared mutable state) and makes
-    exactly one ctypes call.  The addresses stay valid because this
-    object keeps every array it bound.
+    exactly one ctypes call; :meth:`bind` marshals a caller's fixed
+    ``x``/``y`` and a private workspace once instead.  The addresses
+    stay valid because this object keeps every array it bound.
     """
 
     def __init__(self, plan: "CommPlan", lib):
@@ -153,6 +158,22 @@ class _NativeApply:
         # psums, then fsums (routed), then the fold accumulator (main
         # section plus a fold).
         self._work = ng1 + ng2 + (nrows if ptr is not None and nfold else 0)
+
+    def bind(self, x: np.ndarray, y: np.ndarray) -> functools.partial:
+        """A zero-argument ``repro_plan_apply`` call writing ``A @ x``
+        into ``y``, every address bound now (:meth:`CommPlan.bind` has
+        checked both vectors).  The call keeps ``x``, ``y``, its
+        private workspace and this object alive."""
+        work = np.empty(self._work)
+        call = functools.partial(
+            self._fn,
+            *self._bound,
+            *native_ops.addresses(
+                "plan_apply", ("x", x, _F64), ("y", y, _F64), ("work", work, _F64)
+            ),
+        )
+        call.keep = (self, x, y, work)  # an address alone keeps nothing alive
+        return call
 
     def apply_y(self, x: np.ndarray) -> np.ndarray:
         """``y`` for a C-contiguous float64 ``x`` of length ``ncols``
@@ -247,6 +268,63 @@ class CommPlan:
             if resolved == "native":
                 return self._native().apply_y(np.ascontiguousarray(x))
             return self._apply_y_numpy(x)
+
+    def bind(
+        self, x: np.ndarray, y: np.ndarray, *, backend: str | None = None
+    ) -> Callable[[], None]:
+        """A zero-argument call making ``y[:] = A @ x``, for a loop that
+        multiplies the same two buffers many times.
+
+        ``x`` and ``y`` are checked once, here: C-contiguous float64
+        (:class:`TypeError` otherwise), of lengths ``ncols`` and
+        ``nrows``, ``y`` writable and not overlapping ``x``
+        (:class:`~repro.errors.SimulationError`).  Nothing is converted:
+        the call reads ``x`` and writes ``y`` in place, so update their
+        contents, never rebind them.  The native backend binds every
+        address now and each call is one ``repro_plan_apply`` into a
+        workspace owned by the call; the NumPy backend runs
+        :meth:`_apply_y_numpy` and copies the result into ``y``.  Both
+        are bit-identical to :meth:`apply_y`.  The ``plan.apply`` span
+        and its counters are emitted by every call iff a trace is open
+        when ``bind`` runs.  The plan itself stays free of mutable
+        state.
+        """
+        for name, v, n in (("x", x, self.ncols), ("y", y, self.nrows)):
+            if not isinstance(v, np.ndarray) or v.dtype != _F64 or not v.flags.c_contiguous:
+                raise TypeError(
+                    f"{_plan_name(self)}.bind: {name} must be a C-contiguous "
+                    f"float64 array"
+                )
+            if v.shape != (n,):
+                raise SimulationError(
+                    f"{_plan_name(self)}.bind: {name} has shape {v.shape}, "
+                    f"expected ({n},)"
+                )
+        if not y.flags.writeable or np.may_share_memory(x, y):
+            raise SimulationError(
+                f"{_plan_name(self)}.bind: y must be writable and must not overlap x"
+            )
+        resolved = resolve_backend(backend)
+        if resolved == "native":
+            raw = self._native().bind(x, y)
+        else:
+            apply = self._apply_y_numpy
+
+            def raw() -> None:
+                np.copyto(y, apply(x))
+
+        if obs.active_trace() is None:
+            return raw
+        attrs = {"mode": self.executor, "backend": resolved}
+        words, msgs = int(self.words), int(self.msgs)
+
+        def traced() -> None:
+            with obs.span("plan.apply", **attrs):
+                obs.add("plan.sent_words", words)
+                obs.add("plan.msgs", msgs)
+                raw()
+
+        return traced
 
     def apply(
         self, x: np.ndarray | None = None, *, backend: str | None = None

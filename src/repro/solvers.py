@@ -6,10 +6,16 @@ the solve's wall-clock.  This module provides the classic kernels on
 top of the compiled SpMV runtime — the partition is compiled once into
 a :class:`repro.runtime.CommPlan` (through the executor matching its
 kind: single-phase, two-phase, or the routed executor for ``s2D-b``)
-and every multiply is a pure :meth:`~repro.runtime.CommPlan.apply_y`,
-so each solve returns both the numerical answer *and* the accumulated
-communication bill without re-deriving the message structure per
-iteration.
+and bound once to the solve's own vectors
+(:meth:`~repro.runtime.CommPlan.bind`), so each multiply is one call
+into fixed buffers and each solve returns both the numerical answer
+*and* the accumulated communication bill without re-deriving the
+message structure per iteration.
+
+An iteration allocates nothing: every vector update runs in place on
+buffers the solver owns, with the same rounding as the textbook
+out-of-place expression (``z + alpha*d`` is ``alpha*d`` into a
+temporary, then added into ``z``), and dots and norms stay on BLAS.
 
 Supported: power iteration (dominant eigenpair), Jacobi and conjugate
 gradients for ``A z = b``.  Vector operations (axpy, dot) are assumed
@@ -19,6 +25,7 @@ plus one ``α·log2 K`` allreduce term — the standard BSP accounting.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,14 +54,13 @@ class SolveResult:
 
 
 class _SpMVEngine:
-    """Runs y ← A·x through a compiled plan, accumulating costs.
+    """Binds y ← A·x through a compiled plan and accumulates its costs.
 
     The communication profile of a plan is static, so the per-iteration
     words/messages/time are computed once at set-up and each multiply
-    is a pure compiled apply.  ``backend`` picks the numeric kernels
+    is one bound call.  ``backend`` picks the numeric kernels
     (``"auto"``/``"numpy"``/``"native"``; see :mod:`repro.native`),
-    resolved once at set-up so the per-iteration apply carries no
-    dispatch cost.
+    resolved once at set-up.
     """
 
     def __init__(
@@ -86,8 +92,7 @@ class _SpMVEngine:
             )
         from repro.native import resolve_backend
 
-        plan_, backend_ = self.plan, resolve_backend(backend)
-        self._apply = lambda x: plan_.apply_y(x, backend=backend_)
+        self.backend = resolve_backend(backend)
         self.words = 0
         self.msgs = 0
         self.time = 0.0
@@ -101,15 +106,39 @@ class _SpMVEngine:
         self._reduce_local = machine.gamma * (2.0 * n / k)
         self._reduce_allreduce = machine.alpha * float(np.ceil(np.log2(max(k, 2))))
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        with obs.span("solver.matvec"):
-            y = self._apply(x)
-        self.words += self._iter_words
-        self.msgs += self._iter_msgs
-        self.time += self._iter_time
-        obs.add("solver.comm_words", self._iter_words)
-        obs.add("solver.comm_msgs", self._iter_msgs)
-        return y
+    def vector(self, v, name: str) -> np.ndarray:
+        """``v`` as a float64 vector of the system's length
+        (:class:`~repro.errors.ConfigError` naming ``name`` otherwise)."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (self.n,):
+            raise ConfigError(f"{name} has shape {v.shape}, expected ({self.n},)")
+        return v
+
+    def bind(self, x: np.ndarray, y: np.ndarray) -> Callable[[], None]:
+        """One multiply ``y[:] = A @ x`` per call, billed.
+
+        Whether a trace is open is decided here, once: untraced, a call
+        is the plan's bound apply plus the bill; traced, it also opens
+        the ``solver.matvec`` span and charges the solver counters.
+        """
+        apply = self.plan.bind(x, y, backend=self.backend)
+        words, msgs, t = self._iter_words, self._iter_msgs, self._iter_time
+        if obs.active_trace() is not None:
+            bare = apply
+
+            def apply() -> None:
+                with obs.span("solver.matvec"):
+                    bare()
+                obs.add("solver.comm_words", words)
+                obs.add("solver.comm_msgs", msgs)
+
+        def step() -> None:
+            apply()
+            self.words += words
+            self.msgs += msgs
+            self.time += t
+
+        return step
 
     def reduction_cost(self) -> None:
         """One global dot/norm: local work + an allreduce."""
@@ -133,28 +162,37 @@ def power_iteration(
     distance from the zero initial estimate — always finite).  Pass a
     precompiled ``plan`` to skip compilation (e.g. the engine's
     memoized ``compiled_plan``).  ``backend`` selects the numeric
-    kernels (see :mod:`repro.native`).
+    kernels (see :mod:`repro.native`).  An ``x0`` of the wrong length,
+    or with no finite nonzero norm, raises
+    :class:`~repro.errors.ConfigError`.
     """
     if iters < 1:
         raise ConfigError(f"power_iteration needs iters >= 1, got {iters}")
     eng = _SpMVEngine(p, machine or MachineModel(), plan, backend=backend)
     n = eng.n
-    x = (np.ones(n) if x0 is None else np.asarray(x0, dtype=np.float64)).copy()
-    x /= np.linalg.norm(x)
+    x = np.ones(n) if x0 is None else eng.vector(x0, "x0").copy()
+    norm0 = np.linalg.norm(x)
+    if not (np.isfinite(norm0) and norm0 > 0):
+        raise ConfigError(
+            f"power_iteration needs an x0 with a finite nonzero norm, got {norm0}"
+        )
+    x /= norm0
+    y = np.empty(n)
+    matvec = eng.bind(x, y)
     lam_old = 0.0
     history: list[float] = []
     converged = False
     it = 0
     with obs.span("solver.power_iteration", k=p.nparts) as sp:
         for it in range(1, iters + 1):
-            y = eng.matvec(x)
+            matvec()
             lam = float(x @ y)
             eng.reduction_cost()
             nrm = np.linalg.norm(y)
             eng.reduction_cost()
             if nrm == 0:
                 raise SimulationError("power iteration hit the zero vector")
-            x = y / nrm
+            np.divide(y, nrm, out=x)
             history.append(lam)
             if it > 1 and abs(lam - lam_old) <= tol * max(abs(lam), 1.0):
                 converged = True
@@ -193,23 +231,26 @@ def jacobi(
     d = np.asarray(a.diagonal(), dtype=np.float64)
     if np.any(d == 0):
         raise SimulationError("Jacobi needs a zero-free diagonal")
-    b = np.asarray(b, dtype=np.float64)
-    z = np.zeros_like(b)
+    b = eng.vector(b, "b")
+    n = eng.n
+    z, az, r, tmp = np.zeros(n), np.empty(n), np.empty(n), np.empty(n)
+    matvec = eng.bind(z, az)
     bnorm = float(np.linalg.norm(b)) or 1.0
     history: list[float] = []
     converged = False
     it = 0
     with obs.span("solver.jacobi", k=p.nparts) as sp:
         for it in range(1, iters + 1):
-            az = eng.matvec(z)
-            r = b - az
+            matvec()
+            np.subtract(b, az, out=r)
             res = float(np.linalg.norm(r)) / bnorm
             eng.reduction_cost()
             history.append(res)
             if res <= tol:
                 converged = True
                 break
-            z = z + r / d
+            np.divide(r, d, out=tmp)
+            np.add(z, tmp, out=z)
         if sp is not None:
             sp.attrs["iterations"] = it
     return SolveResult(
@@ -233,14 +274,24 @@ def conjugate_gradient(
     plan: CommPlan | None = None,
     backend: str | None = None,
 ) -> SolveResult:
-    """CG for symmetric positive definite ``A`` (values must be SPD)."""
+    """CG for symmetric positive definite ``A`` (values must be SPD).
+
+    An all-zero ``b`` has the exact solution ``x = 0``: it is returned
+    converged after zero iterations, with no multiply and a zero bill.
+    """
     if iters < 1:
         raise ConfigError(f"conjugate_gradient needs iters >= 1, got {iters}")
     eng = _SpMVEngine(p, machine or MachineModel(), plan, backend=backend)
-    b = np.asarray(b, dtype=np.float64)
-    z = np.zeros_like(b)
-    r = b.copy()
+    b = eng.vector(b, "b")
+    n = eng.n
+    if not b.any():
+        return SolveResult(
+            x=np.zeros(n), iterations=0, converged=True, residual=0.0,
+            comm_words=0, comm_msgs=0, sim_time=0.0,
+        )
+    z, r, ad, tmp = np.zeros(n), b.copy(), np.empty(n), np.empty(n)
     d = r.copy()
+    matvec = eng.bind(d, ad)
     rs = float(r @ r)
     eng.reduction_cost()
     bnorm = float(np.linalg.norm(b)) or 1.0
@@ -249,14 +300,16 @@ def conjugate_gradient(
     it = 0
     with obs.span("solver.conjugate_gradient", k=p.nparts) as sp:
         for it in range(1, iters + 1):
-            ad = eng.matvec(d)
+            matvec()
             dad = float(d @ ad)
             eng.reduction_cost()
             if dad <= 0:
                 raise SimulationError("matrix is not positive definite along d")
             alpha = rs / dad
-            z = z + alpha * d
-            r = r - alpha * ad
+            np.multiply(d, alpha, out=tmp)  # z = z + alpha * d
+            np.add(z, tmp, out=z)
+            np.multiply(ad, alpha, out=tmp)  # r = r - alpha * ad
+            np.subtract(r, tmp, out=r)
             rs_new = float(r @ r)
             eng.reduction_cost()
             res = float(np.sqrt(rs_new)) / bnorm
@@ -264,7 +317,8 @@ def conjugate_gradient(
             if res <= tol:
                 converged = True
                 break
-            d = r + (rs_new / rs) * d
+            np.multiply(d, rs_new / rs, out=d)  # d = r + (rs_new / rs) * d
+            np.add(r, d, out=d)
             rs = rs_new
         if sp is not None:
             sp.attrs["iterations"] = it

@@ -90,6 +90,35 @@ def test_vs_scipy_is_a_dict_valued_ceiling():
     assert result["metrics"]["vs_scipy_natives.rmat13"]["status"] == "ok"
 
 
+def test_loop_overhead_is_a_ceiling():
+    """bench_runtime's CG loop overhead fails when it rises above the
+    baseline's ceiling, and only advises where the target does not
+    apply (no native kernels, or a quick run)."""
+    base = {
+        "acceptance": {
+            "loop_overhead": 1.05,
+            "loop_overhead_target": 1.1,
+            "loop_overhead_target_applies": True,
+            "loop_overhead_passed": True,
+        }
+    }
+    assert acceptance_metrics(base)["loop_overhead"] == {
+        "value": 1.05, "bound": 1.1, "ceiling": True, "applies": True,
+    }
+    assert compare_bench(base, copy.deepcopy(base))["ok"]
+    fresh = copy.deepcopy(base)
+    fresh["acceptance"]["loop_overhead"] = 1.08
+    assert compare_bench(base, fresh)["metrics"]["loop_overhead"]["status"] == "drift"
+    fresh["acceptance"]["loop_overhead"] = 1.2
+    result = compare_bench(base, fresh)
+    assert not result["ok"]
+    assert result["metrics"]["loop_overhead"]["status"] == "regression"
+    fresh["acceptance"]["loop_overhead_target_applies"] = False
+    result = compare_bench(base, fresh)
+    assert result["ok"]
+    assert result["metrics"]["loop_overhead"]["status"] == "advisory"
+
+
 def test_identical_doc_passes():
     result = compare_bench(BASE, copy.deepcopy(BASE))
     assert result["ok"]

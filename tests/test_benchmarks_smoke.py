@@ -90,6 +90,14 @@ def test_bench_runtime_quick(tmp_path):
             assert entry["apply_native_s"] is None
     assert data["solver"]["comm_words_equal"] is True
     acc = data["acceptance"]
+    # The CG loop-overhead ceiling is recorded, but only binds at full
+    # scale (a quick mesh is too small for the kernel to dominate).
+    assert acc["loop_overhead_target_applies"] is False
+    assert acc["loop_overhead_passed"] is True
+    if data["native"]["available"]:
+        cg = data["solver"]["cg"]
+        assert cg["executor"] == "single" and cg["iters"] == 20
+        assert cg["loop_overhead"] == acc["loop_overhead"] > 0
     # The vs-CSR ceiling is recorded, but only binds at full scale.
     assert acc["vs_scipy_native_target_applies"] is False
     assert acc["vs_scipy_passed"] is True

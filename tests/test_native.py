@@ -41,10 +41,11 @@ from repro.native.build import (
     FLAG_ENV,
     _reset_native_state,
 )
+from repro.partition.types import SpMVPartition
 from repro.runtime import compile_plan
 from repro.runtime.plan import _NativeApply
 from repro.simulate.report import run_partition
-from repro.solvers import power_iteration
+from repro.solvers import conjugate_gradient, power_iteration
 from repro.sparse.coo import canonical_coo
 from repro.verify import check_plan
 
@@ -537,6 +538,28 @@ def test_solver_backend_bit_identical(partitioned_instances):  # noqa: F811
     assert np.array_equal(res_np.x, res_nat.x)
     assert res_np.history == res_nat.history
     assert res_np.comm_words == res_nat.comm_words
+
+
+@pytest.mark.native
+def test_cg_backend_bit_identical(partitioned_instances):  # noqa: F811
+    """CG's dots stay on BLAS on both backends, so a native solve
+    reproduces the NumPy one bit for bit, bill included."""
+    for p, _mode in partitioned_instances[1:4]:  # single, routed, two-phase
+        a = p.matrix
+        values = np.where(a.row == a.col, 100.0, -1.0)  # SPD on the pattern
+        q = SpMVPartition(
+            matrix=sp.coo_matrix((values, (a.row, a.col)), shape=a.shape),
+            nnz_part=p.nnz_part, vectors=p.vectors, kind=p.kind, meta=p.meta,
+        )
+        b = np.random.default_rng(16).standard_normal(a.shape[0])
+        res_np = conjugate_gradient(q, b, backend="numpy")
+        res_nat = conjugate_gradient(q, b, backend="native")
+        assert res_np.converged and res_np.iterations > 1
+        assert _same_bits(res_np.x, res_nat.x)
+        assert res_np.history == res_nat.history
+        assert res_np.iterations == res_nat.iterations
+        assert (res_np.comm_words, res_np.comm_msgs) == (res_nat.comm_words, res_nat.comm_msgs)
+        assert res_np.sim_time.hex() == res_nat.sim_time.hex()
 
 
 # ----------------------------------------------------------------------
