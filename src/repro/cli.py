@@ -26,7 +26,9 @@ through the sweep supervisor — ``--jobs N`` fans the per-matrix tasks
 over up to N worker processes (records bit-identical to serial; a
 failed cell is retried, a stuck worker reaped), ``--cache-dir``
 persists partitions and evaluated records so a warm rerun is pure
-cache reads;
+cache reads; after the table it prints one ``claim:`` line per claim
+the paper makes about it (``ok``, ``FAIL`` with the failing cells or
+value, or ``n/a`` below the K the claim needs) and exits 0 either way;
 ``partition`` runs one scheme on one matrix and prints the quality
 summary the tables are made of; ``simulate`` runs the simulated SpMV
 executors themselves (``--all`` batches every registered method over
@@ -66,7 +68,14 @@ from repro.engine import ALIASES, PartitionEngine, available_methods
 from repro.errors import CampaignError, ConfigError, UsageError
 from repro.jobs import resolve_jobs
 from repro.native import BACKENDS
-from repro.experiments import GRID_TABLES, TABLES, ExperimentConfig, figure1_report, run_table
+from repro.experiments import (
+    GRID_TABLES,
+    TABLES,
+    ExperimentConfig,
+    check_claims,
+    figure1_report,
+    run_table,
+)
 from repro.generators.suite import SCALES, table1_suite, table4_suite
 from repro.sparse import matrix_properties, read_matrix_market
 
@@ -371,7 +380,11 @@ def _dispatch(args) -> int:
         _resolve_backend_or_exit(args.backend)
         cfg = ExperimentConfig(scale=args.scale) if args.scale else ExperimentConfig()
         jobs = resolve_jobs(args.jobs, what="--jobs")
-        print(run_table(args.id, cfg, jobs=jobs, cache_dir=args.cache_dir).text)
+        result = run_table(args.id, cfg, jobs=jobs, cache_dir=args.cache_dir)
+        print(result.text)
+        # A failed claim is a result of the run, not a usage error: exit 0.
+        for verdict in check_claims(args.id, result):
+            print(f"claim: {verdict}")
         return 0
 
     if args.cmd == "figure1":

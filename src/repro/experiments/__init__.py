@@ -7,11 +7,13 @@ One module per artefact family:
 - :mod:`repro.experiments.figure1` — the worked 10×13 example of
   Figure 1;
 - :mod:`repro.experiments.tables` — Tables I–VII, declared as column
-  specs in one registry (``TABLES``) and rendered by ``run_table``.
+  specs in one registry (``TABLES``) and rendered by ``run_table``;
+  each declaration also carries the paper's claims about its table,
+  judged on any result by ``check_claims``.
 
-Benchmarks (``benchmarks/``), the CLI (``python -m repro.cli``) and the
-examples all call these functions, so the numbers in every output
-channel agree.
+The CLI (``python -m repro.cli``), the end-to-end benchmark
+(``benchmarks/e2e/``), the tests and the examples all call these
+functions, so the numbers in every output channel agree.
 """
 
 from repro.experiments.config import ExperimentConfig, current_scale
@@ -19,6 +21,7 @@ from repro.experiments.figure1 import figure1_partition, figure1_report
 from repro.experiments.tables import (
     GRID_TABLES,
     TABLES,
+    check_claims,
     run_table,
     run_table1,
     run_table2,
@@ -34,6 +37,7 @@ __all__ = [
     "GRID_TABLES",
     "TABLES",
     "ExperimentConfig",
+    "check_claims",
     "current_scale",
     "figure1_partition",
     "figure1_report",

@@ -10,8 +10,8 @@ the generator is chosen to reproduce the property the paper keys on
 - ``medium`` — closer-to-paper trends, seconds per table (serial
   Table II about 12 s, Table V about 8 s on 2 vCPUs).
 
-Set the environment variable ``REPRO_SCALE`` to override the scale used
-by the benchmark harness.
+Set the environment variable ``REPRO_SCALE`` to override the default
+scale of :class:`~repro.experiments.ExperimentConfig`.
 """
 
 from __future__ import annotations

@@ -224,6 +224,9 @@ class SweepGrid:
             raise ConfigError("sweep grid needs matrices, schemes and ks")
         if not (self.seeds and self.machines):
             raise ConfigError("sweep grid needs at least one seed and machine")
+        for k in self.ks:
+            if int(k) < 1:
+                raise ConfigError(f"sweep grid K must be at least 1, got {k}")
         for spec in self.schemes:
             spec.canonical  # fail fast on unknown scheme names
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main
-from repro.experiments import ExperimentConfig, table_grid
+from repro.experiments import TABLES, ExperimentConfig, table_grid
 from repro.sweep import ArtifactCache, Campaign
 
 
@@ -33,6 +33,14 @@ def test_cli_table1(capsys):
 def test_cli_table4(capsys):
     assert main(["table", "--id", "4", "--scale", "tiny"]) == 0
     assert "dense rows" in capsys.readouterr().out
+
+
+def test_cli_table5_reports_every_claim(capsys):
+    assert main(["table", "--id", "5", "--scale", "tiny"]) == 0
+    out = capsys.readouterr().out
+    claims = [line for line in out.splitlines() if line.startswith("claim: ")]
+    assert len(claims) == len(TABLES[5].claims)
+    assert all(line.startswith("claim: ok ") for line in claims), claims
 
 
 def test_cli_partition_suite_matrix(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import s2d_heuristic, s2d_optimal, s2d_rowwise_baseline, single_phase_comm_stats
+from repro.generators import circuit_like
 from repro.hypergraph import PartitionConfig
 from repro.partition import partition_1d_rowwise
 from repro.partition.types import SpMVPartition, VectorPartition
@@ -166,3 +167,22 @@ def test_optimal_admissible_random_vectors(seed):
     m = p.matrix
     diag = y[m.row] == x[m.col]
     assert np.all(p.nnz_part[diag] == y[m.row][diag])
+
+
+def test_wlim_traces_the_volume_frontier():
+    """Algorithm 1's load cap W_lim trades balance for volume: every
+    capped split's volume lies between the DM-optimal split's and 1D's,
+    and loosening the cap never adds volume."""
+    a = circuit_like(700, avg_degree=5, ndense=3, dense_fraction=0.4, seed=21)
+    k = 32
+    p1 = partition_1d_rowwise(a, k, PartitionConfig(seed=5))
+    vols = [
+        single_phase_comm_stats(
+            s2d_heuristic(a, x_part=p1.vectors, nparts=k, w_lim=cap * a.nnz / k)
+        ).total_volume
+        for cap in (1.00, 1.03, 1.10, 1.50, 2.00)
+    ]
+    vol_opt = single_phase_comm_stats(s2d_optimal(a, x_part=p1.vectors, nparts=k)).total_volume
+    vol_1d = single_phase_comm_stats(p1).total_volume
+    assert all(vol_opt <= v <= vol_1d for v in vols), (vol_opt, vols, vol_1d)
+    assert all(nxt <= prev for prev, nxt in zip(vols, vols[1:])), vols

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.core import partition_s2d_medium_grain, single_phase_comm_stats
+from repro.generators import circuit_like
 from repro.hypergraph import PartitionConfig, connectivity_minus_one, medium_grain_model
 from repro.hypergraph.partitioner import partition_kway
 
@@ -56,3 +57,21 @@ def test_mg_custom_split_mask(medium_square):
     to_row = np.ones(medium_square.nnz, dtype=bool)  # force all rowwise
     p = partition_s2d_medium_grain(medium_square, 4, CFG, to_row=to_row)
     assert p.is_1d_rowwise()
+
+
+def test_shorter_line_split_beats_a_degenerate_split():
+    """The shorter-line rule sends no more words than the worse of
+    putting every nonzero rowwise or every nonzero columnwise."""
+    a = circuit_like(500, avg_degree=5, ndense=2, dense_fraction=0.4, seed=22)
+    cfg = PartitionConfig(seed=5)
+    vols = {
+        label: single_phase_comm_stats(
+            partition_s2d_medium_grain(a, 16, cfg, to_row=mask)
+        ).total_volume
+        for label, mask in [
+            ("shorter-line", None),
+            ("all-row", np.ones(a.nnz, dtype=bool)),
+            ("all-col", np.zeros(a.nnz, dtype=bool)),
+        ]
+    }
+    assert vols["shorter-line"] <= max(vols["all-row"], vols["all-col"]), vols
