@@ -15,18 +15,18 @@ Run:  python examples/iterative_solver.py
 """
 
 from repro import (
-    MachineModel,
     PartitionConfig,
     partition_1d_rowwise,
     power_iteration,
     s2d_heuristic,
 )
+from repro.experiments import ExperimentConfig
 from repro.generators import knn_mesh
 from repro.metrics import format_table
 
 K = 32
 ITERS = 30
-MACHINE = MachineModel(alpha=20, beta=2, gamma=1)
+MACHINE = ExperimentConfig().machine  # the α/β/γ every paper table prices with
 
 
 def main() -> None:

@@ -15,7 +15,6 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    MachineModel,
     PartitionConfig,
     evaluate,
     matrix_properties,
@@ -23,10 +22,11 @@ from repro import (
     s2d_heuristic,
     single_phase_comm_stats,
 )
+from repro.experiments import ExperimentConfig
 from repro.generators import circuit_like
 
 K = 16
-MACHINE = MachineModel(alpha=20, beta=2, gamma=1)
+MACHINE = ExperimentConfig().machine  # the α/β/γ every paper table prices with
 
 
 def main() -> None:

@@ -16,7 +16,6 @@ Run:  python examples/scale_free_bounded_latency.py
 """
 
 from repro import (
-    MachineModel,
     PartitionConfig,
     evaluate,
     make_s2d_bounded,
@@ -25,11 +24,12 @@ from repro import (
     partition_checkerboard,
     s2d_heuristic,
 )
+from repro.experiments import ExperimentConfig
 from repro.generators import rmat
 from repro.metrics import format_table
 
 K = 64
-MACHINE = MachineModel(alpha=20, beta=2, gamma=1)
+MACHINE = ExperimentConfig().machine  # the α/β/γ every paper table prices with
 
 
 def main() -> None:

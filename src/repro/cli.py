@@ -65,7 +65,7 @@ import sys
 
 from repro import obs
 from repro.engine import ALIASES, PartitionEngine, available_methods
-from repro.errors import CampaignError, ConfigError, UsageError
+from repro.errors import CampaignError, ConfigError, ReproError, UsageError
 from repro.jobs import resolve_jobs
 from repro.native import BACKENDS
 from repro.experiments import (
@@ -91,6 +91,22 @@ def _find_matrix(name: str, scale: str):
         if sm.name == name:
             return sm.matrix()
     raise SystemExit(f"unknown suite matrix {name!r}; see `suite` subcommand")
+
+
+def _matrix_source(args, *, plan_file: bool = False):
+    """The matrix of exactly one of ``--matrix`` / ``--mtx`` (/
+    ``--plan-file`` with ``plan_file``; None for it).  An unreadable
+    ``--mtx`` is a :class:`UsageError`: one error line, exit status 2."""
+    sources = {"--matrix": args.matrix, "--mtx": args.mtx}
+    sources |= {"--plan-file": args.plan_file} if plan_file else {}
+    if sum(map(bool, sources.values())) != 1:
+        raise SystemExit(f"provide exactly one of {' / '.join(sources)}")
+    if args.mtx:
+        try:
+            return read_matrix_market(args.mtx)
+        except (OSError, ValueError, ReproError) as exc:
+            raise UsageError(f"cannot read --mtx {args.mtx}: {exc}") from None
+    return _find_matrix(args.matrix, args.scale) if args.matrix else None
 
 
 def _engine(a, cfg: ExperimentConfig) -> PartitionEngine:
@@ -430,10 +446,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "partition":
-        if bool(args.matrix) == bool(args.mtx):
-            raise SystemExit("provide exactly one of --matrix / --mtx")
         cfg = ExperimentConfig(scale=args.scale)
-        a = read_matrix_market(args.mtx) if args.mtx else _find_matrix(args.matrix, args.scale)
+        a = _matrix_source(args)
         props = matrix_properties(a, name=args.matrix or args.mtx)
         print(props.table_row())
         plan = _engine(a, cfg).plan(args.scheme, args.k, config=cfg.partitioner())
@@ -446,12 +460,10 @@ def _dispatch(args) -> int:
     if args.cmd == "simulate":
         from repro.engine import available_methods as _methods
 
-        if bool(args.matrix) == bool(args.mtx):
-            raise SystemExit("provide exactly one of --matrix / --mtx")
         if args.all and args.scheme is not None:
             raise SystemExit("--scheme conflicts with --all")
         cfg = ExperimentConfig(scale=args.scale)
-        a = read_matrix_market(args.mtx) if args.mtx else _find_matrix(args.matrix, args.scale)
+        a = _matrix_source(args)
         eng = _engine(a, cfg)
         methods = _methods() if args.all else [args.scheme or "s2d"]
         for method in methods:
@@ -478,10 +490,8 @@ def _dispatch(args) -> int:
 
         from repro.solvers import conjugate_gradient, jacobi, power_iteration
 
-        if bool(args.matrix) == bool(args.mtx):
-            raise SystemExit("provide exactly one of --matrix / --mtx")
         cfg = ExperimentConfig(scale=args.scale)
-        a = read_matrix_market(args.mtx) if args.mtx else _find_matrix(args.matrix, args.scale)
+        a = _matrix_source(args)
         if a.shape[0] != a.shape[1]:
             raise SystemExit(f"solve needs a square matrix, got {a.shape}")
         backend = _resolve_backend_or_exit(args.backend)
@@ -601,7 +611,8 @@ def _check_cmd(args) -> int:
     from repro.errors import SerializationError
     from repro.verify import check_plan
 
-    if args.plan_file is not None:
+    a = _matrix_source(args, plan_file=True)
+    if a is None:
         from repro.partition.serialize import load_plan
 
         try:
@@ -613,12 +624,7 @@ def _check_cmd(args) -> int:
         print(report.summary())
         return 0 if report.ok else 1
 
-    if bool(args.matrix) == bool(args.mtx):
-        raise SystemExit(
-            "check plan needs exactly one of --matrix / --mtx / --plan-file"
-        )
     cfg = ExperimentConfig(scale=args.scale)
-    a = read_matrix_market(args.mtx) if args.mtx else _find_matrix(args.matrix, args.scale)
     eng = _engine(a, cfg)
     plan = eng.plan(args.scheme, args.k, config=cfg.partitioner())
     report = check_plan(eng.compiled_plan(plan))

@@ -27,6 +27,12 @@ layer hands to C:
   the same for every maximum matching (Pothen & Fan, 1990), so the
   results are identical.
 
+The kernels check nothing; every call into them is checked, with no
+switch to turn that off (:mod:`repro.native.ops`, and
+``repro.runtime.plan._NativeApply`` for the plan apply): dtype and
+layout (:class:`TypeError`), offsets, index bounds, sizes and the
+drivers' CSR transposition (:class:`~repro.errors.VerificationError`).
+
 The library is compiled on demand with the host ``cc`` into a
 content-hash-named ``.so`` under a build cache (``build.py``), loaded
 via :mod:`ctypes`, and dispatched behind a feature flag:
@@ -57,12 +63,10 @@ from repro.native import ops
 from repro.native.build import (
     BACKENDS,
     CACHE_ENV,
-    DEBUG_ENV,
     FLAG_ENV,
     SANITIZE_ENV,
     KernelLib,
     cache_dir,
-    debug_bounds_enabled,
     find_compiler,
     get_kernels,
     native_status,
@@ -74,12 +78,10 @@ from repro.native.build import (
 __all__ = [
     "BACKENDS",
     "CACHE_ENV",
-    "DEBUG_ENV",
     "FLAG_ENV",
     "SANITIZE_ENV",
     "KernelLib",
     "cache_dir",
-    "debug_bounds_enabled",
     "find_compiler",
     "get_kernels",
     "native_status",

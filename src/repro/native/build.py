@@ -50,10 +50,10 @@ instead of taking the test process down.  ``ASAN_OPTIONS`` gains
 ``LD_PRELOAD``) and ``detect_leaks=0`` (CPython's arenas are not this
 suite's bug surface) before either load.
 
-``REPRO_NATIVE_DEBUG=1`` enables the ctypes pre-call bounds validator
-in :mod:`repro.native.ops` — pure-Python index/size validation ahead
-of every kernel call, the cheap cousin of the sanitizer build.  Both
-env flags are read here and nowhere else (lint rule ``REP004``).
+Every kernel call is also preceded by pure-Python index and size
+checks (:mod:`repro.native.ops`), always on, the cheap cousin of the
+sanitizer build.  The environment flags are read here and nowhere else
+(lint rule ``REP004``).
 """
 
 from __future__ import annotations
@@ -73,12 +73,10 @@ from repro.errors import ConfigError, NativeBuildError
 __all__ = [
     "BACKENDS",
     "CACHE_ENV",
-    "DEBUG_ENV",
     "FLAG_ENV",
     "SANITIZE_ENV",
     "KernelLib",
     "cache_dir",
-    "debug_bounds_enabled",
     "find_compiler",
     "get_kernels",
     "native_status",
@@ -90,7 +88,6 @@ __all__ = [
 CACHE_ENV = "REPRO_NATIVE_CACHE"
 FLAG_ENV = "REPRO_NATIVE"
 SANITIZE_ENV = "REPRO_NATIVE_SANITIZE"
-DEBUG_ENV = "REPRO_NATIVE_DEBUG"
 BACKENDS = ("auto", "numpy", "native")
 
 ABI_VERSION = 10
@@ -325,12 +322,6 @@ def sanitize_default() -> bool:
     raise ConfigError(f"{SANITIZE_ENV} must be '0' or '1', got {env!r}")
 
 
-def debug_bounds_enabled() -> bool:
-    """Whether ``REPRO_NATIVE_DEBUG=1`` enables the ctypes pre-call
-    bounds validator in :mod:`repro.native.ops`."""
-    return os.environ.get(DEBUG_ENV) == "1"
-
-
 def get_kernels(sanitize: bool | None = None) -> KernelLib | None:
     """The loaded kernel library, building it on first use.
 
@@ -441,5 +432,4 @@ def native_status() -> dict:
         "variant": variant,
         "sanitize_attempted": _state["sanitize"]["attempted"],
         "sanitize_reason": _state["sanitize"]["reason"],
-        "debug_bounds": debug_bounds_enabled(),
     }

@@ -25,15 +25,11 @@ conversion.  The drivers allocate their own scratch inside the call
 and free it before returning; a failed allocation raises
 :class:`MemoryError`.
 
-With ``REPRO_NATIVE_DEBUG=1`` (resolved by
-:func:`repro.native.build.debug_bounds_enabled` — the flag is never
-read here) every wrapper validates its index arrays and size contracts
-*before* crossing the ctypes boundary, raising
-:class:`~repro.errors.VerificationError` instead of letting the C
-loops write out of bounds.  This is the pure-Python complement of the
-``sanitize=True`` build: the sanitizer catches what validation cannot
-model, validation gives exact array-level diagnostics the sanitizer
-cannot phrase.
+Every call then checks the offsets, index bounds and sizes its kernel
+relies on (for the drivers also that the two CSR directions are
+transposes), raising :class:`~repro.errors.VerificationError` naming
+the entry instead of letting the unchecked C loops go out of bounds.
+The ``sanitize=True`` build catches what these checks cannot model.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ import ctypes
 import numpy as np
 
 from repro.errors import VerificationError
-from repro.native import build as _build
+from repro.kernels import stable_order
 
 __all__ = [
     "addresses",
@@ -58,13 +54,10 @@ __all__ = [
 
 
 def _validate(kernel: str, n: int, *index_specs) -> None:
-    """Debug-mode pre-call validator: each ``(name, idx, bound, size)``
-    spec asserts ``idx`` is a size-``size`` int array into ``[0, bound)``
-    (``bound=None`` checks the size only).
-
-    Runs only under ``REPRO_NATIVE_DEBUG=1``; the kernels themselves
-    perform no checks (that is what makes them fast), so this is the
-    last line before raw shared-memory writes.
+    """Pre-call check: each ``(name, idx, bound, size)`` spec asserts
+    ``idx`` is a size-``size`` int array into ``[0, bound)``
+    (``bound=None`` checks the size only).  The kernels themselves check
+    nothing, so this is the last line before their raw memory writes.
     """
     for name, idx, bound, size in index_specs:
         idx = np.asarray(idx)
@@ -81,15 +74,6 @@ def _validate(kernel: str, n: int, *index_specs) -> None:
                 f"(min {idx.min()}, max {idx.max()}) — refusing to enter "
                 f"the unchecked C loop over {n} items"
             )
-
-
-def _validate_permutation(kernel: str, name: str, order: np.ndarray, n: int) -> None:
-    """Debug-mode check that ``order`` (already bounds- and
-    size-checked by :func:`_validate`) lists every id in ``[0, n)``."""
-    if n and int(np.bincount(order, minlength=n).min()) != 1:
-        raise VerificationError(
-            f"native {kernel}: {name} is not a permutation of 0..{n - 1}"
-        )
 
 
 def _i64(a: np.ndarray) -> np.ndarray:
@@ -160,7 +144,7 @@ def addresses(kernel: str, *specs) -> list[int | None]:
 
 
 def _validate_offsets(kernel: str, name: str, offsets: np.ndarray, total: int) -> None:
-    """Debug-mode check that CSR ``offsets`` start at 0, never decrease
+    """Check that CSR ``offsets`` start at 0, never decrease
     and end at ``total``."""
     if (
         offsets.size == 0 or offsets[0] != 0 or offsets[-1] != total
@@ -187,24 +171,23 @@ def block_dm(
     """
     nb = row_off.size - 1
     nrows, ncols = rptr.size - 1, cptr.size - 1
-    if _build.debug_bounds_enabled():
-        _validate_offsets("block_dm", "row_off", row_off, nrows)
-        _validate_offsets("block_dm", "col_off", col_off, ncols)
-        _validate_offsets("block_dm", "rptr", rptr, adj.size)
-        _validate_offsets("block_dm", "cptr", cptr, cadj.size)
-        if col_off.size != nb + 1 or np.any(rptr[row_off] != cptr[col_off]):
+    _validate_offsets("block_dm", "row_off", row_off, nrows)
+    _validate_offsets("block_dm", "col_off", col_off, ncols)
+    _validate_offsets("block_dm", "rptr", rptr, adj.size)
+    _validate_offsets("block_dm", "cptr", cptr, cadj.size)
+    if col_off.size != nb + 1 or np.any(rptr[row_off] != cptr[col_off]):
+        raise VerificationError(
+            "native block_dm: row and column offsets do not give every "
+            "block the same edge span"
+        )
+    edges = np.diff(rptr[row_off])
+    for name, ids, off in (("adj", adj, col_off), ("cadj", cadj, row_off)):
+        bound = np.repeat(np.diff(off), edges)
+        if ids.size and (int(ids.min()) < 0 or np.any(ids >= bound)):
             raise VerificationError(
-                "native block_dm: row and column offsets do not give every "
-                "block the same edge span"
+                f"native block_dm: {name} holds an id outside its block — "
+                f"refusing to enter the unchecked C loop over {nb} blocks"
             )
-        edges = np.diff(rptr[row_off])
-        for name, ids, off in (("adj", adj, col_off), ("cadj", cadj, row_off)):
-            bound = np.repeat(np.diff(off), edges)
-            if ids.size and (int(ids.min()) < 0 or np.any(ids >= bound)):
-                raise VerificationError(
-                    f"native block_dm: {name} holds an id outside its block — "
-                    f"refusing to enter the unchecked C loop over {nb} blocks"
-                )
     maxr = int(np.diff(row_off).max()) if nb > 0 else 0
     maxc = int(np.diff(col_off).max()) if nb > 0 else 0
     row_label = np.empty(nrows, dtype=np.int8)
@@ -236,15 +219,15 @@ def s2d_flip(
     blocks and the number of rounds run.
     """
     nb, nparts = order.size, loads.size
-    if _build.debug_bounds_enabled():
-        _validate(
-            "s2d_flip", nb,
-            ("order", order, nb, nb),
-            ("row_part", row_part, nparts, nb),
-            ("col_part", col_part, nparts, nb),
-            ("h_size", h_size, None, nb),
-        )
-        _validate_permutation("s2d_flip", "order", order, nb)
+    _validate(
+        "s2d_flip", nb,
+        ("order", order, nb, nb),
+        ("row_part", row_part, nparts, nb),
+        ("col_part", col_part, nparts, nb),
+        ("h_size", h_size, None, nb),
+    )
+    if nb and int(np.bincount(order, minlength=nb).min()) != 1:
+        raise VerificationError(f"native s2d_flip: order is not a permutation of 0..{nb - 1}")
     chosen = np.zeros(nb, dtype=np.bool_)
     flags = chosen.view(np.int8)
     rounds = lib.s2d_flip(
@@ -288,37 +271,55 @@ def kway_event_rows(n: int, nparts: int, ninitial: int, max_levels: int) -> int:
     return min(nparts - 1, n * depth) * bisect_event_rows(ninitial, max_levels) + 1
 
 
-def _driver_specs(kernel, xpins, pins, xnets, nets, vweights, ncosts, rng_state,
-                  events, rows: int) -> tuple:
-    """Debug-validate a driver's hypergraph, stream state and event log,
-    and return the hypergraph's address specs."""
-    n, nnets = xnets.size - 1, xpins.size - 1
-    if _build.debug_bounds_enabled():
-        _validate_offsets(kernel, "xpins", xpins, pins.size)
-        _validate_offsets(kernel, "xnets", xnets, nets.size)
-        _validate(
-            kernel, n,
-            ("pins", pins, n, pins.size),
-            ("nets", nets, nnets, nets.size),
-            ("ncosts", ncosts, None, nnets),
-            ("rng_state", rng_state, None, 6),
+def _validate_transpose(kernel: str, xpins, pins, xnets, nets, n: int) -> None:
+    """Check that ``(xnets, nets)`` is ``(xpins, pins)`` transposed, nets
+    ascending per vertex: the drivers read both directions and size
+    their scratch and gain buckets by one, so a mismatch overruns them."""
+    net_of_pin = np.repeat(np.arange(xpins.size - 1, dtype=np.int64), np.diff(xpins))
+    if not (
+        np.array_equal(np.diff(xnets), np.bincount(pins, minlength=n))
+        and np.array_equal(net_of_pin[stable_order(pins, n)], nets)
+    ):
+        raise VerificationError(
+            f"native {kernel}: xnets/nets is not the transpose of xpins/pins — "
+            f"refusing to enter the unchecked C loop over {n} vertices"
         )
-        if vweights.ndim != 2 or vweights.shape[0] != n:
-            raise VerificationError(
-                f"native {kernel}: vweights must be ({n}, ncon), got {vweights.shape}"
-            )
-        if events is not None and not (
-            events[0].shape[1:] == (3,) and events[1].shape[1:] == (2,)
-            and events[0].shape[0] == events[1].shape[0] >= rows
-        ):
-            raise VerificationError(
-                f"native {kernel}: the event log must hold {rows} rows of 3 and 2 "
-                f"columns, got {events[0].shape} and {events[1].shape}"
-            )
-    return (
+
+
+def _driver_inputs(kernel, xpins, pins, xnets, nets, vweights, ncosts, rng_state,
+                   events, rows: int) -> list[int]:
+    """Check a driver's hypergraph, stream state and event log; return
+    the addresses of the seven arrays before ``events``."""
+    inputs = addresses(
+        kernel,
         ("xpins", xpins, _I64), ("pins", pins, _I64), ("xnets", xnets, _I64),
         ("nets", nets, _I64), ("vweights", vweights, _I64), ("ncosts", ncosts, _I64),
+        ("rng_state", rng_state, _U64),
     )
+    n, nnets = xnets.size - 1, xpins.size - 1
+    _validate_offsets(kernel, "xpins", xpins, pins.size)
+    _validate_offsets(kernel, "xnets", xnets, nets.size)
+    _validate(
+        kernel, n,
+        ("pins", pins, n, pins.size),
+        ("nets", nets, nnets, nets.size),
+        ("ncosts", ncosts, None, nnets),
+        ("rng_state", rng_state, None, 6),
+    )
+    _validate_transpose(kernel, xpins, pins, xnets, nets, n)
+    if vweights.ndim != 2 or vweights.shape[0] != n:
+        raise VerificationError(
+            f"native {kernel}: vweights must be ({n}, ncon), got {vweights.shape}"
+        )
+    if events is not None and not (
+        events[0].shape[1:] == (3,) and events[1].shape[1:] == (2,)
+        and events[0].shape[0] == events[1].shape[0] >= rows
+    ):
+        raise VerificationError(
+            f"native {kernel}: the event log must hold {rows} rows of 3 and 2 "
+            f"columns, got {events[0].shape} and {events[1].shape}"
+        )
+    return inputs
 
 
 def _event_specs(kernel: str, events) -> tuple[int, list]:
@@ -351,15 +352,15 @@ def bisect(
     ``(part, cut, nevents)``: the int8 sides, the cut-net cost and the
     number of events written.
     """
-    n = xnets.size - 1
-    specs = _driver_specs(
+    if ninitial < 1:
+        raise VerificationError(f"native bisect: ninitial {ninitial} is below 1")
+    *graph, state = _driver_inputs(
         "bisect", xpins, pins, xnets, nets, vweights, ncosts, rng_state, events,
         bisect_event_rows(ninitial, max_levels),
     )
-    if _build.debug_bounds_enabled():
-        _validate("bisect", n, ("targets", targets, None, 2 * vweights.shape[1]))
-        if ninitial < 1:
-            raise VerificationError(f"native bisect: ninitial {ninitial} is below 1")
+    side_targets = addresses("bisect", ("targets", targets, _F64))
+    n = xnets.size - 1
+    _validate("bisect", n, ("targets", targets, None, 2 * vweights.shape[1]))
     part = np.empty(n, dtype=np.int8)
     cut = np.zeros(1, dtype=np.int64)
     count = np.zeros(1, dtype=np.int64)
@@ -367,10 +368,8 @@ def bisect(
     status = lib.bisect(
         n, xpins.size - 1, vweights.shape[1], coarsen_to, ninitial, fm_passes,
         max_net_size, max_levels, stall_fraction, epsilon, hash_mask,
-        *addresses(
-            "bisect", *specs, ("targets", targets, _F64),
-            ("rng_state", rng_state, _U64), ("part", part, _I8), ("cut", cut, _I64),
-        ),
+        *graph, *side_targets, state,
+        *addresses("bisect", ("part", part, _I8), ("cut", cut, _I64)),
         cap, *log, *addresses("bisect", ("ev_count", count, _I64)),
     )
     _driver_status("bisect", status, cap)
@@ -394,24 +393,21 @@ def partition_kway(
     Returns ``(part, nevents)``: the int64 parts and the number of
     events written.
     """
+    if nparts < 1:
+        raise VerificationError(f"native partition_kway: nparts {nparts} is below 1")
     n = xnets.size - 1
-    specs = _driver_specs(
+    *graph, state = _driver_inputs(
         "partition_kway", xpins, pins, xnets, nets, vweights, ncosts, rng_state,
         events, kway_event_rows(n, nparts, ninitial, max_levels),
     )
-    if _build.debug_bounds_enabled() and nparts < 1:
-        raise VerificationError(f"native partition_kway: nparts {nparts} is below 1")
     part = np.empty(n, dtype=np.int64)
     count = np.zeros(1, dtype=np.int64)
     cap, log = _event_specs("partition_kway", events)
     status = lib.partition_kway(
         n, xpins.size - 1, vweights.shape[1], nparts, coarsen_to, ninitial, fm_passes,
         max_net_size, kway_passes, max_levels, stall_fraction, eps_level, epsilon,
-        hash_mask,
-        *addresses(
-            "partition_kway", *specs, ("rng_state", rng_state, _U64),
-            ("part", part, _I64),
-        ),
+        hash_mask, *graph, state,
+        *addresses("partition_kway", ("part", part, _I64)),
         cap, *log, *addresses("partition_kway", ("ev_count", count, _I64)), nthreads,
     )
     _driver_status("partition_kway", status, cap)

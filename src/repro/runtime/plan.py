@@ -58,7 +58,7 @@ from repro.errors import SimulationError, VerificationError
 from repro.kernels import GroupPlan
 from repro.native import ops as native_ops
 from repro.native import resolve_backend
-from repro.native.build import debug_bounds_enabled, get_kernels
+from repro.native.build import get_kernels
 from repro.simulate.common import resolve_x
 from repro.simulate.machine import MachineModel, PhaseCost, SpMVRun
 from repro.simulate.messages import Ledger
@@ -86,8 +86,10 @@ class _NativeApply:
     everything iteration-invariant once: the group indices densified
     (see ``native_ops.compact_group`` — same accumulation order, no
     span-sized accumulators), the main section's row pointers built
-    from ``main_rows``, and every plan array checked (dtype, layout)
-    and turned into an address.  ``main_cols``/``main_vals`` are used
+    from ``main_rows``, and every plan array checked (dtype, layout,
+    sizes, index bounds — :class:`~repro.errors.VerificationError`
+    naming ``plan_apply`` before any index reaches C) and turned into
+    an address.  ``main_cols``/``main_vals`` are used
     in place: the derivations emit the main section in row order, and
     a plan whose ``main_rows`` decrease anywhere is refused with
     :class:`~repro.errors.VerificationError` (the row-segmented kernel
@@ -104,23 +106,12 @@ class _NativeApply:
         nrows = int(plan.nrows)
         self.nrows, self.ncols = nrows, int(plan.ncols)
         rows = plan.main_rows
-        ptr = main_cols = main_vals = None
-        if rows is not None:
-            if rows.size and np.any(rows[1:] < rows[:-1]):
-                raise VerificationError(
-                    f"{_plan_name(plan)}: main_rows is not nondecreasing — "
-                    "the native apply sums each row's main products as one "
-                    "contiguous segment"
-                )
-            if rows.size and (rows[0] < 0 or rows[-1] >= nrows):
-                raise VerificationError(
-                    f"{_plan_name(plan)}: main_rows has entries outside "
-                    f"[0, {nrows})"
-                )
-            ptr = np.zeros(nrows + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=nrows), out=ptr[1:])
-            main_cols = np.ascontiguousarray(plan.main_cols, dtype=np.int64)
-            main_vals = np.ascontiguousarray(plan.main_vals, dtype=np.float64)
+        if rows is not None and rows.size and np.any(rows[1:] < rows[:-1]):
+            raise VerificationError(
+                f"{_plan_name(plan)}: main_rows is not nondecreasing — "
+                "the native apply sums each row's main products as one "
+                "contiguous segment"
+            )
         g1, ng1 = native_ops.compact_group(plan.group1)
         g2, ng2 = (
             native_ops.compact_group(plan.group2)
@@ -131,18 +122,24 @@ class _NativeApply:
         pre_cols = np.ascontiguousarray(plan.pre_cols, dtype=np.int64)
         fold_rows = np.ascontiguousarray(plan.fold_rows, dtype=np.int64)
         npre, nfold = int(pre_vals.size), int(fold_rows.size)
-        if debug_bounds_enabled():
-            specs = [
-                ("pre_cols", pre_cols, self.ncols, npre),
-                ("group1 index", g1, ng1, npre),
-                ("fold_rows", fold_rows, nrows, ng1 if g2 is None else ng2),
+        specs = [
+            ("pre_cols", pre_cols, self.ncols, npre),
+            ("group1 index", g1, ng1, npre),
+            ("fold_rows", fold_rows, nrows, ng1 if g2 is None else ng2),
+        ]
+        if g2 is not None:
+            specs.append(("group2 index", g2, ng2, ng1))
+        ptr = main_cols = main_vals = None
+        if rows is not None:
+            ptr = np.searchsorted(rows, np.arange(nrows + 1, dtype=np.int64))
+            main_cols = np.ascontiguousarray(plan.main_cols, dtype=np.int64)
+            main_vals = np.ascontiguousarray(plan.main_vals, dtype=np.float64)
+            specs += [
+                ("main_rows", rows, nrows, rows.size),
+                ("main_cols", main_cols, self.ncols, rows.size),
+                ("main_vals", main_vals, None, rows.size),
             ]
-            if g2 is not None:
-                specs.append(("group2 index", g2, ng2, ng1))
-            if ptr is not None:
-                specs.append(("main_cols", main_cols, self.ncols, rows.size))
-                specs.append(("main_vals", main_vals, None, rows.size))
-            native_ops._validate("plan_apply", npre, *specs)
+        native_ops._validate("plan_apply", npre, *specs)
         arrays = (
             ("pre_vals", pre_vals, _F64), ("pre_cols", pre_cols, _I64),
             ("group1 index", g1, _I64), ("group2 index", g2, _I64),
@@ -368,12 +365,7 @@ class CommPlan:
 
     def time(self, machine: MachineModel) -> float:
         """Simulated per-iteration run time under ``machine``."""
-        return sum(
-            machine.phase_time(
-                ph.flops, self.ledger if ph.comm_phase else None, ph.comm_phase
-            )
-            for ph in self.phases
-        )
+        return machine.run_time(self.phases, self.ledger)
 
     # ------------------------------------------------------------- state
 

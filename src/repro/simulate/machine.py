@@ -11,11 +11,14 @@ both).  Speedup is measured against the serial 2·nnz-flop SpMV on the
 same model — the same normalization the paper uses for its ``Sp``
 columns.
 
-Default parameters are calibrated to an interconnect-dominated system
-like the paper's Cray XE6 Gemini torus: a message costs about three
-orders of magnitude more than a flop, a word about three flops.  The
-trends of the tables (who wins, where latency starts to dominate) are
-governed by these ratios, not their absolute values.
+Which machine prices what: every paper table, the CLI and the examples
+price with ``ExperimentConfig.machine`` (α/β/γ = 20/2/1,
+:mod:`repro.experiments.config`).  The class defaults below (1000/3/1:
+a message about three orders of magnitude dearer than a flop, a word
+about three flops) serve only bare API calls that pass no machine,
+such as ``MachineModel()`` or ``evaluate(p)``.  The trends of the
+tables (who wins, where latency starts to dominate) are governed by
+the ratios, not their absolute values.
 """
 
 from __future__ import annotations
@@ -37,16 +40,18 @@ class MachineModel:
     beta: float = 3.0
     gamma: float = 1.0
 
-    def phase_time(
+    def phase_terms(
         self,
         flops: np.ndarray | None,
         ledger: Ledger | None = None,
         phase: str | None = None,
-    ) -> float:
-        """Cost of one superstep."""
-        t = 0.0
+    ) -> dict[str, float]:
+        """One superstep's ``compute`` (γ · max flops), ``bandwidth`` (β ·
+        max words), ``latency`` (α · max msgs) and ``total`` = compute +
+        (bandwidth + latency): every price in the package comes from here."""
+        compute = bandwidth = latency = 0.0
         if flops is not None and len(flops):
-            t += self.gamma * float(np.max(flops))
+            compute = self.gamma * float(np.max(flops))
         if ledger is not None and phase is not None:
             words = max(
                 float(ledger.sent_volume(phase).max(initial=0)),
@@ -56,8 +61,24 @@ class MachineModel:
                 float(ledger.sent_msgs(phase).max(initial=0)),
                 float(ledger.recv_msgs(phase).max(initial=0)),
             )
-            t += self.beta * words + self.alpha * msgs
-        return t
+            bandwidth, latency = self.beta * words, self.alpha * msgs
+        return {
+            "compute": compute, "bandwidth": bandwidth, "latency": latency,
+            "total": compute + (bandwidth + latency),
+        }
+
+    def phase_time(
+        self,
+        flops: np.ndarray | None,
+        ledger: Ledger | None = None,
+        phase: str | None = None,
+    ) -> float:
+        """Cost of one superstep (the ``total`` of :meth:`phase_terms`)."""
+        return self.phase_terms(flops, ledger, phase)["total"]
+
+    def run_time(self, phases: list["PhaseCost"], ledger: Ledger) -> float:
+        """Cost of a superstep schedule: its phase times summed in order."""
+        return sum(self.phase_time(ph.flops, ledger, ph.comm_phase) for ph in phases)
 
     def serial_time(self, nnz: int) -> float:
         """Serial SpMV: one multiply + one add per nonzero."""
@@ -91,10 +112,7 @@ class SpMVRun:
 
     def time(self, machine: MachineModel) -> float:
         """Total simulated run time."""
-        return sum(
-            machine.phase_time(ph.flops, self.ledger if ph.comm_phase else None, ph.comm_phase)
-            for ph in self.phases
-        )
+        return machine.run_time(self.phases, self.ledger)
 
     def speedup(self, machine: MachineModel) -> float:
         """Speedup vs. the serial SpMV under the same model."""
@@ -108,25 +126,10 @@ class SpMVRun:
         latency-dominated instances show the α term eating the budget
         at large K.
         """
-        out = []
-        for ph in self.phases:
-            entry = {"name": ph.name, "compute": 0.0, "bandwidth": 0.0, "latency": 0.0}
-            if ph.flops is not None and len(ph.flops):
-                entry["compute"] = machine.gamma * float(np.max(ph.flops))
-            if ph.comm_phase is not None:
-                words = max(
-                    float(self.ledger.sent_volume(ph.comm_phase).max(initial=0)),
-                    float(self.ledger.recv_volume(ph.comm_phase).max(initial=0)),
-                )
-                msgs = max(
-                    float(self.ledger.sent_msgs(ph.comm_phase).max(initial=0)),
-                    float(self.ledger.recv_msgs(ph.comm_phase).max(initial=0)),
-                )
-                entry["bandwidth"] = machine.beta * words
-                entry["latency"] = machine.alpha * msgs
-            entry["total"] = entry["compute"] + entry["bandwidth"] + entry["latency"]
-            out.append(entry)
-        return out
+        return [
+            {"name": ph.name, **machine.phase_terms(ph.flops, self.ledger, ph.comm_phase)}
+            for ph in self.phases
+        ]
 
     def total_flops(self) -> np.ndarray:
         """Per-processor flops summed over compute phases."""

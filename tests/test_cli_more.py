@@ -107,6 +107,32 @@ def test_cli_check_plan_file_fold_rows_out_of_range(tmp_path, small_square, caps
     assert "[plan.index-bounds] plan.fold_rows" in out
 
 
-def test_cli_check_plan_requires_one_source():
-    with pytest.raises(SystemExit, match="exactly one"):
-        main(["check", "plan", "--matrix", "crystk02", "--mtx", "x.mtx"])
+@pytest.mark.parametrize(
+    "sources",
+    [
+        ["--matrix", "crystk02", "--mtx", "x.mtx"],
+        ["--plan-file", "p.npz", "--matrix", "crystk02"],
+        ["--plan-file", "p.npz", "--mtx", "x.mtx"],
+        [],
+    ],
+    ids=["matrix+mtx", "plan-file+matrix", "plan-file+mtx", "none"],
+)
+def test_cli_check_plan_requires_one_source(sources):
+    with pytest.raises(SystemExit, match="exactly one of --matrix / --mtx / --plan-file"):
+        main(["check", "plan", *sources])
+
+
+@pytest.mark.parametrize("cmd", ["partition", "simulate", "solve", "check plan"])
+def test_cli_unreadable_mtx_is_one_error_line(cmd, tmp_path, capsys):
+    """A missing file and a file without the MatrixMarket header each
+    give one ``s2d-repro: error:`` line and exit status 2, no traceback."""
+    headless = tmp_path / "headless.mtx"
+    headless.write_text("3 3 1\n1 1 1.0\n")
+    for path, reason in (
+        (tmp_path / "missing.mtx", "No such file"),
+        (headless, "missing %%MatrixMarket header"),
+    ):
+        assert main([*cmd.split(), "--mtx", str(path), "--k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"s2d-repro: error: cannot read --mtx {path}: ")
+        assert reason in err and err.count("\n") == 1

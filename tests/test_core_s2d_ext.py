@@ -1,6 +1,7 @@
 """The (A3) balance-repair extension of Algorithm 1."""
 
 import numpy as np
+import pytest
 
 from repro.core import s2d_heuristic, s2d_heuristic_balanced, single_phase_comm_stats
 from repro.generators import banded_with_dense_rows, circuit_like
@@ -64,15 +65,32 @@ def test_balanced_volume_still_simulatable():
     assert run.ledger.total_volume() == single_phase_comm_stats(s).total_volume
 
 
-def test_breakdown_api(medium_square):
+@pytest.mark.parametrize("model", ["single", "two", "routed"])
+def test_breakdown_api(medium_square, model):
+    """Each breakdown row's total is its phase time exactly, and the
+    rows sum to the run time, under all three execution models."""
+    from repro.core import make_s2d_bounded
+    from repro.partition import partition_2d_finegrain
     from repro.simulate import MachineModel, evaluate
+    from repro.simulate.common import PHASES
 
     k = 8
     p1 = partition_1d_rowwise(medium_square, k, CFG)
-    q = evaluate(p1, machine=MachineModel(alpha=10, beta=2, gamma=1))
-    bd = q.run.breakdown(MachineModel(alpha=10, beta=2, gamma=1))
+    p = {
+        "single": lambda: p1,
+        "two": lambda: partition_2d_finegrain(medium_square, k, CFG),
+        "routed": lambda: make_s2d_bounded(
+            s2d_heuristic(medium_square, x_part=p1.vectors, nparts=k)
+        ),
+    }[model]()
+    machine = MachineModel(alpha=10, beta=2, gamma=1)
+    q = evaluate(p, machine=machine)
+    bd = q.run.breakdown(machine)
     assert sum(e["total"] for e in bd) == q.time
-    names = [e["name"] for e in bd]
-    assert "expand-and-fold" in names
-    comm = next(e for e in bd if e["name"] == "expand-and-fold")
-    assert comm["latency"] > 0
+    for e, ph in zip(bd, q.run.phases, strict=True):
+        assert e["name"] == ph.name
+        assert e["total"] == machine.phase_time(ph.flops, q.run.ledger, ph.comm_phase)
+        assert e["total"] == e["compute"] + (e["bandwidth"] + e["latency"])
+    comm = [e for e in bd if e["name"] in PHASES[model]]
+    assert [e["name"] for e in comm] == list(PHASES[model])
+    assert all(e["latency"] > 0 for e in comm)

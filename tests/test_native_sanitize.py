@@ -19,9 +19,7 @@ import repro.native.build as native_build
 from repro.errors import ConfigError, VerificationError
 from repro.hypergraph import Hypergraph
 from repro.native import (
-    DEBUG_ENV,
     SANITIZE_ENV,
-    debug_bounds_enabled,
     find_compiler,
     get_kernels,
     ops,
@@ -305,13 +303,16 @@ lib = build.get_kernels()
 if lib is None:
     print("SKIP-NATIVE:", build.native_status()["sanitize_reason"])
     raise SystemExit(0)
+# The raw entry, past the wrapper's checks, which refuse this input.
 # Block 0 flips and moves its load out of row part 2 of two parts: one
 # past the loads buffer, in the ASan redzone rather than in some
 # unrelated mapping a huge offset might silently hit.
 i64 = lambda *v: np.array(v, dtype=np.int64)
-ops.s2d_flip(  # debug guard off: straight into the C loop
-    lib, order=i64(0), row_part=i64(2), col_part=i64(0), h_size=i64(1),
-    loads=i64(5, 5), w_lim=10.0, max_rounds=1,
+arrays = [i64(0), i64(2), i64(0), i64(1), i64(5, 5), np.zeros(1, dtype=np.int8)]
+names = ("order", "row_part", "col_part", "h_size", "loads", "chosen")
+lib.s2d_flip(
+    1, 2, 1, 10.0,
+    *ops.addresses("s2d_flip", *((n, a, a.dtype) for n, a in zip(names, arrays))),
 )
 print("UNREACHABLE")  # the sanitizer must abort before this line
 """
@@ -395,7 +396,7 @@ def test_in_process_sanitize_load_refused_without_exec_env(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Debug-mode ctypes bounds validator (pure Python, no compiler needed)
+# The always-on ctypes pre-call checks (pure Python, no compiler needed)
 # ----------------------------------------------------------------------
 
 
@@ -411,19 +412,18 @@ def test_validate_rejects_out_of_bounds_and_size_mismatch():
 
 
 @pytest.mark.native
-def test_debug_guard_blocks_bad_indices_before_the_c_loop(monkeypatch):
+def test_debug_guard_blocks_bad_indices_before_the_c_loop():
     """``repro_bisect``'s inputs: a pin past the last vertex, offsets
-    that decrease, targets of the wrong size, no initial trial and a
-    short event log are refused before the C V-cycle; valid input goes
-    through and gives the unguarded result."""
+    that decrease, a vertex→net direction that is not the transpose of
+    the net→vertex one, targets of the wrong size, no initial trial and
+    a short event log are refused before the C V-cycle; valid input goes
+    through."""
     lib = get_kernels()
     if lib is None:
         pytest.skip("native kernels unavailable")
     from repro.hypergraph import coarsen
     from repro.hypergraph.bisect import MAX_LEVELS
 
-    monkeypatch.setenv(DEBUG_ENV, "1")
-    assert debug_bounds_enabled()
     hg = Hypergraph.from_net_lists([[i, i + 1, (i + 5) % 12] for i in range(11)], 12)
     t = hg.total_weight().astype(np.float64) / 2
 
@@ -439,6 +439,7 @@ def test_debug_guard_blocks_bad_indices_before_the_c_loop(monkeypatch):
     for change, message in (
         ({"pins": np.where(hg.pins == 5, 12, hg.pins)}, "pins indexes outside .*unchecked C loop"),
         ({"xnets": hg.xnets[::-1].copy()}, "xnets is not a monotone"),
+        ({"nets": hg.nets[::-1].copy()}, "xnets/nets is not the transpose"),
         ({"targets": np.array([t])}, "targets has 1 entries, expected 2"),
         ({"ninitial": 0}, "ninitial 0 is below 1"),
         (
@@ -448,22 +449,19 @@ def test_debug_guard_blocks_bad_indices_before_the_c_loop(monkeypatch):
     ):
         with pytest.raises(VerificationError, match=f"native bisect: {message}"):
             ops.bisect(lib, **{**args(), **change})
-    guarded = ops.bisect(lib, **args())
-    monkeypatch.delenv(DEBUG_ENV)
-    plain = ops.bisect(lib, **args())
-    assert np.array_equal(guarded[0], plain[0]) and guarded[1:] == plain[1:]
+    part, cut, _ = ops.bisect(lib, **args())
+    assert part.shape == (12,) and cut >= 0
 
 
 @pytest.mark.native
-def test_debug_guard_checks_plan_arrays_when_binding_the_apply(monkeypatch):
-    """The one-call plan apply binds its arrays once, so the debug guard
-    runs there: a corrupted index never reaches repro_plan_apply."""
+def test_debug_guard_checks_plan_arrays_when_binding_the_apply():
+    """The one-call plan apply binds its arrays once, so the guard runs
+    there: a corrupted index never reaches repro_plan_apply."""
     if get_kernels() is None:
         pytest.skip("native kernels unavailable")
     from repro.runtime import compile_plan
     from tests.golden_runtime import golden_instances
 
-    monkeypatch.setenv(DEBUG_ENV, "1")
     _, p, _ = golden_instances()[2]  # routed: pre, combine, main and fold
     plan = compile_plan(p)
     x = np.random.default_rng(3).standard_normal(plan.ncols)
@@ -486,7 +484,7 @@ def _two_block_batch():
 
 
 @pytest.mark.native
-def test_debug_guard_checks_block_dm_offsets_and_flip_indices(monkeypatch):
+def test_debug_guard_checks_block_dm_offsets_and_flip_indices():
     """Offsets that are not monotone, do not reach their totals or give
     a block different row and column edge spans, and ids outside their
     block, are refused before repro_block_dm; so are a flip order that
@@ -497,7 +495,6 @@ def test_debug_guard_checks_block_dm_offsets_and_flip_indices(monkeypatch):
         pytest.skip("native kernels unavailable")
     from repro.dm.batch import _labels_numpy
 
-    monkeypatch.setenv(DEBUG_ENV, "1")
     good = _two_block_batch()
     got = ops.block_dm(lib, **good)
     want = _labels_numpy(**good)
@@ -536,5 +533,38 @@ def test_env_flag_parsing(monkeypatch):
     monkeypatch.setenv(SANITIZE_ENV, "yes")
     with pytest.raises(ConfigError, match=SANITIZE_ENV):
         sanitize_default()
-    monkeypatch.setenv(DEBUG_ENV, "0")
-    assert not debug_bounds_enabled()
+
+
+@pytest.mark.native
+def test_block_dm_checks_with_the_old_debug_switch_off():
+    """No environment turns the checks off: a child with the retired
+    ``REPRO_NATIVE_DEBUG=0`` set still refuses an inconsistent CSR batch
+    (row offsets that decrease, which an unchecked ``repro_block_dm``
+    turns into wrong labels) and a column id far outside its block (an
+    unchecked write there kills the process)."""
+    if get_kernels() is None:
+        pytest.skip("native kernels unavailable")
+    code = (
+        "import numpy as np\n"
+        "from repro.errors import VerificationError\n"
+        "from repro.native import get_kernels, ops\n"
+        "from tests.test_native_sanitize import _two_block_batch\n"
+        "good = _two_block_batch()\n"
+        "for bad in ({'rptr': np.array([0, 1 << 40, 2, 4])},\n"
+        "            {'cadj': np.array([0, 1, 0, 1 << 40])}):\n"
+        "    try:\n"
+        "        print('labels', ops.block_dm(get_kernels(), **{**good, **bad}))\n"
+        "    except VerificationError as exc:\n"
+        "        print('refused:', exc)\n"
+    )
+    env = {**os.environ, "REPRO_NATIVE_DEBUG": "0", "PYTHONPATH": "src"}
+    env.pop(SANITIZE_ENV, None)
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=300, cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert child.returncode == 0, child.stderr
+    lines = child.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("refused: native block_dm: rptr is not a monotone")
+    assert lines[1].startswith("refused: native block_dm: cadj holds an id outside")

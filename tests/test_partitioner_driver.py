@@ -15,8 +15,7 @@ driver over the NumPy stages.  Pinned here:
   counters; an untraced one passes no event log; at 1-4 threads the
   traced parts, spans (in order) and counters equal the serial run's;
 - the drivers read the contraction's hash mask, validate their inputs
-  under ``REPRO_NATIVE_DEBUG=1``, refuse arrays of the wrong dtype or
-  layout, and report both a failed ``malloc`` and an oversized
+  on every call, refuse arrays of the wrong dtype or layout, and report both a failed ``malloc`` and an oversized
   gain-bucket bound as ``MemoryError``.
 """
 
@@ -36,7 +35,7 @@ from repro.generators.mesh import poisson2d
 from repro.hypergraph import Hypergraph, PartitionConfig, column_net_model, partition_kway
 from repro.hypergraph import coarsen
 from repro.hypergraph.bisect import MAX_LEVELS, multilevel_bisect
-from repro.native import DEBUG_ENV, get_kernels, ops
+from repro.native import get_kernels, ops
 
 from tests.test_partitioner_native import _model, forced_backend, partition_threads
 
@@ -246,14 +245,20 @@ def _driver_args(hg: Hypergraph, nparts: int = 4) -> dict:
     )
 
 
-def test_debug_guard_checks_driver_inputs(monkeypatch):
+def test_debug_guard_checks_driver_inputs():
     lib = get_kernels()
-    monkeypatch.setenv(DEBUG_ENV, "1")
     hg = _model("mesh", 1)
+    swapped = hg.nets.copy()
+    swapped[[0, -1]] = swapped[[-1, 0]]  # the counts still agree
     cases = [
         ({"pins": np.where(hg.pins == 5, hg.nvertices, hg.pins)}, "pins indexes outside"),
         ({"xpins": hg.xpins[::-1].copy()}, "xpins is not a monotone"),
         ({"nets": hg.nets + 1}, "nets indexes outside"),
+        ({"nets": swapped}, "xnets/nets is not the transpose of xpins/pins"),
+        (
+            {"nets": np.append(hg.nets, 0), "xnets": np.append(hg.xnets[:-1], hg.nets.size + 1)},
+            "xnets/nets is not the transpose",
+        ),
         ({"nparts": 0}, "nparts 0 is below 1"),
         ({"rng_state": np.zeros(4, dtype=np.uint64)}, "rng_state has 4 entries"),
         (
@@ -264,14 +269,13 @@ def test_debug_guard_checks_driver_inputs(monkeypatch):
     for change, message in cases:
         with pytest.raises(VerificationError, match=f"partition_kway: {message}"):
             ops.partition_kway(lib, **{**_driver_args(hg), **change})
-    # Valid input passes the guard and gives the unguarded result.
+    # Valid input passes the guard; events are written only to a log.
     rows = ops.kway_event_rows(hg.nvertices, 4, 4, MAX_LEVELS)
     log = (np.empty((rows, 3), dtype=np.int64), np.empty((rows, 2)))
-    guarded = ops.partition_kway(lib, **_driver_args(hg), events=log)
-    monkeypatch.delenv(DEBUG_ENV)
+    logged = ops.partition_kway(lib, **_driver_args(hg), events=log)
     plain = ops.partition_kway(lib, **_driver_args(hg))
-    assert np.array_equal(guarded[0], plain[0])
-    assert guarded[1] > 0 and plain[1] == 0  # events written only to a log
+    assert np.array_equal(logged[0], plain[0])
+    assert logged[1] > 0 and plain[1] == 0
 
 
 @pytest.mark.parametrize("arg", ["pins", "xnets", "vweights", "rng_state"])
