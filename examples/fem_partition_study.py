@@ -11,12 +11,7 @@ just the headline.
 Run:  python examples/fem_partition_study.py
 """
 
-from repro import (
-    PartitionConfig,
-    partition_1d_rowwise,
-    s2d_heuristic,
-    single_phase_comm_stats,
-)
+from repro import PartitionConfig, evaluate, partition_1d_rowwise, s2d_heuristic
 from repro.generators import knn_mesh
 from repro.metrics import format_li, format_table
 from repro.sparse.properties import matrix_properties
@@ -33,8 +28,8 @@ def main() -> None:
         props = matrix_properties(a)
         oned = partition_1d_rowwise(a, K, PartitionConfig(seed=2))
         s2d = s2d_heuristic(a, x_part=oned.vectors, nparts=K)
-        v1 = single_phase_comm_stats(oned).total_volume
-        vs = single_phase_comm_stats(s2d).total_volume
+        v1 = evaluate(oned).total_volume
+        vs = evaluate(s2d).total_volume
         rows.append(
             [
                 dense_rows,

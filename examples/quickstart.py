@@ -20,7 +20,6 @@ from repro import (
     matrix_properties,
     partition_1d_rowwise,
     s2d_heuristic,
-    single_phase_comm_stats,
 )
 from repro.experiments import ExperimentConfig
 from repro.generators import circuit_like
@@ -54,11 +53,8 @@ def main() -> None:
     reduction = 1 - qs.total_volume / q1.total_volume
     print(f"s2D moved {100 * reduction:.0f}% of the 1D communication volume away")
     print("while keeping the exact same message pattern (single comm phase).")
-
-    # The analytic eq.-3 stats agree with what the simulator measured:
-    stats = single_phase_comm_stats(s2d)
-    assert stats.total_volume == qs.total_volume
-    # and the simulated y was verified against A @ x inside evaluate().
+    # evaluate() read these volumes from the simulated SpMV's message
+    # ledger and verified its y against A @ x.
 
 
 if __name__ == "__main__":

@@ -25,15 +25,11 @@ for the reproduced tables/figures.
 """
 
 from repro.core import (
-    bounded_comm_stats,
     make_s2d_bounded,
-    pairwise_volumes,
     partition_s2d_medium_grain,
     s2d_heuristic,
     s2d_heuristic_balanced,
     s2d_optimal,
-    single_phase_comm_stats,
-    two_phase_comm_stats,
 )
 from repro.engine import PartitionEngine, Plan, available_methods
 from repro.partition.serialize import (
@@ -77,10 +73,6 @@ __all__ = [
     "s2d_heuristic_balanced",
     "make_s2d_bounded",
     "partition_s2d_medium_grain",
-    "single_phase_comm_stats",
-    "two_phase_comm_stats",
-    "bounded_comm_stats",
-    "pairwise_volumes",
     # compiled runtime
     "CommPlan",
     "compile_plan",

@@ -56,6 +56,11 @@ violation: ``check plan`` proves a compiled plan's index-array IR
 well-formed (from a partitioned suite matrix or MatrixMarket file, or
 a saved ``.npz`` via ``--plan-file``); ``check lint`` runs the project
 AST lint over the ``repro`` package.
+
+Every usage error — an unknown suite matrix, no or two matrix
+sources, ``--k`` below 1, conflicting options, an unavailable
+``--backend native`` — prints one ``s2d-repro: error:`` line and exits
+with status 2 before the command prints anything else.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from repro import obs
 from repro.engine import ALIASES, PartitionEngine, available_methods
 from repro.errors import CampaignError, ConfigError, ReproError, UsageError
 from repro.jobs import resolve_jobs
-from repro.native import BACKENDS
+from repro.native import BACKENDS, resolve_backend, set_default_backend
 from repro.experiments import (
     GRID_TABLES,
     TABLES,
@@ -90,7 +95,7 @@ def _find_matrix(name: str, scale: str):
     for sm in table1_suite(scale) + table4_suite(scale):
         if sm.name == name:
             return sm.matrix()
-    raise SystemExit(f"unknown suite matrix {name!r}; see `suite` subcommand")
+    raise UsageError(f"unknown suite matrix {name!r}; see `suite` subcommand")
 
 
 def _matrix_source(args, *, plan_file: bool = False):
@@ -100,7 +105,7 @@ def _matrix_source(args, *, plan_file: bool = False):
     sources = {"--matrix": args.matrix, "--mtx": args.mtx}
     sources |= {"--plan-file": args.plan_file} if plan_file else {}
     if sum(map(bool, sources.values())) != 1:
-        raise SystemExit(f"provide exactly one of {' / '.join(sources)}")
+        raise UsageError(f"provide exactly one of {' / '.join(sources)}")
     if args.mtx:
         try:
             return read_matrix_market(args.mtx)
@@ -111,17 +116,6 @@ def _matrix_source(args, *, plan_file: bool = False):
 
 def _engine(a, cfg: ExperimentConfig) -> PartitionEngine:
     return PartitionEngine(a, seed=cfg.seed, machine=cfg.machine)
-
-
-def _resolve_backend_or_exit(backend: str) -> str:
-    """Resolve ``--backend`` early so an unavailable explicit native
-    fails with one clean line instead of a deep traceback."""
-    from repro.native import resolve_backend
-
-    try:
-        return resolve_backend(backend)
-    except ConfigError as exc:
-        raise SystemExit(f"s2d-repro: error: {exc}") from exc
 
 
 _TRACE_FORMATS = ("chrome", "json", "tree")
@@ -381,6 +375,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
+    if getattr(args, "k", 1) < 1:
+        raise UsageError(f"--k must be at least 1, got {args.k}")
     if args.cmd == "suite":
         suite = table1_suite(args.scale) if args.which == "table1" else table4_suite(args.scale)
         for sm in suite:
@@ -388,12 +384,11 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "table":
-        from repro.native import set_default_backend
-
         # The partitioner, the block DM batch and the s2D flip loop take
         # no backend kwarg; they follow the process default set here.
         set_default_backend(args.backend)
-        _resolve_backend_or_exit(args.backend)
+        # An unavailable explicit native fails here, before any work.
+        resolve_backend(args.backend)
         cfg = ExperimentConfig(scale=args.scale) if args.scale else ExperimentConfig()
         jobs = resolve_jobs(args.jobs, what="--jobs")
         result = run_table(args.id, cfg, jobs=jobs, cache_dir=args.cache_dir)
@@ -435,7 +430,7 @@ def _dispatch(args) -> int:
 
         a = _find_matrix(args.matrix, args.scale)
         if max(a.shape) > args.max_dim:
-            raise SystemExit(
+            raise UsageError(
                 f"matrix is {a.shape}; use --max-dim to force rendering"
             )
         cfg = ExperimentConfig(scale=args.scale)
@@ -461,7 +456,7 @@ def _dispatch(args) -> int:
         from repro.engine import available_methods as _methods
 
         if args.all and args.scheme is not None:
-            raise SystemExit("--scheme conflicts with --all")
+            raise UsageError("--scheme conflicts with --all")
         cfg = ExperimentConfig(scale=args.scale)
         a = _matrix_source(args)
         eng = _engine(a, cfg)
@@ -493,8 +488,8 @@ def _dispatch(args) -> int:
         cfg = ExperimentConfig(scale=args.scale)
         a = _matrix_source(args)
         if a.shape[0] != a.shape[1]:
-            raise SystemExit(f"solve needs a square matrix, got {a.shape}")
-        backend = _resolve_backend_or_exit(args.backend)
+            raise UsageError(f"solve needs a square matrix, got {a.shape}")
+        backend = resolve_backend(args.backend)
         eng = _engine(a, cfg)
         plan = eng.plan(args.scheme, args.k, config=cfg.partitioner())
         cplan = eng.compiled_plan(plan)

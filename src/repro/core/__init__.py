@@ -3,37 +3,27 @@
 - :mod:`repro.core.s2d` — the two s2D construction methods of
   Section IV: the per-block DM-optimal split and the bi-objective
   greedy heuristic (Algorithm 1);
-- :mod:`repro.core.volume` — the single-phase communication-volume
-  bookkeeping of eq. (3);
 - :mod:`repro.core.s2d_bounded` — s2D-b, the mesh-routed variant with
   O(√K) maximum latency (Section VI-B);
 - :mod:`repro.core.s2d_mg` — s2D-mg, the medium-grain method of Pelt &
   Bisseling adapted through the composite hypergraph model to emit s2D
   partitions (Section V).
+
+The words and messages these partitions send (eq. 3 and the routed
+combine of Section VI-B) are counted once, in the ledgers of the
+derivations in :mod:`repro.simulate`.
 """
 
 from repro.core.s2d import s2d_heuristic, s2d_optimal, s2d_rowwise_baseline
-from repro.core.s2d_bounded import RoutedCommStats, bounded_comm_stats, make_s2d_bounded
+from repro.core.s2d_bounded import make_s2d_bounded
 from repro.core.s2d_ext import s2d_heuristic_balanced
 from repro.core.s2d_mg import partition_s2d_medium_grain
-from repro.core.volume import (
-    CommStats,
-    pairwise_volumes,
-    single_phase_comm_stats,
-    two_phase_comm_stats,
-)
 
 __all__ = [
     "s2d_optimal",
     "s2d_heuristic",
     "s2d_heuristic_balanced",
     "s2d_rowwise_baseline",
-    "CommStats",
-    "single_phase_comm_stats",
-    "two_phase_comm_stats",
-    "pairwise_volumes",
     "make_s2d_bounded",
-    "bounded_comm_stats",
-    "RoutedCommStats",
     "partition_s2d_medium_grain",
 ]

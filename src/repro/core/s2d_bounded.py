@@ -17,57 +17,26 @@ several processors in one mesh column crosses the row phase once, and
 partial results for the same ``y_i`` arriving at an intermediate from
 different senders in its mesh row are *summed* before forwarding, so
 they cross the column phase once.
+
+This module only tags the partition; the routed schedule itself, and
+its word and message counts, come from the one derivation of the
+model, :func:`repro.simulate.bounded.derive_s2d_bounded`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.core.volume import _admissible_sides
 from repro.errors import ConfigError
 from repro.partition.checkerboard import mesh_shape
 from repro.partition.types import SpMVPartition
-from repro.sparse.blocks import grouped_distinct_counts
 
-__all__ = ["make_s2d_bounded", "bounded_comm_stats", "RoutedCommStats"]
-
-
-@dataclass(frozen=True)
-class RoutedCommStats:
-    """Communication statistics of the two-hop routed schedule.
-
-    ``phase1_*`` / ``phase2_*`` arrays are per-processor; ``total_volume``
-    counts every word over every hop (a two-hop word costs two).
-    """
-
-    total_volume: int
-    phase1_sent_volume: np.ndarray
-    phase2_sent_volume: np.ndarray
-    phase1_sent_msgs: np.ndarray
-    phase2_sent_msgs: np.ndarray
-    mesh: tuple[int, int]
-
-    @property
-    def sent_msgs(self) -> np.ndarray:
-        """Total messages per processor over both phases."""
-        return self.phase1_sent_msgs + self.phase2_sent_msgs
-
-    @property
-    def max_sent_msgs(self) -> int:
-        return int(self.sent_msgs.max()) if self.sent_msgs.size else 0
-
-    @property
-    def avg_sent_msgs(self) -> float:
-        return float(self.sent_msgs.mean()) if self.sent_msgs.size else 0.0
+__all__ = ["make_s2d_bounded"]
 
 
 def make_s2d_bounded(p: SpMVPartition, shape: tuple[int, int] | None = None) -> SpMVPartition:
     """Tag an s2D partition as mesh-routed (kind ``s2D-b``).
 
     Nonzero and vector partitions are shared with ``p``; the mesh shape
-    is recorded in ``meta`` for the simulator and the stats code.
+    is recorded in ``meta`` for the routed derivation.
     """
     p.validate_s2d()
     pr, pc = shape if shape is not None else mesh_shape(p.nparts)
@@ -79,86 +48,4 @@ def make_s2d_bounded(p: SpMVPartition, shape: tuple[int, int] | None = None) -> 
         vectors=p.vectors,
         kind="s2D-b",
         meta={**p.meta, "mesh": (pr, pc)},
-    )
-
-
-def _routing_tables(p: SpMVPartition, pr: int, pc: int):
-    """The logical item lists of the fused exchange.
-
-    Returns ``(x_items, y_items)``:
-
-    - ``x_items``: unique ``(k, ℓ, j)`` — x-word ``x_j`` from owner
-      ``k`` to consumer ``ℓ``;
-    - ``y_items``: unique ``(k, ℓ, i)`` — partial ``ȳ_i`` from
-      producer ``k`` to y-owner ``ℓ``.
-    """
-    m = p.matrix
-    knum = p.nparts
-    rp, cp, x_side, y_side = _admissible_sides(p)
-
-    ncols = m.shape[1]
-    xkeys = np.unique((cp[x_side] * knum + rp[x_side]).astype(np.int64) * (ncols + 1) + m.col[x_side])
-    x_src = (xkeys // (ncols + 1)) // knum
-    x_dst = (xkeys // (ncols + 1)) % knum
-    x_j = xkeys % (ncols + 1)
-
-    nrows = m.shape[0]
-    ykeys = np.unique((cp[y_side] * knum + rp[y_side]).astype(np.int64) * (nrows + 1) + m.row[y_side])
-    y_src = (ykeys // (nrows + 1)) // knum
-    y_dst = (ykeys // (nrows + 1)) % knum
-    y_i = ykeys % (nrows + 1)
-
-    return (x_src, x_dst, x_j), (y_src, y_dst, y_i)
-
-
-def bounded_comm_stats(p: SpMVPartition, shape: tuple[int, int] | None = None) -> RoutedCommStats:
-    """Volume/latency of the two-hop routed schedule with combining."""
-    pr, pc = shape if shape is not None else p.meta.get("mesh", mesh_shape(p.nparts))
-    if pr * pc != p.nparts:
-        raise ConfigError(f"mesh {pr}x{pc} does not cover {p.nparts} processors")
-    knum = p.nparts
-    (x_src, x_dst, x_j), (y_src, y_dst, y_i) = _routing_tables(p, pr, pc)
-
-    ncols = p.matrix.shape[1]
-    nrows = p.matrix.shape[0]
-
-    def _hop(x_from, x_to, y_from, y_to):
-        """Volume and message counts of one forwarding hop.
-
-        Combining is the grouped distinct count: an x_j travels a hop
-        once per (sender, receiver) pair regardless of how many final
-        destinations need it, and partials for the same y_i meeting at
-        an intermediate are summed, so the (sender, receiver, line) key
-        deduplicates across senders.
-        """
-        x_move = x_to != x_from
-        y_move = y_to != y_from
-        gx, cx = grouped_distinct_counts(
-            x_from[x_move] * knum + x_to[x_move], x_j[x_move], ncols
-        )
-        gy, cy = grouped_distinct_counts(
-            y_from[y_move] * knum + y_to[y_move], y_i[y_move], nrows
-        )
-        vol = np.zeros(knum, dtype=np.int64)
-        np.add.at(vol, gx // knum, cx)
-        np.add.at(vol, gy // knum, cy)
-        msgs = np.zeros(knum, dtype=np.int64)
-        np.add.at(msgs, np.union1d(gx, gy) // knum, 1)
-        return vol, msgs
-
-    # ---- phase 1 (row phase): k -> t = (r_k, c_dst) ------------------
-    x_t = (x_src // pc) * pc + (x_dst % pc)
-    y_t = (y_src // pc) * pc + (y_dst % pc)
-    phase1_vol, phase1_msgs = _hop(x_src, x_t, y_src, y_t)
-
-    # ---- phase 2 (column phase): t -> dst ----------------------------
-    phase2_vol, phase2_msgs = _hop(x_t, x_dst, y_t, y_dst)
-
-    return RoutedCommStats(
-        total_volume=int(phase1_vol.sum() + phase2_vol.sum()),
-        phase1_sent_volume=phase1_vol,
-        phase2_sent_volume=phase2_vol,
-        phase1_sent_msgs=phase1_msgs,
-        phase2_sent_msgs=phase2_msgs,
-        mesh=(pr, pc),
     )

@@ -23,7 +23,7 @@ from repro.partition.boman import partition_1d_boman
 from repro.partition.checkerboard import partition_checkerboard
 from repro.partition.finegrain import partition_2d_finegrain
 from repro.partition.mondriaan import partition_mondriaan
-from repro.partition.oned import partition_1d_columnwise, partition_1d_rowwise
+from repro.partition.oned import partition_1d_rowwise
 
 __all__ = ["METHODS", "ALIASES", "available_methods", "register_method", "resolve_method"]
 
@@ -31,7 +31,6 @@ METHODS: dict = {}
 
 ALIASES = {
     "1d": "1d-rowwise",
-    "1d-col": "1d-columnwise",
     "2d": "finegrain",
     "2d-orb": "mondriaan",
     "2d-b": "checkerboard",
@@ -79,11 +78,6 @@ def available_methods() -> list[str]:
 @register_method("1d-rowwise")
 def _build_1d_rowwise(engine, nparts, config, opts):
     return partition_1d_rowwise(engine.matrix, nparts, config)
-
-
-@register_method("1d-columnwise")
-def _build_1d_columnwise(engine, nparts, config, opts):
-    return partition_1d_columnwise(engine.matrix, nparts, config)
 
 
 @register_method("finegrain")

@@ -26,6 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.partition.types import SpMVPartition, VectorPartition
+from repro.simulate.common import PHASES
+from repro.simulate.singlephase import derive_single_phase
 from repro.sparse.coo import canonical_coo
 from repro.sparse.permute import spy_string
 
@@ -85,17 +87,13 @@ def figure1_partition() -> SpMVPartition:
     return p
 
 
-def _figure1_cell() -> tuple:
-    """The Figure 1 partition and its fused messages."""
-    from repro.core.volume import pairwise_volumes  # local import: avoid cycle
-
-    p = figure1_partition()
-    return p, pairwise_volumes(p)
-
-
 def figure1_report() -> str:
     """ASCII rendition of Figure 1 plus the worked message table."""
-    p, lam = _figure1_cell()
+    p = figure1_partition()
+    # λ_{k→ℓ} of each fused message, from the single-phase ledger.
+    ledger = derive_single_phase(p).plan.ledger
+    src, dst, words = ledger.phase_pairs(PHASES["single"][0])
+    lam = dict(zip(zip(src.tolist(), dst.tolist()), words.tolist()))
     lines = [
         "Figure 1 (reconstruction): 10x13 matrix, 3-way s2D partition",
         "(digits are 1-based owning processors; rows/cols grouped by part)",

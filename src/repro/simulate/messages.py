@@ -1,9 +1,11 @@
 """Message ledger: every send of the simulated SpMV, by phase.
 
-The ledger is the simulator's ground truth for the quantities the
-paper's tables report (total volume, per-processor message counts).
-The analytic formulas in :mod:`repro.core.volume` are tested against
-these observations.
+The ledger is the package's one count of the quantities the paper's
+tables report (total volume, per-processor message counts): each
+execution model's derivation books every send here, and every table,
+``evaluate``, the compiled runtime and the CLI read it.  The test
+suite checks it against the analytic formulas (eq. 3, the two-phase
+expand/fold and the routed combine) kept in ``tests/comm_oracle.py``.
 """
 
 from __future__ import annotations

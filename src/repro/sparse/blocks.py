@@ -33,14 +33,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import PartitionError
-from repro.kernels import grouped_distinct_counts, stable_order
+from repro.kernels import stable_order
 from repro.sparse.coo import coo_triplets
 
-__all__ = [
-    "BlockStructure",
-    "BlockStats",
-    "grouped_distinct_counts",  # re-exported from repro.kernels
-]
+__all__ = ["BlockStructure", "BlockStats"]
 
 
 def _key_position(keys: np.ndarray, nparts: int, row_block: int, col_block: int) -> int:

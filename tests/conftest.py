@@ -118,3 +118,16 @@ def random_s2d_partition(rng, a, k):
         vectors=VectorPartition(x_part=x, y_part=y, nparts=k),
         kind="s2D",
     )
+
+
+def cli_usage_error(capsys, argv) -> str:
+    """Run the CLI on ``argv`` and check it refused the input as a
+    usage error: exit status 2, nothing on stdout, and exactly one
+    ``s2d-repro: error:`` line on stderr, which is returned."""
+    from repro.cli import main
+
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("s2d-repro: error: ") and err.count("\n") == 1, err
+    return err

@@ -34,8 +34,9 @@ from repro.dm.decomposition import coarse_dm
 from repro.engine import PartitionEngine
 from repro.experiments.config import ExperimentConfig
 from repro.generators.suite import table1_suite, table4_suite
+from repro.kernels import grouped_distinct_counts
 from repro.native import get_kernels, set_default_backend
-from repro.sparse.blocks import BlockStructure, grouped_distinct_counts
+from repro.sparse.blocks import BlockStructure
 from repro.sparse.coo import canonical_coo
 
 from tests.test_partitioner_native import FAMILIES

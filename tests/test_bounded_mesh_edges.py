@@ -8,11 +8,12 @@ must degrade gracefully to K−1.
 import numpy as np
 import pytest
 
-from repro.core import bounded_comm_stats, make_s2d_bounded, single_phase_comm_stats
+from repro.core import make_s2d_bounded
 from repro.hypergraph import PartitionConfig
 from repro.partition import partition_1d_rowwise
 from repro.core import s2d_heuristic
-from repro.simulate import run_s2d_bounded
+from repro.simulate import run_s2d_bounded, run_single_phase
+from tests.comm_oracle import routed_words
 from tests.conftest import random_s2d_partition
 
 CFG = PartitionConfig(seed=71, ninitial=2, fm_passes=2)
@@ -42,26 +43,24 @@ def test_all_mesh_shapes_execute(s2d, shape, rng):
 def test_single_row_mesh_is_single_hop(s2d):
     """Pr=1: every processor pair shares the mesh row, so the column
     phase carries nothing and the schedule collapses to direct sends."""
-    b = make_s2d_bounded(s2d, shape=(1, 6))
-    stats = bounded_comm_stats(b)
-    assert stats.phase2_sent_volume.sum() == 0
+    ledger = run_s2d_bounded(make_s2d_bounded(s2d, shape=(1, 6))).ledger
+    assert ledger.sent_volume("route-col").sum() == 0
     # volume equals the unrouted s2D volume: no forwarding at all
-    assert stats.total_volume == single_phase_comm_stats(s2d).total_volume
+    assert ledger.total_volume() == run_single_phase(s2d).ledger.total_volume()
 
 
 def test_single_col_mesh_is_single_hop(s2d):
-    b = make_s2d_bounded(s2d, shape=(6, 1))
-    stats = bounded_comm_stats(b)
-    assert stats.phase1_sent_volume.sum() == 0
-    assert stats.total_volume == single_phase_comm_stats(s2d).total_volume
+    ledger = run_s2d_bounded(make_s2d_bounded(s2d, shape=(6, 1))).ledger
+    assert ledger.sent_volume("route-row").sum() == 0
+    assert ledger.total_volume() == run_single_phase(s2d).ledger.total_volume()
 
 
 def test_stats_match_executor_all_shapes(s2d):
     for shape in ((1, 6), (6, 1), (2, 3)):
         b = make_s2d_bounded(s2d, shape=shape)
-        stats = bounded_comm_stats(b)
+        row, col = routed_words(b)
         run = run_s2d_bounded(b)
-        assert stats.total_volume == run.ledger.total_volume()
+        assert row[0].sum() + col[0].sum() == run.ledger.total_volume()
 
 
 def test_random_partition_one_dim_mesh(small_square, rng):

@@ -5,6 +5,7 @@ import pytest
 from repro.cli import main
 from repro.experiments import TABLES, ExperimentConfig, table_grid
 from repro.sweep import ArtifactCache, Campaign
+from tests.conftest import cli_usage_error
 
 
 def test_cli_suite(capsys):
@@ -65,16 +66,34 @@ def test_cli_partition_mtx_file(tmp_path, small_square, capsys):
     assert "scheme=2D" in capsys.readouterr().out
 
 
-def test_cli_partition_requires_one_source():
-    with pytest.raises(SystemExit):
-        main(["partition", "--scheme", "s2d"])
-    with pytest.raises(SystemExit):
-        main(["partition", "--matrix", "c-big", "--mtx", "x.mtx"])
+def test_cli_solve_refuses_a_rectangular_matrix(tmp_path, small_rect, capsys):
+    from repro.sparse import write_matrix_market
+
+    path = tmp_path / "rect.mtx"
+    write_matrix_market(small_rect, path)
+    err = cli_usage_error(capsys, ["solve", "--mtx", str(path), "--k", "2"])
+    assert "solve needs a square matrix" in err
 
 
-def test_cli_unknown_matrix():
-    with pytest.raises(SystemExit, match="unknown suite matrix"):
-        main(["partition", "--matrix", "nope", "--scale", "tiny"])
+def test_cli_partition_requires_one_source(capsys):
+    for argv in (
+        ["partition", "--scheme", "s2d"],
+        ["partition", "--matrix", "c-big", "--mtx", "x.mtx"],
+    ):
+        assert "exactly one of --matrix / --mtx" in cli_usage_error(capsys, argv)
+
+
+def test_cli_unknown_matrix(capsys):
+    err = cli_usage_error(capsys, ["partition", "--matrix", "nope", "--scale", "tiny"])
+    assert "unknown suite matrix 'nope'" in err
+
+
+@pytest.mark.parametrize("cmd", ["partition", "spy", "simulate", "solve", "check plan"])
+def test_cli_refuses_k_below_one_before_any_output(cmd, capsys):
+    err = cli_usage_error(
+        capsys, [*cmd.split(), "--matrix", "c-big", "--scale", "tiny", "--k", "0"]
+    )
+    assert "--k must be at least 1, got 0" in err
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from tests.conftest import cli_usage_error
 
 
 def test_cli_spy(capsys):
@@ -11,9 +12,11 @@ def test_cli_spy(capsys):
     assert "|" in out and "-" in out
 
 
-def test_cli_spy_refuses_large():
-    with pytest.raises(SystemExit, match="max-dim"):
-        main(["spy", "--matrix", "c-big", "--scale", "tiny", "--max-dim", "10"])
+def test_cli_spy_refuses_large(capsys):
+    err = cli_usage_error(
+        capsys, ["spy", "--matrix", "c-big", "--scale", "tiny", "--max-dim", "10"]
+    )
+    assert "max-dim" in err
 
 
 @pytest.mark.parametrize("scheme", ["2d-orb", "s2d-bal"])
@@ -55,15 +58,16 @@ def test_cli_simulate_all_methods(capsys):
     assert out.count("speedup=") == len(available_methods())
 
 
-def test_cli_simulate_requires_one_source():
-    with pytest.raises(SystemExit, match="exactly one"):
-        main(["simulate"])
+def test_cli_simulate_requires_one_source(capsys):
+    assert "exactly one" in cli_usage_error(capsys, ["simulate"])
 
 
-def test_cli_simulate_scheme_conflicts_with_all():
-    with pytest.raises(SystemExit, match="conflicts"):
-        main(["simulate", "--matrix", "trdheim", "--scheme", "2d", "--all",
-              "--scale", "tiny"])
+def test_cli_simulate_scheme_conflicts_with_all(capsys):
+    err = cli_usage_error(
+        capsys,
+        ["simulate", "--matrix", "trdheim", "--scheme", "2d", "--all", "--scale", "tiny"],
+    )
+    assert "conflicts" in err
 
 
 def test_cli_table_with_default_scale_env(monkeypatch, capsys):
@@ -117,9 +121,9 @@ def test_cli_check_plan_file_fold_rows_out_of_range(tmp_path, small_square, caps
     ],
     ids=["matrix+mtx", "plan-file+matrix", "plan-file+mtx", "none"],
 )
-def test_cli_check_plan_requires_one_source(sources):
-    with pytest.raises(SystemExit, match="exactly one of --matrix / --mtx / --plan-file"):
-        main(["check", "plan", *sources])
+def test_cli_check_plan_requires_one_source(sources, capsys):
+    err = cli_usage_error(capsys, ["check", "plan", *sources])
+    assert "exactly one of --matrix / --mtx / --plan-file" in err
 
 
 @pytest.mark.parametrize("cmd", ["partition", "simulate", "solve", "check plan"])

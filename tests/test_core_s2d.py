@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import s2d_heuristic, s2d_optimal, s2d_rowwise_baseline, single_phase_comm_stats
+from repro.core import s2d_heuristic, s2d_optimal, s2d_rowwise_baseline
 from repro.generators import circuit_like
 from repro.hypergraph import PartitionConfig
 from repro.partition import partition_1d_rowwise
 from repro.partition.types import SpMVPartition, VectorPartition
+from repro.simulate import evaluate
 from repro.sparse.coo import canonical_coo
 import scipy.sparse as sp
 
@@ -61,7 +62,7 @@ def test_rowwise_baseline_is_1d(small_square, rng):
 def test_optimal_matches_brute_force(seed):
     a, x, y, k = _rand_instance(seed, n=14, k=3, density=0.12)
     p = s2d_optimal(a, x_part=x, y_part=y, nparts=k)
-    got = single_phase_comm_stats(p).total_volume
+    got = evaluate(p).total_volume
     want = _brute_force_min_volume(a, x, y, k)
     assert got == want
 
@@ -72,8 +73,8 @@ def test_optimal_never_worse_than_rowwise(small_square, rng):
     x = rng.integers(0, k, 30)
     base = s2d_rowwise_baseline(small_square, x_part=x, y_part=y, nparts=k)
     opt = s2d_optimal(small_square, x_part=x, y_part=y, nparts=k)
-    v_base = single_phase_comm_stats(base).total_volume
-    v_opt = single_phase_comm_stats(opt).total_volume
+    v_base = evaluate(base).total_volume
+    v_opt = evaluate(opt).total_volume
     assert v_opt <= v_base
 
 
@@ -82,9 +83,9 @@ def test_heuristic_admissible_and_bounded(medium_square):
     p1 = partition_1d_rowwise(medium_square, k, PartitionConfig(seed=5))
     s = s2d_heuristic(medium_square, x_part=p1.vectors, nparts=k)
     s.validate_s2d()
-    v1 = single_phase_comm_stats(p1).total_volume
-    vs = single_phase_comm_stats(s).total_volume
-    vo = single_phase_comm_stats(
+    v1 = evaluate(p1).total_volume
+    vs = evaluate(s).total_volume
+    vo = evaluate(
         s2d_optimal(medium_square, x_part=p1.vectors, nparts=k)
     ).total_volume
     assert vo <= vs <= v1
@@ -151,8 +152,8 @@ def test_heuristic_volume_never_exceeds_rowwise(seed):
     base = s2d_rowwise_baseline(a, x_part=x, y_part=y, nparts=k)
     s = s2d_heuristic(a, x_part=x, y_part=y, nparts=k)
     assert (
-        single_phase_comm_stats(s).total_volume
-        <= single_phase_comm_stats(base).total_volume
+        evaluate(s).total_volume
+        <= evaluate(base).total_volume
     )
     s.validate_s2d()
 
@@ -177,12 +178,12 @@ def test_wlim_traces_the_volume_frontier():
     k = 32
     p1 = partition_1d_rowwise(a, k, PartitionConfig(seed=5))
     vols = [
-        single_phase_comm_stats(
+        evaluate(
             s2d_heuristic(a, x_part=p1.vectors, nparts=k, w_lim=cap * a.nnz / k)
         ).total_volume
         for cap in (1.00, 1.03, 1.10, 1.50, 2.00)
     ]
-    vol_opt = single_phase_comm_stats(s2d_optimal(a, x_part=p1.vectors, nparts=k)).total_volume
-    vol_1d = single_phase_comm_stats(p1).total_volume
+    vol_opt = evaluate(s2d_optimal(a, x_part=p1.vectors, nparts=k)).total_volume
+    vol_1d = evaluate(p1).total_volume
     assert all(vol_opt <= v <= vol_1d for v in vols), (vol_opt, vols, vol_1d)
     assert all(nxt <= prev for prev, nxt in zip(vols, vols[1:])), vols

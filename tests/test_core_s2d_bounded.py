@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    bounded_comm_stats,
-    make_s2d_bounded,
-    s2d_heuristic,
-    single_phase_comm_stats,
-)
+from repro.core import make_s2d_bounded, s2d_heuristic
 from repro.errors import ConfigError
 from repro.hypergraph import PartitionConfig
 from repro.partition import partition_1d_rowwise
 from repro.partition.checkerboard import mesh_shape
-from repro.simulate import run_s2d_bounded
+from repro.simulate import run_s2d_bounded, run_single_phase
+from tests.comm_oracle import routed_words
 from tests.conftest import random_s2d_partition
 
 
@@ -52,8 +48,8 @@ def test_bounded_volume_at_least_s2d(medium_square):
     # Two-hop routing can only add words relative to direct delivery.
     s = _s2d(medium_square)
     b = make_s2d_bounded(s)
-    direct = single_phase_comm_stats(s).total_volume
-    routed = bounded_comm_stats(b).total_volume
+    direct = run_single_phase(s).ledger.total_volume()
+    routed = run_s2d_bounded(b).ledger.total_volume()
     assert routed >= direct
     # ...but combining keeps it under 2x.
     assert routed <= 2 * direct
@@ -62,30 +58,23 @@ def test_bounded_volume_at_least_s2d(medium_square):
 def test_stats_match_executor(medium_square, rng):
     s = _s2d(medium_square)
     b = make_s2d_bounded(s)
-    stats = bounded_comm_stats(b)
+    row, col = routed_words(b)
     run = run_s2d_bounded(b)
-    assert stats.total_volume == run.ledger.total_volume()
-    assert np.array_equal(stats.phase1_sent_volume, run.ledger.sent_volume("route-row"))
-    assert np.array_equal(stats.phase2_sent_volume, run.ledger.sent_volume("route-col"))
-    assert np.array_equal(stats.phase1_sent_msgs, run.ledger.sent_msgs("route-row"))
-    assert np.array_equal(stats.phase2_sent_msgs, run.ledger.sent_msgs("route-col"))
+    assert row[0].sum() + col[0].sum() == run.ledger.total_volume()
+    for hop, phase in ((row, "route-row"), (col, "route-col")):
+        assert np.array_equal(hop[0], run.ledger.sent_volume(phase))
+        assert np.array_equal(hop[1], run.ledger.recv_volume(phase))
+        assert np.array_equal(hop[2], run.ledger.sent_msgs(phase))
+        assert np.array_equal(hop[3], run.ledger.recv_msgs(phase))
 
 
 def test_stats_match_executor_random_partition(small_square, rng):
     p = random_s2d_partition(rng, small_square, 4)
     b = make_s2d_bounded(p, shape=mesh_shape(4))
-    stats = bounded_comm_stats(b)
+    row, col = routed_words(b)
     run = run_s2d_bounded(b)
-    assert stats.total_volume == run.ledger.total_volume()
-    assert stats.max_sent_msgs == run.ledger.sent_msgs().max(initial=0)
-    assert stats.avg_sent_msgs == pytest.approx(run.ledger.sent_msgs().mean())
-
-
-def test_routed_stats_mesh_recorded(medium_square):
-    s = _s2d(medium_square)
-    b = make_s2d_bounded(s)
-    stats = bounded_comm_stats(b)
-    assert stats.mesh == tuple(b.meta["mesh"])
+    assert row[0].sum() + col[0].sum() == run.ledger.total_volume()
+    assert np.array_equal(row[2] + col[2], run.ledger.sent_msgs())
 
 
 def test_single_hop_when_same_mesh_row(small_square, rng):

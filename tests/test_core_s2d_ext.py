@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import s2d_heuristic, s2d_heuristic_balanced, single_phase_comm_stats
+from repro.core import s2d_heuristic, s2d_heuristic_balanced
 from repro.generators import banded_with_dense_rows, circuit_like
 from repro.hypergraph import PartitionConfig
 from repro.partition import partition_1d_rowwise
+from tests.comm_oracle import per_processor, single_phase_words
 
 CFG = PartitionConfig(seed=41, ninitial=2, fm_passes=2)
 
@@ -62,7 +63,9 @@ def test_balanced_volume_still_simulatable():
     p1 = partition_1d_rowwise(a, k, CFG)
     s = s2d_heuristic_balanced(a, x_part=p1.vectors, nparts=k)
     run = run_single_phase(s)
-    assert run.ledger.total_volume() == single_phase_comm_stats(s).total_volume
+    sent_v, _, sent_m, _ = per_processor(k, single_phase_words(s))
+    assert np.array_equal(run.ledger.sent_volume(), sent_v)
+    assert np.array_equal(run.ledger.sent_msgs(), sent_m)
 
 
 @pytest.mark.parametrize("model", ["single", "two", "routed"])

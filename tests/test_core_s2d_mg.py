@@ -2,10 +2,11 @@
 
 import numpy as np
 
-from repro.core import partition_s2d_medium_grain, single_phase_comm_stats
+from repro.core import partition_s2d_medium_grain
 from repro.generators import circuit_like
 from repro.hypergraph import PartitionConfig, connectivity_minus_one, medium_grain_model
 from repro.hypergraph.partitioner import partition_kway
+from repro.simulate import evaluate
 
 CFG = PartitionConfig(seed=77, ninitial=2, fm_passes=2)
 
@@ -42,7 +43,7 @@ def test_mg_volume_equals_connectivity_cut(medium_square):
         vectors=VectorPartition(x_part=x_part, y_part=y_part, nparts=4),
         kind="s2D-mg",
     )
-    vol = single_phase_comm_stats(p).total_volume
+    vol = evaluate(p).total_volume
     cut = connectivity_minus_one(model.hypergraph, part)
     assert vol == cut
 
@@ -65,7 +66,7 @@ def test_shorter_line_split_beats_a_degenerate_split():
     a = circuit_like(500, avg_degree=5, ndense=2, dense_fraction=0.4, seed=22)
     cfg = PartitionConfig(seed=5)
     vols = {
-        label: single_phase_comm_stats(
+        label: evaluate(
             partition_s2d_medium_grain(a, 16, cfg, to_row=mask)
         ).total_volume
         for label, mask in [

@@ -1,35 +1,48 @@
-"""Eq. (3) bookkeeping: analytic formulas vs the executing simulator."""
+"""Eq. (3) bookkeeping: the single-phase ledger vs the analytic oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import pairwise_volumes, single_phase_comm_stats
 from repro.errors import PartitionError
 from repro.partition.types import SpMVPartition, VectorPartition
 from repro.simulate import run_single_phase
+from tests.comm_oracle import per_processor, single_phase_words
 from tests.conftest import random_s2d_partition
 
 import scipy.sparse as sp
 
+PHASE = "expand-and-fold"
+
 
 def test_formula_matches_ledger(small_square, rng):
     p = random_s2d_partition(rng, small_square, 4)
-    stats = single_phase_comm_stats(p)
+    sent_v, recv_v, sent_m, recv_m = per_processor(4, single_phase_words(p))
     run = run_single_phase(p)
-    assert stats.total_volume == run.ledger.total_volume()
-    assert np.array_equal(stats.sent_volume, run.ledger.sent_volume())
-    assert np.array_equal(stats.recv_volume, run.ledger.recv_volume())
-    assert np.array_equal(stats.sent_msgs, run.ledger.sent_msgs())
-    assert np.array_equal(stats.recv_msgs, run.ledger.recv_msgs())
+    assert sent_v.sum() == run.ledger.total_volume()
+    assert np.array_equal(sent_v, run.ledger.sent_volume())
+    assert np.array_equal(recv_v, run.ledger.recv_volume())
+    assert np.array_equal(sent_m, run.ledger.sent_msgs())
+    assert np.array_equal(recv_m, run.ledger.recv_msgs())
+    # P_k messages P_ℓ iff block A_{ℓk} is nonempty: the message pattern
+    # is a function of the vector partition alone.
+    m = p.matrix
+    rp, cp = p.vectors.y_part[m.row], p.vectors.x_part[m.col]
+    off = rp != cp
+    blocks = set(zip(cp[off].tolist(), rp[off].tolist()))
+    src, dst, _ = run.ledger.phase_pairs(PHASE)
+    assert set(zip(src.tolist(), dst.tolist())) == blocks
 
 
 def test_pairwise_matches_ledger_pairs(small_square, rng):
     p = random_s2d_partition(rng, small_square, 3)
     run = run_single_phase(p)
-    for (src, dst), lam in pairwise_volumes(p).items():
-        assert run.ledger.pair_volume("expand-and-fold", src, dst) == lam
+    lam = single_phase_words(p)
+    for (src, dst), words in lam.items():
+        assert run.ledger.pair_volume(PHASE, src, dst) == words
+    src, dst, words = run.ledger.phase_pairs(PHASE)
+    assert dict(zip(zip(src.tolist(), dst.tolist()), words.tolist())) == lam
 
 
 def test_eq3_manual_example():
@@ -44,11 +57,10 @@ def test_eq3_manual_example():
             x_part=np.array([0, 1]), y_part=np.array([0, 1]), nparts=2
         ),
     )
-    lam = pairwise_volumes(p)
-    assert lam == {(1, 0): 1, (0, 1): 1}
-    stats = single_phase_comm_stats(p)
-    assert stats.total_volume == 2
-    assert stats.sent_msgs.tolist() == [1, 1]
+    assert single_phase_words(p) == {(1, 0): 1, (0, 1): 1}
+    ledger = run_single_phase(p).ledger
+    assert ledger.total_volume() == 2
+    assert ledger.sent_msgs().tolist() == [1, 1]
 
 
 def test_rowwise_volume_equals_block_nhat(small_square, rng):
@@ -59,7 +71,7 @@ def test_rowwise_volume_equals_block_nhat(small_square, rng):
     x = rng.integers(0, k, 30)
     p = s2d_rowwise_baseline(small_square, x_part=x, y_part=y, nparts=k)
     bs = p.block_structure()
-    assert single_phase_comm_stats(p).total_volume == bs.rowwise_volume()
+    assert run_single_phase(p).ledger.total_volume() == bs.rowwise_volume()
 
 
 def test_formula_rejects_inadmissible(small_square):
@@ -75,17 +87,7 @@ def test_formula_rejects_inadmissible(small_square):
         ),
     )
     with pytest.raises(PartitionError):
-        single_phase_comm_stats(p)
-
-
-def test_comm_stats_properties(small_square, rng):
-    p = random_s2d_partition(rng, small_square, 4)
-    stats = single_phase_comm_stats(p)
-    assert stats.nparts == 4
-    assert stats.max_sent_volume == stats.sent_volume.max()
-    assert stats.total_msgs == stats.sent_msgs.sum()
-    assert stats.avg_sent_msgs == pytest.approx(stats.sent_msgs.mean())
-    assert stats.max_sent_msgs == stats.sent_msgs.max()
+        run_single_phase(p)
 
 
 @settings(max_examples=25, deadline=None)
@@ -96,7 +98,7 @@ def test_formula_equals_ledger_property(seed, k):
     if a.nnz == 0:
         return
     p = random_s2d_partition(rng, a, k)
-    stats = single_phase_comm_stats(p)
+    sent_v, _, sent_m, _ = per_processor(k, single_phase_words(p))
     run = run_single_phase(p)
-    assert stats.total_volume == run.ledger.total_volume()
-    assert np.array_equal(stats.sent_msgs, run.ledger.sent_msgs())
+    assert sent_v.sum() == run.ledger.total_volume()
+    assert np.array_equal(sent_m, run.ledger.sent_msgs())

@@ -22,7 +22,7 @@ from repro.engine import (
 )
 from repro.errors import ConfigError
 from repro.native import find_compiler
-from repro.partition import partition_1d_rowwise
+from repro.partition import partition_1d_columnwise, partition_1d_rowwise
 from repro.partition import plan as plan_oneshot
 from repro.simulate import evaluate
 from repro.sparse.coo import canonical_coo
@@ -30,7 +30,6 @@ from repro.sparse.coo import canonical_coo
 S2D_METHODS = ("s2d-optimal", "s2d-heuristic", "s2d-balanced", "s2d-bounded")
 ALL_METHODS = S2D_METHODS + (
     "1d-rowwise",
-    "1d-columnwise",
     "finegrain",
     "checkerboard",
     "medium-grain",
@@ -153,9 +152,9 @@ def test_run_cached_across_machine_models(matrix):
 
 def test_explicit_vectors_option(matrix):
     eng = PartitionEngine(matrix, seed=3)
-    base = eng.plan("1d-columnwise", 4)
-    p = eng.plan("s2d-heuristic", 4, vectors=base.partition.vectors).partition
-    assert np.array_equal(p.vectors.x_part, base.partition.vectors.x_part)
+    base = partition_1d_columnwise(matrix, 4, eng.partitioner())
+    p = eng.plan("s2d-heuristic", 4, vectors=base.vectors).partition
+    assert np.array_equal(p.vectors.x_part, base.vectors.x_part)
     p.validate_s2d()
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import pairwise_volumes, single_phase_comm_stats
 from repro.experiments import ExperimentConfig, figure1_partition, figure1_report
 from repro.experiments.tables import run_table1, run_table4
 from repro.sparse.properties import matrix_properties
@@ -21,12 +20,13 @@ def test_figure1_shape_and_parts():
 
 def test_figure1_worked_messages():
     """The exact numbers the paper narrates about Figure 1."""
-    p = figure1_partition()
-    lam = pairwise_volumes(p)
-    # P2 sends [x_5, y~_2] to P1: 2 words (0-based: 1 -> 0)
-    assert lam[(1, 0)] == 2
+    from repro.simulate import run_single_phase
+
+    ledger = run_single_phase(figure1_partition()).ledger
+    # P2 sends [x_5, y~_2] to P1: one message, 2 words (0-based: 1 -> 0)
+    assert ledger.pair_volume("expand-and-fold", 1, 0) == 2
     # lambda_{3->2} = 3 (0-based: 2 -> 1)
-    assert lam[(2, 1)] == 3
+    assert ledger.pair_volume("expand-and-fold", 2, 1) == 3
 
 
 def test_figure1_x13_only_needed_by_p2():
@@ -47,11 +47,40 @@ def test_figure1_precompute_example():
     assert np.all(p.nnz_part[sel] == 1)
 
 
+#: The whole ``figure1_report()`` text, byte for byte.
+FIGURE1_TEXT = """\
+Figure 1 (reconstruction): 10x13 matrix, 3-way s2D partition
+(digits are 1-based owning processors; rows/cols grouped by part)
+
+1 . 1 . | . . . | . . . . . .
+. 1 . . | 1 2 2 | . . . . . .
+. . . 1 | 1 . . | . . . . . .
+1 . . 1 | . . . | . . . . . .
+-------------------------
+1 . 1 . | . 2 . | 3 . 3 . . .
+. . . . | 2 . 2 | . 2 . . . 2
+. . . . | . 2 . | . 2 . . . .
+-------------------------
+. . . . | . . . | 3 . 3 . . .
+. 3 . . | . . . | . 3 . . . .
+. . . 3 | . . . | . . . 3 3 .
+
+Fused messages lambda_{k->l} (eq. 3):
+  P1 -> P2: 1 words
+  P1 -> P3: 2 words
+  P2 -> P1: 2 words
+  P3 -> P2: 3 words
+
+Worked example of the text: P2 sends [x_5, y~_2] to P1 (lambda_{2->1} = 2); lambda_{3->2} = 3.
+"""
+
+
 def test_figure1_report_renders():
     rep = figure1_report()
     assert "10x13" in rep
     assert "lambda_{2->1} = 2" in rep
     assert "lambda_{3->2} = 3" in rep
+    assert rep + "\n" == FIGURE1_TEXT
 
 
 def test_figure1_spmv_runs():

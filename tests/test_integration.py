@@ -12,7 +12,6 @@ from repro.core import (
     partition_s2d_medium_grain,
     s2d_heuristic,
     s2d_optimal,
-    single_phase_comm_stats,
 )
 from repro.generators import circuit_like, knn_mesh, rmat
 from repro.hypergraph import PartitionConfig
@@ -43,8 +42,8 @@ def test_s2d_volume_leq_1d_everywhere(fem, densecircuit):
             p1 = partition_1d_rowwise(a, k, CFG)
             s = s2d_heuristic(a, x_part=p1.vectors, nparts=k)
             assert (
-                single_phase_comm_stats(s).total_volume
-                <= single_phase_comm_stats(p1).total_volume
+                evaluate(s).total_volume
+                <= evaluate(p1).total_volume
             )
 
 
@@ -59,8 +58,8 @@ def test_s2d_reduction_larger_on_skewed_matrix(fem, densecircuit):
     def reduction(a):
         p1 = partition_1d_rowwise(a, k, CFG)
         s = s2d_heuristic(a, x_part=p1.vectors, nparts=k)
-        v1 = single_phase_comm_stats(p1).total_volume
-        vs = single_phase_comm_stats(s).total_volume
+        v1 = evaluate(p1).total_volume
+        vs = evaluate(s).total_volume
         return 1.0 - vs / v1
 
     assert reduction(densecircuit) > reduction(fem)
@@ -139,9 +138,9 @@ def test_rmat_full_pipeline():
     p1 = partition_1d_rowwise(a, k, CFG)
     s = s2d_heuristic(a, x_part=p1.vectors, nparts=k)
     opt = s2d_optimal(a, x_part=p1.vectors, nparts=k)
-    v1 = single_phase_comm_stats(p1).total_volume
-    vs = single_phase_comm_stats(s).total_volume
-    vo = single_phase_comm_stats(opt).total_volume
+    v1 = evaluate(p1).total_volume
+    vs = evaluate(s).total_volume
+    vo = evaluate(opt).total_volume
     assert vo <= vs <= v1
     q = evaluate(s, machine=MACHINE)
     assert q.speedup > 0

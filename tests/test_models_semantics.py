@@ -4,7 +4,6 @@ rests on, checked mechanically."""
 
 import numpy as np
 
-from repro.core import single_phase_comm_stats, two_phase_comm_stats
 from repro.hypergraph import (
     PartitionConfig,
     column_net_model,
@@ -15,6 +14,7 @@ from repro.hypergraph import (
 from repro.partition.oned import rowwise_from_y_part
 from repro.partition.types import SpMVPartition, VectorPartition
 from repro.rng import as_generator
+from repro.simulate import run_single_phase, run_two_phase
 
 CFG = PartitionConfig(seed=81, ninitial=2, fm_passes=2)
 
@@ -25,7 +25,7 @@ def test_column_net_cut_equals_rowwise_volume(medium_square):
     hg = column_net_model(medium_square)
     part = partition_kway(hg, 4, CFG)
     p = rowwise_from_y_part(medium_square, part, 4)
-    vol = single_phase_comm_stats(p).total_volume
+    vol = run_single_phase(p).ledger.total_volume()
     cut = connectivity_minus_one(hg, part)
     # Symmetric x partition: column j's net pins are its consumer rows;
     # the owner of x_j (row j's part) may not appear among them, in
@@ -40,7 +40,7 @@ def test_column_net_cut_random_partition(medium_square):
     rng = as_generator(9)
     part = rng.integers(0, 5, hg.nvertices)
     p = rowwise_from_y_part(medium_square, part, 5)
-    assert single_phase_comm_stats(p).total_volume == connectivity_minus_one(hg, part)
+    assert run_single_phase(p).ledger.total_volume() == connectivity_minus_one(hg, part)
 
 
 def test_fine_grain_cut_bounds_two_phase_volume(medium_square):
@@ -55,9 +55,9 @@ def test_fine_grain_cut_bounds_two_phase_volume(medium_square):
         vectors=VectorPartition(x_part=x_part, y_part=y_part, nparts=4),
         kind="2D",
     )
-    expand, fold = two_phase_comm_stats(p)
+    vol = run_two_phase(p).ledger.total_volume()
     cut = connectivity_minus_one(model.hypergraph, part)
-    assert expand.total_volume + fold.total_volume <= cut
+    assert vol <= cut
 
 
 def test_fine_grain_cut_exact_with_external_vectors(medium_square):
@@ -79,11 +79,8 @@ def test_fine_grain_cut_exact_with_external_vectors(medium_square):
         ),
         kind="2D",
     )
-    expand, fold = two_phase_comm_stats(p)
+    vol = run_two_phase(p).ledger.total_volume()
     lam = connectivity_minus_one(model.hypergraph, part)
     nonempty_rows = np.unique(medium_square.row).size
     nonempty_cols = np.unique(medium_square.col).size
-    assert (
-        expand.total_volume + fold.total_volume
-        == lam + nonempty_rows + nonempty_cols
-    )
+    assert vol == lam + nonempty_rows + nonempty_cols

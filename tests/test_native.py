@@ -49,6 +49,7 @@ from repro.solvers import conjugate_gradient, power_iteration
 from repro.sparse.coo import canonical_coo
 from repro.verify import check_plan
 
+from tests.conftest import cli_usage_error
 from tests.test_partitioner_native import FAMILIES
 from tests.test_runtime import partitioned_instances  # noqa: F401
 
@@ -587,15 +588,16 @@ def test_cli_solve_backend_native(capsys):
     assert "backend=native" in capsys.readouterr().out
 
 
-def test_cli_solve_backend_native_unavailable(clean_native_state, monkeypatch):
+def test_cli_solve_backend_native_unavailable(clean_native_state, monkeypatch, capsys):
     monkeypatch.setattr(native_build, "find_compiler", lambda: None)
-    with pytest.raises(SystemExit, match="native backend unavailable"):
-        main(
-            [
-                "solve", "--matrix", "trdheim", "--scheme", "s2d",
-                "--k", "3", "--scale", "tiny", "--backend", "native",
-            ]
-        )
+    err = cli_usage_error(
+        capsys,
+        [
+            "solve", "--matrix", "trdheim", "--scheme", "s2d",
+            "--k", "3", "--scale", "tiny", "--backend", "native",
+        ],
+    )
+    assert "native backend unavailable" in err
 
 
 def test_cli_table_backend_flag(clean_native_state, capsys):

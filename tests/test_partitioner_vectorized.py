@@ -20,7 +20,6 @@ from repro.hypergraph.refine import _violation, bisection_cut, fm_refine, part_w
 from repro.kernels import (
     GroupPlan,
     concat_ranges,
-    grouped_distinct_counts,
     in_sorted,
     pair_counts,
     unique_ints,
@@ -119,13 +118,6 @@ def test_group_plan_empty():
     plan, uniq = GroupPlan.build(np.array([], dtype=np.int64))
     sums = plan.apply(np.array([]))
     assert uniq.size == 0 and sums.size == 0
-
-
-def test_grouped_distinct_counts_reexport():
-    # the sparse.blocks name must stay importable (analytics layer API)
-    from repro.sparse.blocks import grouped_distinct_counts as from_blocks
-
-    assert from_blocks is grouped_distinct_counts
 
 
 # ----------------------------------------------------------------------

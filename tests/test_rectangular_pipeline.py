@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import s2d_heuristic, s2d_optimal, single_phase_comm_stats
+from repro.core import s2d_heuristic, s2d_optimal
 from repro.hypergraph import PartitionConfig
 from repro.partition import partition_1d_rowwise, partition_mondriaan
 from repro.partition.vector import vector_partition_from_rows
-from repro.simulate import run_single_phase, run_two_phase
+from repro.simulate import evaluate, run_single_phase, run_two_phase
 from repro.sparse.coo import canonical_coo
 from repro.sparse.permute import spy_string
 
@@ -49,8 +49,8 @@ def test_s2d_rect_end_to_end(rect, rng):
     s = s2d_heuristic(rect, x_part=p1.vectors, nparts=4)
     s.validate_s2d()
     assert (
-        single_phase_comm_stats(s).total_volume
-        <= single_phase_comm_stats(p1).total_volume
+        evaluate(s).total_volume
+        <= evaluate(p1).total_volume
     )
     x = rng.random(90)
     assert np.allclose(run_single_phase(s, x).y, rect @ x)
@@ -61,8 +61,8 @@ def test_s2d_optimal_rect(rect):
     opt = s2d_optimal(rect, x_part=p1.vectors, nparts=3)
     opt.validate_s2d()
     assert (
-        single_phase_comm_stats(opt).total_volume
-        <= single_phase_comm_stats(p1).total_volume
+        evaluate(opt).total_volume
+        <= evaluate(p1).total_volume
     )
 
 

@@ -24,7 +24,7 @@ from repro.simulate import MachineModel
 from repro.simulate.common import PHASES
 from repro.simulate.report import EXECUTORS, run_partition
 
-from tests.conftest import random_s2d_partition
+from tests.conftest import cli_usage_error, random_s2d_partition
 from tests.golden_runtime import LABELS, check, golden_instances
 
 CFG = PartitionConfig(seed=23, ninitial=2, fm_passes=2)
@@ -273,6 +273,5 @@ def test_cli_solve_power(capsys):
     assert "per-iteration plan:" in out
 
 
-def test_cli_solve_rejects_missing_matrix():
-    with pytest.raises(SystemExit):
-        main(["solve", "--k", "4"])
+def test_cli_solve_rejects_missing_matrix(capsys):
+    assert "exactly one of --matrix / --mtx" in cli_usage_error(capsys, ["solve", "--k", "4"])

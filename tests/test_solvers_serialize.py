@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core import make_s2d_bounded, s2d_heuristic
-from repro.core.volume import two_phase_comm_stats
 from repro.errors import ReproError, SimulationError
 from repro.hypergraph import PartitionConfig
 from repro.partition import partition_1d_rowwise, partition_2d_finegrain
@@ -13,6 +12,7 @@ from repro.partition.serialize import load_partition, save_partition
 from repro.simulate import MachineModel, run_two_phase
 from repro.solvers import conjugate_gradient, jacobi, power_iteration
 from repro.sparse.coo import canonical_coo
+from tests.comm_oracle import two_phase_words
 
 CFG = PartitionConfig(seed=51, ninitial=2, fm_passes=2)
 M = MachineModel(alpha=10, beta=1, gamma=1)
@@ -266,20 +266,21 @@ def test_load_rejects_garbage(tmp_path):
 
 def test_two_phase_stats_match_ledger(medium_square):
     p = partition_2d_finegrain(medium_square, 4, CFG)
-    expand, fold = two_phase_comm_stats(p)
+    expand, fold = two_phase_words(p)
     run = run_two_phase(p)
-    assert np.array_equal(expand.sent_volume, run.ledger.sent_volume("expand"))
-    assert np.array_equal(fold.sent_volume, run.ledger.sent_volume("fold"))
-    assert np.array_equal(expand.sent_msgs, run.ledger.sent_msgs("expand"))
-    assert np.array_equal(fold.recv_msgs, run.ledger.recv_msgs("fold"))
-    assert expand.total_volume + fold.total_volume == run.ledger.total_volume()
+    for arrays, phase in ((expand, "expand"), (fold, "fold")):
+        assert np.array_equal(arrays[0], run.ledger.sent_volume(phase))
+        assert np.array_equal(arrays[1], run.ledger.recv_volume(phase))
+        assert np.array_equal(arrays[2], run.ledger.sent_msgs(phase))
+        assert np.array_equal(arrays[3], run.ledger.recv_msgs(phase))
+    assert expand[0].sum() + fold[0].sum() == run.ledger.total_volume()
 
 
 def test_two_phase_stats_1d_has_empty_fold(medium_square):
     p = partition_1d_rowwise(medium_square, 4, CFG)
-    expand, fold = two_phase_comm_stats(p)
-    assert fold.total_volume == 0
-    assert expand.total_volume > 0
+    ledger = run_two_phase(p).ledger
+    assert ledger.sent_volume("fold").sum() == 0
+    assert ledger.sent_volume("expand").sum() > 0
 
 
 #: ``sim_time.hex()`` of (power, Jacobi, CG) after 12 iterations on the
