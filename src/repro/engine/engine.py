@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -45,6 +45,9 @@ from repro.sparse.blocks import BlockStructure
 from repro.sparse.coo import canonical_coo
 
 __all__ = ["PartitionEngine", "Plan"]
+
+#: A config's part of a plan key is its field values in this order.
+_CONFIG_FIELDS = tuple(f.name for f in fields(PartitionConfig))
 
 
 @dataclass
@@ -200,7 +203,13 @@ class PartitionEngine:
 
     @staticmethod
     def _config_key(config: PartitionConfig | None) -> tuple:
-        return ("default-config",) if config is None else astuple(config)
+        if config is None:
+            return ("default-config",)
+        if isinstance(config.seed, np.random.Generator):
+            # A private copy of a live stream, so no later call matches.
+            return astuple(config)
+        # astuple's values without its deep copy of every field.
+        return tuple(getattr(config, name) for name in _CONFIG_FIELDS)
 
     def _vectors_key(self, vectors: VectorPartition) -> tuple:
         return (

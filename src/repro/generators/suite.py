@@ -59,7 +59,8 @@ def _scale_factor(scale: str) -> float:
 def table1_suite(scale: str = "small", seed: int = 1) -> list[SuiteMatrix]:
     """Analogs of Table I (general matrices, mostly low-skew FEM).
 
-    Ordered by nonzero count, like the paper's table.
+    In the paper's table order, which sorts the real matrices by
+    nonzero count; the analogs' own counts do not follow it.
     """
     f = _scale_factor(scale)
     n_mesh = max(80, int(220 * f))

@@ -114,6 +114,14 @@ class _SpMVEngine:
             raise ConfigError(f"{name} has shape {v.shape}, expected ({self.n},)")
         return v
 
+    def rhs(self, b) -> np.ndarray:
+        """:meth:`vector` for a right-hand side ``b``, which must also be
+        all finite: one ``nan`` or ``inf`` would iterate to the cap."""
+        b = self.vector(b, "b")
+        if not np.isfinite(b).all():
+            raise ConfigError("b must be finite; it holds a nan or inf entry")
+        return b
+
     def bind(self, x: np.ndarray, y: np.ndarray) -> Callable[[], None]:
         """One multiply ``y[:] = A @ x`` per call, billed.
 
@@ -223,7 +231,11 @@ def jacobi(
     plan: CommPlan | None = None,
     backend: str | None = None,
 ) -> SolveResult:
-    """Jacobi iteration ``z ← D⁻¹(b − (A−D) z)`` for diagonally dominant A."""
+    """Jacobi iteration ``z ← D⁻¹(b − (A−D) z)`` for diagonally dominant A.
+
+    A ``b`` that is not all finite raises
+    :class:`~repro.errors.ConfigError` before the first multiply.
+    """
     if iters < 1:
         raise ConfigError(f"jacobi needs iters >= 1, got {iters}")
     eng = _SpMVEngine(p, machine or MachineModel(), plan, backend=backend)
@@ -231,7 +243,7 @@ def jacobi(
     d = np.asarray(a.diagonal(), dtype=np.float64)
     if np.any(d == 0):
         raise SimulationError("Jacobi needs a zero-free diagonal")
-    b = eng.vector(b, "b")
+    b = eng.rhs(b)
     n = eng.n
     z, az, r, tmp = np.zeros(n), np.empty(n), np.empty(n), np.empty(n)
     matvec = eng.bind(z, az)
@@ -278,11 +290,15 @@ def conjugate_gradient(
 
     An all-zero ``b`` has the exact solution ``x = 0``: it is returned
     converged after zero iterations, with no multiply and a zero bill.
+    A ``b`` that is not all finite raises
+    :class:`~repro.errors.ConfigError` before the first multiply, and a
+    curvature ``d·Ad`` that is not positive (``nan`` included) raises
+    :class:`~repro.errors.SimulationError`.
     """
     if iters < 1:
         raise ConfigError(f"conjugate_gradient needs iters >= 1, got {iters}")
     eng = _SpMVEngine(p, machine or MachineModel(), plan, backend=backend)
-    b = eng.vector(b, "b")
+    b = eng.rhs(b)
     n = eng.n
     if not b.any():
         return SolveResult(
@@ -303,7 +319,7 @@ def conjugate_gradient(
             matvec()
             dad = float(d @ ad)
             eng.reduction_cost()
-            if dad <= 0:
+            if not dad > 0:  # a nan curvature fails too
                 raise SimulationError("matrix is not positive definite along d")
             alpha = rs / dad
             np.multiply(d, alpha, out=tmp)  # z = z + alpha * d

@@ -219,7 +219,10 @@ class ArtifactCache:
         self.path = str(self.root / DB_NAME)
         self.stats = {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0}
         obs.register_cache(self)
-        if _file_id(self.path) is None:
+        #: True when this constructor created the database: a store
+        #: that did not exist holds no record, so nothing need look.
+        self.created = _file_id(self.path) is None
+        if self.created:
             # Create the database once, here: sweeps and campaigns build
             # their cache before they fork workers.  Close it again, so
             # the workers inherit no SQLite state for this file.

@@ -134,9 +134,10 @@ def suite_refs(
     which: str, scale: str, names: tuple[str, ...] | None = None
 ) -> tuple[MatrixRef, ...]:
     """Refs for a named suite (``"table1"`` / ``"table4"``), optionally
-    restricted to ``names`` — suite order (ascending nnz) and each
-    matrix's full-suite ``seed_index`` are kept, so derived seeds line
-    up with the tables even in a restricted grid."""
+    restricted to ``names`` — suite order (the paper's table order, not
+    size order) and each matrix's full-suite ``seed_index`` are kept,
+    so derived seeds line up with the tables even in a restricted
+    grid."""
     from repro.generators.suite import table1_suite, table4_suite
 
     if which not in ("table1", "table4"):
@@ -203,6 +204,16 @@ class MatrixTask:
         return self.ref.name
 
 
+def _refuse_repeats(axis: str, label: str, values: list) -> None:
+    """Raise :class:`~repro.errors.ConfigError` naming the first value
+    ``axis`` lists more than once."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"{axis} lists {label.format(value)} twice")
+        seen.add(value)
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """The declarative experiment grid.
@@ -227,6 +238,10 @@ class SweepGrid:
         for k in self.ks:
             if int(k) < 1:
                 raise ConfigError(f"sweep grid K must be at least 1, got {k}")
+        # A repeated coordinate would give two cells one identity.
+        _refuse_repeats("ks", "K={}", [int(k) for k in self.ks])
+        _refuse_repeats("seeds", "seed {}", [int(s) for s in self.seeds])
+        _refuse_repeats("matrices", "{!r}", [ref.name for ref in self.matrices])
         for spec in self.schemes:
             spec.canonical  # fail fast on unknown scheme names
 

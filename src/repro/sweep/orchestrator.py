@@ -9,8 +9,11 @@ cells in DAG order, each cell yielding one :class:`CellRecord`.
 an engine.  It reports each cell as ``started`` / ``done`` (with its
 record) / ``failed`` (with the worker's traceback) through a message
 sink: a pipe end in a forked worker, a list's ``extend`` when the
-coordinator runs the batch itself.  Scheduling — which worker runs which batch, retries,
-the watchdog — lives in :mod:`repro.sweep.campaign`, behind
+coordinator runs the batch itself.  Its read-only mode is the
+coordinator's look into the record store before it forks: each cell is
+addressed and fetched, never planned, simulated or stored.
+Scheduling — which worker runs which batch, retries, the watchdog —
+lives in :mod:`repro.sweep.campaign`, behind
 :func:`~repro.sweep.campaign.run_sweep` and
 :class:`~repro.sweep.campaign.Campaign`.
 
@@ -146,7 +149,9 @@ def _exc_fields(exc: BaseException) -> tuple[str, str, str]:
     return (type(exc).__name__, str(exc), "".join(traceback.format_exception(exc)))
 
 
-def _run_batch(task: MatrixTask, items, cache_dir, faults, traced: bool, send) -> None:
+def _run_batch(
+    task: MatrixTask, items, cache_dir, faults, traced: bool, send, read_only=False
+) -> None:
     """Run the cells ``items`` — ``(uid, cell, attempt)`` of one task,
     in DAG order — through one engine, reporting over ``send``.
 
@@ -158,20 +163,25 @@ def _run_batch(task: MatrixTask, items, cache_dir, faults, traced: bool, send) -
     out in lists, one ``send`` per cell: a cell's ``started`` travels
     with the previous cell's outcome, the last outcome with ``end``.
     ``faults`` is an optional :class:`~repro.sweep.faults.FaultPlan`
-    fired at each cell boundary.
+    fired at each cell boundary.  ``read_only`` answers cells from the
+    record store only: the batch stops at the first cell without a
+    record, with no ``done`` for it and ``end`` carrying no bookkeeping.
     """
     out: list = []
     if not traced:
-        info, trace = _run_cells(task, items, cache_dir, faults, out, send), None
+        info = _run_cells(task, items, cache_dir, faults, out, send, read_only)
+        trace = None
     else:
         with obs.tracing() as tr:
-            info = _run_cells(task, items, cache_dir, faults, out, send)
+            info = _run_cells(task, items, cache_dir, faults, out, send, read_only)
         trace = (tr.spans, tr.counters)
     out.append(("end", info, trace))
     send(out)
 
 
-def _run_cells(task: MatrixTask, items, cache_dir, faults, out, send) -> dict | None:
+def _run_cells(
+    task: MatrixTask, items, cache_dir, faults, out, send, read_only
+) -> dict | None:
     t_start = obs.now()
     try:
         cache = ArtifactCache(cache_dir) if cache_dir is not None else None
@@ -198,10 +208,14 @@ def _run_cells(task: MatrixTask, items, cache_dir, faults, out, send) -> dict | 
                 with obs.span("sweep.cell", scheme=cell.scheme, k=cell.k):
                     if faults is not None:
                         faults.fire(uid, attempt)
-                    record = _execute_cell(task, engine, cache, digest, cell)
+                    record = _execute_cell(
+                        task, engine, cache, digest, cell, read_only
+                    )
             except Exception as exc:
                 out.append(("failed", uid, _exc_fields(exc)))
             else:
+                if record is None:
+                    return None  # not in the store
                 out.append(("done", uid, record, obs.now() - t0))
     info = {
         "matrix": task.name,
@@ -215,8 +229,11 @@ def _run_cells(task: MatrixTask, items, cache_dir, faults, out, send) -> dict | 
     return info
 
 
-def _execute_cell(task, engine, cache, digest, cell) -> CellRecord:
-    """Plan and evaluate one grid cell (record-cache aware)."""
+def _execute_cell(
+    task, engine, cache, digest, cell, read_only=False
+) -> CellRecord | None:
+    """Plan and evaluate one grid cell (record-cache aware); None when
+    ``read_only`` and the store holds no record of it."""
     machine = task.machines[cell.machine_index]
     config = PartitionConfig(
         epsilon=task.epsilon,
@@ -232,6 +249,8 @@ def _execute_cell(task, engine, cache, digest, cell) -> CellRecord:
         quality = cache.fetch_record_hex(record_key)
     from_cache = quality is not None
     if quality is None:
+        if read_only:
+            return None
         plan = engine.plan(cell.scheme, cell.k, config=config, **opts)
         quality = engine.evaluate(plan, machine=machine)
         if cache is not None:

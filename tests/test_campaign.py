@@ -256,6 +256,26 @@ def test_long_lived_workers_and_one_engine_info_shape(tmp_path):
     assert {"matrix", "seed", "pid", "task_s", "artifacts"} <= next(iter(keys))
 
 
+def test_campaign_on_a_warm_store_still_forks_its_batches(
+    tmp_path, grid, serial, monkeypatch
+):
+    """Crash isolation: a campaign hands every batch to a worker, even
+    when its store already holds every record."""
+    from multiprocessing.context import ForkProcess
+
+    run_sweep(grid, jobs=1, cache_dir=tmp_path / "cache")
+    started = []
+    start = ForkProcess.start
+    monkeypatch.setattr(
+        ForkProcess, "start", lambda self: started.append(self) or start(self)
+    )
+    result = Campaign(grid, tmp_path, jobs=2).run()
+    assert started
+    assert result.complete and all(r.from_cache for r in result.records)
+    assert os.getpid() not in {e["pid"] for e in result.engines}
+    _assert_bit_identical(serial, result)
+
+
 def test_campaign_run_refuses_existing_progress(tmp_path, grid):
     Campaign(grid, tmp_path, jobs=1, stop_after=1).run()
     with pytest.raises(ConfigError, match="use resume"):

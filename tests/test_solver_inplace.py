@@ -188,6 +188,32 @@ def test_power_iteration_refuses_a_degenerate_x0(spd_instances, bad):
         power_iteration(p, x0=x0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solver", [jacobi, conjugate_gradient], ids=["jacobi", "cg"])
+def test_non_finite_b_is_refused_before_any_multiply(spd_instances, solver, bad):
+    """Left alone, one ``nan`` in ``b`` runs every iteration up to the
+    cap and returns ``residual=nan``."""
+    p = spd_instances["s2d/single"]
+    b = np.ones(p.matrix.shape[0])
+    b[3] = bad
+    with obs.tracing() as tr:
+        with pytest.raises(ConfigError, match="b must be finite"):
+            solver(p, b)
+    assert not any(s.name in ("solver.matvec", "plan.apply") for s in tr.walk())
+
+
+def test_cg_refuses_a_nan_curvature(spd_instances):
+    """A finite ``b`` near the float range overflows ``r·r`` and ``d·Ad``
+    to ``inf``, so the first step is ``inf / inf`` and the next
+    curvature ``nan``: not positive, where ``dad <= 0`` let it through
+    to the iteration cap."""
+    p = spd_instances["s2d/single"]
+    b = np.full(p.matrix.shape[0], 1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationError, match="not positive definite"):
+            conjugate_gradient(p, b, iters=50)
+
+
 def test_misshaped_vectors_are_named_before_the_loop(spd_instances):
     p = spd_instances["s2d/single"]
     n = p.matrix.shape[0]

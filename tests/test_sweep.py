@@ -8,14 +8,16 @@ relies on — and checks that a traced pool run merges every worker's
 spans back into the caller's trace.
 """
 
+import os
 from collections import Counter
 
 import pytest
 
 from repro import obs
 from repro.errors import ConfigError, UsageError
+from repro.engine import PartitionEngine
 from repro.experiments import ExperimentConfig
-from repro.experiments.tables import run_table2
+from repro.experiments.tables import run_table2, table_grid
 from repro.jobs import host_cpus, resolve_jobs
 from repro.simulate.machine import MachineModel
 from repro.sweep import (
@@ -27,6 +29,9 @@ from repro.sweep import (
     run_sweep,
     suite_refs,
 )
+from repro.sweep import cache as cache_mod
+from repro.sweep import campaign as campaign_mod
+from repro.sweep.cache import ArtifactCache
 
 
 def _tiny_grid(names=("crystk02", "trdheim"), ks=(2,), **kw):
@@ -86,6 +91,24 @@ def test_grid_validation():
         suite_refs("table9", "tiny")
     with pytest.raises(ConfigError):
         suite_refs("table1", "tiny", names=("nope",))
+
+
+def test_grid_refuses_a_repeated_k():
+    with pytest.raises(ConfigError, match="ks lists K=2 twice"):
+        _tiny_grid(ks=(2, 4, 2))
+    with pytest.raises(ConfigError, match="ks lists K=2 twice"):
+        run_table2(ExperimentConfig(scale="tiny"), ks=(2, 2))
+
+
+def test_grid_refuses_a_repeated_seed():
+    with pytest.raises(ConfigError, match="seeds lists seed 7 twice"):
+        _tiny_grid(seeds=(7, 42, 7))
+
+
+def test_grid_refuses_a_repeated_matrix_name():
+    (ref,) = suite_refs("table1", "tiny", names=("crystk02",))
+    with pytest.raises(ConfigError, match="matrices lists 'crystk02' twice"):
+        SweepGrid(matrices=(ref, ref), schemes=(SchemeSpec("1d-rowwise"),), ks=(2,))
 
 
 def test_scheme_aliases_resolve():
@@ -303,3 +326,114 @@ def test_traced_table2_merges_worker_spans():
     for rs, rp in zip(serial.records, pooled.records):
         for scheme in ("1D", "2D", "s2D"):
             assert quality_identical(rs[scheme], rp[scheme])
+
+
+# ----------------------------------------------------------------------
+# Warm reruns at jobs > 1: the coordinator answers from the record store
+# ----------------------------------------------------------------------
+
+
+def _fork_spy(monkeypatch) -> list:
+    """The processes started from now on, as a list that grows."""
+    from multiprocessing.context import ForkProcess
+
+    started = []
+    start = ForkProcess.start
+    monkeypatch.setattr(
+        ForkProcess, "start", lambda self: started.append(self) or start(self)
+    )
+    return started
+
+
+@pytest.mark.slow
+def test_fully_warm_rerun_at_jobs2_forks_nothing(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(scale="tiny")
+    grid = table_grid(2, cfg, (2, 4))
+    cold = run_sweep(grid, jobs=2, cache_dir=tmp_path)
+    started = _fork_spy(monkeypatch)
+    warm = run_sweep(grid, jobs=2, cache_dir=tmp_path)
+    assert started == []
+    assert len(warm.records) == len(cold.records) == grid.ncells
+    for a, b in zip(cold.records, warm.records):
+        assert b.from_cache and not a.from_cache
+        assert (a.matrix, a.scheme, a.k, a.record_key) == (
+            b.matrix, b.scheme, b.k, b.record_key,
+        )
+        assert quality_identical(a.quality, b.quality)
+    tasks = grid.tasks()
+    assert [e["matrix"] for e in warm.engines] == [t.name for t in tasks]
+    for info, task in zip(warm.engines, tasks):
+        assert info["pid"] == os.getpid() and info["task_s"] > 0
+        assert info["artifacts"]["hits"] == len(task.cells)
+        assert info["artifacts"]["misses"] == 0
+    table = run_table2(cfg, ks=(2, 4), jobs=2, cache_dir=tmp_path)
+    assert started == []
+    assert table.text == run_table2(cfg, ks=(2, 4)).text
+
+    def traced(jobs):
+        with obs.tracing() as tr:
+            run_sweep(grid, jobs=jobs, cache_dir=tmp_path)
+        return Counter(sp.name for sp in tr.walk()), tr.total_counters()
+
+    assert traced(2) == traced(1)  # the same spans and counters
+
+
+def test_cold_sweep_at_jobs2_builds_nothing_in_the_coordinator(
+    tmp_path, monkeypatch
+):
+    """A fresh cache root holds no record, so the coordinator neither
+    materializes a matrix, builds an engine nor fetches from the store:
+    a cold sweep runs as it would without the warm look."""
+    calls = []  # (what, pid); a forked worker appends to its own copy
+    materialize = MatrixRef.materialize
+    engine_init = PartitionEngine.__init__
+    fetch = ArtifactCache._fetch
+    monkeypatch.setattr(
+        MatrixRef, "materialize",
+        lambda self: calls.append(("materialize", os.getpid())) or materialize(self),
+    )
+    monkeypatch.setattr(
+        PartitionEngine, "__init__",
+        lambda self, *a, **kw: calls.append(("engine", os.getpid()))
+        or engine_init(self, *a, **kw),
+    )
+    monkeypatch.setattr(
+        ArtifactCache, "_fetch",
+        lambda self, *a: calls.append(("fetch", os.getpid())) or fetch(self, *a),
+    )
+    grid = _tiny_grid()
+    cold = run_sweep(grid, jobs=2, cache_dir=tmp_path / "cold")
+    assert calls == []
+    assert not any(r.from_cache for r in cold.records)
+    # The spies see the coordinator's own work when it runs the cells.
+    run_sweep(grid, jobs=1, cache_dir=tmp_path / "serial")
+    assert {what for what, _ in calls} == {"materialize", "engine", "fetch"}
+
+
+@pytest.mark.slow
+def test_partly_warm_rerun_at_jobs2_computes_only_the_misses(
+    tmp_path, monkeypatch
+):
+    cfg = ExperimentConfig(scale="tiny")
+    serial = run_sweep(table_grid(2, cfg, (2, 4)))
+    run_sweep(table_grid(2, cfg, (2,)), jobs=2, cache_dir=tmp_path)
+    # Workers fork only after the coordinator closed its connection.
+    store = (os.getpid(), str(tmp_path / cache_mod.DB_NAME))
+    held = []
+    send_batch = campaign_mod._Supervisor._send_batch
+
+    def spy(self, idle, task, items):
+        if not idle:
+            held.append(store in cache_mod._CONNECTIONS)
+        return send_batch(self, idle, task, items)
+
+    monkeypatch.setattr(campaign_mod._Supervisor, "_send_batch", spy)
+    both = run_sweep(table_grid(2, cfg, (2, 4)), jobs=2, cache_dir=tmp_path)
+    assert held and not any(held)
+    assert len(both.records) == len(serial.records)
+    for a, b in zip(serial.records, both.records):
+        assert (a.matrix, a.scheme, a.k) == (b.matrix, b.scheme, b.k)
+        assert b.from_cache == (b.k == 2)
+        assert quality_identical(a.quality, b.quality)
+    assert len(both.engines) == len(serial.engines)
+    assert os.getpid() not in {e["pid"] for e in both.engines}

@@ -7,12 +7,16 @@ instead of serving a stale artifact; and a corrupted cache entry is
 evicted and rebuilt, never an error.
 """
 
+import sqlite3
+
 import numpy as np
 import pytest
 
 import repro.partition.serialize as serialize
 import repro.sweep.cache as sweep_cache
 from repro.engine import PartitionEngine
+from repro.experiments import ExperimentConfig
+from repro.experiments.tables import table_grid
 from repro.generators.rmat import rmat
 from repro.hypergraph import PartitionConfig
 from repro.simulate.machine import MachineModel
@@ -73,6 +77,37 @@ def test_warm_rerun_does_no_partitioner_work(grid, tmp_path):
     assert info["entries"] == 0
     assert info["artifacts"]["hits"] == len(warm.records)
     assert info["artifacts"]["misses"] == 0
+
+
+#: The artifact addresses of tiny Table II's first cell (crystk02,
+#: 1d-rowwise, K = 2, seed 42, the tables' machine).  A change to the
+#: plan key or to its canonical rendering moves every address and turns
+#: every existing cache into misses; change them only for such a move.
+FIRST_TABLE2_RECORD_KEY = "9f7038cf61b159d7bc74268f3a00f7574c95ce97f253ddfa1a87484aa2a22c2b"
+FIRST_TABLE2_PARTITION_KEY = "64f7557d304326f911bb3114a0e00910206c4a1bdf95ca8335904c6512c68b41"
+
+
+def test_first_table2_cell_addresses_are_pinned(tmp_path):
+    full = table_grid(2, ExperimentConfig(scale="tiny"), (2,))
+    grid = SweepGrid(
+        matrices=full.matrices[:1],
+        schemes=full.schemes[:1],
+        ks=(2,),
+        seeds=full.seeds,
+        machines=full.machines,
+    )
+    (record,) = run_sweep(grid, cache_dir=tmp_path).records
+    assert (record.matrix, record.scheme, record.k, record.seed) == (
+        "crystk02", "1d-rowwise", 2, 42,
+    )
+    assert record.machine == ExperimentConfig().machine
+    assert record.record_key == FIRST_TABLE2_RECORD_KEY
+    db = sqlite3.connect(tmp_path / sweep_cache.DB_NAME)
+    try:
+        keys = {key for (key,) in db.execute("SELECT key FROM artifacts")}
+    finally:
+        db.close()
+    assert keys == {FIRST_TABLE2_RECORD_KEY, FIRST_TABLE2_PARTITION_KEY}
 
 
 def test_matrix_digest_change_forces_rebuild(matrix, tmp_path):
