@@ -15,9 +15,9 @@ values × 3 schemes through one engine per matrix) at bench scale:
   :class:`~repro.sweep.campaign.Campaign`: a journaled run is cut off
   at 50% of its cells (the coordinator stops exactly as a ``kill -9``
   would — no graceful journal marker), then resumed.  The resume must
-  rehydrate every journaled-complete cell from the artifact cache
-  (zero recompute), finish the rest, and match the serial baseline
-  bit-for-bit.  The time spent committing lifecycle rows across both
+  compute no cell that was done at the kill (the record store answers
+  them, through the coordinator's look or a worker's fetch), finish
+  the rest, and match the serial baseline bit-for-bit.  The time spent committing lifecycle rows across both
   halves is bounded against the serial cold wall-clock.
 
 Every record of the parallel, warm and campaign runs is verified
@@ -30,8 +30,8 @@ on the host that wrote the JSON, which records the CPU count.
 
 Acceptance: measured cold wall-clock speedup ≥ ``COLD_TARGET`` vs
 serial, ≥ 8× on the warm rerun, all records identical, the killed
-campaign resumes with zero recompute of journaled cells, and journal
-overhead ≤ 5% of the serial cold wall-clock.
+campaign resumes computing no cell that was done at the kill, and
+journal overhead ≤ 5% of the serial cold wall-clock.
 
 Run directly (no pytest machinery needed)::
 
@@ -161,18 +161,19 @@ def run(
         resumed = Campaign(grid, camp_root, jobs=jobs).resume()
         t_camp_resume = time.perf_counter() - t0
 
-        resumed_cells = int(resumed.counters["resumed_cells"])
+        from_store = int(
+            resumed.counters["resumed_cells"] + resumed.counters["cells_from_cache"]
+        )
         recomputed = int(resumed.counters["cells_executed"])
         resume_identical = len(resumed.records) == len(reference.records) and all(
             quality_identical(a.quality, b.quality)
             for a, b in zip(reference.records, resumed.records)
         )
-        # Every journaled-complete cell must come back from the cache,
-        # never the partitioner: resume skips exactly what the journal
-        # proved done (the half run may overshoot stop_after by cells
-        # already in flight when the coordinator stopped).
+        # No cell done at the kill may be computed again: the store
+        # answers it (a worker may also have stored a record in flight
+        # when the coordinator stopped, so fewer cells may run).
         done_at_kill = len(half.records)
-        resume_skipped = resumed_cells == done_at_kill
+        resume_skipped = recomputed <= ngrid - done_at_kill
         journal_write_s = float(
             half.counters["journal_write_s"] + resumed.counters["journal_write_s"]
         )
@@ -180,7 +181,7 @@ def run(
         print(
             f"campaign kill@{done_at_kill}/{ngrid} {t_camp_run:7.2f}s + "
             f"resume {t_camp_resume:7.2f}s  "
-            f"rehydrated={resumed_cells} recomputed={recomputed}  "
+            f"from store={from_store} recomputed={recomputed}  "
             f"identical={'yes' if resume_identical else 'NO'}  "
             f"journal overhead={journal_overhead * 100:.2f}% of serial"
         )
@@ -232,7 +233,7 @@ def run(
             "warm_target": WARM_TARGET,
             "identical": bool(cold_ok and warm_ok),
             "resume_identical": bool(resume_identical),
-            "resume_rehydrated": resumed_cells,
+            "resume_from_store": from_store,
             "resume_recomputed": recomputed,
             "resume_zero_recompute_of_journaled": bool(resume_skipped),
             "journal_overhead_frac": journal_overhead,

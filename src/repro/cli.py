@@ -44,10 +44,11 @@ is available and where its build cache lives.
 ``campaign`` is the crash-safe way to run a table-scale grid: every
 cell lifecycle event is committed as a row of the artifact store under
 ``--dir``, so a ``kill -9`` at any point loses at most the in-flight
-cells — ``campaign resume`` replays the rows, rehydrates completed
-cells from the same store (zero recompute, bit-identical records)
-and finishes the rest; ``campaign status`` reports progress and an ETA
-from measured per-cell durations.  Failing cells are retried with
+cells — ``campaign resume`` replays the rows' failure history, answers
+every cell the same store holds at its current address (zero
+recompute, bit-identical records) and finishes the rest, and refuses a
+directory with no store; ``campaign status`` reports progress and an
+ETA from measured per-cell durations.  Failing cells are retried with
 exponential backoff; deterministic failures are quarantined and
 reported without aborting the rest of the grid.
 

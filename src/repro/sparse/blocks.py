@@ -295,17 +295,6 @@ class BlockStructure:
     # Aggregates
     # ------------------------------------------------------------------
 
-    def rowwise_volume(self) -> int:
-        """Total communication volume of the pure 1D rowwise partition.
-
-        With every off-diagonal block kept on its row side (alternative
-        A1 for all blocks), processor ``P_k`` sends ``x_j`` to ``P_ℓ``
-        for every nonempty column of ``A_{ℓk}``; the total volume is
-        ``Σ_{ℓ≠k} n̂(A_{ℓk})``.
-        """
-        st = self.block_stats()
-        return int(st.nhat[st.offdiagonal_mask].sum())
-
     def diagonal_loads(self) -> np.ndarray:
         """Per-processor nonzero counts of the diagonal blocks ``A_kk``."""
         loads = np.zeros(self.nparts, dtype=np.int64)

@@ -16,9 +16,11 @@ long-lived forked workers, a per-worker watchdog, retry/backoff with
 quarantine.  :func:`run_sweep` is that supervisor with no durable
 state; :class:`~repro.sweep.campaign.Campaign` commits every cell
 lifecycle event as a row of the same SQLite store that holds the
-records, and resumes after a ``kill -9`` with records bit-identical to
-an unfaulted serial run — provable under the deterministic fault
-injection of :mod:`repro.sweep.faults`.
+records.  It resumes after a ``kill -9`` by replaying the rows'
+failure history and answering done cells from the store by their
+current address, with records bit-identical to an unfaulted serial
+run — provable under the deterministic fault injection of
+:mod:`repro.sweep.faults`.
 """
 
 from repro.sweep.cache import ArtifactCache, cache_key

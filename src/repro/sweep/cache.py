@@ -202,8 +202,8 @@ class ArtifactCache:
     Satisfies the duck-type :class:`repro.engine.PartitionEngine`
     expects from its ``artifacts`` parameter (``fetch_partition`` /
     ``store_partition`` / ``fetch_plan`` / ``store_plan``), plus
-    record-level ``fetch_record`` / ``store_record`` used by the sweep
-    orchestrator.  ``stats`` counts hits / misses / stores / corrupt
+    record-level ``fetch_record_hex`` / ``store_record_hex`` at a
+    :meth:`record_key` address, used by the sweep orchestrator.  ``stats`` counts hits / misses / stores / corrupt
     evictions per payload kind.  A root that is not a directory raises
     :class:`~repro.errors.UsageError`.
     """
@@ -351,27 +351,12 @@ class ArtifactCache:
             machine_key,
         )
 
-    def fetch_record(self, matrix_digest: str, plan_key: tuple, machine_key: tuple):
-        return self.fetch_record_hex(
-            self.record_key(matrix_digest, plan_key, machine_key)
-        )
-
     def fetch_record_hex(self, key_hex: str):
-        """Fetch a cell record by its precomputed hex address.
-
-        The orchestrator addresses each cell once, and campaign resume
-        rehydrates ``done`` cells from the record keys their rows store
-        without rebuilding engines; same hit / miss / corrupt-eviction
-        semantics as :meth:`fetch_record`.
-        """
+        """Fetch a cell record by its precomputed hex address
+        (:meth:`record_key`): the orchestrator addresses each cell
+        once.  A payload that does not decode is evicted and read as a
+        miss."""
         return self._fetch(key_hex, pickle.loads)
-
-    def store_record(
-        self, matrix_digest: str, plan_key: tuple, machine_key: tuple, record
-    ) -> None:
-        self.store_record_hex(
-            self.record_key(matrix_digest, plan_key, machine_key), record
-        )
 
     def store_record_hex(self, key_hex: str, record) -> None:
         """Store a cell record under its precomputed hex address."""

@@ -17,10 +17,13 @@ loses at most the in-flight cells:
   coordinator commits the ``done`` row only after that report, so no
   recovered database holds a ``done`` row without its record.
 - **resume** — :meth:`Campaign.resume` replays the rows in commit
-  order, rehydrates completed cells' records from the same store and
-  re-queues only the rest.  Resumed records are bit-identical to an
-  unfaulted serial run — the cache stores exact pickles and cell
-  seeds are pure functions of grid coordinates.
+  order for the cells' failure history only, then answers every cell
+  the record store holds at its current address (the warm look below)
+  and runs the rest.  A ``done`` row names no record that resume
+  reads, so a grid at another scale, machine or release recomputes
+  what changed.  Resumed records are bit-identical to an unfaulted
+  serial run — the cache stores exact pickles and cell seeds are pure
+  functions of grid coordinates.
 
 The supervisor, shared by both:
 
@@ -37,10 +40,12 @@ The supervisor, shared by both:
   the coordinator instead; a campaign forks at every ``jobs``, because
   its kill and stall faults need a separate process.
 - **warm tasks** — a :func:`run_sweep` at ``jobs > 1`` on a cache root
-  whose database already existed first runs that body read-only in the
-  coordinator, and a task whose every cell has a record is done there;
-  only the other tasks reach a worker, so a fully warm rerun forks
-  nothing.  A fresh root holds no record and skips this step.
+  whose database already existed, and every :meth:`Campaign.resume`,
+  first run that body read-only in the coordinator, and a task whose
+  every cell has a record is done there; only the other tasks reach a
+  worker, so a fully warm rerun forks nothing.  A fresh root holds no
+  record and skips this step, and so does :meth:`Campaign.run`, which
+  hands every batch to a worker.
 - **watchdog** — while a worker holds a batch, a deadline reset by each
   of its messages; an expired worker is reaped (``Process.kill`` from
   the coordinator, never a raw signal), its in-flight cell marked
@@ -83,7 +88,7 @@ from repro import obs
 from repro.errors import CampaignError, CellExecutionError, ConfigError, UsageError
 from repro.jobs import resolve_jobs, set_partition_threads, worker_threads
 from repro.native import resolve_backend
-from repro.sweep.cache import ArtifactCache, read_events
+from repro.sweep.cache import DB_NAME, ArtifactCache, read_events
 from repro.sweep.faults import FaultPlan
 from repro.sweep.grid import Cell, MatrixTask, SweepGrid
 from repro.sweep.orchestrator import CellRecord, SweepResult, _run_batch
@@ -279,8 +284,6 @@ class _CellState:
     worker_tb: str = ""
     not_before: float = 0.0
     record: CellRecord | None = None
-    record_key: str | None = None
-    from_cache: bool = False
     dur: float = 0.0
     quarantine_reason: str = ""
 
@@ -304,6 +307,7 @@ class _Job:
     any_message: bool = False
     ended: bool = False
     eof: bool = False  # the worker died
+    look: bool = False  # the coordinator's read-only look into the store
 
 
 class _Supervisor:
@@ -366,7 +370,6 @@ class _Supervisor:
             "killed": 0,
             "cells_executed": 0,
             "cells_from_cache": 0,
-            "rehydrate_miss": 0,
             "journal_appends": 0,
             "journal_write_s": 0.0,
         }
@@ -377,7 +380,17 @@ class _Supervisor:
         self._ndone = 0
         self._ended: list[tuple[int, dict | None, tuple | None]] = []
 
-    def _run(self) -> CampaignResult:
+    def _run(self, *, look: bool) -> CampaignResult:
+        """Answer what the store holds when ``look`` and the run will
+        fork, quarantine what replayed history already exhausts, then
+        supervise the rest."""
+        if look and self._ctx is not None and self._answer_from_store():
+            return self._finalize(True)
+        # Quarantine anything whose replayed history already exhausts
+        # the policy (e.g. a lowered budget on resume).
+        for state in self.cells.values():
+            if state.status == "pending" and state.failures:
+                self._maybe_quarantine(state)
         return self._finalize(self._supervise())
 
     # --------------------------------------------------------- execution
@@ -385,7 +398,6 @@ class _Supervisor:
     def _supervise(self) -> bool:
         """The coordinator loop; returns True when stop_after aborted."""
         self._traced = obs.active_trace() is not None
-        self._ndone = sum(1 for s in self.cells.values() if s.status == "done")
         running: dict[object, _Job] = {}  # worker conn -> job
         idle: list[_Worker] = []
         stopping: list[_Worker] = []  # told to exit, not yet joined
@@ -476,9 +488,10 @@ class _Supervisor:
             running[job.worker.conn] = job
         return False
 
-    def _answer_from_store(self) -> None:
-        """Mark done, from the record store, every task whose cells all
-        have records, before any worker forks.
+    def _answer_from_store(self) -> bool:
+        """Mark done, from the record store, every task whose pending
+        cells all have records, before any worker forks; True =
+        stop_after aborted.
 
         The batch body runs in the coordinator in its read-only mode:
         it materializes the matrix and builds the engine, then
@@ -486,7 +499,7 @@ class _Supervisor:
         stores.  A task with a miss, or whose look raised, keeps none
         of the look's messages and goes to a worker whole, so its
         failures, retries and bookkeeping are those of a sweep without
-        the look.
+        the look.  The cells it answers are a campaign's resumed cells.
         """
         traced = obs.active_trace() is not None
         for task_index, states in self._ready_by_task(obs.now()).items():
@@ -498,13 +511,14 @@ class _Supervisor:
             )
             if sum(msg[0] == "done" for msg in msgs) < len(items):
                 continue
-            job = _Job(task_index, items, deadline=math.inf)
-            for msg in msgs:
-                self._handle(job, msg)
+            job = _Job(task_index, items, deadline=math.inf, look=True)
+            if any(self._handle(job, msg) for msg in msgs):
+                return True
         if self._ndone < len(self.order):
             # Workers will fork: close this process's connection first,
-            # as a campaign does, so they inherit no SQLite state.
+            # so they inherit no SQLite state.
             ArtifactCache(self.cache_dir)._disconnect()
+        return False
 
     def _run_inline(self, job: _Job, task: MatrixTask) -> bool:
         """Run one batch in the coordinator; True = stop_after hit."""
@@ -612,14 +626,16 @@ class _Supervisor:
             state.status = "done"
             self._ndone += 1
             state.record = record
-            state.record_key = record.record_key
             state.dur = dur
-            state.from_cache = record.from_cache
             job.resolved.add(uid)
             if job.current == uid:
                 job.current = None
             job.deadline = obs.now() + self.watchdog_s
-            if record.from_cache:
+            if job.look and self._rows is not None:
+                # A campaign's look answered it: a resumed cell.
+                self.counters["resumed_cells"] += 1
+                obs.add("campaign.resumed_cells")
+            elif record.from_cache:
                 self.counters["cells_from_cache"] += 1
             else:
                 self.counters["cells_executed"] += 1
@@ -881,9 +897,7 @@ def run_sweep(
     # Create the root eagerly (fail fast); a fresh database holds no record.
     warm = cache_dir is not None and not ArtifactCache(cache_dir).created
     sweep = _Supervisor(grid, jobs=jobs, cache_dir=cache_dir, fork=jobs > 1)
-    if warm and sweep._ctx is not None:
-        sweep._answer_from_store()
-    result = sweep._run()
+    result = sweep._run(look=warm)
     if result.failed_cells:
         raise sweep._cell_error(result.failed_cells[0])
     return result.sweep
@@ -970,8 +984,13 @@ class Campaign(_Supervisor):
         return self._execute(fresh=True)
 
     def resume(self) -> CampaignResult:
-        """Replay the lifecycle rows, skip completed cells, finish the
-        rest."""
+        """Replay the rows' failure history, answer every cell the
+        record store holds at its current address, run the rest.
+
+        A ``root`` without a store raises
+        :class:`~repro.errors.ConfigError` before anything is created:
+        there is no campaign to resume.
+        """
         return self._execute(fresh=False)
 
     def status(self) -> CampaignStatus:
@@ -980,6 +999,10 @@ class Campaign(_Supervisor):
     # ------------------------------------------------------ replay logic
 
     def _replay_into_state(self, events: list[dict]) -> None:
+        """Restore each cell's failure history from the rows: its
+        attempts and failures, the charge for an interrupted start and
+        its quarantine.  A ``done`` row only closes its start; whether
+        the cell is done is the record store's answer."""
         open_starts: dict[str, bool] = {}
         for ev in events:
             kind = ev.get("ev")
@@ -998,10 +1021,6 @@ class Campaign(_Supervisor):
             if kind == "started":
                 open_starts[state.uid] = True
             elif kind == "done":
-                state.status = "done"
-                state.record_key = ev.get("key")
-                state.dur = float(ev.get("dur", 0.0))
-                state.from_cache = bool(ev.get("from_cache", False))
                 open_starts.pop(state.uid, None)
             elif kind == "failed":
                 state.attempts += 1
@@ -1022,37 +1041,13 @@ class Campaign(_Supervisor):
                 state.attempts += 1
                 state.failures.append(("interrupted", "", ""))
 
-    def _rehydrate(self, cache: ArtifactCache) -> None:
-        for state in self.cells.values():
-            if state.status != "done":
-                continue
-            quality = cache.fetch_record_hex(state.record_key)
-            if quality is None:
-                # The row says done but the record is gone (evicted as
-                # corrupt, or stored under an older address): recompute
-                # rather than fail the resume.
-                state.status = "pending"
-                state.record_key = None
-                self.counters["rehydrate_miss"] += 1
-                continue
-            task = self.tasks[state.task_index]
-            state.record = CellRecord(
-                matrix=task.name,
-                scale=task.ref.scale,
-                scheme=state.cell.scheme,
-                k=state.cell.k,
-                seed=task.seed,
-                slot=state.cell.slot,
-                machine=task.machines[state.cell.machine_index],
-                quality=quality,
-                from_cache=state.from_cache,
-                record_key=state.record_key,
-            )
-            self.counters["resumed_cells"] += 1
-            obs.add("campaign.resumed_cells")
-
     def _execute(self, *, fresh: bool) -> CampaignResult:
         _refuse_old_journal(self.root)
+        if not fresh and not (self.cache_dir / DB_NAME).exists():
+            raise ConfigError(
+                f"no campaign to resume under {self.root}: start one with "
+                "`campaign run`"
+            )
         events = read_events(self.cache_dir)
         if fresh and any(e.get("ev") != "campaign" for e in events):
             raise ConfigError(
@@ -1063,20 +1058,16 @@ class Campaign(_Supervisor):
         with obs.span("campaign.run", cells=len(self.order), jobs=self.jobs):
             self._rows = cache
             self._replay_into_state(events)
-            self._rehydrate(cache)
             if not events:
                 self._append(
                     {"ev": "campaign", "cells": len(self.order), "sig": self.grid_sig}
                 )
-            # Quarantine anything whose replayed history already
-            # exhausts the policy (e.g. a lowered budget on resume).
-            for state in self.cells.values():
-                if state.status == "pending" and state.failures:
-                    self._maybe_quarantine(state)
             # Close the coordinator's connection so the first workers
             # fork without SQLite state; the next row reopens it.
             cache._disconnect()
-            return self._finalize(self._supervise())
+            # A fresh campaign forks every batch; a resume first answers
+            # from the store what it holds.
+            return self._run(look=not fresh)
 
 
 # ----------------------------------------------------------------------
@@ -1117,7 +1108,9 @@ def campaign_status(root) -> CampaignStatus:
         if kind == "campaign":
             total = int(ev.get("cells", 0))
         elif kind == "done":
-            done[cell] = float(ev.get("dur", 0.0))
+            # A resume writes a second done row for every cell its look
+            # answers, timing a record read: keep the first duration.
+            done.setdefault(cell, float(ev.get("dur", 0.0)))
         elif kind == "failed":
             retries += 1
         elif kind == "quarantined":

@@ -17,7 +17,8 @@ the derivations:
   over the ``Pr × Pc`` mesh, ``k → (r_k, c_ℓ) → ℓ``; an item crosses
   each hop once per (sender, receiver, line), so x copies bound for
   one mesh column and partials of one ``y_i`` meeting at an
-  intermediate are combined.
+  intermediate are combined;
+- 1D rowwise over a block structure: ``Σ_{ℓ≠k} n̂(A_{ℓk})``.
 
 Test code only; nothing under ``src/`` imports it.
 """
@@ -74,6 +75,18 @@ def single_phase_words(p) -> dict[tuple[int, int], int]:
         _words(cp[x_side], rp[x_side], m.col[x_side]),
         _words(cp[y_side], rp[y_side], m.row[y_side]),
     )
+
+
+def rowwise_volume(bs) -> int:
+    """Total volume of the pure 1D rowwise partition over the
+    :class:`~repro.sparse.blocks.BlockStructure` ``bs``.
+
+    With every off-diagonal block kept on its row side (alternative A1
+    for all blocks), ``P_k`` sends ``x_j`` to ``P_ℓ`` for every nonempty
+    column of ``A_{ℓk}``: ``Σ_{ℓ≠k} n̂(A_{ℓk})``.
+    """
+    st = bs.block_stats()
+    return int(st.nhat[st.offdiagonal_mask].sum())
 
 
 def two_phase_words(p) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:

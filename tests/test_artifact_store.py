@@ -42,6 +42,11 @@ def _fork(body) -> int:
     return pid
 
 
+def _key(plan: tuple) -> str:
+    """A record address under a stand-in matrix digest and machine."""
+    return ArtifactCache.record_key("d", plan, ("m",))
+
+
 def _exit_code(pid: int) -> int:
     _, status = os.waitpid(pid, 0)
     return os.waitstatus_to_exitcode(status)
@@ -110,9 +115,9 @@ def test_four_processes_create_one_fresh_root_at_once(tmp_path, held):
             os.read(read, 1)  # start together
             cache = ArtifactCache(root)
             for j in range(i, i + 6):  # neighbours overlap by five keys
-                cache.store_record("d", ("plan", j), ("m",), {"j": j})
+                cache.store_record_hex(_key(("plan", j)), {"j": j})
             for j in range(i, i + 6):
-                assert cache.fetch_record("d", ("plan", j), ("m",)) == {"j": j}
+                assert cache.fetch_record_hex(_key(("plan", j))) == {"j": j}
 
         return body
 
@@ -124,58 +129,58 @@ def test_four_processes_create_one_fresh_root_at_once(tmp_path, held):
         assert _exit_code(holder) == 0
     cache = ArtifactCache(root)
     for j in range(9):
-        assert cache.fetch_record("d", ("plan", j), ("m",)) == {"j": j}
+        assert cache.fetch_record_hex(_key(("plan", j))) == {"j": j}
     assert cache.stats == {"hits": 9, "misses": 0, "stores": 0, "corrupt": 0}
 
 
 def test_forked_child_uses_its_parents_cache_instance(tmp_path):
     cache = ArtifactCache(tmp_path)
-    cache.store_record("d", ("parent",), ("m",), "from the parent")
+    cache.store_record_hex(_key(("parent",)), "from the parent")
     slot = (os.getpid(), cache.path)
     conn = sweep_cache._CONNECTIONS[slot][0]
 
     def body():
-        assert cache.fetch_record("d", ("parent",), ("m",)) == "from the parent"
-        cache.store_record("d", ("child",), ("m",), "from the child")
+        assert cache.fetch_record_hex(_key(("parent",))) == "from the parent"
+        cache.store_record_hex(_key(("child",)), "from the child")
         # The child opened its own connection and left the parent's alone.
         assert sweep_cache._CONNECTIONS[(os.getpid(), cache.path)][0] is not conn
 
     assert _exit_code(_fork(body)) == 0
     assert sweep_cache._CONNECTIONS[slot][0] is conn
-    assert cache.fetch_record("d", ("parent",), ("m",)) == "from the parent"
-    assert cache.fetch_record("d", ("child",), ("m",)) == "from the child"
-    cache.store_record("d", ("after",), ("m",), "parent again")
-    assert cache.fetch_record("d", ("after",), ("m",)) == "parent again"
+    assert cache.fetch_record_hex(_key(("parent",))) == "from the parent"
+    assert cache.fetch_record_hex(_key(("child",))) == "from the child"
+    cache.store_record_hex(_key(("after",)), "parent again")
+    assert cache.fetch_record_hex(_key(("after",))) == "parent again"
 
 
 def test_a_file_that_is_not_a_database_is_replaced(tmp_path):
     cache = ArtifactCache(tmp_path)
-    cache.store_record("d", ("p",), ("m",), 1)
+    cache.store_record_hex(_key(("p",)), 1)
     for suffix in ("", "-wal", "-shm"):
         with open(cache.path + suffix, "wb") as fh:
             fh.write(b"\x00garbage\xff" * 3)
-    assert cache.fetch_record("d", ("p",), ("m",)) is None
+    assert cache.fetch_record_hex(_key(("p",))) is None
     assert cache.stats["corrupt"] == 1
-    cache.store_record("d", ("p",), ("m",), 2)
-    assert ArtifactCache(tmp_path).fetch_record("d", ("p",), ("m",)) == 2
+    cache.store_record_hex(_key(("p",)), 2)
+    assert ArtifactCache(tmp_path).fetch_record_hex(_key(("p",))) == 2
     with sqlite3.connect(cache.path) as db:
         assert db.execute("PRAGMA journal_mode").fetchone() == ("wal",)
 
 
 def test_a_deleted_or_replaced_database_is_reopened(tmp_path):
     root = tmp_path / "cache"
-    ArtifactCache(root).store_record("d", ("p",), ("m",), 1)
+    ArtifactCache(root).store_record_hex(_key(("p",)), 1)
     shutil.rmtree(root)  # what the benchmark does between cold runs
     cache = ArtifactCache(root)
-    assert cache.fetch_record("d", ("p",), ("m",)) is None
-    cache.store_record("d", ("p",), ("m",), 2)
+    assert cache.fetch_record_hex(_key(("p",))) is None
+    cache.store_record_hex(_key(("p",)), 2)
 
     other = tmp_path / "other"
-    ArtifactCache(other).store_record("d", ("p",), ("m",), 3)
+    ArtifactCache(other).store_record_hex(_key(("p",)), 3)
     with sqlite3.connect(other / sweep_cache.DB_NAME) as db:
         db.execute("PRAGMA wal_checkpoint(TRUNCATE)")  # all of it in one file
     os.replace(other / sweep_cache.DB_NAME, cache.path)
-    assert cache.fetch_record("d", ("p",), ("m",)) == 3
+    assert cache.fetch_record_hex(_key(("p",))) == 3
     assert cache.stats["corrupt"] == 0
 
 
@@ -192,7 +197,7 @@ def test_root_that_is_a_file_is_a_usage_error(tmp_path, capsys):
 
 
 def test_old_shard_layout_reads_empty_and_is_left_alone(tmp_path):
-    key = ArtifactCache.record_key("d", ("p",), ("m",))
+    key = _key(("p",))
     shard = tmp_path / key[:2]
     shard.mkdir()
     (shard / f"{key}.pkl").write_bytes(b"an old per-file record")

@@ -39,6 +39,7 @@ from repro.native import get_kernels, set_default_backend
 from repro.sparse.blocks import BlockStructure
 from repro.sparse.coo import canonical_coo
 
+from tests.comm_oracle import rowwise_volume
 from tests.test_partitioner_native import FAMILIES
 
 SEED_FIXTURE = pathlib.Path(__file__).with_name("fixtures") / "block_dm_seed.npz"
@@ -137,7 +138,7 @@ def test_block_stats_per_block_accessors(small_square, rng):
             assert st.mhat_of(ell, c) == bs.block_nonempty_rows(ell, c).size
     # rowwise_volume satellite: batched aggregate == manual per-block sum
     manual = sum(bs.block_nonempty_cols(l, c).size for l, c in bs.nonempty_offdiagonal_blocks())
-    assert bs.rowwise_volume() == manual
+    assert rowwise_volume(bs) == manual
 
 
 def test_block_stats_empty_matrix():
@@ -150,7 +151,7 @@ def test_block_stats_empty_matrix():
     )
     st = bs.block_stats()
     assert st.nblocks == 0
-    assert bs.rowwise_volume() == 0
+    assert rowwise_volume(bs) == 0
     for t in _on_each_backend(lambda: batched_block_dm(bs)).values():
         assert len(t) == 0 and t.h_nnz.size == 0
 

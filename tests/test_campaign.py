@@ -3,10 +3,12 @@
 The contract under test (DESIGN.md "Campaign runner"):
 
 - a ``kill -9`` at *any* point loses at most the in-flight cells:
-  resume replays the lifecycle rows of ``cache/artifacts.sqlite``,
-  rehydrates completed cells from the same store with zero recompute,
-  and the final records are bit-identical to an unfaulted serial
-  ``run_sweep``;
+  resume replays the failure history in the lifecycle rows of
+  ``cache/artifacts.sqlite``, answers every cell whose record the same
+  store holds at its current address with zero recompute, and the
+  final records are bit-identical to an unfaulted serial ``run_sweep``;
+- a resume whose grid changed scale or machine recomputes what changed:
+  no ``done`` row vouches for a record;
 - a torn or damaged end of the store's write-ahead log loses at most
   its last commits, never an earlier one without the later ones;
 - a store that lost a suffix of its rows, a record payload or the
@@ -37,6 +39,7 @@ import pytest
 from repro import obs
 from repro.errors import CampaignError, CellExecutionError, ConfigError, UsageError
 from repro.experiments.config import ExperimentConfig
+from repro.simulate.machine import MachineModel
 from repro.sweep import (
     ArtifactCache,
     Campaign,
@@ -61,13 +64,13 @@ pytestmark = pytest.mark.campaign
 _CFG = ExperimentConfig(scale="tiny")
 
 
-def _grid(nmat: int = 2) -> SweepGrid:
+def _grid(nmat: int = 2, *, scale: str = "tiny", machine=None) -> SweepGrid:
     return SweepGrid(
-        matrices=suite_refs("table1", scale="tiny")[:nmat],
+        matrices=suite_refs("table1", scale=scale)[:nmat],
         schemes=(SchemeSpec("1d-rowwise", 0), SchemeSpec("s2d-heuristic", 0)),
         ks=(4,),
         seeds=(42,),
-        machines=(_CFG.machine,),
+        machines=(machine or _CFG.machine,),
     )
 
 
@@ -346,11 +349,12 @@ def test_kill_at_offset_then_resume_is_bit_identical(
     assert result.complete
     _assert_bit_identical(serial, result)
     if where == "before":
-        # The cells whose rows were lost run again, from the cache.
-        assert result.counters["resumed_cells"] == 0
-        assert result.counters["cells_from_cache"] == 2
+        # The rows were lost but the records were not: the store
+        # answers those cells, never the partitioner.
+        assert result.counters["resumed_cells"] == 2
+        assert result.counters["cells_from_cache"] == 0
     elif where == "after":
-        # The done rows survived: those cells are rehydrated from the
+        # The done rows survived: those cells are answered from the
         # store, never recomputed.
         assert result.counters["resumed_cells"] == 2
     else:
@@ -364,10 +368,10 @@ def test_kill_at_offset_then_resume_is_bit_identical(
 
 
 def test_resume_with_wiped_cache_recomputes_bit_identical(
-    tmp_path, grid, serial
+    tmp_path, grid, serial, monkeypatch
 ):
-    """A done row whose record payload no longer decodes is a
-    rehydrate miss: the cell is recomputed, the other is resumed."""
+    """A done cell whose record payload no longer decodes is a corrupt
+    entry: it is evicted and the cell is executed again."""
     template = _interrupted_campaign(tmp_path, grid)
     root = tmp_path / "wiped"
     shutil.copytree(template, root)
@@ -375,10 +379,17 @@ def test_resume_with_wiped_cache_recomputes_bit_identical(
     db = _store(root)
     db.execute("UPDATE artifacts SET payload = ? WHERE key = ?", (b"torn", key))
     db.close()
+    corrupt = []
+    evict = ArtifactCache._corrupt
+    monkeypatch.setattr(
+        ArtifactCache, "_corrupt",
+        lambda self, k: corrupt.append(k) or evict(self, k),
+    )
     result = Campaign(grid, root, jobs=1).resume()
     assert result.complete
-    assert result.counters["rehydrate_miss"] >= 1
-    assert result.counters["resumed_cells"] == 1
+    assert corrupt == [key]
+    [rec] = [r for r in result.records if r.record_key == key]
+    assert not rec.from_cache  # executed, not answered from the store
     _assert_bit_identical(serial, result)
 
 
@@ -413,6 +424,84 @@ def test_idempotent_resume_zero_recompute(tmp_path, grid, serial):
         serial.records
     )
     _assert_bit_identical(serial, result)
+
+
+def test_resume_at_another_scale_recomputes_every_cell(tmp_path, grid):
+    """Cell uids name no scale, so a tiny campaign's rows replay against
+    the same grid at ``small``; no done row vouches for a record, and
+    every cell is computed at the scale asked for."""
+    root = tmp_path / "c"
+    Campaign(grid, root, jobs=2).run()
+    small = _grid(scale="small")
+    fresh = run_sweep(small, jobs=1)
+    result = Campaign(small, root, jobs=2).resume()
+    assert result.complete
+    assert result.counters["resumed_cells"] == 0
+    assert result.counters["cells_executed"] == len(fresh.records)
+    assert {r.scale for r in result.records} == {"small"}
+    _assert_bit_identical(fresh, result)
+
+
+def test_resume_under_another_machine_reprices_every_cell(
+    tmp_path, grid, serial
+):
+    """A machine model is no part of a cell uid: a resume under another
+    one replays the rows and prices every cell under the new machine.
+    The partitions may come from the store; the records may not."""
+    root = tmp_path / "c"
+    Campaign(grid, root, jobs=1).run()
+    machine = MachineModel(alpha=50.0, beta=7.0, gamma=2.0)
+    assert machine != _CFG.machine
+    other = _grid(machine=machine)
+    fresh = run_sweep(other, jobs=1)
+    result = Campaign(other, root, jobs=2).resume()
+    assert result.complete
+    assert result.counters["resumed_cells"] == 0
+    assert result.counters["cells_executed"] == other.ncells
+    assert {r.machine for r in result.records} == {machine}
+    _assert_bit_identical(fresh, result)
+    assert any(
+        a.quality.time != b.quality.time
+        for a, b in zip(serial.records, result.records)
+    )
+
+
+def test_resume_without_a_campaign_creates_nothing(tmp_path, grid):
+    """Resuming a directory that holds no store (a typo) is refused
+    before anything is created."""
+    root = tmp_path / "typo"
+    with pytest.raises(ConfigError, match="campaign run") as exc:
+        Campaign(grid, root, jobs=1).resume()
+    assert str(root) in str(exc.value)
+    assert not root.exists()
+
+
+def test_resume_look_honours_stop_after(tmp_path, grid):
+    """The look stops the coordinator after ``stop_after`` answered
+    cells, as a batch the coordinator runs does."""
+    root = tmp_path / "c"
+    Campaign(grid, root, jobs=1).run()
+    result = Campaign(grid, root, jobs=2, stop_after=1).resume()
+    assert not result.complete
+    assert len(result.records) == 1
+    assert result.counters["resumed_cells"] == 1
+    assert result.counters["cells_executed"] == 0
+
+
+def test_lowered_budget_does_not_quarantine_a_stored_cell(tmp_path, grid):
+    """A cell that failed once and then finished keeps its record when
+    a resume lowers the budget below its failures: the store answers it
+    before replayed history is judged."""
+    uids = _uids(grid)
+    plan = FaultPlan(specs=(FaultSpec(kind="raise", cell=uids[0], attempts=(0,)),))
+    root = tmp_path / "c"
+    first = Campaign(
+        grid, root, jobs=1, faults=plan, retry=RetryPolicy(base=0.01, cap=0.05)
+    ).run()
+    assert first.complete and first.counters["retries"] == 1
+    again = Campaign(grid, root, jobs=1, retry=RetryPolicy(max_attempts=1)).resume()
+    assert again.complete and not again.failed_cells
+    assert again.counters["resumed_cells"] == len(uids)
 
 
 def test_old_journal_directories_are_refused(tmp_path, grid):
@@ -696,6 +785,15 @@ def test_campaign_status_and_progress_callback(tmp_path, grid):
     assert st.eta_s == 0
 
 
+def test_status_keeps_computed_durations_across_a_resume(tmp_path, grid):
+    """A resume's look writes a done row per answered cell, timing a
+    record read; the status still averages the computed durations."""
+    Campaign(grid, tmp_path, jobs=1).run()
+    before = campaign_status(tmp_path)
+    assert Campaign(grid, tmp_path, jobs=1).resume().counters["resumed_cells"] == 4
+    assert campaign_status(tmp_path) == before
+
+
 def test_campaign_status_empty_dir(tmp_path):
     st = campaign_status(tmp_path)
     assert st.total == 0 and st.done == 0
@@ -746,15 +844,15 @@ def test_cell_execution_error_pickle_roundtrip():
 
 def test_artifact_cache_corrupt_eviction_is_visible(tmp_path):
     cache = ArtifactCache(tmp_path)
-    cache.store_record("digest", ("plan",), ("machine",), {"q": 1})
     key = ArtifactCache.record_key("digest", ("plan",), ("machine",))
+    cache.store_record_hex(key, {"q": 1})
     db = sqlite3.connect(cache.path, isolation_level=None)
     try:
         db.execute(
             "UPDATE artifacts SET payload = ? WHERE key = ?", (b"not a pickle", key)
         )
         with obs.tracing() as tr:
-            assert cache.fetch_record("digest", ("plan",), ("machine",)) is None
+            assert cache.fetch_record_hex(key) is None
         assert cache.stats["corrupt"] == 1
         counters = tr.total_counters()
         assert counters.get("artifact.corrupt") == 1
@@ -764,6 +862,6 @@ def test_artifact_cache_corrupt_eviction_is_visible(tmp_path):
         assert db.execute(stored, (key,)).fetchone() == (0,)  # evicted
     finally:
         db.close()
-    # Re-fetch is a clean miss, and rehydration shares the same address.
+    # Re-fetch is a clean miss.
     assert cache.fetch_record_hex(key) is None
     assert cache.stats["corrupt"] == 1

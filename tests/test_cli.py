@@ -138,6 +138,20 @@ def test_cli_campaign_refuses_a_property_table(tmp_path, capsys):
     assert not (tmp_path / "camp").exists()
 
 
+def test_cli_campaign_resume_without_a_campaign_is_refused(tmp_path, capsys):
+    """``campaign resume`` over a directory with no store starts
+    nothing: one ``s2d-repro: error:`` line, exit 2, and the directory
+    is left empty."""
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    argv = ["campaign", "resume", "--table", "2", "--scale", "tiny",
+            "--dir", str(empty)]
+    err = cli_usage_error(capsys, argv)
+    assert "no campaign to resume" in err and "campaign run" in err
+    assert str(empty) in err
+    assert list(empty.iterdir()) == []
+
+
 def test_cli_campaign_refusals_are_one_line_errors(tmp_path, capsys):
     """Resuming another table's campaign (``CampaignError``) and a
     directory of an older release's journal (``UsageError``) both end

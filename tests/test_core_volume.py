@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import PartitionError
 from repro.partition.types import SpMVPartition, VectorPartition
 from repro.simulate import run_single_phase
-from tests.comm_oracle import per_processor, single_phase_words
+from tests.comm_oracle import per_processor, rowwise_volume, single_phase_words
 from tests.conftest import random_s2d_partition
 
 import scipy.sparse as sp
@@ -71,7 +71,7 @@ def test_rowwise_volume_equals_block_nhat(small_square, rng):
     x = rng.integers(0, k, 30)
     p = s2d_rowwise_baseline(small_square, x_part=x, y_part=y, nparts=k)
     bs = p.block_structure()
-    assert run_single_phase(p).ledger.total_volume() == bs.rowwise_volume()
+    assert run_single_phase(p).ledger.total_volume() == rowwise_volume(bs)
 
 
 def test_formula_rejects_inadmissible(small_square):
