@@ -32,12 +32,7 @@ from repro.core import (
     s2d_optimal,
 )
 from repro.engine import PartitionEngine, Plan, available_methods
-from repro.partition.serialize import (
-    load_partition,
-    load_plan,
-    save_partition,
-    save_plan,
-)
+from repro.partition.serialize import load_plan, save_plan
 from repro.runtime import CommPlan, compile_plan
 from repro.solvers import conjugate_gradient, jacobi, power_iteration
 from repro.hypergraph import PartitionConfig, partition_kway
@@ -80,8 +75,6 @@ __all__ = [
     "power_iteration",
     "jacobi",
     "conjugate_gradient",
-    "save_partition",
-    "load_partition",
     "save_plan",
     "load_plan",
     # baselines

@@ -436,7 +436,7 @@ def table_grid(
         schemes=tuple(scheme for _, scheme in spec.schemes),
         ks=tuple(int(k) for k in (spec.ks(cfg) if ks is None else ks)),
         seeds=(cfg.seed,),
-        machines=(cfg.machine,),
+        machine=cfg.machine,
     )
 
 

@@ -32,7 +32,7 @@ from repro.partition.oned import (
     partition_1d_rowwise,
 )
 from repro.partition.types import SpMVPartition, VectorPartition
-from repro.partition.vector import conformal_x_partition, symmetric_vector_partition
+from repro.partition.vector import conformal_x_partition
 
 
 def plan(a, method: str, nparts: int, **kwargs) -> "SpMVPartition":
@@ -63,5 +63,4 @@ __all__ = [
     "partition_1d_boman",
     "mesh_shape",
     "conformal_x_partition",
-    "symmetric_vector_partition",
 ]

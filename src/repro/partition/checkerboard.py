@@ -24,7 +24,7 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.types import SpMVPartition, VectorPartition
 from repro.sparse.coo import canonical_coo, coo_triplets
 
-__all__ = ["mesh_shape", "partition_checkerboard", "mesh_coords", "mesh_rank"]
+__all__ = ["mesh_shape", "partition_checkerboard", "mesh_coords"]
 
 
 def mesh_shape(nparts: int) -> tuple[int, int]:
@@ -43,11 +43,6 @@ def mesh_shape(nparts: int) -> tuple[int, int]:
 def mesh_coords(p: int, pc: int) -> tuple[int, int]:
     """Mesh coordinates ``(r, c)`` of processor ``p`` (row-major)."""
     return divmod(p, pc)
-
-
-def mesh_rank(r: int, c: int, pc: int) -> int:
-    """Processor id of mesh cell ``(r, c)``."""
-    return r * pc + c
 
 
 def _multiconstraint_column_groups(

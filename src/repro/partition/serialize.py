@@ -1,25 +1,24 @@
-"""Save / load partitions and compiled communication plans.
+"""Save / load compiled communication plans and partition assignments.
 
 Partitioning dominates experiment runtime (the multilevel partitioner,
 native C kernels included, is the costliest stage of a table), so
 cached partitions are worth real money; compiling a partition into a
 :class:`~repro.runtime.CommPlan` costs another executor run, so
-long-lived iterative workloads cache the compiled plan too.  Format: a
-single ``.npz`` holding the payload arrays and a small JSON header
-carrying an explicit format version and a payload tag (``"partition"``
-or ``"comm-plan"``) — loading a file of the wrong payload type or an
-unknown version fails with a clear
-:class:`~repro.errors.SerializationError`, and version-1 partition
-files (written before the tag existed) still load.  ``save_plan`` /
-``load_plan`` also take a binary file object, which is how the artifact
-cache keeps plans as in-memory blobs.
+long-lived iterative workloads cache the compiled plan too.
 
-The artifact cache stores partitions in a slimmer form,
-:func:`pack_assignment`: the assignment only (``nnz_part``,
-``x_part``, ``y_part``, kind, K, meta), no matrix.  The cache address
-already pins the matrix by digest, so :func:`unpack_assignment`
-rebuilds the partition around the caller's canonical matrix, whose
-arrays it then shares.
+A plan is saved as a single ``.npz`` holding its arrays and a small
+JSON header carrying the format version and a payload tag
+(``"comm-plan"``) — loading a file of another payload or another
+version fails with a clear :class:`~repro.errors.SerializationError`.
+``save_plan`` / ``load_plan`` also take a binary file object, which is
+how the artifact cache keeps plans as in-memory blobs.
+
+A partition is kept as :func:`pack_assignment`'s blob: the assignment
+only (``nnz_part``, ``x_part``, ``y_part``, kind, K, meta), no matrix.
+The artifact cache's address already pins the matrix by digest, so
+:func:`unpack_assignment` rebuilds the partition around the caller's
+canonical matrix, whose arrays it then shares.  ``FORMAT_VERSION`` is
+part of every artifact address.
 
 A loaded plan is **untrusted input**: its index arrays drive raw
 gathers and scatters (and, on the native backend, unchecked C loops),
@@ -38,14 +37,11 @@ import json
 import os
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import SerializationError
 from repro.partition.types import SpMVPartition, VectorPartition
 
 __all__ = [
-    "save_partition",
-    "load_partition",
     "save_plan",
     "load_plan",
     "pack_assignment",
@@ -53,9 +49,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
 
-_PARTITION = "partition"
 _PLAN = "comm-plan"
 _ASSIGNMENT = "assignment"
 
@@ -88,72 +82,21 @@ def _unpack_meta(meta: dict) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in meta.items()}
 
 
-def _pack_header(header: dict) -> np.ndarray:
-    return np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-
-
-def _read_header(z, path) -> dict:
+def _read_plan_header(z, path) -> dict:
     try:
         header = json.loads(bytes(z["header"].tobytes()).decode())
     except (KeyError, json.JSONDecodeError) as exc:
         raise SerializationError(f"not a repro save file: {path}") from exc
     version = header.get("version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise SerializationError(
             f"unsupported save format version {version!r} in {path}; "
-            f"this build supports versions {list(SUPPORTED_VERSIONS)}"
+            f"this build supports version {FORMAT_VERSION}"
         )
+    payload = header.get("payload")
+    if payload != _PLAN:
+        raise SerializationError(f"{path} holds a {payload!r} save, not a {_PLAN!r}")
     return header
-
-
-def _check_payload(header: dict, expected: str, path, hint: str) -> None:
-    # Version-1 files predate the payload tag and are always partitions.
-    payload = header.get("payload", _PARTITION)
-    if payload != expected:
-        raise SerializationError(
-            f"{path} holds a {payload!r} save, not a {expected!r}; use {hint}"
-        )
-
-
-def save_partition(p: SpMVPartition, path) -> None:
-    """Write ``p`` to ``path`` (.npz).  Only JSON-safe meta entries are
-    kept (mesh shapes, method tags); arrays in meta are dropped."""
-    header = {
-        "version": FORMAT_VERSION,
-        "payload": _PARTITION,
-        "kind": p.kind,
-        "nparts": p.nparts,
-        "shape": list(p.matrix.shape),
-        "meta": json_safe_meta(p.meta),
-    }
-    np.savez_compressed(
-        os.fspath(path),
-        header=_pack_header(header),
-        row=p.matrix.row,
-        col=p.matrix.col,
-        data=p.matrix.data,
-        nnz_part=p.nnz_part,
-        x_part=p.vectors.x_part,
-        y_part=p.vectors.y_part,
-    )
-
-
-def load_partition(path) -> SpMVPartition:
-    """Read a partition written by :func:`save_partition`."""
-    with np.load(os.fspath(path)) as z:
-        header = _read_header(z, path)
-        _check_payload(header, _PARTITION, path, "load_plan for compiled plans")
-        shape = tuple(header["shape"])
-        matrix = sp.coo_matrix((z["data"], (z["row"], z["col"])), shape=shape)
-        return SpMVPartition(
-            matrix=matrix,
-            nnz_part=z["nnz_part"],
-            vectors=VectorPartition(
-                x_part=z["x_part"], y_part=z["y_part"], nparts=header["nparts"]
-            ),
-            kind=header["kind"],
-            meta=_unpack_meta(header.get("meta", {})),
-        )
 
 
 def pack_assignment(p: SpMVPartition) -> bytes:
@@ -238,7 +181,8 @@ def save_plan(plan, path) -> None:
     """
     header, arrays = plan.to_state()
     header = {"version": FORMAT_VERSION, "payload": _PLAN, **header}
-    np.savez_compressed(_file(path), header=_pack_header(header), **arrays)
+    packed = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez_compressed(_file(path), header=packed, **arrays)
 
 
 def load_plan(path, *, verify: bool = True):
@@ -255,8 +199,7 @@ def load_plan(path, *, verify: bool = True):
     from repro.runtime.plan import CommPlan
 
     with np.load(_file(path)) as z:
-        header = _read_header(z, path)
-        _check_payload(header, _PLAN, path, "load_partition for partitions")
+        header = _read_plan_header(z, path)
         arrays = {name: z[name] for name in z.files if name != "header"}
     try:
         plan = CommPlan.from_state(header, arrays)

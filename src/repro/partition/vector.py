@@ -17,13 +17,7 @@ from repro.errors import PartitionError
 from repro.partition.types import VectorPartition
 from repro.sparse.coo import coo_triplets
 
-__all__ = ["symmetric_vector_partition", "conformal_x_partition", "vector_partition_from_rows"]
-
-
-def symmetric_vector_partition(part: np.ndarray, nparts: int) -> VectorPartition:
-    """x and y both follow ``part`` (square matrices only)."""
-    part = np.asarray(part, dtype=np.int64)
-    return VectorPartition(x_part=part.copy(), y_part=part.copy(), nparts=nparts)
+__all__ = ["conformal_x_partition", "vector_partition_from_rows"]
 
 
 def conformal_x_partition(a, y_part: np.ndarray, nparts: int) -> np.ndarray:

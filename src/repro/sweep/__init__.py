@@ -1,9 +1,9 @@
 """Sweep execution with a persistent artifact cache.
 
 The experiment layer's answer to table-scale grids: a declarative
-:class:`SweepGrid` (matrices × schemes × K × seeds × machine models)
-compiles into a task DAG with per-matrix engine affinity
-(:mod:`repro.sweep.grid`).  One worker body runs a task's cells
+:class:`SweepGrid` (suite matrices × schemes × K × seeds, priced under
+one machine model) compiles into a task DAG with per-matrix engine
+affinity (:mod:`repro.sweep.grid`).  One worker body runs a task's cells
 through one engine with deterministic seed derivation
 (:mod:`repro.sweep.orchestrator`), and persists partitions, compiled
 communication plans and evaluated cell records in a content-addressed

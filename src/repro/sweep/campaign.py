@@ -78,7 +78,6 @@ import hashlib
 import math
 import multiprocessing
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection
@@ -113,7 +112,9 @@ class RetryPolicy:
     quarantine the cell).  Backoff before attempt *n* (n ≥ 2) is
     ``base * factor**(n-2)`` capped at ``cap``, scaled by a
     deterministic jitter in ``[1, 1+jitter)`` derived from the cell uid
-    — campaigns with the same faults back off identically.
+    — campaigns with the same faults back off identically.  A
+    ``max_attempts`` below 1, or a negative or non-finite ``base``,
+    ``cap`` or ``jitter``, raises :class:`~repro.errors.ConfigError`.
     """
 
     max_attempts: int = 3
@@ -121,6 +122,18 @@ class RetryPolicy:
     factor: float = 2.0
     cap: float = 10.0
     jitter: float = 0.25
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ConfigError(
+                f"max_attempts must be at least 1, got {self.max_attempts!r}"
+            )
+        for name in ("base", "cap", "jitter"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(
+                    f"retry {name} must be finite and nonnegative, got {value!r}"
+                )
 
     def backoff(self, attempts: int, uid: str = "") -> float:
         """Delay in seconds after the ``attempts``-th failure."""
@@ -134,14 +147,10 @@ class RetryPolicy:
 def cell_uid(task: MatrixTask, cell: Cell) -> str:
     """Stable identity of one grid cell — a pure function of its
     coordinates, so lifecycle rows address the same cell across
-    processes and resumes."""
-    uid = (
-        f"{task.name}:s{task.seed}:{cell.scheme}:K{cell.k}"
-        f":m{cell.machine_index}:slot{cell.slot}"
-    )
-    if cell.opts:
-        uid += ":" + hashlib.sha256(repr(cell.opts).encode()).hexdigest()[:8]
-    return uid
+    processes and resumes.  The ``m0`` component is fixed text: it
+    numbered the machine when a grid could hold several, and keeping
+    it lets a campaign directory of that time resume."""
+    return f"{task.name}:s{task.seed}:{cell.scheme}:K{cell.k}:m0:slot{cell.slot}"
 
 
 #: Failure kinds considered transient (retried up to the budget).
@@ -253,20 +262,6 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def _require_picklable(obj, what: str) -> None:
-    """Raise :class:`~repro.errors.UsageError` naming ``what`` when
-    ``obj`` cannot travel to a worker process (a lambda, a closure, a
-    local class), instead of a pickle traceback from inside the run."""
-    try:
-        pickle.dumps(obj)
-    except (pickle.PicklingError, AttributeError, TypeError) as exc:
-        raise UsageError(
-            f"{what} cannot be sent to a worker process: "
-            f"{type(exc).__name__}: {exc}; use a module-level function "
-            "or run_sweep with jobs=1"
-        ) from exc
-
-
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
@@ -331,6 +326,10 @@ class _Supervisor:
         stop_after: int | None = None,
         sleep=time.sleep,
     ) -> None:
+        if not (math.isfinite(watchdog_s) and watchdog_s > 0):
+            raise ConfigError(
+                f"watchdog must be a finite number of seconds > 0, got {watchdog_s!r}"
+            )
         self.grid = grid
         self.jobs = jobs
         self.cache_dir = cache_dir
@@ -347,9 +346,6 @@ class _Supervisor:
             raise CampaignError(
                 "kill/stall fault injection requires a fork-capable platform"
             )
-        if self._ctx is not None:
-            for ref in grid.matrices:
-                _require_picklable(ref, f"matrix ref {ref.name!r}")
         self.tasks = grid.tasks()
         self.cells: dict[str, _CellState] = {}
         self.order: list[str] = []
@@ -880,11 +876,9 @@ def run_sweep(
     and warming the workers (measured on 2 vCPUs; a larger scale must
     measure it again).
 
-    With ``jobs > 1`` the matrix refs must pickle (a
-    :class:`~repro.errors.UsageError` names the one that does not), and
-    the kernel backend is resolved before the first fork, so workers
-    inherit the loaded native library instead of each loading or
-    building it.
+    With ``jobs > 1`` the kernel backend is resolved before the first
+    fork, so workers inherit the loaded native library instead of each
+    loading or building it.
 
     A failing cell is retried under the default :class:`RetryPolicy`,
     so a deterministic failure is tried twice (the same exception
@@ -919,8 +913,9 @@ class Campaign(_Supervisor):
     jobs:
         Max concurrent worker processes (``resolve_jobs`` convention).
     retry, watchdog_s, faults:
-        Retry policy, per-cell watchdog timeout, optional
-        :class:`FaultPlan` (tests/benchmarks).
+        Retry policy, per-cell watchdog timeout in seconds (finite and
+        > 0, else :class:`~repro.errors.ConfigError` before anything is
+        created), optional :class:`FaultPlan` (tests/benchmarks).
     progress:
         Optional callable receiving a :class:`CampaignStatus` after
         every cell completion/failure.

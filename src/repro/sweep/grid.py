@@ -1,9 +1,12 @@
 """Declarative sweep grids and their compilation into a task DAG.
 
-A :class:`SweepGrid` names the axes of a table-scale experiment —
-matrices × schemes × K × seeds × machine models (scales enter through
-the matrix references, so one grid can mix scales for scenario
-diversity).  :meth:`SweepGrid.tasks` compiles the grid into
+A :class:`SweepGrid` names what a table-scale experiment computes —
+matrices × schemes × K × seeds, priced under one machine model (scales
+enter through the matrix references, so one grid can mix scales for
+scenario diversity).  A different machine only re-prices a cell: its
+record holds the run's ledger, so ``record.quality.run.speedup(m)``
+and ``.time(m)`` give the price under ``m`` with no second partition
+or simulation.  :meth:`SweepGrid.tasks` compiles the grid into
 :class:`MatrixTask` nodes, the unit the orchestrator schedules:
 
 - **engine affinity** — all cells of one (matrix, base seed) share one
@@ -19,20 +22,19 @@ diversity).  :meth:`SweepGrid.tasks` compiles the grid into
   records bit-identical to a serial run: no RNG state is shared, and
   nothing depends on execution order.
 
-Everything here is picklable: matrices travel as :class:`MatrixRef`
-descriptions (suite name + scale + matrix name, or raw COO arrays) and
-are materialized inside the worker.
+Everything here is picklable: a matrix travels as a :class:`MatrixRef`
+(suite, scale and matrix name) and is materialized inside the worker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
 import scipy.sparse as sp
 
 from repro.engine.registry import resolve_method
 from repro.errors import ConfigError
+from repro.generators.suite import SCALES, table1_suite, table4_suite
 from repro.simulate.machine import MachineModel
 
 __all__ = [
@@ -56,6 +58,8 @@ SCHEME_DEPS = {
     "1d-boman": ("1d-rowwise",),
 }
 
+_SUITES = {"table1": table1_suite, "table4": table4_suite}
+
 
 def derive_seed(base: int, matrix_index: int, slot: int) -> int:
     """Deterministic partitioner seed of one cell.
@@ -72,62 +76,42 @@ def _scheme_depth(scheme: str) -> int:
     return 1 + max((_scheme_depth(d) for d in deps), default=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixRef:
-    """A picklable recipe for one matrix.
+def _check_suite(which: str, scale: str) -> None:
+    if which not in _SUITES:
+        raise ConfigError(f"unknown suite {which!r}; pick 'table1' or 'table4'")
+    if scale not in SCALES:
+        raise ConfigError(f"unknown scale {scale!r}; pick one of {SCALES}")
 
-    ``source`` is either ``("suite", which, scale)`` — resolved by name
-    through :mod:`repro.generators.suite` inside the worker — or
-    ``("coo", row, col, data, shape)`` carrying the arrays directly
-    (hence ``eq=False``: generated equality/hash would trip over raw
-    ndarray fields; refs compare by identity).
-    """
+
+@dataclass(frozen=True)
+class MatrixRef:
+    """One suite matrix by name: matrix ``name`` of suite ``which``
+    (``"table1"`` / ``"table4"``) at ``scale``, resolved through
+    :mod:`repro.generators.suite` inside the worker.  An unknown suite
+    or scale raises :class:`~repro.errors.ConfigError` here."""
 
     name: str
-    source: tuple
+    which: str
+    scale: str
     seed_index: int | None = None
     """Position of this matrix in its *full* suite.  Seed derivation
     uses it when set, so a names-restricted grid partitions each matrix
     with exactly the seeds the full table would — its cells share cache
     artifacts with (and reproduce the rows of) the published tables."""
 
-    @property
-    def scale(self) -> str | None:
-        return self.source[2] if self.source[0] == "suite" else None
+    def __post_init__(self) -> None:
+        _check_suite(self.which, self.scale)
 
     def suite_entry(self):
-        """The :class:`~repro.generators.suite.SuiteMatrix` behind a
-        suite-backed ref."""
-        from repro.generators.suite import table1_suite, table4_suite
-
-        kind, which, scale = self.source
-        if kind != "suite":
-            raise ConfigError(f"{self.name!r} is not a suite-backed matrix ref")
-        suite = table1_suite(scale) if which == "table1" else table4_suite(scale)
-        for sm in suite:
+        """The :class:`~repro.generators.suite.SuiteMatrix` behind the ref."""
+        for sm in _SUITES[self.which](self.scale):
             if sm.name == self.name:
                 return sm
-        raise ConfigError(f"unknown {which} suite matrix {self.name!r}")
+        raise ConfigError(f"unknown {self.which} suite matrix {self.name!r}")
 
     def materialize(self) -> sp.coo_matrix:
         """Build the matrix (deterministic: generators are seeded)."""
-        if self.source[0] == "suite":
-            return self.suite_entry().matrix()
-        _, row, col, data, shape = self.source
-        return sp.coo_matrix(
-            (np.asarray(data), (np.asarray(row), np.asarray(col))),
-            shape=tuple(shape),
-        )
-
-    @staticmethod
-    def from_matrix(name: str, a) -> "MatrixRef":
-        """Wrap an in-memory matrix (canonicalized) as a ref."""
-        from repro.sparse.coo import canonical_coo
-
-        m = canonical_coo(a)
-        return MatrixRef(
-            name=name, source=("coo", m.row, m.col, m.data, tuple(m.shape))
-        )
+        return self.suite_entry().matrix()
 
 
 def suite_refs(
@@ -138,14 +122,10 @@ def suite_refs(
     size order) and each matrix's full-suite ``seed_index`` are kept,
     so derived seeds line up with the tables even in a restricted
     grid."""
-    from repro.generators.suite import table1_suite, table4_suite
-
-    if which not in ("table1", "table4"):
-        raise ConfigError(f"unknown suite {which!r}; pick 'table1' or 'table4'")
-    suite = table1_suite(scale) if which == "table1" else table4_suite(scale)
+    _check_suite(which, scale)
     refs = [
-        MatrixRef(name=sm.name, source=("suite", which, scale), seed_index=i)
-        for i, sm in enumerate(suite)
+        MatrixRef(name=sm.name, which=which, scale=scale, seed_index=i)
+        for i, sm in enumerate(_SUITES[which](scale))
         if names is None or sm.name in names
     ]
     if names is not None and len(refs) != len(names):
@@ -160,14 +140,11 @@ class SchemeSpec:
 
     Schemes sharing a ``slot`` share a partitioner config per (matrix,
     K) — the paper's setup, where s2D refines the 1D run's vector
-    partition.  ``opts`` are extra keyword arguments for
-    :meth:`~repro.engine.PartitionEngine.plan`, as a sorted tuple of
-    ``(name, value)`` pairs of picklable scalars.
+    partition.
     """
 
     scheme: str
     slot: int = 0
-    opts: tuple = ()
 
     @property
     def canonical(self) -> str:
@@ -176,27 +153,25 @@ class SchemeSpec:
 
 @dataclass(frozen=True)
 class Cell:
-    """One grid point inside a task: scheme × K × machine index."""
+    """One grid point inside a task: scheme × K."""
 
     scheme: str
     slot: int
     k: int
-    machine_index: int
-    opts: tuple = ()
 
 
 @dataclass(frozen=True)
 class MatrixTask:
-    """One schedulable DAG node: a matrix, a base seed, and its cells
-    in topological scheme order.  Executed by one worker with one
-    engine; independent of every other task."""
+    """One schedulable DAG node: a matrix, a base seed, the machine
+    that prices it, and its cells in topological scheme order.
+    Executed by one worker with one engine; independent of every other
+    task."""
 
     task_index: int
     matrix_index: int
     ref: MatrixRef
     seed: int
-    epsilon: float
-    machines: tuple[MachineModel, ...]
+    machine: MachineModel
     cells: tuple[Cell, ...]
 
     @property
@@ -218,23 +193,22 @@ def _refuse_repeats(axis: str, label: str, values: list) -> None:
 class SweepGrid:
     """The declarative experiment grid.
 
-    ``matrices`` × ``schemes`` × ``ks`` × ``seeds`` × ``machines``;
-    ``epsilon`` is both the partitioner imbalance tolerance and the
-    engines' s2D default.
+    ``matrices`` × ``schemes`` × ``ks`` × ``seeds``, every cell priced
+    under ``machine``.  The partitioner's imbalance tolerance is the
+    engine's and :class:`~repro.hypergraph.PartitionConfig`'s default.
     """
 
     matrices: tuple[MatrixRef, ...]
     schemes: tuple[SchemeSpec, ...]
     ks: tuple[int, ...]
     seeds: tuple[int, ...] = (42,)
-    machines: tuple[MachineModel, ...] = (MachineModel(),)
-    epsilon: float = 0.03
+    machine: MachineModel = MachineModel()
 
     def __post_init__(self) -> None:
         if not (self.matrices and self.schemes and self.ks):
             raise ConfigError("sweep grid needs matrices, schemes and ks")
-        if not (self.seeds and self.machines):
-            raise ConfigError("sweep grid needs at least one seed and machine")
+        if not self.seeds:
+            raise ConfigError("sweep grid needs at least one seed")
         for k in self.ks:
             if int(k) < 1:
                 raise ConfigError(f"sweep grid K must be at least 1, got {k}")
@@ -247,43 +221,28 @@ class SweepGrid:
 
     @property
     def ncells(self) -> int:
-        return (
-            len(self.matrices)
-            * len(self.schemes)
-            * len(self.ks)
-            * len(self.seeds)
-            * len(self.machines)
-        )
+        return len(self.matrices) * len(self.schemes) * len(self.ks) * len(self.seeds)
 
     def tasks(self) -> list[MatrixTask]:
         """Compile the grid into per-(matrix, seed) DAG nodes."""
         ordered = sorted(
             self.schemes, key=lambda s: _scheme_depth(s.canonical)
         )  # stable: caller order within a dependency rank
+        cells = tuple(
+            Cell(scheme=spec.canonical, slot=spec.slot, k=int(k))
+            for k in self.ks
+            for spec in ordered
+        )
         tasks = []
         for seed in self.seeds:
             for mi, ref in enumerate(self.matrices):
-                seed_index = ref.seed_index if ref.seed_index is not None else mi
-                cells = tuple(
-                    Cell(
-                        scheme=spec.canonical,
-                        slot=spec.slot,
-                        k=int(k),
-                        machine_index=wi,
-                        opts=spec.opts,
-                    )
-                    for k in self.ks
-                    for spec in ordered
-                    for wi in range(len(self.machines))
-                )
                 tasks.append(
                     MatrixTask(
                         task_index=len(tasks),
-                        matrix_index=seed_index,
+                        matrix_index=ref.seed_index if ref.seed_index is not None else mi,
                         ref=ref,
                         seed=int(seed),
-                        epsilon=self.epsilon,
-                        machines=self.machines,
+                        machine=self.machine,
                         cells=cells,
                     )
                 )

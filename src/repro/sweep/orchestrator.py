@@ -62,7 +62,7 @@ class CellRecord:
     """One evaluated grid cell, self-describing and picklable."""
 
     matrix: str
-    scale: str | None
+    scale: str
     scheme: str
     k: int
     seed: int
@@ -88,13 +88,7 @@ class SweepResult:
     engines: list[dict] = field(default_factory=list)
 
     def get(
-        self,
-        matrix: str,
-        scheme: str,
-        k: int,
-        *,
-        seed: int | None = None,
-        machine: MachineModel | None = None,
+        self, matrix: str, scheme: str, k: int, *, seed: int | None = None
     ) -> CellRecord:
         """The unique record at the given grid coordinates."""
         hits = [
@@ -104,12 +98,11 @@ class SweepResult:
             and r.scheme == scheme
             and r.k == k
             and (seed is None or r.seed == seed)
-            and (machine is None or r.machine == machine)
         ]
         if len(hits) != 1:
             raise KeyError(
                 f"{len(hits)} records for ({matrix!r}, {scheme!r}, K={k}); "
-                "pass seed=/machine= to disambiguate"
+                "pass seed= to disambiguate"
             )
         return hits[0]
 
@@ -188,8 +181,7 @@ def _run_cells(
         engine = PartitionEngine(
             task.ref.materialize(),
             seed=task.seed,
-            epsilon=task.epsilon,
-            machine=task.machines[0],
+            machine=task.machine,
             artifacts=cache,
         )
         digest = engine.matrix_digest
@@ -234,24 +226,20 @@ def _execute_cell(
 ) -> CellRecord | None:
     """Plan and evaluate one grid cell (record-cache aware); None when
     ``read_only`` and the store holds no record of it."""
-    machine = task.machines[cell.machine_index]
-    config = PartitionConfig(
-        epsilon=task.epsilon,
-        seed=derive_seed(task.seed, task.matrix_index, cell.slot),
-    )
-    opts = dict(cell.opts)
+    machine = task.machine
+    config = PartitionConfig(seed=derive_seed(task.seed, task.matrix_index, cell.slot))
     quality = None
     record_key = None
     if cache is not None:
         # Address the record once, without building the plan.
-        plan_key = engine.plan_key(cell.scheme, cell.k, config=config, **opts)
+        plan_key = engine.plan_key(cell.scheme, cell.k, config=config)
         record_key = cache.record_key(digest, plan_key, _machine_key(machine))
         quality = cache.fetch_record_hex(record_key)
     from_cache = quality is not None
     if quality is None:
         if read_only:
             return None
-        plan = engine.plan(cell.scheme, cell.k, config=config, **opts)
+        plan = engine.plan(cell.scheme, cell.k, config=config)
         quality = engine.evaluate(plan, machine=machine)
         if cache is not None:
             cache.store_record_hex(record_key, quality)

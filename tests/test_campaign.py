@@ -24,6 +24,7 @@ Fault injection is deterministic (:mod:`repro.sweep.faults` keys on
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 import pickle
@@ -39,6 +40,7 @@ import pytest
 from repro import obs
 from repro.errors import CampaignError, CellExecutionError, ConfigError, UsageError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.tables import table_grid
 from repro.simulate.machine import MachineModel
 from repro.sweep import (
     ArtifactCache,
@@ -70,7 +72,7 @@ def _grid(nmat: int = 2, *, scale: str = "tiny", machine=None) -> SweepGrid:
         schemes=(SchemeSpec("1d-rowwise", 0), SchemeSpec("s2d-heuristic", 0)),
         ks=(4,),
         seeds=(42,),
-        machines=(machine or _CFG.machine,),
+        machine=machine or _CFG.machine,
     )
 
 
@@ -216,6 +218,43 @@ def test_retry_backoff_deterministic_and_bounded():
     assert delays[0] != pol.backoff(1, "other-cell")  # jitter keys on uid
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_attempts", 0), ("max_attempts", -1), ("base", -0.5),
+     ("base", math.nan), ("cap", math.inf), ("jitter", -1.0)],
+)
+def test_retry_policy_refuses_an_out_of_range_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        RetryPolicy(**{field: value})
+
+
+@pytest.mark.parametrize("watchdog", [0.0, -1.0, math.inf, math.nan])
+def test_campaign_refuses_a_watchdog_that_is_not_positive(tmp_path, grid, watchdog):
+    """A zero watchdog would reap every worker at once and quarantine
+    the whole grid; it is refused before the directory is touched."""
+    root = tmp_path / "c"
+    with pytest.raises(ConfigError, match="watchdog"):
+        Campaign(grid, root, jobs=1, watchdog_s=watchdog)
+    assert not root.exists()
+
+
+#: Tiny Table II's campaign identity.  A campaign directory written
+#: under these uids resumes only while they stay byte-identical.
+TABLE2_TINY_GRID_SIG = "5b0cf6518dddb520"
+TABLE2_TINY_FIRST_UIDS = [
+    "crystk02:s42:1d-rowwise:K2:m0:slot0",
+    "crystk02:s42:finegrain:K2:m0:slot1",
+    "crystk02:s42:s2d-heuristic:K2:m0:slot0",
+]
+
+
+def test_table2_grid_signature_and_first_uids_are_pinned(tmp_path):
+    camp = Campaign(table_grid(2, ExperimentConfig(scale="tiny")), tmp_path / "c")
+    assert camp.grid_sig == TABLE2_TINY_GRID_SIG
+    assert camp.cell_uids[:3] == TABLE2_TINY_FIRST_UIDS
+    assert len(camp.cell_uids) == 72
+
+
 # ----------------------------------------------------------------------
 # Campaign happy path
 # ----------------------------------------------------------------------
@@ -244,7 +283,7 @@ def test_long_lived_workers_and_one_engine_info_shape(tmp_path):
         schemes=(SchemeSpec("1d-rowwise", 0),),
         ks=(2,),
         seeds=(42,),
-        machines=(_CFG.machine,),
+        machine=_CFG.machine,
     )
     assert len(grid.tasks()) == 8
     swept = run_sweep(grid, jobs=2, cache_dir=tmp_path / "sweep")
@@ -649,7 +688,7 @@ grid = SweepGrid(
     schemes=(SchemeSpec("1d-rowwise", 0), SchemeSpec("s2d-heuristic", 0)),
     ks=(4,),
     seeds=(42,),
-    machines=(cfg.machine,),
+    machine=cfg.machine,
 )
 uids = [cell_uid(t, c) for t in grid.tasks() for c in t.cells]
 # Stall deterministically at the third cell to run so the parent's
@@ -706,7 +745,7 @@ grid = SweepGrid(
     schemes=(SchemeSpec("1d-rowwise", 0),),
     ks=(4,),
     seeds=(42,),
-    machines=(ExperimentConfig(scale="tiny").machine,),
+    machine=ExperimentConfig(scale="tiny").machine,
 )
 uid = {uid!r}
 faults = FaultPlan(specs=(FaultSpec(kind="stall", cell=uid, seconds=2.0),))
@@ -734,7 +773,7 @@ def test_worker_exits_after_its_coordinator_is_killed(tmp_path):
         schemes=(SchemeSpec("1d-rowwise", 0),),
         ks=(4,),
         seeds=(42,),
-        machines=(_CFG.machine,),
+        machine=_CFG.machine,
     )
     first = cell_uid(grid.tasks()[1], grid.tasks()[1].cells[0])  # runs first
     script = _ORPHAN_SCRIPT.format(

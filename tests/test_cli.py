@@ -126,6 +126,21 @@ def test_cli_campaign_negative_jobs_clean_error(tmp_path, capsys):
     assert "--jobs" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--watchdog", "0"), ("--watchdog", "nan"), ("--max-attempts", "0")]
+)
+def test_cli_campaign_refuses_a_bad_watchdog_or_budget(tmp_path, capsys, flag, value):
+    """A zero watchdog or attempt budget would quarantine every cell;
+    it is refused with one error line, and the directory is left empty."""
+    camp = tmp_path / "camp"
+    camp.mkdir()
+    argv = ["campaign", "run", "--table", "2", "--scale", "tiny",
+            "--dir", str(camp), "--quiet", flag, value]
+    err = cli_usage_error(capsys, argv)
+    assert ("watchdog" if flag == "--watchdog" else "max_attempts") in err
+    assert list(camp.iterdir()) == []
+
+
 def test_cli_campaign_refuses_a_property_table(tmp_path, capsys):
     """``campaign --table`` offers only the registry's tables with a
     sweep grid; Table I is refused by argparse before anything runs."""

@@ -18,7 +18,7 @@ from repro.cli import main
 from repro.engine import PartitionEngine
 from repro.errors import ConfigError, PartitionError, ReproError, SimulationError
 from repro.hypergraph import PartitionConfig
-from repro.partition.serialize import load_partition, load_plan, save_partition, save_plan
+from repro.partition.serialize import load_plan, save_plan
 from repro.runtime import CommPlan, compile_plan
 from repro.simulate import MachineModel
 from repro.simulate.common import PHASES
@@ -186,40 +186,11 @@ def test_plan_roundtrip_keeps_mesh_meta(tmp_path, partitioned_instances):
     assert tuple(back.meta["mesh"]) == tuple(plan.meta["mesh"])
 
 
-def test_load_partition_rejects_plan_file(tmp_path, partitioned_instances):
-    p, _ = partitioned_instances[0]
-    save_plan(compile_plan(p), tmp_path / "plan.npz")
-    with pytest.raises(ReproError, match="comm-plan"):
-        load_partition(tmp_path / "plan.npz")
-
-
-def test_load_plan_rejects_partition_file(tmp_path, partitioned_instances):
-    p, _ = partitioned_instances[0]
-    save_partition(p, tmp_path / "part.npz")
-    with pytest.raises(ReproError, match="load_plan|partition"):
-        load_plan(tmp_path / "part.npz")
-
-
-@pytest.mark.parametrize("loader", [load_partition, load_plan])
-def test_unknown_version_rejected(tmp_path, loader):
-    header = np.frombuffer(json.dumps({"version": 99}).encode(), dtype=np.uint8)
-    np.savez(tmp_path / "future.npz", header=header)
-    with pytest.raises(ReproError, match="version 99"):
-        loader(tmp_path / "future.npz")
-
-
-def test_version1_partition_files_still_load(tmp_path, partitioned_instances):
-    """Files written before the payload tag existed (version 1) load."""
-    p, _ = partitioned_instances[0]
-    header = {
-        "version": 1,
-        "kind": p.kind,
-        "nparts": p.nparts,
-        "shape": list(p.matrix.shape),
-        "meta": {},
-    }
+def _partition_npz(path, p, **header):
+    """A hand-made ``.npz`` holding partition ``p`` (with its matrix)
+    under a JSON header of ``header``: a save file, but not a plan."""
     np.savez(
-        tmp_path / "v1.npz",
+        path,
         header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
         row=p.matrix.row,
         col=p.matrix.col,
@@ -228,8 +199,25 @@ def test_version1_partition_files_still_load(tmp_path, partitioned_instances):
         x_part=p.vectors.x_part,
         y_part=p.vectors.y_part,
     )
-    back = load_partition(tmp_path / "v1.npz")
-    assert np.array_equal(back.nnz_part, p.nnz_part)
+
+
+def test_load_plan_rejects_partition_file(tmp_path, partitioned_instances):
+    p, _ = partitioned_instances[0]
+    _partition_npz(tmp_path / "part.npz", p, version=2, payload="partition")
+    with pytest.raises(ReproError, match="holds a 'partition' save"):
+        load_plan(tmp_path / "part.npz")
+
+
+def test_unknown_version_rejected(tmp_path, partitioned_instances):
+    header = np.frombuffer(json.dumps({"version": 99}).encode(), dtype=np.uint8)
+    np.savez(tmp_path / "future.npz", header=header)
+    with pytest.raises(ReproError, match="version 99"):
+        load_plan(tmp_path / "future.npz")
+    # A version-1 file predates the payload tag; nothing reads it now.
+    p, _ = partitioned_instances[0]
+    _partition_npz(tmp_path / "v1.npz", p, version=1, kind=p.kind, nparts=p.nparts)
+    with pytest.raises(ReproError, match="version 1 "):
+        load_plan(tmp_path / "v1.npz")
 
 
 def test_ledger_phase_pairs_roundtrip(partitioned_instances):

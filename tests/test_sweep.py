@@ -8,6 +8,7 @@ relies on — and checks that a traced pool run merges every worker's
 spans back into the caller's trace.
 """
 
+import dataclasses
 import os
 from collections import Counter
 
@@ -52,12 +53,13 @@ def _tiny_grid(names=("crystk02", "trdheim"), ks=(2,), **kw):
 
 
 def test_grid_axes_and_cell_count():
-    grid = _tiny_grid(ks=(2, 4), seeds=(1, 2), machines=(MachineModel(), MachineModel(alpha=1)))
-    assert grid.ncells == 2 * 2 * 2 * 2 * 2
+    grid = _tiny_grid(ks=(2, 4), seeds=(1, 2), machine=MachineModel(alpha=1))
+    assert grid.ncells == 2 * 2 * 2 * 2
     tasks = grid.tasks()
     assert len(tasks) == 4  # matrices x seeds
-    assert all(len(t.cells) == 8 for t in tasks)  # schemes x ks x machines
+    assert all(len(t.cells) == 4 for t in tasks)  # schemes x ks
     assert [t.task_index for t in tasks] == [0, 1, 2, 3]
+    assert {t.machine for t in tasks} == {MachineModel(alpha=1)}
 
 
 def test_grid_dag_orders_base_schemes_first():
@@ -89,6 +91,8 @@ def test_grid_validation():
         )
     with pytest.raises(ConfigError):
         suite_refs("table9", "tiny")
+    with pytest.raises(ConfigError):
+        suite_refs("table1", "huge")
     with pytest.raises(ConfigError):
         suite_refs("table1", "tiny", names=("nope",))
 
@@ -177,16 +181,30 @@ def test_sweep_shares_slot_vector_partitions():
     assert info["hits"] > 0  # the s2D build fetched the memoized 1D plan
 
 
+def _repriced(q, machine):
+    """``q`` priced under ``machine`` from its run's ledger alone."""
+    return dataclasses.replace(
+        q, speedup=q.run.speedup(machine), time=q.run.time(machine)
+    )
+
+
 def test_machine_axis_reprices_not_repartitions():
-    cheap = MachineModel(alpha=1.0, beta=1.0, gamma=1.0)
-    dear = MachineModel(alpha=1000.0, beta=3.0, gamma=1.0)
-    grid = _tiny_grid(names=("crystk02",), machines=(cheap, dear))
-    res = run_sweep(grid)
-    q_cheap = res.quality("crystk02", "1d-rowwise", 2, machine=cheap)
-    q_dear = res.quality("crystk02", "1d-rowwise", 2, machine=dear)
-    # same partition and traffic, different pricing
-    assert q_cheap.total_volume == q_dear.total_volume
-    assert q_cheap.time != q_dear.time
+    """Another machine needs no grid axis: every record of a tiny
+    Table II sweep, re-priced from its run, is the record a sweep under
+    that machine computes."""
+    cfg = ExperimentConfig(scale="tiny")
+    grid = table_grid(2, cfg)
+    assert grid.machine == cfg.machine
+    base = run_sweep(grid)
+    for machine in (MachineModel(), MachineModel(5, 1, 1)):
+        fresh = run_sweep(dataclasses.replace(grid, machine=machine))
+        assert len(fresh.records) == len(base.records) == grid.ncells
+        assert any(a.quality.time != b.quality.time
+                   for a, b in zip(base.records, fresh.records))
+        for a, b in zip(base.records, fresh.records):
+            assert (a.matrix, a.scheme, a.k, a.seed) == (b.matrix, b.scheme, b.k, b.seed)
+            assert b.machine == machine
+            assert quality_identical(_repriced(a.quality, machine), b.quality)
 
 
 # ----------------------------------------------------------------------
@@ -257,11 +275,14 @@ def test_pool_path_resolves_backend_before_forking(monkeypatch):
     assert calls == []  # nothing forks, nothing to pre-load
 
 
-def test_run_sweep_rejects_unpicklable_matrix_ref_up_front():
-    bad = MatrixRef(name="bad", source=("coo", lambda: None))
-    grid = SweepGrid(matrices=(bad,), schemes=(SchemeSpec("1d-rowwise"),), ks=(2,))
-    with pytest.raises(UsageError, match="matrix ref 'bad'"):
-        run_sweep(grid, jobs=2)
+def test_matrix_ref_refuses_an_unknown_suite_or_scale():
+    with pytest.raises(ConfigError, match="unknown suite 'table9'"):
+        MatrixRef(name="crystk02", which="table9", scale="tiny")
+    with pytest.raises(ConfigError, match="unknown scale 'huge'"):
+        MatrixRef(name="crystk02", which="table1", scale="huge")
+    ref = MatrixRef(name="nope", which="table1", scale="tiny")
+    with pytest.raises(ConfigError, match="unknown table1 suite matrix 'nope'"):
+        ref.materialize()
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.sweep import (
     cache_key,
     quality_identical,
     run_sweep,
+    suite_refs,
 )
 
 
@@ -37,9 +38,9 @@ def matrix():
 
 
 @pytest.fixture()
-def grid(matrix):
+def grid():
     return SweepGrid(
-        matrices=(MatrixRef.from_matrix("rmat7", matrix),),
+        matrices=suite_refs("table4", "tiny", names=("rmat_20",)),
         schemes=(
             SchemeSpec("1d-rowwise", slot=0),
             SchemeSpec("s2d-heuristic", slot=0),
@@ -94,7 +95,7 @@ def test_first_table2_cell_addresses_are_pinned(tmp_path):
         schemes=full.schemes[:1],
         ks=(2,),
         seeds=full.seeds,
-        machines=full.machines,
+        machine=full.machine,
     )
     (record,) = run_sweep(grid, cache_dir=tmp_path).records
     assert (record.matrix, record.scheme, record.k, record.seed) == (
@@ -110,19 +111,20 @@ def test_first_table2_cell_addresses_are_pinned(tmp_path):
     assert keys == {FIRST_TABLE2_RECORD_KEY, FIRST_TABLE2_PARTITION_KEY}
 
 
-def test_matrix_digest_change_forces_rebuild(matrix, tmp_path):
-    def grid_for(m, name):
-        return SweepGrid(
-            matrices=(MatrixRef.from_matrix(name, m),),
-            schemes=(SchemeSpec("1d-rowwise"),),
-            ks=(3,),
-        )
+def test_matrix_digest_change_forces_rebuild(grid, tmp_path, monkeypatch):
+    run_sweep(grid, cache_dir=tmp_path)
+    materialize = MatrixRef.materialize
 
-    run_sweep(grid_for(matrix, "a"), cache_dir=tmp_path)
-    perturbed = matrix.copy()
-    perturbed.data = perturbed.data.copy()
-    perturbed.data[0] += 1.0  # same pattern, different content
-    res = run_sweep(grid_for(perturbed, "a"), cache_dir=tmp_path)
+    def perturbed(ref):
+        # A generator that changed between releases: the same name,
+        # the same pattern, different content.
+        m = materialize(ref)
+        m.data = m.data.copy()
+        m.data[0] += 1.0
+        return m
+
+    monkeypatch.setattr(MatrixRef, "materialize", perturbed)
+    res = run_sweep(grid, cache_dir=tmp_path)
     assert not any(r.from_cache for r in res.records)
 
 
@@ -134,12 +136,13 @@ def test_config_and_seed_changes_force_rebuild(grid, tmp_path):
     )
     res = run_sweep(reseeded, cache_dir=tmp_path)
     assert not any(r.from_cache for r in res.records)
-    # different epsilon (partitioner config field) → miss
-    loosened = SweepGrid(
-        matrices=grid.matrices, schemes=grid.schemes, ks=grid.ks, epsilon=0.5
-    )
-    res = run_sweep(loosened, cache_dir=tmp_path)
-    assert not any(r.from_cache for r in res.records)
+    # different epsilon (partitioner config field) → another address
+    engine = PartitionEngine(grid.matrices[0].materialize())
+    keys = {
+        engine.plan_key("1d-rowwise", 3, config=PartitionConfig(epsilon=eps, seed=42))
+        for eps in (0.03, 0.5)
+    }
+    assert len(keys) == 2
     # unchanged grid still fully warm (the above polluted nothing)
     warm = run_sweep(grid, cache_dir=tmp_path)
     assert all(r.from_cache for r in warm.records)
@@ -151,7 +154,7 @@ def test_machine_model_participates_in_record_key(grid, tmp_path):
         matrices=grid.matrices,
         schemes=grid.schemes,
         ks=grid.ks,
-        machines=(MachineModel(alpha=1.0, beta=1.0, gamma=1.0),),
+        machine=MachineModel(alpha=1.0, beta=1.0, gamma=1.0),
     )
     res = run_sweep(repriced, cache_dir=tmp_path)
     # records rebuilt (different pricing), but the partitions themselves

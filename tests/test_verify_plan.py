@@ -21,7 +21,7 @@ from repro.runtime import compile_plan
 from repro.simulate.machine import MachineModel
 from repro.verify import check_plan
 
-from tests.test_runtime import CFG, partitioned_instances  # noqa: F401
+from tests.test_runtime import CFG, _partition_npz, partitioned_instances  # noqa: F401
 
 pytestmark = pytest.mark.check
 
@@ -279,11 +279,9 @@ def test_load_plan_rejects_undecodable_file(tmp_path):
 
 
 def test_load_plan_rejects_wrong_payload(tmp_path, verified_artifacts):
-    from repro.partition.serialize import save_partition
-
     p, _ = verified_artifacts[0]
     path = tmp_path / "part.npz"
-    save_partition(p, path)
+    _partition_npz(path, p, version=2, payload="partition")
     with pytest.raises(SerializationError, match="holds a 'partition'"):
         load_plan(path)
 

@@ -98,7 +98,7 @@ def step_campaign() -> tuple[bool, str]:
         schemes=(SchemeSpec("1d-rowwise", 0), SchemeSpec("s2d-heuristic", 0)),
         ks=(2, 4, 8),
         seeds=(cfg.seed,),
-        machines=(cfg.machine,),
+        machine=cfg.machine,
     )
     uids = [cell_uid(t, c) for t in grid.tasks() for c in t.cells]
     faults = FaultPlan(specs=(
