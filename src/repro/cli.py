@@ -19,7 +19,7 @@
     python -m repro.cli campaign status --dir runs/t2
     python -m repro.cli check lint
     python -m repro.cli check plan --matrix trdheim --scheme s2d --k 8 --scale tiny
-    python -m repro.cli check plan --plan-file saved-plan.npz
+    python -m repro.cli check plan --plan-file saved.plan
 
 The ``table`` subcommand regenerates any of the paper's Tables I–VII
 through the sweep supervisor — ``--jobs N`` fans the per-matrix tasks
@@ -55,7 +55,9 @@ reported without aborting the rest of the grid.
 ``check`` runs the static verification layer and exits 1 on any
 violation: ``check plan`` proves a compiled plan's index-array IR
 well-formed (from a partitioned suite matrix or MatrixMarket file, or
-a saved ``.npz`` via ``--plan-file``); ``check lint`` runs the project
+a :func:`~repro.partition.serialize.save_plan` file via
+``--plan-file``: one that cannot be opened is a usage error, one that
+does not decode exits 1); ``check lint`` runs the project
 AST lint over the ``repro`` package.
 
 Every usage error — an unknown suite matrix, no or two matrix
@@ -334,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_check.add_argument(
         "--plan-file", default=None,
-        help="saved .npz compiled plan to verify (check plan)",
+        help="compiled plan written by save_plan, to verify (check plan)",
     )
     p_check.add_argument("--matrix", help="suite matrix name (check plan)")
     p_check.add_argument("--mtx", help="path to a MatrixMarket file (check plan)")
@@ -613,6 +615,8 @@ def _check_cmd(args) -> int:
 
         try:
             plan = load_plan(args.plan_file, verify=False)
+        except OSError as exc:
+            raise UsageError(f"cannot read --plan-file {args.plan_file}: {exc}") from None
         except SerializationError as exc:
             print(f"s2d-repro: error: {exc}", file=sys.stderr)
             return 1

@@ -20,7 +20,7 @@ and record stage events only into a log the caller sizes
 (:func:`kway_event_rows`, :func:`bisect_event_rows`) and passes while a
 trace is open.  Each wrapper allocates the kernel's outputs and
 workspace, and passes every array as a bare address after checking its
-dtype and C-contiguity (``TypeError`` otherwise): no silent
+dtype, C-contiguity and alignment (``TypeError`` otherwise): no silent
 conversion.  The drivers allocate their own scratch inside the call
 and free it before returning; a failed allocation raises
 :class:`MemoryError`.
@@ -104,8 +104,8 @@ def compact_group(gp) -> tuple[np.ndarray, int]:
 #
 # Every entry takes bare addresses (build._PTR): a solve makes hundreds
 # of applies, and ndpointer's per-array check cost more than some of
-# the loops.  ``addresses`` makes the same check (dtype, C-contiguity)
-# and raises before anything enters C.
+# the loops.  ``addresses`` makes the same check (dtype, C-contiguity,
+# alignment) and raises before anything enters C.
 
 _I8 = np.dtype(np.int8)
 _I64 = np.dtype(np.int64)
@@ -116,13 +116,20 @@ _F64 = np.dtype(np.float64)
 def _addr(kernel: str, name: str, a, dtype: np.dtype) -> int | None:
     if a is None:
         return None
-    if not isinstance(a, np.ndarray) or a.dtype != dtype or not a.flags.c_contiguous:
+    if (
+        not isinstance(a, np.ndarray)
+        or a.dtype != dtype
+        or not a.flags.c_contiguous
+        or not a.flags.aligned
+    ):
         got = (
             f"{a.dtype}{'' if a.flags.c_contiguous else ', not C-contiguous'}"
+            f"{'' if a.flags.aligned else ', misaligned'}"
             if isinstance(a, np.ndarray) else type(a).__name__
         )
         raise TypeError(
-            f"native {kernel}: {name} must be a C-contiguous {dtype} array (got {got})"
+            f"native {kernel}: {name} must be a C-contiguous {dtype} array "
+            f"at an aligned address (got {got})"
         )
     try:
         # The buffer protocol yields the address several times faster
@@ -134,7 +141,8 @@ def _addr(kernel: str, name: str, a, dtype: np.dtype) -> int | None:
 
 def addresses(kernel: str, *specs) -> list[int | None]:
     """Data addresses of ``(name, array, dtype)`` specs, in order;
-    :class:`TypeError` for an array of another dtype or layout.  A
+    :class:`TypeError` for an array of another dtype or layout, or one
+    that is not aligned to its dtype.  A
     ``None`` array passes as a NULL pointer.
 
     An address does not keep its array alive: the caller must hold a

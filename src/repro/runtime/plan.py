@@ -373,7 +373,8 @@ class CommPlan:
         """Split the plan into a JSON header and named arrays.
 
         The inverse of :meth:`from_state`; used by
-        :func:`repro.partition.serialize.save_plan`.
+        :func:`repro.partition.serialize.pack_plan`, which frames the
+        header and the raw arrays as one payload.
         """
         from repro.partition.serialize import json_safe_meta
 
@@ -430,7 +431,11 @@ class CommPlan:
 
     @classmethod
     def from_state(cls, header: dict, arrays: dict[str, np.ndarray]) -> "CommPlan":
-        """Rebuild a plan saved by :meth:`to_state`."""
+        """Rebuild a plan saved by :meth:`to_state`.
+
+        The arrays are used as given, never copied: a loaded plan's are
+        read-only views of its payload.
+        """
 
         def group(slot: int, prefix: str) -> GroupPlan | None:
             spec = header["groups"][slot]

@@ -10,6 +10,8 @@ expand/fold and the routed combine) kept in ``tests/comm_oracle.py``.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.errors import SimulationError
@@ -136,9 +138,13 @@ class Ledger:
         if not book:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.copy(), empty.copy()
-        pairs = np.array(sorted(book), dtype=np.int64)
-        words = np.array([book[(s, d)] for s, d in map(tuple, pairs)], dtype=np.int64)
-        return pairs[:, 0], pairs[:, 1], words
+        n = len(book)
+        pairs = np.fromiter(itertools.chain.from_iterable(book), np.int64, 2 * n).reshape(n, 2)
+        words = np.fromiter(book.values(), np.int64, n)
+        # Booked pairs are unique and in range, so their keys are unique
+        # and any sort orders them by (src, dst).
+        order = np.argsort(pairs[:, 0] * self.nparts + pairs[:, 1])
+        return pairs[order, 0], pairs[order, 1], words[order]
 
     def _arrays(self, phase: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         cached = self._agg.get(phase)

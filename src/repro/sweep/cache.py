@@ -31,8 +31,10 @@ committed row survives a killed process.  Payloads:
   (:func:`repro.partition.serialize.pack_assignment`); a fetch rebuilds
   the partition around the caller's canonical matrix, which the address
   already pins by digest;
-- compiled plans keep the :func:`~repro.partition.serialize.save_plan`
-  payload and pass :func:`~repro.verify.check_plan` again on load;
+- compiled plans keep the :func:`~repro.partition.serialize.pack_plan`
+  payload, in the same raw framing; a fetch reads the plan's arrays as
+  read-only views of the blob and passes
+  :func:`~repro.verify.check_plan` again;
 - cell records are exact pickles of
   :class:`~repro.simulate.report.PartitionQuality`, so warm records are
   bit-identical to cold ones.
@@ -60,7 +62,6 @@ its ``-wal`` / ``-shm`` files and recreated.  Both count as
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import pathlib
@@ -72,10 +73,10 @@ from repro import obs
 from repro.errors import UsageError
 from repro.partition import serialize
 from repro.partition.serialize import (
-    load_plan,
     pack_assignment,
-    save_plan,
+    pack_plan,
     unpack_assignment,
+    unpack_plan,
 )
 
 __all__ = ["ArtifactCache", "RECORD_VERSION", "cache_key", "read_events"]
@@ -328,13 +329,11 @@ class ArtifactCache:
     def fetch_plan(self, matrix_digest: str, plan_key: tuple):
         return self._fetch(
             self.plan_key(matrix_digest, plan_key),
-            lambda blob: load_plan(io.BytesIO(blob)),
+            unpack_plan,
         )
 
     def store_plan(self, matrix_digest: str, plan_key: tuple, plan) -> None:
-        buf = io.BytesIO()
-        save_plan(plan, buf)
-        self._store(self.plan_key(matrix_digest, plan_key), buf.getvalue())
+        self._store(self.plan_key(matrix_digest, plan_key), pack_plan(plan))
 
     # ------------------------------------------------------------------
     # Evaluated cell records

@@ -18,8 +18,9 @@ everything else rests on:
   resolver modules, one clock, …).
 
 Everything surfaces through the CLI ``check`` subcommand, the
-``verify=`` hook of :func:`repro.partition.serialize.load_plan` (on by
-default, and what the artifact store's plan fetch runs), and the
+``verify=`` hook of :func:`repro.partition.serialize.unpack_plan` and
+:func:`~repro.partition.serialize.load_plan` (on by default, and what
+the artifact store's plan fetch runs), and the
 ``check`` pytest tier.
 """
 

@@ -6,6 +6,8 @@ shared safely across fork, concurrent creation of a fresh root, a
 database file that is not a database, and roots that are misused.
 """
 
+import io
+import json
 import os
 import shutil
 import sqlite3
@@ -82,6 +84,58 @@ def test_assignment_blob_refuses_another_matrix_or_a_torn_blob(matrix):
         unpack_assignment(blob[:-8], engine.matrix)
     with pytest.raises(SerializationError):
         unpack_assignment(b"\x00garbage\xff", engine.matrix)
+
+
+def test_unpadded_assignment_blob_reads_into_aligned_arrays(matrix):
+    """A partition blob whose header was not padded (as written before
+    plans shared the format) still reads, into aligned arrays."""
+    engine = PartitionEngine(matrix, seed=3)
+    p = engine.plan("1d-rowwise", 3).partition
+    blob = pack_assignment(p)
+    hlen = int.from_bytes(blob[:4], "little")
+    text = blob[4 : 4 + hlen].rstrip(b" ") + b" " * 3
+    while (4 + len(text)) % 8 == 0:
+        text += b" "
+    old = len(text).to_bytes(4, "little") + text + blob[4 + hlen :]
+    back = unpack_assignment(old, engine.matrix)
+    for got, want in zip(
+        (back.nnz_part, back.vectors.x_part, back.vectors.y_part),
+        (p.nnz_part, p.vectors.x_part, p.vectors.y_part),
+    ):
+        assert got.flags.aligned and not got.flags.writeable
+        assert np.array_equal(got, want)
+
+
+def test_npz_plan_payload_is_evicted_and_recompiled(matrix, tmp_path):
+    """A plan payload of the former ``.npz`` format at a plan address
+    is corrupt: the store evicts it, and the engine recompiles and
+    stores the plan again."""
+    cold = PartitionEngine(matrix, seed=3, artifacts=ArtifactCache(tmp_path))
+    plan = cold.plan("s2d-heuristic", 3)
+    built = cold.compiled_plan(plan)
+    header, arrays = built.to_state()
+    header = {"version": 2, "payload": "comm-plan", **header}
+    npz = io.BytesIO()
+    np.savez_compressed(
+        npz, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays
+    )
+    key = ArtifactCache.plan_key(cold.matrix_digest, plan.key)
+    with sqlite3.connect(tmp_path / "artifacts.sqlite") as db:
+        db.execute("UPDATE artifacts SET payload = ? WHERE key = ?", (npz.getvalue(), key))
+    assert db.total_changes == 1
+    db.close()
+
+    cache = ArtifactCache(tmp_path)
+    warm = PartitionEngine(matrix, seed=3, artifacts=cache)
+    again = warm.compiled_plan(warm.plan("s2d-heuristic", 3))
+    assert cache.stats["corrupt"] == 1 and cache.stats["stores"] == 1
+    x = np.linspace(-1.0, 1.0, matrix.shape[1])
+    assert np.array_equal(again.apply_y(x), built.apply_y(x))
+    assert again.ledger.as_dict() == built.ledger.as_dict()
+
+    cache = ArtifactCache(tmp_path)
+    PartitionEngine(matrix, seed=3, artifacts=cache).compiled_plan(plan)
+    assert cache.stats["corrupt"] == 0 and cache.stats["hits"] == 1
 
 
 @pytest.mark.parametrize("held", [False, True], ids=["race", "held"])

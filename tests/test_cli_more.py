@@ -98,17 +98,37 @@ def _saved_plan(small_square, path, *, corrupt: bool = False):
 
 
 def test_cli_check_plan_file_clean(tmp_path, small_square, capsys):
-    path = _saved_plan(small_square, tmp_path / "plan.npz")
+    path = _saved_plan(small_square, tmp_path / "plan.plan")
     assert main(["check", "plan", "--plan-file", str(path)]) == 0
     assert "CommPlan(executor='two'): OK (" in capsys.readouterr().out
 
 
 def test_cli_check_plan_file_fold_rows_out_of_range(tmp_path, small_square, capsys):
-    path = _saved_plan(small_square, tmp_path / "bad.npz", corrupt=True)
+    path = _saved_plan(small_square, tmp_path / "bad.plan", corrupt=True)
     assert main(["check", "plan", "--plan-file", str(path)]) == 1
     out = capsys.readouterr().out
     assert "violation(s)" in out
     assert "[plan.index-bounds] plan.fold_rows" in out
+
+
+def test_cli_check_plan_file_that_cannot_be_opened(tmp_path, capsys):
+    for path in (tmp_path / "missing.plan", tmp_path):
+        err = cli_usage_error(capsys, ["check", "plan", "--plan-file", str(path)])
+        assert f"cannot read --plan-file {path}" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"a text file, not a plan\n", b"PK\x03\x04 an archive", b""],
+    ids=["text", "npz", "empty"],
+)
+def test_cli_check_plan_file_that_does_not_decode(content, tmp_path, capsys):
+    path = tmp_path / "junk.plan"
+    path.write_bytes(content)
+    assert main(["check", "plan", "--plan-file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("s2d-repro: error: not a repro save file") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -257,6 +257,29 @@ def test_native_apply_rejects_bad_x_before_the_c_call(partitioned_instances):  #
     )
 
 
+def _misaligned_int64(values) -> np.ndarray:
+    """A read-only int64 view of ``values`` starting 4 bytes into a
+    buffer: C-contiguous, but not aligned."""
+    raw = np.asarray(values, dtype=np.int64).tobytes()
+    view = np.frombuffer(b"\0" * 4 + raw, dtype=np.int64, offset=4)
+    assert not view.flags.aligned and view.flags.c_contiguous
+    return view
+
+
+def test_addresses_refuse_a_misaligned_array():
+    with pytest.raises(TypeError, match="keys must be a C-contiguous int64 .*misaligned"):
+        ops.addresses("probe", ("keys", _misaligned_int64([1, 2, 3]), np.dtype(np.int64)))
+
+
+@pytest.mark.native
+def test_native_apply_refuses_a_misaligned_plan_array(partitioned_instances):  # noqa: F811
+    plan = compile_plan(partitioned_instances[1][0])  # single-phase s2D
+    assert plan.fold_rows.dtype == np.int64
+    plan.fold_rows = _misaligned_int64(plan.fold_rows)
+    with pytest.raises(TypeError, match="fold_rows must .*misaligned"):
+        plan.apply_y(np.ones(plan.ncols), backend="native")
+
+
 @pytest.mark.native
 def test_shuffled_main_section_is_refused(partitioned_instances):  # noqa: F811
     """A plan whose main section is out of row order fails the plan-IR

@@ -18,7 +18,7 @@ from repro.cli import main
 from repro.engine import PartitionEngine
 from repro.errors import ConfigError, PartitionError, ReproError, SimulationError
 from repro.hypergraph import PartitionConfig
-from repro.partition.serialize import load_plan, save_plan
+from repro.partition.serialize import load_plan, pack_assignment, save_plan
 from repro.runtime import CommPlan, compile_plan
 from repro.simulate import MachineModel
 from repro.simulate.common import PHASES
@@ -163,7 +163,7 @@ def test_plan_roundtrip(tmp_path, partitioned_instances):
     machine = MachineModel()
     for i, (p, _) in enumerate(partitioned_instances):
         plan = compile_plan(p)
-        path = tmp_path / f"plan{i}.npz"
+        path = tmp_path / f"plan{i}.plan"
         save_plan(plan, path)
         back = load_plan(path)
         assert isinstance(back, CommPlan)
@@ -181,43 +181,55 @@ def test_plan_roundtrip(tmp_path, partitioned_instances):
 
 def test_plan_roundtrip_keeps_mesh_meta(tmp_path, partitioned_instances):
     plan = compile_plan(partitioned_instances[2][0])  # s2D-b
-    save_plan(plan, tmp_path / "b.npz")
-    back = load_plan(tmp_path / "b.npz")
+    save_plan(plan, tmp_path / "b.plan")
+    back = load_plan(tmp_path / "b.plan")
     assert tuple(back.meta["mesh"]) == tuple(plan.meta["mesh"])
 
 
-def _partition_npz(path, p, **header):
-    """A hand-made ``.npz`` holding partition ``p`` (with its matrix)
-    under a JSON header of ``header``: a save file, but not a plan."""
-    np.savez(
-        path,
-        header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        row=p.matrix.row,
-        col=p.matrix.col,
-        data=p.matrix.data,
-        nnz_part=p.nnz_part,
-        x_part=p.vectors.x_part,
-        y_part=p.vectors.y_part,
-    )
+def framed(header: dict, arrays=()) -> bytes:
+    """A payload in the documented layout, made by hand: a 4-byte
+    little-endian header length, the JSON header padded with spaces to
+    an 8-byte boundary, then each array's raw bytes zero-padded to a
+    multiple of 8."""
+    text = json.dumps(header).encode()
+    text += b" " * (-(4 + len(text)) % 8)
+    out = len(text).to_bytes(4, "little") + text
+    for a in arrays:
+        raw = np.ascontiguousarray(a).tobytes()
+        out += raw + bytes(-len(raw) % 8)
+    return out
+
+
+def partition_payload(p, **header) -> bytes:
+    """Partition ``p`` (with its matrix) framed under a JSON header of
+    ``header``: a save payload, but not a plan."""
+    m = p.matrix
+    return framed(header, [m.row, m.col, m.data, p.nnz_part, p.vectors.x_part])
 
 
 def test_load_plan_rejects_partition_file(tmp_path, partitioned_instances):
     p, _ = partitioned_instances[0]
-    _partition_npz(tmp_path / "part.npz", p, version=2, payload="partition")
+    path = tmp_path / "part.plan"
+    path.write_bytes(partition_payload(p, version=2, payload="partition"))
     with pytest.raises(ReproError, match="holds a 'partition' save"):
-        load_plan(tmp_path / "part.npz")
+        load_plan(path)
+    # The artifact cache's partition payload is framed alike, and is no plan.
+    path.write_bytes(pack_assignment(p))
+    with pytest.raises(ReproError, match="holds a 'assignment' save"):
+        load_plan(path)
 
 
 def test_unknown_version_rejected(tmp_path, partitioned_instances):
-    header = np.frombuffer(json.dumps({"version": 99}).encode(), dtype=np.uint8)
-    np.savez(tmp_path / "future.npz", header=header)
+    (tmp_path / "future.plan").write_bytes(framed({"version": 99}))
     with pytest.raises(ReproError, match="version 99"):
-        load_plan(tmp_path / "future.npz")
+        load_plan(tmp_path / "future.plan")
     # A version-1 file predates the payload tag; nothing reads it now.
     p, _ = partitioned_instances[0]
-    _partition_npz(tmp_path / "v1.npz", p, version=1, kind=p.kind, nparts=p.nparts)
+    (tmp_path / "v1.plan").write_bytes(
+        partition_payload(p, version=1, kind=p.kind, nparts=p.nparts)
+    )
     with pytest.raises(ReproError, match="version 1 "):
-        load_plan(tmp_path / "v1.npz")
+        load_plan(tmp_path / "v1.plan")
 
 
 def test_ledger_phase_pairs_roundtrip(partitioned_instances):
@@ -231,6 +243,30 @@ def test_ledger_phase_pairs_roundtrip(partitioned_instances):
     assert rebuilt.as_dict() == plan.ledger.as_dict()
     empty = plan.ledger.phase_pairs("no-such-phase")
     assert all(a.size == 0 for a in empty)
+
+
+def _per_pair_phase_pairs(ledger, phase):
+    """``Ledger.phase_pairs`` as it was first written: the sorted pairs,
+    then each pair's words looked up one by one."""
+    book = ledger._phases.get(phase, {})
+    if not book:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), empty.copy()
+    pairs = np.array(sorted(book), dtype=np.int64)
+    words = np.array([book[(s, d)] for s, d in map(tuple, pairs)], dtype=np.int64)
+    return pairs[:, 0], pairs[:, 1], words
+
+
+def test_ledger_phase_pairs_matches_the_per_pair_lookup(partitioned_instances):
+    """The one-pass phase_pairs returns the arrays of the per-pair
+    lookup on every golden plan's every phase, and on an empty one."""
+    for p, _ in partitioned_instances:
+        ledger = compile_plan(p).ledger
+        for name in [*ledger.phase_names, "no-such-phase"]:
+            got, want = ledger.phase_pairs(name), _per_pair_phase_pairs(ledger, name)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w)
 
 
 # ---------------------------------------------------------------- engine + CLI

@@ -250,8 +250,8 @@ def test_partition_roundtrip_meta_mesh(spd_partition):
 
 
 def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.npz"
-    np.savez(path, nothing=np.zeros(3))
+    path = tmp_path / "junk.plan"
+    path.write_bytes(np.random.default_rng(0).bytes(64))
     with pytest.raises(ReproError, match="not a repro save file"):
         load_plan(path)
 

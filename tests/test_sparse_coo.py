@@ -201,6 +201,25 @@ def test_read_only_input_keeps_its_flags_and_is_shared():
         assert np.shares_memory(getattr(again, name), getattr(m, name))
 
 
+def test_result_over_caller_memory_is_checked_again_when_passed_back():
+    """Read-only views of the caller's writeable arrays are shared, so
+    the caller can still change the result's entries; passing it back
+    must check it again rather than trust it."""
+    row = np.array([0, 1, 2], dtype=np.int32)
+    col = np.array([0, 1, 2], dtype=np.int32)
+    data = np.array([1.0, 2.0, 3.0])
+    views = [x.view() for x in (row, col, data)]
+    for v in views:
+        v.flags.writeable = False
+    m = canonical_coo(sp.coo_matrix((views[2], (views[0], views[1])), shape=(3, 3)))
+    assert np.shares_memory(m.row, row) and np.shares_memory(m.data, data)
+    row[:] = [2, 1, 0]
+    data[1] = 0.0
+    again = canonical_coo(m)
+    assert again.row.tolist() == [0, 2] and again.col.tolist() == [2, 0]
+    assert again.data.tolist() == [3.0, 1.0]
+
+
 def test_writeable_csr_input_is_copied_not_frozen():
     a = sp.random(12, 9, density=0.3, random_state=4, format="csr")
     assert a.has_sorted_indices

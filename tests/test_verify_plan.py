@@ -10,18 +10,24 @@ a test artifact.
 """
 
 import copy
+import io
 
 import numpy as np
 import pytest
 
 from repro.engine import PartitionEngine
 from repro.errors import SerializationError, VerificationError
-from repro.partition.serialize import load_plan, save_plan
+from repro.partition.serialize import load_plan, pack_assignment, pack_plan, save_plan
 from repro.runtime import compile_plan
 from repro.simulate.machine import MachineModel
 from repro.verify import check_plan
 
-from tests.test_runtime import CFG, _partition_npz, partitioned_instances  # noqa: F401
+from tests.test_runtime import (  # noqa: F401
+    CFG,
+    framed,
+    partition_payload,
+    partitioned_instances,
+)
 
 pytestmark = pytest.mark.check
 
@@ -255,14 +261,14 @@ def test_mutated_plan_alone_is_flagged_without_shards(verified_artifacts):
 
 def test_load_plan_verifies_by_default(tmp_path, verified_artifacts):
     _, plan = verified_artifacts[1]
-    path = tmp_path / "plan.npz"
+    path = tmp_path / "plan.plan"
     save_plan(plan, path)
     loaded = load_plan(path)  # clean file passes with verify on
     assert np.array_equal(loaded.fold_rows, plan.fold_rows)
 
     bad = copy.deepcopy(plan)
     bad.fold_rows[0] = bad.nrows + 1
-    bad_path = tmp_path / "bad.npz"
+    bad_path = tmp_path / "bad.plan"
     save_plan(bad, bad_path)
     with pytest.raises(SerializationError, match="failed plan verification"):
         load_plan(bad_path)
@@ -272,18 +278,78 @@ def test_load_plan_verifies_by_default(tmp_path, verified_artifacts):
 
 
 def test_load_plan_rejects_undecodable_file(tmp_path):
-    path = tmp_path / "junk.npz"
-    np.savez(path, not_a_header=np.arange(3))
+    path = tmp_path / "junk.plan"
+    path.write_bytes((8).to_bytes(4, "little") + b"not json")
     with pytest.raises(SerializationError, match="not a repro save file"):
         load_plan(path)
 
 
 def test_load_plan_rejects_wrong_payload(tmp_path, verified_artifacts):
     p, _ = verified_artifacts[0]
-    path = tmp_path / "part.npz"
-    _partition_npz(path, p, version=2, payload="partition")
+    path = tmp_path / "part.plan"
+    path.write_bytes(partition_payload(p, version=2, payload="partition"))
     with pytest.raises(SerializationError, match="holds a 'partition'"):
         load_plan(path)
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_every_mutation_class_is_refused_on_load(name, verified_artifacts):
+    """Every mutation class, written through save_plan, is refused by
+    load_plan on every golden instance it applies to."""
+    applied = 0
+    for _, plan in verified_artifacts:
+        mplan = copy.deepcopy(plan)
+        if not MUTATIONS[name](mplan):
+            continue
+        applied += 1
+        buf = io.BytesIO()
+        save_plan(mplan, buf)
+        with pytest.raises(SerializationError):
+            load_plan(io.BytesIO(buf.getvalue()))
+    assert applied > 0
+
+
+def _unframed_payloads(plan, p) -> dict[str, bytes]:
+    """Blobs that must not frame as a plan, by what is wrong with them."""
+    blob = pack_plan(plan)
+    hlen = int.from_bytes(blob[:4], "little")
+    npz = io.BytesIO()
+    np.savez_compressed(npz, header=np.frombuffer(b"{}", dtype=np.uint8))
+    header = framed({"version": 2, "payload": "comm-plan",
+                     "arrays": [["pre_cols", "<i8", [10**6]]]})
+    return {
+        "empty": b"",
+        "truncated-length": blob[:3],
+        "truncated-header": blob[: 4 + hlen // 2],
+        "truncated-arrays": blob[:-8],
+        "trailing-bytes": blob + bytes(8),
+        "header-past-end": (10**6).to_bytes(4, "little") + blob[4:],
+        "header-not-utf8": (4).to_bytes(4, "little") + b"\xff\xfe\xfd\xfc",
+        "header-not-json": (8).to_bytes(4, "little") + b"{not js}",
+        "header-not-object": framed([1, 2, 3]),
+        "arrays-past-end": header,
+        "bad-array-entry": framed({"version": 2, "payload": "comm-plan",
+                                   "arrays": [["pre_cols", "object", [1]]]}),
+        "assignment": pack_assignment(p),
+        "unknown-version": framed({"version": 3, "payload": "comm-plan", "arrays": []}),
+        "npz": npz.getvalue(),
+    }
+
+
+def test_load_plan_refuses_unframed_payloads_before_any_view(
+    verified_artifacts, monkeypatch
+):
+    p, plan = verified_artifacts[2]  # routed: the most arrays
+    payloads = _unframed_payloads(plan, p)
+    views = []
+    real = np.frombuffer
+    monkeypatch.setattr(np, "frombuffer", lambda *a, **k: views.append(a) or real(*a, **k))
+    for case, blob in payloads.items():
+        with pytest.raises(SerializationError):
+            load_plan(io.BytesIO(blob))
+        assert views == [], case
+    load_plan(io.BytesIO(pack_plan(plan)))
+    assert views  # the spy sees the views of a good payload
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,9 @@ Runs, in order, and prints one PASS/FAIL line per step:
 2. the plan-IR checker on freshly compiled golden instances across all
    three execution models, and their ``y``
    digests, ledgers, phase flops and plan arrays against the committed
-   ``tests/fixtures/runtime_golden.json``;
+   ``tests/fixtures/runtime_golden.json``; each plan is also saved and
+   loaded in memory, and must keep its pinned digests and come back as
+   read-only, aligned views of the payload;
 3. the fast pytest tier (``-m "not slow"``) in a subprocess — skipped
    with ``--no-pytest`` when only the static layer is wanted;
 4. with ``--bench``, the bench-trend gate (``tools/bench_trend.py``)
@@ -44,22 +46,54 @@ def step_lint() -> tuple[bool, str]:
     return True, "0 violations over src/repro"
 
 
+def _saved_and_loaded(plan, pinned: dict) -> list[str]:
+    """Problems of ``plan`` after a ``save_plan`` / ``load_plan`` round
+    trip in memory: a digest that differs from ``pinned``, or a plan
+    array that is not a read-only, aligned view of the payload."""
+    import io
+
+    from repro.partition.serialize import load_plan, save_plan
+
+    from tests.golden_runtime import plan_digest
+
+    buf = io.BytesIO()
+    save_plan(plan, buf)
+    loaded = load_plan(io.BytesIO(buf.getvalue()))
+    problems = [
+        f"array {name!r} differs after a save/load"
+        for name, digest in plan_digest(loaded).items()
+        if pinned.get(name) != digest
+    ]
+    for name, a in loaded.to_state()[1].items():
+        if name.startswith("ledger"):  # rebuilt from the ledger's book
+            continue
+        if a.flags.writeable or not a.flags.aligned or a.flags.owndata:
+            problems.append(f"loaded array {name!r} is not a read-only aligned view")
+    return problems
+
+
 def step_plans() -> tuple[bool, str]:
+    import json
+
     from repro.runtime import compile_plan
     from repro.verify import check_plan
 
     from tests.golden_runtime import FIXTURE, check, golden_instances
 
+    pinned = json.loads(FIXTURE.read_text())
     instances = golden_instances()
     lines, ok = [], True
     for label, p, _ in instances:
-        report = check_plan(compile_plan(p))
-        ok &= report.ok
+        plan = compile_plan(p)
+        report = check_plan(plan)
+        problems = _saved_and_loaded(plan, pinned[label]["plan"])
+        ok &= report.ok and not problems
         lines.append(f"{label}: {report.summary()}")
+        lines += [f"{label}: {problem}" for problem in problems]
     drift = check(instances)
     ok &= not drift
     lines.append(
-        f"golden digests ({FIXTURE.name}): "
+        f"golden digests ({FIXTURE.name}), compiled and saved/loaded: "
         + ("match" if not drift else f"{len(drift)} mismatch(es)")
     )
     lines += drift
