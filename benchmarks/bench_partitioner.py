@@ -1,4 +1,4 @@
-"""Micro-benchmark: the multilevel partitioner, native and NumPy.
+"""Micro-benchmark: the multilevel partitioner.
 
 Times end-to-end ``partition_kway`` (with a per-stage breakdown folded
 from its ``repro.obs`` trace) on column-net models of an R-MAT instance
@@ -9,11 +9,9 @@ The same models at K = 1024 (``large_k``; no seed cut exists there)
 time the K-way polish at a large K.  Every run uses the process's
 partitioner threads (``config.nthreads``, all of ``config.host_cpus``)
 and is repeated on one thread: the partitions must be identical
-(``threads_identical``).  On the acceptance instance it also times
-``partition_kway`` with the NumPy loops forced
-(``set_default_backend("numpy")``): the native-over-NumPy speedup gates
-the C V-cycle, and both backends must return the same partition.
-Emits ``BENCH_partitioner.json`` at the repository root.
+(``threads_identical``).  The partitioner is the C driver alone, so
+there is no second backend to compare.  Emits
+``BENCH_partitioner.json`` at the repository root.
 
 Run directly (no pytest machinery needed)::
 
@@ -33,8 +31,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_partitioner.json"
 
 SEED = 5
-# Native V-cycle over the NumPy reference loops, whole partition_kway.
-NATIVE_SPEEDUP_TARGET = 5.0
 QUALITY_TOLERANCE = 1.05
 ACCEPTANCE_MODEL = "mesh10k-colnet"  # the ~10k-vertex column-net model
 ACCEPTANCE_K = 64
@@ -120,7 +116,6 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
         partition_kway,
     )
     from repro.jobs import host_cpus, partition_threads
-    from repro.native import resolve_backend, set_default_backend
 
     ks = (4, 8) if quick else (16, 64)
     large_k = 64 if quick else 1024
@@ -128,7 +123,6 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
 
     entries = []
     large = []
-    runs = {}  # (model, k) -> (hypergraph, partition)
     threads_identical = True
     for name, a in _models(quick):
         hg = column_net_model(a)
@@ -136,7 +130,6 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
             part, t_new, trace = _timed(hg, k, cfg)
             one, one_s, _ = _timed(hg, k, cfg, nthreads=1)
             threads_identical &= bool(np.array_equal(part, one))
-            runs[name, k] = hg, part
             cut_new = connectivity_minus_one(hg, part)
             entry = {
                 "model": name,
@@ -197,25 +190,6 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
         ),
         entries[-1],
     )
-    # The same partition_kway on the NumPy reference loops.  The floor
-    # binds at full scale with the native backend available; the quick
-    # instances are too small for the kernels to show.
-    have_native = resolve_backend() == "native"
-    hg, part = runs[accept["model"], accept["k"]]
-    set_default_backend("numpy")
-    try:
-        t0 = time.perf_counter()
-        part_numpy = partition_kway(hg, accept["k"], cfg)
-        numpy_s = time.perf_counter() - t0
-    finally:
-        set_default_backend(None)
-    native_speedup = numpy_s / accept["vectorized_s"]
-    backends_identical = bool(np.array_equal(part, part_numpy))
-    native_applies = have_native and not quick
-    print(
-        f"{accept['model']:16s} K={accept['k']:<3d} numpy loops {numpy_s:7.2f}s  "
-        f"native speedup {native_speedup:5.1f}x  identical {backends_identical}"
-    )
     result = {
         "config": {
             "seed": SEED,
@@ -236,19 +210,9 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
         "acceptance": {
             "model": accept["model"],
             "k": accept["k"],
-            "numpy_s": numpy_s,
-            "native_speedup": native_speedup,
-            "native_speedup_target": NATIVE_SPEEDUP_TARGET,
-            "native_speedup_target_applies": native_applies,
-            "backends_identical": backends_identical,
             "threads_identical": threads_identical,
             "quality_tolerance": QUALITY_TOLERANCE,
-            "passed": bool(
-                max(ratios) <= QUALITY_TOLERANCE
-                and backends_identical
-                and threads_identical
-                and (native_speedup >= NATIVE_SPEEDUP_TARGET or not native_applies)
-            ),
+            "passed": bool(max(ratios) <= QUALITY_TOLERANCE and threads_identical),
         },
     }
     out_path.write_text(json.dumps(result, indent=2) + "\n")

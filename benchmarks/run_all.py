@@ -49,7 +49,7 @@ BENCHMARKS = [
         bench_partitioner,
         "BENCH_partitioner.json",
         lambda r: (
-            f"partitioner native over NumPy {r['acceptance']['native_speedup']:.1f}x, "
+            f"partitioner threads identical {r['acceptance']['threads_identical']}, "
             f"quality max ratio {r['quality_suite']['max_ratio']:.3f} vs seed"
         ),
     ),

@@ -38,8 +38,11 @@ solver (power iteration, Jacobi, CG) on the compiled SpMV runtime —
 the partition is compiled once into a reusable communication plan and
 every iteration is a pure array apply.  ``--backend
 {auto,numpy,native}`` (on ``solve`` and ``table``) selects the numeric
-kernels; ``native-info`` reports whether the native C kernel backend
-is available and where its build cache lives.
+kernels of the apply, the block DM and the s2D flip loop; every
+partition comes from the native C kernels, so a command that
+partitions on a host without them prints one error line and exits 2
+before any work.  ``native-info`` reports whether the native C kernel
+backend is available and where its build cache lives.
 
 ``campaign`` is the crash-safe way to run a table-scale grid: every
 cell lifecycle event is committed as a row of the artifact store under
@@ -75,7 +78,7 @@ from repro import obs
 from repro.engine import ALIASES, PartitionEngine, available_methods
 from repro.errors import CampaignError, ConfigError, ReproError, UsageError
 from repro.jobs import resolve_jobs
-from repro.native import BACKENDS, resolve_backend, set_default_backend
+from repro.native import BACKENDS, require_kernels, resolve_backend, set_default_backend
 from repro.experiments import (
     GRID_TABLES,
     TABLES,
@@ -188,10 +191,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_table.add_argument(
         "--backend", choices=BACKENDS, default="auto",
-        help="process-default kernel backend, followed by the hypergraph "
-        "partitioner, the batched block DM and the s2D flip loop "
-        "(auto = native where a C compiler is available; tables are "
-        "identical on every backend)",
+        help="process-default kernel backend, followed by the batched "
+        "block DM and the s2D flip loop (auto = native where a C "
+        "compiler is available; tables are identical on every backend); "
+        "the hypergraph partitioner always runs the native kernels",
     )
     _add_trace_args(p_table)
 
@@ -199,7 +202,8 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser(
         "native-info",
-        help="report the native C kernel backend: compiler, cache, status",
+        help="report the native C kernel backend (which every partition "
+        "needs): compiler, cache, status",
     )
 
     p_spy = sub.add_parser("spy", help="ASCII spy plot of a partitioned matrix")
@@ -259,9 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     p_solve.add_argument("--tol", type=float, default=1e-8)
     p_solve.add_argument(
         "--backend", choices=BACKENDS, default="auto",
-        help="numeric kernel backend: numpy, native (fused C loops; "
-        "errors if no C compiler), or auto (native where available, "
-        "bit-identical either way)",
+        help="numeric kernel backend of the apply: numpy, native (fused C "
+        "loops; errors if no C compiler), or auto (native where available, "
+        "bit-identical either way); the partition always runs natively",
     )
     _add_trace_args(p_solve)
 
@@ -377,9 +381,22 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _partitions(args) -> bool:
+    """Whether the command partitions a matrix, which only the native
+    kernels do."""
+    if args.cmd == "campaign":
+        return args.action != "status"
+    if args.cmd == "check":
+        return args.what == "plan" and args.plan_file is None
+    return args.cmd in ("table", "spy", "partition", "simulate", "solve")
+
+
 def _dispatch(args) -> int:
     if getattr(args, "k", 1) < 1:
         raise UsageError(f"--k must be at least 1, got {args.k}")
+    if _partitions(args):
+        # A host without the kernels is refused before any work.
+        require_kernels()
     if args.cmd == "suite":
         suite = table1_suite(args.scale) if args.which == "table1" else table4_suite(args.scale)
         for sm in suite:
@@ -417,6 +434,10 @@ def _dispatch(args) -> int:
         print(f"default_backend={status['default_backend']}")
         if status["reason"]:
             print(f"reason={status['reason']}")
+        print(
+            "partitioning="
+            + ("native" if status["available"] else "unavailable (needs the native kernels)")
+        )
         return 0
 
     if args.cmd == "campaign":

@@ -39,8 +39,8 @@ class NativeBuildError(ReproError):
     Carries the reason (no compiler on PATH, compile failure, corrupt
     cached library).  ``backend="auto"`` callers never see it — the
     dispatcher records the reason and falls back to the NumPy kernels —
-    but an explicit ``backend="native"`` request surfaces it as a
-    :class:`ConfigError`-style hard failure.
+    but an explicit ``backend="native"`` request and every partitioning
+    call surface it as a :class:`ConfigError`.
     """
 
 

@@ -2,23 +2,23 @@
 
 The paper obtains all of its vector/nonzero partitions from PaToH, a
 closed-source multilevel hypergraph partitioner.  This package
-implements the same algorithmic recipe:
+implements the same algorithmic recipe, whose loops run in one C
+driver (``repro.native``'s kernels, which every partitioning call
+needs):
 
 - :mod:`repro.hypergraph.hypergraph` — the pin-CSR data structure;
 - :mod:`repro.hypergraph.models` — the hypergraph models of the sparse
   partitioning literature: column-net (1D rowwise), row-net (1D
   columnwise), fine-grain row-column-net (2D), and the medium-grain
   composite model of Pelt & Bisseling;
-- :mod:`repro.hypergraph.coarsen` — heavy-connectivity agglomerative
-  coarsening;
-- :mod:`repro.hypergraph.initial` — greedy hypergraph growing and
-  random initial bisections;
-- :mod:`repro.hypergraph.refine` — Fiduccia–Mattheyses boundary
-  refinement with cut-net metric and multi-constraint balance;
-- :mod:`repro.hypergraph.bisect` — the multilevel V-cycle;
-- :mod:`repro.hypergraph.partitioner` — recursive-bisection K-way
+- :mod:`repro.hypergraph.bisect` — the multilevel V-cycle:
+  heavy-connectivity matching, greedy-growing and random initial
+  bisections, Fiduccia–Mattheyses refinement with the cut-net metric
+  and multi-constraint balance;
+- :mod:`repro.hypergraph.partitioner` — the recursive-bisection K-way
   driver with cut-net splitting (exactly models the connectivity-1
-  communication-volume metric).
+  communication-volume metric), a direct K-way polish and the quality
+  metrics.
 """
 
 from repro.hypergraph.hypergraph import Hypergraph

@@ -1,51 +1,70 @@
-"""Multilevel bisection V-cycle.
+"""The multilevel bisection V-cycle, run in C.
 
-Coarsen with heavy-connectivity matching until the hypergraph is small,
-try several initial bisections (greedy growing / random), refine with
-FM, then project back level by level refining at each.
+One V-cycle coarsens the hypergraph by heavy-connectivity matching
+(HCM, PaToH's default) until it is small, tries several initial
+bisections of the coarsest level (greedy hypergraph growing and random
+fills, alternating), refines the best with Fiduccia–Mattheyses (FM)
+passes and projects it back level by level, refining at each:
 
-When :func:`repro.native.resolve_backend` picks the native backend
-and the generator is PCG64-backed (every generator
-:func:`repro.rng.as_generator` and :func:`repro.rng.spawn` make), the
-whole V-cycle is one call of ``kernels.c:repro_bisect``: the stages
-below chained in C, with NumPy's random streams ported bit for bit.
-The generator's final state is written back, so the caller's stream
-continues as after the Python V-cycle.  Any other bit generator, and
-the NumPy backend, run the Python V-cycle below over the NumPy stages,
-which are the C stages' reference.  :func:`repro.hypergraph.partition_kway`
-runs this V-cycle per subproblem, or on the native backend the whole
-recursion as one call of ``kernels.c:repro_partition_kway``, whose
-V-cycle is the same C code.
+- the matching visits the vertices in a random order; each unmatched
+  vertex takes the unmatched neighbour of largest score
+  ``Σ cost(e) / (|e| − 1)`` over the nets of 2 to ``max_net_size``
+  pins they share, summed in ascending net id, the smaller id on ties;
+- contraction merges each matched pair, keeps each pin of a net once,
+  drops nets left with one pin and merges identical nets (found by two
+  masked content hashes and an exact comparison of adjacent nets in
+  hash order), summing their costs;
+- FM moves vertices one at a time from integer gain buckets under the
+  cut-net metric, with multi-constraint balance: a move is admissible
+  when every constraint of the destination stays within
+  ``(1 + ε)·target``, or when it strictly lowers the worst violation of
+  an infeasible bisection; a pass stops after ``max(64, seeds /
+  _STALL_FRACTION)`` moves without a better prefix and rolls back to
+  the best one.
 
-The ``ninitial`` coarsest-level trials run against shared precomputed
-arrays: the coarsest hypergraph's incidence caches and the refinement
-context (valid-net adjacency, gain bound) are built once on the
-hypergraph object and reused by every trial and projection level.
-Each stage runs under an ``obs.span("partition.<stage>")``; the
-``partition.coarsen`` span counts the bisection and its levels.  The
-native drivers record the same stages as timed events only while a
-trace is open, and :func:`graft_stage_events` rebuilds the same spans
-from them.
+:func:`multilevel_bisect` is one call of ``kernels.c:repro_bisect``,
+which draws NumPy's PCG64 streams bit for bit and writes the caller's
+generator state back, so the stream continues as if NumPy had drawn
+it.  :func:`repro.hypergraph.partition_kway` runs the same V-cycle per
+subproblem inside one call of ``kernels.c:repro_partition_kway``.
+
+This module is the one home of what both drivers read: the level cap,
+the stall fraction, the hash mask, the targets' layout, and the event
+log from which :func:`graft_stage_events` rebuilds the
+``partition.<stage>`` spans while a trace is open.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro import obs
-from repro.hypergraph import coarsen
-from repro.hypergraph.coarsen import coarsen_once
+from repro.errors import ConfigError
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.initial import greedy_growing, random_bisection
-from repro.hypergraph.refine import _STALL_FRACTION, _target_array, fm_refine
-from repro.native import get_kernels, resolve_backend
 from repro.native import ops as native_ops
-from repro.rng import pcg64_words, set_pcg64_words, spawn
+from repro.native import require_kernels
+from repro.rng import pcg64_words, set_pcg64_words
+
+if TYPE_CHECKING:
+    from repro.hypergraph.partitioner import PartitionConfig
 
 __all__ = ["multilevel_bisect", "event_log", "graft_stage_events"]
 
 #: Most coarsening levels one V-cycle builds.
 MAX_LEVELS = 40
+
+# An FM pass stops after max(64, seeds / _STALL_FRACTION) consecutive
+# moves without improving the best prefix: the tail of a full
+# hill-climb is rolled back with overwhelming probability.
+_STALL_FRACTION = 8
+
+# ANDed into both content hashes of the contraction.  Tests set it to 0,
+# so that every two nets of one size share a key and the exact pin
+# comparison decides alone; with real hashes only a 128-bit collision
+# reaches that path.
+_HASH_MASK = (1 << 64) - 1
 
 #: Span names of the native drivers' stage ids (kernels.c's EV_*).
 _STAGES = (
@@ -63,69 +82,52 @@ def multilevel_bisect(
     targets: tuple[np.ndarray, np.ndarray],
     epsilon: float,
     rng: np.random.Generator,
-    coarsen_to: int = 120,
-    ninitial: int = 4,
-    fm_passes: int = 4,
-    max_net_size: int = 200,
+    config: PartitionConfig,
 ) -> tuple[np.ndarray, int]:
     """Bisect ``hg`` toward per-part ``targets`` within ``(1+ε)``.
 
-    Returns ``(part, cut)``: a 0/1 array over the vertices and the
-    cut-net cost of the final bisection.
+    ``config`` supplies ``coarsen_to``, ``ninitial``, ``fm_passes`` and
+    ``max_net_size``; its ``epsilon`` and ``seed`` are not read.
+    ``rng`` must be PCG64-backed and is advanced.  Returns ``(part,
+    cut)``: an int8 0/1 array over the vertices and the cut-net cost
+    of the final bisection.
+
+    Raises :class:`~repro.errors.ConfigError` for a generator on
+    another bit generator or when the native kernels are unavailable.
     """
-    if ninitial >= 1 and resolve_backend() == "native":
-        words = pcg64_words(rng)
-        if words is not None:
-            events = event_log(native_ops.bisect_event_rows(ninitial, MAX_LEVELS))
-            part, cut, nevents = native_ops.bisect(
-                get_kernels(), xpins=hg.xpins, pins=hg.pins, xnets=hg.xnets,
-                nets=hg.nets, vweights=hg.vweights, ncosts=hg.ncosts,
-                targets=_target_array(targets), epsilon=epsilon, coarsen_to=coarsen_to,
-                ninitial=ninitial, fm_passes=fm_passes, max_net_size=max_net_size,
-                max_levels=MAX_LEVELS, stall_fraction=_STALL_FRACTION,
-                hash_mask=coarsen._HASH_MASK, rng_state=words, events=events,
-            )
-            set_pcg64_words(rng, words)
-            graft_stage_events(events, nevents)
-            return part, cut
+    lib = require_kernels()
+    words = stream_words(rng)
+    events = event_log(native_ops.bisect_event_rows(config.ninitial, MAX_LEVELS))
+    part, cut, nevents = native_ops.bisect(
+        lib, xpins=hg.xpins, pins=hg.pins, xnets=hg.xnets, nets=hg.nets,
+        vweights=hg.vweights, ncosts=hg.ncosts, targets=_target_array(targets),
+        epsilon=epsilon, coarsen_to=config.coarsen_to, ninitial=config.ninitial,
+        fm_passes=config.fm_passes, max_net_size=config.max_net_size,
+        max_levels=MAX_LEVELS, stall_fraction=_STALL_FRACTION, hash_mask=_HASH_MASK,
+        rng_state=words, events=events,
+    )
+    set_pcg64_words(rng, words)
+    graft_stage_events(events, nevents)
+    return part, cut
 
-    levels: list[Hypergraph] = []
-    maps: list[np.ndarray] = []
-    cur = hg
-    with obs.span("partition.coarsen"):
-        obs.add("partition.bisections")
-        while cur.nvertices > coarsen_to and len(levels) < MAX_LEVELS:
-            cmap, coarse = coarsen_once(cur, rng, max_net_size=max_net_size)
-            if coarse.nvertices > 0.95 * cur.nvertices:
-                break  # matching stalled; further levels would be no-ops
-            levels.append(cur)
-            maps.append(cmap)
-            cur = coarse
-        obs.add("partition.levels", len(levels))
 
-    best_part: np.ndarray | None = None
-    best_cut = np.iinfo(np.int64).max
-    for trial, trial_rng in enumerate(spawn(rng, ninitial)):
-        with obs.span("partition.initial"):
-            if trial % 2 == 0:
-                part0 = greedy_growing(cur, targets, trial_rng)
-            else:
-                part0 = random_bisection(cur, targets, trial_rng)
-        with obs.span("partition.refine"):
-            part0, cut0 = fm_refine(cur, part0, targets, epsilon, max_passes=fm_passes)
-        if cut0 < best_cut:
-            best_cut = cut0
-            best_part = part0
-    assert best_part is not None
-    part = best_part
+def stream_words(rng: np.random.Generator) -> np.ndarray:
+    """``rng``'s state as the six words the drivers advance; a
+    :class:`~repro.errors.ConfigError` naming the bit generator unless
+    it is PCG64, the only stream the drivers draw."""
+    words = pcg64_words(rng)
+    if words is None:
+        raise ConfigError(
+            "the partitioner draws from PCG64 streams, got a generator on "
+            f"{type(rng.bit_generator).__name__}; seed it with an integer or "
+            "numpy.random.default_rng"
+        )
+    return words
 
-    with obs.span("partition.refine"):
-        for level_hg, cmap in zip(reversed(levels), reversed(maps)):
-            part = part[cmap]
-            part, best_cut = fm_refine(
-                level_hg, part, targets, epsilon, max_passes=fm_passes
-            )
-    return part, best_cut
+
+def _target_array(targets: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The two sides' targets as one float64 ``(2, ncon)`` array."""
+    return np.array(targets, dtype=np.float64).reshape(2, -1)
 
 
 def event_log(rows: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -138,7 +140,7 @@ def event_log(rows: int) -> tuple[np.ndarray, np.ndarray] | None:
 
 def graft_stage_events(events, count: int) -> None:
     """Graft the spans a native driver's first ``count`` events
-    describe under the current span: the tree the Python drivers open.
+    describe under the current span.
 
     Each event is ``(stage, a, b)`` and ``(t0, t1)`` in :func:`obs.now`
     seconds.  A coarsen event carries the ``partition.bisections`` and

@@ -101,20 +101,8 @@ class Hypergraph:
         """Per-constraint total vertex weight, shape ``(ncon,)``."""
         return self.vweights.sum(axis=0)
 
-    def net_pins(self, e: int) -> np.ndarray:
-        """Vertices of net ``e``."""
-        return self.pins[self.xpins[e] : self.xpins[e + 1]]
-
-    def vertex_nets(self, v: int) -> np.ndarray:
-        """Nets incident to vertex ``v``."""
-        return self.nets[self.xnets[v] : self.xnets[v + 1]]
-
-    def net_sizes(self) -> np.ndarray:
-        """Pin count of every net."""
-        return np.diff(self.xpins)
-
     # ------------------------------------------------------------------
-    # Cached incidence arrays (shared by the partitioner kernels)
+    # Cached incidence arrays
     # ------------------------------------------------------------------
 
     @property
@@ -122,11 +110,8 @@ class Hypergraph:
         """Net id of every entry of ``pins`` (cached; construction seeds
         it while building the vertex → net direction).
 
-        The pin-major companion of ``xpins``; every vectorized pass over
-        the net→vertex incidence (contraction, pin counting, cut
-        evaluation, side splitting) indexes through this one buffer, so
-        the partitioner stages and the repeated coarsest-level trials
-        share it.
+        The pin-major companion of ``xpins``, read by the quality
+        metrics' per-net connectivities.
         """
         cached = self.__dict__.get("_net_of_pin")
         if cached is None:

@@ -1,4 +1,4 @@
-"""K-way hypergraph partitioning by recursive bisection.
+"""K-way hypergraph partitioning by recursive bisection, run in C.
 
 Cut nets are *split* between the two sides of every bisection, so the
 sum of the bisection cut-net costs telescopes into the K-way
@@ -6,21 +6,24 @@ connectivity-1 cost — the metric that equals SpMV communication volume
 under the models of :mod:`repro.hypergraph.models`.  This is the same
 strategy PaToH applies for the connectivity metric.
 
-When :func:`repro.native.resolve_backend` picks the native backend and
-the generator is PCG64-backed, :func:`partition_kway` is one call of
-``kernels.c:repro_partition_kway``: every bisection's V-cycle, the
-side splits and the K-way polish, with NumPy's random streams ported
-bit for bit, so the parts are those of the Python driver below
-(:func:`_recurse`, :func:`_split_side`).  The two sides of a split
-share nothing, so the call runs them on separate threads, up to
+:func:`partition_kway` is one call of ``kernels.c:repro_partition_kway``:
+every bisection's V-cycle (:mod:`repro.hypergraph.bisect`), the side
+splits and a final direct K-way polish, drawing NumPy's PCG64 streams
+bit for bit.  A bisection into ``k`` parts gives side 0 ``⌈k/2⌉`` of
+them and its share of the weight; each side then recurses on its own
+stream, spawned from the parent's, over the sub-hypergraph that keeps
+each cut net's pins on that side.  The two sides of a split share
+nothing, so the call runs them on separate threads, up to
 :func:`repro.jobs.partition_threads`; the parts do not depend on the
-thread count.  The Python driver is the reference and serves the
-NumPy backend and a generator on any other bit generator; its
-V-cycles are :func:`multilevel_bisect` calls, so on the native backend
-those drawn from PCG64 streams (every subproblem's, as
-:func:`repro.rng.spawn` makes them) are one ``repro_bisect`` call
-each.  Under an open trace the kernels log their stages and the same
-spans are grafted in.
+thread count.
+
+The polish, like PaToH's and kMetis's post-pass, moves boundary
+vertices greedily to their best part when the connectivity-1 gain is
+strictly positive and the destination stays within the balance limit,
+until a pass applies no move; so it never raises the cost.  It keeps
+each net's parts as a set, in O(pins) memory at any K.  Under an open
+trace the kernels log their stages and the ``partition.*`` spans are
+grafted in (:func:`repro.hypergraph.bisect.graft_stage_events`).
 """
 
 from __future__ import annotations
@@ -31,22 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs
 from repro.errors import ConfigError, ModelError
-from repro.hypergraph import coarsen
-from repro.hypergraph.bisect import (
-    MAX_LEVELS,
-    event_log,
-    graft_stage_events,
-    multilevel_bisect,
-)
+from repro.hypergraph import bisect
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.refine import _STALL_FRACTION
 from repro.jobs import partition_threads
 from repro.kernels import grouped_distinct_counts
-from repro.native import get_kernels, resolve_backend
 from repro.native import ops as native_ops
-from repro.rng import as_generator, pcg64_words, set_pcg64_words, spawn
+from repro.native import require_kernels
+from repro.rng import as_generator, set_pcg64_words
 
 __all__ = [
     "PartitionConfig",
@@ -56,6 +51,11 @@ __all__ = [
     "imbalance",
     "net_connectivities",
 ]
+
+
+# The counts the C drivers take as int64.
+_COUNTS = ("coarsen_to", "ninitial", "fm_passes", "max_net_size", "kway_passes")
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,16 @@ class PartitionConfig:
             raise ConfigError(
                 f"seed must be None, an integer >= 0 or a numpy Generator, got {seed!r}"
             )
+        for name in _COUNTS:
+            value = getattr(self, name)
+            if not (
+                isinstance(value, numbers.Integral)
+                and not isinstance(value, bool)
+                and value <= _INT64_MAX
+            ):
+                raise ConfigError(
+                    f"{name} must be an integer that fits in int64, got {value!r}"
+                )
         if self.coarsen_to < 2:
             raise ConfigError("coarsen_to must be at least 2")
         if self.ninitial < 1:
@@ -129,11 +139,14 @@ def partition_kway(
     (``partition.coarsen`` / ``.initial`` / ``.refine`` / ``.kway``),
     ``partition.coarsen`` counts bisections and levels, and
     ``partition.kway`` carries the connectivity-1 cost before and after
-    the polish (see :func:`repro.hypergraph.kway.kway_greedy_refine`).
+    the polish as ``partition.cut_before_kway`` /
+    ``partition.cut_after_kway``.
 
     Raises :class:`~repro.errors.ConfigError` for an ``nparts`` that is
-    not an integer of at least 1, and :class:`~repro.errors.ModelError`
-    when a net lists a vertex twice (see :func:`_check_distinct_pins`).
+    not an integer of at least 1, for a seed generator on a bit
+    generator other than PCG64 and when the native kernels are
+    unavailable, and :class:`~repro.errors.ModelError` when a net lists
+    a vertex twice (see :func:`_check_distinct_pins`).
     """
     if not isinstance(nparts, numbers.Integral) or isinstance(nparts, bool):
         raise ConfigError(f"nparts must be an integer, got {nparts!r}")
@@ -142,60 +155,35 @@ def partition_kway(
         raise ConfigError("nparts must be at least 1")
     _check_distinct_pins(hg)
     config = config or PartitionConfig()
+    lib = require_kernels()
     rng = as_generator(config.seed)
+    words = bisect.stream_words(rng)
     depth = max(1, int(np.ceil(np.log2(nparts)))) if nparts > 1 else 1
     eps_level = (1.0 + config.epsilon) ** (1.0 / depth) - 1.0
-    if resolve_backend() == "native":
-        words = pcg64_words(rng)
-        if words is not None:
-            return _partition_native(hg, nparts, eps_level, config, rng, words)
-    part = np.zeros(hg.nvertices, dtype=np.int64)
-    _recurse(hg, np.arange(hg.nvertices), nparts, 0, part, eps_level, config, rng)
-    if nparts > 1 and config.kway_passes > 0:
-        from repro.hypergraph.kway import kway_greedy_refine
-
-        with obs.span("partition.kway"):
-            part = kway_greedy_refine(
-                hg, part, nparts, epsilon=config.epsilon, max_passes=config.kway_passes
-            )
-    return part
-
-
-def _partition_native(
-    hg: Hypergraph,
-    nparts: int,
-    eps_level: float,
-    config: PartitionConfig,
-    rng: np.random.Generator,
-    words: np.ndarray,
-) -> np.ndarray:
-    """:func:`partition_kway` as one native call; ``words`` is ``rng``'s
-    PCG64 state, written back afterwards."""
-    events = event_log(
-        native_ops.kway_event_rows(hg.nvertices, nparts, config.ninitial, MAX_LEVELS)
+    events = bisect.event_log(
+        native_ops.kway_event_rows(hg.nvertices, nparts, config.ninitial, bisect.MAX_LEVELS)
     )
     part, nevents = native_ops.partition_kway(
-        get_kernels(), xpins=hg.xpins, pins=hg.pins, xnets=hg.xnets, nets=hg.nets,
+        lib, xpins=hg.xpins, pins=hg.pins, xnets=hg.xnets, nets=hg.nets,
         vweights=hg.vweights, ncosts=hg.ncosts, nparts=nparts, eps_level=eps_level,
         epsilon=config.epsilon, coarsen_to=config.coarsen_to, ninitial=config.ninitial,
         fm_passes=config.fm_passes, max_net_size=config.max_net_size,
-        kway_passes=config.kway_passes, max_levels=MAX_LEVELS,
-        stall_fraction=_STALL_FRACTION, hash_mask=coarsen._HASH_MASK,
+        kway_passes=config.kway_passes, max_levels=bisect.MAX_LEVELS,
+        stall_fraction=bisect._STALL_FRACTION, hash_mask=bisect._HASH_MASK,
         rng_state=words, events=events, nthreads=partition_threads(),
     )
     set_pcg64_words(rng, words)
-    graft_stage_events(events, nevents)
+    bisect.graft_stage_events(events, nevents)
     return part
 
 
 def _check_distinct_pins(hg: Hypergraph) -> None:
     """Reject a net that lists one vertex twice.
 
-    Such a net double-counts the vertex in every pin count, and the
-    refinement loops update pin counts per (net, vertex) pair, so the
-    NumPy and native backends would diverge on it.  Checked once per
+    Such a net double-counts the vertex in every pin count, which the
+    refinement loops update per (net, vertex) pair.  Checked once per
     :func:`partition_kway` call: coarsening de-duplicates the pins of
-    the nets it contracts, and :func:`_split_side` keeps each pin once.
+    the nets it contracts, and a side split keeps each pin once.
     """
     # A stable sort of the net-major pin list gives every vertex its
     # nets in ascending order, so a repeated pin is a net that follows
@@ -208,73 +196,6 @@ def _check_distinct_pins(hg: Hypergraph) -> None:
             f"net {int(nets[i])} lists vertex {int(owner[i])} more than once; "
             "each net must list its vertices once"
         )
-
-
-def _recurse(
-    hg: Hypergraph,
-    vertex_ids: np.ndarray,
-    nparts: int,
-    offset: int,
-    out: np.ndarray,
-    eps_level: float,
-    config: PartitionConfig,
-    rng: np.random.Generator,
-) -> None:
-    if nparts == 1 or hg.nvertices == 0:
-        out[vertex_ids] = offset
-        return
-    k0 = (nparts + 1) // 2
-    k1 = nparts - k0
-    total = hg.total_weight().astype(np.float64)
-    t0 = total * (k0 / nparts)
-    t1 = total - t0
-    part, _ = multilevel_bisect(
-        hg,
-        (t0, t1),
-        eps_level,
-        rng,
-        coarsen_to=max(config.coarsen_to, 8 * nparts),
-        ninitial=config.ninitial,
-        fm_passes=config.fm_passes,
-        max_net_size=config.max_net_size,
-    )
-    rng0, rng1 = spawn(rng, 2)
-    for side, kk, off, side_rng in ((0, k0, offset, rng0), (1, k1, offset + k0, rng1)):
-        ids = np.flatnonzero(part == side)
-        if kk == 1 or ids.size == 0:
-            out[vertex_ids[ids]] = off
-            continue
-        sub = _split_side(hg, part, side)
-        _recurse(sub, vertex_ids[ids], kk, off, out, eps_level, config, side_rng)
-
-
-def _split_side(hg: Hypergraph, part: np.ndarray, side: int) -> Hypergraph:
-    """Sub-hypergraph induced on one side of a bisection (cut-net split).
-
-    A cut net survives on each side restricted to that side's pins;
-    nets left with fewer than two pins are dropped.
-    """
-    keep = np.flatnonzero(part == side)
-    vmap = np.full(hg.nvertices, -1, dtype=np.int64)
-    vmap[keep] = np.arange(keep.size)
-    pin_mask = part[hg.pins] == side
-    kept_pins = vmap[hg.pins[pin_mask]]
-    kept_nets = hg.net_of_pin[pin_mask]
-    per_net = np.bincount(kept_nets, minlength=hg.nnets)
-    live = per_net >= 2
-    # ``net_of_pin`` is nondecreasing (pins are stored net by net) and
-    # the masks keep that order, so the surviving pins are already
-    # grouped by their renumbered net: no sort is needed.
-    new_pins = kept_pins[live[kept_nets]]
-    counts = per_net[live]
-    xpins = np.zeros(int(live.sum()) + 1, dtype=np.int64)
-    np.cumsum(counts, out=xpins[1:])
-    return Hypergraph(
-        xpins=xpins,
-        pins=new_pins,
-        vweights=hg.vweights[keep],
-        ncosts=hg.ncosts[live],
-    )
 
 
 # ----------------------------------------------------------------------

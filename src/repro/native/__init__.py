@@ -14,10 +14,11 @@ layer hands to C:
   bit (:func:`repro.native.ops.partition_kway`,
   :func:`~repro.native.ops.bisect`).  The recursion runs the two sides
   of a split on separate threads, with the same parts at any thread
-  count, and its K-way polish keeps O(pins) memory at any K.  Their stage loops — HCM matching,
-  contraction, both initial bisections, FM set-up and passes, the
-  K-way polish — are static in C; the stage modules of
-  :mod:`repro.hypergraph` are their NumPy reference;
+  count, and its K-way polish keeps O(pins) memory at any K.  Their
+  stage loops — HCM matching, contraction, both initial bisections,
+  FM set-up and passes, the K-way polish — are static in C and are the
+  only partitioner: every partitioning call needs this library
+  (:func:`require_kernels`), whatever the backend switch says;
 - Algorithm 1's combinatorics: ``repro_block_dm`` takes the coarse
   Dulmage–Mendelsohn labels of every block of a DM batch in one call
   (:func:`~repro.native.ops.block_dm`), and ``repro_s2d_flip`` runs the
@@ -39,24 +40,24 @@ via :mod:`ctypes`, and dispatched behind a feature flag:
 
 - ``backend="numpy" | "native" | "auto"`` kwargs on
   :meth:`~repro.runtime.CommPlan.apply` /
-  :meth:`~repro.runtime.CommPlan.apply_y` and the solvers (the
-  partitioner, the DM batch and the s2D flip loop take no kwarg and
-  follow the process default);
+  :meth:`~repro.runtime.CommPlan.apply_y` and the solvers (the DM
+  batch and the s2D flip loop take no kwarg and follow the process
+  default; the partitioner ignores the switch);
 - the ``REPRO_NATIVE`` environment flag (``0`` forces NumPy, ``1`` or
   unset prefers native where a compiler exists);
 - when no compiler is available, ``auto`` silently falls back to the
   NumPy kernels and records the reason (``native_status()``, surfaced
-  by the CLI ``native-info`` subcommand).
+  by the CLI ``native-info`` subcommand); partitioning then raises
+  :class:`~repro.errors.ConfigError` with that reason.
 
 The C accumulations iterate in index order (the main products of a row
 in a register from +0.0, as ``np.bincount`` sums a bin), so every sum
 reproduces ``np.bincount``/``np.add.at`` element order bit for bit —
 the golden y/ledger/flops pins hold unchanged under the native backend.  The
-partitioner's stage loops work on integer gains, counts and costs, or
-sum float scores and gains in the NumPy loops' order, with the same
-float64 balance arithmetic, tie-breaks and net order, so partitions
-are identical on both backends; so are the s2D partitions, whose flip
-loop keeps int64 loads and compares them in double as NumPy does.
+partitioner's results are pinned by the frozen reference fixture
+``tests/fixtures/partitioner_reference.json``.  The s2D partitions are
+identical on both backends: the flip loop keeps int64 loads and
+compares them in double as NumPy does.
 """
 
 from repro.native import ops
@@ -70,6 +71,7 @@ from repro.native.build import (
     find_compiler,
     get_kernels,
     native_status,
+    require_kernels,
     resolve_backend,
     sanitize_default,
     set_default_backend,
@@ -86,6 +88,7 @@ __all__ = [
     "get_kernels",
     "native_status",
     "ops",
+    "require_kernels",
     "resolve_backend",
     "sanitize_default",
     "set_default_backend",

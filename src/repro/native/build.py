@@ -31,6 +31,10 @@ concrete kernel choice:
 - ``REPRO_NATIVE=0`` — the default becomes ``"numpy"`` (explicit
   kwargs still win).
 
+The partitioner resolves no backend: it always needs the library and
+asks for it through :func:`require_kernels`, the check an explicit
+``"native"`` makes.
+
 Build state is process-global: one failed build attempt is remembered
 (with its reason) instead of re-running the compiler on every apply.
 
@@ -80,6 +84,7 @@ __all__ = [
     "find_compiler",
     "get_kernels",
     "native_status",
+    "require_kernels",
     "resolve_backend",
     "sanitize_default",
     "set_default_backend",
@@ -347,6 +352,17 @@ def get_kernels(sanitize: bool | None = None) -> KernelLib | None:
     return slot["lib"]
 
 
+def require_kernels() -> KernelLib:
+    """The kernel library, or :class:`~repro.errors.ConfigError` naming
+    why it cannot be built or loaded: what an explicit
+    ``backend="native"`` and every partitioning call need."""
+    lib = get_kernels()
+    if lib is None:
+        variant = "sanitize" if sanitize_default() else "std"
+        raise ConfigError(f"native backend unavailable: {_state[variant]['reason']}")
+    return lib
+
+
 def _reset_native_state() -> None:
     """Forget the loaded libraries, any failure reasons, and the default
     override (test hook; the next use re-resolves from scratch)."""
@@ -394,11 +410,7 @@ def resolve_backend(backend: str | None = None) -> str:
     if backend == "numpy":
         return "numpy"
     if backend == "native":
-        if get_kernels() is None:
-            variant = "sanitize" if sanitize_default() else "std"
-            raise ConfigError(
-                f"native backend unavailable: {_state[variant]['reason']}"
-            )
+        require_kernels()
         return "native"
     if backend == "auto":
         return "native" if get_kernels() is not None else "numpy"

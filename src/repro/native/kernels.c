@@ -6,14 +6,13 @@
  *   one call, and repro_bisect one V-cycle of
  *   repro.hypergraph.bisect.multilevel_bisect (Mondriaan ORB's
  *   bisections).  Both chain the partitioner's stage loops below (the
- *   FM set-up and pass loop of repro.hypergraph.refine, the K-way
- *   greedy polish of repro.hypergraph.kway, the heavy-connectivity
- *   matching and the contraction of repro.hypergraph.coarsen and the
- *   two initial bisections of repro.hypergraph.initial), with a
- *   bit-exact port of the NumPy random streams they draw (PCG64,
- *   Generator.permutation's shuffle, spawn's bounded draws and
- *   SeedSequence seeding).  The stage loops are static: the Python
- *   stage modules are their NumPy reference, not their callers.
+ *   heavy-connectivity matching and the contraction, the two initial
+ *   bisections, the FM set-up and pass loop and the K-way greedy
+ *   polish), with a bit-exact port of the NumPy random streams they
+ *   draw (PCG64, Generator.permutation's shuffle, spawn's bounded draws
+ *   and SeedSequence seeding).  They are the only partitioner; their
+ *   results on a reference corpus are frozen in
+ *   tests/fixtures/partitioner_reference.json.
  *   repro_partition_kway runs the two sides of a split on separate
  *   threads (POSIX threads, all joined before it returns), with the
  *   same parts at any thread count; repro_bisect is serial;
@@ -175,14 +174,14 @@ EXPORT void repro_plan_apply(
 /* ------------------------------------------------------------------
  * Hypergraph partitioner: the FM pass loop and the K-way greedy polish.
  *
- * Bit-identity contract with their NumPy reference
- * (repro.hypergraph.refine._fm_setup and _fm_passes, and
- * repro.hypergraph.kway._kway_passes):
+ * The frozen partitions (tests/fixtures/partitioner_reference.json)
+ * were recorded from a NumPy implementation of these loops, whose
+ * arithmetic they keep:
  *
  * - every gain is an int64 sum of net costs, so the order in which the
  *   per-net deltas land cannot change a gain;
  * - the balance arithmetic is the same float64 subtractions, additions,
- *   products and comparisons as the NumPy expressions, one rounding
+ *   products and comparisons as that implementation's, one rounding
  *   each (-ffp-contract=off again rules out fused multiply-adds);
  * - every tie breaks as the reference breaks it: LIFO gain buckets,
  *   seeds, re-inserted vertices and boundary vertices in ascending id
@@ -264,7 +263,7 @@ static void sort_ids(int64_t *a, int64_t n)
 
 static double at_least_one(double x) { return x < 1.0 ? 1.0 : x; }
 
-/* refine.py's _viol on the side weights pw (2 x ncon) after moving
+/* The balance violation of the side weights pw (2 x ncon) after moving
  * weight w from side a to the other side (w == NULL: no move): the
  * largest pw * inv_limits, then +inf when a zero-limit entry carries
  * weight, else at least 1.0 when any limit is zero. */
@@ -350,10 +349,9 @@ static int64_t fm_apply(const fm_graph *g, int8_t *part, int64_t *pc, int64_t *g
     return nt;
 }
 
-/* The pass loop's starting state from part alone, as refine.py's
- * _fm_setup computes it: the per-net side pin counts pc over every pin,
- * the side weights pw (int64 sums in pw_sum, then converted to float64,
- * as part_weights(...).astype(float64) does) and each vertex's exact
+/* The pass loop's starting state from part alone: the per-net side
+ * pin counts pc over every pin, the side weights pw (int64 sums in
+ * pw_sum, then converted to float64) and each vertex's exact
  * move gain over its valid nets.  Every sum is an int64 sum, so its
  * order is free.  Returns the cut. */
 static int64_t fm_setup(const fm_graph *g, int64_t n, int64_t nnets, int64_t ncon,
@@ -445,8 +443,8 @@ static int64_t repro_fm_passes(
                            touched + n);
     for (int64_t i = 0; i < n * ncon; i++)
         wfloat[i] = (double)vweights[i];
-    /* refine.py's _limits: reciprocal limits, zero where a limit is not
-     * positive (the zero-limit convention of _violation). */
+    /* Reciprocal limits, zero where a limit is not positive (the
+     * zero-limit convention of fm_violation). */
     const double scale = 1.0 + epsilon;
     int has_zero = 0;
     for (int64_t i = 0; i < 2 * ncon; i++) {
@@ -613,7 +611,7 @@ typedef struct {
  *
  * The gain of moving v from a to k sums, over v's nets e of cost c,
  * +c where pc[e][a] == 1 and pc[e][k] > 0 and -c where pc[e][a] >= 2
- * and pc[e][k] == 0 (kway.py's dense reference).  That is P_k - T: P_k
+ * and pc[e][k] == 0.  That is P_k - T: P_k
  * sums c over v's nets that hold k, T over v's nets with pc[e][a] >= 2.
  * P_k is accumulated over the parts on each net, or, on a dense net
  * holding more than half the parts, as c for every part (U) minus c
@@ -1501,9 +1499,8 @@ EXPORT int64_t repro_s2d_flip(
  * repro.hypergraph.partitioner.partition_kway in one call: every
  * subproblem's V-cycle, the splits and the K-way polish.  repro_bisect
  * runs one V-cycle (repro.hypergraph.bisect.multilevel_bisect).  Both
- * are built from the stage loops above, each called where the Python
- * driver calls its NumPy stage, so the partitions are the Python
- * driver's bit for bit:
+ * are built from the stage loops above, and their partitions are the
+ * frozen ones (tests/fixtures/partitioner_reference.json) bit for bit:
  *
  * - the random streams are NumPy's.  PCG64's step and XSL-RR output,
  *   its buffered next_uint32 (random_interval draws 32-bit values for
@@ -1512,7 +1509,7 @@ EXPORT int64_t repro_s2d_flip(
  *   SeedSequence(int) -> PCG64 seeding (spawn's default_rng(seed)) are
  *   ported below.  Python passes the root generator's state in and
  *   reads the final state back, has_uint32 and uinteger included;
- * - the floating-point inputs are the Python driver's: side targets
+ * - the floating-point inputs are computed one way: side targets
  *   t0 = total * (k0 / nparts) and t1 = total - t0, per-pin shares
  *   cost / (|e| - 1) computed only for the nets that qualify, the
  *   K-way limit (total / nparts) * (1 + epsilon), the level tolerance
@@ -1530,8 +1527,8 @@ EXPORT int64_t repro_s2d_flip(
  *
  * With an event log (ev_ints != NULL), every stage writes one event:
  * (stage, a, b) into ev_ints and its CLOCK_MONOTONIC start and end (the
- * clock of repro.obs.now) into ev_times, in the order the Python driver
- * opens its spans.  A full log stops recording and the call returns
+ * clock of repro.obs.now) into ev_times, in the order a serial run
+ * reaches the stages.  A full log stops recording and the call returns
  * DRV_ELOG after finishing its work.
  *
  * Threads (repro_partition_kway only).  Once a split leaves two sides
@@ -1766,6 +1763,9 @@ typedef struct {
 
 static void *pool_alloc(mem_pool *p, int64_t count, size_t size)
 {
+    /* A byte count that wraps size_t would get a short block. */
+    if (count > 0 && (uint64_t)count > SIZE_MAX / size)
+        return NULL;
     if (p->n == p->cap) {
         const int64_t cap = p->cap ? 2 * p->cap : 64;
         void **grown = realloc(p->ptr, (size_t)cap * sizeof(void *));
@@ -1876,7 +1876,7 @@ static int net_shares(const hgraph *h, int64_t lo, int64_t hi, int8_t *valid,
     return any;
 }
 
-/* refine.py's _context: the vertex -> valid-net adjacency is the
+/* The vertex -> valid-net adjacency of h is the
  * incidence itself unless some net has fewer than two pins (only ever a
  * top level); then it is filtered into d->vipt / d->vnets. */
 static void valid_adjacency(driver *d, const hgraph *h, const int64_t **vipt,
@@ -1903,7 +1903,7 @@ static void valid_adjacency(driver *d, const hgraph *h, const int64_t **vipt,
     *vnets = d->vnets;
 }
 
-/* refine.py's fm_refine on h: part is refined in place, *cut receives
+/* FM refinement of h: part is refined in place, *cut receives
  * the final cut (0 for a hypergraph without vertices or nets). */
 static int fm_refine_c(driver *d, const hgraph *h, int8_t *part, const double *targets,
                        double epsilon, int64_t *cut)
@@ -1935,7 +1935,7 @@ static int fm_refine_c(driver *d, const hgraph *h, int8_t *part, const double *t
     return DRV_OK;
 }
 
-/* coarsen.py's coarsen_once on cur: the matching (a visitation order is
+/* One coarsening level of cur: the matching (a visitation order is
  * drawn only when some net scores) and the contraction.  The coarse
  * level and cur's cluster map go into one block of the pool. */
 static int coarsen_c(driver *d, const hgraph *cur, pcg64 *rng, hgraph *coarse,
@@ -1980,8 +1980,8 @@ static int coarsen_c(driver *d, const hgraph *cur, pcg64 *rng, hgraph *coarse,
     return DRV_OK;
 }
 
-/* initial.py's greedy_growing (even trials) or random_bisection (odd)
- * on the coarsest level h into part. */
+/* Greedy hypergraph growing (even trials) or a random fill (odd) of
+ * the coarsest level h into part. */
 static void initial_c(driver *d, const hgraph *h, int64_t trial, const double *targets,
                       pcg64 *rng, int8_t *part)
 {
@@ -2011,7 +2011,7 @@ static void initial_c(driver *d, const hgraph *h, int64_t trial, const double *t
                       d->heap, d->pos, d->state, d->gpw0);
 }
 
-/* bisect.py's multilevel_bisect: coarsen while the level has more than
+/* One V-cycle: coarsen while the level has more than
  * coarsen_to vertices (at most max_levels levels; a level that keeps
  * over 95% of the vertices is dropped and ends the coarsening), try
  * ninitial initial bisections of the coarsest level, each from its own
@@ -2132,7 +2132,7 @@ static int64_t side_nets(const hgraph *h, const int64_t *cnt, int s, int64_t *ne
     return nn;
 }
 
-/* partitioner.py's _split_side for side s of t (sides[] over t's
+/* The sub-hypergraph of side s of t (sides[] over t's
  * vertices, vmap[v] = v's index within its side), written at arena[at]:
  * the nn nets of np pins side_nets found (netmap), restricted to the
  * side's pins, in order; both CSR directions are filtered in order.
@@ -2187,11 +2187,11 @@ static int64_t lambda_cost(const hgraph *h, const net_parts *np)
     return cost;
 }
 
-/* kway.py's kway_greedy_refine on the root after the recursion; with
- * traced set, *before and *after receive the connectivity-1 cost
- * around the passes.  kway.py keeps a dense nnets x nparts pin-count
- * table; here each net holds a set (net_parts), so the memory is
- * O(nnets + pins + nparts), whatever nparts is. */
+/* The K-way greedy polish of the root after the recursion; with traced
+ * set, *before and *after receive the connectivity-1 cost around the
+ * passes.  Each net holds its parts as a set (net_parts), not a dense
+ * nnets x nparts pin-count row, so the memory is O(nnets + pins +
+ * nparts), whatever nparts is. */
 static int kway_c(driver *d, const hgraph *h, int64_t *part, int64_t nparts,
                   double epsilon, int64_t max_passes, int traced, int64_t *before,
                   int64_t *after)
@@ -2405,8 +2405,8 @@ static void ev_append(ev_log *log, const ev_log *from)
     log->full |= from->full;
 }
 
-/* partitioner.py's _recurse from the task first with an explicit
- * stack, side 0 before side 1 as the Python recursion goes.  *root_rng
+/* The recursion from the task first with an explicit stack, side 0
+ * before side 1.  *root_rng
  * (when not NULL) ends as first's stream ends: after its V-cycle and
  * its spawn(rng, 2).
  *

@@ -7,8 +7,7 @@ recursive bisection (:func:`partition_kway`), one V-cycle
 (:func:`bisect`), one DM batch (:func:`block_dm`, :mod:`repro.dm.batch`)
 or one run of Algorithm 1's flip rounds (:func:`s2d_flip`,
 :mod:`repro.core.s2d`).  The partitioner's stage loops run only inside
-the two drivers; :mod:`repro.hypergraph` holds their NumPy reference.
-The wrappers take plain CSR arrays rather than a ``Hypergraph`` and
+the two drivers, which are the only partitioner.  The wrappers take plain CSR arrays rather than a ``Hypergraph`` and
 the plan's grouping as the ``(index, length)`` pairs
 :func:`compact_group` makes from a duck-typed group plan, so the
 dependencies point one way (runtime → native, hypergraph → native;

@@ -57,16 +57,7 @@ def _line_bisection(
     )
     total = hg.total_weight().astype(np.float64)
     t0 = total * frac0
-    part, cut = multilevel_bisect(
-        hg,
-        (t0, total - t0),
-        epsilon,
-        rng,
-        coarsen_to=config.coarsen_to,
-        ninitial=config.ninitial,
-        fm_passes=config.fm_passes,
-        max_net_size=config.max_net_size,
-    )
+    part, cut = multilevel_bisect(hg, (t0, total - t0), epsilon, rng, config)
     return part[line_idx].astype(np.int64), int(cut), line_ids
 
 

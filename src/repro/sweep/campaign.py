@@ -86,7 +86,7 @@ from pathlib import Path
 from repro import obs
 from repro.errors import CampaignError, CellExecutionError, ConfigError, UsageError
 from repro.jobs import resolve_jobs, set_partition_threads, worker_threads
-from repro.native import resolve_backend
+from repro.native import require_kernels
 from repro.sweep.cache import DB_NAME, ArtifactCache, read_events
 from repro.sweep.faults import FaultPlan
 from repro.sweep.grid import Cell, MatrixTask, SweepGrid
@@ -537,9 +537,9 @@ class _Supervisor:
             except OSError:  # it died while idle
                 worker.proc.kill()
                 self._retire(worker)
-        # Workers inherit the loaded kernel library instead of each
-        # loading (or building) it.
-        resolve_backend()
+        # Workers inherit the loaded kernel library, which every
+        # partition needs, instead of each loading (or building) it.
+        require_kernels()
         parent, child = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_loop,

@@ -52,8 +52,7 @@ Rules
     or method form) are confined to :mod:`repro.kernels`, whose
     ``stable_order`` is the one ordering kernel: bounded integer ids
     sort there in linear time.  The allowlist names the sorts whose
-    keys are not bounded non-negative ids: the 64-bit hashes of
-    ``hypergraph/coarsen.py`` and the negated sizes of
+    keys are not bounded non-negative ids: the negated sizes of
     ``core/s2d.py``.
 
 Each violation carries its rule ID; suppressing one requires editing
@@ -122,7 +121,7 @@ _NATIVE_FORBIDDEN = ("repro.runtime", "repro.engine", "repro.sweep", "repro.hype
 _SIGKILL_MODULE = "sweep/faults.py"
 _ORDERING_LAYER = "kernels"
 # Sorts whose keys are not bounded non-negative ids (see REP010).
-_ORDERING_MODULES = frozenset({"hypergraph/coarsen.py", "core/s2d.py"})
+_ORDERING_MODULES = frozenset({"core/s2d.py"})
 _STABLE_KINDS = frozenset({"stable", "mergesort"})
 _MUTABLE_CTORS = frozenset({"list", "dict", "set", "defaultdict", "OrderedDict"})
 

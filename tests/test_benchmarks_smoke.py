@@ -58,13 +58,12 @@ def test_bench_partitioner_quick(tmp_path):
         assert m["cut_legacy"] == bench_partitioner.SEED_CUTS[m["matrix"], quality["k"]]
     assert quality["max_ratio"] == max(m["ratio"] for m in quality["matrices"])
     assert "speedup" not in data["acceptance"]
-    assert data["acceptance"]["backends_identical"] is True
+    assert not {"numpy_s", "native_speedup", "backends_identical"} & set(data["acceptance"])
     assert data["acceptance"]["threads_identical"] is True
     assert data["config"]["nthreads"] >= 1 and data["config"]["host_cpus"] >= 1
     assert [e["k"] for e in data["large_k"]] == [64, 64]  # quick: K=64 per model
     for entry in data["large_k"]:
         assert entry["stages"]["kway_s"] >= 0 and "cut_legacy" not in entry
-    assert data["acceptance"]["numpy_s"] > 0
     assert result["config"]["quick"] is True
 
 

@@ -1,10 +1,17 @@
-"""Multilevel partitioner: coarsening, refinement, K-way quality."""
+"""Multilevel partitioner: coarsening, refinement, K-way quality.
+
+Coarsening, the initial bisections and FM run inside the C V-cycle
+(``multilevel_bisect``); the knobs that isolate a stage (``fm_passes=0``
+for no refinement, ``coarsen_to=n`` for no coarsening, ``ninitial=1``
+for one greedy-growing trial) make each observable through a whole
+call."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.errors import ConfigError
 from repro.hypergraph import (
     Hypergraph,
@@ -15,10 +22,8 @@ from repro.hypergraph import (
     imbalance,
     partition_kway,
 )
-from repro.hypergraph.coarsen import coarsen_once
-from repro.hypergraph.initial import greedy_growing, random_bisection
+from repro.hypergraph.bisect import multilevel_bisect
 from repro.hypergraph.partitioner import net_connectivities
-from repro.hypergraph.refine import bisection_cut, fm_refine, part_weights
 from repro.rng import as_generator
 
 
@@ -27,51 +32,63 @@ def _chain_hg(n=40):
     return Hypergraph.from_net_lists([[i, i + 1] for i in range(n - 1)], nvertices=n)
 
 
+def _bisect(hg, seed, epsilon=0.05, **cfg):
+    """One traced V-cycle toward equal halves: ``(side, cut,
+    partition.levels)``."""
+    t = hg.total_weight().astype(float)
+    with obs.tracing() as tr:
+        side, cut = multilevel_bisect(
+            hg, (t * 0.5, t * 0.5), epsilon, as_generator(seed), PartitionConfig(**cfg)
+        )
+    return side, cut, tr.total_counters()["partition.levels"]
+
+
 def test_coarsen_reduces_and_preserves_weight():
+    """A chain coarsens level by level; the projected bisection keeps
+    both halves within the tolerance of the total weight."""
     hg = _chain_hg(64)
-    cmap, coarse = coarsen_once(hg, as_generator(1))
-    assert coarse.nvertices < hg.nvertices
-    assert coarse.total_weight()[0] == hg.total_weight()[0]
-    assert cmap.max() == coarse.nvertices - 1
+    side, _, levels = _bisect(hg, 1, coarsen_to=2)
+    assert levels >= 3
+    assert np.bincount(side, minlength=2).max() <= 32 * 1.05
 
 
 def test_coarsen_merges_identical_nets():
-    # two identical nets -> one coarse net with summed cost
-    hg = Hypergraph.from_net_lists([[0, 1], [0, 1]], nvertices=2)
-    cmap, coarse = coarsen_once(hg, as_generator(0))
-    # the pair merges into one vertex, so nets vanish entirely
-    assert coarse.nvertices == 1
-    assert coarse.nnets == 0
+    # two pairs of identical nets: each pair of vertices merges, its
+    # nets vanish, and the bisection of the two coarse vertices cuts
+    # nothing
+    hg = Hypergraph.from_net_lists([[0, 1], [0, 1], [2, 3], [2, 3]], nvertices=4)
+    side, cut, levels = _bisect(hg, 0, coarsen_to=2)
+    assert levels == 1 and cut == 0
+    assert side[0] == side[1] != side[2] == side[3]
 
 
 def test_initial_bisections_respect_targets():
+    """Greedy growing alone (one trial) and the best of greedy growing
+    and a random fill (two trials), without coarsening or FM passes:
+    part 0 never exceeds its target."""
     hg = _chain_hg(40)
-    total = hg.total_weight().astype(float)
-    targets = (total * 0.5, total * 0.5)
-    for ctor in (random_bisection, greedy_growing):
-        part = ctor(hg, targets, as_generator(3))
-        pw = part_weights(hg, part)
-        assert pw[0, 0] <= targets[0][0] + 1e-9
-        assert set(np.unique(part)) <= {0, 1}
+    target = hg.total_weight()[0] * 0.5
+    for ninitial in (1, 2):
+        side, _, _ = _bisect(hg, 3, coarsen_to=40, ninitial=ninitial, fm_passes=0)
+        assert np.count_nonzero(side == 0) <= target + 1e-9
+        assert set(np.unique(side)) <= {0, 1}
 
 
 def test_fm_improves_chain_cut():
+    """The same greedy start without and with FM passes."""
     hg = _chain_hg(40)
-    rng = as_generator(5)
-    part = rng.integers(0, 2, 40).astype(np.int8)  # random: many cut nets
-    total = hg.total_weight().astype(float)
-    before = bisection_cut(hg, part)
-    refined, after = fm_refine(hg, part, (total * 0.5, total * 0.5), 0.05)
+    start = dict(coarsen_to=40, ninitial=1)
+    part, before, _ = _bisect(hg, 5, fm_passes=0, **start)
+    refined, after, _ = _bisect(hg, 5, fm_passes=4, **start)
+    assert before == cutnet_cost(hg, part)
     assert after <= before
-    assert after == bisection_cut(hg, refined)
+    assert after == cutnet_cost(hg, refined)
 
 
-def test_fm_reports_consistent_cut(small_square, rng):
+def test_fm_reports_consistent_cut(small_square):
     hg = column_net_model(small_square)
-    part = rng.integers(0, 2, hg.nvertices).astype(np.int8)
-    total = hg.total_weight().astype(float)
-    refined, cut = fm_refine(hg, part, (total * 0.5, total * 0.5), 0.1)
-    assert cut == bisection_cut(hg, refined)
+    refined, cut, _ = _bisect(hg, 6, epsilon=0.1)
+    assert cut == cutnet_cost(hg, refined)
 
 
 def test_partition_kway_basic(small_square):
@@ -106,6 +123,53 @@ def test_partition_kway_rejects_bad_k(small_square):
 def test_partition_config_rejects_misuse(field, value, message):
     with pytest.raises(ConfigError, match=message):
         PartitionConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("coarsen_to", 2.5),
+        ("fm_passes", 1.5),
+        ("kway_passes", "2"),
+        ("ninitial", True),
+        ("ninitial", 2**70),
+        ("max_net_size", None),
+        ("max_net_size", np.float64(8)),
+    ],
+)
+def test_partition_config_rejects_non_integer_counts(field, value):
+    """The counts the C drivers take as int64 are integers that fit in
+    one, bools excluded, refused at construction rather than deep in
+    the call (a ctypes error) or silently (``True``)."""
+    with pytest.raises(ConfigError, match=f"{field} must be an integer that fits in int64"):
+        PartitionConfig(**{field: value})
+
+
+def test_partition_config_keeps_integer_counts_as_given():
+    """No coercion: a NumPy integer stays what it was, so a config's
+    fields and every key built from them are unchanged."""
+    cfg = PartitionConfig(ninitial=np.int64(3), coarsen_to=2**63 - 1)
+    assert type(cfg.ninitial) is np.int64 and cfg.coarsen_to == 2**63 - 1
+
+
+def test_multilevel_bisect_takes_its_knobs_from_the_config():
+    """The V-cycle reads ``coarsen_to``, ``ninitial``, ``fm_passes`` and
+    ``max_net_size`` from a PartitionConfig, whose checks guard it; the
+    config's ``epsilon`` and ``seed`` are not read."""
+    hg = _chain_hg(48)
+    t = hg.total_weight().astype(float)
+    runs = [
+        multilevel_bisect(hg, (t / 2, t / 2), 0.05, as_generator(3), cfg)
+        for cfg in (
+            PartitionConfig(coarsen_to=48, ninitial=1, fm_passes=0),
+            PartitionConfig(coarsen_to=48, ninitial=1, fm_passes=0, epsilon=0.5, seed=9),
+            PartitionConfig(coarsen_to=4, ninitial=1, fm_passes=0),
+        )
+    ]
+    assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1] == runs[1][1]
+    assert not np.array_equal(runs[0][0], runs[2][0])
+    with pytest.raises(ConfigError, match="ninitial must be at least 1"):
+        PartitionConfig(ninitial=0)
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.01])

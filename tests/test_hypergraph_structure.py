@@ -15,18 +15,19 @@ def test_from_net_lists():
     assert hg.nvertices == 4
     assert hg.nnets == 3
     assert hg.npins == 7
-    assert hg.net_pins(2).tolist() == [0, 2, 3]
+    assert hg.pins[hg.xpins[2] : hg.xpins[3]].tolist() == [0, 2, 3]
 
 
 def test_vertex_to_net_transpose():
     hg = Hypergraph.from_net_lists([[0, 1], [1, 2]], nvertices=3)
-    assert sorted(hg.vertex_nets(1).tolist()) == [0, 1]
-    assert hg.vertex_nets(0).tolist() == [0]
+    assert hg.nets[hg.xnets[1] : hg.xnets[2]].tolist() == [0, 1]
+    assert hg.nets[hg.xnets[0] : hg.xnets[1]].tolist() == [0]
+    assert hg.vert_of_pin.tolist() == [0, 1, 1, 2]
 
 
 def test_net_sizes_and_total_weight():
     hg = Hypergraph.from_net_lists([[0], [0, 1, 2]], nvertices=3)
-    assert hg.net_sizes().tolist() == [1, 3]
+    assert np.diff(hg.xpins).tolist() == [1, 3]
     assert hg.total_weight().tolist() == [3]
 
 

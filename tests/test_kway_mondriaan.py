@@ -1,4 +1,8 @@
-"""Direct K-way refinement and the Mondriaan ORB baseline."""
+"""Direct K-way refinement and the Mondriaan ORB baseline.
+
+The K-way polish runs at the end of ``partition_kway``; it draws no
+random numbers, so ``kway_passes=0`` with the same seed gives the
+partition it starts from."""
 
 import numpy as np
 import pytest
@@ -15,7 +19,6 @@ from repro.hypergraph import (
     imbalance,
     partition_kway,
 )
-from repro.hypergraph.kway import kway_greedy_refine
 from repro.metrics import geomean
 from repro.partition import partition_1d_rowwise, partition_mondriaan
 from repro.rng import as_generator
@@ -27,34 +30,36 @@ CFG = PartitionConfig(seed=17, ninitial=2, fm_passes=2)
 # ----------------------------------------------------------- K-way
 
 
+def _raw_and_polished(hg, k, seed, **cfg):
+    raw = partition_kway(hg, k, PartitionConfig(seed=seed, kway_passes=0, **cfg))
+    polished = partition_kway(hg, k, PartitionConfig(seed=seed, **cfg))
+    return raw, polished
+
+
 def test_kway_refine_never_increases_cut(medium_square):
     hg = column_net_model(medium_square)
-    rng = as_generator(5)
-    part = rng.integers(0, 4, hg.nvertices)
-    before = connectivity_minus_one(hg, part)
-    refined = kway_greedy_refine(hg, part, 4, epsilon=0.5)
-    after = connectivity_minus_one(hg, refined)
-    assert after <= before
+    raw, refined = _raw_and_polished(hg, 4, 5, epsilon=0.5)
+    assert connectivity_minus_one(hg, refined) <= connectivity_minus_one(hg, raw)
 
 
 def test_kway_refine_respects_balance(medium_square):
+    """A move lands only in a part that stays within the limit, so the
+    polish never raises the imbalance above ``max(ε, before)``."""
     hg = column_net_model(medium_square)
-    part = partition_kway(hg, 4, PartitionConfig(seed=2, kway_passes=0))
-    li_before = imbalance(hg, part, 4)
-    refined = kway_greedy_refine(hg, part, 4, epsilon=max(0.03, li_before))
+    raw, refined = _raw_and_polished(hg, 4, 2)
+    li_before = imbalance(hg, raw, 4)
     assert imbalance(hg, refined, 4) <= max(0.03, li_before) + 1e-9
 
 
 def test_kway_refine_noop_cases():
+    # no nets: nothing to gain, nothing moves
     hg = Hypergraph.from_net_lists([], nvertices=3)
-    part = np.array([0, 1, 2])
-    assert np.array_equal(kway_greedy_refine(hg, part, 3), part)
+    raw, polished = _raw_and_polished(hg, 3, 1)
+    assert np.array_equal(polished, raw)
+    assert sorted(raw.tolist()) == [0, 1, 2]
     # single part
     hg2 = Hypergraph.from_net_lists([[0, 1]], nvertices=2)
-    assert np.array_equal(
-        kway_greedy_refine(hg2, np.zeros(2, dtype=np.int64), 1),
-        np.zeros(2),
-    )
+    assert np.array_equal(partition_kway(hg2, 1), np.zeros(2))
 
 
 def test_kway_polish_in_partition_kway(medium_square):
@@ -70,8 +75,7 @@ def test_kway_refine_property(seed):
     rng = as_generator(seed)
     nets = [list(rng.choice(30, size=int(rng.integers(2, 6)), replace=False)) for _ in range(40)]
     hg = Hypergraph.from_net_lists(nets, nvertices=30)
-    part = rng.integers(0, 4, 30)
-    refined = kway_greedy_refine(hg, part, 4, epsilon=1.0)
+    part, refined = _raw_and_polished(hg, 4, seed, epsilon=1.0)
     assert connectivity_minus_one(hg, refined) <= connectivity_minus_one(hg, part)
     assert refined.min() >= 0 and refined.max() < 4
 

@@ -597,6 +597,39 @@ def test_cli_native_info(capsys):
     assert "available=" in out
     assert "cache_dir=" in out
     assert "default_backend=" in out
+    assert "partitioning=" in out
+
+
+def test_cli_native_info_says_partitioning_needs_the_kernels(
+    clean_native_state, monkeypatch, capsys
+):
+    monkeypatch.setattr(native_build, "find_compiler", lambda: None)
+    assert main(["native-info"]) == 0
+    out = capsys.readouterr().out
+    assert "available=False" in out
+    assert "partitioning=unavailable (needs the native kernels)" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--id", "2", "--scale", "tiny"],
+        ["table", "--id", "2", "--scale", "tiny", "--backend", "numpy"],
+        ["partition", "--matrix", "trdheim", "--k", "4", "--scale", "tiny"],
+        ["solve", "--matrix", "trdheim", "--k", "3", "--scale", "tiny", "--backend", "numpy"],
+    ],
+    ids=["table", "table-numpy", "partition", "solve-numpy"],
+)
+def test_cli_partitioning_without_compiler_is_refused(
+    clean_native_state, monkeypatch, capsys, argv
+):
+    """Every partition comes from the native kernels: on a host without
+    a compiler a command that partitions prints the one ConfigError an
+    explicit native backend gives and exits 2 before any work, whatever
+    ``--backend`` says."""
+    monkeypatch.setattr(native_build, "find_compiler", lambda: None)
+    err = cli_usage_error(capsys, argv)
+    assert "native backend unavailable: no C compiler" in err
 
 
 @pytest.mark.native

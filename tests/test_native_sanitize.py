@@ -119,36 +119,20 @@ for method in ("1d-rowwise", "s2d-heuristic", "finegrain", "s2d-bounded"):
         ), method
 assert modes == {"single", "two", "routed"}, modes
 
-# The partitioner driver: two-constraint partition_kway calls (one
-# repro_partition_kway each, on two threads, traced ones with an event
-# log, one with every content hash masked) per backend, and one that
+# The partitioner drivers against their frozen reference, at two
+# threads: two-constraint partition_kway calls (repro_partition_kway,
+# traced ones with an event log, one with every content hash masked) and
+# repro_bisect V-cycles on a tie-heavy fine-grain model (the HCM
+# matching, the contraction, greedy growing and the random fill, the FM
+# set-up alone and with its passes, a traced call); then one call that
 # returns early with its workspace allocated (a gain bound too large
 # for the buckets).
-from repro import obs
-from repro.generators.circuit import circuit_like
-from repro.hypergraph import Hypergraph, PartitionConfig, column_net_model, partition_kway
-from repro.hypergraph import coarsen as coarsen_mod
-from repro.jobs import set_partition_threads
-from repro.native import set_default_backend
+from repro.hypergraph import Hypergraph, partition_kway
+from tests.golden_partitioner import sanitize_models, check
 
-set_partition_threads(2)
-hg = column_net_model(circuit_like(200, seed=5))
-extra = np.random.default_rng(1).integers(0, 3, hg.nvertices)
-hg = Hypergraph(hg.xpins, hg.pins, np.column_stack([hg.vweights[:, 0], extra]), hg.ncosts)
-runs = {}
-for backend in ("numpy", "native"):
-    set_default_backend(backend)
-    out = []
-    for k in (1, 8, 64):
-        with obs.tracing() as tr:
-            out.append(partition_kway(hg, k, PartitionConfig(seed=2)))
-        out.append(np.array(sorted(sp.name for sp in tr.walk())))
-    coarsen_mod._HASH_MASK = 0
-    out.append(partition_kway(hg, 8, PartitionConfig(seed=3)))
-    coarsen_mod._HASH_MASK = (1 << 64) - 1
-    runs[backend] = out
-for want, got in zip(runs["numpy"], runs["native"]):
-    assert np.array_equal(want, got)
+problems = check("sanitize/", threads=(2,))
+assert not problems, problems
+hg = sanitize_models()[0]
 costly = Hypergraph(hg.xpins, hg.pins, hg.vweights, np.full(hg.nnets, 2**58))
 try:
     partition_kway(costly, 8)
@@ -157,41 +141,13 @@ except MemoryError:
 else:
     raise AssertionError("no MemoryError")
 
-# One V-cycle per repro_bisect call on a tie-heavy fine-grain model:
-# the HCM matching, the contraction, greedy growing and the random fill
-# (two trials), the FM set-up alone (no passes) and with its passes,
-# both targets, and a call whose event log is written.
-from repro.hypergraph import fine_grain_model
-from repro.hypergraph.bisect import multilevel_bisect
-from repro.rng import as_generator
-
-fg = fine_grain_model(circuit_like(120, seed=6)).hypergraph
-t = fg.total_weight().astype(float)
-bisections = {}
-for backend in ("numpy", "native"):
-    set_default_backend(backend)
-    out = []
-    for frac in (0.4, 0.5):
-        for passes in (0, 4):
-            rng = as_generator(3)
-            side, cut = multilevel_bisect(
-                fg, (t * frac, t * (1 - frac)), 0.05, rng, coarsen_to=40,
-                ninitial=2, fm_passes=passes,
-            )
-            out += [side, np.array([cut]), np.array([rng.integers(1 << 62)])]
-    with obs.tracing() as tr:
-        out.append(multilevel_bisect(fg, (t / 2, t / 2), 0.05, as_generator(4))[0])
-    out.append(np.array(sorted(sp.name for sp in tr.walk())))
-    bisections[backend] = out
-for want, got in zip(bisections["numpy"], bisections["native"]):
-    assert np.array_equal(want, got)
-
 # Algorithm 1's kernels: repro_block_dm over every off-diagonal block and
 # repro_s2d_flip, against the NumPy reference, on a dense-row matrix and
 # a rectangular random one.
 from repro.core.s2d import s2d_heuristic
 from repro.dm.batch import batched_block_dm
 from repro.generators.circuit import banded_with_dense_rows
+from repro.native import set_default_backend
 from repro.sparse.blocks import BlockStructure
 
 rng = np.random.default_rng(9)
@@ -244,19 +200,16 @@ def subtree_enomem_case() -> Hypergraph:
 def test_subtree_enomem_case_splits_as_documented():
     from repro import obs
     from repro.hypergraph import PartitionConfig, partition_kway
-    from repro.native import set_default_backend
+    from tests.golden_partitioner import partition_threads
 
     hg = subtree_enomem_case()
-    set_default_backend("numpy")
-    try:
+    with partition_threads(1):
         for seed, a_parts, levels in ((4, {2, 3}, [0, 0, 1]), (0, {0, 1}, [0, 1, 0])):
             with obs.tracing() as tr:
                 part = partition_kway(hg, 4, PartitionConfig(seed=seed, coarsen_to=2))
             assert set(part[:20].tolist()) == a_parts, seed
             coarsen = [sp for sp in tr.walk() if sp.name == "partition.coarsen"]
             assert [sp.counters["partition.levels"] for sp in coarsen] == levels, seed
-    finally:
-        set_default_backend(None)
 
 
 # The driver with a side, not the root, out of memory: the child's
@@ -271,12 +224,13 @@ if lib is None:
     raise SystemExit(0)
 from repro.hypergraph import Hypergraph, PartitionConfig, partition_kway
 from repro.jobs import set_partition_threads
-from repro.native import set_default_backend
 
 from tests.test_native_sanitize import subtree_enomem_case
 
 hg = subtree_enomem_case()
-set_default_backend("native")
+small = Hypergraph.from_net_lists([[i, i + 1] for i in range(40)], 41)
+set_partition_threads(1)
+want = partition_kway(small, 4, PartitionConfig(seed=1))
 for seed in (4, 0):
     for nthreads in (2, 1):
         set_partition_threads(nthreads)
@@ -288,10 +242,7 @@ for seed in (4, 0):
             raise AssertionError(f"no MemoryError at seed {seed}, {nthreads} threads")
 # Every fork was joined and freed: the process partitions as before.
 set_partition_threads(2)
-small = Hypergraph.from_net_lists([[i, i + 1] for i in range(40)], 41)
-got = partition_kway(small, 4, PartitionConfig(seed=1))
-set_default_backend("numpy")
-assert np.array_equal(got, partition_kway(small, 4, PartitionConfig(seed=1)))
+assert np.array_equal(partition_kway(small, 4, PartitionConfig(seed=1)), want)
 print("OK-SUBTREE-ENOMEM")
 """
 
@@ -321,17 +272,18 @@ print("UNREACHABLE")  # the sanitizer must abort before this line
 @pytest.mark.native
 @pytest.mark.sanitize
 def test_sanitized_kernels_pass_golden_applies():
-    """The ASan/UBSan build variant is bit-identical to NumPy on every
-    exported entry, run in a child with the sanitizer runtime active:
-    full plan applies (``repro_plan_apply`` under all three execution
-    models, one and many right-hand sides); two-constraint
-    ``partition_kway`` calls (``repro_partition_kway``: its allocations,
+    """The ASan/UBSan build variant is bit-identical to its references on
+    every exported entry, run in a child with the sanitizer runtime
+    active: full plan applies against NumPy (``repro_plan_apply`` under
+    all three execution models, one and many right-hand sides);
+    two-constraint ``partition_kway`` calls against the frozen
+    partitioner fixture (``repro_partition_kway``: its allocations,
     event logs and early out-of-memory return, and through it every
     partitioner stage including the K-way polish); ``multilevel_bisect``
-    calls (``repro_bisect``: the HCM matching, contraction, both
-    initial bisections and the FM set-up without and with passes); and
-    the block DM and s2D flip kernels over every off-diagonal block of
-    two matrices."""
+    calls against the same fixture (``repro_bisect``: the HCM matching,
+    contraction, both initial bisections and the FM set-up without and
+    with passes); and the block DM and s2D flip kernels against NumPy
+    over every off-diagonal block of two matrices."""
     proc = _run_child(_GOLDEN_CHILD)
     _skip_if_unloadable(proc)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -345,7 +297,7 @@ def test_sanitized_driver_fails_inside_a_subtree_cleanly():
     root, out of memory (ASan's allocator returns NULL above 8 MB in
     this child): on the fork's thread and on the calling thread, the
     call joins every thread, frees everything, raises MemoryError, and
-    the next call partitions as the NumPy reference does."""
+    the next call partitions as the first one did."""
     proc = _run_child(
         _SUBTREE_ENOMEM_CHILD,
         preload_asan=True,
@@ -421,8 +373,7 @@ def test_debug_guard_blocks_bad_indices_before_the_c_loop():
     lib = get_kernels()
     if lib is None:
         pytest.skip("native kernels unavailable")
-    from repro.hypergraph import coarsen
-    from repro.hypergraph.bisect import MAX_LEVELS
+    from repro.hypergraph.bisect import _HASH_MASK, MAX_LEVELS
 
     hg = Hypergraph.from_net_lists([[i, i + 1, (i + 5) % 12] for i in range(11)], 12)
     t = hg.total_weight().astype(np.float64) / 2
@@ -432,7 +383,7 @@ def test_debug_guard_blocks_bad_indices_before_the_c_loop():
             xpins=hg.xpins, pins=hg.pins, xnets=hg.xnets, nets=hg.nets,
             vweights=hg.vweights, ncosts=hg.ncosts, targets=np.array([t, t]),
             epsilon=0.05, coarsen_to=4, ninitial=2, fm_passes=2, max_net_size=200,
-            max_levels=MAX_LEVELS, stall_fraction=8, hash_mask=coarsen._HASH_MASK,
+            max_levels=MAX_LEVELS, stall_fraction=8, hash_mask=_HASH_MASK,
             rng_state=np.array([0, 1, 0, 1, 0, 0], dtype=np.uint64),
         )
 

@@ -1,26 +1,26 @@
-"""The recursive-bisection drivers in C against the Python driver.
+"""The recursive-bisection drivers in C.
 
-With the native backend and a PCG64-backed generator,
 ``partition_kway`` is one call of ``kernels.c:repro_partition_kway``
 and ``multilevel_bisect`` one call of ``kernels.c:repro_bisect``; both
-port NumPy's random streams.  Every other generator runs the Python
-driver over the NumPy stages.  Pinned here:
+port NumPy's PCG64 streams, and a generator on any other bit generator
+is refused.  Pinned here, against the results frozen from the former
+Python driver (``tests/golden_partitioner.py``):
 
-- over more than 200 seeds, edge seeds included, both backends give the
-  same parts and cuts, and a caller's generator ends in the same state
-  (also when it starts with a buffered 32-bit draw);
-- an MT19937-backed generator runs the Python driver and partitions as
-  before the C driver existed, on both backends;
-- a traced native run grafts the Python driver's span tree and
-  counters; an untraced one passes no event log; at 1-4 threads the
-  traced parts, spans (in order) and counters equal the serial run's;
+- over more than 200 seeds, edge seeds included, the parts, cuts and
+  final generator states are the frozen ones, and a caller's generator
+  ends in the frozen state (also when it starts with a buffered 32-bit
+  draw);
+- an MT19937-backed generator raises ConfigError naming it, whatever
+  the backend switch says;
+- a traced run grafts the frozen span tree and counters; an untraced
+  one passes no event log; at 1-4 threads the traced parts, spans (in
+  order) and counters equal the serial run's;
 - the drivers read the contraction's hash mask, validate their inputs
-  on every call, refuse arrays of the wrong dtype or layout, and report both a failed ``malloc`` and an oversized
-  gain-bucket bound as ``MemoryError``.
+  on every call, refuse arrays of the wrong dtype or layout, and report
+  a failed ``malloc``, an oversized gain-bucket bound and a workspace
+  whose byte count would overflow as ``MemoryError``.
 """
 
-import copy
-import hashlib
 import os
 import subprocess
 import sys
@@ -30,48 +30,26 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.errors import VerificationError
-from repro.generators.mesh import poisson2d
-from repro.hypergraph import Hypergraph, PartitionConfig, column_net_model, partition_kway
-from repro.hypergraph import coarsen
+from repro.errors import ConfigError, VerificationError
+from repro.hypergraph import Hypergraph, PartitionConfig, partition_kway
+from repro.hypergraph import bisect as vcycle
 from repro.hypergraph.bisect import MAX_LEVELS, multilevel_bisect
 from repro.native import get_kernels, ops
 
-from tests.test_partitioner_native import _model, forced_backend, partition_threads
+from tests import golden_partitioner as golden
+from tests.golden_partitioner import model as _model
+from tests.golden_partitioner import partition_threads
+from tests.test_partitioner_native import forced_backend
 
 pytestmark = pytest.mark.native
 
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2, 2**64 - 1, 2**100]
-
-
-def _both(fn):
-    """``fn()`` on the NumPy backend, then on the native one."""
-    with forced_backend("numpy"):
-        want = fn()
-    with forced_backend("native"):
-        got = fn()
-    return want, got
-
-
-def _kway_and_bisect(hg: Hypergraph, seed) -> list:
-    """A K=3 partition (two V-cycles, the spawn between them and the
-    polish) and one bisection from its own generator, with that
-    generator's final state."""
-    part = partition_kway(hg, 3, PartitionConfig(seed=seed, coarsen_to=8))
-    t = hg.total_weight().astype(np.float64)
-    rng = np.random.default_rng(seed)
-    side, cut = multilevel_bisect(hg, (t * 0.4, t * 0.6), 0.05, rng, coarsen_to=8)
-    return [part, side, cut, rng.bit_generator.state]
-
 
 def test_driver_matches_numpy_over_seeds():
-    hg = column_net_model(poisson2d(6))
-    seeds = EDGE_SEEDS + np.random.default_rng(2026).integers(0, 2**63 - 1, 200).tolist()
-    for seed in seeds:
-        want, got = _both(lambda: _kway_and_bisect(hg, seed))
-        assert np.array_equal(want[0], got[0]), seed
-        assert np.array_equal(want[1], got[1]) and want[2] == got[2], seed
-        assert want[3] == got[3], seed
+    """A K=3 partition (two V-cycles, the spawn between them and the
+    polish) and one bisection from its own generator, on a 36-vertex
+    mesh, per seed of the sweep: edge seeds and 200 drawn ones."""
+    assert len(golden.seed_sweep()) == 207
+    assert golden.check("seeds/") == []
 
 
 @pytest.mark.parametrize("buffered", [False, True])
@@ -79,46 +57,30 @@ def test_caller_generator_ends_in_the_same_state(buffered):
     """The driver writes the final PCG64 state back, the buffered half
     of a 64-bit draw included: the caller's stream continues as after
     the Python driver."""
-    hg = _model("circuit", 2)
     rng = np.random.default_rng(11)
     if buffered:
-        rng.random(dtype=np.float32)  # one 32-bit draw, its twin buffered
+        rng.random(dtype=np.float32)
     assert rng.bit_generator.state["has_uint32"] == int(buffered)
-
-    def run(g):
-        part = partition_kway(hg, 5, PartitionConfig(seed=g))
-        t = hg.total_weight().astype(np.float64)
-        side, cut = multilevel_bisect(hg, (t / 2, t / 2), 0.03, g)
-        return part, side, cut, g.bit_generator.state
-
-    want, got = _both(lambda: run(copy.deepcopy(rng)))
-    assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
-    assert want[2:] == got[2:]
-
-
-def _digest(a: np.ndarray) -> str:
-    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+    assert golden.check(f"caller_state/buffered-{buffered}") == []
 
 
 @pytest.mark.parametrize("backend", ["numpy", "native"])
-def test_mt19937_generator_partitions_as_before(backend):
-    """Values recorded before the C driver existed: a generator on
-    another bit generator runs the Python driver on either backend, its
-    own V-cycles over the NumPy stages (the subproblems' spawned PCG64
-    streams run ``repro_bisect`` on the native backend)."""
+def test_mt19937_generator_is_refused(backend):
+    """The drivers draw PCG64 streams only: a generator on another bit
+    generator raises ConfigError naming it before any work, on either
+    backend switch, and is left as it was."""
     hg = _model("knn", 1)
+    t = hg.total_weight().astype(np.float64)
     with forced_backend(backend):
-        rng = np.random.Generator(np.random.MT19937(5))
-        part = partition_kway(hg, 8, PartitionConfig(seed=rng))
-        assert (_digest(part), rng.integers(1 << 62)) == (
-            "ed669d1123867aaf", 2262004063433257024,
-        )
-        t = hg.total_weight().astype(np.float64)
-        rng = np.random.Generator(np.random.MT19937(6))
-        side, cut = multilevel_bisect(hg, (t * 0.4, t * 0.6), 0.05, rng)
-        assert (_digest(side), cut, rng.integers(1 << 62)) == (
-            "011038076caea0f8", 50, 1390440792480973139,
-        )
+        for run in (
+            lambda g: partition_kway(hg, 8, PartitionConfig(seed=g)),
+            lambda g: multilevel_bisect(hg, (t * 0.4, t * 0.6), 0.05, g, PartitionConfig()),
+        ):
+            rng = np.random.Generator(np.random.MT19937(5))
+            with pytest.raises(ConfigError, match="PCG64 streams, got a generator on MT19937"):
+                run(rng)
+            fresh = np.random.Generator(np.random.MT19937(5))
+            assert rng.integers(1 << 62) == fresh.integers(1 << 62)
 
 
 def _stage_tree(tr) -> tuple[Counter, dict]:
@@ -135,16 +97,11 @@ def _stage_tree(tr) -> tuple[Counter, dict]:
 
 
 def test_traced_driver_grafts_the_python_span_tree():
+    """The frozen tree and counters are the former Python driver's."""
+    assert golden.check("graft/") == []
     hg = _model("knn", 1)
-
-    def traced():
-        with obs.tracing() as tr:
-            part = partition_kway(hg, 64, PartitionConfig(seed=4))
-        return part, tr
-
-    (p_np, tr_np), (p_nat, tr_nat) = _both(traced)
-    assert np.array_equal(p_np, p_nat)
-    assert _stage_tree(tr_np) == _stage_tree(tr_nat)
+    with obs.tracing() as tr_nat:
+        partition_kway(hg, 64, PartitionConfig(seed=4))
     names = Counter(sp.name for sp in tr_nat.walk())
     assert names["partition.coarsen"] == 63 and names["partition.kway"] == 1
     # Timed on obs.now's clock, children inside their parents.
@@ -162,16 +119,15 @@ def test_traced_threads_graft_the_serial_tree(family):
     levels per V-cycle, the polish's cut before and after) equal the
     1-thread run's: each fork's events land in subtree order."""
     hg = _model(family, 1)
-    with forced_backend("native"):
-        runs = {}
-        for nthreads in (1, 2, 3, 4):
-            with partition_threads(nthreads):
-                untraced = partition_kway(hg, 24, PartitionConfig(seed=6))
-                with obs.tracing() as tr:
-                    traced = partition_kway(hg, 24, PartitionConfig(seed=6))
-            assert np.array_equal(untraced, traced), nthreads
-            names = [sp.name for sp in tr.walk() if sp.name.startswith("partition.")]
-            runs[nthreads] = traced, _stage_tree(tr), names
+    runs = {}
+    for nthreads in (1, 2, 3, 4):
+        with partition_threads(nthreads):
+            untraced = partition_kway(hg, 24, PartitionConfig(seed=6))
+            with obs.tracing() as tr:
+                traced = partition_kway(hg, 24, PartitionConfig(seed=6))
+        assert np.array_equal(untraced, traced), nthreads
+        names = [sp.name for sp in tr.walk() if sp.name.startswith("partition.")]
+        runs[nthreads] = traced, _stage_tree(tr), names
     want_part, want_tree, want_names = runs[1]
     assert want_tree[1]["partition.bisections"] == 23
     for nthreads, (part, tree, names) in runs.items():
@@ -201,7 +157,9 @@ _BISECT_LOG_AT, _BISECT_MASK_AT = 21, 10
 def _run_drivers(hg: Hypergraph, seed: int = 3):
     part = partition_kway(hg, 4, PartitionConfig(seed=seed))
     t = hg.total_weight().astype(np.float64)
-    side, cut = multilevel_bisect(hg, (t / 2, t / 2), 0.05, np.random.default_rng(seed))
+    side, cut = multilevel_bisect(
+        hg, (t / 2, t / 2), 0.05, np.random.default_rng(seed), PartitionConfig()
+    )
     return part, side, cut
 
 
@@ -209,10 +167,9 @@ def test_untraced_call_passes_no_event_log(monkeypatch):
     kway_calls = _spy(monkeypatch, get_kernels(), "partition_kway")
     bisect_calls = _spy(monkeypatch, get_kernels(), "bisect")
     hg = _model("mesh", 1)
-    with forced_backend("native"):
+    _run_drivers(hg)
+    with obs.tracing():
         _run_drivers(hg)
-        with obs.tracing():
-            _run_drivers(hg)
     for calls, log_at in ((kway_calls, _LOG_AT), (bisect_calls, _BISECT_LOG_AT)):
         untraced, traced = calls
         assert untraced[log_at : log_at + 3] == (0, None, None)
@@ -223,13 +180,10 @@ def test_untraced_call_passes_no_event_log(monkeypatch):
 def test_colliding_hashes_through_the_driver(family, monkeypatch):
     """Every content hash masked to 0 reaches the driver's contraction,
     which then merges nets by the exact pin comparison alone."""
-    monkeypatch.setattr(coarsen, "_HASH_MASK", 0)
     kway_calls = _spy(monkeypatch, get_kernels(), "partition_kway")
     bisect_calls = _spy(monkeypatch, get_kernels(), "bisect")
-    hg = _model(family, 2)
-    want, got = _both(lambda: _run_drivers(hg, seed=9))
-    assert np.array_equal(want[0], got[0])
-    assert np.array_equal(want[1], got[1]) and want[2] == got[2]
+    assert golden.check(f"driver_hashes/{family}") == []
+    assert vcycle._HASH_MASK == (1 << 64) - 1  # restored
     assert [args[_MASK_AT] for args in kway_calls] == [0]
     assert [args[_BISECT_MASK_AT] for args in bisect_calls] == [0]
 
@@ -240,7 +194,7 @@ def _driver_args(hg: Hypergraph, nparts: int = 4) -> dict:
         vweights=hg.vweights, ncosts=hg.ncosts, nparts=nparts, eps_level=0.01,
         epsilon=0.03, coarsen_to=8, ninitial=4, fm_passes=4, max_net_size=200,
         kway_passes=2, max_levels=MAX_LEVELS, stall_fraction=8,
-        hash_mask=coarsen._HASH_MASK,
+        hash_mask=vcycle._HASH_MASK,
         rng_state=np.array([0, 1, 0, 1, 0, 0], dtype=np.uint64),
     )
 
@@ -310,19 +264,17 @@ def test_oversized_gain_bound_raises_memory_error():
     hg = Hypergraph.from_net_lists(
         [[0, 1], [1, 2], [0, 2]], 3, ncosts=np.array([2**58, 2**58, 1])
     )
-    with forced_backend("native"):
-        with pytest.raises(MemoryError, match="native partition_kway: out of memory"):
-            partition_kway(hg, 2)
+    with pytest.raises(MemoryError, match="native partition_kway: out of memory"):
+        partition_kway(hg, 2)
 
 
 _FAILED_MALLOC_CHILD = """
 import resource
 import numpy as np
 from repro.hypergraph import Hypergraph, PartitionConfig, partition_kway
-from repro.native import get_kernels, set_default_backend
+from repro.native import get_kernels
 
 assert get_kernels() is not None
-set_default_backend("native")
 n, ncon = 1024, 2048
 # The driver's first large block, the coarse weights, takes 16 MiB.
 wide = Hypergraph.from_net_lists(
@@ -365,3 +317,30 @@ def test_failed_malloc_raises_memory_error():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "OK-FAILED-MALLOC" in proc.stdout
+
+
+_HUGE_NINITIAL_CHILD = """
+from repro.generators.mesh import poisson2d
+from repro.hypergraph import PartitionConfig, column_net_model, partition_kway
+
+hg = column_net_model(poisson2d(6))
+try:
+    partition_kway(hg, 4, PartitionConfig(ninitial=2**62))
+except MemoryError as exc:
+    assert "native partition_kway: out of memory" in str(exc), exc
+    print("OK-HUGE-NINITIAL")
+"""
+
+
+def test_huge_ninitial_raises_memory_error():
+    """2**62 trial seeds of 8 bytes wrap a 64-bit byte count to 0: the
+    driver's allocator refuses the count instead of handing out a short
+    block that the trials then overrun, so the call raises MemoryError
+    and the process lives on."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HUGE_NINITIAL_CHILD], capture_output=True, text=True,
+        timeout=300, cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+    assert "OK-HUGE-NINITIAL" in proc.stdout

@@ -1,6 +1,7 @@
-"""The vectorized partitioner core: determinism, quality vs the seed
-implementation's frozen cuts, kernel correctness, edge cases, and the
-stage spans the ``--profile`` table is folded from."""
+"""The partitioner core: determinism, quality vs the seed
+implementation's frozen cuts, the shared array kernels, coarsening and
+refinement edge cases observed through whole V-cycles, and the stage
+spans the ``--profile`` table is folded from."""
 
 import numpy as np
 import pytest
@@ -12,11 +13,10 @@ from repro.hypergraph import (
     PartitionConfig,
     column_net_model,
     connectivity_minus_one,
+    cutnet_cost,
     partition_kway,
 )
-from repro.hypergraph.coarsen import coarsen_once
-from repro.hypergraph.kway import kway_greedy_refine
-from repro.hypergraph.refine import _violation, bisection_cut, fm_refine, part_weights
+from repro.hypergraph.bisect import multilevel_bisect
 from repro.kernels import (
     GroupPlan,
     concat_ranges,
@@ -35,6 +35,27 @@ def _random_hg(rng, n, nnets, max_pins=5, ncon=1):
     w = rng.integers(1, 4, size=(n, ncon))
     costs = rng.integers(1, 5, size=nnets)
     return Hypergraph.from_net_lists(nets, nvertices=n, vweights=w, ncosts=costs)
+
+
+def _halves(hg):
+    t = hg.total_weight().astype(float)
+    return t / 2, t / 2
+
+
+def _bisect(hg, seed, targets=None, epsilon=0.05, **cfg):
+    """One traced V-cycle: ``(side, cut, partition.levels)``."""
+    with obs.tracing() as tr:
+        side, cut = multilevel_bisect(
+            hg, targets or _halves(hg), epsilon, as_generator(seed), PartitionConfig(**cfg)
+        )
+    return side, cut, tr.total_counters()["partition.levels"]
+
+
+def _violation(hg, side, targets, epsilon) -> float:
+    """The worst side weight over its limit ``target · (1 + ε)``."""
+    pw = np.zeros((2, hg.nconstraints))
+    np.add.at(pw, side, hg.vweights)
+    return float((pw / (np.array(targets) * (1 + epsilon))).max())
 
 
 # ----------------------------------------------------------------------
@@ -144,13 +165,13 @@ def test_partition_kway_seed_changes_result(medium_square):
 
 
 def test_coarsen_deterministic(medium_square):
+    """The front half (coarsening, trials, projection) twice from one
+    seed: the same sides, cut and level count."""
     hg = column_net_model(medium_square)
-    c1, h1 = coarsen_once(hg, as_generator(4))
-    c2, h2 = coarsen_once(hg, as_generator(4))
-    assert np.array_equal(c1, c2)
-    assert np.array_equal(h1.xpins, h2.xpins)
-    assert np.array_equal(h1.pins, h2.pins)
-    assert np.array_equal(h1.ncosts, h2.ncosts)
+    first = _bisect(hg, 4, fm_passes=0)
+    second = _bisect(hg, 4, fm_passes=0)
+    assert np.array_equal(first[0], second[0])
+    assert first[1:] == second[1:] and first[2] > 0
 
 
 # ----------------------------------------------------------------------
@@ -190,42 +211,37 @@ def test_coarsen_all_nets_above_max_size():
     # the identity on vertices and the V-cycle stall check fires
     nets = [list(range(12)), list(range(2, 14))]
     hg = Hypergraph.from_net_lists(nets, nvertices=14)
-    cmap, coarse = coarsen_once(hg, as_generator(0), max_net_size=5)
-    assert np.array_equal(cmap, np.arange(14))
-    assert coarse.nvertices == 14
-    assert coarse.nnets == 2  # structure preserved, nothing merged
-    assert np.array_equal(coarse.total_weight(), hg.total_weight())
+    side, cut, levels = _bisect(hg, 0, coarsen_to=2, max_net_size=5)
+    assert levels == 0
+    assert cut == cutnet_cost(hg, side)
+    assert np.bincount(side, minlength=2).tolist() == [7, 7]
 
 
 def test_coarsen_singleton_nets_dropped():
     nets = [[3], [7], [0, 1], [0, 1]]
     hg = Hypergraph.from_net_lists(nets, nvertices=8)
-    cmap, coarse = coarsen_once(hg, as_generator(1))
+    side, cut, levels = _bisect(hg, 1, coarsen_to=2)
     # 0 and 1 merge via their shared pair nets; both pair nets then
-    # collapse to single-pin nets and vanish with the singletons.
-    assert cmap[0] == cmap[1]
-    assert coarse.nnets == 0
+    # collapse to single-pin nets and vanish with the singletons, so
+    # the next level has no net to match on and stalls.
+    assert levels == 1
+    assert side[0] == side[1] and cut == 0
 
 
 def test_coarsen_merges_identical_nets_costs_summed():
-    nets = [[0, 1, 2], [0, 1, 2], [3, 4]]
-    hg = Hypergraph.from_net_lists(
-        nets, nvertices=6, ncosts=np.array([2, 5, 1])
-    )
-    # Identity contraction (no rng-dependent matching): merge only.
-    from repro.hypergraph.coarsen import _contract
+    """Nets {0, 1, 2} (cost 2 and 5) and {3, 4} (cost 1), coarsened down
+    to two vertices: the frozen results of the reference whose
+    contraction merged the identical nets into one of cost 7."""
+    from tests.golden_partitioner import check
 
-    coarse = _contract(hg, np.arange(6), 6)
-    assert coarse.nnets == 2
-    assert sorted(coarse.ncosts.tolist()) == [1, 7]
-    assert coarse.ncosts.sum() == hg.ncosts.sum()
+    assert check("contraction/identical/") == []
 
 
 def test_coarsen_no_nets():
     hg = Hypergraph.from_net_lists([], nvertices=5)
-    cmap, coarse = coarsen_once(hg, as_generator(2))
-    assert coarse.nnets == 0
-    assert coarse.total_weight()[0] == 5
+    side, cut, levels = _bisect(hg, 2, coarsen_to=2)
+    assert levels == 0 and cut == 0
+    assert sorted(np.bincount(side, minlength=2).tolist()) == [2, 3]
 
 
 # ----------------------------------------------------------------------
@@ -234,12 +250,14 @@ def test_coarsen_no_nets():
 
 
 def test_fm_repairs_multiconstraint_infeasible_start():
-    """A projected partition violating both constraints must be repaired.
+    """A projected partition violating a constraint must be repaired.
 
-    Every vertex carries weight in both constraints (so each move
-    strictly reduces the worst violation — moves that leave the worst
-    violation unchanged are inadmissible by design, in the seed
-    implementation and the rewrite alike).
+    Coarsened down to two vertices, the coarsest bisection cannot meet
+    the tolerance: without FM passes its projection stays infeasible,
+    with them the V-cycle ends feasible.  Every vertex carries weight
+    in both constraints (so each move strictly reduces the worst
+    violation — moves that leave the worst violation unchanged are
+    inadmissible by design).
     """
     n = 40
     w = np.ones((n, 2), dtype=np.int64)
@@ -247,17 +265,15 @@ def test_fm_repairs_multiconstraint_infeasible_start():
     hg = Hypergraph.from_net_lists(
         [[i, (i + 1) % n] for i in range(n)], nvertices=n, vweights=w
     )
-    part = np.zeros(n, dtype=np.int8)  # everything on side 0: infeasible
-    t = hg.total_weight().astype(float)
-    targets = (t / 2, t / 2)
-    limits = np.stack([t / 2 * 1.1, t / 2 * 1.1])
-    v0 = _violation(part_weights(hg, part).astype(float), limits)
-    out, cut = fm_refine(hg, part, targets, 0.1, max_passes=8)
-    v1 = _violation(part_weights(hg, out).astype(float), limits)
+    targets = _halves(hg)
+    start, *_ = _bisect(hg, 2, targets, 0.1, coarsen_to=2, ninitial=1, fm_passes=0)
+    out, cut, _ = _bisect(hg, 2, targets, 0.1, coarsen_to=2, ninitial=1, fm_passes=8)
+    v0 = _violation(hg, start, targets, 0.1)
+    v1 = _violation(hg, out, targets, 0.1)
     assert v0 > 1.0
     assert v1 < v0  # violation strictly reduced
     assert v1 <= 1.0 + 1e-9  # and fully repaired on this easy instance
-    assert cut == bisection_cut(hg, out)
+    assert cut == cutnet_cost(hg, out)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 23, 101])
@@ -266,10 +282,8 @@ def test_fm_incremental_gains_consistent_cut(seed):
     keep the reported cut equal to a from-scratch recount."""
     rng = as_generator(seed)
     hg = _random_hg(rng, n=40, nnets=60, max_pins=6, ncon=2)
-    part = rng.integers(0, 2, 40).astype(np.int8)
-    t = hg.total_weight().astype(float)
-    refined, cut = fm_refine(hg, part, (t / 2, t / 2), 0.15, max_passes=6)
-    assert cut == bisection_cut(hg, refined)
+    refined, cut, _ = _bisect(hg, seed, epsilon=0.15, coarsen_to=40, fm_passes=6)
+    assert cut == cutnet_cost(hg, refined)
 
 
 # ----------------------------------------------------------------------
@@ -281,10 +295,9 @@ def test_fm_incremental_gains_consistent_cut(seed):
 def test_kway_polish_never_increases_cost(seed):
     rng = as_generator(seed)
     hg = _random_hg(rng, n=60, nnets=90, max_pins=6)
-    part = rng.integers(0, 6, 60)
-    before = connectivity_minus_one(hg, part)
-    polished = kway_greedy_refine(hg, part, 6, epsilon=0.5)
-    assert connectivity_minus_one(hg, polished) <= before
+    raw = partition_kway(hg, 6, PartitionConfig(seed=seed, epsilon=0.5, kway_passes=0))
+    polished = partition_kway(hg, 6, PartitionConfig(seed=seed, epsilon=0.5))
+    assert connectivity_minus_one(hg, polished) <= connectivity_minus_one(hg, raw)
 
 
 # ----------------------------------------------------------------------

@@ -255,15 +255,16 @@ def test_run_sweep_rejects_negative_jobs():
 
 
 def test_pool_path_resolves_backend_before_forking(monkeypatch):
-    """run_sweep resolves the kernel backend in the parent before its
-    first fork, so forked workers inherit the loaded library instead of
-    each loading it; at jobs=1 nothing forks and nothing is pre-loaded."""
+    """run_sweep loads the kernel library, which every partition needs,
+    in the parent before its first fork, so forked workers inherit it
+    instead of each loading it; at jobs=1 nothing forks and nothing is
+    pre-loaded."""
     from multiprocessing.context import ForkProcess
 
     import repro.sweep.campaign as campaign
 
     calls = []
-    monkeypatch.setattr(campaign, "resolve_backend", lambda: calls.append("resolve"))
+    monkeypatch.setattr(campaign, "require_kernels", lambda: calls.append("resolve"))
     start = ForkProcess.start
     monkeypatch.setattr(
         ForkProcess, "start", lambda self: calls.append("fork") or start(self)

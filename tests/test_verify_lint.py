@@ -201,8 +201,8 @@ def test_rep010_no_longer_allows_runtime_compile():
 def test_rep010_allows_kernels_allowlist_and_unstable_sorts():
     src = "import numpy as np\no = np.lexsort((c, r))\np = np.argsort(k, kind='stable')\n"
     assert "REP010" not in _rules(src, "kernels/__init__.py")
-    for rel in ("hypergraph/coarsen.py", "core/s2d.py"):
-        assert "REP010" not in _rules(src, rel)
+    assert "REP010" not in _rules(src, "core/s2d.py")
+    assert "REP010" in _rules(src, "hypergraph/bisect.py")
     # Non-stable sorts and the kernel itself are fine anywhere.
     assert "REP010" not in _rules(
         "import numpy as np\no = np.argsort(k)\np = np.argsort(k, kind='quicksort')\n"

@@ -10,11 +10,14 @@ Runs, in order, and prints one PASS/FAIL line per step:
    ``tests/fixtures/runtime_golden.json``; each plan is also saved and
    loaded in memory, and must keep its pinned digests and come back as
    read-only, aligned views of the payload;
-3. the fast pytest tier (``-m "not slow"``) in a subprocess — skipped
+3. every case of ``tests/fixtures/partitioner_reference.json`` (the
+   partitioner's frozen reference results) through the C driver, at one
+   and two threads;
+4. the fast pytest tier (``-m "not slow"``) in a subprocess — skipped
    with ``--no-pytest`` when only the static layer is wanted;
-4. with ``--bench``, the bench-trend gate (``tools/bench_trend.py``)
+5. with ``--bench``, the bench-trend gate (``tools/bench_trend.py``)
    over the committed ``BENCH_*.json`` acceptance metrics;
-5. with ``--campaign``, a crash-safety smoke: a small faulted grid run
+6. with ``--campaign``, a crash-safety smoke: a small faulted grid run
    under a seeded ``FaultPlan`` (worker kill + transient raise) must
    complete with records bit-identical to an unfaulted serial sweep.
 
@@ -100,6 +103,16 @@ def step_plans() -> tuple[bool, str]:
     return ok, "\n".join(lines)
 
 
+def step_partitions() -> tuple[bool, str]:
+    from tests.golden_partitioner import FIXTURE, check, reference
+
+    problems = check(threads=(1, 2))
+    summary = f"{len(reference())} cases of {FIXTURE.name} at 1 and 2 threads: " + (
+        "match" if not problems else f"{len(problems)} mismatch(es)"
+    )
+    return not problems, "\n".join([summary, *problems])
+
+
 def step_bench_trend() -> tuple[bool, str]:
     from repro.obs.trend import trend_report, trend_text
 
@@ -182,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--no-pytest",
         action="store_true",
-        help="run only the static checks (lint, plan-IR)",
+        help="run only the static checks (lint, plan-IR, partitions)",
     )
     ap.add_argument(
         "--bench",
@@ -200,6 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     steps = [
         ("lint", step_lint),
         ("plan-ir", step_plans),
+        ("partitions", step_partitions),
     ]
     if args.bench:
         steps.append(("bench-trend", step_bench_trend))
