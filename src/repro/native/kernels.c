@@ -38,19 +38,22 @@
  * - every scatter iterates items in index order, so the additions into
  *   each output slot happen in exactly the element order of
  *   np.bincount(idx, weights=w) and np.add.at(acc, idx, w);
- * - the main products of one row are summed in a register that starts
- *   at +0.0 and adds the row's products in element order.  np.bincount
- *   starts every bin at +0.0 and adds its weights in element order too,
- *   so when a row's products are contiguous and in order (main_rows is
- *   nondecreasing, checked when the plan state is built) the register
- *   performs the identical additions.  Starting from +0.0 matters: a
- *   row whose only products are -0.0 sums to +0.0, as in bincount;
+ * - the main products are summed with one register per row, four rows
+ *   in lockstep, element order within a row.  Each row's register
+ *   starts at +0.0 and adds that row's products in element order; the
+ *   four rows only interleave their independent add chains, never mix
+ *   them.  np.bincount starts every bin at +0.0 and adds its weights in
+ *   element order too, so when a row's products are contiguous and in
+ *   order (main_rows is nondecreasing, checked when the plan state is
+ *   built) each register performs the identical additions.  Starting
+ *   from +0.0 matters: a row whose only products are -0.0 sums to +0.0,
+ *   as in bincount;
  * - each product rounds to double before the add.  The build always
  *   passes -ffp-contract=off, so the compiler cannot contract the
  *   multiply-add into an FMA (which would skip the intermediate
  *   rounding and change the low bits);
- * - no reassociation: strict IEEE semantics are the C default, so the
- *   register sum is not split into vector lanes.
+ * - no reassociation: strict IEEE semantics are the C default, so no
+ *   row's sum is split into vector lanes.
  */
 
 #define _POSIX_C_SOURCE 200112L /* clock_gettime, pthreads */
@@ -124,7 +127,13 @@ static void zero(double *a, int64_t n)
  *
  * The main products are summed per row in a register, not scattered:
  * a scatter's read-modify-write of y[row] puts a store-to-load
- * dependency through memory on every product. */
+ * dependency through memory on every product.  Rows go in groups of
+ * four with a register each: while the shortest row of the group
+ * lasts the four add chains advance in lockstep, so a product waits
+ * on its own row's previous add only, not on every product before
+ * it.  Then each row finishes alone, and the last nrows % 4 rows run
+ * one at a time.  Every row is still the one add chain np.bincount
+ * computes for its bin. */
 EXPORT void repro_plan_apply(
     int64_t nrows, int64_t npre, int64_t ng1, int64_t ng2, int64_t nfold,
     const double *restrict pre_vals,
@@ -155,7 +164,39 @@ EXPORT void repro_plan_apply(
         scatter_add(nfold, fold_rows, fsums, y);
         return;
     }
-    for (int64_t row = 0; row < nrows; row++) {
+    int64_t row = 0;
+    for (; row + 4 <= nrows; row += 4) {
+        const int64_t *p = ptr + row;
+        int64_t n0 = p[1] - p[0], n1 = p[2] - p[1];
+        int64_t n2 = p[3] - p[2], n3 = p[4] - p[3];
+        int64_t m = n0 < n1 ? n0 : n1;
+        m = m < n2 ? m : n2;
+        m = m < n3 ? m : n3;
+        const double *v0 = main_vals + p[0], *v1 = main_vals + p[1];
+        const double *v2 = main_vals + p[2], *v3 = main_vals + p[3];
+        const int64_t *c0 = main_cols + p[0], *c1 = main_cols + p[1];
+        const int64_t *c2 = main_cols + p[2], *c3 = main_cols + p[3];
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (int64_t k = 0; k < m; k++) {
+            s0 = s0 + v0[k] * x[c0[k]];
+            s1 = s1 + v1[k] * x[c1[k]];
+            s2 = s2 + v2[k] * x[c2[k]];
+            s3 = s3 + v3[k] * x[c3[k]];
+        }
+        for (int64_t k = m; k < n0; k++)
+            s0 = s0 + v0[k] * x[c0[k]];
+        for (int64_t k = m; k < n1; k++)
+            s1 = s1 + v1[k] * x[c1[k]];
+        for (int64_t k = m; k < n2; k++)
+            s2 = s2 + v2[k] * x[c2[k]];
+        for (int64_t k = m; k < n3; k++)
+            s3 = s3 + v3[k] * x[c3[k]];
+        y[row] = s0;
+        y[row + 1] = s1;
+        y[row + 2] = s2;
+        y[row + 3] = s3;
+    }
+    for (; row < nrows; row++) {
         double s = 0.0;
         for (int64_t k = ptr[row]; k < ptr[row + 1]; k++)
             s += main_vals[k] * x[main_cols[k]];

@@ -37,12 +37,14 @@ and the fold are index-order scatters, so every group sum equals
 products are not scattered: the derivations emit the main section in
 row order (``main_rows`` nondecreasing — a ``plan.main-order``
 invariant of :func:`repro.verify.check_plan`), so each row's products
-are one contiguous segment, and the kernel sums it in a register that
-starts at +0.0 and adds the products in element order.  That is
-exactly what ``np.bincount`` does for the row's bin — it starts every
-bin at +0.0 and adds its weights in element order — so the register
-sum is bit-identical, down to a row of ``-0.0`` products summing to
-+0.0.
+are one contiguous segment.  The kernel sums them with one register
+per row, four rows in lockstep, element order within a row: each
+row's register starts at +0.0 and adds that row's products in element
+order, and the four rows of a group only interleave their separate add
+chains.  That is exactly what ``np.bincount`` does for the row's bin —
+it starts every bin at +0.0 and adds its weights in element order — so
+every row's sum is bit-identical, down to a row of ``-0.0`` products
+summing to +0.0.
 """
 
 from __future__ import annotations

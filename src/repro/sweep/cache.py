@@ -55,8 +55,10 @@ status query creates no database and repairs none.
 
 **Corruption** is a miss, never an error: a payload that does not
 decode is deleted, and a file that is not a database is removed with
-its ``-wal`` / ``-shm`` files and recreated.  Both count as
-``corrupt`` and emit an ``artifact.corrupt`` event naming the key.
+its ``-wal`` / ``-shm`` files and recreated, unless the path already
+names another file (a database another process recreated).  Both
+count as ``corrupt`` and emit an ``artifact.corrupt`` event naming the
+key.
 """
 
 from __future__ import annotations
@@ -135,31 +137,29 @@ def _file_id(path: str) -> tuple[int, int] | None:
     return st.st_dev, st.st_ino
 
 
-def _open(path: str) -> sqlite3.Connection:
-    """Connect to ``path``, creating the WAL database and its table if
+def _is_corrupt(exc: BaseException) -> bool:
+    """True for the base class, which "not a database" and "malformed"
+    raise; its subclasses (locked, read-only, disk full, misuse) are not
+    corruption."""
+    return type(exc) is sqlite3.DatabaseError
+
+
+def _prepare(conn: sqlite3.Connection) -> None:
+    """Switch ``conn``'s database to WAL and create its tables if
     needed.  Switching a fresh file to WAL needs an exclusive lock that
     the busy handler does not wait for, so a process racing others on
-    a fresh file retries that step itself.  Every thread of the process
-    shares the connection, hence ``check_same_thread=False``."""
-    conn = sqlite3.connect(
-        path, timeout=_BUSY_TIMEOUT_S, isolation_level=None, check_same_thread=False
-    )
-    try:
-        conn.execute("PRAGMA synchronous=NORMAL")
-        deadline = time.monotonic() + _BUSY_TIMEOUT_S
-        while conn.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
-            try:
-                conn.execute("PRAGMA journal_mode=WAL").fetchall()
-            except sqlite3.OperationalError as exc:
-                if "locked" not in str(exc) or time.monotonic() > deadline:
-                    raise
-                time.sleep(0.001)
-        for table in _SCHEMA:
-            conn.execute(table)
-    except BaseException:
-        conn.close()
-        raise
-    return conn
+    a fresh file retries that step itself."""
+    conn.execute("PRAGMA synchronous=NORMAL")
+    deadline = time.monotonic() + _BUSY_TIMEOUT_S
+    while conn.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
+        try:
+            conn.execute("PRAGMA journal_mode=WAL").fetchall()
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() > deadline:
+                raise
+            time.sleep(0.001)
+    for table in _SCHEMA:
+        conn.execute(table)
 
 
 def _close_stale(pid: int) -> None:
@@ -188,8 +188,7 @@ def read_events(root) -> list[dict]:
     except sqlite3.DatabaseError as exc:
         # Not a database (the base class), or a store written before
         # the events table existed; anything else is a real error.
-        not_a_store = type(exc) is sqlite3.DatabaseError
-        if not (not_a_store or "no such table" in str(exc)):
+        if not (_is_corrupt(exc) or "no such table" in str(exc)):
             raise
         return []
     finally:
@@ -232,10 +231,14 @@ class ArtifactCache:
 
     # ------------------------------------------------------------------
 
-    def _disconnect(self) -> None:
+    def _disconnect(self) -> tuple[int, int] | None:
+        """Close this process's connection; returns the identity of the
+        file it opened (None when there was none)."""
         entry = _CONNECTIONS.pop((os.getpid(), self.path), None)
-        if entry is not None:
-            entry[0].close()
+        if entry is None:
+            return None
+        entry[0].close()
+        return entry[1]
 
     def _connection(self) -> sqlite3.Connection:
         """This process's connection to the database, (re)opened when
@@ -246,25 +249,40 @@ class ArtifactCache:
             return entry[0]
         _close_stale(slot[0])
         self.root.mkdir(parents=True, exist_ok=True)
-        conn = _open(self.path)
+        # Every thread of the process shares the connection, hence
+        # check_same_thread=False.  It is registered with the identity
+        # of the file it opened before anything runs on it, so that a
+        # corrupt file's recovery knows which file it may remove.
+        conn = sqlite3.connect(
+            self.path, timeout=_BUSY_TIMEOUT_S, isolation_level=None,
+            check_same_thread=False,
+        )
         _CONNECTIONS[slot] = (conn, _file_id(self.path))
+        try:
+            _prepare(conn)
+        except BaseException as exc:
+            if not _is_corrupt(exc):
+                self._disconnect()
+            raise
         return conn
 
     def _query(self, sql: str, params: tuple, key: str | None) -> list:
         """Run one autocommitted statement to completion.  A file that
         is not a database is evicted, recreated and the statement run
-        again on the fresh one."""
+        again on the fresh one.  The eviction removes the file only
+        while it is still the one this connection opened: another
+        process may already have recreated the database there and
+        committed to it."""
         try:
             return self._connection().execute(sql, params).fetchall()
         except sqlite3.DatabaseError as exc:
-            # "not a database" and "malformed" raise the base class;
-            # its subclasses (locked, read-only, disk full, misuse) are
-            # not corruption.
-            if type(exc) is not sqlite3.DatabaseError:
+            if not _is_corrupt(exc):
                 raise
             self._corrupt(key)
-            self._disconnect()
-            for suffix in ("", "-wal", "-shm"):
+            opened = self._disconnect()
+            for suffix in ("-wal", "-shm", ""):
+                if opened is None or _file_id(self.path) != opened:
+                    break
                 try:
                     os.unlink(self.path + suffix)
                 except FileNotFoundError:

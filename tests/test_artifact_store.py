@@ -221,6 +221,45 @@ def test_a_file_that_is_not_a_database_is_replaced(tmp_path):
         assert db.execute("PRAGMA journal_mode").fetchone() == ("wal",)
 
 
+@pytest.mark.parametrize("where", ["open", "statement"])
+def test_recovery_leaves_a_database_recreated_by_another_process(
+    tmp_path, monkeypatch, where
+):
+    """Between this connection's failing statement and its eviction,
+    another process has already replaced the corrupt file with a fresh
+    database and committed a record to it: the eviction removes
+    nothing, and the statement runs on that database.  The garbage is
+    either there before the connection opens or written under an open
+    connection."""
+    cache = ArtifactCache(tmp_path / "cache")
+    if where == "statement":
+        cache.store_record_hex(_key(("p",)), 1)
+    for suffix in ("", "-wal", "-shm"):
+        if where == "statement" or not suffix:
+            with open(cache.path + suffix, "wb") as fh:
+                fh.write(b"\x00garbage\xff" * 3)
+    other = tmp_path / "other"
+    ArtifactCache(other).store_record_hex(_key(("theirs",)), "committed")
+    with sqlite3.connect(other / sweep_cache.DB_NAME) as db:
+        db.execute("PRAGMA wal_checkpoint(TRUNCATE)")  # all of it in one file
+    corrupt = cache._corrupt
+
+    def recreated_meanwhile(key):
+        # The other process's own recovery: evict all three, recreate.
+        corrupt(key)
+        for suffix in ("-wal", "-shm"):
+            if os.path.exists(cache.path + suffix):
+                os.unlink(cache.path + suffix)
+        os.replace(other / sweep_cache.DB_NAME, cache.path)
+
+    monkeypatch.setattr(cache, "_corrupt", recreated_meanwhile)
+    assert cache.fetch_record_hex(_key(("p",))) is None
+    assert cache.stats["corrupt"] == 1
+    assert cache.fetch_record_hex(_key(("theirs",))) == "committed"
+    fresh = ArtifactCache(tmp_path / "cache")
+    assert fresh.fetch_record_hex(_key(("theirs",))) == "committed"
+
+
 def test_a_deleted_or_replaced_database_is_reopened(tmp_path):
     root = tmp_path / "cache"
     ArtifactCache(root).store_record_hex(_key(("p",)), 1)

@@ -203,6 +203,100 @@ def test_fused_apply_with_inf_and_nan_in_x(method):
     _assert_fused_matches_numpy(plan, x, np.ascontiguousarray(x[::-1]))
 
 
+def _rows_of_lengths(lengths, seed: int):
+    """A rectangular matrix whose row i holds ``lengths[i]`` nonzeros in
+    columns of its own, so an entry of ``x`` reaches one row only."""
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    vals = np.random.default_rng(seed).standard_normal(rows.size)
+    shape = (len(lengths), max(rows.size, 1))
+    return canonical_coo(sp.coo_matrix((vals, (rows, np.arange(rows.size))), shape=shape))
+
+
+@pytest.mark.native
+@pytest.mark.parametrize("tail", [0, 1, 2, 3])
+def test_fused_apply_row_groups_of_four_and_the_tail(tail):
+    """The main section runs four rows in lockstep, then the nrows % 4
+    last rows one at a time: both match NumPy at every remainder, on
+    a main section alone and with a precompute and fold beside it."""
+    rng = np.random.default_rng(20 + tail)
+    n = 40 + tail
+    a = canonical_coo(sp.random(n, n, density=0.15, random_state=rng, format="coo"))
+    lengths = rng.integers(0, 12, size=20 + tail)
+    for plan in (
+        _plan(a, "1d-rowwise", 1),
+        _plan(a, "s2d-heuristic", 4),
+        _plan(_rows_of_lengths(lengths, tail), "1d-rowwise", 1),
+    ):
+        assert plan.nrows % 4 == tail and plan.main_rows is not None
+        _assert_fused_matches_numpy(plan, *rng.standard_normal((3, plan.ncols)))
+
+
+@pytest.mark.native
+@pytest.mark.parametrize("long_at", [0, 1, 2, 3])
+def test_fused_apply_one_long_row_beside_three_empty_ones(long_at):
+    """A group whose lockstep part is empty: three rows come out +0.0
+    and the long one runs its whole length alone."""
+    lengths = [0, 0, 0, 0, 3, 3, 3, 3, 2]
+    lengths[long_at] = 57
+    plan = _plan(_rows_of_lengths(lengths, long_at), "1d-rowwise", 1)
+    x = np.random.default_rng(30).standard_normal(plan.ncols)
+    y = plan.apply_y(x, backend="native")
+    empty = [r for r in range(4) if r != long_at]
+    assert _same_bits(y[empty], np.zeros(3))
+    _assert_fused_matches_numpy(plan, x, -x)
+
+
+@pytest.mark.native
+def test_fused_apply_rows_of_very_unequal_length_in_a_group():
+    """Lockstep covers the shortest row of a group; each longer row
+    finishes alone from where the shortest one stopped."""
+    lengths = [1, 200, 3, 77, 0, 1000, 2, 5, 64, 63, 65, 1, 9, 400, 0]
+    plan = _plan(_rows_of_lengths(lengths, 31), "1d-rowwise", 1)
+    rng = np.random.default_rng(31)
+    _assert_fused_matches_numpy(plan, *rng.standard_normal((4, plan.ncols)))
+
+
+def _nan_with_payload(payload: int, negative: bool = False) -> float:
+    bits = np.uint64(0x7FF8000000000000 | payload | (1 << 63 if negative else 0))
+    return float(np.array([bits]).view(np.float64)[0])
+
+
+#: Products of one row that no finite sum reproduces: NaNs whose
+#: payloads tell which one the adds passed on, and infinities of one
+#: and both signs.
+SPECIAL_PRODUCTS = {
+    "nan-payloads": [_nan_with_payload(5), _nan_with_payload(9, True)],
+    "+inf": [np.inf],
+    "-inf": [-np.inf],
+    "inf-minus-inf": [np.inf, -np.inf],
+}
+
+
+@pytest.mark.native
+@pytest.mark.parametrize("kind", sorted(SPECIAL_PRODUCTS) + ["negative-zero"])
+@pytest.mark.parametrize("at", [0, 1, 2, 3])
+def test_fused_apply_special_products_in_one_row_of_a_group(kind, at):
+    """NaN, +-inf and -0.0 products confined to one of the four rows in
+    lockstep (in the lockstep part, and in the row's own tail where it
+    has one) reach that row only, with the bits NumPy gives, NaN
+    payloads included."""
+    lengths = [6, 9, 7, 8, 5]
+    plan = _plan(_rows_of_lengths(lengths, 40 + at), "1d-rowwise", 1)
+    cols = np.arange(sum(lengths[:at]), sum(lengths[: at + 1]))
+    x = np.random.default_rng(41).standard_normal(plan.ncols)
+    if kind == "negative-zero":
+        x[cols] = np.where(plan.main_vals[cols] > 0, -0.0, 0.0)
+    else:
+        specials = SPECIAL_PRODUCTS[kind]
+        x[cols[1 : 1 + len(specials)]] = specials
+        x[cols[-1]] = specials[-1]
+    y = plan.apply_y(x, backend="native")
+    others = np.arange(plan.nrows) != at
+    assert np.isfinite(y[others]).all()
+    assert not np.isfinite(y[at]) or _same_bits(y[at : at + 1], np.zeros(1))
+    _assert_fused_matches_numpy(plan, x, -x)
+
+
 class _CountingLib:
     """Stands in for the loaded library and counts every kernel call."""
 

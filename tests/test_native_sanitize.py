@@ -102,21 +102,29 @@ from repro.engine import PartitionEngine
 from repro.sparse.coo import canonical_coo
 from repro.verify import check_plan
 
-a = canonical_coo(sp.random(60, 60, density=0.1, random_state=3, format="coo"))
-eng = PartitionEngine(a, seed=11)
-rng = np.random.default_rng(44)
 # repro_plan_apply on all three execution models (single, two-phase,
-# routed), K=1 included.
+# routed), K=1 included, on a 60 x 60 matrix (row groups of four only)
+# and a 63 x 63 one with every fifth row empty and two dense rows (the
+# lockstep body, each row's own tail and the nrows % 4 last rows).
+uneven = sp.random(63, 63, density=0.1, random_state=4, format="lil")
+uneven[[10, 61], :40] = 1.5
+uneven[2::5] = 0
+rng = np.random.default_rng(44)
 modes = set()
-for method in ("1d-rowwise", "s2d-heuristic", "finegrain", "s2d-bounded"):
-    for k in (1, 3):
-        plan = eng.compiled_plan(eng.plan(method, k))
-        check_plan(plan).raise_if_failed()
-        modes.add(plan.executor)
-        x = rng.standard_normal(plan.ncols)
-        assert np.array_equal(
-            plan.apply_y(x, backend="numpy"), plan.apply_y(x, backend="native")
-        ), method
+for a in (
+    canonical_coo(sp.random(60, 60, density=0.1, random_state=3, format="coo")),
+    canonical_coo(uneven.tocoo()),
+):
+    eng = PartitionEngine(a, seed=11)
+    for method in ("1d-rowwise", "s2d-heuristic", "finegrain", "s2d-bounded"):
+        for k in (1, 3):
+            plan = eng.compiled_plan(eng.plan(method, k))
+            check_plan(plan).raise_if_failed()
+            modes.add(plan.executor)
+            x = rng.standard_normal(plan.ncols)
+            assert np.array_equal(
+                plan.apply_y(x, backend="numpy"), plan.apply_y(x, backend="native")
+            ), method
 assert modes == {"single", "two", "routed"}, modes
 
 # The partitioner drivers against their frozen reference, at two
@@ -275,7 +283,8 @@ def test_sanitized_kernels_pass_golden_applies():
     """The ASan/UBSan build variant is bit-identical to its references on
     every exported entry, run in a child with the sanitizer runtime
     active: full plan applies against NumPy (``repro_plan_apply`` under
-    all three execution models, one and many right-hand sides);
+    all three execution models, one and many right-hand sides, at
+    ``nrows % 4`` of 0 and 3 with empty and dense rows);
     two-constraint ``partition_kway`` calls against the frozen
     partitioner fixture (``repro_partition_kway``: its allocations,
     event logs and early out-of-memory return, and through it every
