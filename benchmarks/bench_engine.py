@@ -1,21 +1,17 @@
-"""Micro-benchmark: ordering, block analytics and block DM on the
-native and NumPy backends.
+"""Micro-benchmark: ordering, block analytics and block DM.
 
-Times ``BlockStructure.block_stats`` and ``batched_block_dm`` on a
-64-part R-MAT instance (≥ 1e5 nonzeros) — the DM batch once with the
-native kernel (one ``repro_block_dm`` call) and once with the NumPy
-reference loop — plus the engine's multi-method pipeline on one
-shared engine against a fresh engine per method.  The ordering row
+Times ``BlockStructure.block_stats`` and ``batched_block_dm`` (one
+``repro_block_dm`` call) on a 64-part R-MAT instance (≥ 1e5
+nonzeros), plus the engine's multi-method pipeline on one shared
+engine against a fresh engine per method.  The ordering row
 times ``canonical_coo`` on the same triplets scrambled by a fixed
 permutation, ``column_net_model`` on the result, and the radix
 ``stable_order`` against ``np.argsort(kind="stable")`` on the nnz-long
 column ids (``sort_speedup``, gated by ``tools/bench_trend.py``
 against ``SORT_SPEEDUP_TARGET``).  The numbers go to
 ``BENCH_engine.json`` at the repository root.  Exits non-zero when the
-native DM batch is less than ``NATIVE_DM_SPEEDUP_TARGET`` times faster
-than the NumPy one (skipped without a compiler) or the radix ordering
-is less than ``SORT_SPEEDUP_TARGET`` times faster than the stable
-argsort.
+radix ordering is less than ``SORT_SPEEDUP_TARGET`` times faster than
+the stable argsort.
 
 Run directly (no pytest machinery needed)::
 
@@ -40,9 +36,6 @@ EDGE_FACTOR = 10.0
 NPARTS = 64
 MIN_NNZ = 100_000
 REPEATS = 5
-#: Floor on native-over-NumPy ``batched_block_dm`` time.  Measured 20-36x
-#: on a 2-vCPU Xeon; the floor leaves room for noisy or slower hosts.
-NATIVE_DM_SPEEDUP_TARGET = 10.0
 #: Floor on ``stable_order`` over ``np.argsort(kind="stable")`` for the
 #: nnz-long column ids.  Measured about 7x on a 2-vCPU Xeon.
 SORT_SPEEDUP_TARGET = 3.0
@@ -66,7 +59,6 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
     from repro.generators.rmat import rmat
     from repro.hypergraph.models import column_net_model
     from repro.kernels import stable_order
-    from repro.native import get_kernels, set_default_backend
     from repro.sparse.blocks import BlockStructure
     from repro.sparse.coo import canonical_coo
 
@@ -97,18 +89,8 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
         bs._stats = None
 
     t_stats = _best_of(REPEATS, bs.block_stats, reset=_reset_stats)
-    bs.block_stats()  # leave the cache warm for the DM batches
-
-    def _dm_time(backend: str) -> float:
-        set_default_backend(backend)
-        try:
-            return _best_of(REPEATS, lambda: batched_block_dm(bs))
-        finally:
-            set_default_backend(None)
-
-    t_dm_numpy = _dm_time("numpy")
-    native = get_kernels() is not None
-    t_dm_native = _dm_time("native") if native else None
+    bs.block_stats()  # leave the cache warm for the DM batch
+    t_dm = _best_of(REPEATS, lambda: batched_block_dm(bs))
 
     # Engine pipeline: five methods on one matrix, shared intermediates
     # (one engine) vs rebuilt per method (a fresh engine each, built
@@ -151,10 +133,7 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
             "batched_s": t_stats,
         },
         "block_dm": {
-            "numpy_s": t_dm_numpy,
-            "native_s": t_dm_native,
-            "native_speedup": t_dm_numpy / t_dm_native if native else None,
-            "native_speedup_target": NATIVE_DM_SPEEDUP_TARGET,
+            "native_s": t_dm,
         },
         "engine_pipeline": {
             "methods": len(methods),
@@ -182,16 +161,7 @@ def main() -> int:
         f"\nstable_order over stable argsort: {sort_speedup:.1f}x "
         f"(target >= {SORT_SPEEDUP_TARGET:g}x)"
     )
-    ok = sort_speedup >= SORT_SPEEDUP_TARGET
-    speedup = result["block_dm"]["native_speedup"]
-    if speedup is None:
-        print("native kernels unavailable: block DM speedup not gated")
-        return 0 if ok else 1
-    print(
-        f"block DM native over NumPy: {speedup:.1f}x "
-        f"(target >= {NATIVE_DM_SPEEDUP_TARGET:g}x)"
-    )
-    return 0 if ok and speedup >= NATIVE_DM_SPEEDUP_TARGET else 1
+    return 0 if sort_speedup >= SORT_SPEEDUP_TARGET else 1
 
 
 if __name__ == "__main__":

@@ -37,12 +37,8 @@ BENCHMARKS = [
         bench_engine,
         "BENCH_engine.json",
         lambda r: (
-            f"block DM {r['block_dm']['numpy_s'] * 1e3:.1f} ms NumPy, "
-            + (
-                f"native {r['block_dm']['native_speedup']:.1f}x faster"
-                if r["block_dm"]["native_speedup"] is not None
-                else "native unavailable"
-            )
+            f"block DM {r['block_dm']['native_s'] * 1e3:.1f} ms, "
+            f"stable_order {r['ordering']['sort_speedup']:.1f}x over argsort"
         ),
     ),
     (

@@ -12,7 +12,6 @@
     python -m repro.cli simulate --matrix c-big --scheme s2d --k 16 --profile
     python -m repro.cli simulate --matrix trdheim --k 8 --all
     python -m repro.cli solve --matrix trdheim --scheme s2d --k 8 --solver power
-    python -m repro.cli solve --matrix trdheim --scheme s2d --k 8 --backend native
     python -m repro.cli native-info
     python -m repro.cli campaign run --table 2 --dir runs/t2 --jobs 4
     python -m repro.cli campaign resume --table 2 --dir runs/t2 --jobs 4
@@ -36,13 +35,11 @@ shared intermediates, ``--profile`` adds per-phase wall-clock timings
 and the machine-model cost breakdown); ``solve`` runs an iterative
 solver (power iteration, Jacobi, CG) on the compiled SpMV runtime —
 the partition is compiled once into a reusable communication plan and
-every iteration is a pure array apply.  ``--backend
-{auto,numpy,native}`` (on ``solve`` and ``table``) selects the numeric
-kernels of the apply, the block DM and the s2D flip loop; every
-partition comes from the native C kernels, so a command that
-partitions on a host without them prints one error line and exits 2
-before any work.  ``native-info`` reports whether the native C kernel
-backend is available and where its build cache lives.
+every iteration is a pure array apply.  Every partition, block DM,
+s2D flip loop and ``solve`` apply runs on the native C kernels, so a
+command that partitions on a host without them prints one error line
+and exits 2 before any work.  ``native-info`` reports whether the
+native C kernel backend is available and where its build cache lives.
 
 ``campaign`` is the crash-safe way to run a table-scale grid: every
 cell lifecycle event is committed as a row of the artifact store under
@@ -64,9 +61,10 @@ does not decode exits 1); ``check lint`` runs the project
 AST lint over the ``repro`` package.
 
 Every usage error — an unknown suite matrix, no or two matrix
-sources, ``--k`` below 1, conflicting options, an unavailable
-``--backend native`` — prints one ``s2d-repro: error:`` line and exits
-with status 2 before the command prints anything else.
+sources, ``--k`` below 1, conflicting options, an unknown option, a
+host without the native kernels for a command that partitions —
+prints one ``s2d-repro: error:`` line and exits with status 2 before
+the command prints anything else.
 """
 
 from __future__ import annotations
@@ -78,7 +76,7 @@ from repro import obs
 from repro.engine import ALIASES, PartitionEngine, available_methods
 from repro.errors import CampaignError, ConfigError, ReproError, UsageError
 from repro.jobs import resolve_jobs
-from repro.native import BACKENDS, require_kernels, resolve_backend, set_default_backend
+from repro.native import require_kernels
 from repro.experiments import (
     GRID_TABLES,
     TABLES,
@@ -189,13 +187,6 @@ def main(argv: list[str] | None = None) -> int:
         help="persistent artifact cache directory; a warm rerun of the "
         "same table is pure cache reads",
     )
-    p_table.add_argument(
-        "--backend", choices=BACKENDS, default="auto",
-        help="process-default kernel backend, followed by the batched "
-        "block DM and the s2D flip loop (auto = native where a C "
-        "compiler is available; tables are identical on every backend); "
-        "the hypergraph partitioner always runs the native kernels",
-    )
     _add_trace_args(p_table)
 
     sub.add_parser("figure1", help="print the Figure 1 worked example")
@@ -261,12 +252,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_solve.add_argument("--iters", type=int, default=50)
     p_solve.add_argument("--tol", type=float, default=1e-8)
-    p_solve.add_argument(
-        "--backend", choices=BACKENDS, default="auto",
-        help="numeric kernel backend of the apply: numpy, native (fused C "
-        "loops; errors if no C compiler), or auto (native where available, "
-        "bit-identical either way); the partition always runs natively",
-    )
     _add_trace_args(p_solve)
 
     p_camp = sub.add_parser(
@@ -404,11 +389,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "table":
-        # The partitioner, the block DM batch and the s2D flip loop take
-        # no backend kwarg; they follow the process default set here.
-        set_default_backend(args.backend)
-        # An unavailable explicit native fails here, before any work.
-        resolve_backend(args.backend)
         cfg = ExperimentConfig(scale=args.scale) if args.scale else ExperimentConfig()
         jobs = resolve_jobs(args.jobs, what="--jobs")
         result = run_table(args.id, cfg, jobs=jobs, cache_dir=args.cache_dir)
@@ -431,7 +411,6 @@ def _dispatch(args) -> int:
         print(f"cache_dir={status['cache_dir']}")
         print(f"so_path={status['so_path'] or '(not built)'}")
         print(f"built_this_process={status['built_this_process']}")
-        print(f"default_backend={status['default_backend']}")
         if status["reason"]:
             print(f"reason={status['reason']}")
         print(
@@ -513,13 +492,12 @@ def _dispatch(args) -> int:
         a = _matrix_source(args)
         if a.shape[0] != a.shape[1]:
             raise UsageError(f"solve needs a square matrix, got {a.shape}")
-        backend = resolve_backend(args.backend)
         eng = _engine(a, cfg)
         plan = eng.plan(args.scheme, args.k, config=cfg.partitioner())
         cplan = eng.compiled_plan(plan)
         common = dict(
             iters=args.iters, tol=args.tol, machine=cfg.machine,
-            plan=cplan, backend=backend,
+            plan=cplan,
         )
         if args.solver == "power":
             res = power_iteration(plan.partition, **common)
@@ -529,8 +507,7 @@ def _dispatch(args) -> int:
             res = fn(plan.partition, b, **common)
         print(
             f"scheme={plan.kind} K={plan.partition.nparts} "
-            f"solver={args.solver} executor={cplan.executor} "
-            f"backend={backend}"
+            f"solver={args.solver} executor={cplan.executor} backend=native"
         )
         print(
             f"iterations={res.iterations} converged={res.converged} "

@@ -29,7 +29,7 @@ import numpy as np
 from repro import obs
 from repro.dm import BlockDMTable, batched_block_dm
 from repro.errors import PartitionError
-from repro.native import get_kernels, resolve_backend
+from repro.native import require_kernels
 from repro.native import ops as native_ops
 from repro.partition.types import SpMVPartition, VectorPartition
 from repro.partition.vector import vector_partition_from_rows
@@ -79,34 +79,6 @@ def _assign_h(nnz_part: np.ndarray, choices: BlockDMTable, chosen: np.ndarray) -
     flipped = np.repeat(chosen, choices.h_size)
     owners = np.repeat(choices.col_part[chosen], choices.h_size[chosen])
     nnz_part[choices.h_nnz[flipped]] = owners
-
-
-def _flip_numpy(order, row_part, col_part, h_size, loads, w_lim, max_rounds):
-    """The reference flip rounds of :func:`s2d_heuristic` (and the
-    fallback without a compiler): the loop of ``repro_s2d_flip``, over
-    Python ints.  ``loads`` is updated in place; returns ``(chosen,
-    rounds)``."""
-    rows, cols, sizes = row_part.tolist(), col_part.tolist(), h_size.tolist()
-    load = loads.tolist()
-    chosen = [False] * len(sizes)
-    w_max = max(load)
-    rounds = 0
-    changed = True
-    while changed and rounds < max_rounds:
-        changed = False
-        rounds += 1
-        for b in order.tolist():
-            h = sizes[b]
-            if chosen[b] or h == 0:
-                continue
-            if float(load[cols[b]] + h) <= max(float(w_max), w_lim):
-                chosen[b] = True
-                load[cols[b]] += h
-                load[rows[b]] -= h
-                w_max = max(load)
-                changed = True
-    loads[:] = load
-    return np.array(chosen, dtype=bool), rounds
 
 
 def s2d_rowwise_baseline(a, x_part=None, y_part=None, nparts: int = 1) -> SpMVPartition:
@@ -181,14 +153,15 @@ def s2d_heuristic(
 
     Blocks are visited in decreasing order of ``λ⁻``, ties by larger
     ``|H|`` first (more balance relief), then by block key.  The rounds
-    run in C (``repro_s2d_flip``) when
-    :func:`repro.native.resolve_backend` picks the native backend, and
-    in the NumPy reference loop otherwise; both flip the same blocks.
+    run in C, one ``repro_s2d_flip`` call; without the native kernels
+    this raises the :class:`~repro.errors.ConfigError` of
+    :func:`~repro.native.require_kernels`.
 
     ``block_structure`` / ``choices`` inject memoized intermediates
     (see :func:`s2d_optimal`).  ``meta["choices"]`` is the DM table and
     ``meta["chosen"]`` the mask of blocks that took alternative A2.
     """
+    lib = require_kernels()
     m, vectors = _as_vectors(a, x_part, y_part, nparts)
     k = vectors.nparts
     bs = block_structure or BlockStructure(
@@ -201,14 +174,10 @@ def s2d_heuristic(
 
     loads = bs.rowwise_loads().astype(np.int64)
     order = np.lexsort((-choices.h_size, -choices.lambda_minus))
-    flat = dict(
-        order=order, row_part=choices.row_part, col_part=choices.col_part,
+    chosen, rounds = native_ops.s2d_flip(
+        lib, order=order, row_part=choices.row_part, col_part=choices.col_part,
         h_size=choices.h_size, loads=loads, w_lim=float(w_lim), max_rounds=max_rounds,
     )
-    if resolve_backend() == "native":
-        chosen, rounds = native_ops.s2d_flip(get_kernels(), **flat)
-    else:
-        chosen, rounds = _flip_numpy(**flat)
     obs.add("s2d.flip_rounds", rounds)
     nnz_part = vectors.y_part[m.row].copy()
     _assign_h(nnz_part, choices, chosen)

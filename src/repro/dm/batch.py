@@ -11,18 +11,15 @@ selected blocks' nonzeros:
   single buffer (ditto for the columns).
 
 The combinatorial part — a maximum matching and the alternating-path
-labels of :func:`repro.dm.decomposition.coarse_labels` for each block —
-is one ``repro_block_dm`` call over the whole batch when
-:func:`repro.native.resolve_backend` picks the native backend, and
-otherwise the NumPy reference loop (per block :func:`hopcroft_karp` and
-:func:`coarse_labels`), which is also the fallback without a compiler.
-The two backends may find different maximum matchings.  That changes
-nothing: a column is horizontal iff *some* maximum matching leaves it
-unmatched, the rows of ``H`` are the neighbours of its columns (``V``
-likewise from the rows), and every maximum matching has the same size
-(Pothen & Fan, "Computing the block triangular form of a sparse
-matrix", ACM TOMS 1990).  So labels, H-masks and matching sizes are
-identical on both backends.
+labels of each block — is one ``repro_block_dm`` call over the whole
+batch (:func:`repro.native.ops.block_dm`).  Labels do not depend on
+which maximum matching the kernel finds: a column is horizontal iff
+*some* maximum matching leaves it unmatched, the rows of ``H`` are the
+neighbours of its columns (``V`` likewise from the rows), and every
+maximum matching has the same size (Pothen & Fan, "Computing the block
+triangular form of a sparse matrix", ACM TOMS 1990).  That is why the
+tests can check labels, H-masks and matching sizes bit for bit against
+a NumPy Hopcroft–Karp oracle.
 
 The result is one immutable struct-of-arrays :class:`BlockDMTable`;
 the engine memoizes it and every s2D construction reads it as is.
@@ -35,10 +32,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from repro import obs
-from repro.dm.decomposition import HORIZONTAL, CoarseDM, coarse_labels
-from repro.dm.matching import hopcroft_karp
+from repro.dm.decomposition import HORIZONTAL, CoarseDM
 from repro.kernels import stable_order
-from repro.native import get_kernels, resolve_backend
+from repro.native import require_kernels
 from repro.native import ops as native_ops
 from repro.sparse.blocks import BlockStructure
 
@@ -172,34 +168,16 @@ class BlockDMTable:
         return self.nnz_idx[self.h_mask]
 
 
-def _labels_numpy(row_off, col_off, rptr, adj, cptr, cadj):
-    """The reference per-block loop of :func:`batched_block_dm` (and the
-    fallback without a compiler): Hopcroft–Karp and
-    :func:`coarse_labels` on views of the shared buffers."""
-    nb = row_off.size - 1
-    row_label = np.empty(rptr.size - 1, dtype=np.int8)
-    col_label = np.empty(cptr.size - 1, dtype=np.int8)
-    matching_size = np.empty(nb, dtype=np.int64)
-    for i in range(nb):
-        r0, r1 = int(row_off[i]), int(row_off[i + 1])
-        c0, c1 = int(col_off[i]), int(col_off[i + 1])
-        e0, e1 = int(rptr[r0]), int(rptr[r1])
-        indptr = rptr[r0 : r1 + 1] - e0
-        cindptr = cptr[c0 : c1 + 1] - e0
-        match_row, match_col = hopcroft_karp(indptr, adj[e0:e1], r1 - r0, c1 - c0)
-        row_label[r0:r1], col_label[c0:c1] = coarse_labels(
-            indptr, adj[e0:e1], cindptr, cadj[e0:e1], match_row, match_col
-        )
-        matching_size[i] = np.count_nonzero(match_row != -1)
-    return row_label, col_label, matching_size
-
-
 def batched_block_dm(bs: BlockStructure, offdiagonal_only: bool = True) -> BlockDMTable:
     """Coarse DM of every nonempty (off-diagonal) block, batched.
 
     Blocks are ordered by block key ``ℓ·K + k`` — the order
-    :meth:`BlockStructure.nonempty_offdiagonal_blocks` yields.
+    :meth:`BlockStructure.nonempty_offdiagonal_blocks` yields.  Needs
+    the native kernels: without them it raises the
+    :class:`~repro.errors.ConfigError` of
+    :func:`~repro.native.require_kernels`, even for an empty batch.
     """
+    lib = require_kernels()
     stats = bs.block_stats()
     row_part = stats.row_blocks
     col_part = stats.col_blocks
@@ -235,15 +213,10 @@ def batched_block_dm(bs: BlockStructure, offdiagonal_only: bool = True) -> Block
         adj = (c_pair - col_off[blk_of_nnz])[order_r]
         cadj = (r_pair - row_off[blk_of_nnz])[order_c]
         rptr, cptr = _offsets(r_counts), _offsets(c_counts)
-        if resolve_backend() == "native":
-            row_label, col_label, matching_size = native_ops.block_dm(
-                get_kernels(), row_off=row_off, col_off=col_off,
-                rptr=rptr, adj=adj, cptr=cptr, cadj=cadj,
-            )
-        else:
-            row_label, col_label, matching_size = _labels_numpy(
-                row_off, col_off, rptr, adj, cptr, cadj
-            )
+        row_label, col_label, matching_size = native_ops.block_dm(
+            lib, row_off=row_off, col_off=col_off,
+            rptr=rptr, adj=adj, cptr=cptr, cadj=cadj,
+        )
         h_mask = col_label[c_pair] == HORIZONTAL
 
     h_rows = np.bincount(blk_of_row[row_label == HORIZONTAL], minlength=nb)

@@ -1,7 +1,7 @@
-"""Coarse Dulmage–Mendelsohn decomposition.
+"""Coarse Dulmage–Mendelsohn decomposition: labels and result type.
 
-Given the pattern of a (sub)matrix as parallel ``(rows, cols)`` arrays,
-the coarse DM decomposition splits its nonempty rows and columns into
+The coarse DM decomposition of a (sub)matrix pattern splits its
+nonempty rows and columns into
 
 - a **horizontal** block ``H`` with ``m̂(H) < n̂(H)`` (unless empty),
 - a **square**     block ``S`` with ``m̂(S) = n̂(S)``,
@@ -10,7 +10,10 @@ the coarse DM decomposition splits its nonempty rows and columns into
 arranged in the block-upper-triangular form of the paper's Section II-B.
 The decomposition is canonical: it is derived from *any* maximum
 matching via alternating-path reachability (Pothen & Fan, 1990) and is
-independent of which maximum matching is used.
+independent of which maximum matching is used.  The native
+``repro_block_dm`` kernel computes it for a whole batch of blocks
+(:func:`repro.dm.batch.batched_block_dm`); this module holds the label
+constants and the per-block view :class:`CoarseDM` of its result.
 
 Key structural facts used by the s2D optimality argument:
 
@@ -23,14 +26,11 @@ Key structural facts used by the s2D optimality argument:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dm.matching import bipartite_adjacency, hopcroft_karp
-
-__all__ = ["CoarseDM", "coarse_dm", "coarse_labels", "minimum_cover_size"]
+__all__ = ["CoarseDM", "HORIZONTAL", "SQUARE", "VERTICAL"]
 
 HORIZONTAL, SQUARE, VERTICAL = 0, 1, 2
 
@@ -97,110 +97,3 @@ class CoarseDM:
         mask equals membership of the *nonzero* in ``H``.
         """
         return np.isin(np.asarray(cols), self.h_cols)
-
-
-def coarse_labels(
-    indptr: np.ndarray,
-    adj: np.ndarray,
-    cindptr: np.ndarray,
-    cadj: np.ndarray,
-    match_row: np.ndarray,
-    match_col: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """H/S/V labels from a maximum matching and both adjacency views.
-
-    The alternating-path reachability core shared by the per-block
-    :func:`coarse_dm` and the batched driver in :mod:`repro.dm.batch`
-    (which feeds it views over shared pre-sorted buffers).  Labels are
-    canonical: any maximum matching yields the same result.
-    """
-    nr = match_row.size
-    nc = match_col.size
-    row_label = np.full(nr, SQUARE, dtype=np.int8)
-    col_label = np.full(nc, SQUARE, dtype=np.int8)
-
-    # Horizontal: alternating-path reachability from unmatched columns.
-    # column --(any edge)--> row --(matching edge)--> column ...
-    col_seen = np.zeros(nc, dtype=bool)
-    row_seen = np.zeros(nr, dtype=bool)
-    queue = deque(int(v) for v in np.flatnonzero(match_col == -1))
-    for v in queue:
-        col_seen[v] = True
-    while queue:
-        v = queue.popleft()
-        for p in range(cindptr[v], cindptr[v + 1]):
-            u = int(cadj[p])
-            if row_seen[u]:
-                continue
-            row_seen[u] = True
-            w = int(match_row[u])
-            # u must be matched: otherwise column v's alternating path to u
-            # would be augmenting, contradicting matching maximality.
-            if w != -1 and not col_seen[w]:
-                col_seen[w] = True
-                queue.append(w)
-    row_label[row_seen] = HORIZONTAL
-    col_label[col_seen] = HORIZONTAL
-
-    # Vertical: alternating-path reachability from unmatched rows.
-    row_seen_v = np.zeros(nr, dtype=bool)
-    col_seen_v = np.zeros(nc, dtype=bool)
-    queue = deque(int(u) for u in np.flatnonzero(match_row == -1))
-    for u in queue:
-        row_seen_v[u] = True
-    while queue:
-        u = queue.popleft()
-        for p in range(indptr[u], indptr[u + 1]):
-            v = int(adj[p])
-            if col_seen_v[v]:
-                continue
-            col_seen_v[v] = True
-            w = int(match_col[v])
-            if w != -1 and not row_seen_v[w]:
-                row_seen_v[w] = True
-                queue.append(w)
-    row_label[row_seen_v] = VERTICAL
-    col_label[col_seen_v] = VERTICAL
-    return row_label, col_label
-
-
-def coarse_dm(rows: np.ndarray, cols: np.ndarray) -> CoarseDM:
-    """Coarse DM decomposition of the pattern ``{(rows[t], cols[t])}``.
-
-    Only nonempty rows/columns participate (a fully empty row or column
-    belongs to no block — the paper's DM form explicitly separates the
-    zero bordering rows/columns).
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    row_ids, r = np.unique(rows, return_inverse=True)
-    col_ids, c = np.unique(cols, return_inverse=True)
-    nr, nc = row_ids.size, col_ids.size
-
-    indptr, adj = bipartite_adjacency(r, c, nr)
-    match_row, match_col = hopcroft_karp(indptr, adj, nr, nc)
-
-    # Column-side adjacency, needed for reachability from free columns.
-    cindptr, cadj = bipartite_adjacency(c, r, nc)
-
-    row_label, col_label = coarse_labels(
-        indptr, adj, cindptr, cadj, match_row, match_col
-    )
-    msize = int(np.count_nonzero(match_row != -1))
-    return CoarseDM(
-        row_ids=row_ids,
-        col_ids=col_ids,
-        row_label=row_label,
-        col_label=col_label,
-        matching_size=msize,
-    )
-
-
-def minimum_cover_size(rows: np.ndarray, cols: np.ndarray) -> int:
-    """Minimum number of rows and columns covering all nonzeros.
-
-    Equals the maximum matching size (König) and, per the paper,
-    ``m̂(H) + m̂(S) + n̂(V)`` of the DM decomposition.
-    """
-    dm = coarse_dm(rows, cols)
-    return dm.matching_size

@@ -37,10 +37,10 @@ class NativeBuildError(ReproError):
     """Raised when the native C kernel backend cannot be built or loaded.
 
     Carries the reason (no compiler on PATH, compile failure, corrupt
-    cached library).  ``backend="auto"`` callers never see it — the
-    dispatcher records the reason and falls back to the NumPy kernels —
-    but an explicit ``backend="native"`` request and every partitioning
-    call surface it as a :class:`ConfigError`.
+    cached library).  The build layer records it, and every caller that
+    needs the kernels — partitioning, the block DM, the s2D flip loop,
+    a ``backend="native"`` apply — surfaces it as a :class:`ConfigError`
+    ("native backend unavailable: <reason>").
     """
 
 

@@ -18,22 +18,14 @@ The cache directory is ``$REPRO_NATIVE_CACHE`` when set, else
 write to a temp name in the cache dir and ``os.replace`` into place, so
 concurrent processes race benignly.
 
-Backend resolution (:func:`resolve_backend`) maps the user-facing
-``backend`` kwarg plus the ``REPRO_NATIVE`` environment flag onto a
-concrete kernel choice:
-
-- ``backend="numpy"`` / ``"native"`` — explicit; ``"native"`` raises
-  :class:`~repro.errors.ConfigError` when the library cannot be built;
-- ``backend="auto"`` (and the default ``None`` with ``REPRO_NATIVE``
-  unset or ``1``) — native when a compiler is available, else a
-  *silent* fall back to the NumPy kernels with the reason recorded in
-  :func:`native_status`;
-- ``REPRO_NATIVE=0`` — the default becomes ``"numpy"`` (explicit
-  kwargs still win).
-
-The partitioner resolves no backend: it always needs the library and
-asks for it through :func:`require_kernels`, the check an explicit
-``"native"`` makes.
+Every native consumer asks for the library through
+:func:`require_kernels`, which raises :class:`~repro.errors.ConfigError`
+with the recorded reason when it cannot be built or loaded: the
+partitioner, Algorithm 1's block DM and flip loop, and the plan apply
+under its default ``backend="native"``.  :func:`resolve_backend`
+checks that per-call kwarg of the apply and the solvers; its other
+value, ``"numpy"``, runs the NumPy apply the derivations compute every
+simulated ``y`` with, and needs no compiler.
 
 Build state is process-global: one failed build attempt is remembered
 (with its reason) instead of re-running the compiler on every apply.
@@ -77,7 +69,6 @@ from repro.errors import ConfigError, NativeBuildError
 __all__ = [
     "BACKENDS",
     "CACHE_ENV",
-    "FLAG_ENV",
     "SANITIZE_ENV",
     "KernelLib",
     "cache_dir",
@@ -87,13 +78,11 @@ __all__ = [
     "require_kernels",
     "resolve_backend",
     "sanitize_default",
-    "set_default_backend",
 ]
 
 CACHE_ENV = "REPRO_NATIVE_CACHE"
-FLAG_ENV = "REPRO_NATIVE"
 SANITIZE_ENV = "REPRO_NATIVE_SANITIZE"
-BACKENDS = ("auto", "numpy", "native")
+BACKENDS = ("numpy", "native")
 
 ABI_VERSION = 10
 CFLAGS = ("-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
@@ -228,7 +217,6 @@ def _fresh_state() -> dict:
 
 
 _state = _fresh_state()
-_default_override: str | None = None
 
 
 def _asan_preconfigured() -> bool:
@@ -354,8 +342,8 @@ def get_kernels(sanitize: bool | None = None) -> KernelLib | None:
 
 def require_kernels() -> KernelLib:
     """The kernel library, or :class:`~repro.errors.ConfigError` naming
-    why it cannot be built or loaded: what an explicit
-    ``backend="native"`` and every partitioning call need."""
+    why it cannot be built or loaded: what every partitioning call, the
+    block DM, the flip loop and the native plan apply need."""
     lib = get_kernels()
     if lib is None:
         variant = "sanitize" if sanitize_default() else "std"
@@ -364,82 +352,43 @@ def require_kernels() -> KernelLib:
 
 
 def _reset_native_state() -> None:
-    """Forget the loaded libraries, any failure reasons, and the default
-    override (test hook; the next use re-resolves from scratch)."""
-    global _state, _default_override
+    """Forget the loaded libraries and any failure reasons (test hook;
+    the next use builds or loads from scratch)."""
+    global _state
     _state = _fresh_state()
-    _default_override = None
 
 
-def set_default_backend(backend: str | None) -> None:
-    """Override what ``backend=None`` resolves to in this process.
+def resolve_backend(backend: str = "native") -> str:
+    """Check a per-call ``backend`` kwarg: ``"numpy"`` or ``"native"``.
 
-    ``None`` restores the environment-driven default.  Used by the CLI
-    to honour ``--backend`` across code paths that do not thread the
-    kwarg explicitly.
+    ``"native"`` also loads the kernel library, so an unavailable one
+    raises :class:`~repro.errors.ConfigError` here, before any work;
+    any other value raises one naming the two accepted values.
     """
-    if backend is not None and backend not in BACKENDS:
-        raise ConfigError(
-            f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
-        )
-    global _default_override
-    _default_override = backend
-
-
-def _env_default() -> str:
-    env = os.environ.get(FLAG_ENV)
-    if env is None or env == "" or env == "1":
-        return "auto"
-    if env == "0":
-        return "numpy"
-    raise ConfigError(f"{FLAG_ENV} must be '0' or '1', got {env!r}")
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Resolve a ``backend`` kwarg to a concrete ``"numpy"``/``"native"``.
-
-    ``None`` defers to :func:`set_default_backend` and then the
-    ``REPRO_NATIVE`` environment flag; ``"auto"`` picks native when the
-    kernel library is available and silently falls back otherwise (the
-    reason is recorded in :func:`native_status`).  An explicit
-    ``"native"`` that cannot be satisfied raises
-    :class:`~repro.errors.ConfigError`.
-    """
-    if backend is None:
-        backend = _default_override or _env_default()
-    if backend == "numpy":
-        return "numpy"
     if backend == "native":
         require_kernels()
-        return "native"
-    if backend == "auto":
-        return "native" if get_kernels() is not None else "numpy"
-    raise ConfigError(
-        f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
-    )
+    elif backend != "numpy":
+        raise ConfigError(
+            f"unknown backend {backend!r}; expected {' or '.join(map(repr, BACKENDS))}"
+        )
+    return backend
 
 
 def native_status() -> dict:
-    """Everything a user needs to tell which backend actually runs.
+    """Everything a user needs to tell whether the kernels can run.
 
-    Forces one build attempt (so ``kernels_built`` is meaningful) and
+    Forces one build attempt (so ``built_this_process`` is meaningful) and
     reports: the compiler found, the cache directory, the loaded ``.so``
-    path, what the default ``backend=None`` resolves to, and — when the
-    native path is unavailable — the recorded reason.
+    path and — when the library is unavailable — the recorded reason.
     """
     lib = get_kernels()
     variant = "sanitize" if sanitize_default() else "std"
-    try:
-        default = resolve_backend(None)
-    except ConfigError as exc:  # explicit default "native" with no compiler
-        default = f"error: {exc}"
     return {
         "available": lib is not None,
         "compiler": find_compiler(),
         "cache_dir": str(cache_dir()),
         "so_path": str(lib.path) if lib is not None else None,
         "built_this_process": _state[variant]["built"],
-        "default_backend": default,
         "reason": _state[variant]["reason"],
         "variant": variant,
         "sanitize_attempted": _state["sanitize"]["attempted"],

@@ -19,10 +19,11 @@
  * - Algorithm 1's combinatorics (bottom of this file): repro_block_dm
  *   takes the coarse Dulmage-Mendelsohn labels of every block of a
  *   batch in one call (repro.dm.batch), and repro_s2d_flip runs the
- *   greedy flip rounds of repro.core.s2d.s2d_heuristic.  The DM kernel
- *   finds its own maximum matching, not the one the NumPy reference's
- *   Hopcroft-Karp finds; the labels and the matching size are the same
- *   for every maximum matching, so its outputs are identical;
+ *   greedy flip rounds of repro.core.s2d.s2d_heuristic; both are the
+ *   only implementation.  The DM kernel finds its own maximum matching,
+ *   not the one the Hopcroft-Karp oracle of tests/dm_oracle.py finds;
+ *   the labels and the matching size are the same for every maximum
+ *   matching, so its outputs are identical;
  * - repro_native_abi, the loader's stale-cache guard.
  *
  * No kernel allocates: callers pass every output and workspace array.
@@ -1298,8 +1299,8 @@ static void repro_contract(
  * one of global column c is cadj[cptr[c]..cptr[c+1]]; both hold
  * block-local ids.
  *
- * Per block: a maximum matching, then the alternating-path labels of
- * repro.dm.decomposition.coarse_labels.  A column is horizontal iff
+ * Per block: a maximum matching, then the alternating-path labels
+ * (coarse_labels in tests/dm_oracle.py).  A column is horizontal iff
  * some maximum matching leaves it unmatched, and the rows of H are the
  * neighbours of its columns (V likewise from the rows), so the labels
  * do not depend on which maximum matching is found (Pothen & Fan,
@@ -1387,7 +1388,7 @@ static int64_t dm_match(
     return size;
 }
 
-/* coarse_labels on one block: H is what alternating paths reach from
+/* The labels of one block: H is what alternating paths reach from
  * the free columns, V what they reach from the free rows, the rest S.
  * A label doubles as the visited mark of its own search. */
 static void dm_labels(

@@ -103,8 +103,7 @@ def stats_text(report: dict) -> str:
         lines.append(
             f"native: available={native['available']} "
             f"compiler={native['compiler'] or '(none)'} "
-            f"built_this_process={native['built_this_process']} "
-            f"default={native['default_backend']}"
+            f"built_this_process={native['built_this_process']}"
         )
         lines.append(f"  cache_dir={native['cache_dir']}")
         if native["reason"]:

@@ -26,12 +26,13 @@ computation, not two that must agree.  The grouping stages are frozen
 :class:`~repro.kernels.GroupPlan`s, the scatters ``np.bincount``
 accumulations.
 
-The native C backend (:mod:`repro.native`, selected per call via
-``backend=`` or the ``REPRO_NATIVE`` flag) runs a whole apply as one
-call of ``repro_plan_apply``, whose plan arrays are checked and bound
-to addresses once per plan (``_NativeApply``); :meth:`CommPlan.bind`
-also binds a loop's own ``x``/``y`` buffers once, so each step of an
-iterative solver is that one call and nothing else.  The group stages
+The native C backend (:mod:`repro.native`, the per-call default of
+``backend=``; ``backend="numpy"`` runs the NumPy apply) runs a whole
+apply as one call of ``repro_plan_apply``, whose plan arrays are
+checked and bound to addresses once per plan (``_NativeApply``);
+:meth:`CommPlan.bind` also binds a loop's own ``x``/``y`` buffers
+once, so each step of an iterative solver is that one call and nothing
+else.  The group stages
 and the fold are index-order scatters, so every group sum equals
 ``np.bincount``/``np.add.at`` element order bit for bit.  The main
 products are not scattered: the derivations emit the main section in
@@ -225,7 +226,7 @@ class CommPlan:
 
     def _native(self) -> _NativeApply:
         """The lazily-built native kernel state (resolve_backend has
-        already guaranteed the library loads)."""
+        already checked that the library loads)."""
         state = self.__dict__.get("_native_state")
         if state is None:
             state = _NativeApply(self, get_kernels())
@@ -249,27 +250,27 @@ class CommPlan:
         return y
 
     def apply_y(
-        self, x: np.ndarray | None = None, *, backend: str | None = None
+        self, x: np.ndarray | None = None, *, backend: str = "native"
     ) -> np.ndarray:
         """``A @ x`` through the compiled schedule — just the vector.
 
         Bit-identical to the matching per-call simulator's ``run.y``
-        under either kernel backend (``backend``: ``"numpy"``,
-        ``"native"``, ``"auto"``, or None for the process default —
-        see :func:`repro.native.resolve_backend`).
+        under either kernel backend (``backend``: ``"native"``, one
+        ``repro_plan_apply`` call, or ``"numpy"``, the simulators' own
+        apply; see :func:`repro.native.resolve_backend`).
         """
         x = resolve_x(x, self.ncols)
-        resolved = resolve_backend(backend)
-        with obs.span("plan.apply", mode=self.executor, backend=resolved) as sp:
+        resolve_backend(backend)
+        with obs.span("plan.apply", mode=self.executor, backend=backend) as sp:
             if sp is not None:  # the ledger sums cost more than a small apply
                 obs.add("plan.sent_words", int(self.words))
                 obs.add("plan.msgs", int(self.msgs))
-            if resolved == "native":
+            if backend == "native":
                 return self._native().apply_y(np.ascontiguousarray(x))
             return self._apply_y_numpy(x)
 
     def bind(
-        self, x: np.ndarray, y: np.ndarray, *, backend: str | None = None
+        self, x: np.ndarray, y: np.ndarray, *, backend: str = "native"
     ) -> Callable[[], None]:
         """A zero-argument call making ``y[:] = A @ x``, for a loop that
         multiplies the same two buffers many times.
@@ -303,8 +304,7 @@ class CommPlan:
             raise SimulationError(
                 f"{_plan_name(self)}.bind: y must be writable and must not overlap x"
             )
-        resolved = resolve_backend(backend)
-        if resolved == "native":
+        if resolve_backend(backend) == "native":
             raw = self._native().bind(x, y)
         else:
             apply = self._apply_y_numpy
@@ -314,7 +314,7 @@ class CommPlan:
 
         if obs.active_trace() is None:
             return raw
-        attrs = {"mode": self.executor, "backend": resolved}
+        attrs = {"mode": self.executor, "backend": backend}
         words, msgs = int(self.words), int(self.msgs)
 
         def traced() -> None:
@@ -326,7 +326,7 @@ class CommPlan:
         return traced
 
     def apply(
-        self, x: np.ndarray | None = None, *, backend: str | None = None
+        self, x: np.ndarray | None = None, *, backend: str = "native"
     ) -> SpMVRun:
         """One simulated multiply with zero per-call set-up.
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ConfigError, SimulationError
+from repro.native import resolve_backend
 from repro.partition.types import SpMVPartition
 from repro.runtime import CommPlan, compile_plan
 from repro.simulate.machine import MachineModel
@@ -58,9 +59,9 @@ class _SpMVEngine:
 
     The communication profile of a plan is static, so the per-iteration
     words/messages/time are computed once at set-up and each multiply
-    is one bound call.  ``backend`` picks the numeric kernels
-    (``"auto"``/``"numpy"``/``"native"``; see :mod:`repro.native`),
-    resolved once at set-up.
+    is one bound call.  ``backend`` picks the numeric kernels of the
+    apply (``"native"`` or ``"numpy"``; see :mod:`repro.native`),
+    checked once at set-up.
     """
 
     def __init__(
@@ -69,7 +70,7 @@ class _SpMVEngine:
         machine: MachineModel,
         plan: CommPlan | None = None,
         *,
-        backend: str | None = None,
+        backend: str = "native",
     ):
         m, n = p.matrix.shape
         if m != n:
@@ -90,8 +91,6 @@ class _SpMVEngine:
                 f"nnz {self.plan.nnz}, K={self.plan.nparts} does not match the "
                 f"partition's ({m}, {n}), nnz {p.matrix.nnz}, K={p.nparts}"
             )
-        from repro.native import resolve_backend
-
         self.backend = resolve_backend(backend)
         self.words = 0
         self.msgs = 0
@@ -161,7 +160,7 @@ def power_iteration(
     machine: MachineModel | None = None,
     x0: np.ndarray | None = None,
     plan: CommPlan | None = None,
-    backend: str | None = None,
+    backend: str = "native",
 ) -> SolveResult:
     """Dominant eigenvalue estimate by repeated distributed SpMV.
 
@@ -229,7 +228,7 @@ def jacobi(
     tol: float = 1e-10,
     machine: MachineModel | None = None,
     plan: CommPlan | None = None,
-    backend: str | None = None,
+    backend: str = "native",
 ) -> SolveResult:
     """Jacobi iteration ``z ← D⁻¹(b − (A−D) z)`` for diagonally dominant A.
 
@@ -284,7 +283,7 @@ def conjugate_gradient(
     tol: float = 1e-10,
     machine: MachineModel | None = None,
     plan: CommPlan | None = None,
-    backend: str | None = None,
+    backend: str = "native",
 ) -> SolveResult:
     """CG for symmetric positive definite ``A`` (values must be SPD).
 

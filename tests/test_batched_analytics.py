@@ -1,5 +1,5 @@
-"""Batched block analytics against the seed's per-block code, and the two
-DM backends against each other.
+"""Batched block analytics against the seed's per-block code, and the
+native DM and flip kernels against their NumPy oracles.
 
 `BlockStructure.block_stats` and `batched_block_dm` must give exactly
 what the seed's one-``np.unique``-per-block statistics and
@@ -17,11 +17,11 @@ That seed code is deleted; its outputs over the grid below are frozen in
   ``col_ids``, ``row_label`` and ``col_label`` concatenated.
 
 The native DM kernel finds its own maximum matching; labels, H-masks
-and matching sizes must still equal the NumPy reference's bit for bit
-(they do not depend on which maximum matching is used).
+and matching sizes must still equal those of the Hopcroft–Karp oracle
+in ``tests/dm_oracle.py`` bit for bit (they do not depend on which
+maximum matching is used).
 """
 
-import contextlib
 import pathlib
 
 import numpy as np
@@ -30,16 +30,15 @@ import scipy.sparse as sp
 
 from repro.core.s2d import s2d_heuristic, s2d_optimal
 from repro.dm.batch import BlockDMTable, batched_block_dm
-from repro.dm.decomposition import coarse_dm
 from repro.engine import PartitionEngine
 from repro.experiments.config import ExperimentConfig
 from repro.generators.suite import table1_suite, table4_suite
 from repro.kernels import grouped_distinct_counts
-from repro.native import get_kernels, set_default_backend
 from repro.sparse.blocks import BlockStructure
 from repro.sparse.coo import canonical_coo
 
 from tests.comm_oracle import rowwise_volume
+from tests.dm_oracle import coarse_dm, numpy_kernels
 from tests.test_partitioner_native import FAMILIES
 
 SEED_FIXTURE = pathlib.Path(__file__).with_name("fixtures") / "block_dm_seed.npz"
@@ -57,25 +56,12 @@ def _structures():
             )
 
 
-def _backends():
-    return ("numpy", "native") if get_kernels() is not None else ("numpy",)
-
-
-@contextlib.contextmanager
-def _backend(name):
-    set_default_backend(name)
-    try:
-        yield
-    finally:
-        set_default_backend(None)
-
-
 def _on_each_backend(fn) -> dict:
-    """``fn()`` under every available backend, keyed by backend."""
-    out = {}
-    for name in _backends():
-        with _backend(name):
-            out[name] = fn()
+    """``fn()`` on the C kernels (``"native"``) and on the NumPy
+    oracles of ``tests/dm_oracle.py`` (``"numpy"``)."""
+    out = {"native": fn()}
+    with numpy_kernels():
+        out["numpy"] = fn()
     return out
 
 
@@ -172,7 +158,7 @@ def test_grouped_distinct_counts_empty():
 
 
 # ----------------------------------------------------------------------
-# Native DM and flip loop against the NumPy reference
+# Native DM and flip loop against the NumPy oracles
 # ----------------------------------------------------------------------
 
 _TABLE_FIELDS = (
@@ -191,9 +177,7 @@ def _assert_same_table(a: BlockDMTable, b: BlockDMTable) -> None:
 
 def _assert_backends_agree(a, bs) -> None:
     """DM table, heuristic flips and rounds, and the optimal split are
-    the same on both backends."""
-    if get_kernels() is None:
-        pytest.skip("native kernels unavailable")
+    the same on the kernels and on the oracles."""
     vectors = dict(x_part=bs.x_part, y_part=bs.y_part, nparts=bs.nparts)
 
     def run():

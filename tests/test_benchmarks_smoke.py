@@ -36,6 +36,10 @@ def test_bench_engine_quick(tmp_path):
     assert data == result
     assert {"matrix", "block_stats", "block_dm", "engine_pipeline"} <= set(data)
     assert data["block_stats"]["batched_s"] > 0
+    # The DM batch has one implementation: no NumPy time, no speedup gate.
+    assert data["block_dm"]["native_s"] > 0
+    for retired in ("numpy_s", "native_speedup", "native_speedup_target"):
+        assert retired not in data["block_dm"]
 
 
 def test_bench_partitioner_quick(tmp_path):

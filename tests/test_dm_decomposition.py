@@ -1,4 +1,6 @@
-"""Coarse DM decomposition: structure, König bound, optimality support."""
+"""Coarse DM decomposition: structure, König bound, optimality support,
+on the per-block oracle of ``tests/dm_oracle.py`` and the label
+constants and :class:`CoarseDM` it shares with the package."""
 
 import itertools
 
@@ -6,14 +8,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dm.decomposition import (
-    HORIZONTAL,
-    SQUARE,
-    VERTICAL,
-    CoarseDM,
-    coarse_dm,
-    minimum_cover_size,
-)
+from repro.dm.decomposition import HORIZONTAL, SQUARE, VERTICAL, CoarseDM
+
+from tests.dm_oracle import coarse_dm, minimum_cover_size
 
 
 def test_square_identity():

@@ -1,11 +1,12 @@
-"""Hopcroft–Karp: unit tests + property tests against networkx."""
+"""The Hopcroft–Karp oracle of ``tests/dm_oracle.py``: unit tests and
+property tests against networkx."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dm.matching import (
+from tests.dm_oracle import (
     bipartite_adjacency,
     hopcroft_karp,
     is_matching,

@@ -9,10 +9,12 @@ fused plan kernel (one C call per apply) is pinned on the golden
 instances, the partitioner families and the edge cases of its
 row-segmented sum (-0.0 products, empty rows, no fold, K=1, inf/NaN),
 together with its marshalling checks.  The library's export surface is
-exactly its bound whole-call entries.  The dispatch layer is pinned
-separately: explicit/env/auto resolution, the silent no-compiler
-fallback with its recorded reason, build-cache reuse, the solver
-threading and the CLI surface.
+exactly its bound whole-call entries.  Algorithm 1's kernels are
+checked against the NumPy oracles of ``tests/dm_oracle.py``.  The
+build layer is pinned separately: the two-valued per-call ``backend``,
+the refusal of every native consumer on a host without a compiler
+(with the recorded reason), build-cache reuse, the solver threading
+and the CLI surface.
 """
 
 import copy
@@ -32,13 +34,11 @@ from repro.native import (
     native_status,
     ops,
     resolve_backend,
-    set_default_backend,
 )
 from repro.native.build import (
     _SIGNATURES,
     _SOURCE,
     CACHE_ENV,
-    FLAG_ENV,
     _reset_native_state,
 )
 from repro.partition.types import SpMVPartition
@@ -49,6 +49,7 @@ from repro.solvers import conjugate_gradient, power_iteration
 from repro.sparse.coo import canonical_coo
 from repro.verify import check_plan
 
+from tests import dm_oracle
 from tests.conftest import cli_usage_error
 from tests.test_partitioner_native import FAMILIES
 from tests.test_runtime import partitioned_instances  # noqa: F401
@@ -420,12 +421,10 @@ def _one_block(dense: np.ndarray):
 
 @pytest.mark.native
 def test_block_dm_labels_do_not_depend_on_the_matching():
-    """Reversing every row's adjacency makes Hopcroft–Karp find another
-    maximum matching; the labels from either matching, and the kernel's
-    from either adjacency, are the same."""
-    from repro.dm.decomposition import coarse_labels
-    from repro.dm.matching import hopcroft_karp
-
+    """Reversing every row's adjacency makes the Hopcroft–Karp oracle find
+    another maximum matching; the labels from either matching, and the
+    kernel's from either adjacency, are the same."""
+    coarse_labels, hopcroft_karp = dm_oracle.coarse_labels, dm_oracle.hopcroft_karp
     lib = get_kernels()
     rng = np.random.default_rng(5)
     dense = rng.random((9, 12)) < 0.3
@@ -453,11 +452,10 @@ def test_block_dm_labels_do_not_depend_on_the_matching():
 
 
 def _flip_both(**flat):
-    """``(chosen, rounds, loads)`` of the NumPy and native flip loops."""
-    from repro.core.s2d import _flip_numpy
-
+    """``(chosen, rounds, loads)`` of the NumPy oracle's and the native
+    flip loop."""
     out = []
-    for run in (_flip_numpy, lambda **kw: ops.s2d_flip(get_kernels(), **kw)):
+    for run in (dm_oracle.s2d_flip, lambda **kw: ops.s2d_flip(get_kernels(), **kw)):
         loads = flat["loads"].copy()
         chosen, rounds = run(**{**flat, "loads": loads})
         out.append((chosen.tolist(), rounds, loads.tolist()))
@@ -532,7 +530,7 @@ def test_block_dm_and_flip_reject_wrong_dtype_or_layout():
 
 
 # ----------------------------------------------------------------------
-# Dispatch: env flag, overrides, no-compiler fallback
+# Backend kwarg and the host without a compiler
 # ----------------------------------------------------------------------
 
 
@@ -543,59 +541,77 @@ def test_explicit_numpy_never_touches_the_compiler(clean_native_state, monkeypat
     assert calls == []
 
 
-def test_env_flag_zero_defaults_to_numpy(clean_native_state, monkeypatch):
-    monkeypatch.setenv(FLAG_ENV, "0")
-    assert resolve_backend(None) == "numpy"
-    # Explicit kwargs still win over the environment default.
-    if HAVE_CC:
-        assert resolve_backend("native") == "native"
-
-
-def test_env_flag_rejects_garbage(clean_native_state, monkeypatch):
-    monkeypatch.setenv(FLAG_ENV, "yes")
-    with pytest.raises(ConfigError, match="REPRO_NATIVE"):
-        resolve_backend(None)
-
-
 def test_unknown_backend_rejected(clean_native_state):
     with pytest.raises(ConfigError, match="unknown backend"):
         resolve_backend("fortran")
-    with pytest.raises(ConfigError, match="unknown backend"):
-        set_default_backend("fortran")
 
 
-def test_default_override_beats_env(clean_native_state, monkeypatch):
-    monkeypatch.setenv(FLAG_ENV, "1")
-    set_default_backend("numpy")
-    assert resolve_backend(None) == "numpy"
-    set_default_backend(None)
-    assert resolve_backend("numpy") == "numpy"
+@pytest.mark.native
+@pytest.mark.parametrize("backend", ["auto", None])
+def test_auto_and_none_backends_are_refused(backend, partitioned_instances):  # noqa: F811
+    """The kwarg takes exactly ``"numpy"`` and ``"native"``: ``"auto"``
+    and None are refused, naming both, by every entry that takes it."""
+    p, _mode = partitioned_instances[1]  # square s2d instance
+    plan = compile_plan(p)
+    x, y = np.ones(plan.ncols), np.empty(plan.nrows)
+    for call in (
+        lambda: resolve_backend(backend),
+        lambda: plan.apply_y(x, backend=backend),
+        lambda: plan.apply(x, backend=backend),
+        lambda: plan.bind(x, y, backend=backend),
+        lambda: conjugate_gradient(p, np.ones(plan.nrows), plan=plan, backend=backend),
+        lambda: power_iteration(p, iters=2, plan=plan, backend=backend),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            call()
+        assert str(exc.value) == f"unknown backend {backend!r}; expected 'numpy' or 'native'"
 
 
-def test_no_compiler_auto_falls_back_with_reason(clean_native_state, monkeypatch):
-    """A compiler-less host silently degrades to NumPy — but records why
-    — and an explicit native request is a clean ConfigError."""
+@pytest.mark.native
+def test_no_compiler_refuses_every_native_consumer(
+    clean_native_state, monkeypatch, partitioned_instances  # noqa: F811
+):
+    """A host without a compiler cannot run the block DM, the flip loop,
+    a default apply or a default solve: each raises the one ConfigError
+    an explicit native request raises, with the recorded reason, and
+    the status reports why."""
+    from repro.core.s2d import s2d_heuristic
+    from repro.dm.batch import batched_block_dm
+    from repro.sparse.blocks import BlockStructure
+
+    p, _mode = partitioned_instances[1]  # square s2d instance
+    plan = compile_plan(p)
+    a, v = p.matrix, p.vectors
+    bs = BlockStructure(a.row, a.col, v.x_part, v.y_part, v.nparts)
     monkeypatch.setattr(native_build, "find_compiler", lambda: None)
-    assert resolve_backend("auto") == "numpy"
-    assert resolve_backend(None) == "numpy"
-    status = native_status()
-    assert status["available"] is False
-    assert status["so_path"] is None
-    assert "no C compiler" in status["reason"]
-    with pytest.raises(ConfigError, match="native backend unavailable"):
+    with pytest.raises(ConfigError) as native:
         resolve_backend("native")
+    assert str(native.value).startswith("native backend unavailable: no C compiler")
+    for call in (
+        lambda: batched_block_dm(bs),
+        lambda: s2d_heuristic(a, x_part=v.x_part, y_part=v.y_part, nparts=v.nparts),
+        lambda: plan.apply_y(np.ones(plan.ncols)),
+        lambda: conjugate_gradient(p, np.ones(plan.nrows), plan=plan),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            call()
+        assert str(exc.value) == str(native.value)
+    status = native_status()
+    assert status["available"] is False and status["so_path"] is None
+    assert "no C compiler" in status["reason"]
+    assert "default_backend" not in status
 
 
 def test_no_compiler_golden_path_still_works(
     clean_native_state, monkeypatch, partitioned_instances  # noqa: F811
 ):
-    """The full apply path under auto on a compiler-less host: NumPy
-    kernels, bit-identical to the executor, no error surfaced."""
+    """The NumPy apply needs no compiler: on a compiler-less host an
+    explicit ``backend="numpy"`` apply is bit-identical to the executor."""
     monkeypatch.setattr(native_build, "find_compiler", lambda: None)
     p, _mode = partitioned_instances[1]
     plan = compile_plan(p)
     x = np.random.default_rng(7).standard_normal(plan.ncols)
-    assert np.array_equal(plan.apply_y(x), run_partition(p, x).y)
+    assert np.array_equal(plan.apply_y(x, backend="numpy"), run_partition(p, x).y)
 
 
 def test_failed_build_attempt_is_cached(clean_native_state, monkeypatch):
@@ -690,8 +706,8 @@ def test_cli_native_info(capsys):
     out = capsys.readouterr().out
     assert "available=" in out
     assert "cache_dir=" in out
-    assert "default_backend=" in out
     assert "partitioning=" in out
+    assert "default_backend" not in out
 
 
 def test_cli_native_info_says_partitioning_needs_the_kernels(
@@ -708,19 +724,17 @@ def test_cli_native_info_says_partitioning_needs_the_kernels(
     "argv",
     [
         ["table", "--id", "2", "--scale", "tiny"],
-        ["table", "--id", "2", "--scale", "tiny", "--backend", "numpy"],
         ["partition", "--matrix", "trdheim", "--k", "4", "--scale", "tiny"],
-        ["solve", "--matrix", "trdheim", "--k", "3", "--scale", "tiny", "--backend", "numpy"],
+        ["solve", "--matrix", "trdheim", "--k", "3", "--scale", "tiny"],
     ],
-    ids=["table", "table-numpy", "partition", "solve-numpy"],
+    ids=["table", "partition", "solve"],
 )
 def test_cli_partitioning_without_compiler_is_refused(
     clean_native_state, monkeypatch, capsys, argv
 ):
     """Every partition comes from the native kernels: on a host without
     a compiler a command that partitions prints the one ConfigError an
-    explicit native backend gives and exits 2 before any work, whatever
-    ``--backend`` says."""
+    explicit native backend gives and exits 2 before any work."""
     monkeypatch.setattr(native_build, "find_compiler", lambda: None)
     err = cli_usage_error(capsys, argv)
     assert "native backend unavailable: no C compiler" in err
@@ -728,10 +742,11 @@ def test_cli_partitioning_without_compiler_is_refused(
 
 @pytest.mark.native
 def test_cli_solve_backend_native(capsys):
+    """`solve` applies on the native kernels and says so."""
     rc = main(
         [
             "solve", "--matrix", "trdheim", "--scheme", "s2d",
-            "--k", "3", "--scale", "tiny", "--backend", "native",
+            "--k", "3", "--scale", "tiny",
         ]
     )
     assert rc == 0
@@ -744,16 +759,22 @@ def test_cli_solve_backend_native_unavailable(clean_native_state, monkeypatch, c
         capsys,
         [
             "solve", "--matrix", "trdheim", "--scheme", "s2d",
-            "--k", "3", "--scale", "tiny", "--backend", "native",
+            "--k", "3", "--scale", "tiny",
         ],
     )
     assert "native backend unavailable" in err
 
 
-def test_cli_table_backend_flag(clean_native_state, capsys):
-    """`table --backend numpy` runs end to end with the process-wide
-    override in force (the fixture clears it afterwards)."""
-    rc = main(["table", "--id", "2", "--scale", "tiny", "--backend", "numpy"])
-    assert rc == 0
-    assert resolve_backend(None) == "numpy"  # the override is active
-    assert capsys.readouterr().out
+def test_cli_table_backend_flag(capsys):
+    """`table` and `solve` have no ``--backend`` flag: argparse refuses
+    any value before any work, with exit status 2 and one
+    ``s2d-repro: error:`` line."""
+    for cmd in ("table --id 2", "solve --matrix trdheim --k 3"):
+        for value in ("numpy", "native", "auto"):
+            with pytest.raises(SystemExit) as exc:
+                main([*cmd.split(), "--scale", "tiny", "--backend", value])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "Traceback" not in err
+            assert err.count("s2d-repro: error:") == 1
+            assert f"s2d-repro: error: unrecognized arguments: --backend {value}\n" in err

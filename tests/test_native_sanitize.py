@@ -150,13 +150,14 @@ else:
     raise AssertionError("no MemoryError")
 
 # Algorithm 1's kernels: repro_block_dm over every off-diagonal block and
-# repro_s2d_flip, against the NumPy reference, on a dense-row matrix and
+# repro_s2d_flip, against the NumPy oracles, on a dense-row matrix and
 # a rectangular random one.
+from contextlib import nullcontext
 from repro.core.s2d import s2d_heuristic
 from repro.dm.batch import batched_block_dm
 from repro.generators.circuit import banded_with_dense_rows
-from repro.native import set_default_backend
 from repro.sparse.blocks import BlockStructure
+from tests.dm_oracle import numpy_kernels
 
 rng = np.random.default_rng(9)
 for m in (
@@ -168,11 +169,11 @@ for m in (
             m.row, m.col, rng.integers(0, k, m.shape[1]), rng.integers(0, k, m.shape[0]), k
         )
         runs = {}
-        for backend in ("numpy", "native"):
-            set_default_backend(backend)
-            t = batched_block_dm(bs)
-            h = s2d_heuristic(m, x_part=bs.x_part, y_part=bs.y_part, nparts=k,
-                              block_structure=bs, choices=t)
+        for backend, kernels in (("numpy", numpy_kernels), ("native", nullcontext)):
+            with kernels():
+                t = batched_block_dm(bs)
+                h = s2d_heuristic(m, x_part=bs.x_part, y_part=bs.y_part, nparts=k,
+                                  block_structure=bs, choices=t)
             runs[backend] = [t.row_label, t.col_label, t.matching_size, t.h_mask,
                              h.meta["chosen"], h.nnz_part, np.array([h.meta["rounds"]])]
         for want, got in zip(runs["numpy"], runs["native"]):
@@ -291,8 +292,8 @@ def test_sanitized_kernels_pass_golden_applies():
     partitioner stage including the K-way polish); ``multilevel_bisect``
     calls against the same fixture (``repro_bisect``: the HCM matching,
     contraction, both initial bisections and the FM set-up without and
-    with passes); and the block DM and s2D flip kernels against NumPy
-    over every off-diagonal block of two matrices."""
+    with passes); and the block DM and s2D flip kernels against their
+    NumPy oracles over every off-diagonal block of two matrices."""
     proc = _run_child(_GOLDEN_CHILD)
     _skip_if_unloadable(proc)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -453,11 +454,11 @@ def test_debug_guard_checks_block_dm_offsets_and_flip_indices():
     lib = get_kernels()
     if lib is None:
         pytest.skip("native kernels unavailable")
-    from repro.dm.batch import _labels_numpy
+    from tests.dm_oracle import block_dm
 
     good = _two_block_batch()
     got = ops.block_dm(lib, **good)
-    want = _labels_numpy(**good)
+    want = block_dm(**good)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert got[2].tolist() == [2, 1]
     i64 = lambda *v: np.array(v, dtype=np.int64)  # noqa: E731

@@ -10,8 +10,8 @@ Python driver (``tests/golden_partitioner.py``):
   final generator states are the frozen ones, and a caller's generator
   ends in the frozen state (also when it starts with a buffered 32-bit
   draw);
-- an MT19937-backed generator raises ConfigError naming it, whatever
-  the backend switch says;
+- an MT19937-backed generator raises ConfigError naming it, whatever a
+  stale ``REPRO_NATIVE`` in the environment says;
 - a traced run grafts the frozen span tree and counters; an untraced
   one passes no event log; at 1-4 threads the traced parts, spans (in
   order) and counters equal the serial run's;
@@ -39,7 +39,7 @@ from repro.native import get_kernels, ops
 from tests import golden_partitioner as golden
 from tests.golden_partitioner import model as _model
 from tests.golden_partitioner import partition_threads
-from tests.test_partitioner_native import forced_backend
+from tests.test_partitioner_native import STALE_SWITCH
 
 pytestmark = pytest.mark.native
 
@@ -65,22 +65,23 @@ def test_caller_generator_ends_in_the_same_state(buffered):
 
 
 @pytest.mark.parametrize("backend", ["numpy", "native"])
-def test_mt19937_generator_is_refused(backend):
+def test_mt19937_generator_is_refused(backend, monkeypatch):
     """The drivers draw PCG64 streams only: a generator on another bit
-    generator raises ConfigError naming it before any work, on either
-    backend switch, and is left as it was."""
+    generator raises ConfigError naming it before any work, with either
+    setting of the deleted ``REPRO_NATIVE`` switch left in the
+    environment, and is left as it was."""
+    monkeypatch.setenv("REPRO_NATIVE", STALE_SWITCH[backend])
     hg = _model("knn", 1)
     t = hg.total_weight().astype(np.float64)
-    with forced_backend(backend):
-        for run in (
-            lambda g: partition_kway(hg, 8, PartitionConfig(seed=g)),
-            lambda g: multilevel_bisect(hg, (t * 0.4, t * 0.6), 0.05, g, PartitionConfig()),
-        ):
-            rng = np.random.Generator(np.random.MT19937(5))
-            with pytest.raises(ConfigError, match="PCG64 streams, got a generator on MT19937"):
-                run(rng)
-            fresh = np.random.Generator(np.random.MT19937(5))
-            assert rng.integers(1 << 62) == fresh.integers(1 << 62)
+    for run in (
+        lambda g: partition_kway(hg, 8, PartitionConfig(seed=g)),
+        lambda g: multilevel_bisect(hg, (t * 0.4, t * 0.6), 0.05, g, PartitionConfig()),
+    ):
+        rng = np.random.Generator(np.random.MT19937(5))
+        with pytest.raises(ConfigError, match="PCG64 streams, got a generator on MT19937"):
+            run(rng)
+        fresh = np.random.Generator(np.random.MT19937(5))
+        assert rng.integers(1 << 62) == fresh.integers(1 << 62)
 
 
 def _stage_tree(tr) -> tuple[Counter, dict]:

@@ -14,7 +14,8 @@ generator state after the call against the fixture (and equal
 initial trials and projection without refinement.  Pinned here:
 
 - every partitioner pin of ``test_partitioner_vectorized`` holds with
-  the backend switch either way (the partitioner does not read it);
+  either setting of the deleted ``REPRO_NATIVE`` switch left in the
+  environment (nothing reads it);
 - the FM passes and the K-way polish: bisections at the per-level
   tolerance of K in {2, 8, 64} and ``partition_kway`` at those K over
   five matrix families with one and two balance constraints, a
@@ -39,8 +40,6 @@ initial trials and projection without refinement.  Pinned here:
   explicit native backend raises; the duplicate-pin precondition.
 """
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -57,7 +56,6 @@ from repro.hypergraph import (
     partition_kway,
 )
 from repro.hypergraph.bisect import multilevel_bisect
-from repro.native import set_default_backend
 from repro.native.build import _reset_native_state
 from repro.rng import as_generator, spawn
 
@@ -66,16 +64,11 @@ from tests import test_partitioner_vectorized as pins
 from tests.golden_partitioner import FAMILIES
 from tests.golden_partitioner import model as _model
 
-BACKENDS = ["numpy", pytest.param("native", marks=pytest.mark.native)]
-
-
-@contextmanager
-def forced_backend(backend):
-    set_default_backend(backend)
-    try:
-        yield
-    finally:
-        set_default_backend(None)
+#: The deleted ``REPRO_NATIVE`` switch's two settings, by the backend
+#: each used to force.  An environment may still hold either; nothing
+#: reads it, so the partitioner pins hold under both.
+STALE_SWITCH = {"numpy": "0", "native": "1"}
+BACKENDS = [pytest.param(b, marks=pytest.mark.native) for b in STALE_SWITCH]
 
 
 def _matches(prefix: str, threads=(None,)) -> None:
@@ -84,41 +77,41 @@ def _matches(prefix: str, threads=(None,)) -> None:
 
 
 # ----------------------------------------------------------------------
-# The existing partitioner pins, under either backend switch
+# The existing partitioner pins, under either stale switch setting
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_seeded_determinism_per_backend(backend, small_square):
-    with forced_backend(backend):
-        pins.test_partition_kway_seeded_determinism(small_square)
+def test_seeded_determinism_per_backend(backend, small_square, monkeypatch):
+    monkeypatch.setenv("REPRO_NATIVE", STALE_SWITCH[backend])
+    pins.test_partition_kway_seeded_determinism(small_square)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("matrix_idx", range(5))
-def test_quality_within_5pct_of_legacy_per_backend(backend, matrix_idx):
-    with forced_backend(backend):
-        pins.test_quality_within_5pct_of_legacy(matrix_idx)
+def test_quality_within_5pct_of_legacy_per_backend(backend, matrix_idx, monkeypatch):
+    monkeypatch.setenv("REPRO_NATIVE", STALE_SWITCH[backend])
+    pins.test_quality_within_5pct_of_legacy(matrix_idx)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_fm_repairs_multiconstraint_infeasible_start_per_backend(backend):
-    with forced_backend(backend):
-        pins.test_fm_repairs_multiconstraint_infeasible_start()
+def test_fm_repairs_multiconstraint_infeasible_start_per_backend(backend, monkeypatch):
+    monkeypatch.setenv("REPRO_NATIVE", STALE_SWITCH[backend])
+    pins.test_fm_repairs_multiconstraint_infeasible_start()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed", [0, 7, 23, 101])
-def test_fm_incremental_gains_consistent_cut_per_backend(backend, seed):
-    with forced_backend(backend):
-        pins.test_fm_incremental_gains_consistent_cut(seed)
+def test_fm_incremental_gains_consistent_cut_per_backend(backend, seed, monkeypatch):
+    monkeypatch.setenv("REPRO_NATIVE", STALE_SWITCH[backend])
+    pins.test_fm_incremental_gains_consistent_cut(seed)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed", [1, 5, 17])
-def test_kway_polish_never_increases_cost_per_backend(backend, seed):
-    with forced_backend(backend):
-        pins.test_kway_polish_never_increases_cost(seed)
+def test_kway_polish_never_increases_cost_per_backend(backend, seed, monkeypatch):
+    monkeypatch.setenv("REPRO_NATIVE", STALE_SWITCH[backend])
+    pins.test_kway_polish_never_increases_cost(seed)
 
 
 # ----------------------------------------------------------------------
@@ -353,9 +346,9 @@ def test_fm_setup_identical_across_backends(family, model, ncon):
 
 
 def test_partition_kway_without_compiler_raises_config_error(monkeypatch):
-    """A host without the kernels cannot partition, whatever the backend
-    switch says: ``partition_kway`` and ``multilevel_bisect`` raise the
-    ConfigError an explicit native backend raises, with its reason."""
+    """A host without the kernels cannot partition: ``partition_kway`` and
+    ``multilevel_bisect`` raise the ConfigError an explicit native
+    backend raises, with its reason."""
     hg = _model("circuit", 2)
     t = hg.total_weight().astype(np.float64)
     _reset_native_state()
@@ -364,14 +357,11 @@ def test_partition_kway_without_compiler_raises_config_error(monkeypatch):
         with pytest.raises(ConfigError) as native:
             native_build.resolve_backend("native")
         assert str(native.value).startswith("native backend unavailable: no C compiler")
-        for backend in ("auto", "numpy"):
-            with forced_backend(backend):
-                with pytest.raises(ConfigError) as kway:
-                    partition_kway(hg, 8, PartitionConfig(seed=9))
-                with pytest.raises(ConfigError) as vcycle:
-                    multilevel_bisect(hg, (t / 2, t / 2), 0.05, as_generator(9),
-                                      PartitionConfig())
-            assert str(kway.value) == str(vcycle.value) == str(native.value)
+        with pytest.raises(ConfigError) as kway:
+            partition_kway(hg, 8, PartitionConfig(seed=9))
+        with pytest.raises(ConfigError) as vcycle:
+            multilevel_bisect(hg, (t / 2, t / 2), 0.05, as_generator(9), PartitionConfig())
+        assert str(kway.value) == str(vcycle.value) == str(native.value)
     finally:
         _reset_native_state()
 

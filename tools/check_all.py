@@ -13,11 +13,14 @@ Runs, in order, and prints one PASS/FAIL line per step:
 3. every case of ``tests/fixtures/partitioner_reference.json`` (the
    partitioner's frozen reference results) through the C driver, at one
    and two threads;
-4. the fast pytest tier (``-m "not slow"``) in a subprocess — skipped
+4. the paper's declared claims: the five quantitative tables
+   (``GRID_TABLES``) run at ``small`` scale with two sweep workers, and
+   any claim ``check_claims`` judges ``FAIL`` fails the step;
+5. the fast pytest tier (``-m "not slow"``) in a subprocess — skipped
    with ``--no-pytest`` when only the static layer is wanted;
-5. with ``--bench``, the bench-trend gate (``tools/bench_trend.py``)
+6. with ``--bench``, the bench-trend gate (``tools/bench_trend.py``)
    over the committed ``BENCH_*.json`` acceptance metrics;
-6. with ``--campaign``, a crash-safety smoke: a small faulted grid run
+7. with ``--campaign``, a crash-safety smoke: a small faulted grid run
    under a seeded ``FaultPlan`` (worker kill + transient raise) must
    complete with records bit-identical to an unfaulted serial sweep.
 
@@ -113,6 +116,18 @@ def step_partitions() -> tuple[bool, str]:
     return not problems, "\n".join([summary, *problems])
 
 
+def step_claims() -> tuple[bool, str]:
+    from repro.experiments import GRID_TABLES, ExperimentConfig, check_claims, run_table
+
+    cfg = ExperimentConfig(scale="small")
+    lines, ok = [], True
+    for table in GRID_TABLES:
+        for verdict in check_claims(table, run_table(table, cfg, jobs=2)):
+            ok &= verdict.status != "FAIL"
+            lines.append(f"table {table}: {verdict}")
+    return ok, "\n".join(lines)
+
+
 def step_bench_trend() -> tuple[bool, str]:
     from repro.obs.trend import trend_report, trend_text
 
@@ -195,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--no-pytest",
         action="store_true",
-        help="run only the static checks (lint, plan-IR, partitions)",
+        help="run only the static checks (lint, plan-IR, partitions, claims)",
     )
     ap.add_argument(
         "--bench",
@@ -214,6 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         ("lint", step_lint),
         ("plan-ir", step_plans),
         ("partitions", step_partitions),
+        ("claims", step_claims),
     ]
     if args.bench:
         steps.append(("bench-trend", step_bench_trend))
